@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .domain import ConfigError
-from .lifecycle import LifecycleConfig
+from .domain import FRAUD_ROLE, ConfigError
+from .lifecycle import LifecycleConfig, RoleSpec
 from .moe import Expert
 from .reward import RewardConfig, RewardWeights
 from .simulator import (
@@ -29,12 +29,6 @@ from .simulator import (
 )
 
 CONFIG_SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class RoleSpec:
-    name: str
-    required_skills: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -144,7 +138,13 @@ def _parse_stream(node: dict, path: str) -> StreamConfig:
     )
 
 
-def _parse_expert(node: dict, path: str) -> Expert:
+def _require_fraud_role(name: str, path: str) -> str:
+    if name != FRAUD_ROLE:
+        raise ConfigError(f"{path}: unsupported role {name!r}; only {FRAUD_ROLE!r} is dispatched")
+    return name
+
+
+def parse_expert(node: dict, path: str) -> Expert:
     _check_keys(node, {"profile", "weights", "threshold"}, path)
     return Expert(
         profile=tuple(float(x) for x in _require(node, "profile", path)),
@@ -160,10 +160,10 @@ def _parse_agent(node: dict, path: str) -> AgentSpec:
     }
     _check_keys(node, allowed, path)
     return AgentSpec(
-        role=str(_require(node, "role", path)),
+        role=_require_fraud_role(str(_require(node, "role", path)), f"{path}.role"),
         skills=frozenset(str(s) for s in _require(node, "skills", path)),
         experts=tuple(
-            _parse_expert(e, f"{path}.experts[{i}]")
+            parse_expert(e, f"{path}.experts[{i}]")
             for i, e in enumerate(_require(node, "experts", path))
         ),
         learning_rate=float(node.get("learning_rate", 0.05)),
@@ -226,7 +226,9 @@ def parse_config(root: dict, source: str = "<config>") -> RunConfig:
         _check_keys(role_node, {"name", "required_skills"}, role_path)
         roles.append(
             RoleSpec(
-                name=str(_require(role_node, "name", role_path)),
+                name=_require_fraud_role(
+                    str(_require(role_node, "name", role_path)), f"{role_path}.name"
+                ),
                 required_skills=frozenset(
                     str(s) for s in _require(role_node, "required_skills", role_path)
                 ),
@@ -269,6 +271,14 @@ def load_config(path: str | Path) -> RunConfig:
 # Serialization (snapshots embed the full config)
 # ---------------------------------------------------------------------------
 
+def expert_to_dict(expert: Expert) -> dict:
+    return {
+        "profile": list(expert.profile),
+        "weights": list(expert.weights),
+        "threshold": expert.threshold,
+    }
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
     def pattern_dict(p: PatternSpec) -> dict:
         return {
@@ -282,10 +292,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         return {
             "role": a.role,
             "skills": sorted(a.skills),
-            "experts": [
-                {"profile": list(e.profile), "weights": list(e.weights), "threshold": e.threshold}
-                for e in a.experts
-            ],
+            "experts": [expert_to_dict(e) for e in a.experts],
             "learning_rate": a.learning_rate,
             "cost_per_sample": a.cost_per_sample,
             "handoff_reliability": a.handoff_reliability,
@@ -372,13 +379,13 @@ def section_4_4_preset(
         )
     )
     incumbent = AgentSpec(
-        role="FraudDetection",
+        role=FRAUD_ROLE,
         skills=frozenset({"fraud", "text", "numeric", "behavior"}),
         experts=incumbent_experts(scenario),
         handoff_reliability=0.98,
     )
     candidate = AgentSpec(
-        role="FraudDetection",
+        role=FRAUD_ROLE,
         skills=frozenset({"fraud", "text", "numeric", "behavior", "pattern-B"}),
         experts=candidate_experts(scenario),
         handoff_reliability=0.98,
@@ -391,7 +398,7 @@ def section_4_4_preset(
             schedule=schedule,
         ),
         lifecycle=LifecycleConfig(),
-        roles=(RoleSpec(name="FraudDetection", required_skills=frozenset({"fraud", "pattern-B"})),),
+        roles=(RoleSpec(name=FRAUD_ROLE, required_skills=frozenset({"fraud", "pattern-B"})),),
         roster=(incumbent,),
         pool=(candidate,),
     )

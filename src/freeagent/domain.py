@@ -18,6 +18,9 @@ MODALITY_DIM = 3
 
 AgentId = int
 
+# The only role the pipeline dispatches; configs naming another are rejected.
+FRAUD_ROLE = "FraudDetection"
+
 
 class ConfigError(ValueError):
     """Invalid configuration: bad dimensions, bad ranges, unknown keys."""
@@ -43,13 +46,16 @@ class AccessTier(IntEnum):
     FULL = 2
 
 
+_TIER_BY_STATUS = {
+    AgentStatus.RELEASED: AccessTier.SANDBOX,
+    AgentStatus.PROBATIONARY: AccessTier.RESTRICTED,
+    AgentStatus.ACTIVE: AccessTier.FULL,
+}
+
+
 def tier_for_status(status: AgentStatus) -> AccessTier:
     """Access tier is a pure function of lifecycle status."""
-    return {
-        AgentStatus.RELEASED: AccessTier.SANDBOX,
-        AgentStatus.PROBATIONARY: AccessTier.RESTRICTED,
-        AgentStatus.ACTIVE: AccessTier.FULL,
-    }[status]
+    return _TIER_BY_STATUS[status]
 
 
 class EventKind(str, Enum):
@@ -68,13 +74,13 @@ class Agent:
     ``performance`` is always the output of the most recent evaluation
     (0.0 before the first). ``service_time`` counts completed roster
     cycles and never decreases while the agent is not Released.
+    ``access_tier`` follows ``status`` and is never stored.
     """
 
     id: AgentId
     role: str
     skills: frozenset[str]
     status: AgentStatus
-    access_tier: AccessTier
     moe: "MoEState"  # noqa: F821 - resolved at runtime via moe module
     service_time: int = 0
     performance: float = 0.0
@@ -82,9 +88,9 @@ class Agent:
     cost_per_sample: float = 1.0
     handoff_reliability: float = 1.0
 
-    def set_status(self, status: AgentStatus) -> None:
-        self.status = status
-        self.access_tier = tier_for_status(status)
+    @property
+    def access_tier(self) -> AccessTier:
+        return _TIER_BY_STATUS[self.status]
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,7 +114,6 @@ class Decision:
     verdict: bool
     score: float
     expert_used: int
-    shadow: bool
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,18 +21,12 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import AgentSpec, RunConfig, config_to_dict, parse_config
-from .domain import (
-    Agent,
-    AgentId,
-    AgentStatus,
-    EventKind,
-    RosterEvent,
-    tier_for_status,
-)
+from .config import AgentSpec, RunConfig, config_to_dict, expert_to_dict, parse_config, parse_expert
+from .domain import Agent, AgentId, AgentStatus, EventKind, RosterEvent
 from .lifecycle import (
     enforce_service_cap,
     evaluate_and_release,
@@ -41,7 +35,7 @@ from .lifecycle import (
     transition_probationary,
     vacant_roles,
 )
-from .metrics import PerformanceLog, f1_from_counts
+from .metrics import PerformanceLog, count_ratios, f1_from_counts
 from .moe import MoEState, rl_update, uniform_moe
 from .pipeline import CyclePipeline, DetectionRecord
 from .reward import compute_components, compute_reward
@@ -115,12 +109,11 @@ class CycleReport:
     def system_f1(self) -> float:
         return f1_from_counts(self.system_tp, self.system_fp, self.system_fn)
 
-    @property
-    def system_accuracy(self) -> float:
-        decided = self.system_decided
-        if decided == 0:
-            return 0.0
-        return (self.system_tp + self.system_tn) / decided
+
+def _system_metrics(tp: int, fp: int, fn: int, tn: int) -> dict:
+    """The decided count, F1 and accuracy that summary.json reports."""
+    _, _, f1, accuracy = count_ratios(tp, fp, fn, tn)
+    return {"decided": tp + fp + fn + tn, "f1": f1, "accuracy": accuracy}
 
 
 def _agent_from_spec(spec: AgentSpec, agent_id: AgentId, status: AgentStatus) -> Agent:
@@ -129,7 +122,6 @@ def _agent_from_spec(spec: AgentSpec, agent_id: AgentId, status: AgentStatus) ->
         role=spec.role,
         skills=spec.skills,
         status=status,
-        access_tier=tier_for_status(status),
         moe=uniform_moe(spec.experts, learning_rate=spec.learning_rate),
         service_time=spec.service_time,
         cost_per_sample=spec.cost_per_sample,
@@ -151,45 +143,33 @@ def agent_to_dict(agent: Agent) -> dict:
         "moe": {
             "learning_rate": agent.moe.learning_rate,
             "gate_weights": list(agent.moe.gate_weights),
-            "experts": [
-                {"profile": list(e.profile), "weights": list(e.weights), "threshold": e.threshold}
-                for e in agent.moe.experts
-            ],
+            "experts": [expert_to_dict(e) for e in agent.moe.experts],
         },
     }
 
 
 def agent_from_dict(node: dict) -> Agent:
-    from .moe import Expert
-
-    status = AgentStatus(node["status"])
     moe_node = node["moe"]
-    moe = MoEState(
-        experts=tuple(
-            Expert(
-                profile=tuple(e["profile"]),
-                weights=tuple(e["weights"]),
-                threshold=e["threshold"],
-            )
-            for e in moe_node["experts"]
-        ),
-        gate_weights=tuple(moe_node["gate_weights"]),
-        learning_rate=moe_node["learning_rate"],
-    )
-    agent = Agent(
+    path = f"agent {node['id']}.moe"
+    return Agent(
         id=node["id"],
         role=node["role"],
         skills=frozenset(node["skills"]),
-        status=status,
-        access_tier=tier_for_status(status),
-        moe=moe,
+        status=AgentStatus(node["status"]),
+        moe=MoEState(
+            experts=tuple(
+                parse_expert(e, f"{path}.experts[{i}]")
+                for i, e in enumerate(moe_node["experts"])
+            ),
+            gate_weights=tuple(moe_node["gate_weights"]),
+            learning_rate=moe_node["learning_rate"],
+        ),
         service_time=node["service_time"],
         performance=node["performance"],
         consecutive_below=node["consecutive_below"],
         cost_per_sample=node["cost_per_sample"],
         handoff_reliability=node["handoff_reliability"],
     )
-    return agent
 
 
 class Engine:
@@ -261,8 +241,7 @@ class Engine:
         )
 
         # Stage 4: refill, probation transitions, service accounting.
-        roles = tuple((r.name, r.required_skills) for r in cfg.roles)
-        vacancies = vacant_roles(self.roster, roles)
+        vacancies = vacant_roles(self.roster, cfg.roles)
         signed = fill_vacant_roles(
             self.roster, self.pool, vacancies, cfg.lifecycle, cycle, self.events
         )
@@ -293,15 +272,12 @@ class Engine:
                 win.true_positives, win.false_positives,
                 win.false_negatives, win.true_negatives,
             )
-            precision = tp / (tp + fp) if tp + fp else 0.0
-            recall = tp / (tp + fn) if tp + fn else 0.0
+            precision, recall, f1, accuracy = count_ratios(tp, fp, fn, tn)
             rows.append(
                 MetricsRow(
                     cycle=cycle, agent=aid, status=status.value,
                     tp=tp, fp=fp, fn=fn, tn=tn,
-                    precision=precision, recall=recall,
-                    f1=f1_from_counts(tp, fp, fn),
-                    accuracy=win.accuracy(),
+                    precision=precision, recall=recall, f1=f1, accuracy=accuracy,
                     synergy=comps.synergy, efficiency=comps.efficiency,
                     penalty=comps.penalty, reward=rewards[aid],
                     service_time=agent.service_time,
@@ -397,10 +373,8 @@ class Engine:
         cycles = [
             {
                 "cycle": r.cycle,
-                "decided": r.system_decided,
-                "f1": r.system_f1,
-                "accuracy": r.system_accuracy,
                 "stalled": r.stalled,
+                **_system_metrics(r.system_tp, r.system_fp, r.system_fn, r.system_tn),
             }
             for r in reports
         ]
@@ -418,15 +392,12 @@ class Engine:
             fp = sum(r.system_fp for r in phase_reports)
             fn = sum(r.system_fn for r in phase_reports)
             tn = sum(r.system_tn for r in phase_reports)
-            decided = tp + fp + fn + tn
             phases.append(
                 {
                     "start_cycle": seg.start_cycle,
                     "end_cycle": end - 1,
                     "mixture": {p.name: w for p, w in seg.mixture},
-                    "decided": decided,
-                    "f1": f1_from_counts(tp, fp, fn),
-                    "accuracy": (tp + tn) / decided if decided else 0.0,
+                    **_system_metrics(tp, fp, fn, tn),
                 }
             )
 
@@ -464,9 +435,17 @@ def snapshot_state(engine: Engine) -> dict:
 
 
 def write_snapshot(engine: Engine, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(snapshot_state(engine), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """Write the snapshot atomically: a reader of ``path`` sees either the
+    previous file or the complete new one, never a partial write."""
+    path = Path(path)
+    text = json.dumps(snapshot_state(engine), indent=2, sort_keys=True) + "\n"
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def restore_engine(path: str | Path) -> Engine:
@@ -486,13 +465,9 @@ def restore_engine(path: str | Path) -> Engine:
             f"!= supported {SNAPSHOT_FORMAT_VERSION}"
         )
     try:
-        config = parse_config(node["config"], source=f"{path}#config")
-        engine = Engine.__new__(Engine)
-        engine.config = config
+        engine = Engine(parse_config(node["config"], source=f"{path}#config"))
         engine.roster = {a["id"]: agent_from_dict(a) for a in node["roster"]}
         engine.pool = [agent_from_dict(a) for a in node["pool"]]
-        engine.log = PerformanceLog()
-        engine.events = []
         engine.cycle = int(node["next_cycle"])
         engine.probation_started = {
             int(k): int(v) for k, v in node["probation_started"].items()

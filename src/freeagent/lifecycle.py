@@ -52,26 +52,22 @@ class LifecycleConfig:
             raise ConfigError("max_service_time must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class VacantRole:
-    role: str
+@dataclass(frozen=True)
+class RoleSpec:
+    """A roster role and the skills a pool agent needs to be signed into it."""
+
+    name: str
     required_skills: frozenset[str]
 
 
-def vacant_roles(
-    roster: dict[AgentId, Agent], roles: tuple[tuple[str, frozenset[str]], ...]
-) -> list[VacantRole]:
+def vacant_roles(roster: dict[AgentId, Agent], roles: tuple[RoleSpec, ...]) -> list[RoleSpec]:
     """A role is vacant iff no Active or Probationary agent fills it."""
     filled = {
         agent.role
         for agent in roster.values()
         if agent.status in (AgentStatus.ACTIVE, AgentStatus.PROBATIONARY)
     }
-    return [
-        VacantRole(role=name, required_skills=skills)
-        for name, skills in roles
-        if name not in filled
-    ]
+    return [role for role in roles if role.name not in filled]
 
 
 def _release(
@@ -83,7 +79,7 @@ def _release(
     detail: str,
     events: list[RosterEvent],
 ) -> None:
-    agent.set_status(AgentStatus.RELEASED)
+    agent.status = AgentStatus.RELEASED
     agent.consecutive_below = 0
     del roster[agent.id]
     pool.append(agent)
@@ -145,7 +141,7 @@ def evaluate_and_release(
 def fill_vacant_roles(
     roster: dict[AgentId, Agent],
     pool: list[Agent],
-    vacancies: list[VacantRole],
+    vacancies: list[RoleSpec],
     cfg: LifecycleConfig,
     cycle: int,
     events: list[RosterEvent],
@@ -162,13 +158,13 @@ def fill_vacant_roles(
         if not candidates:
             logger.warning(
                 "cycle %d: vacancy %s unfilled, no pool candidate with skills %s",
-                cycle, vacancy.role, sorted(vacancy.required_skills),
+                cycle, vacancy.name, sorted(vacancy.required_skills),
             )
             continue
         best = min(candidates, key=lambda a: (-a.performance, a.id))
         pool.remove(best)
-        best.set_status(AgentStatus.PROBATIONARY)
-        best.role = vacancy.role
+        best.status = AgentStatus.PROBATIONARY
+        best.role = vacancy.name
         best.consecutive_below = 0
         if not cfg.keep_service_time_on_resign:
             best.service_time = 0
@@ -179,7 +175,7 @@ def fill_vacant_roles(
                 cycle=cycle,
                 kind=EventKind.SIGN,
                 agent=best.id,
-                detail=f"signed for role {vacancy.role}",
+                detail=f"signed for role {vacancy.name}",
                 performance_snapshot=best.performance,
             )
         )
@@ -212,7 +208,7 @@ def transition_probationary(
         moe_init(agent)
         performance = evaluate_fraud_performance(agent, log, cycle, events)
         if performance >= cfg.release_threshold:
-            agent.set_status(AgentStatus.ACTIVE)
+            agent.status = AgentStatus.ACTIVE
             agent.consecutive_below = 0
             events.append(
                 RosterEvent(

@@ -20,24 +20,20 @@ class AgentWindow:
     false_positives: int = 0
     false_negatives: int = 0
     true_negatives: int = 0
-    samples_seen: int = 0
     handoffs_attempted: int = 0
     handoffs_succeeded: int = 0
     cost_accumulated: float = 0.0
     violations: int = 0
 
-    def decided(self) -> int:
+    @property
+    def samples_seen(self) -> int:
+        """Decided samples: each one moved exactly one confusion counter."""
         return (
             self.true_positives
             + self.false_positives
             + self.false_negatives
             + self.true_negatives
         )
-
-    def accuracy(self) -> float:
-        if self.samples_seen == 0:
-            return 0.0
-        return (self.true_positives + self.true_negatives) / self.samples_seen
 
 
 @dataclass
@@ -79,21 +75,29 @@ def update_fraud_metrics(
         win.false_negatives += 1
     else:
         win.true_negatives += 1
-    win.samples_seen += 1
     win.cost_accumulated += agent.cost_per_sample
 
 
-def f1_from_counts(tp: int, fp: int, fn: int) -> float:
-    """F1 via precision and recall, with 0/0 ratios defined as 0.
+def count_ratios(tp: int, fp: int, fn: int, tn: int) -> tuple[float, float, float, float]:
+    """Precision, recall, F1 and accuracy of confusion counts.
 
-    When precision + recall is 0 the result is 0, which keeps the
-    function total on all-zero windows.
+    Every 0/0 ratio is defined as 0; F1 is 0 when precision + recall is
+    0, which keeps the function total on all-zero windows.
     """
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+        f1 = 0.0
+    else:
+        f1 = 2.0 * precision * recall / (precision + recall)
+    decided = tp + fp + fn + tn
+    accuracy = (tp + tn) / decided if decided > 0 else 0.0
+    return precision, recall, f1, accuracy
+
+
+def f1_from_counts(tp: int, fp: int, fn: int) -> float:
+    """F1 via precision and recall, with 0/0 ratios defined as 0."""
+    return count_ratios(tp, fp, fn, 0)[2]
 
 
 def evaluate_fraud_performance(

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .domain import (
+    FRAUD_ROLE,
     SENSITIVE_START,
     AccessTier,
     Agent,
@@ -35,15 +36,12 @@ class Action:
 
 
 @dataclass(frozen=True, slots=True)
-class ActionRecord:
-    seq: int
-    action: str
-    acting_agent: AgentId
-
-
-@dataclass(frozen=True, slots=True)
 class DetectionRecord:
-    """One row of the optional detections log."""
+    """One decision of one agent on one sample: the only per-sample outcome.
+
+    ``action`` is Block for a fraud verdict of the assigned agent and None
+    otherwise; shadow rows never carry an action.
+    """
 
     seq: int
     agent: AgentId
@@ -61,22 +59,6 @@ class DetectionRecord:
             "shadow": self.shadow,
             "action": self.action,
         }
-
-
-def select_fraud_agent(roster: dict[AgentId, Agent], role: str = "FraudDetection") -> AgentId | None:
-    """Best Active agent for the role: highest performance, then lowest id.
-
-    Probationary agents are never assigned; they shadow instead. Returns
-    None when no Active agent carries the role.
-    """
-    best: Agent | None = None
-    for agent_id in sorted(roster):
-        agent = roster[agent_id]
-        if agent.status is not AgentStatus.ACTIVE or agent.role != role:
-            continue
-        if best is None or agent.performance > best.performance:
-            best = agent
-    return None if best is None else best.id
 
 
 def quantize_coarse(value: float) -> float:
@@ -109,27 +91,16 @@ def decide(agent: Agent, features: tuple[float, ...], modality: tuple[float, ...
     """
     idx = gate(agent.moe, modality)
     score, verdict = expert_score(agent.moe.experts[idx], features)
-    return Decision(
-        verdict=verdict,
-        score=score,
-        expert_used=idx,
-        shadow=agent.status is AgentStatus.PROBATIONARY,
-    )
-
-
-@dataclass
-class SampleOutcome:
-    decision: Decision | None
-    assigned_agent: AgentId | None
-    shadow_decisions: dict[AgentId, Decision]
-    action: ActionRecord | None
+    return Decision(verdict=verdict, score=score, expert_used=idx)
 
 
 class CyclePipeline:
     """Processes one cycle's batch against a fixed roster snapshot.
 
-    Handoff success is drawn per dispatch from a Philox stream keyed on
-    (seed, cycle, agent), so outcomes are reproducible and independent of
+    The assigned agent is the best Active detector (highest performance,
+    ties to the lowest id); Probationary agents decide in shadow. Handoff
+    success is drawn per dispatch from a Philox stream keyed on (seed,
+    cycle, agent), so outcomes are reproducible and independent of
     processing order. A failed handoff counts as attempted and skips the
     sample for that agent only; the dispatcher then falls through to the
     next-best active agent.
@@ -142,29 +113,30 @@ class CyclePipeline:
         seed: int,
         cycle: int,
         misbehaving: frozenset[AgentId] = frozenset(),
-        role: str = "FraudDetection",
     ) -> None:
         self.roster = roster
         self.log = log
         self.cycle = cycle
         self.misbehaving = misbehaving
-        self.role = role
         self.rewards: dict[AgentId, list[tuple[int, float]]] = {}
-        self.actions: list[ActionRecord] = []
         self.detections: list[DetectionRecord] = []
         self.stalled_samples = 0
         self._handoff_rngs: dict[AgentId, KeyedRng] = {}
         self._seed = seed
-        # Membership is fixed for the duration of the batch; performance
-        # only changes at evaluation time, so the dispatch order is too.
-        self._active = sorted(
-            (a for a in roster.values() if a.status is AgentStatus.ACTIVE and a.role == role),
-            key=lambda a: (-a.performance, a.id),
-        )
-        self._shadows = sorted(
-            (a for a in roster.values() if a.status is AgentStatus.PROBATIONARY and a.role == role),
-            key=lambda a: a.id,
-        )
+        # Membership and status are fixed for the duration of the batch;
+        # performance only changes at evaluation time, so the dispatch
+        # order and each agent's tier are too.
+        fraud = [a for a in roster.values() if a.role == FRAUD_ROLE]
+        self._active = [
+            (a, a.access_tier)
+            for a in sorted(fraud, key=lambda a: (-a.performance, a.id))
+            if a.status is AgentStatus.ACTIVE
+        ]
+        self._shadows = [
+            (a, a.access_tier)
+            for a in sorted(fraud, key=lambda a: a.id)
+            if a.status is AgentStatus.PROBATIONARY
+        ]
 
     def _handoff_ok(self, agent: Agent) -> bool:
         if agent.handoff_reliability >= 1.0:
@@ -179,81 +151,49 @@ class CyclePipeline:
         self.log.record_handoff(agent.id, ok)
         return ok
 
-    def _agent_decision(self, agent: Agent, sample: DataSample) -> Decision:
-        if agent.id in self.misbehaving and agent.access_tier is not AccessTier.FULL:
+    def _decide(self, agent: Agent, tier: AccessTier, sample: DataSample, shadow: bool) -> None:
+        if agent.id in self.misbehaving and tier is not AccessTier.FULL:
             # Audit hook: the agent tried to read the raw sample. The
             # attempt is blocked and tallied; the decision still runs on
             # redacted data.
             self.log.record_violation(agent.id)
-        red = redact(sample, agent.access_tier)
+        red = redact(sample, tier)
         decision = decide(agent, red.features, red.modality)
         update_fraud_metrics(self.log, agent, sample, decision)
         self.rewards.setdefault(agent.id, []).append(
             (decision.expert_used, 1.0 if decision.verdict == sample.label else -1.0)
         )
-        return decision
+        self.detections.append(
+            DetectionRecord(
+                seq=sample.seq,
+                agent=agent.id,
+                verdict=decision.verdict,
+                score=decision.score,
+                shadow=shadow,
+                action=Action.BLOCK if decision.verdict and not shadow else Action.NONE,
+            )
+        )
 
-    def process_sample(self, sample: DataSample) -> SampleOutcome:
-        assigned_decision: Decision | None = None
-        assigned_id: AgentId | None = None
-
+    def process_sample(self, sample: DataSample) -> None:
         # Dispatch down the performance ranking until a handoff succeeds.
-        for agent in self._active:
+        for agent, tier in self._active:
             if self._handoff_ok(agent):
-                assigned_id = agent.id
-                assigned_decision = self._agent_decision(agent, sample)
+                self._decide(agent, tier, sample, shadow=False)
                 break
-
-        action: ActionRecord | None = None
-        if assigned_decision is not None and assigned_decision.verdict:
-            action = ActionRecord(seq=sample.seq, action=Action.BLOCK, acting_agent=assigned_id)
-            self.actions.append(action)
         if not self._active:
             self.stalled_samples += 1
 
-        if assigned_decision is not None:
-            self.detections.append(
-                DetectionRecord(
-                    seq=sample.seq,
-                    agent=assigned_id,
-                    verdict=assigned_decision.verdict,
-                    score=assigned_decision.score,
-                    shadow=False,
-                    action=action.action if action else Action.NONE,
-                )
-            )
+        for agent, tier in self._shadows:
+            if self._handoff_ok(agent):
+                self._decide(agent, tier, sample, shadow=True)
 
-        shadow_decisions: dict[AgentId, Decision] = {}
-        for agent in self._shadows:
-            if not self._handoff_ok(agent):
-                continue
-            decision = self._agent_decision(agent, sample)
-            shadow_decisions[agent.id] = decision
-            self.detections.append(
-                DetectionRecord(
-                    seq=sample.seq,
-                    agent=agent.id,
-                    verdict=decision.verdict,
-                    score=decision.score,
-                    shadow=True,
-                    action=Action.NONE,
-                )
-            )
-
-        return SampleOutcome(
-            decision=assigned_decision,
-            assigned_agent=assigned_id,
-            shadow_decisions=shadow_decisions,
-            action=action,
-        )
-
-    def run_batch(self, samples: list[DataSample]) -> list[SampleOutcome]:
-        outcomes = [self.process_sample(sample) for sample in samples]
+    def run_batch(self, samples: list[DataSample]) -> None:
+        for sample in samples:
+            self.process_sample(sample)
         if self.stalled_samples:
             logger.warning(
                 "cycle %d: no active %s agent; %d samples undecided (vacancy pending)",
                 self.cycle,
-                self.role,
+                FRAUD_ROLE,
                 self.stalled_samples,
             )
-        return outcomes

@@ -32,6 +32,7 @@ import numpy as np
 
 from .domain import (
     FEATURE_DIM,
+    FRAUD_ROLE,
     MODALITY_DIM,
     AccessTier,
     Agent,
@@ -176,8 +177,8 @@ def generate_sample(
 
     label = bool(gen.random() < pattern.fraud_rate)
 
-    noise = gen.standard_normal(FEATURE_DIM)
-    features = list(noise)
+    # Python floats, so scores and verdicts downstream are plain float/bool.
+    features = gen.standard_normal(FEATURE_DIM).tolist()
     if label:
         for coord, shift in pattern.fraud_shift.items():
             features[coord] += shift
@@ -380,20 +381,18 @@ def make_scenario_agents(
     """
     incumbent = Agent(
         id=0,
-        role="FraudDetection",
+        role=FRAUD_ROLE,
         skills=frozenset({"fraud", "text", "numeric", "behavior"}),
         status=AgentStatus.ACTIVE,
-        access_tier=AccessTier.FULL,
         moe=uniform_moe(incumbent_experts(spec)),
         cost_per_sample=1.0,
         handoff_reliability=0.98,
     )
     candidate = Agent(
         id=1,
-        role="FraudDetection",
+        role=FRAUD_ROLE,
         skills=frozenset({"fraud", "text", "numeric", "behavior", "pattern-B"}),
         status=AgentStatus.RELEASED,
-        access_tier=AccessTier.SANDBOX,
         moe=uniform_moe(candidate_experts(spec)),
         cost_per_sample=1.0,
         handoff_reliability=0.98,

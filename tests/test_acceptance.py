@@ -15,15 +15,10 @@ from dataclasses import replace
 
 import pytest
 
-from freeagent.config import (
-    AgentSpec,
-    RoleSpec,
-    RunConfig,
-    preset_config,
-)
+from freeagent.config import AgentSpec, RunConfig, preset_config
 from freeagent.domain import AccessTier, AgentStatus, EventKind
 from freeagent.engine import Engine, restore_engine
-from freeagent.lifecycle import LifecycleConfig
+from freeagent.lifecycle import LifecycleConfig, RoleSpec
 from freeagent.metrics import f1_from_counts
 from freeagent.moe import Expert, MoEState, expert_score, gate, rl_update
 from freeagent.pipeline import redact

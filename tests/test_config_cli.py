@@ -1,6 +1,8 @@
 """Config parsing, CLI verbs, output schemas, and snapshot round-trips."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +110,16 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == 2
         assert "sustain_window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,field", [("roles", "name"), ("roster", "role")])
+    def test_validate_rejects_undispatched_role(self, tmp_path, capsys, section, field):
+        # only FraudDetection is dispatched; any other role would churn undecided
+        path = tmp_path / "cfg.json"
+        bad = json.loads(json.dumps(MINIMAL))
+        bad[section][0][field] = "Triage"
+        path.write_text(json.dumps(bad))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"{section}[0].{field}" in capsys.readouterr().err
+
     def test_validate_requires_exactly_one_source(self, capsys):
         assert main(["validate"]) == 2
 
@@ -130,6 +142,30 @@ class TestCli:
         assert main(["run", "--config", str(path), "--seed", "9", "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 9
+
+    def test_emit_detections_rows_match_metrics(self, tmp_path):
+        # a blind incumbent is released at once, so the run has shadow rows,
+        # a stalled cycle and assigned rows of the promoted candidate
+        node = json.loads(json.dumps(MINIMAL))
+        node["stream"]["total_cycles"] = 4
+        node["lifecycle"] = {"sustain_window": 1}
+        node["pool"] = [dict(node["roster"][0])]
+        node["roster"][0]["experts"] = [
+            {"profile": [1.0, 0.0, 0.0], "weights": [0, 0, 0, 0, 0, 0], "threshold": 1.0}
+        ]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(node))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--emit-detections", "--out", str(out)]) == 0
+
+        rows = [json.loads(line) for line in (out / "detections.jsonl").read_text().splitlines()]
+        assert all(isinstance(r["verdict"], bool) for r in rows)
+        decided = {"Active": 0, "Probationary": 0}
+        for line in (out / "metrics.csv").read_text().splitlines()[1:]:
+            cells = line.split(",")
+            decided[cells[2]] = decided.get(cells[2], 0) + sum(int(c) for c in cells[3:7])
+        assert sum(not r["shadow"] for r in rows) == decided["Active"] > 0
+        assert sum(r["shadow"] for r in rows) == decided["Probationary"] > 0
 
     def test_report_missing_dir_errors(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == 1
@@ -237,6 +273,57 @@ class TestSnapshots:
     def test_missing_snapshot_refused(self, tmp_path):
         with pytest.raises(SnapshotError, match="not found"):
             restore_engine(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_failed_write_keeps_previous_snapshot(self, tmp_path, monkeypatch, failing):
+        engine = Engine(small_config())
+        snap = tmp_path / "snap.json"
+        write_snapshot(engine, snap)
+        before = snap.read_bytes()
+        engine.run_cycle()
+        if failing == "write":
+            real_write = Path.write_text
+
+            def write_half(self, text, *args, **kwargs):
+                real_write(self, text[: len(text) // 2], *args, **kwargs)
+                raise OSError("disk full")
+
+            monkeypatch.setattr(Path, "write_text", write_half)
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_snapshot(engine, snap)
+        monkeypatch.undo()
+        assert snap.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
+
+    def test_restored_engine_resnapshots_identical_bytes(self, tmp_path):
+        # churn-like: a short service cap keeps agents moving between the
+        # roster and a pool with a misbehaving, unreliable member
+        node = json.loads(json.dumps(MINIMAL))
+        node["stream"].update(samples_per_cycle=30, total_cycles=8)
+        node["lifecycle"] = {
+            "max_service_time": 2, "sustain_window": 1, "keep_service_time_on_resign": False,
+        }
+        node["output"] = {"snapshot_interval": 1}
+        node["pool"] = [
+            dict(node["roster"][0], handoff_reliability=0.7, misbehaving=i == 1, service_time=i)
+            for i in range(3)
+        ]
+        out = tmp_path / "out"
+        Engine(parse_config(node)).run(out)
+        snaps = sorted((out / "snapshots").glob("*.json"))
+        assert len(snaps) == 8
+        probation_seen = False
+        for snap in snaps:
+            again = tmp_path / "again.json"
+            write_snapshot(restore_engine(snap), again)
+            assert again.read_bytes() == snap.read_bytes(), snap.name
+            probation_seen |= bool(json.loads(snap.read_text())["probation_started"])
+        assert probation_seen
 
     def test_cli_restore_flow(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 """Domain type invariants."""
 
+import pytest
+
 from freeagent.domain import (
     AccessTier,
     AgentStatus,
@@ -16,11 +18,13 @@ def test_tier_is_pure_function_of_status():
     assert tier_for_status(AgentStatus.ACTIVE) is AccessTier.FULL
 
 
-def test_set_status_keeps_tier_in_lockstep():
+def test_tier_follows_status_assignment():
     agent = detector(0)
     for status in (AgentStatus.PROBATIONARY, AgentStatus.RELEASED, AgentStatus.ACTIVE):
-        agent.set_status(status)
+        agent.status = status
         assert agent.access_tier is tier_for_status(status)
+    with pytest.raises(AttributeError):
+        agent.access_tier = AccessTier.FULL  # derived, never stored
 
 
 def test_tier_ordering_reflects_privilege():

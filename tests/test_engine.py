@@ -1,10 +1,10 @@
 """Engine-level cycle composition: ordering, conservation, stall recovery,
 and event-log replay."""
 
-from freeagent.config import AgentSpec, RoleSpec, RunConfig
+from freeagent.config import AgentSpec, RunConfig
 from freeagent.domain import AgentStatus, EventKind
 from freeagent.engine import METRICS_COLUMNS, Engine
-from freeagent.lifecycle import LifecycleConfig
+from freeagent.lifecycle import LifecycleConfig, RoleSpec
 from freeagent.moe import Expert
 from freeagent.simulator import DriftSchedule, PatternSpec, Segment, StreamConfig
 

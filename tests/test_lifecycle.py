@@ -5,7 +5,7 @@ import pytest
 from freeagent.domain import AgentStatus, ConfigError, EventKind
 from freeagent.lifecycle import (
     LifecycleConfig,
-    VacantRole,
+    RoleSpec,
     enforce_service_cap,
     evaluate_and_release,
     fill_vacant_roles,
@@ -22,7 +22,6 @@ def seeded_log(agent_id, tp, fp, fn, tn=0):
     win = log.window(agent_id)
     win.true_positives, win.false_positives = tp, fp
     win.false_negatives, win.true_negatives = fn, tn
-    win.samples_seen = tp + fp + fn + tn
     return log
 
 
@@ -34,7 +33,6 @@ def window_for_f1(agent_id, f1_target, log=None):
     bad = 1000 - tp
     win = log.window(agent_id)
     win.true_positives, win.false_positives, win.false_negatives = tp, bad, bad
-    win.samples_seen = tp + 2 * bad
     return log
 
 
@@ -110,15 +108,15 @@ class TestEvaluateAndRelease:
 class TestFillVacantRoles:
     def test_skills_superset_required(self):
         a = detector(1)
-        a.set_status(AgentStatus.RELEASED)
+        a.status = AgentStatus.RELEASED
         a.skills = frozenset({"text"})
         b = detector(2)
-        b.set_status(AgentStatus.RELEASED)
+        b.status = AgentStatus.RELEASED
         b.skills = frozenset({"text", "pattern-B"})
         b.performance = 0.9
         pool = [a, b]
         roster, events = {}, []
-        vac = [VacantRole("FraudDetection", frozenset({"text", "pattern-B"}))]
+        vac = [RoleSpec("FraudDetection", frozenset({"text", "pattern-B"}))]
         signed = fill_vacant_roles(roster, pool, vac, LifecycleConfig(), 0, events)
         assert signed == [2]
         assert roster[2].status is AgentStatus.PROBATIONARY
@@ -129,19 +127,19 @@ class TestFillVacantRoles:
         # brute-force oracle over the 2-candidate set: argmax performance
         lo, hi = detector(1, performance=0.7), detector(2, performance=0.9)
         for agent in (lo, hi):
-            agent.set_status(AgentStatus.RELEASED)
+            agent.status = AgentStatus.RELEASED
         expected = max([lo, hi], key=lambda a: a.performance).id
         roster, events = {}, []
-        vac = [VacantRole("FraudDetection", frozenset({"fraud"}))]
+        vac = [RoleSpec("FraudDetection", frozenset({"fraud"}))]
         signed = fill_vacant_roles(roster, [lo, hi], vac, LifecycleConfig(), 0, events)
         assert signed == [expected]
 
     def test_performance_tie_breaks_to_lowest_id(self):
         a, b = detector(4, performance=0.8), detector(2, performance=0.8)
         for agent in (a, b):
-            agent.set_status(AgentStatus.RELEASED)
+            agent.status = AgentStatus.RELEASED
         signed = fill_vacant_roles(
-            {}, [a, b], [VacantRole("FraudDetection", frozenset())], LifecycleConfig(), 0, []
+            {}, [a, b], [RoleSpec("FraudDetection", frozenset())], LifecycleConfig(), 0, []
         )
         assert signed == [2]
 
@@ -149,37 +147,37 @@ class TestFillVacantRoles:
         events = []
         with caplog.at_level("WARNING", logger="freeagent.lifecycle"):
             signed = fill_vacant_roles(
-                {}, [], [VacantRole("FraudDetection", frozenset())], LifecycleConfig(), 0, events
+                {}, [], [RoleSpec("FraudDetection", frozenset())], LifecycleConfig(), 0, events
             )
         assert signed == [] and events == []
         assert "unfilled" in caplog.text
 
     def test_service_time_reset_when_configured(self):
         agent = detector(1)
-        agent.set_status(AgentStatus.RELEASED)
+        agent.status = AgentStatus.RELEASED
         agent.service_time = 7
         cfg = LifecycleConfig(keep_service_time_on_resign=False)
-        fill_vacant_roles({}, [agent], [VacantRole("FraudDetection", frozenset())], cfg, 0, [])
+        fill_vacant_roles({}, [agent], [RoleSpec("FraudDetection", frozenset())], cfg, 0, [])
         assert agent.service_time == 0
 
     def test_service_time_kept_by_default(self):
         agent = detector(1)
-        agent.set_status(AgentStatus.RELEASED)
+        agent.status = AgentStatus.RELEASED
         agent.service_time = 7
         fill_vacant_roles(
-            {}, [agent], [VacantRole("FraudDetection", frozenset())], LifecycleConfig(), 0, []
+            {}, [agent], [RoleSpec("FraudDetection", frozenset())], LifecycleConfig(), 0, []
         )
         assert agent.service_time == 7
 
 
 class TestVacancies:
     def test_vacancy_iff_role_unfilled(self):
-        roles = (("FraudDetection", frozenset({"fraud"})),)
+        roles = (RoleSpec("FraudDetection", frozenset({"fraud"})),)
         active = detector(0)
         assert vacant_roles({0: active}, roles) == []
         prob = detector(1, status=AgentStatus.PROBATIONARY)
         assert vacant_roles({1: prob}, roles) == []
-        assert len(vacant_roles({}, roles)) == 1
+        assert vacant_roles({}, roles) == list(roles)
 
 
 class TestTransitionProbationary:

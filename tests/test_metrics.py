@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freeagent.domain import (
-    AccessTier,
     Agent,
     AgentStatus,
     DataSample,
@@ -14,6 +13,7 @@ from freeagent.domain import (
 )
 from freeagent.metrics import (
     PerformanceLog,
+    count_ratios,
     evaluate_fraud_performance,
     f1_from_counts,
     update_fraud_metrics,
@@ -33,7 +33,6 @@ def make_agent(agent_id=0, cost=1.0):
         role="FraudDetection",
         skills=frozenset({"fraud"}),
         status=AgentStatus.ACTIVE,
-        access_tier=AccessTier.FULL,
         moe=uniform_moe((Expert(profile=(1.0,), weights=(1.0,), threshold=0.0),)),
         cost_per_sample=cost,
     )
@@ -44,7 +43,7 @@ def sample(label: bool) -> DataSample:
 
 
 def decision(verdict: bool) -> Decision:
-    return Decision(verdict=verdict, score=0.0, expert_used=0, shadow=False)
+    return Decision(verdict=verdict, score=0.0, expert_used=0)
 
 
 class TestUpdateFraudMetrics:
@@ -83,7 +82,9 @@ class TestUpdateFraudMetrics:
                 log, agent, sample(rng.random() < 0.5), decision(rng.random() < 0.5)
             )
         win = log.window(agent.id)
-        assert win.decided() == n == win.samples_seen
+        counters = win.true_positives + win.false_positives
+        counters += win.false_negatives + win.true_negatives
+        assert counters == n == win.samples_seen
 
 
 class TestF1:
@@ -103,6 +104,14 @@ class TestF1:
     @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))
     def test_matches_harmonic_oracle(self, tp, fp, fn):
         assert abs(f1_from_counts(tp, fp, fn) - f1_oracle(tp, fp, fn)) < 1e-12
+
+    @given(*(st.integers(0, 100) for _ in range(4)))
+    def test_count_ratios_match_definitions(self, tp, fp, fn, tn):
+        precision, recall, f1, accuracy = count_ratios(tp, fp, fn, tn)
+        assert precision == (tp / (tp + fp) if tp + fp else 0.0)
+        assert recall == (tp / (tp + fn) if tp + fn else 0.0)
+        assert f1 == f1_from_counts(tp, fp, fn)
+        assert accuracy == ((tp + tn) / (tp + fp + fn + tn) if tp + fp + fn + tn else 0.0)
 
     @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))
     def test_bounded_and_one_only_when_clean(self, tp, fp, fn):
@@ -142,6 +151,6 @@ def test_window_reset_clears_everything():
     log.record_violation(agent.id)
     log.reset_all()
     win = log.window(agent.id)
-    assert win.decided() == 0
+    assert win.samples_seen == 0
     assert win.handoffs_attempted == 0
     assert win.violations == 0

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freeagent.domain import (
-    AccessTier,
     Agent,
     AgentStatus,
     ComputationError,
@@ -30,7 +29,6 @@ def make_agent(moe, status=AgentStatus.PROBATIONARY):
         role="FraudDetection",
         skills=frozenset({"fraud"}),
         status=status,
-        access_tier=AccessTier.RESTRICTED,
         moe=moe,
     )
 

@@ -16,7 +16,6 @@ from freeagent.pipeline import (
     decide,
     quantize_coarse,
     redact,
-    select_fraud_agent,
 )
 
 
@@ -28,11 +27,6 @@ def detector(agent_id, status=AgentStatus.ACTIVE, performance=0.0, threshold=0.5
         role="FraudDetection",
         skills=frozenset({"fraud"}),
         status=status,
-        access_tier={
-            AgentStatus.ACTIVE: AccessTier.FULL,
-            AgentStatus.PROBATIONARY: AccessTier.RESTRICTED,
-            AgentStatus.RELEASED: AccessTier.SANDBOX,
-        }[status],
         moe=uniform_moe(
             (Expert(profile=(1.0, 0.0, 0.0),
                     weights=weights or (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
@@ -50,21 +44,42 @@ def sample(features, label=False, seq=0):
     )
 
 
+def dispatch_one(roster, log=None):
+    """Run one fraud sample through a pipeline; return it and its detections."""
+    pipe = CyclePipeline(roster, log or PerformanceLog(), seed=1, cycle=0)
+    pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True))
+    return pipe, pipe.detections
+
+
+def assigned(detections):
+    return [d.agent for d in detections if not d.shadow]
+
+
 class TestSelectFraudAgent:
     def test_performance_argmax(self):
-        roster = {1: detector(1, performance=0.9), 2: detector(2, performance=0.7)}
-        assert select_fraud_agent(roster) == 1
+        log = PerformanceLog()
+        roster = {2: detector(2, performance=0.7), 1: detector(1, performance=0.9)}
+        _, rows = dispatch_one(roster, log)
+        assert assigned(rows) == [1]
+        assert log.window(1).samples_seen == 1
+        assert log.window(2).samples_seen == 0
 
     def test_tie_breaks_to_lowest_id(self):
-        roster = {3: detector(3, performance=0.8), 5: detector(5, performance=0.8)}
-        assert select_fraud_agent(roster) == 3
+        roster = {5: detector(5, performance=0.8), 3: detector(3, performance=0.8)}
+        _, rows = dispatch_one(roster)
+        assert assigned(rows) == [3]
 
     def test_probationary_never_selected(self):
         roster = {1: detector(1, status=AgentStatus.PROBATIONARY, performance=0.99)}
-        assert select_fraud_agent(roster) is None
+        pipe, rows = dispatch_one(roster)
+        assert assigned(rows) == []
+        assert [d.agent for d in rows if d.shadow] == [1]
+        assert pipe.stalled_samples == 1
 
     def test_empty_roster(self):
-        assert select_fraud_agent({}) is None
+        pipe, rows = dispatch_one({})
+        assert rows == []
+        assert pipe.stalled_samples == 1
 
 
 class TestRedact:
@@ -102,19 +117,21 @@ class TestProcessSample:
         roster = {0: detector(0)}
         log = PerformanceLog()
         pipe = CyclePipeline(roster, log, seed=1, cycle=0)
-        out = pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True))
-        assert out.decision.verdict is True
-        assert out.action.action == Action.BLOCK
+        assert pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True)) is None
+        [row] = pipe.detections
+        assert row.verdict is True and row.shadow is False
+        assert row.action == Action.BLOCK
         assert log.window(0).true_positives == 1
 
     def test_shadow_false_positive_takes_no_action(self):
         roster = {0: detector(0, threshold=99.0), 1: detector(1, status=AgentStatus.PROBATIONARY)}
         log = PerformanceLog()
         pipe = CyclePipeline(roster, log, seed=1, cycle=0)
-        out = pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=False))
-        assert out.decision.verdict is False           # assigned agent says legit
-        assert out.shadow_decisions[1].verdict is True  # shadow says fraud
-        assert out.action is None
+        pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=False))
+        active, shadow = pipe.detections
+        assert (active.agent, active.verdict) == (0, False)  # assigned agent says legit
+        assert (shadow.agent, shadow.verdict) == (1, True)   # shadow says fraud
+        assert active.action == shadow.action == Action.NONE
         assert log.window(1).false_positives == 1
 
     def test_shadow_decides_on_restricted_view(self):
@@ -124,18 +141,18 @@ class TestProcessSample:
         )
         roster = {0: detector(0), 1: shadow}
         pipe = CyclePipeline(roster, PerformanceLog(), seed=1, cycle=0)
-        out = pipe.process_sample(sample((0.0, 0, 0, 5.0, 0, 0), label=True))
-        assert out.shadow_decisions[1].verdict is False
-        assert out.shadow_decisions[1].score == 0.0
+        pipe.process_sample(sample((0.0, 0, 0, 5.0, 0, 0), label=True))
+        [row] = [d for d in pipe.detections if d.shadow]
+        assert row.verdict is False
+        assert row.score == 0.0
 
     def test_no_active_agent_stalls_but_shadows_run(self):
         roster = {1: detector(1, status=AgentStatus.PROBATIONARY)}
         pipe = CyclePipeline(roster, PerformanceLog(), seed=1, cycle=0)
-        out = pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True))
-        assert out.decision is None
-        assert out.action is None
+        pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True))
         assert pipe.stalled_samples == 1
-        assert 1 in out.shadow_decisions
+        [row] = pipe.detections
+        assert row.agent == 1 and row.shadow and row.action == Action.NONE
 
     def test_handoff_failures_traced_under_fixed_seed(self):
         roster = {0: detector(0, reliability=0.5)}
@@ -147,7 +164,7 @@ class TestProcessSample:
         win = log.window(0)
         assert win.handoffs_attempted == n
         # skipped samples leave no confusion-counter trace
-        assert win.decided() == win.handoffs_succeeded == win.samples_seen
+        assert win.samples_seen == win.handoffs_succeeded == len(pipe.detections)
         assert 60 <= win.handoffs_succeeded <= 140
 
         # identical seed reproduces the exact same handoff outcomes
@@ -162,10 +179,10 @@ class TestProcessSample:
         backup = detector(1, performance=0.5)
         log = PerformanceLog()
         pipe = CyclePipeline({0: never, 1: backup}, log, seed=1, cycle=0)
-        out = pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True))
-        assert out.assigned_agent == 1
+        pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True))
+        assert [d.agent for d in pipe.detections] == [1]
         assert log.window(0).handoffs_attempted == 1
-        assert log.window(0).decided() == 0
+        assert log.window(0).samples_seen == 0
         assert log.window(1).true_positives == 1
 
     def test_reward_signals_recorded_per_sample(self):
@@ -180,10 +197,11 @@ class TestProcessSample:
         roster = {0: detector(0), 1: shadow}
         log = PerformanceLog()
         pipe = CyclePipeline(roster, log, seed=1, cycle=0, misbehaving=frozenset({1}))
-        out = pipe.process_sample(sample((0.0, 0, 0, 9.0, 0, 0), label=True))
+        pipe.process_sample(sample((0.0, 0, 0, 9.0, 0, 0), label=True))
         assert log.window(1).violations == 1
         # decision still based on redacted data (sensitive suffix invisible)
-        assert out.shadow_decisions[1].verdict is False
+        [row] = [d for d in pipe.detections if d.shadow]
+        assert row.verdict is False
 
     def test_misbehaving_full_tier_agent_never_violates(self):
         roster = {0: detector(0)}
@@ -202,18 +220,16 @@ class TestShadowIsolation:
         pipe = CyclePipeline(roster, PerformanceLog(), seed=5, cycle=0)
         for seq in range(50):
             pipe.process_sample(sample((0.1, 0, 0, 0, 0, 0), label=False, seq=seq))
-        assert pipe.actions == []
+        assert all(d.action == Action.NONE for d in pipe.detections)
         shadow_rows = [d for d in pipe.detections if d.shadow]
         assert len(shadow_rows) == 50
-        assert all(d.action == Action.NONE for d in shadow_rows)
+        assert all(d.verdict for d in shadow_rows)
 
     def test_dispatch_totality_with_reliable_agents(self):
         roster = {0: detector(0), 1: detector(1)}
         pipe = CyclePipeline(roster, PerformanceLog(), seed=5, cycle=0)
-        outs = [
-            pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True, seq=s))
-            for s in range(40)
-        ]
-        assert all(o.decision is not None for o in outs)
+        assert pipe.run_batch(
+            [sample((0.9, 0, 0, 0, 0, 0), label=True, seq=s) for s in range(40)]
+        ) is None
         non_shadow = [d for d in pipe.detections if not d.shadow]
-        assert len(non_shadow) == 40
+        assert [d.seq for d in non_shadow] == list(range(40))

@@ -85,7 +85,6 @@ class TestComputeComponents:
         agent = make_agent()
         win = log.window(agent.id)
         win.true_positives, win.true_negatives = 5, 5
-        win.samples_seen = 10
         win.cost_accumulated = 10.0  # exactly baseline
         win.handoffs_attempted = win.handoffs_succeeded = 10
         c = compute_components(agent, log, RewardConfig(baseline_cost_per_sample=1.0))
@@ -98,7 +97,7 @@ class TestComputeComponents:
         log = PerformanceLog()
         agent = make_agent()
         win = log.window(agent.id)
-        win.samples_seen = 10
+        win.true_negatives = 10  # ten decided samples
         win.cost_accumulated = 20.0
         c = compute_components(agent, log, RewardConfig(baseline_cost_per_sample=1.0))
         assert c.efficiency == pytest.approx(0.5)
@@ -108,7 +107,6 @@ class TestComputeComponents:
         log = PerformanceLog()
         agent = make_agent()
         win = log.window(agent.id)
-        win.samples_seen = 100
         win.violations = 5
         win.false_positives = 10
         win.true_negatives = 90
@@ -127,7 +125,7 @@ class TestComputeComponents:
         log = PerformanceLog()
         agent = make_agent()
         win = log.window(agent.id)
-        win.samples_seen = 10
+        win.true_negatives = 10  # ten decided samples
         win.violations = 50
         c = compute_components(agent, log, RewardConfig())
         assert c.penalty == 1.0
@@ -136,7 +134,7 @@ class TestComputeComponents:
         log = PerformanceLog()
         agent = make_agent(cost=0.5)
         win = log.window(agent.id)
-        win.samples_seen = 10
+        win.true_negatives = 10  # ten decided samples
         win.cost_accumulated = 5.0
         c = compute_components(agent, log, RewardConfig(baseline_cost_per_sample=1.0))
         assert c.efficiency == 1.0
