@@ -8,16 +8,13 @@ from .domain import (
     AgentStatus,
     ComputationError,
     ConfigError,
-    DataSample,
-    Decision,
     EventKind,
     LifecycleError,
     RosterEvent,
-    tier_for_status,
 )
 from .engine import Engine, SnapshotError, restore_engine, snapshot_state, write_snapshot
 from .lifecycle import LifecycleConfig
-from .moe import Expert, MoEState, expert_score, gate, moe_init, rl_update, uniform_moe
+from .moe import Expert, MoEState, moe_init, rl_update, uniform_moe
 from .simulator import DriftSchedule, PatternSpec, ScenarioSpec, Segment, StreamConfig
 
 __version__ = "0.1.0"
@@ -29,8 +26,6 @@ __all__ = [
     "AgentStatus",
     "ComputationError",
     "ConfigError",
-    "DataSample",
-    "Decision",
     "DriftSchedule",
     "Engine",
     "EventKind",
@@ -44,13 +39,10 @@ __all__ = [
     "Segment",
     "SnapshotError",
     "StreamConfig",
-    "expert_score",
-    "gate",
     "moe_init",
     "restore_engine",
     "rl_update",
     "snapshot_state",
-    "tier_for_status",
     "uniform_moe",
     "write_snapshot",
     "__version__",

@@ -21,8 +21,6 @@ EXIT_CONFIG = 2
 
 
 def _load_run_config(args: argparse.Namespace):
-    if args.restore:
-        return None
     if bool(args.config) == bool(args.preset):
         raise ConfigError("exactly one of --config or --preset is required")
     if args.preset:
@@ -31,6 +29,17 @@ def _load_run_config(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.restore:
+        # A restored run continues the snapshot's own config; any override
+        # would also change the config that later snapshots embed.
+        overrides = {
+            "--config": args.config, "--preset": args.preset,
+            "--seed": args.seed, "--emit-detections": args.emit_detections or None,
+        }
+        given = [option for option, value in overrides.items() if value is not None]
+        if given:
+            print(f"error: {', '.join(given)} cannot be combined with --restore", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         if args.restore:
             engine = restore_engine(args.restore)

@@ -53,11 +53,6 @@ _TIER_BY_STATUS = {
 }
 
 
-def tier_for_status(status: AgentStatus) -> AccessTier:
-    """Access tier is a pure function of lifecycle status."""
-    return _TIER_BY_STATUS[status]
-
-
 class EventKind(str, Enum):
     EVALUATE = "Evaluate"
     RELEASE = "Release"
@@ -91,29 +86,6 @@ class Agent:
     @property
     def access_tier(self) -> AccessTier:
         return _TIER_BY_STATUS[self.status]
-
-
-@dataclass(frozen=True, slots=True)
-class DataSample:
-    """One transaction/message drawn from the stream.
-
-    ``label`` and ``pattern`` are ground truth for metrics and reward
-    only; agents never see them (the decision path takes features and
-    modality, nothing else).
-    """
-
-    seq: int
-    features: tuple[float, ...]
-    modality: tuple[float, ...]
-    label: bool
-    pattern: str
-
-
-@dataclass(frozen=True, slots=True)
-class Decision:
-    verdict: bool
-    score: float
-    expert_used: int
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,8 +4,8 @@ fixed per-cycle stage order, and persists the machine-readable outputs.
 Stage order within one cycle is fixed for determinism:
 
   1. pipeline processes the cycle's batch against the current roster
-  2. per-agent cycle rewards are computed and the recorded per-sample
-     reward signals are applied to each agent's gate, in sample order
+  2. per-agent cycle rewards are computed and each agent's recorded
+     per-sample reward signals are applied to its gate, in sample order
   3. evaluate-and-release
   4. fill vacancies, transition probationary agents (those signed in an
      earlier cycle), tick service time, then sweep the service cap so no
@@ -211,15 +211,16 @@ class Engine:
         events_before = len(self.events)
 
         # Stage 1: process the batch with the roster as it stands.
-        samples = generate_cycle(cfg.stream, cycle)
+        batch = generate_cycle(cfg.stream, cycle)
         pipe = CyclePipeline(
             roster=self.roster,
             log=self.log,
             seed=cfg.stream.seed,
             cycle=cycle,
             misbehaving=self.misbehaving,
+            emit_detections=cfg.emit_detections,
         )
-        pipe.run_batch(samples)
+        pipe.run_batch(batch)
         pipeline_status = {aid: self.roster[aid].status for aid in sorted(self.roster)}
 
         # Stage 2: cycle rewards, then gate updates in recorded order.
@@ -232,8 +233,7 @@ class Engine:
             rewards[aid] = compute_reward(cfg.reward_weights, comps)
         for aid in sorted(pipe.rewards):
             agent = self.roster[aid]
-            for expert_used, signal in pipe.rewards[aid]:
-                agent.moe = rl_update(agent.moe, expert_used, signal)
+            agent.moe = rl_update(agent.moe, *pipe.rewards[aid])
 
         # Stage 3: evaluation and release.
         evaluate_and_release(
@@ -296,7 +296,7 @@ class Engine:
             cycle=cycle,
             rows=rows,
             events=self.events[events_before:],
-            detections=pipe.detections if cfg.emit_detections else [],
+            detections=pipe.detections,
             system_tp=system["tp"],
             system_fp=system["fp"],
             system_fn=system["fn"],

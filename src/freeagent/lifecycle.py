@@ -148,16 +148,28 @@ def fill_vacant_roles(
 ) -> list[AgentId]:
     """Sign the best qualified pool agent into each vacancy.
 
-    Qualification is a skills superset match; selection is by highest
-    last-known performance with ties to the lowest id. An unfillable
-    vacancy is logged and left open. Returns the signed agent ids.
+    Qualification is a skills superset match plus room under the service
+    cap: an agent whose service time after signing would already be at
+    the cap would be freed again this cycle, so it is passed over.
+    Selection is by highest last-known performance with ties to the
+    lowest id. An unfillable vacancy is logged and left open. Returns the
+    signed agent ids.
     """
+
+    def service_after_signing(agent: Agent) -> int:
+        return agent.service_time if cfg.keep_service_time_on_resign else 0
+
     signed: list[AgentId] = []
     for vacancy in vacancies:
-        candidates = [a for a in pool if a.skills >= vacancy.required_skills]
+        candidates = [
+            a for a in pool
+            if a.skills >= vacancy.required_skills
+            and service_after_signing(a) < cfg.max_service_time
+        ]
         if not candidates:
             logger.warning(
-                "cycle %d: vacancy %s unfilled, no pool candidate with skills %s",
+                "cycle %d: vacancy %s unfilled, no pool candidate with skills %s "
+                "below the service cap",
                 cycle, vacancy.name, sorted(vacancy.required_skills),
             )
             continue
@@ -166,8 +178,7 @@ def fill_vacant_roles(
         best.status = AgentStatus.PROBATIONARY
         best.role = vacancy.name
         best.consecutive_below = 0
-        if not cfg.keep_service_time_on_resign:
-            best.service_time = 0
+        best.service_time = service_after_signing(best)
         roster[best.id] = best
         signed.append(best.id)
         events.append(

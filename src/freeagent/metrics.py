@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .domain import Agent, AgentId, DataSample, Decision, EventKind, RosterEvent
+from .domain import Agent, AgentId, EventKind, RosterEvent
 
 
 @dataclass(slots=True)
 class AgentWindow:
-    """Confusion counters plus handoff/cost/violation tallies for one agent."""
+    """Confusion counters plus handoff and violation tallies for one agent."""
 
     true_positives: int = 0
     false_positives: int = 0
@@ -22,7 +22,6 @@ class AgentWindow:
     true_negatives: int = 0
     handoffs_attempted: int = 0
     handoffs_succeeded: int = 0
-    cost_accumulated: float = 0.0
     violations: int = 0
 
     @property
@@ -60,22 +59,6 @@ class PerformanceLog:
 
     def reset_all(self) -> None:
         self.windows.clear()
-
-
-def update_fraud_metrics(
-    log: PerformanceLog, agent: Agent, sample: DataSample, decision: Decision
-) -> None:
-    """Record one decided sample: exactly one confusion counter moves."""
-    win = log.window(agent.id)
-    if decision.verdict and sample.label:
-        win.true_positives += 1
-    elif decision.verdict and not sample.label:
-        win.false_positives += 1
-    elif not decision.verdict and sample.label:
-        win.false_negatives += 1
-    else:
-        win.true_negatives += 1
-    win.cost_accumulated += agent.cost_per_sample
 
 
 def count_ratios(tp: int, fp: int, fn: int, tn: int) -> tuple[float, float, float, float]:

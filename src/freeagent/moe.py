@@ -5,11 +5,13 @@ Expert parameters are fixed at construction; only the gate learns. The
 update is deterministic: the used expert's gate weight is multiplied by
 ``exp(learning_rate * reward)`` and the vector is renormalized, so a
 stream of +1 rewards makes an expert's weight approach 1 geometrically.
+Routing and scoring of a batch live in ``pipeline.decide``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .domain import Agent, AgentStatus, ComputationError, ConfigError, LifecycleError
@@ -59,49 +61,26 @@ def uniform_moe(experts: tuple[Expert, ...], learning_rate: float = 0.05) -> MoE
     return MoEState(experts=experts, gate_weights=(1.0 / n,) * n, learning_rate=learning_rate)
 
 
-def gate(moe: MoEState, modality: tuple[float, ...]) -> int:
-    """Route a sample to one expert.
+def rl_update(moe: MoEState, experts: Sequence[int], signals: Sequence[float]) -> MoEState:
+    """Multiplicative-weights steps on the gate, one per sample outcome, in order.
 
-    Returns the index maximizing gate_weight * dot(profile, modality);
-    ties break toward the lowest index. Pure: no state is touched.
+    For each outcome the used expert's weight is scaled by exp(eta *
+    reward) and the vector renormalized to sum 1. Positive rewards
+    reinforce the route that produced them; a zero reward is a no-op.
+    The steps are taken one at a time because the closed form over a
+    batch rounds differently.
     """
-    best_idx = 0
-    best_aff = -math.inf
-    for idx, expert in enumerate(moe.experts):
-        if len(expert.profile) != len(modality):
-            raise ConfigError(
-                f"modality length {len(modality)} != profile length {len(expert.profile)}"
-            )
-        aff = moe.gate_weights[idx] * _dot(expert.profile, modality)
-        if aff > best_aff:
-            best_aff = aff
-            best_idx = idx
-    return best_idx
-
-
-def expert_score(expert: Expert, features: tuple[float, ...]) -> tuple[float, bool]:
-    """Score a feature vector; verdict is fraud iff score >= threshold."""
-    if len(expert.weights) != len(features):
-        raise ConfigError(
-            f"feature length {len(features)} != weight length {len(expert.weights)}"
-        )
-    score = _dot(expert.weights, features)
-    return score, score >= expert.threshold
-
-
-def rl_update(moe: MoEState, expert_used: int, sample_reward: float) -> MoEState:
-    """Multiplicative-weights step on the gate for one sample outcome.
-
-    The used expert's weight is scaled by exp(eta * reward) and the
-    vector renormalized to sum 1. Positive rewards reinforce the route
-    that produced them; a zero reward is a no-op.
-    """
-    if not -1.0 <= sample_reward <= 1.0:
-        raise ComputationError(f"sample_reward {sample_reward} outside [-1, 1]")
+    factors = {}
+    for reward in set(signals):
+        if not -1.0 <= reward <= 1.0:
+            raise ComputationError(f"sample reward {reward} outside [-1, 1]")
+        factors[reward] = math.exp(moe.learning_rate * reward)
     weights = list(moe.gate_weights)
-    weights[expert_used] *= math.exp(moe.learning_rate * sample_reward)
-    total = sum(weights)
-    return replace(moe, gate_weights=tuple(w / total for w in weights))
+    for expert_used, reward in zip(experts, signals):
+        weights[expert_used] *= factors[reward]
+        total = sum(weights)
+        weights = [w / total for w in weights]
+    return replace(moe, gate_weights=tuple(weights))
 
 
 def moe_init(agent: Agent) -> Agent:
@@ -114,7 +93,3 @@ def moe_init(agent: Agent) -> Agent:
     n = len(agent.moe.experts)
     agent.moe = replace(agent.moe, gate_weights=(1.0 / n,) * n)
     return agent
-
-
-def _dot(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    return sum(x * y for x, y in zip(a, b))

@@ -1,5 +1,5 @@
-"""Per-sample dispatch: pick the best active detector, run probationary
-agents in shadow, enforce tiered redaction, and act on fraud verdicts.
+"""Batch dispatch: pick the best active detector, run probationary agents
+in shadow, enforce tiered redaction, and act on fraud verdicts.
 
 Shadow decisions never trigger actions and shadow agents only ever see
 Restricted-tier data; both properties are auditable from the detection
@@ -9,8 +9,9 @@ log. Actions are recorded, not executed.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .domain import (
     FRAUD_ROLE,
@@ -19,12 +20,11 @@ from .domain import (
     Agent,
     AgentId,
     AgentStatus,
-    DataSample,
-    Decision,
+    ConfigError,
 )
-from .metrics import PerformanceLog, update_fraud_metrics
-from .moe import expert_score, gate
-from .simulator import KeyedRng
+from .metrics import PerformanceLog
+from .moe import MoEState
+from .simulator import KeyedRng, SampleBatch
 
 logger = logging.getLogger("freeagent.pipeline")
 
@@ -61,37 +61,60 @@ class DetectionRecord:
         }
 
 
-def quantize_coarse(value: float) -> float:
+def quantize_coarse(values: np.ndarray) -> np.ndarray:
     """Round to 1 decimal, halves away from zero (the sandbox obfuscation)."""
-    return math.copysign(math.floor(abs(value) * 10.0 + 0.5), value) / 10.0
+    return np.copysign(np.floor(np.abs(values) * 10.0 + 0.5), values) / 10.0
 
 
-def redact(sample: DataSample, tier: AccessTier) -> DataSample:
-    """Apply tiered visibility to a sample's features.
+def redact(features: np.ndarray, tier: AccessTier) -> np.ndarray:
+    """Feature rows as an agent at ``tier`` sees them.
 
     Full sees everything; Restricted loses the sensitive suffix; Sandbox
     additionally sees only coarsened values of the remaining features.
-    Labels and patterns ride along for bookkeeping but the decision path
-    never reads them (see decide).
     """
     if tier is AccessTier.FULL:
-        return sample
-    visible = list(sample.features[:SENSITIVE_START])
-    if tier is AccessTier.SANDBOX:
-        visible = [quantize_coarse(v) for v in visible]
-    features = tuple(visible) + (0.0,) * (len(sample.features) - SENSITIVE_START)
-    return replace(sample, features=features)
+        return features
+    visible = features[:, :SENSITIVE_START]
+    out = np.zeros_like(features)
+    out[:, :SENSITIVE_START] = quantize_coarse(visible) if tier is AccessTier.SANDBOX else visible
+    return out
 
 
-def decide(agent: Agent, features: tuple[float, ...], modality: tuple[float, ...]) -> Decision:
-    """Route through the agent's gate and score with the chosen expert.
+def _dot_columns(rows: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
+    """Row-wise dot product, accumulated one column at a time from 0.0.
 
-    Takes bare feature/modality vectors so a decision cannot depend on
-    anything else in the sample.
+    This is the sequential sum a scalar dot product takes, so every row's
+    result is bit-identical to it (``rows @ weights`` is not). Starting
+    from 0.0 also turns a leading -0.0 product into +0.0, as ``sum()`` does.
     """
-    idx = gate(agent.moe, modality)
-    score, verdict = expert_score(agent.moe.experts[idx], features)
-    return Decision(verdict=verdict, score=score, expert_used=idx)
+    acc = 0.0
+    for j, w in enumerate(weights):
+        acc = acc + rows[:, j] * w
+    return acc
+
+
+def decide(
+    moe: MoEState, features: np.ndarray, modality: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Route each row through the gate and score it with the chosen expert.
+
+    Returns the expert index, score and verdict (fraud iff score >=
+    threshold) per row. The gate picks the expert maximizing
+    gate_weight * dot(profile, modality), ties to the lowest index. Takes
+    bare feature/modality rows so a decision cannot depend on anything
+    else in the sample. Pure: no state is touched.
+    """
+    dims = (modality.shape[1], features.shape[1])
+    if any((len(e.profile), len(e.weights)) != dims for e in moe.experts):
+        raise ConfigError(f"expert profile/weights lengths differ from modality/features {dims}")
+    affinity = np.column_stack(
+        [w * _dot_columns(modality, e.profile) for w, e in zip(moe.gate_weights, moe.experts)]
+    )
+    chosen = affinity.argmax(axis=1)  # first maximum
+    scores = np.column_stack([_dot_columns(features, e.weights) for e in moe.experts])
+    score = np.take_along_axis(scores, chosen[:, None], axis=1)[:, 0]
+    thresholds = np.array([e.threshold for e in moe.experts])
+    return chosen, score, score >= thresholds[chosen]
 
 
 class CyclePipeline:
@@ -103,7 +126,8 @@ class CyclePipeline:
     cycle, agent), so outcomes are reproducible and independent of
     processing order. A failed handoff counts as attempted and skips the
     sample for that agent only; the dispatcher then falls through to the
-    next-best active agent.
+    next-best active agent. Detection rows are built only when
+    ``emit_detections`` is set.
     """
 
     def __init__(
@@ -113,16 +137,19 @@ class CyclePipeline:
         seed: int,
         cycle: int,
         misbehaving: frozenset[AgentId] = frozenset(),
+        emit_detections: bool = False,
     ) -> None:
         self.roster = roster
         self.log = log
         self.cycle = cycle
         self.misbehaving = misbehaving
-        self.rewards: dict[AgentId, list[tuple[int, float]]] = {}
+        # Per agent: the experts used and the +1/-1 reward signals, in seq order.
+        self.rewards: dict[AgentId, tuple[list[int], list[float]]] = {}
         self.detections: list[DetectionRecord] = []
         self.stalled_samples = 0
-        self._handoff_rngs: dict[AgentId, KeyedRng] = {}
         self._seed = seed
+        self._emit = emit_detections
+        self._rng = KeyedRng()
         # Membership and status are fixed for the duration of the batch;
         # performance only changes at evaluation time, so the dispatch
         # order and each agent's tier are too.
@@ -138,58 +165,73 @@ class CyclePipeline:
             if a.status is AgentStatus.PROBATIONARY
         ]
 
-    def _handoff_ok(self, agent: Agent) -> bool:
+    def _handoffs(self, agent: Agent, k: int) -> np.ndarray:
+        """Which of ``k`` dispatches to ``agent`` succeed, in dispatch order.
+
+        Each dispatch takes the next uniform of the agent's keyed stream,
+        which starts fresh because an agent is reached at most once per
+        batch; a fully reliable agent draws nothing.
+        """
+        win = self.log.window(agent.id)
         if agent.handoff_reliability >= 1.0:
-            self.log.record_handoff(agent.id, True)
-            return True
-        rng = self._handoff_rngs.get(agent.id)
-        if rng is None:
-            rng = KeyedRng()
-            rng.reset("handoff", self._seed, self.cycle, agent.id)
-            self._handoff_rngs[agent.id] = rng
-        ok = bool(rng.generator.random() < agent.handoff_reliability)
-        self.log.record_handoff(agent.id, ok)
+            ok = np.ones(k, dtype=bool)
+        else:
+            gen = self._rng.reset("handoff", self._seed, self.cycle, agent.id)
+            ok = gen.random(k) < agent.handoff_reliability
+        win.handoffs_attempted += k
+        win.handoffs_succeeded += int(np.count_nonzero(ok))
         return ok
 
-    def _decide(self, agent: Agent, tier: AccessTier, sample: DataSample, shadow: bool) -> None:
-        if agent.id in self.misbehaving and tier is not AccessTier.FULL:
-            # Audit hook: the agent tried to read the raw sample. The
-            # attempt is blocked and tallied; the decision still runs on
-            # redacted data.
-            self.log.record_violation(agent.id)
-        red = redact(sample, tier)
-        decision = decide(agent, red.features, red.modality)
-        update_fraud_metrics(self.log, agent, sample, decision)
-        self.rewards.setdefault(agent.id, []).append(
-            (decision.expert_used, 1.0 if decision.verdict == sample.label else -1.0)
-        )
-        self.detections.append(
-            DetectionRecord(
-                seq=sample.seq,
-                agent=agent.id,
-                verdict=decision.verdict,
-                score=decision.score,
-                shadow=shadow,
-                action=Action.BLOCK if decision.verdict and not shadow else Action.NONE,
+    def run_batch(self, batch: SampleBatch) -> None:
+        n = len(batch)
+        views: dict[AccessTier, np.ndarray] = {}
+        records = []  # (row, slot, record); slot 0 is the assigned agent, then shadows by id
+
+        def run(agent: Agent, tier: AccessTier, rows: np.ndarray, slot: int) -> None:
+            if not len(rows):
+                return
+            if tier not in views:
+                views[tier] = redact(batch.features, tier)
+            expert, score, verdict = decide(agent.moe, views[tier][rows], batch.modality[rows])
+            label = batch.label[rows]
+            win = self.log.window(agent.id)
+            win.true_positives += int(np.count_nonzero(verdict & label))
+            win.false_positives += int(np.count_nonzero(verdict & ~label))
+            win.false_negatives += int(np.count_nonzero(~verdict & label))
+            win.true_negatives += int(np.count_nonzero(~verdict & ~label))
+            if agent.id in self.misbehaving and tier is not AccessTier.FULL:
+                # Audit hook: the agent tried to read the raw samples. Each
+                # attempt is blocked and tallied; the decisions still run
+                # on redacted data.
+                win.violations += len(rows)
+            self.rewards[agent.id] = (
+                expert.tolist(), np.where(verdict == label, 1.0, -1.0).tolist()
             )
-        )
+            if self._emit:
+                shadow = slot > 0
+                records.extend(
+                    (i, slot, DetectionRecord(batch.seq0 + i, agent.id, v, s, shadow,
+                                              Action.BLOCK if v and not shadow else Action.NONE))
+                    for i, s, v in zip(rows.tolist(), score.tolist(), verdict.tolist())
+                )
 
-    def process_sample(self, sample: DataSample) -> None:
-        # Dispatch down the performance ranking until a handoff succeeds.
+        # Dispatch down the performance ranking, one fall-through level at
+        # a time, until every handoff succeeded or the ranking ran out.
+        pending = np.arange(n)
         for agent, tier in self._active:
-            if self._handoff_ok(agent):
-                self._decide(agent, tier, sample, shadow=False)
+            if not len(pending):
                 break
+            ok = self._handoffs(agent, len(pending))
+            run(agent, tier, pending[ok], 0)
+            pending = pending[~ok]
         if not self._active:
-            self.stalled_samples += 1
+            self.stalled_samples += n
 
-        for agent, tier in self._shadows:
-            if self._handoff_ok(agent):
-                self._decide(agent, tier, sample, shadow=True)
+        for slot, (agent, tier) in enumerate(self._shadows, start=1):
+            run(agent, tier, np.flatnonzero(self._handoffs(agent, n)), slot)
 
-    def run_batch(self, samples: list[DataSample]) -> None:
-        for sample in samples:
-            self.process_sample(sample)
+        records.sort(key=lambda r: r[:2])
+        self.detections.extend(r[2] for r in records)
         if self.stalled_samples:
             logger.warning(
                 "cycle %d: no active %s agent; %d samples undecided (vacancy pending)",

@@ -1,7 +1,7 @@
 """Multi-factor cycle reward: weighted accuracy, synergy, and efficiency
 minus a weighted penalty, each component normalized into [0, 1].
 
-Component operationalization (all computable from one agent window):
+Component operationalization (from one agent window and the agent's cost):
   accuracy   - detection F1 for the window
   synergy    - fraction of dispatch handoffs that completed
   efficiency - baseline cost for the work done divided by cost spent,
@@ -78,8 +78,10 @@ def compute_components(agent: Agent, log: PerformanceLog, cfg: RewardConfig) -> 
     else:
         synergy = 0.0
 
-    if win.samples_seen > 0 and win.cost_accumulated > 0:
-        efficiency = _clamp(cfg.baseline_cost_per_sample * win.samples_seen / win.cost_accumulated)
+    # Every decided sample costs the agent's cost_per_sample, so the
+    # baseline cost of the work over the cost spent is a ratio of rates.
+    if win.samples_seen > 0:
+        efficiency = _clamp(cfg.baseline_cost_per_sample / agent.cost_per_sample)
     else:
         efficiency = 0.0
 

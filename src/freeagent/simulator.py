@@ -10,8 +10,9 @@ counter. Per sample the draw order is fixed: one uniform for the pattern
 mixture, one uniform for the fraud label, FEATURE_DIM standard normals
 for feature noise, MODALITY_DIM uniforms for modality jitter. Any cycle
 (and any single sample) is therefore reproducible without generating
-anything before it. Bit-exactness holds for a pinned numpy version; the
-pin lives in pyproject.toml.
+anything before it. Bit-exactness holds only for a fixed numpy version,
+so pin your numpy (pyproject.toml only sets a floor); the bytes were
+checked on numpy 2.4.6.
 
 Scenario construction
 ---------------------
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import accumulate
 from statistics import NormalDist
 
 import numpy as np
@@ -38,9 +40,8 @@ from .domain import (
     Agent,
     AgentStatus,
     ConfigError,
-    DataSample,
 )
-from .moe import Expert, MoEState, expert_score, gate, uniform_moe
+from .moe import Expert, MoEState, uniform_moe
 
 _NORMAL = NormalDist()
 
@@ -159,53 +160,68 @@ class StreamConfig:
             raise ConfigError("seed must fit in 64 bits")
 
 
-def generate_sample(
-    cfg: StreamConfig, cycle: int, seq: int, rng: KeyedRng | None = None
-) -> DataSample:
-    """Generate the sample at (cycle, seq) independently of all others."""
-    gen = (rng or KeyedRng()).reset("sample", cfg.seed, cycle, seq)
-    segment = cfg.schedule.segment_for(cycle)
+@dataclass(frozen=True, slots=True)
+class SampleBatch:
+    """One cycle of the stream as columns, row i being sample ``seq0 + i``.
 
-    u_pattern = gen.random()
-    pattern = segment.mixture[-1][0]
-    acc = 0.0
-    for spec, weight in segment.mixture:
-        acc += weight
-        if u_pattern < acc:
-            pattern = spec
-            break
+    ``label`` and ``pattern`` (an index into the cycle's mixture) are
+    ground truth for metrics and reward only; agents never see them (the
+    decision path takes features and modality, nothing else).
+    """
 
-    label = bool(gen.random() < pattern.fraud_rate)
+    seq0: int
+    features: np.ndarray  # (n, FEATURE_DIM) float64
+    modality: np.ndarray  # (n, MODALITY_DIM) float64
+    label: np.ndarray  # (n,) bool
+    pattern: np.ndarray  # (n,) int
 
-    # Python floats, so scores and verdicts downstream are plain float/bool.
-    features = gen.standard_normal(FEATURE_DIM).tolist()
-    if label:
-        for coord, shift in pattern.fraud_shift.items():
-            features[coord] += shift
-
-    jitter = gen.random(MODALITY_DIM)
-    modality = [
-        base * (1.0 + _MODALITY_JITTER * (2.0 * u - 1.0)) if base > 0 else 0.0
-        for base, u in zip(pattern.modality_base, jitter)
-    ]
-    total = sum(modality)
-    modality = [m / total for m in modality]
-
-    return DataSample(
-        seq=cycle * cfg.samples_per_cycle + seq,
-        features=tuple(features),
-        modality=tuple(modality),
-        label=label,
-        pattern=pattern.name,
-    )
+    def __len__(self) -> int:
+        return len(self.label)
 
 
-def generate_cycle(cfg: StreamConfig, cycle: int) -> list[DataSample]:
-    """All samples of one cycle, in seq order."""
+def generate_cycle(cfg: StreamConfig, cycle: int) -> SampleBatch:
+    """All samples of one cycle, in seq order.
+
+    Each sample draws from its own keyed substream straight into its row;
+    everything after the draws is a column operation that applies the same
+    IEEE operations, in the same order, as a sample-at-a-time loop would.
+    """
     if not 0 <= cycle < cfg.total_cycles:
         raise ConfigError(f"cycle {cycle} outside [0, {cfg.total_cycles})")
+    n = cfg.samples_per_cycle
+    uniforms = np.empty((n, 2))
+    features = np.empty((n, FEATURE_DIM))
+    jitter = np.empty((n, MODALITY_DIM))
     rng = KeyedRng()
-    return [generate_sample(cfg, cycle, seq, rng) for seq in range(cfg.samples_per_cycle)]
+    for seq in range(n):
+        gen = rng.reset("sample", cfg.seed, cycle, seq)
+        gen.random(out=uniforms[seq])
+        gen.standard_normal(out=features[seq])
+        gen.random(out=jitter[seq])
+
+    # First mixture entry whose running weight exceeds the pattern uniform;
+    # the last entry takes anything the rounded sum leaves uncovered.
+    mixture = cfg.schedule.segment_for(cycle).mixture
+    bounds = list(accumulate(weight for _, weight in mixture))
+    pattern = np.minimum(np.searchsorted(bounds, uniforms[:, 0], side="right"), len(mixture) - 1)
+    label = uniforms[:, 1] < np.array([spec.fraud_rate for spec, _ in mixture])[pattern]
+
+    for k, (spec, _) in enumerate(mixture):
+        shifted = label & (pattern == k)
+        for coord, shift in spec.fraud_shift.items():
+            features[shifted, coord] += shift
+
+    base = np.array([spec.modality_base for spec, _ in mixture])[pattern]
+    # Zero base entries stay exactly zero whatever the jitter.
+    modality = np.where(base > 0, base * (1.0 + _MODALITY_JITTER * (2.0 * jitter - 1.0)), 0.0)
+    total = 0.0 + modality[:, 0] + modality[:, 1] + modality[:, 2]
+    return SampleBatch(
+        seq0=cycle * n,
+        features=features,
+        modality=modality / total[:, None],
+        label=label,
+        pattern=pattern,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +365,18 @@ def measure_accuracy(
 ) -> float:
     """Fraction of correct verdicts with a frozen gate over a stream.
 
-    The sample is redacted to the given tier before scoring, exactly as
+    Each batch is redacted to the given tier before scoring, exactly as
     the live pipeline would do.
     """
-    from .pipeline import redact
+    from .pipeline import decide, redact
 
-    rng = KeyedRng()
     correct = 0
     total = 0
     for cycle in cycles or range(stream.total_cycles):
-        for seq in range(stream.samples_per_cycle):
-            sample = generate_sample(stream, cycle, seq, rng)
-            red = redact(sample, tier)
-            idx = gate(moe, red.modality)
-            _, verdict = expert_score(moe.experts[idx], red.features)
-            correct += int(verdict == sample.label)
-            total += 1
+        batch = generate_cycle(stream, cycle)
+        _, _, verdict = decide(moe, redact(batch.features, tier), batch.modality)
+        correct += int(np.count_nonzero(verdict == batch.label))
+        total += len(batch)
     return correct / total
 
 

@@ -13,6 +13,7 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from freeagent.config import AgentSpec, RunConfig, preset_config
@@ -20,8 +21,8 @@ from freeagent.domain import AccessTier, AgentStatus, EventKind
 from freeagent.engine import Engine, restore_engine
 from freeagent.lifecycle import LifecycleConfig, RoleSpec
 from freeagent.metrics import f1_from_counts
-from freeagent.moe import Expert, MoEState, expert_score, gate, rl_update
-from freeagent.pipeline import redact
+from freeagent.moe import Expert, MoEState, rl_update
+from freeagent.pipeline import decide
 from freeagent.reward import RewardComponents, RewardWeights, compute_reward
 from freeagent.simulator import (
     DriftSchedule,
@@ -29,8 +30,8 @@ from freeagent.simulator import (
     PatternSpec,
     Segment,
     StreamConfig,
-    generate_sample,
 )
+from tests.scalar_oracle import expert_score, gate, generate_sample, redact
 from tests.test_engine import BLIND_EXPERT, replay_membership, small_config
 
 DRIFT_CYCLE = 10
@@ -315,9 +316,10 @@ class TestCriterion5ShadowAudit:
             cycle, seq = divmod(det.seq, spc)
             moe = scenario.shadow_states[(cycle, det.agent)]
             sample = generate_sample(scenario.config.stream, cycle, seq, rng)
-            red = redact(sample, AccessTier.RESTRICTED)
-            idx = gate(moe, red.modality)
-            score, verdict = expert_score(moe.experts[idx], red.features)
+            idx = gate(moe, sample.modality)
+            score, verdict = expert_score(
+                moe.experts[idx], redact(sample.features, AccessTier.RESTRICTED)
+            )
             if verdict != det.verdict or score != det.score:
                 mismatches += 1
 
@@ -334,13 +336,14 @@ class TestCriterion6GatingLearning:
         right = Expert(profile=(1.0,), weights=(1.0,), threshold=0.5)   # fraud on x=1
         moe = MoEState(experts=(wrong, right), gate_weights=(0.5, 0.5), learning_rate=0.05)
 
-        features, modality, label = (1.0,), (1.0,), True  # stationary all-fraud stream
+        # stationary all-fraud stream, one sample per batch
+        features, modality, label = np.ones((1, 1)), np.ones((1, 1)), True
         selections = []
         for _ in range(300):
-            idx = gate(moe, modality)
+            chosen, _, verdict = decide(moe, features, modality)
+            idx = int(chosen[0])
             selections.append(idx)
-            _, verdict = expert_score(moe.experts[idx], features)
-            moe = rl_update(moe, idx, 1.0 if verdict == label else -1.0)
+            moe = rl_update(moe, [idx], [1.0 if bool(verdict[0]) == label else -1.0])
 
         tail_freq = sum(1 for s in selections[-100:] if s == 1) / 100
         # closed form: expert 0 used once at -1, expert 1 gets +1 thereafter

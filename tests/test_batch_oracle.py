@@ -1,0 +1,151 @@
+"""Differential test: the columnar cycle (``generate_cycle`` ->
+``CyclePipeline.run_batch`` -> ``rl_update``) against the sample-at-a-time
+oracle in ``tests/scalar_oracle.py``, compared bit for bit."""
+
+from dataclasses import astuple
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from freeagent.domain import AccessTier, Agent, AgentStatus
+from freeagent.metrics import PerformanceLog
+from freeagent.moe import Expert, MoEState, rl_update
+from freeagent.pipeline import CyclePipeline, decide, redact
+from freeagent.simulator import DriftSchedule, PatternSpec, Segment, StreamConfig, generate_cycle
+from tests import scalar_oracle as oracle
+
+PATTERNS = (
+    PatternSpec("A", 0.3, {0: 2.0}, (0.7, 0.3, 0.0)),
+    PatternSpec("B", 0.5, {1: 1.0, 2: 1.5, 3: 2.0}, (0.0, 0.3, 0.7)),
+    PatternSpec("C", 0.6, {4: -1.0}, (0.4, 0.4, 0.2)),
+)
+# Few distinct values, so gate affinities and expert choices tie often.
+PROFILES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0), (1.0, 1.0, 1.0))
+# Negative weights on the redacted suffix (coordinates 3-5) give -0.0 products.
+WEIGHTS = (0.0, 1.0, -1.0, 0.5, -0.25, 0.3)
+GATE_WEIGHTS = (0.0, 0.0, 0.25, 0.5, 1.0)  # 0.0: a starved expert that underflowed
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def experts(draw):
+    return Expert(
+        profile=draw(st.sampled_from(PROFILES)),
+        weights=tuple(draw(st.lists(st.sampled_from(WEIGHTS), min_size=6, max_size=6))),
+        threshold=draw(st.sampled_from((-0.5, 0.0, 0.5, 1.0))),
+    )
+
+
+@st.composite
+def moes(draw):
+    chosen = tuple(draw(st.lists(experts(), min_size=1, max_size=4)))
+    gate_weights = [draw(st.sampled_from(GATE_WEIGHTS)) for _ in chosen]
+    if sum(gate_weights) == 0:
+        gate_weights[-1] = 1.0
+    return MoEState(chosen, tuple(gate_weights), draw(st.sampled_from((0.05, 0.3))))
+
+
+@st.composite
+def rosters(draw):
+    n_active = draw(st.integers(0, 4))
+    n_shadow = draw(st.integers(0, 3))
+    roster = {}
+    for agent_id in draw(st.permutations(range(n_active + n_shadow))):
+        status = AgentStatus.ACTIVE if len(roster) < n_active else AgentStatus.PROBATIONARY
+        roster[agent_id] = Agent(
+            id=agent_id,
+            role="FraudDetection",
+            skills=frozenset({"fraud"}),
+            status=status,
+            moe=draw(moes()),
+            performance=draw(st.sampled_from((0.0, 0.5, 0.9))),
+            handoff_reliability=draw(st.sampled_from((1.0, 0.9, 0.5, 0.0))),
+        )
+    misbehaving = frozenset(draw(st.sets(st.sampled_from(sorted(roster) or [0]))))
+    return roster, misbehaving
+
+
+@st.composite
+def streams(draw):
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
+    total = sum(weights)
+    return StreamConfig(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        samples_per_cycle=draw(st.integers(1, 60)),
+        total_cycles=2,
+        schedule=DriftSchedule((
+            Segment(0, ((PATTERNS[0], 1.0),)),
+            Segment(1, tuple(zip(PATTERNS, (w / total for w in weights)))),
+        )),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=streams(), cycle=st.integers(0, 1), roster=rosters())
+def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
+    roster, misbehaving = roster
+    pipe = CyclePipeline(roster, PerformanceLog(), seed=stream.seed, cycle=cycle,
+                         misbehaving=misbehaving, emit_detections=True)
+    batch = generate_cycle(stream, cycle)
+    pipe.run_batch(batch)
+
+    ref = oracle.ScalarPipeline(roster, seed=stream.seed, cycle=cycle, misbehaving=misbehaving)
+    rng = oracle.KeyedRng()
+    samples = [oracle.generate_sample(stream, cycle, seq, rng) for seq in range(len(batch))]
+    for sample in samples:
+        ref.process_sample(sample)
+
+    assert {a: astuple(w) for a, w in pipe.log.windows.items()} == {
+        a: astuple(w) for a, w in ref.log.windows.items()
+    }
+    assert pipe.stalled_samples == ref.stalled_samples
+    assert sorted(pipe.rewards) == sorted(ref.rewards)
+    for agent_id, steps in ref.rewards.items():
+        used, signals = pipe.rewards[agent_id]
+        assert list(zip(used, signals)) == steps
+        gate_weights = roster[agent_id].moe
+        for expert_used, signal in steps:
+            gate_weights = MoEState(gate_weights.experts,
+                                    oracle.rl_update(gate_weights, expert_used, signal),
+                                    gate_weights.learning_rate)
+        updated = rl_update(roster[agent_id].moe, used, signals)
+        assert hexes(updated.gate_weights) == hexes(gate_weights.gate_weights)
+
+    def rows(detections):
+        return [(d.seq, d.agent, d.verdict, d.score.hex(), d.shadow, d.action)
+                for d in detections]
+
+    assert rows(pipe.detections) == rows(ref.detections)
+    assert all(type(d.score) is float and type(d.verdict) is bool for d in pipe.detections)
+
+    # The kernel on every tier's view, Sandbox included, for every agent.
+    for agent in roster.values():
+        for tier in AccessTier:
+            chosen, score, verdict = decide(agent.moe, redact(batch.features, tier),
+                                            batch.modality)
+            expected = []
+            for s in samples:
+                idx = oracle.gate(agent.moe, s.modality)
+                expected.append((idx, *oracle.expert_score(
+                    agent.moe.experts[idx], oracle.redact(s.features, tier))))
+            got = zip(chosen.tolist(), score.tolist(), verdict.tolist())
+            assert [(i, x.hex(), v) for i, x, v in got] == [
+                (i, x.hex(), v) for i, x, v in expected
+            ]
+
+
+def test_negative_weight_on_redacted_coordinate_scores_plus_zero():
+    # every product is -0.0: zero weights on negative visible features and
+    # negative weights on the zeroed suffix; a scalar sum() starts from 0
+    # and returns +0.0, which detections.jsonl shows
+    expert = Expert(profile=(1.0, 0.0, 0.0), weights=(0.0, 0.0, 0.0, -1.0, -0.5, -2.0),
+                    threshold=0.5)
+    moe = MoEState((expert,), (1.0,))
+    features = np.array([[-1.5, -2.0, -0.3, 4.0, 1.0, -2.0]])
+    restricted = redact(features, AccessTier.RESTRICTED)
+    _, score, _ = decide(moe, restricted, np.array([[1.0, 0.0, 0.0]]))
+    expected = oracle.expert_score(expert, tuple(restricted[0].tolist()))[0]
+    assert score[0].hex() == expected.hex() == "0x0.0p+0"

@@ -347,6 +347,21 @@ class TestSnapshots:
         ]
         assert resumed_events == full_events
 
+    @pytest.mark.parametrize("override", [
+        ["--config", "cfg.json"], ["--preset", "section-4.4"], ["--seed", "0"],
+        ["--emit-detections"],
+    ])
+    def test_cli_restore_rejects_overrides(self, tmp_path, capsys, override):
+        # the restored run would ignore them, or embed them in later snapshots
+        engine = Engine(small_config(cycles=2))
+        engine.run_cycle()
+        snap = tmp_path / "snap.json"
+        write_snapshot(engine, snap)
+        out = tmp_path / "out"
+        assert main(["run", "--restore", str(snap), *override, "--out", str(out)]) == 2
+        assert f"{override[0]} cannot be combined with --restore" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_append_only_outputs(tmp_path):
     # earlier bytes never change while the run appends

@@ -7,22 +7,23 @@ from freeagent.domain import (
     AgentStatus,
     EventKind,
     RosterEvent,
-    tier_for_status,
 )
 from tests.test_pipeline import detector
 
 
 def test_tier_is_pure_function_of_status():
-    assert tier_for_status(AgentStatus.RELEASED) is AccessTier.SANDBOX
-    assert tier_for_status(AgentStatus.PROBATIONARY) is AccessTier.RESTRICTED
-    assert tier_for_status(AgentStatus.ACTIVE) is AccessTier.FULL
+    assert detector(0, status=AgentStatus.RELEASED).access_tier is AccessTier.SANDBOX
+    assert detector(0, status=AgentStatus.PROBATIONARY).access_tier is AccessTier.RESTRICTED
+    assert detector(0, status=AgentStatus.ACTIVE).access_tier is AccessTier.FULL
 
 
 def test_tier_follows_status_assignment():
     agent = detector(0)
-    for status in (AgentStatus.PROBATIONARY, AgentStatus.RELEASED, AgentStatus.ACTIVE):
+    tiers = {AgentStatus.PROBATIONARY: AccessTier.RESTRICTED,
+             AgentStatus.RELEASED: AccessTier.SANDBOX, AgentStatus.ACTIVE: AccessTier.FULL}
+    for status, tier in tiers.items():
         agent.status = status
-        assert agent.access_tier is tier_for_status(status)
+        assert agent.access_tier is tier
     with pytest.raises(AttributeError):
         agent.access_tier = AccessTier.FULL  # derived, never stored
 

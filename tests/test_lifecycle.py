@@ -169,6 +169,23 @@ class TestFillVacantRoles:
         )
         assert agent.service_time == 7
 
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_agent_at_service_cap_passed_over(self, keep):
+        # the best candidate would be freed again by the cap sweep this same
+        # cycle, so the next-best one below the cap is signed instead
+        capped, fresh = detector(1, performance=0.9), detector(2, performance=0.5)
+        for agent in (capped, fresh):
+            agent.status = AgentStatus.RELEASED
+        capped.service_time = 2
+        cfg = LifecycleConfig(max_service_time=2, keep_service_time_on_resign=keep)
+        roster, pool = {}, [capped, fresh]
+        signed = fill_vacant_roles(
+            roster, pool, [RoleSpec("FraudDetection", frozenset())], cfg, 0, []
+        )
+        assert signed == ([2] if keep else [1])
+        enforce_service_cap(roster, pool, cfg, 0, [])
+        assert list(roster) == signed
+
 
 class TestVacancies:
     def test_vacancy_iff_role_unfilled(self):

@@ -2,23 +2,24 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from freeagent.domain import (
     Agent,
     AgentStatus,
-    DataSample,
-    Decision,
 )
 from freeagent.metrics import (
     PerformanceLog,
     count_ratios,
     evaluate_fraud_performance,
     f1_from_counts,
-    update_fraud_metrics,
 )
 from freeagent.moe import Expert, uniform_moe
+from freeagent.pipeline import CyclePipeline
+from freeagent.simulator import SampleBatch
+from tests.test_pipeline import detector
 
 
 def f1_oracle(tp: int, fp: int, fn: int) -> float:
@@ -38,12 +39,14 @@ def make_agent(agent_id=0, cost=1.0):
     )
 
 
-def sample(label: bool) -> DataSample:
-    return DataSample(seq=0, features=(0.0,) * 6, modality=(1.0, 0.0, 0.0), label=label, pattern="A")
-
-
-def decision(verdict: bool) -> Decision:
-    return Decision(verdict=verdict, score=0.0, expert_used=0)
+def decide_batch(log: PerformanceLog, verdicts: list[bool], labels: list[bool]) -> None:
+    """Have one Active detector decide a batch with the given verdicts and labels."""
+    n = len(verdicts)
+    features = np.zeros((n, 6))
+    features[:, 0] = verdicts  # the detector says fraud iff feature 0 >= 0.5
+    batch = SampleBatch(seq0=0, features=features, modality=np.tile([1.0, 0.0, 0.0], (n, 1)),
+                        label=np.array(labels, dtype=bool), pattern=np.zeros(n, dtype=int))
+    CyclePipeline({0: detector(0)}, log, seed=0, cycle=0).run_batch(batch)
 
 
 class TestUpdateFraudMetrics:
@@ -58,30 +61,21 @@ class TestUpdateFraudMetrics:
     )
     def test_exactly_one_counter_moves(self, verdict, label, counter):
         log = PerformanceLog()
-        agent = make_agent()
-        update_fraud_metrics(log, agent, sample(label), decision(verdict))
-        win = log.window(agent.id)
+        decide_batch(log, [verdict], [label])
+        win = log.window(0)
         for name in ("true_positives", "false_positives", "false_negatives", "true_negatives"):
             assert getattr(win, name) == (1 if name == counter else 0)
         assert win.samples_seen == 1
 
-    def test_cost_accumulates_per_sample(self):
-        log = PerformanceLog()
-        agent = make_agent(cost=0.25)
-        for _ in range(4):
-            update_fraud_metrics(log, agent, sample(True), decision(True))
-        assert log.window(agent.id).cost_accumulated == pytest.approx(1.0)
-
     def test_confusion_sum_equals_decided(self):
         log = PerformanceLog()
-        agent = make_agent()
         rng = random.Random(7)
         n = 200
-        for _ in range(n):
-            update_fraud_metrics(
-                log, agent, sample(rng.random() < 0.5), decision(rng.random() < 0.5)
-            )
-        win = log.window(agent.id)
+        pairs = [(rng.random() < 0.5, rng.random() < 0.5) for _ in range(n)]
+        decide_batch(log, [v for v, _ in pairs], [lab for _, lab in pairs])
+        win = log.window(0)
+        assert win.true_positives == sum(v and lab for v, lab in pairs)
+        assert win.true_negatives == sum(not v and not lab for v, lab in pairs)
         counters = win.true_positives + win.false_positives
         counters += win.false_negatives + win.true_negatives
         assert counters == n == win.samples_seen
@@ -146,7 +140,7 @@ class TestEvaluate:
 def test_window_reset_clears_everything():
     log = PerformanceLog()
     agent = make_agent()
-    update_fraud_metrics(log, agent, sample(True), decision(True))
+    decide_batch(log, [True], [True])
     log.record_handoff(agent.id, True)
     log.record_violation(agent.id)
     log.reset_all()

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +13,22 @@ from freeagent.domain import (
     ConfigError,
     LifecycleError,
 )
-from freeagent.moe import Expert, MoEState, expert_score, gate, moe_init, rl_update, uniform_moe
+from freeagent.moe import Expert, MoEState, moe_init, rl_update, uniform_moe
+from freeagent.pipeline import decide
+
+
+def gate(moe, modality):
+    """The expert ``decide`` routes one sample with this modality to."""
+    features = np.zeros((1, len(moe.experts[0].weights)))
+    return int(decide(moe, features, np.array([modality], dtype=float))[0][0])
+
+
+def expert_score(expert, features):
+    """Score and verdict of ``decide`` for one sample scored by ``expert``."""
+    moe = MoEState(experts=(expert,), gate_weights=(1.0,))
+    modality = np.ones((1, len(expert.profile)))
+    _, score, verdict = decide(moe, np.array([features], dtype=float), modality)
+    return float(score[0]), bool(verdict[0])
 
 
 def two_expert_moe(gate_weights=(0.5, 0.5), profiles=((1.0, 0.0), (0.0, 1.0))):
@@ -106,7 +122,7 @@ class TestRlUpdate:
     def test_single_positive_update(self):
         # independent oracle: direct evaluation of the exponential step
         moe = two_expert_moe()
-        updated = rl_update(moe, 0, 1.0)
+        updated = rl_update(moe, [0], [1.0])
         e = math.exp(0.05)
         expect0 = 0.5 * e / (0.5 * e + 0.5)
         assert updated.gate_weights[0] == pytest.approx(expect0, abs=1e-12)
@@ -117,23 +133,21 @@ class TestRlUpdate:
 
     def test_zero_reward_is_noop(self):
         moe = two_expert_moe()
-        assert rl_update(moe, 1, 0.0).gate_weights == moe.gate_weights
+        assert rl_update(moe, [1], [0.0]).gate_weights == moe.gate_weights
 
     def test_hundred_updates_match_closed_form(self):
-        moe = two_expert_moe()
-        for _ in range(100):
-            moe = rl_update(moe, 1, 1.0)
+        moe = rl_update(two_expert_moe(), [1] * 100, [1.0] * 100)
         closed = 0.5 * math.exp(5.0) / (0.5 + 0.5 * math.exp(5.0))
         assert moe.gate_weights[1] == pytest.approx(closed, abs=1e-9)
         assert moe.gate_weights[1] > 0.99
 
     def test_out_of_range_reward_rejected(self):
         with pytest.raises(ComputationError):
-            rl_update(two_expert_moe(), 0, 1.5)
+            rl_update(two_expert_moe(), [0, 0], [1.0, 1.5])
 
     def test_experts_and_rate_untouched(self):
         moe = two_expert_moe()
-        updated = rl_update(moe, 0, -1.0)
+        updated = rl_update(moe, [0], [-1.0])
         assert updated.experts == moe.experts
         assert updated.learning_rate == moe.learning_rate
 
@@ -143,9 +157,7 @@ class TestRlUpdate:
         )
     )
     def test_normalization_preserved_over_any_sequence(self, steps):
-        moe = two_expert_moe()
-        for idx, reward in steps:
-            moe = rl_update(moe, idx, reward)
+        moe = rl_update(two_expert_moe(), *zip(*steps))
         assert abs(sum(moe.gate_weights) - 1.0) < 1e-9
 
     def test_rewarded_expert_dominates(self):
@@ -158,7 +170,7 @@ class TestRlUpdate:
         )
         prev = moe.gate_weights[2]
         for _ in range(200):
-            moe = rl_update(moe, 2, 1.0)
+            moe = rl_update(moe, [2], [1.0])
             assert moe.gate_weights[2] > prev
             prev = moe.gate_weights[2]
         assert moe.gate_weights[2] > 0.99

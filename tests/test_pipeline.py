@@ -1,12 +1,12 @@
 """Dispatch, redaction, shadow processing, and handoff behaviour."""
 
+import numpy as np
 import pytest
 
 from freeagent.domain import (
     AccessTier,
     Agent,
     AgentStatus,
-    DataSample,
 )
 from freeagent.metrics import PerformanceLog
 from freeagent.moe import Expert, uniform_moe
@@ -17,6 +17,7 @@ from freeagent.pipeline import (
     quantize_coarse,
     redact,
 )
+from freeagent.simulator import SampleBatch
 
 
 def detector(agent_id, status=AgentStatus.ACTIVE, performance=0.0, threshold=0.5,
@@ -38,16 +39,26 @@ def detector(agent_id, status=AgentStatus.ACTIVE, performance=0.0, threshold=0.5
     return agent
 
 
-def sample(features, label=False, seq=0):
-    return DataSample(
-        seq=seq, features=tuple(features), modality=(1.0, 0.0, 0.0), label=label, pattern="A"
+def batch(features, label=False, n=1):
+    """``n`` copies of one sample with modality (1, 0, 0), seqs from 0."""
+    return SampleBatch(
+        seq0=0,
+        features=np.tile(np.array(features, dtype=float), (n, 1)),
+        modality=np.tile([1.0, 0.0, 0.0], (n, 1)),
+        label=np.full(n, label),
+        pattern=np.zeros(n, dtype=int),
     )
+
+
+def pipeline(roster, log=None, seed=1, **kwargs):
+    return CyclePipeline(roster, log or PerformanceLog(), seed=seed, cycle=0,
+                         emit_detections=True, **kwargs)
 
 
 def dispatch_one(roster, log=None):
     """Run one fraud sample through a pipeline; return it and its detections."""
-    pipe = CyclePipeline(roster, log or PerformanceLog(), seed=1, cycle=0)
-    pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True))
+    pipe = pipeline(roster, log)
+    pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True))
     return pipe, pipe.detections
 
 
@@ -86,16 +97,16 @@ class TestRedact:
     FEATURES = (0.9, 0.1, 0.2, 0.7, 0.3, 0.5)
 
     def test_full_is_identity(self):
-        s = sample(self.FEATURES)
-        assert redact(s, AccessTier.FULL) is s
+        x = batch(self.FEATURES).features
+        assert redact(x, AccessTier.FULL) is x
 
     def test_restricted_zeroes_sensitive_suffix(self):
-        red = redact(sample(self.FEATURES), AccessTier.RESTRICTED)
-        assert red.features == (0.9, 0.1, 0.2, 0.0, 0.0, 0.0)
+        red = redact(batch(self.FEATURES).features, AccessTier.RESTRICTED)
+        assert red.tolist() == [[0.9, 0.1, 0.2, 0.0, 0.0, 0.0]]
 
     def test_sandbox_quantizes_and_zeroes(self):
-        red = redact(sample((0.87, -0.14, 1.25, 0.7, 0.3, 0.5)), AccessTier.SANDBOX)
-        assert red.features == (0.9, -0.1, 1.3, 0.0, 0.0, 0.0)
+        red = redact(batch((0.87, -0.14, 1.25, 0.7, 0.3, 0.5)).features, AccessTier.SANDBOX)
+        assert red.tolist() == [[0.9, -0.1, 1.3, 0.0, 0.0, 0.0]]
 
     @pytest.mark.parametrize(
         "value,expected",
@@ -107,17 +118,18 @@ class TestRedact:
     def test_label_and_pattern_not_readable_by_decision(self):
         # the decision path takes only features and modality
         agent = detector(0)
-        s = sample((0.9, 0, 0, 0, 0, 0), label=True)
-        d = decide(agent, s.features, s.modality)
-        assert d.verdict is True  # from the score, not the label
+        for label in (True, False):
+            b = batch((0.9, 0, 0, 0, 0, 0), label=label)
+            _, _, verdict = decide(agent.moe, b.features, b.modality)
+            assert verdict.tolist() == [True]  # from the score, not the label
 
 
 class TestProcessSample:
     def test_fraud_sample_blocks_and_counts_tp(self):
         roster = {0: detector(0)}
         log = PerformanceLog()
-        pipe = CyclePipeline(roster, log, seed=1, cycle=0)
-        assert pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True)) is None
+        pipe = pipeline(roster, log)
+        assert pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True)) is None
         [row] = pipe.detections
         assert row.verdict is True and row.shadow is False
         assert row.action == Action.BLOCK
@@ -126,8 +138,8 @@ class TestProcessSample:
     def test_shadow_false_positive_takes_no_action(self):
         roster = {0: detector(0, threshold=99.0), 1: detector(1, status=AgentStatus.PROBATIONARY)}
         log = PerformanceLog()
-        pipe = CyclePipeline(roster, log, seed=1, cycle=0)
-        pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=False))
+        pipe = pipeline(roster, log)
+        pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=False))
         active, shadow = pipe.detections
         assert (active.agent, active.verdict) == (0, False)  # assigned agent says legit
         assert (shadow.agent, shadow.verdict) == (1, True)   # shadow says fraud
@@ -140,16 +152,16 @@ class TestProcessSample:
             1, status=AgentStatus.PROBATIONARY, weights=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
         )
         roster = {0: detector(0), 1: shadow}
-        pipe = CyclePipeline(roster, PerformanceLog(), seed=1, cycle=0)
-        pipe.process_sample(sample((0.0, 0, 0, 5.0, 0, 0), label=True))
+        pipe = pipeline(roster)
+        pipe.run_batch(batch((0.0, 0, 0, 5.0, 0, 0), label=True))
         [row] = [d for d in pipe.detections if d.shadow]
         assert row.verdict is False
         assert row.score == 0.0
 
     def test_no_active_agent_stalls_but_shadows_run(self):
         roster = {1: detector(1, status=AgentStatus.PROBATIONARY)}
-        pipe = CyclePipeline(roster, PerformanceLog(), seed=1, cycle=0)
-        pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True))
+        pipe = pipeline(roster)
+        pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True))
         assert pipe.stalled_samples == 1
         [row] = pipe.detections
         assert row.agent == 1 and row.shadow and row.action == Action.NONE
@@ -157,10 +169,9 @@ class TestProcessSample:
     def test_handoff_failures_traced_under_fixed_seed(self):
         roster = {0: detector(0, reliability=0.5)}
         log = PerformanceLog()
-        pipe = CyclePipeline(roster, log, seed=99, cycle=0)
+        pipe = pipeline(roster, log, seed=99)
         n = 200
-        for seq in range(n):
-            pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True, seq=seq))
+        pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=n))
         win = log.window(0)
         assert win.handoffs_attempted == n
         # skipped samples leave no confusion-counter trace
@@ -169,17 +180,17 @@ class TestProcessSample:
 
         # identical seed reproduces the exact same handoff outcomes
         log2 = PerformanceLog()
-        pipe2 = CyclePipeline({0: detector(0, reliability=0.5)}, log2, seed=99, cycle=0)
-        for seq in range(n):
-            pipe2.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True, seq=seq))
+        pipe2 = pipeline({0: detector(0, reliability=0.5)}, log2, seed=99)
+        pipe2.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=n))
         assert log2.window(0).handoffs_succeeded == win.handoffs_succeeded
+        assert pipe2.detections == pipe.detections
 
     def test_failed_handoff_falls_through_to_backup(self):
         never = detector(0, performance=0.9, reliability=0.0)
         backup = detector(1, performance=0.5)
         log = PerformanceLog()
-        pipe = CyclePipeline({0: never, 1: backup}, log, seed=1, cycle=0)
-        pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True))
+        pipe = pipeline({0: never, 1: backup}, log)
+        pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True))
         assert [d.agent for d in pipe.detections] == [1]
         assert log.window(0).handoffs_attempted == 1
         assert log.window(0).samples_seen == 0
@@ -187,17 +198,18 @@ class TestProcessSample:
 
     def test_reward_signals_recorded_per_sample(self):
         roster = {0: detector(0)}
-        pipe = CyclePipeline(roster, PerformanceLog(), seed=1, cycle=0)
-        pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True))   # correct
-        pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=False))  # wrong
-        assert pipe.rewards[0] == [(0, 1.0), (0, -1.0)]
+        pipe = pipeline(roster)
+        two = batch((0.9, 0, 0, 0, 0, 0), n=2)
+        two.label[0] = True  # the fraud verdict is correct on seq 0, wrong on seq 1
+        pipe.run_batch(two)
+        assert pipe.rewards[0] == ([0, 0], [1.0, -1.0])
 
     def test_misbehaving_restricted_agent_logged_not_leaked(self):
         shadow = detector(1, status=AgentStatus.PROBATIONARY)
         roster = {0: detector(0), 1: shadow}
         log = PerformanceLog()
-        pipe = CyclePipeline(roster, log, seed=1, cycle=0, misbehaving=frozenset({1}))
-        pipe.process_sample(sample((0.0, 0, 0, 9.0, 0, 0), label=True))
+        pipe = pipeline(roster, log, misbehaving=frozenset({1}))
+        pipe.run_batch(batch((0.0, 0, 0, 9.0, 0, 0), label=True))
         assert log.window(1).violations == 1
         # decision still based on redacted data (sensitive suffix invisible)
         [row] = [d for d in pipe.detections if d.shadow]
@@ -206,8 +218,8 @@ class TestProcessSample:
     def test_misbehaving_full_tier_agent_never_violates(self):
         roster = {0: detector(0)}
         log = PerformanceLog()
-        pipe = CyclePipeline(roster, log, seed=1, cycle=0, misbehaving=frozenset({0}))
-        pipe.process_sample(sample((0.9, 0, 0, 0, 0, 0), label=True))
+        pipe = pipeline(roster, log, misbehaving=frozenset({0}))
+        pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True))
         assert log.window(0).violations == 0
 
 
@@ -217,9 +229,8 @@ class TestShadowIsolation:
             0: detector(0, threshold=0.5),
             1: detector(1, status=AgentStatus.PROBATIONARY, threshold=-99.0),  # always fraud
         }
-        pipe = CyclePipeline(roster, PerformanceLog(), seed=5, cycle=0)
-        for seq in range(50):
-            pipe.process_sample(sample((0.1, 0, 0, 0, 0, 0), label=False, seq=seq))
+        pipe = pipeline(roster, seed=5)
+        pipe.run_batch(batch((0.1, 0, 0, 0, 0, 0), label=False, n=50))
         assert all(d.action == Action.NONE for d in pipe.detections)
         shadow_rows = [d for d in pipe.detections if d.shadow]
         assert len(shadow_rows) == 50
@@ -227,9 +238,20 @@ class TestShadowIsolation:
 
     def test_dispatch_totality_with_reliable_agents(self):
         roster = {0: detector(0), 1: detector(1)}
-        pipe = CyclePipeline(roster, PerformanceLog(), seed=5, cycle=0)
-        assert pipe.run_batch(
-            [sample((0.9, 0, 0, 0, 0, 0), label=True, seq=s) for s in range(40)]
-        ) is None
+        pipe = pipeline(roster, seed=5)
+        assert pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=40)) is None
         non_shadow = [d for d in pipe.detections if not d.shadow]
         assert [d.seq for d in non_shadow] == list(range(40))
+
+    def test_detection_rows_built_only_when_emitted(self):
+        roster = {0: detector(0), 1: detector(1, status=AgentStatus.PROBATIONARY)}
+        log = PerformanceLog()
+        pipe = CyclePipeline(roster, log, seed=5, cycle=0)
+        pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=3))
+        assert pipe.detections == []
+        assert log.window(0).true_positives == log.window(1).true_positives == 3
+        emitted = pipeline(roster, seed=5)
+        emitted.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=3))
+        assert [(d.seq, d.agent) for d in emitted.detections] == [
+            (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)
+        ]

@@ -82,10 +82,9 @@ class TestComputeReward:
 class TestComputeComponents:
     def test_all_at_bounds(self):
         log = PerformanceLog()
-        agent = make_agent()
+        agent = make_agent(cost=1.0)  # exactly baseline
         win = log.window(agent.id)
         win.true_positives, win.true_negatives = 5, 5
-        win.cost_accumulated = 10.0  # exactly baseline
         win.handoffs_attempted = win.handoffs_succeeded = 10
         c = compute_components(agent, log, RewardConfig(baseline_cost_per_sample=1.0))
         assert c.synergy == 1.0
@@ -95,10 +94,9 @@ class TestComputeComponents:
 
     def test_double_cost_halves_efficiency(self):
         log = PerformanceLog()
-        agent = make_agent()
+        agent = make_agent(cost=2.0)
         win = log.window(agent.id)
         win.true_negatives = 10  # ten decided samples
-        win.cost_accumulated = 20.0
         c = compute_components(agent, log, RewardConfig(baseline_cost_per_sample=1.0))
         assert c.efficiency == pytest.approx(0.5)
 
@@ -135,6 +133,5 @@ class TestComputeComponents:
         agent = make_agent(cost=0.5)
         win = log.window(agent.id)
         win.true_negatives = 10  # ten decided samples
-        win.cost_accumulated = 5.0
         c = compute_components(agent, log, RewardConfig(baseline_cost_per_sample=1.0))
         assert c.efficiency == 1.0

@@ -1,7 +1,9 @@
 """Stream generation: determinism, schedule, mixture statistics, and the
 scenario calibration bands."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
 from freeagent.domain import AccessTier, ConfigError
@@ -13,11 +15,11 @@ from freeagent.simulator import (
     Segment,
     StreamConfig,
     generate_cycle,
-    generate_sample,
     make_scenario_agents,
     measure_accuracy,
     scenario_patterns,
 )
+from tests.scalar_oracle import generate_sample
 
 PATTERN_A = PatternSpec(
     name="A", fraud_rate=0.2, fraud_shift={0: 3.0}, modality_base=(0.7, 0.3, 0.0)
@@ -25,6 +27,21 @@ PATTERN_A = PatternSpec(
 PATTERN_B = PatternSpec(
     name="B", fraud_rate=0.5, fraud_shift={2: 2.0}, modality_base=(0.0, 0.3, 0.7)
 )
+
+
+def columns(batch):
+    return (batch.seq0, batch.features, batch.modality, batch.label, batch.pattern)
+
+
+def same_batch(a, b):
+    return a.seq0 == b.seq0 and all(
+        np.array_equal(x, y) for x, y in zip(columns(a)[1:], columns(b)[1:])
+    )
+
+
+def pattern_names(cfg, cycle, batch):
+    mixture = cfg.schedule.segment_for(cycle).mixture
+    return [mixture[k][0].name for k in batch.pattern.tolist()]
 
 
 def stream(seed=7, spc=1000, cycles=4, segments=None):
@@ -37,19 +54,23 @@ def stream(seed=7, spc=1000, cycles=4, segments=None):
 class TestDeterminism:
     def test_same_config_same_cycle_identical(self):
         cfg = stream()
-        assert generate_cycle(cfg, 1) == generate_cycle(cfg, 1)
+        assert same_batch(generate_cycle(cfg, 1), generate_cycle(cfg, 1))
 
     def test_random_access_matches_batch(self):
+        # any single sample is reproducible without generating the rest
         cfg = stream(spc=50)
         batch = generate_cycle(cfg, 3)
         rng = KeyedRng()
         for seq in (0, 17, 49):
-            assert generate_sample(cfg, 3, seq, rng) == batch[seq]
+            s = generate_sample(cfg, 3, seq, rng)
+            assert s.seq == batch.seq0 + seq
+            assert s.features == tuple(batch.features[seq].tolist())
+            assert s.label is bool(batch.label[seq])
 
     def test_different_seeds_differ(self):
         a = generate_cycle(stream(seed=1, spc=20), 0)
         b = generate_cycle(stream(seed=2, spc=20), 0)
-        assert a != b
+        assert not same_batch(a, b)
 
     def test_cycle_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -63,39 +84,66 @@ class TestStreamContent:
         lo, hi = binom.ppf(0.0005, n, p), binom.ppf(0.9995, n, p)
         assert 155 <= lo <= 162 and 238 <= hi <= 246
         cfg = stream(spc=n, segments=(Segment(0, ((PATTERN_A, 1.0),)),))
-        frauds = sum(s.label for s in generate_cycle(cfg, 0))
+        frauds = int(generate_cycle(cfg, 0).label.sum())
         assert lo <= frauds <= hi
 
     def test_no_post_drift_pattern_before_drift(self):
         cfg = stream(spc=400)
-        assert all(s.pattern == "A" for s in generate_cycle(cfg, 1))
-        post = {s.pattern for s in generate_cycle(cfg, 2)}
-        assert post == {"A", "B"}
+        assert set(pattern_names(cfg, 1, generate_cycle(cfg, 1))) == {"A"}
+        assert set(pattern_names(cfg, 2, generate_cycle(cfg, 2))) == {"A", "B"}
 
     def test_modality_normalized_and_zeros_exact(self):
         cfg = stream(spc=200)
-        for s in generate_cycle(cfg, 2):
-            assert abs(sum(s.modality) - 1.0) < 1e-9
-            assert all(m >= 0 for m in s.modality)
-            if s.pattern == "A":
-                assert s.modality[2] == 0.0
+        batch = generate_cycle(cfg, 2)
+        for modality, name in zip(batch.modality.tolist(), pattern_names(cfg, 2, batch)):
+            assert abs(sum(modality) - 1.0) < 1e-9
+            assert all(m >= 0 for m in modality)
+            if name == "A":
+                assert modality[2] == 0.0
             else:
-                assert s.modality[0] == 0.0
+                assert modality[0] == 0.0
 
     def test_fraud_shift_applied_to_designated_coordinate(self):
         cfg = stream(spc=2000, segments=(Segment(0, ((PATTERN_A, 1.0),)),))
-        samples = generate_cycle(cfg, 0)
-        fraud_mean = sum(s.features[0] for s in samples if s.label) / sum(
-            s.label for s in samples
-        )
-        legit_mean = sum(s.features[0] for s in samples if not s.label) / sum(
-            not s.label for s in samples
-        )
+        batch = generate_cycle(cfg, 0)
+        fraud_mean = batch.features[batch.label, 0].mean()
+        legit_mean = batch.features[~batch.label, 0].mean()
         assert fraud_mean - legit_mean == pytest.approx(3.0, abs=0.2)
 
     def test_global_seq_positions(self):
         cfg = stream(spc=10)
-        assert [s.seq for s in generate_cycle(cfg, 2)] == list(range(20, 30))
+        batch = generate_cycle(cfg, 2)
+        assert (batch.seq0, len(batch)) == (20, 10)
+
+
+PATTERN_C = PatternSpec(
+    name="C", fraud_rate=0.7, fraud_shift={1: -1.5, 4: 2.5, 5: 0.25},
+    modality_base=(0.2, 0.0, 0.8),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    cycle=st.integers(0, 3),
+    weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+)
+def test_batch_matches_oracle_sample_by_sample(seed, cycle, weights):
+    # multi-pattern segments, including a mixture whose weights need not
+    # sum to 1 bit-exactly, so the last entry also catches the remainder
+    total = sum(weights)
+    mixture = tuple(zip((PATTERN_A, PATTERN_B, PATTERN_C), (w / total for w in weights)))
+    cfg = stream(seed=seed, spc=40, segments=(
+        Segment(0, ((PATTERN_B, 0.3), (PATTERN_C, 0.7))), Segment(2, mixture),
+    ))
+    batch = generate_cycle(cfg, cycle)
+    rng = KeyedRng()
+    for i in range(len(batch)):
+        s = generate_sample(cfg, cycle, i, rng)
+        assert batch.seq0 + i == s.seq
+        assert [x.hex() for x in batch.features[i].tolist()] == [x.hex() for x in s.features]
+        assert [x.hex() for x in batch.modality[i].tolist()] == [x.hex() for x in s.modality]
+        assert (bool(batch.label[i]), int(batch.pattern[i])) == (s.label, s.pattern)
 
 
 class TestScheduleValidation:
