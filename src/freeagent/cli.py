@@ -121,7 +121,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             preset_config(args.preset)
         else:
             load_config(args.config)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print("ok")

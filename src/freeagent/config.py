@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .domain import FRAUD_ROLE, ConfigError
+from .domain import FEATURE_DIM, FRAUD_ROLE, MODALITY_DIM, ConfigError
 from .lifecycle import LifecycleConfig, RoleSpec
 from .moe import Expert
 from .reward import RewardConfig, RewardWeights
@@ -79,30 +79,57 @@ class RunConfig:
 # Strict dict parsing
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+
+
 def _check_keys(node: dict, allowed: set[str], path: str) -> None:
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: expected an object, got {node!r}")
     unknown = set(node) - allowed
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
 
 
-def _require(node: dict, key: str, path: str):
+def _field(node: dict, key: str, path: str, kind: type, default=_REQUIRED):
+    """``node[key]`` as ``kind``, or ``default`` if missing; errors name the dotted path."""
     if key not in node:
-        raise ConfigError(f"{path}: missing required key '{key}'")
-    return node[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"{path}: missing required key '{key}'")
+        return default
+    value = node[key]
+    if kind is list or kind is dict:
+        if isinstance(value, kind):
+            return value
+    else:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
+
+
+def _floats(node: dict, key: str, path: str, length: int) -> tuple[float, ...]:
+    values = _field(node, key, path, list)
+    try:
+        if len(values) == length:
+            return tuple(map(float, values))
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{path}.{key}: expected {length} numbers, got {values!r}")
 
 
 def _parse_pattern(node: dict, path: str) -> PatternSpec:
     _check_keys(node, {"name", "fraud_rate", "fraud_shift", "modality_base"}, path)
-    shift_node = _require(node, "fraud_shift", path)
+    shift_node = _field(node, "fraud_shift", path, dict)
     try:
         fraud_shift = {int(k): float(v) for k, v in shift_node.items()}
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}.fraud_shift: expected a coord->offset mapping ({exc})")
     return PatternSpec(
-        name=str(_require(node, "name", path)),
-        fraud_rate=float(_require(node, "fraud_rate", path)),
+        name=_field(node, "name", path, str),
+        fraud_rate=_field(node, "fraud_rate", path, float),
         fraud_shift=fraud_shift,
-        modality_base=tuple(float(x) for x in _require(node, "modality_base", path)),
+        modality_base=_floats(node, "modality_base", path, MODALITY_DIM),
     )
 
 
@@ -110,30 +137,29 @@ def _parse_stream(node: dict, path: str) -> StreamConfig:
     _check_keys(node, {"seed", "samples_per_cycle", "total_cycles", "patterns", "schedule"}, path)
     patterns = [
         _parse_pattern(p, f"{path}.patterns[{i}]")
-        for i, p in enumerate(_require(node, "patterns", path))
+        for i, p in enumerate(_field(node, "patterns", path, list))
     ]
     by_name = {p.name: p for p in patterns}
     if len(by_name) != len(patterns):
         raise ConfigError(f"{path}.patterns: duplicate pattern names")
 
     segments = []
-    for i, seg in enumerate(_require(node, "schedule", path)):
+    for i, seg in enumerate(_field(node, "schedule", path, list)):
         seg_path = f"{path}.schedule[{i}]"
         _check_keys(seg, {"start_cycle", "mixture"}, seg_path)
-        mixture_node = _require(seg, "mixture", seg_path)
-        mixture = []
-        for pattern in patterns:  # pattern list order keeps mixtures deterministic
-            if pattern.name in mixture_node:
-                mixture.append((pattern, float(mixture_node[pattern.name])))
-        unknown = set(mixture_node) - set(by_name)
-        if unknown:
-            raise ConfigError(f"{seg_path}.mixture: unknown patterns {sorted(unknown)}")
-        segments.append(Segment(int(_require(seg, "start_cycle", seg_path)), tuple(mixture)))
+        mixture_node = _field(seg, "mixture", seg_path, dict)
+        _check_keys(mixture_node, set(by_name), f"{seg_path}.mixture")
+        mixture = [  # pattern list order keeps mixtures deterministic
+            (pattern, _field(mixture_node, pattern.name, f"{seg_path}.mixture", float))
+            for pattern in patterns
+            if pattern.name in mixture_node
+        ]
+        segments.append(Segment(_field(seg, "start_cycle", seg_path, int), tuple(mixture)))
 
     return StreamConfig(
-        seed=int(_require(node, "seed", path)),
-        samples_per_cycle=int(_require(node, "samples_per_cycle", path)),
-        total_cycles=int(_require(node, "total_cycles", path)),
+        seed=_field(node, "seed", path, int),
+        samples_per_cycle=_field(node, "samples_per_cycle", path, int),
+        total_cycles=_field(node, "total_cycles", path, int),
         schedule=DriftSchedule(tuple(segments)),
     )
 
@@ -147,9 +173,9 @@ def _require_fraud_role(name: str, path: str) -> str:
 def parse_expert(node: dict, path: str) -> Expert:
     _check_keys(node, {"profile", "weights", "threshold"}, path)
     return Expert(
-        profile=tuple(float(x) for x in _require(node, "profile", path)),
-        weights=tuple(float(x) for x in _require(node, "weights", path)),
-        threshold=float(_require(node, "threshold", path)),
+        profile=_floats(node, "profile", path, MODALITY_DIM),
+        weights=_floats(node, "weights", path, FEATURE_DIM),
+        threshold=_field(node, "threshold", path, float),
     )
 
 
@@ -160,86 +186,85 @@ def _parse_agent(node: dict, path: str) -> AgentSpec:
     }
     _check_keys(node, allowed, path)
     return AgentSpec(
-        role=_require_fraud_role(str(_require(node, "role", path)), f"{path}.role"),
-        skills=frozenset(str(s) for s in _require(node, "skills", path)),
+        role=_require_fraud_role(_field(node, "role", path, str), f"{path}.role"),
+        skills=frozenset(str(s) for s in _field(node, "skills", path, list)),
         experts=tuple(
             parse_expert(e, f"{path}.experts[{i}]")
-            for i, e in enumerate(_require(node, "experts", path))
+            for i, e in enumerate(_field(node, "experts", path, list))
         ),
-        learning_rate=float(node.get("learning_rate", 0.05)),
-        cost_per_sample=float(node.get("cost_per_sample", 1.0)),
-        handoff_reliability=float(node.get("handoff_reliability", 1.0)),
+        learning_rate=_field(node, "learning_rate", path, float, 0.05),
+        cost_per_sample=_field(node, "cost_per_sample", path, float, 1.0),
+        handoff_reliability=_field(node, "handoff_reliability", path, float, 1.0),
         misbehaving=bool(node.get("misbehaving", False)),
-        service_time=int(node.get("service_time", 0)),
+        service_time=_field(node, "service_time", path, int, 0),
     )
 
 
 def parse_config(root: dict, source: str = "<config>") -> RunConfig:
-    if not isinstance(root, dict):
-        raise ConfigError(f"{source}: top level must be an object")
     allowed = {"schema_version", "stream", "lifecycle", "reward", "roles", "roster", "pool", "output"}
     _check_keys(root, allowed, source)
     version = root.get("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"{source}: unsupported schema_version {version}")
 
-    stream = _parse_stream(_require(root, "stream", source), f"{source}.stream")
+    stream = _parse_stream(_field(root, "stream", source, dict), f"{source}.stream")
 
-    lc_node = root.get("lifecycle", {})
+    lc_node, lc_path = root.get("lifecycle", {}), f"{source}.lifecycle"
     _check_keys(
         lc_node,
         {"release_threshold", "reward_threshold", "sustain_window",
          "max_service_time", "keep_service_time_on_resign"},
-        f"{source}.lifecycle",
+        lc_path,
     )
     lifecycle = LifecycleConfig(
-        release_threshold=float(lc_node.get("release_threshold", 0.80)),
+        release_threshold=_field(lc_node, "release_threshold", lc_path, float, 0.80),
         reward_threshold=(
             None if lc_node.get("reward_threshold") is None
-            else float(lc_node["reward_threshold"])
+            else _field(lc_node, "reward_threshold", lc_path, float)
         ),
-        sustain_window=int(lc_node.get("sustain_window", 3)),
-        max_service_time=int(lc_node.get("max_service_time", 50)),
+        sustain_window=_field(lc_node, "sustain_window", lc_path, int, 3),
+        max_service_time=_field(lc_node, "max_service_time", lc_path, int, 50),
         keep_service_time_on_resign=bool(lc_node.get("keep_service_time_on_resign", True)),
     )
 
-    rw_node = root.get("reward", {})
+    rw_node, rw_path = root.get("reward", {}), f"{source}.reward"
     _check_keys(
         rw_node,
         {"alpha", "beta", "gamma", "delta", "baseline_cost_per_sample", "fp_budget"},
-        f"{source}.reward",
+        rw_path,
     )
     weights = RewardWeights(
-        alpha=float(rw_node.get("alpha", 1.0)),
-        beta=float(rw_node.get("beta", 0.25)),
-        gamma=float(rw_node.get("gamma", 0.25)),
-        delta=float(rw_node.get("delta", 0.5)),
+        alpha=_field(rw_node, "alpha", rw_path, float, 1.0),
+        beta=_field(rw_node, "beta", rw_path, float, 0.25),
+        gamma=_field(rw_node, "gamma", rw_path, float, 0.25),
+        delta=_field(rw_node, "delta", rw_path, float, 0.5),
     )
     reward_config = RewardConfig(
-        baseline_cost_per_sample=float(rw_node.get("baseline_cost_per_sample", 1.0)),
-        fp_budget=float(rw_node.get("fp_budget", 0.10)),
+        baseline_cost_per_sample=_field(rw_node, "baseline_cost_per_sample", rw_path, float, 1.0),
+        fp_budget=_field(rw_node, "fp_budget", rw_path, float, 0.10),
     )
 
     roles = []
-    for i, role_node in enumerate(root.get("roles", [])):
+    for i, role_node in enumerate(_field(root, "roles", source, list, [])):
         role_path = f"{source}.roles[{i}]"
         _check_keys(role_node, {"name", "required_skills"}, role_path)
         roles.append(
             RoleSpec(
                 name=_require_fraud_role(
-                    str(_require(role_node, "name", role_path)), f"{role_path}.name"
+                    _field(role_node, "name", role_path, str), f"{role_path}.name"
                 ),
                 required_skills=frozenset(
-                    str(s) for s in _require(role_node, "required_skills", role_path)
+                    str(s) for s in _field(role_node, "required_skills", role_path, list)
                 ),
             )
         )
 
-    roster = tuple(
-        _parse_agent(a, f"{source}.roster[{i}]") for i, a in enumerate(root.get("roster", []))
-    )
-    pool = tuple(
-        _parse_agent(a, f"{source}.pool[{i}]") for i, a in enumerate(root.get("pool", []))
+    roster, pool = (
+        tuple(
+            _parse_agent(a, f"{source}.{key}[{i}]")
+            for i, a in enumerate(_field(root, key, source, list, []))
+        )
+        for key in ("roster", "pool")
     )
 
     out_node = root.get("output", {})
@@ -254,7 +279,7 @@ def parse_config(root: dict, source: str = "<config>") -> RunConfig:
         roster=roster,
         pool=pool,
         emit_detections=bool(out_node.get("emit_detections", False)),
-        snapshot_interval=int(out_node.get("snapshot_interval", 0)),
+        snapshot_interval=_field(out_node, "snapshot_interval", f"{source}.output", int, 0),
     )
 
 

@@ -7,22 +7,23 @@ Stage order within one cycle is fixed for determinism:
   2. per-agent cycle rewards are computed and each agent's recorded
      per-sample reward signals are applied to its gate, in sample order
   3. evaluate-and-release
-  4. fill vacancies, transition probationary agents (those signed in an
-     earlier cycle), tick service time, then sweep the service cap so no
-     roster agent ends the cycle at or past it
-  5. metrics rows are emitted and all windows reset
+  4. fill vacancies, transition probationary agents (those on probation
+     before this cycle's signings), tick service time, then sweep the
+     service cap so no roster agent ends the cycle at or past it
+  5. metrics rows are emitted, all windows reset, and the cycle is folded
+     into the run totals that summary.json reports
 
 All randomness is drawn from counter-keyed generators (stream and
-handoffs), so state never includes RNG positions and a snapshot taken at
-any cycle boundary resumes bit-exactly.
+handoffs), so the engine's whole state is its config, cycle, roster, pool
+and run totals. A snapshot holds exactly that, so a run resumed at any
+cycle boundary writes the same bytes, summary.json included.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .config import AgentSpec, RunConfig, config_to_dict, expert_to_dict, parse_config, parse_expert
@@ -41,9 +42,7 @@ from .pipeline import CyclePipeline, DetectionRecord
 from .reward import compute_components, compute_reward
 from .simulator import generate_cycle
 
-logger = logging.getLogger("freeagent.engine")
-
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
 METRICS_COLUMNS = (
     "cycle", "agent", "status", "TP", "FP", "FN", "TN",
@@ -51,7 +50,11 @@ METRICS_COLUMNS = (
     "synergy", "efficiency", "penalty", "reward", "service_time",
 )
 
-EVENT_FIELDS = ("cycle", "kind", "agent", "detail", "performance_snapshot")
+FIRST_EVENT_KEYS = {
+    EventKind.RELEASE: "first_release",
+    EventKind.SIGN: "first_sign",
+    EventKind.PROMOTE: "first_promote",
+}
 
 
 class SnapshotError(RuntimeError):
@@ -108,6 +111,31 @@ class CycleReport:
     @property
     def system_f1(self) -> float:
         return f1_from_counts(self.system_tp, self.system_fp, self.system_fn)
+
+
+@dataclass
+class RunTotals:
+    """Everything summary.json reports about the cycles run so far, folded
+    in once per cycle; snapshots carry it so a resumed run reports the
+    whole run."""
+
+    cycles: list[tuple[int, int, int, int, bool]] = field(default_factory=list)
+    event_counts: dict[str, int] = field(default_factory=dict)
+    key_cycles: dict[str, int | None] = field(
+        default_factory=lambda: dict.fromkeys(FIRST_EVENT_KEYS.values())
+    )
+
+    def fold(self, report: CycleReport) -> None:
+        self.cycles.append(
+            (report.system_tp, report.system_fp, report.system_fn, report.system_tn,
+             report.stalled)
+        )
+        for event in report.events:
+            kind = event.kind.value
+            self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
+            first = FIRST_EVENT_KEYS.get(event.kind)
+            if first is not None and self.key_cycles[first] is None:
+                self.key_cycles[first] = event.cycle
 
 
 def _system_metrics(tp: int, fp: int, fn: int, tn: int) -> dict:
@@ -176,39 +204,29 @@ class Engine:
     """Owns all mutable run state; one instance per run."""
 
     def __init__(self, config: RunConfig) -> None:
+        # Agent ids are spec order: roster specs first, then pool specs.
+        n_roster = len(config.roster)
         self.config = config
-        self.roster: dict[AgentId, Agent] = {}
-        self.pool: list[Agent] = []
-        self.log = PerformanceLog()
-        self.events: list[RosterEvent] = []
         self.cycle = 0
-        self.probation_started: dict[AgentId, int] = {}
-        self.misbehaving: frozenset[AgentId] = frozenset()
-        self.next_agent_id = 0
-        self._build_agents()
-
-    def _build_agents(self) -> None:
-        misbehaving = set()
-        for spec in self.config.roster:
-            agent = _agent_from_spec(spec, self.next_agent_id, AgentStatus.ACTIVE)
-            self.roster[agent.id] = agent
-            if spec.misbehaving:
-                misbehaving.add(agent.id)
-            self.next_agent_id += 1
-        for spec in self.config.pool:
-            agent = _agent_from_spec(spec, self.next_agent_id, AgentStatus.RELEASED)
-            self.pool.append(agent)
-            if spec.misbehaving:
-                misbehaving.add(agent.id)
-            self.next_agent_id += 1
-        self.misbehaving = frozenset(misbehaving)
+        self.roster: dict[AgentId, Agent] = {
+            i: _agent_from_spec(spec, i, AgentStatus.ACTIVE) for i, spec in enumerate(config.roster)
+        }
+        self.pool: list[Agent] = [
+            _agent_from_spec(spec, n_roster + i, AgentStatus.RELEASED)
+            for i, spec in enumerate(config.pool)
+        ]
+        self.totals = RunTotals()
+        self.misbehaving: frozenset[AgentId] = frozenset(
+            i for i, spec in enumerate((*config.roster, *config.pool)) if spec.misbehaving
+        )
+        self.log = PerformanceLog()  # per-cycle windows, empty at every cycle boundary
 
     # -- one cycle --------------------------------------------------------
 
     def run_cycle(self) -> CycleReport:
         cfg = self.config
         cycle = self.cycle
-        events_before = len(self.events)
+        events: list[RosterEvent] = []
 
         # Stage 1: process the batch with the roster as it stands.
         batch = generate_cycle(cfg.stream, cycle)
@@ -224,46 +242,38 @@ class Engine:
         pipeline_status = {aid: self.roster[aid].status for aid in sorted(self.roster)}
 
         # Stage 2: cycle rewards, then gate updates in recorded order.
-        rewards: dict[AgentId, float] = {}
-        components = {}
-        for aid in sorted(self.roster):
-            agent = self.roster[aid]
-            comps = compute_components(agent, self.log, cfg.reward_config)
-            components[aid] = comps
-            rewards[aid] = compute_reward(cfg.reward_weights, comps)
+        components = {
+            aid: compute_components(self.roster[aid], self.log, cfg.reward_config)
+            for aid in sorted(self.roster)
+        }
+        rewards = {aid: compute_reward(cfg.reward_weights, c) for aid, c in components.items()}
         for aid in sorted(pipe.rewards):
             agent = self.roster[aid]
             agent.moe = rl_update(agent.moe, *pipe.rewards[aid])
 
         # Stage 3: evaluation and release.
         evaluate_and_release(
-            self.roster, self.pool, self.log, cfg.lifecycle, cycle, self.events, rewards
+            self.roster, self.pool, self.log, cfg.lifecycle, cycle, events, rewards
         )
 
-        # Stage 4: refill, probation transitions, service accounting.
-        vacancies = vacant_roles(self.roster, cfg.roles)
-        signed = fill_vacant_roles(
-            self.roster, self.pool, vacancies, cfg.lifecycle, cycle, self.events
-        )
-        for aid in signed:
-            self.probation_started[aid] = cycle
-        eligible = {aid for aid, start in self.probation_started.items() if start < cycle}
-        transition_probationary(
-            self.roster, self.pool, self.log, cfg.lifecycle, cycle, self.events, eligible
-        )
-        increment_service_time(self.roster, cycle, self.events)
-        enforce_service_cap(self.roster, self.pool, cfg.lifecycle, cycle, self.events)
-        self.probation_started = {
-            aid: start
-            for aid, start in self.probation_started.items()
-            if aid in self.roster and self.roster[aid].status is AgentStatus.PROBATIONARY
+        # Stage 4: refill, probation transitions, service accounting. Only
+        # agents already on probation have a shadow window to be judged on;
+        # those signed below (a released agent re-signed included) wait.
+        eligible = {
+            aid for aid, agent in self.roster.items() if agent.status is AgentStatus.PROBATIONARY
         }
+        vacancies = vacant_roles(self.roster, cfg.roles)
+        fill_vacant_roles(self.roster, self.pool, vacancies, cfg.lifecycle, cycle, events)
+        transition_probationary(
+            self.roster, self.pool, self.log, cfg.lifecycle, cycle, events, eligible
+        )
+        increment_service_time(self.roster, cycle, events)
+        enforce_service_cap(self.roster, self.pool, cfg.lifecycle, cycle, events)
 
         # Stage 5: metrics rows (status as of the pipeline phase), reset.
         rows = []
-        system = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
-        all_agents = {a.id: a for a in self.pool}
-        all_agents.update(self.roster)
+        system = [0, 0, 0, 0]  # the Active agents' tp, fp, fn, tn
+        all_agents = {a.id: a for a in (*self.pool, *self.roster.values())}
         for aid, status in pipeline_status.items():
             agent = all_agents[aid]
             win = self.log.window(aid)
@@ -284,25 +294,16 @@ class Engine:
                 )
             )
             if status is AgentStatus.ACTIVE:
-                system["tp"] += tp
-                system["fp"] += fp
-                system["fn"] += fn
-                system["tn"] += tn
+                system = [total + n for total, n in zip(system, (tp, fp, fn, tn))]
 
         self.log.reset_all()
         self.cycle += 1
 
-        return CycleReport(
-            cycle=cycle,
-            rows=rows,
-            events=self.events[events_before:],
-            detections=pipe.detections,
-            system_tp=system["tp"],
-            system_fp=system["fp"],
-            system_fn=system["fn"],
-            system_tn=system["tn"],
-            stalled=pipe.stalled_samples > 0,
+        report = CycleReport(
+            cycle, rows, events, pipe.detections, *system, stalled=pipe.stalled_samples > 0
         )
+        self.totals.fold(report)
+        return report
 
     # -- full run with outputs -------------------------------------------
 
@@ -313,17 +314,12 @@ class Engine:
         if self.config.snapshot_interval > 0:
             snap_dir.mkdir(exist_ok=True)
 
-        reports: list[CycleReport] = []
-        events_path = out / "events.jsonl"
-        metrics_path = out / "metrics.csv"
-        detections_path = out / "detections.jsonl"
-
         with (
-            events_path.open("w", encoding="utf-8", newline="\n") as events_file,
-            metrics_path.open("w", encoding="utf-8", newline="\n") as metrics_file,
+            (out / "events.jsonl").open("w", encoding="utf-8", newline="\n") as events_file,
+            (out / "metrics.csv").open("w", encoding="utf-8", newline="\n") as metrics_file,
         ):
             detections_file = (
-                detections_path.open("w", encoding="utf-8", newline="\n")
+                (out / "detections.jsonl").open("w", encoding="utf-8", newline="\n")
                 if self.config.emit_detections
                 else None
             )
@@ -331,7 +327,6 @@ class Engine:
                 metrics_file.write(",".join(METRICS_COLUMNS) + "\n")
                 while self.cycle < self.config.stream.total_cycles:
                     report = self.run_cycle()
-                    reports.append(report)
                     for event in report.events:
                         events_file.write(
                             json.dumps(event.to_dict(), separators=(",", ":")) + "\n"
@@ -350,54 +345,30 @@ class Engine:
                 if detections_file is not None:
                     detections_file.close()
 
-        summary = self.build_summary(reports)
+        summary = self.build_summary()
         (out / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         return summary
 
-    def build_summary(self, reports: list[CycleReport]) -> dict:
-        event_counts: dict[str, int] = {}
-        key_cycles: dict[str, int | None] = {
-            "first_release": None, "first_sign": None, "first_promote": None,
-        }
-        for event in self.events:
-            event_counts[event.kind.value] = event_counts.get(event.kind.value, 0) + 1
-            if event.kind is EventKind.RELEASE and key_cycles["first_release"] is None:
-                key_cycles["first_release"] = event.cycle
-            if event.kind is EventKind.SIGN and key_cycles["first_sign"] is None:
-                key_cycles["first_sign"] = event.cycle
-            if event.kind is EventKind.PROMOTE and key_cycles["first_promote"] is None:
-                key_cycles["first_promote"] = event.cycle
-
+    def build_summary(self) -> dict:
+        totals = self.totals
         cycles = [
-            {
-                "cycle": r.cycle,
-                "stalled": r.stalled,
-                **_system_metrics(r.system_tp, r.system_fp, r.system_fn, r.system_tn),
-            }
-            for r in reports
+            {"cycle": i, "stalled": stalled, **_system_metrics(tp, fp, fn, tn)}
+            for i, (tp, fp, fn, tn, stalled) in enumerate(totals.cycles)
         ]
 
         phases = []
         segments = self.config.stream.schedule.segments
-        for i, seg in enumerate(segments):
-            end = (
-                segments[i + 1].start_cycle
-                if i + 1 < len(segments)
-                else self.config.stream.total_cycles
-            )
-            phase_reports = [r for r in reports if seg.start_cycle <= r.cycle < end]
-            tp = sum(r.system_tp for r in phase_reports)
-            fp = sum(r.system_fp for r in phase_reports)
-            fn = sum(r.system_fn for r in phase_reports)
-            tn = sum(r.system_tn for r in phase_reports)
+        ends = [seg.start_cycle for seg in segments[1:]] + [self.config.stream.total_cycles]
+        for seg, end in zip(segments, ends):
+            span = totals.cycles[seg.start_cycle:end]
             phases.append(
                 {
                     "start_cycle": seg.start_cycle,
                     "end_cycle": end - 1,
                     "mixture": {p.name: w for p, w in seg.mixture},
-                    **_system_metrics(tp, fp, fn, tn),
+                    **_system_metrics(*(sum(c[k] for c in span) for k in range(4))),
                 }
             )
 
@@ -407,8 +378,8 @@ class Engine:
             "total_cycles": self.config.stream.total_cycles,
             "samples_per_cycle": self.config.stream.samples_per_cycle,
             "completed_through_cycle": self.cycle - 1,
-            "event_counts": event_counts,
-            "key_cycles": key_cycles,
+            "event_counts": totals.event_counts,
+            "key_cycles": totals.key_cycles,
             "cycles": cycles,
             "phases": phases,
             "final_roster": [agent_to_dict(self.roster[aid]) for aid in sorted(self.roster)],
@@ -421,16 +392,14 @@ class Engine:
 # ---------------------------------------------------------------------------
 
 def snapshot_state(engine: Engine) -> dict:
-    """Serializable engine state at a cycle boundary."""
+    """The whole engine state at a cycle boundary."""
     return {
         "format_version": SNAPSHOT_FORMAT_VERSION,
         "next_cycle": engine.cycle,
-        "next_agent_id": engine.next_agent_id,
-        "probation_started": {str(k): v for k, v in sorted(engine.probation_started.items())},
-        "misbehaving": sorted(engine.misbehaving),
         "config": config_to_dict(engine.config),
         "roster": [agent_to_dict(engine.roster[aid]) for aid in sorted(engine.roster)],
         "pool": [agent_to_dict(a) for a in engine.pool],
+        "totals": asdict(engine.totals),
     }
 
 
@@ -438,7 +407,7 @@ def write_snapshot(engine: Engine, path: str | Path) -> None:
     """Write the snapshot atomically: a reader of ``path`` sees either the
     previous file or the complete new one, never a partial write."""
     path = Path(path)
-    text = json.dumps(snapshot_state(engine), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(snapshot_state(engine), separators=(",", ":"), sort_keys=True) + "\n"
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
@@ -469,11 +438,16 @@ def restore_engine(path: str | Path) -> Engine:
         engine.roster = {a["id"]: agent_from_dict(a) for a in node["roster"]}
         engine.pool = [agent_from_dict(a) for a in node["pool"]]
         engine.cycle = int(node["next_cycle"])
-        engine.probation_started = {
-            int(k): int(v) for k, v in node["probation_started"].items()
-        }
-        engine.misbehaving = frozenset(node["misbehaving"])
-        engine.next_agent_id = int(node["next_agent_id"])
+        totals = node["totals"]
+        engine.totals = RunTotals(
+            cycles=[tuple(c) for c in totals["cycles"]],
+            event_counts=dict(totals["event_counts"]),
+            key_cycles=dict(totals["key_cycles"]),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{path}: snapshot incomplete or malformed ({exc!r})")
+    if len(engine.totals.cycles) != engine.cycle:
+        raise SnapshotError(
+            f"{path}: totals cover {len(engine.totals.cycles)} cycles, not {engine.cycle}"
+        )
     return engine

@@ -69,7 +69,7 @@ class ScenarioRun:
             }
             self.reports.append(self.engine.run_cycle())
         self.elapsed = time.perf_counter() - started
-        self.events = self.engine.events
+        self.events = [e for report in self.reports for e in report.events]
         self.rows = [row for report in self.reports for row in report.rows]
         self.detections = [d for report in self.reports for d in report.detections]
 
@@ -258,6 +258,7 @@ class TestCriterion4LifecycleInvariants:
             all_ids = set(engine.roster) | {a.id for a in engine.pool}
             initial_roster = set(engine.roster)
             initial_pool = {a.id for a in engine.pool}
+            events = []
             streaks: dict[int, int] = {}
             threshold = config.lifecycle.release_threshold
             window = config.lifecycle.sustain_window
@@ -265,7 +266,7 @@ class TestCriterion4LifecycleInvariants:
 
             for _cycle in range(30):
                 start_status = {aid: a.status for aid, a in engine.roster.items()}
-                engine.run_cycle()
+                events.extend(engine.run_cycle().events)
 
                 # service cap holds at every cycle boundary
                 for agent in engine.roster.values():
@@ -290,9 +291,7 @@ class TestCriterion4LifecycleInvariants:
                     if aid not in engine.roster:
                         streaks.pop(aid)
 
-            final_roster, final_pool = replay_membership(
-                engine.events, initial_roster, initial_pool
-            )
+            final_roster, final_pool = replay_membership(events, initial_roster, initial_pool)
             assert final_roster == set(engine.roster)
             assert final_pool == {a.id for a in engine.pool}
 
@@ -390,11 +389,13 @@ class TestCriterion7Determinism:
         metrics_match = tail_lines(out_a / "metrics.csv", 10) == tail_lines(
             out_c / "metrics.csv", 10
         )
+        summaries = [(out / "summary.json").read_bytes() for out in (out_a, out_b, out_c)]
+        same_summary = summaries[0] == summaries[1] == summaries[2]
 
         criterion(
             "7", "byte determinism and snapshot differential",
-            same_events and same_metrics and events_match and metrics_match,
-            "two runs identical; restore-at-10 matches cycles 10+",
+            same_events and same_metrics and events_match and metrics_match and same_summary,
+            "two runs identical; restore-at-10 matches cycles 10+ and the whole summary.json",
         )
 
 

@@ -102,13 +102,40 @@ class TestCli:
         assert main(["validate", "--preset", "section-4.4"]) == 0
         assert "ok" in capsys.readouterr().out
 
-    def test_validate_bad_config_exits_nonzero(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        bad = json.loads(json.dumps(MINIMAL))
-        bad["lifecycle"] = {"sustain_window": 0}
-        path.write_text(json.dumps(bad))
-        assert main(["validate", "--config", str(path)]) == 2
-        assert "sustain_window" in capsys.readouterr().err
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("key,value,named", [
+        pytest.param("lifecycle", {"sustain_window": 0}, "sustain_window", id="sustain_window_0"),
+        pytest.param(None, None, "absent.json", id="missing_file"),
+        pytest.param("lifecycle", [], "cfg.json.lifecycle", id="lifecycle_list"),
+        pytest.param("stream.total_cycles", "abc", "cfg.json.stream.total_cycles",
+                     id="total_cycles_text"),
+        pytest.param("stream.patterns", [1], "cfg.json.stream.patterns[0]", id="pattern_number"),
+        pytest.param("stream.schedule.0.mixture.A", "x", "cfg.json.stream.schedule[0].mixture.A",
+                     id="mixture_weight_text"),
+        # a string would otherwise be taken as the set of its letters
+        pytest.param("roles.0.required_skills", "fraud", "cfg.json.roles[0].required_skills",
+                     id="skills_string"),
+        pytest.param("roster.0.experts.0.weights", [1.0],
+                     "cfg.json.roster[0].experts[0].weights", id="expert_weights_short"),
+        pytest.param("roster.0.experts.0.profile", [1.0, 0.0, 0.0, 0.0],
+                     "cfg.json.roster[0].experts[0].profile", id="expert_profile_long"),
+    ])
+    def test_validate_bad_config_exits_nonzero(self, tmp_path, capsys, verb, key, value, named):
+        path = tmp_path / "absent.json"
+        if key is not None:
+            bad = json.loads(json.dumps(MINIMAL))
+            *parents, last = key.split(".")
+            node = bad
+            for part in parents:
+                node = node[int(part) if part.isdigit() else part]
+            node[last] = value
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        args = [verb, "--config", str(path)] + (["--out", str(out)] if verb == "run" else [])
+        assert main(args) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section,field", [("roles", "name"), ("roster", "role")])
     def test_validate_rejects_undispatched_role(self, tmp_path, capsys, section, field):
@@ -218,8 +245,7 @@ class TestSnapshots:
     def test_snapshot_round_trip_resumes_exactly(self, tmp_path):
         cfg = small_config(cycles=6)
         full = Engine(cfg)
-        for _ in range(6):
-            full.run_cycle()
+        full_events = [e for _ in range(6) for e in full.run_cycle().events]
 
         half = Engine(cfg)
         for _ in range(3):
@@ -228,11 +254,11 @@ class TestSnapshots:
         write_snapshot(half, snap)
         restored = restore_engine(snap)
         assert restored.cycle == 3
-        for _ in range(3):
-            restored.run_cycle()
+        restored_events = [e for _ in range(3) for e in restored.run_cycle().events]
 
-        full_tail = [e for e in full.events if e.cycle >= 3]
-        assert [e.to_dict() for e in restored.events] == [e.to_dict() for e in full_tail]
+        full_tail = [e for e in full_events if e.cycle >= 3]
+        assert [e.to_dict() for e in restored_events] == [e.to_dict() for e in full_tail]
+        assert restored.build_summary() == full.build_summary()
         assert {k: v.performance for k, v in restored.roster.items()} == {
             k: v.performance for k, v in full.roster.items()
         }
@@ -265,10 +291,11 @@ class TestSnapshots:
         snap = tmp_path / "snap.json"
         write_snapshot(engine, snap)
         node = json.loads(snap.read_text())
-        node["format_version"] = 999
-        snap.write_text(json.dumps(node))
-        with pytest.raises(SnapshotError, match="format"):
-            restore_engine(snap)
+        for version in (1, 999):  # format 1 lacks the run totals
+            node["format_version"] = version
+            snap.write_text(json.dumps(node))
+            with pytest.raises(SnapshotError, match=f"snapshot format {version} != supported 2"):
+                restore_engine(snap)
 
     def test_missing_snapshot_refused(self, tmp_path):
         with pytest.raises(SnapshotError, match="not found"):
@@ -322,8 +349,49 @@ class TestSnapshots:
             again = tmp_path / "again.json"
             write_snapshot(restore_engine(snap), again)
             assert again.read_bytes() == snap.read_bytes(), snap.name
-            probation_seen |= bool(json.loads(snap.read_text())["probation_started"])
+            probation_seen |= any(
+                a["status"] == "Probationary" for a in json.loads(snap.read_text())["roster"]
+            )
         assert probation_seen
+
+    def test_resume_after_transitions_writes_identical_summary_and_snapshots(self, tmp_path):
+        # churn-like: resume from a snapshot taken after a Release, a Sign and
+        # a Promote, so key_cycles and event_counts reach back before the resume
+        node = json.loads(json.dumps(MINIMAL))
+        node["stream"].update(samples_per_cycle=30, total_cycles=12)
+        node["lifecycle"] = {"max_service_time": 3, "sustain_window": 1}
+        node["output"] = {"snapshot_interval": 1}
+        node["pool"] = [dict(node["roster"][0], handoff_reliability=0.8) for _ in range(2)]
+        node["roster"][0]["experts"] = [  # blind incumbent, released at once
+            {"profile": [1.0, 0.0, 0.0], "weights": [0, 0, 0, 0, 0, 0], "threshold": 1.0}
+        ]
+        full = tmp_path / "full"
+        Engine(parse_config(node)).run(full)
+        summary = json.loads((full / "summary.json").read_text())
+        assert None not in summary["key_cycles"].values()
+        resume_at = max(summary["key_cycles"].values()) + 1
+        assert resume_at < 12
+
+        resumed = tmp_path / "resumed"
+        restore_engine(full / "snapshots" / f"state_cycle_{resume_at:04d}.json").run(resumed)
+        assert (resumed / "summary.json").read_bytes() == (full / "summary.json").read_bytes()
+        later = sorted(p.name for p in (resumed / "snapshots").glob("*.json"))
+        assert later == [f"state_cycle_{c:04d}.json" for c in range(resume_at + 1, 13)]
+        for name in later:
+            assert (resumed / "snapshots" / name).read_bytes() == (
+                full / "snapshots" / name
+            ).read_bytes(), name
+
+    def test_snapshot_holds_exactly_the_engine_state(self, tmp_path):
+        engine = Engine(small_config())
+        engine.run_cycle()
+        snap = tmp_path / "snap.json"
+        write_snapshot(engine, snap)
+        text = snap.read_text()
+        node = json.loads(text)
+        assert sorted(node) == ["config", "format_version", "next_cycle", "pool", "roster", "totals"]
+        assert sorted(node["totals"]) == ["cycles", "event_counts", "key_cycles"]
+        assert text == json.dumps(node, separators=(",", ":"), sort_keys=True) + "\n"
 
     def test_cli_restore_flow(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

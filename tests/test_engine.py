@@ -138,24 +138,20 @@ class TestReplacementFlow:
         engine = self.make_engine()
         initial_roster = set(engine.roster)
         initial_pool = {a.id for a in engine.pool}
-        for _ in range(6):
-            engine.run_cycle()
-        roster, pool = replay_membership(engine.events, initial_roster, initial_pool)
+        events = [e for _ in range(6) for e in engine.run_cycle().events]
+        roster, pool = replay_membership(events, initial_roster, initial_pool)
         assert roster == set(engine.roster)
         assert pool == {a.id for a in engine.pool}
 
     def test_events_appended_in_cycle_order(self):
         engine = self.make_engine()
-        for _ in range(6):
-            engine.run_cycle()
-        cycles = [e.cycle for e in engine.events]
+        cycles = [e.cycle for _ in range(6) for e in engine.run_cycle().events]
         assert cycles == sorted(cycles)
 
     def test_signed_candidate_skills_match_vacancy(self):
         engine = self.make_engine()
-        for _ in range(6):
-            engine.run_cycle()
-        sign = next(e for e in engine.events if e.kind is EventKind.SIGN)
+        events = [e for _ in range(6) for e in engine.run_cycle().events]
+        sign = next(e for e in events if e.kind is EventKind.SIGN)
         required = engine.config.roles[0].required_skills
         signed_agent = engine.roster.get(sign.agent) or next(
             a for a in engine.pool if a.id == sign.agent
@@ -178,11 +174,12 @@ class TestServiceCap:
     def test_cap_enforced_at_cycle_end(self):
         cfg = small_config(cycles=8, lifecycle=LifecycleConfig(max_service_time=3))
         engine = Engine(cfg)
+        events = []
         for _ in range(8):
-            engine.run_cycle()
+            events.extend(engine.run_cycle().events)
             for agent in engine.roster.values():
                 assert agent.service_time < 3
-        fa = [e for e in engine.events if e.kind is EventKind.FREE_AGENCY]
+        fa = [e for e in events if e.kind is EventKind.FREE_AGENCY]
         assert fa and fa[0].cycle == 2  # ticked to 3 at the end of cycle 2
 
     def test_preseeded_overcap_agent_released_at_first_evaluation(self):
