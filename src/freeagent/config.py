@@ -1,5 +1,5 @@
 """Run configuration: schema, strict validation, JSON round-trip, and the
-bundled scenario preset.
+bundled scenario preset, which checks its own calibration.
 
 Configs are plain JSON. Validation is strict: unknown keys anywhere in
 the tree are rejected with their dotted path, and every numeric range is
@@ -8,22 +8,28 @@ checked before any execution starts.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .domain import FEATURE_DIM, FRAUD_ROLE, MODALITY_DIM, ConfigError
+import numpy as np
+
+from .domain import FEATURE_DIM, FRAUD_ROLE, MODALITY_DIM, AccessTier, ConfigError
 from .lifecycle import LifecycleConfig, RoleSpec
-from .moe import Expert
+from .moe import Expert, uniform_moe
+from .pipeline import decide, redact
 from .reward import RewardConfig, RewardWeights
 from .simulator import (
     DEFAULT_SCENARIO,
     DriftSchedule,
     PatternSpec,
+    SampleBatch,
     ScenarioSpec,
     Segment,
     StreamConfig,
     candidate_experts,
+    generate_cycle,
     incumbent_experts,
     scenario_patterns,
 )
@@ -91,21 +97,26 @@ def _check_keys(node: dict, allowed: set[str], path: str) -> None:
 
 
 def _field(node: dict, key: str, path: str, kind: type, default=_REQUIRED):
-    """``node[key]`` as ``kind``, or ``default`` if missing; errors name the dotted path."""
+    """``node[key]``, which must have JSON type ``kind`` (a float may be
+    written as an integer, a bool is never a number), or ``default`` if
+    missing; errors name the dotted path."""
     if key not in node:
         if default is _REQUIRED:
             raise ConfigError(f"{path}: missing required key '{key}'")
         return default
     value = node[key]
-    if kind is list or kind is dict:
-        if isinstance(value, kind):
-            return value
-    else:
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            pass
+    if isinstance(value, (int, float) if kind is float else kind) and (
+        kind is bool or not isinstance(value, bool)
+    ):
+        return float(value) if kind is float else value
     raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
+
+
+def _skills(node: dict, key: str, path: str) -> frozenset[str]:
+    skills = _field(node, key, path, list)
+    if all(isinstance(s, str) for s in skills):
+        return frozenset(skills)
+    raise ConfigError(f"{path}.{key}: expected a list of strings, got {skills!r}")
 
 
 def _floats(node: dict, key: str, path: str, length: int) -> tuple[float, ...]:
@@ -187,7 +198,7 @@ def _parse_agent(node: dict, path: str) -> AgentSpec:
     _check_keys(node, allowed, path)
     return AgentSpec(
         role=_require_fraud_role(_field(node, "role", path, str), f"{path}.role"),
-        skills=frozenset(str(s) for s in _field(node, "skills", path, list)),
+        skills=_skills(node, "skills", path),
         experts=tuple(
             parse_expert(e, f"{path}.experts[{i}]")
             for i, e in enumerate(_field(node, "experts", path, list))
@@ -195,7 +206,7 @@ def _parse_agent(node: dict, path: str) -> AgentSpec:
         learning_rate=_field(node, "learning_rate", path, float, 0.05),
         cost_per_sample=_field(node, "cost_per_sample", path, float, 1.0),
         handoff_reliability=_field(node, "handoff_reliability", path, float, 1.0),
-        misbehaving=bool(node.get("misbehaving", False)),
+        misbehaving=_field(node, "misbehaving", path, bool, False),
         service_time=_field(node, "service_time", path, int, 0),
     )
 
@@ -203,7 +214,7 @@ def _parse_agent(node: dict, path: str) -> AgentSpec:
 def parse_config(root: dict, source: str = "<config>") -> RunConfig:
     allowed = {"schema_version", "stream", "lifecycle", "reward", "roles", "roster", "pool", "output"}
     _check_keys(root, allowed, source)
-    version = root.get("schema_version", CONFIG_SCHEMA_VERSION)
+    version = _field(root, "schema_version", source, int, CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"{source}: unsupported schema_version {version}")
 
@@ -224,7 +235,9 @@ def parse_config(root: dict, source: str = "<config>") -> RunConfig:
         ),
         sustain_window=_field(lc_node, "sustain_window", lc_path, int, 3),
         max_service_time=_field(lc_node, "max_service_time", lc_path, int, 50),
-        keep_service_time_on_resign=bool(lc_node.get("keep_service_time_on_resign", True)),
+        keep_service_time_on_resign=_field(
+            lc_node, "keep_service_time_on_resign", lc_path, bool, True
+        ),
     )
 
     rw_node, rw_path = root.get("reward", {}), f"{source}.reward"
@@ -253,9 +266,7 @@ def parse_config(root: dict, source: str = "<config>") -> RunConfig:
                 name=_require_fraud_role(
                     _field(role_node, "name", role_path, str), f"{role_path}.name"
                 ),
-                required_skills=frozenset(
-                    str(s) for s in _field(role_node, "required_skills", role_path, list)
-                ),
+                required_skills=_skills(role_node, "required_skills", role_path),
             )
         )
 
@@ -267,8 +278,8 @@ def parse_config(root: dict, source: str = "<config>") -> RunConfig:
         for key in ("roster", "pool")
     )
 
-    out_node = root.get("output", {})
-    _check_keys(out_node, {"emit_detections", "snapshot_interval"}, f"{source}.output")
+    out_node, out_path = root.get("output", {}), f"{source}.output"
+    _check_keys(out_node, {"emit_detections", "snapshot_interval"}, out_path)
 
     return RunConfig(
         stream=stream,
@@ -278,8 +289,8 @@ def parse_config(root: dict, source: str = "<config>") -> RunConfig:
         roles=tuple(roles),
         roster=roster,
         pool=pool,
-        emit_detections=bool(out_node.get("emit_detections", False)),
-        snapshot_interval=_field(out_node, "snapshot_interval", f"{source}.output", int, 0),
+        emit_detections=_field(out_node, "emit_detections", out_path, bool, False),
+        snapshot_interval=_field(out_node, "snapshot_interval", out_path, int, 0),
     )
 
 
@@ -379,42 +390,78 @@ def config_to_dict(cfg: RunConfig) -> dict:
 # Presets
 # ---------------------------------------------------------------------------
 
+# The drift arrives at this cycle: pattern A before it, the A/B mixture after.
+DRIFT_CYCLE = 10
+
+# Calibration stream: independent of the run's seed and sizes, so the
+# self-check measures the same samples whatever the caller asks for.
+_CALIBRATION_SEED = 0xCA11B
+_CALIBRATION_SAMPLES = 10_000
+
+
+def _scenario(scenario: ScenarioSpec) -> tuple[DriftSchedule, AgentSpec, AgentSpec]:
+    """The drift schedule, the incumbent tuned for pattern A and the
+    pattern-B candidate; accuracies are constructed, not learned."""
+    pattern_a, pattern_b = scenario_patterns(scenario)
+    b_weight = scenario.post_drift_b_weight
+    schedule = DriftSchedule(
+        (
+            Segment(0, ((pattern_a, 1.0),)),
+            Segment(DRIFT_CYCLE, ((pattern_a, 1.0 - b_weight), (pattern_b, b_weight))),
+        )
+    )
+    skills = frozenset({"fraud", "text", "numeric", "behavior"})
+    incumbent = AgentSpec(
+        FRAUD_ROLE, skills, incumbent_experts(scenario), handoff_reliability=0.98
+    )
+    candidate = AgentSpec(
+        FRAUD_ROLE, skills | {"pattern-B"}, candidate_experts(scenario), handoff_reliability=0.98
+    )
+    return schedule, incumbent, candidate
+
+
+@functools.cache
+def _check_calibration(scenario: ScenarioSpec) -> None:
+    """Measure the designed accuracies with a uniform gate, each batch
+    redacted to the tier it is scored at, and refuse a scenario outside
+    its bands."""
+    schedule, incumbent, candidate = _scenario(scenario)
+    stream = StreamConfig(_CALIBRATION_SEED, _CALIBRATION_SAMPLES, DRIFT_CYCLE + 1, schedule)
+    pure_a, mixture = generate_cycle(stream, 0), generate_cycle(stream, DRIFT_CYCLE)
+
+    def accuracy(spec: AgentSpec, batch: SampleBatch, tier: AccessTier) -> float:
+        moe = uniform_moe(spec.experts)
+        _, _, verdict = decide(moe, redact(batch.features, tier), batch.modality)
+        return np.count_nonzero(verdict == batch.label) / len(batch)
+
+    checks = (
+        ("incumbent on pattern A", accuracy(incumbent, pure_a, AccessTier.FULL),
+         scenario.incumbent_a_band),
+        ("incumbent on mixture", accuracy(incumbent, mixture, AccessTier.FULL),
+         scenario.incumbent_mixture_band),
+        ("candidate shadow on mixture", accuracy(candidate, mixture, AccessTier.RESTRICTED),
+         scenario.candidate_shadow_band),
+        ("candidate full on mixture", accuracy(candidate, mixture, AccessTier.FULL),
+         (scenario.candidate_full_min, 1.0)),
+    )
+    for label, measured, (lo, hi) in checks:
+        if not lo <= measured <= hi:
+            raise ConfigError(f"calibration failed: {label} = {measured:.4f} outside [{lo}, {hi}]")
+
+
 def section_4_4_preset(
     seed: int = 42,
     scenario: ScenarioSpec = DEFAULT_SCENARIO,
     total_cycles: int = 30,
-    drift_cycle: int = 10,
     samples_per_cycle: int = 1000,
 ) -> RunConfig:
     """Drift scenario: an incumbent tuned for pattern A degrades when
-    pattern B arrives mid-run, and a pattern-B candidate waits in the
-    pool. Accuracies are constructed, not learned; see simulator docs.
+    pattern B arrives at ``DRIFT_CYCLE``, and a pattern-B candidate waits
+    in the pool. Raises ``ConfigError`` if the scenario's designed
+    accuracies miss their bands (measured once per scenario and process).
     """
-    pattern_a, pattern_b = scenario_patterns(scenario)
-    schedule = DriftSchedule(
-        (
-            Segment(0, ((pattern_a, 1.0),)),
-            Segment(
-                drift_cycle,
-                (
-                    (pattern_a, 1.0 - scenario.post_drift_b_weight),
-                    (pattern_b, scenario.post_drift_b_weight),
-                ),
-            ),
-        )
-    )
-    incumbent = AgentSpec(
-        role=FRAUD_ROLE,
-        skills=frozenset({"fraud", "text", "numeric", "behavior"}),
-        experts=incumbent_experts(scenario),
-        handoff_reliability=0.98,
-    )
-    candidate = AgentSpec(
-        role=FRAUD_ROLE,
-        skills=frozenset({"fraud", "text", "numeric", "behavior", "pattern-B"}),
-        experts=candidate_experts(scenario),
-        handoff_reliability=0.98,
-    )
+    _check_calibration(scenario)
+    schedule, incumbent, candidate = _scenario(scenario)
     return RunConfig(
         stream=StreamConfig(
             seed=seed,

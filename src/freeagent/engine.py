@@ -36,7 +36,7 @@ from .lifecycle import (
     transition_probationary,
     vacant_roles,
 )
-from .metrics import PerformanceLog, count_ratios, f1_from_counts
+from .metrics import PerformanceLog, count_ratios
 from .moe import MoEState, rl_update, uniform_moe
 from .pipeline import CyclePipeline, DetectionRecord
 from .reward import compute_components, compute_reward
@@ -103,14 +103,6 @@ class CycleReport:
     system_fn: int
     system_tn: int
     stalled: bool
-
-    @property
-    def system_decided(self) -> int:
-        return self.system_tp + self.system_fp + self.system_fn + self.system_tn
-
-    @property
-    def system_f1(self) -> float:
-        return f1_from_counts(self.system_tp, self.system_fp, self.system_fn)
 
 
 @dataclass

@@ -48,15 +48,6 @@ class PerformanceLog:
             self.windows[agent] = win
         return win
 
-    def record_handoff(self, agent: AgentId, succeeded: bool) -> None:
-        win = self.window(agent)
-        win.handoffs_attempted += 1
-        if succeeded:
-            win.handoffs_succeeded += 1
-
-    def record_violation(self, agent: AgentId) -> None:
-        self.window(agent).violations += 1
-
     def reset_all(self) -> None:
         self.windows.clear()
 

@@ -1,5 +1,5 @@
-"""Seeded synthetic transaction stream with scheduled concept drift, plus
-constructors for the demo scenario's incumbent and candidate agents.
+"""Seeded synthetic transaction stream with scheduled concept drift, and
+the closed-form design of the bundled scenario's patterns and experts.
 
 Stream determinism contract
 ---------------------------
@@ -21,6 +21,8 @@ learned: fraud samples shift designated feature coordinates by offsets
 computed in closed form from the Gaussian error function, so a linear
 expert with a known threshold hits a designed accuracy. The scenario
 exists to exercise the roster machinery, not to make a learning claim.
+The preset that runs it (``config.section_4_4_preset``) measures the
+designed accuracies and refuses to build outside the spec bands.
 """
 
 from __future__ import annotations
@@ -32,26 +34,14 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .domain import (
-    FEATURE_DIM,
-    FRAUD_ROLE,
-    MODALITY_DIM,
-    AccessTier,
-    Agent,
-    AgentStatus,
-    ConfigError,
-)
-from .moe import Expert, MoEState, uniform_moe
+from .domain import FEATURE_DIM, MODALITY_DIM, ConfigError
+from .moe import Expert
 
 _NORMAL = NormalDist()
 
 # Relative jitter applied to non-zero modality base entries. Zero entries
 # stay exactly zero so experts for unrelated modalities never compete.
 _MODALITY_JITTER = 0.1
-
-# Seed for the construction-time calibration measurement; independent of
-# any run seed so the self-check is stable.
-_CALIBRATION_SEED = 0xCA11B
 
 
 def derive_key(*parts: object) -> np.ndarray:
@@ -355,101 +345,3 @@ def candidate_experts(spec: ScenarioSpec = DEFAULT_SCENARIO) -> tuple[Expert, ..
             threshold=ofs["threshold_candidate"],
         ),
     )
-
-
-def measure_accuracy(
-    moe: MoEState,
-    stream: StreamConfig,
-    tier: AccessTier,
-    cycles: range | None = None,
-) -> float:
-    """Fraction of correct verdicts with a frozen gate over a stream.
-
-    Each batch is redacted to the given tier before scoring, exactly as
-    the live pipeline would do.
-    """
-    from .pipeline import decide, redact
-
-    correct = 0
-    total = 0
-    for cycle in cycles or range(stream.total_cycles):
-        batch = generate_cycle(stream, cycle)
-        _, _, verdict = decide(moe, redact(batch.features, tier), batch.modality)
-        correct += int(np.count_nonzero(verdict == batch.label))
-        total += len(batch)
-    return correct / total
-
-
-def make_scenario_agents(
-    spec: ScenarioSpec = DEFAULT_SCENARIO,
-    self_check: bool = True,
-    check_samples: int = 10_000,
-) -> tuple[Agent, Agent]:
-    """Build the incumbent (Active, id 0) and candidate (pool, id 1).
-
-    With ``self_check`` the designed accuracies are measured on fresh
-    calibration streams and must land inside the spec bands, otherwise
-    the construction fails.
-    """
-    incumbent = Agent(
-        id=0,
-        role=FRAUD_ROLE,
-        skills=frozenset({"fraud", "text", "numeric", "behavior"}),
-        status=AgentStatus.ACTIVE,
-        moe=uniform_moe(incumbent_experts(spec)),
-        cost_per_sample=1.0,
-        handoff_reliability=0.98,
-    )
-    candidate = Agent(
-        id=1,
-        role=FRAUD_ROLE,
-        skills=frozenset({"fraud", "text", "numeric", "behavior", "pattern-B"}),
-        status=AgentStatus.RELEASED,
-        moe=uniform_moe(candidate_experts(spec)),
-        cost_per_sample=1.0,
-        handoff_reliability=0.98,
-    )
-
-    if self_check:
-        pattern_a, pattern_b = scenario_patterns(spec)
-        pure_a = StreamConfig(
-            seed=_CALIBRATION_SEED,
-            samples_per_cycle=check_samples,
-            total_cycles=1,
-            schedule=DriftSchedule((Segment(0, ((pattern_a, 1.0),)),)),
-        )
-        mixture = StreamConfig(
-            seed=_CALIBRATION_SEED + 1,
-            samples_per_cycle=check_samples,
-            total_cycles=1,
-            schedule=DriftSchedule(
-                (
-                    Segment(
-                        0,
-                        (
-                            (pattern_a, 1.0 - spec.post_drift_b_weight),
-                            (pattern_b, spec.post_drift_b_weight),
-                        ),
-                    ),
-                )
-            ),
-        )
-        checks = [
-            ("incumbent on pattern A", measure_accuracy(incumbent.moe, pure_a, AccessTier.FULL),
-             spec.incumbent_a_band),
-            ("incumbent on mixture", measure_accuracy(incumbent.moe, mixture, AccessTier.FULL),
-             spec.incumbent_mixture_band),
-            ("candidate shadow on mixture",
-             measure_accuracy(candidate.moe, mixture, AccessTier.RESTRICTED),
-             spec.candidate_shadow_band),
-            ("candidate full on mixture",
-             measure_accuracy(candidate.moe, mixture, AccessTier.FULL),
-             (spec.candidate_full_min, 1.0)),
-        ]
-        for label, measured, (lo, hi) in checks:
-            if not lo <= measured <= hi:
-                raise ConfigError(
-                    f"calibration failed: {label} = {measured:.4f} outside [{lo}, {hi}]"
-                )
-
-    return incumbent, candidate

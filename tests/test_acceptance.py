@@ -126,9 +126,13 @@ class TestCriterion1Scenario:
             window = [
                 r
                 for r in scenario.reports
-                if promote.cycle <= r.cycle < promote.cycle + 10 and r.system_decided > 0
+                if promote.cycle <= r.cycle < promote.cycle + 10
+                and r.system_tp + r.system_fp + r.system_fn + r.system_tn > 0
             ]
-            f_ok = any(abs(r.system_f1 - f1_pre) <= 0.05 for r in window)
+            f_ok = any(
+                abs(f1_from_counts(r.system_tp, r.system_fp, r.system_fn) - f1_pre) <= 0.05
+                for r in window
+            )
 
         runtime_ok = scenario.elapsed < 60.0
 

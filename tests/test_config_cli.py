@@ -2,12 +2,14 @@
 
 import json
 import os
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from freeagent.cli import main
 from freeagent.config import (
+    PRESETS,
     config_to_dict,
     load_config,
     parse_config,
@@ -22,6 +24,7 @@ from freeagent.engine import (
     restore_engine,
     write_snapshot,
 )
+from freeagent.simulator import ScenarioSpec
 from tests.test_engine import small_config
 
 MINIMAL = {
@@ -103,6 +106,18 @@ class TestCli:
         assert "ok" in capsys.readouterr().out
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_preset_outside_its_calibration_bands_exits_nonzero(
+        self, tmp_path, capsys, monkeypatch, verb
+    ):
+        narrow = ScenarioSpec(incumbent_a_band=(0.999, 1.0))
+        monkeypatch.setitem(PRESETS, "section-4.4", partial(section_4_4_preset, scenario=narrow))
+        out = tmp_path / "out"
+        args = [verb, "--preset", "section-4.4"] + (["--out", str(out)] if verb == "run" else [])
+        assert main(args) == 2
+        assert "calibration failed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
     @pytest.mark.parametrize("key,value,named", [
         pytest.param("lifecycle", {"sustain_window": 0}, "sustain_window", id="sustain_window_0"),
         pytest.param(None, None, "absent.json", id="missing_file"),
@@ -119,6 +134,24 @@ class TestCli:
                      "cfg.json.roster[0].experts[0].weights", id="expert_weights_short"),
         pytest.param("roster.0.experts.0.profile", [1.0, 0.0, 0.0, 0.0],
                      "cfg.json.roster[0].experts[0].profile", id="expert_profile_long"),
+        # scalars must have their JSON type: no truthy strings, truncated
+        # floats, bools as numbers or numbers as strings
+        pytest.param("roster.0.misbehaving", "false", "cfg.json.roster[0].misbehaving",
+                     id="misbehaving_text"),
+        pytest.param("output", {"emit_detections": "no"}, "cfg.json.output.emit_detections",
+                     id="emit_detections_text"),
+        pytest.param("lifecycle", {"keep_service_time_on_resign": 0},
+                     "cfg.json.lifecycle.keep_service_time_on_resign", id="keep_service_number"),
+        pytest.param("stream.total_cycles", 2.9, "cfg.json.stream.total_cycles",
+                     id="total_cycles_float"),
+        pytest.param("stream.seed", True, "cfg.json.stream.seed", id="seed_bool"),
+        pytest.param("schema_version", True, "cfg.json.schema_version", id="schema_version_bool"),
+        pytest.param("stream.patterns.0.fraud_rate", "0.5",
+                     "cfg.json.stream.patterns[0].fraud_rate", id="fraud_rate_text"),
+        pytest.param("roles.0.required_skills", ["fraud", 7], "cfg.json.roles[0].required_skills",
+                     id="required_skill_number"),
+        pytest.param("roster.0.skills", ["fraud", None], "cfg.json.roster[0].skills",
+                     id="agent_skill_null"),
     ])
     def test_validate_bad_config_exits_nonzero(self, tmp_path, capsys, verb, key, value, named):
         path = tmp_path / "absent.json"

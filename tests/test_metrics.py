@@ -141,8 +141,8 @@ def test_window_reset_clears_everything():
     log = PerformanceLog()
     agent = make_agent()
     decide_batch(log, [True], [True])
-    log.record_handoff(agent.id, True)
-    log.record_violation(agent.id)
+    win = log.window(agent.id)
+    win.handoffs_attempted, win.handoffs_succeeded, win.violations = 1, 1, 1
     log.reset_all()
     win = log.window(agent.id)
     assert win.samples_seen == 0

@@ -1,12 +1,16 @@
 """Stream generation: determinism, schedule, mixture statistics, and the
-scenario calibration bands."""
+section-4.4 preset's calibration bands."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
+from freeagent.config import section_4_4_preset
 from freeagent.domain import AccessTier, ConfigError
+from freeagent.engine import Engine
+from freeagent.moe import uniform_moe
+from freeagent.pipeline import decide, redact
 from freeagent.simulator import (
     DriftSchedule,
     KeyedRng,
@@ -15,9 +19,6 @@ from freeagent.simulator import (
     Segment,
     StreamConfig,
     generate_cycle,
-    make_scenario_agents,
-    measure_accuracy,
-    scenario_patterns,
 )
 from tests.scalar_oracle import generate_sample
 
@@ -163,30 +164,44 @@ class TestScheduleValidation:
         assert sched.segment_for(99).start_cycle == 2
 
 
+def accuracy(spec, stream, tier):
+    """Share of correct verdicts of ``spec``'s experts under a uniform gate
+    on the stream's one cycle, the features redacted to ``tier``."""
+    batch = generate_cycle(stream, 0)
+    _, _, verdict = decide(uniform_moe(spec.experts), redact(batch.features, tier), batch.modality)
+    return np.count_nonzero(verdict == batch.label) / len(batch)
+
+
 class TestScenario:
     def test_default_scenario_calibrates(self):
-        incumbent, candidate = make_scenario_agents(check_samples=4000)
-        assert incumbent.id != candidate.id
+        cfg = section_4_4_preset()
+        (incumbent,), (candidate,) = cfg.roster, cfg.pool
+        engine = Engine(cfg)
+        assert set(engine.roster).isdisjoint(a.id for a in engine.pool)
         assert "pattern-B" in candidate.skills
         assert "pattern-B" not in incumbent.skills
 
     def test_designed_accuracies_land_in_bands(self):
-        # the spec bands at n=10,000, measured on fresh streams
-        incumbent, candidate = make_scenario_agents(self_check=False)
-        pattern_a, pattern_b = scenario_patterns()
+        # the spec bands at n=10,000, measured on fresh streams of the
+        # preset's own pre- and post-drift mixtures
+        cfg = section_4_4_preset()
+        (incumbent,), (candidate,) = cfg.roster, cfg.pool
+        pre_drift, post_drift = cfg.stream.schedule.segments
         pure_a = StreamConfig(
             seed=123, samples_per_cycle=10_000, total_cycles=1,
-            schedule=DriftSchedule((Segment(0, ((pattern_a, 1.0),)),)),
+            schedule=DriftSchedule((Segment(0, pre_drift.mixture),)),
         )
         mixture = StreamConfig(
             seed=321, samples_per_cycle=10_000, total_cycles=1,
-            schedule=DriftSchedule((Segment(0, ((pattern_a, 0.5), (pattern_b, 0.5))),)),
+            schedule=DriftSchedule((Segment(0, post_drift.mixture),)),
         )
-        assert 0.93 <= measure_accuracy(incumbent.moe, pure_a, AccessTier.FULL) <= 0.97
-        assert 0.72 <= measure_accuracy(incumbent.moe, mixture, AccessTier.FULL) <= 0.78
-        shadow = measure_accuracy(candidate.moe, mixture, AccessTier.RESTRICTED)
-        assert 0.85 <= shadow <= 0.91
-        assert measure_accuracy(candidate.moe, mixture, AccessTier.FULL) >= 0.90
+        assert [(p.name, w) for p, w in pre_drift.mixture] == [("A", 1.0)]
+        assert [(p.name, w) for p, w in post_drift.mixture] == [("A", 0.5), ("B", 0.5)]
+        assert post_drift.start_cycle == 10
+        assert 0.93 <= accuracy(incumbent, pure_a, AccessTier.FULL) <= 0.97
+        assert 0.72 <= accuracy(incumbent, mixture, AccessTier.FULL) <= 0.78
+        assert 0.85 <= accuracy(candidate, mixture, AccessTier.RESTRICTED) <= 0.91
+        assert accuracy(candidate, mixture, AccessTier.FULL) >= 0.90
 
     def test_infeasible_targets_rejected(self):
         bad = ScenarioSpec(incumbent_mixture_accuracy=0.95)  # no drop at all
@@ -195,8 +210,23 @@ class TestScenario:
 
     def test_calibration_failure_raises(self):
         narrow = ScenarioSpec(incumbent_a_band=(0.999, 1.0))
-        with pytest.raises(ConfigError, match="calibration failed"):
-            make_scenario_agents(narrow, check_samples=2000)
+        with pytest.raises(ConfigError, match="calibration failed: incumbent on pattern A"):
+            section_4_4_preset(scenario=narrow)
+
+    @pytest.mark.parametrize("narrow,check", [
+        pytest.param({"incumbent_mixture_band": (0.76, 0.78)}, "incumbent on mixture",
+                     id="incumbent_mixture"),
+        pytest.param({"candidate_shadow_band": (0.85, 0.86)}, "candidate shadow on mixture",
+                     id="candidate_shadow"),
+        pytest.param({"candidate_full_min": 0.99}, "candidate full on mixture",
+                     id="candidate_full"),
+    ])
+    def test_every_band_is_checked_whatever_the_run_size(self, narrow, check):
+        # the calibration stream is the preset's own, not the caller's
+        with pytest.raises(ConfigError, match=f"calibration failed: {check} = "):
+            section_4_4_preset(
+                seed=1, scenario=ScenarioSpec(**narrow), total_cycles=1, samples_per_cycle=1
+            )
 
 
 class TestPatternValidation:
