@@ -1,23 +1,27 @@
 """Run configuration: schema, strict validation, JSON round-trip, and the
 bundled scenario preset, which checks its own calibration.
 
-Configs are plain JSON. Validation is strict: unknown keys anywhere in
-the tree are rejected with their dotted path, and every numeric range is
-checked before any execution starts.
+Configs are plain JSON, and the config dataclasses are the schema: each
+field whose type has a JSON kind is a key (see ``SCHEMA``). Patterns, the
+schedule and the section layout have their own code. Errors name the
+dotted path, and all of them come before any execution starts.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+import math
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .domain import FEATURE_DIM, FRAUD_ROLE, MODALITY_DIM, AccessTier, ConfigError
+from .domain import FRAUD_ROLE, AccessTier, ConfigError, DispatchedRole
 from .lifecycle import LifecycleConfig, RoleSpec
-from .moe import Expert, uniform_moe
+from .moe import Expert, check_learning_rate, uniform_moe
 from .pipeline import decide, redact
 from .reward import RewardConfig, RewardWeights
 from .simulator import (
@@ -41,7 +45,7 @@ CONFIG_SCHEMA_VERSION = 1
 class AgentSpec:
     """Construction recipe for one agent; ids are assigned by the engine."""
 
-    role: str
+    role: DispatchedRole
     skills: frozenset[str]
     experts: tuple[Expert, ...]
     learning_rate: float = 0.05
@@ -51,7 +55,8 @@ class AgentSpec:
     service_time: int = 0
 
     def __post_init__(self) -> None:
-        if self.cost_per_sample <= 0:
+        check_learning_rate(self.learning_rate)
+        if not self.cost_per_sample > 0:
             raise ConfigError("cost_per_sample must be positive")
         if not 0.0 <= self.handoff_reliability <= 1.0:
             raise ConfigError("handoff_reliability must be in [0, 1]")
@@ -82,307 +87,290 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Strict dict parsing
+# JSON kinds: each parser takes (value, path, key) and its errors name path.key
 # ---------------------------------------------------------------------------
-
-_REQUIRED = object()
-
 
 def _check_keys(node: dict, allowed: set[str], path: str) -> None:
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected an object, got {node!r}")
-    unknown = set(node) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    if not allowed.issuperset(node):
+        raise ConfigError(f"{path}: unknown keys {sorted(set(node) - allowed)}")
 
 
-def _field(node: dict, key: str, path: str, kind: type, default=_REQUIRED):
-    """``node[key]``, which must have JSON type ``kind`` (a float may be
-    written as an integer, a bool is never a number), or ``default`` if
-    missing; errors name the dotted path."""
-    if key not in node:
-        if default is _REQUIRED:
-            raise ConfigError(f"{path}: missing required key '{key}'")
-        return default
-    value = node[key]
-    if isinstance(value, (int, float) if kind is float else kind) and (
-        kind is bool or not isinstance(value, bool)
-    ):
-        return float(value) if kind is float else value
-    raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
+def _exact(kind: type) -> Callable:
+    """The parser of one JSON type; a bool is never an integer."""
+
+    def parse(value, path: str, key: str):
+        if type(value) is kind:
+            return value
+        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
+
+    return parse
 
 
-def _skills(node: dict, key: str, path: str) -> frozenset[str]:
-    skills = _field(node, key, path, list)
-    if all(isinstance(s, str) for s in skills):
-        return frozenset(skills)
-    raise ConfigError(f"{path}.{key}: expected a list of strings, got {skills!r}")
+_INT, _BOOL, _STR, _LIST, _DICT = map(_exact, (int, bool, str, list, dict))
+_NUMBER_TYPES, _STRING_TYPES, _FLOATS = {int, float}, {str}, {float}
 
 
-def _floats(node: dict, key: str, path: str, length: int) -> tuple[float, ...]:
-    values = _field(node, key, path, list)
+def _number(value, path: str, key: str) -> float:
+    """Any JSON number but a bool, as a finite float."""
     try:
-        if len(values) == length:
-            return tuple(map(float, values))
-    except (TypeError, ValueError):
+        if type(value) in _NUMBER_TYPES and math.isfinite(number := float(value)):
+            return number
+    except OverflowError:
         pass
-    raise ConfigError(f"{path}.{key}: expected {length} numbers, got {values!r}")
+    raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
 
 
-def _parse_pattern(node: dict, path: str) -> PatternSpec:
-    _check_keys(node, {"name", "fraud_rate", "fraud_shift", "modality_base"}, path)
-    shift_node = _field(node, "fraud_shift", path, dict)
+def _numbers(length: int | None = None) -> Callable:
+    """The parser of a list of ``length`` (any, if None) finite numbers,
+    checked as a whole rather than per element."""
+
+    def parse(value, path: str, key: str) -> tuple[float, ...]:
+        if type(value) is list and len(value) == (length or len(value)):
+            types = set(map(type, value))
+            if types <= _NUMBER_TYPES:
+                try:
+                    numbers = tuple(value) if types == _FLOATS else tuple(map(float, value))
+                except OverflowError:
+                    numbers = (math.inf,)
+                # a sum of finite numbers may overflow: then check each one
+                if math.isfinite(sum(numbers)) or all(map(math.isfinite, numbers)):
+                    return numbers
+        count = length or "a list of"
+        raise ConfigError(f"{path}.{key}: expected {count} finite numbers, got {value!r}")
+
+    return parse
+
+
+def _strings(value, path: str, key: str) -> frozenset[str]:
+    if type(value) is list and _STRING_TYPES.issuperset(map(type, value)):
+        return frozenset(value)
+    raise ConfigError(f"{path}.{key}: expected a list of strings, got {value!r}")
+
+
+def _shift(value, path: str, key: str) -> dict[int, float]:
+    """Coordinate -> offset; coordinates are canonical integers ("3", not
+    "03" or " 3"), so no two keys name the same one."""
+    shift = {}
+    for name, offset in _DICT(value, path, key).items():
+        try:
+            canonical = str(coord := int(name)) == name
+        except ValueError:
+            canonical = False
+        if not canonical:
+            raise ConfigError(f"{path}.{key}: coordinate {name!r} is not a canonical integer")
+        shift[coord] = _number(offset, f"{path}.{key}", name)
+    return shift
+
+
+def _fraud_role(value, path: str, key: str) -> str:
+    if _STR(value, path, key) != FRAUD_ROLE:
+        raise ConfigError(
+            f"{path}.{key}: unsupported role {value!r}; only {FRAUD_ROLE!r} is dispatched"
+        )
+    return value
+
+
+def list_of(cls: type) -> Callable:
+    """The parser of a JSON list of ``cls`` objects."""
+
+    def parse(value, path: str, key: str) -> tuple:
+        items = _LIST(value, path, key)
+        return tuple(from_dict(cls, node, f"{path}.{key}[{i}]") for i, node in enumerate(items))
+
+    return parse
+
+
+# ---------------------------------------------------------------------------
+# The schema: one table per config dataclass, built from its fields
+# ---------------------------------------------------------------------------
+
+class Key(NamedTuple):
+    name: str
+    kind: object  # the field's type
+    parse: Callable  # (value, path, key) -> field value
+    dump: Callable | None  # field value -> JSON value; None: the value itself
+    required: bool
+
+
+# The parser and dump of each field type that has a JSON kind.
+_KINDS = {
+    float: (_number, None),
+    float | None: (lambda value, *at: None if value is None else _number(value, *at), None),
+    int: (_INT, None),
+    bool: (_BOOL, None),
+    str: (_STR, None),
+    tuple[float, ...]: (_numbers(), list),
+    frozenset[str]: (_strings, sorted),
+    dict[int, float]: (_shift, lambda shift: {str(k): v for k, v in sorted(shift.items())}),
+    tuple[Expert, ...]: (list_of(Expert), lambda experts: [to_dict(e) for e in experts]),
+    DispatchedRole: (_fraud_role, None),
+}
+
+
+def _table(cls: type) -> tuple[Key, ...]:
+    table, kinds = [], get_type_hints(cls)
+    for f in fields(cls):
+        parse, dump = _KINDS.get(kinds[f.name], (None, None))
+        if "length" in f.metadata:
+            parse = _numbers(f.metadata["length"])
+        if parse is not None:
+            required = f.default is MISSING and f.default_factory is MISSING
+            table.append(Key(f.name, kinds[f.name], parse, dump, required))
+    return tuple(table)
+
+
+SCHEMA = {
+    cls: _table(cls)
+    for cls in (Expert, PatternSpec, Segment, StreamConfig, AgentSpec, RoleSpec,
+                LifecycleConfig, RewardWeights, RewardConfig, RunConfig)
+}
+# Views of SCHEMA for the parse and the dump, which run once per object.
+_KEYS = {cls: frozenset(key.name for key in t) for cls, t in SCHEMA.items()}
+_PARSE = {cls: [(key.name, key.parse, key.required) for key in t] for cls, t in SCHEMA.items()}
+_DUMP = {cls: [(key.name, key.dump) for key in t] for cls, t in SCHEMA.items()}
+
+
+def _read(cls: type, node: dict, path: str) -> dict:
+    """The table fields of ``cls`` that ``node`` holds, parsed; a missing
+    optional key is left to the dataclass default."""
+    values = {}
+    for name, parse, required in _PARSE[cls]:
+        if name in node:
+            values[name] = parse(node[name], path, name)
+        elif required:
+            raise ConfigError(f"{path}: missing required key '{name}'")
+    return values
+
+
+def _build(cls: type, path: str, values: dict):
+    """``cls(**values)``; its range checks' errors name ``path``."""
     try:
-        fraud_shift = {int(k): float(v) for k, v in shift_node.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.fraud_shift: expected a coord->offset mapping ({exc})")
-    return PatternSpec(
-        name=_field(node, "name", path, str),
-        fraud_rate=_field(node, "fraud_rate", path, float),
-        fraud_shift=fraud_shift,
-        modality_base=_floats(node, "modality_base", path, MODALITY_DIM),
-    )
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def from_dict(cls: type, node: dict, path: str):
+    """``cls`` from a JSON object holding only its table keys."""
+    _check_keys(node, _KEYS[cls], path)
+    return _build(cls, path, _read(cls, node, path))
+
+
+def to_dict(obj) -> dict:
+    """The JSON object of a config dataclass: its table fields, in order."""
+    node = {}
+    for name, dump in _DUMP[type(obj)]:
+        value = getattr(obj, name)
+        node[name] = value if dump is None else dump(value)
+    return node
+
+
+def _required(node: dict, key: str, path: str, parse: Callable):
+    if key not in node:
+        raise ConfigError(f"{path}: missing required key '{key}'")
+    return parse(node[key], path, key)
 
 
 def _parse_stream(node: dict, path: str) -> StreamConfig:
-    _check_keys(node, {"seed", "samples_per_cycle", "total_cycles", "patterns", "schedule"}, path)
-    patterns = [
-        _parse_pattern(p, f"{path}.patterns[{i}]")
-        for i, p in enumerate(_field(node, "patterns", path, list))
-    ]
-    by_name = {p.name: p for p in patterns}
-    if len(by_name) != len(patterns):
+    _check_keys(node, _KEYS[StreamConfig] | {"patterns", "schedule"}, path)
+    patterns = _required(node, "patterns", path, list_of(PatternSpec))
+    names = {p.name for p in patterns}
+    if len(names) != len(patterns):
         raise ConfigError(f"{path}.patterns: duplicate pattern names")
 
     segments = []
-    for i, seg in enumerate(_field(node, "schedule", path, list)):
+    for i, seg in enumerate(_required(node, "schedule", path, _LIST)):
         seg_path = f"{path}.schedule[{i}]"
-        _check_keys(seg, {"start_cycle", "mixture"}, seg_path)
-        mixture_node = _field(seg, "mixture", seg_path, dict)
-        _check_keys(mixture_node, set(by_name), f"{seg_path}.mixture")
-        mixture = [  # pattern list order keeps mixtures deterministic
-            (pattern, _field(mixture_node, pattern.name, f"{seg_path}.mixture", float))
-            for pattern in patterns
-            if pattern.name in mixture_node
-        ]
-        segments.append(Segment(_field(seg, "start_cycle", seg_path, int), tuple(mixture)))
+        _check_keys(seg, _KEYS[Segment] | {"mixture"}, seg_path)
+        weights = _required(seg, "mixture", seg_path, _DICT)
+        _check_keys(weights, names, f"{seg_path}.mixture")
+        mixture = tuple(  # pattern list order keeps mixtures deterministic
+            (p, _number(weights[p.name], f"{seg_path}.mixture", p.name))
+            for p in patterns
+            if p.name in weights
+        )
+        values = dict(_read(Segment, seg, seg_path), mixture=mixture)
+        segments.append(_build(Segment, seg_path, values))
 
-    return StreamConfig(
-        seed=_field(node, "seed", path, int),
-        samples_per_cycle=_field(node, "samples_per_cycle", path, int),
-        total_cycles=_field(node, "total_cycles", path, int),
-        schedule=DriftSchedule(tuple(segments)),
-    )
+    schedule = _build(DriftSchedule, f"{path}.schedule", dict(segments=tuple(segments)))
+    return _build(StreamConfig, path, dict(_read(StreamConfig, node, path), schedule=schedule))
 
 
-def _require_fraud_role(name: str, path: str) -> str:
-    if name != FRAUD_ROLE:
-        raise ConfigError(f"{path}: unsupported role {name!r}; only {FRAUD_ROLE!r} is dispatched")
-    return name
-
-
-def parse_expert(node: dict, path: str) -> Expert:
-    _check_keys(node, {"profile", "weights", "threshold"}, path)
-    return Expert(
-        profile=_floats(node, "profile", path, MODALITY_DIM),
-        weights=_floats(node, "weights", path, FEATURE_DIM),
-        threshold=_field(node, "threshold", path, float),
-    )
-
-
-def _parse_agent(node: dict, path: str) -> AgentSpec:
-    allowed = {
-        "role", "skills", "experts", "learning_rate", "cost_per_sample",
-        "handoff_reliability", "misbehaving", "service_time",
-    }
-    _check_keys(node, allowed, path)
-    return AgentSpec(
-        role=_require_fraud_role(_field(node, "role", path, str), f"{path}.role"),
-        skills=_skills(node, "skills", path),
-        experts=tuple(
-            parse_expert(e, f"{path}.experts[{i}]")
-            for i, e in enumerate(_field(node, "experts", path, list))
-        ),
-        learning_rate=_field(node, "learning_rate", path, float, 0.05),
-        cost_per_sample=_field(node, "cost_per_sample", path, float, 1.0),
-        handoff_reliability=_field(node, "handoff_reliability", path, float, 1.0),
-        misbehaving=_field(node, "misbehaving", path, bool, False),
-        service_time=_field(node, "service_time", path, int, 0),
-    )
+_SECTIONS = {"schema_version", "stream", "lifecycle", "reward", "roles", "roster", "pool", "output"}
+_LISTS = {"roles": list_of(RoleSpec), "roster": list_of(AgentSpec), "pool": list_of(AgentSpec)}
 
 
 def parse_config(root: dict, source: str = "<config>") -> RunConfig:
-    allowed = {"schema_version", "stream", "lifecycle", "reward", "roles", "roster", "pool", "output"}
-    _check_keys(root, allowed, source)
-    version = _field(root, "schema_version", source, int, CONFIG_SCHEMA_VERSION)
+    _check_keys(root, _SECTIONS, source)
+    version = _INT(root.get("schema_version", CONFIG_SCHEMA_VERSION), source, "schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"{source}: unsupported schema_version {version}")
 
-    stream = _parse_stream(_field(root, "stream", source, dict), f"{source}.stream")
-
-    lc_node, lc_path = root.get("lifecycle", {}), f"{source}.lifecycle"
-    _check_keys(
-        lc_node,
-        {"release_threshold", "reward_threshold", "sustain_window",
-         "max_service_time", "keep_service_time_on_resign"},
-        lc_path,
+    stream = _parse_stream(_required(root, "stream", source, _DICT), f"{source}.stream")
+    lifecycle = from_dict(LifecycleConfig, root.get("lifecycle", {}), f"{source}.lifecycle")
+    # The reward section holds the fields of two objects, output RunConfig's own.
+    reward, reward_path = root.get("reward", {}), f"{source}.reward"
+    _check_keys(reward, _KEYS[RewardWeights] | _KEYS[RewardConfig], reward_path)
+    weights, reward_config = (
+        _build(cls, reward_path, _read(cls, reward, reward_path))
+        for cls in (RewardWeights, RewardConfig)
     )
-    lifecycle = LifecycleConfig(
-        release_threshold=_field(lc_node, "release_threshold", lc_path, float, 0.80),
-        reward_threshold=(
-            None if lc_node.get("reward_threshold") is None
-            else _field(lc_node, "reward_threshold", lc_path, float)
-        ),
-        sustain_window=_field(lc_node, "sustain_window", lc_path, int, 3),
-        max_service_time=_field(lc_node, "max_service_time", lc_path, int, 50),
-        keep_service_time_on_resign=_field(
-            lc_node, "keep_service_time_on_resign", lc_path, bool, True
-        ),
-    )
-
-    rw_node, rw_path = root.get("reward", {}), f"{source}.reward"
-    _check_keys(
-        rw_node,
-        {"alpha", "beta", "gamma", "delta", "baseline_cost_per_sample", "fp_budget"},
-        rw_path,
-    )
-    weights = RewardWeights(
-        alpha=_field(rw_node, "alpha", rw_path, float, 1.0),
-        beta=_field(rw_node, "beta", rw_path, float, 0.25),
-        gamma=_field(rw_node, "gamma", rw_path, float, 0.25),
-        delta=_field(rw_node, "delta", rw_path, float, 0.5),
-    )
-    reward_config = RewardConfig(
-        baseline_cost_per_sample=_field(rw_node, "baseline_cost_per_sample", rw_path, float, 1.0),
-        fp_budget=_field(rw_node, "fp_budget", rw_path, float, 0.10),
-    )
-
-    roles = []
-    for i, role_node in enumerate(_field(root, "roles", source, list, [])):
-        role_path = f"{source}.roles[{i}]"
-        _check_keys(role_node, {"name", "required_skills"}, role_path)
-        roles.append(
-            RoleSpec(
-                name=_require_fraud_role(
-                    _field(role_node, "name", role_path, str), f"{role_path}.name"
-                ),
-                required_skills=_skills(role_node, "required_skills", role_path),
-            )
-        )
-
-    roster, pool = (
-        tuple(
-            _parse_agent(a, f"{source}.{key}[{i}]")
-            for i, a in enumerate(_field(root, key, source, list, []))
-        )
-        for key in ("roster", "pool")
-    )
-
-    out_node, out_path = root.get("output", {}), f"{source}.output"
-    _check_keys(out_node, {"emit_detections", "snapshot_interval"}, out_path)
-
-    return RunConfig(
-        stream=stream,
-        lifecycle=lifecycle,
-        reward_weights=weights,
-        reward_config=reward_config,
-        roles=tuple(roles),
-        roster=roster,
-        pool=pool,
-        emit_detections=_field(out_node, "emit_detections", out_path, bool, False),
-        snapshot_interval=_field(out_node, "snapshot_interval", out_path, int, 0),
-    )
+    lists = {key: parse(root[key], source, key) for key, parse in _LISTS.items() if key in root}
+    output, output_path = root.get("output", {}), f"{source}.output"
+    _check_keys(output, _KEYS[RunConfig], output_path)
+    return _build(RunConfig, source, dict(
+        _read(RunConfig, output, output_path), **lists, stream=stream, lifecycle=lifecycle,
+        reward_weights=weights, reward_config=reward_config,
+    ))
 
 
 def load_config(path: str | Path) -> RunConfig:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        root = json.loads(text)
+        root = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except ValueError as exc:  # not UTF-8, or an integer too long to convert
+        raise ConfigError(f"{path}: {exc}")
     return parse_config(root, source=str(path))
 
 
-# ---------------------------------------------------------------------------
-# Serialization (snapshots embed the full config)
-# ---------------------------------------------------------------------------
-
-def expert_to_dict(expert: Expert) -> dict:
-    return {
-        "profile": list(expert.profile),
-        "weights": list(expert.weights),
-        "threshold": expert.threshold,
-    }
+def _pattern_order(segments: tuple[Segment, ...]) -> list[PatternSpec]:
+    """The patterns in an order every mixture keeps (the parse orders a
+    mixture by the pattern list); first use breaks ties."""
+    pending = [[p for p, _ in seg.mixture] for seg in segments]
+    order = []
+    while any(pending):
+        tails = {p.name for mixture in pending for p in mixture[1:]}
+        head = next((m[0] for m in pending if m and m[0].name not in tails), None)
+        if head is None:
+            raise ConfigError("the mixtures order their patterns inconsistently")
+        order.append(head)
+        pending = [[p for p in mixture if p.name != head.name] for mixture in pending]
+    return order
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    def pattern_dict(p: PatternSpec) -> dict:
-        return {
-            "name": p.name,
-            "fraud_rate": p.fraud_rate,
-            "fraud_shift": {str(k): v for k, v in sorted(p.fraud_shift.items())},
-            "modality_base": list(p.modality_base),
-        }
-
-    def agent_dict(a: AgentSpec) -> dict:
-        return {
-            "role": a.role,
-            "skills": sorted(a.skills),
-            "experts": [expert_to_dict(e) for e in a.experts],
-            "learning_rate": a.learning_rate,
-            "cost_per_sample": a.cost_per_sample,
-            "handoff_reliability": a.handoff_reliability,
-            "misbehaving": a.misbehaving,
-            "service_time": a.service_time,
-        }
-
-    patterns: list[PatternSpec] = []
-    seen = set()
-    for seg in cfg.stream.schedule.segments:
-        for pattern, _ in seg.mixture:
-            if pattern.name not in seen:
-                seen.add(pattern.name)
-                patterns.append(pattern)
-
+    """The JSON form of ``cfg``; snapshots embed it, and ``parse_config``
+    reads it back to an equal config."""
+    segments = cfg.stream.schedule.segments
     return {
         "schema_version": CONFIG_SCHEMA_VERSION,
         "stream": {
-            "seed": cfg.stream.seed,
-            "samples_per_cycle": cfg.stream.samples_per_cycle,
-            "total_cycles": cfg.stream.total_cycles,
-            "patterns": [pattern_dict(p) for p in patterns],
+            **to_dict(cfg.stream),
+            "patterns": [to_dict(p) for p in _pattern_order(segments)],
             "schedule": [
-                {
-                    "start_cycle": seg.start_cycle,
-                    "mixture": {p.name: w for p, w in seg.mixture},
-                }
-                for seg in cfg.stream.schedule.segments
+                {**to_dict(seg), "mixture": {p.name: w for p, w in seg.mixture}}
+                for seg in segments
             ],
         },
-        "lifecycle": {
-            "release_threshold": cfg.lifecycle.release_threshold,
-            "reward_threshold": cfg.lifecycle.reward_threshold,
-            "sustain_window": cfg.lifecycle.sustain_window,
-            "max_service_time": cfg.lifecycle.max_service_time,
-            "keep_service_time_on_resign": cfg.lifecycle.keep_service_time_on_resign,
-        },
-        "reward": {
-            "alpha": cfg.reward_weights.alpha,
-            "beta": cfg.reward_weights.beta,
-            "gamma": cfg.reward_weights.gamma,
-            "delta": cfg.reward_weights.delta,
-            "baseline_cost_per_sample": cfg.reward_config.baseline_cost_per_sample,
-            "fp_budget": cfg.reward_config.fp_budget,
-        },
-        "roles": [
-            {"name": r.name, "required_skills": sorted(r.required_skills)} for r in cfg.roles
-        ],
-        "roster": [agent_dict(a) for a in cfg.roster],
-        "pool": [agent_dict(a) for a in cfg.pool],
-        "output": {
-            "emit_detections": cfg.emit_detections,
-            "snapshot_interval": cfg.snapshot_interval,
-        },
+        "lifecycle": to_dict(cfg.lifecycle),
+        "reward": {**to_dict(cfg.reward_weights), **to_dict(cfg.reward_config)},
+        "roles": [to_dict(r) for r in cfg.roles],
+        "roster": [to_dict(a) for a in cfg.roster],
+        "pool": [to_dict(a) for a in cfg.pool],
+        "output": to_dict(cfg),
     }
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import Literal
 
 # Fixed layout of the feature space. The last three feature entries are
 # "sensitive": visible only at Full access tier (see pipeline.redact).
@@ -18,8 +19,9 @@ MODALITY_DIM = 3
 
 AgentId = int
 
-# The only role the pipeline dispatches; configs naming another are rejected.
+# The only role the pipeline dispatches, and its type; configs naming another are rejected.
 FRAUD_ROLE = "FraudDetection"
+DispatchedRole = Literal["FraudDetection"]
 
 
 class ConfigError(ValueError):

@@ -26,7 +26,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .config import AgentSpec, RunConfig, config_to_dict, expert_to_dict, parse_config, parse_expert
+from .config import AgentSpec, RunConfig, config_to_dict, list_of, parse_config, to_dict
 from .domain import Agent, AgentId, AgentStatus, EventKind, RosterEvent
 from .lifecycle import (
     enforce_service_cap,
@@ -37,7 +37,7 @@ from .lifecycle import (
     vacant_roles,
 )
 from .metrics import PerformanceLog, count_ratios
-from .moe import MoEState, rl_update, uniform_moe
+from .moe import Expert, MoEState, rl_update, uniform_moe
 from .pipeline import CyclePipeline, DetectionRecord
 from .reward import compute_components, compute_reward
 from .simulator import generate_cycle
@@ -163,7 +163,7 @@ def agent_to_dict(agent: Agent) -> dict:
         "moe": {
             "learning_rate": agent.moe.learning_rate,
             "gate_weights": list(agent.moe.gate_weights),
-            "experts": [expert_to_dict(e) for e in agent.moe.experts],
+            "experts": [to_dict(e) for e in agent.moe.experts],
         },
     }
 
@@ -177,10 +177,7 @@ def agent_from_dict(node: dict) -> Agent:
         skills=frozenset(node["skills"]),
         status=AgentStatus(node["status"]),
         moe=MoEState(
-            experts=tuple(
-                parse_expert(e, f"{path}.experts[{i}]")
-                for i, e in enumerate(moe_node["experts"])
-            ),
+            experts=list_of(Expert)(moe_node["experts"], path, "experts"),
             gate_weights=tuple(moe_node["gate_weights"]),
             learning_rate=moe_node["learning_rate"],
         ),

@@ -18,6 +18,7 @@ from .domain import (
     AgentId,
     AgentStatus,
     ConfigError,
+    DispatchedRole,
     EventKind,
     RosterEvent,
 )
@@ -56,7 +57,7 @@ class LifecycleConfig:
 class RoleSpec:
     """A roster role and the skills a pool agent needs to be signed into it."""
 
-    name: str
+    name: DispatchedRole
     required_skills: frozenset[str]
 
 

@@ -11,9 +11,11 @@ Routing and scoring of a batch live in ``pipeline.decide``.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
+from . import domain
 from .domain import Agent, AgentStatus, ComputationError, ConfigError, LifecycleError
 
 
@@ -23,15 +25,15 @@ class Expert:
 
     ``profile`` lives in modality space and encodes which input
     modalities this expert understands; the gate matches it against a
-    sample's modality vector.
+    sample's modality vector. A config must give both at their ``length``.
     """
 
-    profile: tuple[float, ...]
-    weights: tuple[float, ...]
+    profile: tuple[float, ...] = field(metadata={"length": domain.MODALITY_DIM})
+    weights: tuple[float, ...] = field(metadata={"length": domain.FEATURE_DIM})
     threshold: float
 
     def __post_init__(self) -> None:
-        if any(p < 0 for p in self.profile):
+        if min(self.profile, default=0.0) < 0:
             raise ConfigError("expert profile entries must be non-negative")
 
 
@@ -50,8 +52,16 @@ class MoEState:
         # weight may underflow to 0.0 after enough renormalizations.
         if any(w < 0 for w in self.gate_weights) or sum(self.gate_weights) <= 0:
             raise ConfigError("gate weights must be non-negative with positive sum")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        check_learning_rate(self.learning_rate)
+
+
+# The largest rate whose gate factor exp(learning_rate * reward) stays finite.
+MAX_LEARNING_RATE = math.log(sys.float_info.max)
+
+
+def check_learning_rate(rate: float) -> None:
+    if not 0.0 < rate <= MAX_LEARNING_RATE:
+        raise ConfigError(f"learning_rate must be in (0, {MAX_LEARNING_RATE!r}]")
 
 
 def uniform_moe(experts: tuple[Expert, ...], learning_rate: float = 0.05) -> MoEState:

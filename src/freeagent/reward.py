@@ -49,7 +49,7 @@ class RewardConfig:
     fp_budget: float = 0.10
 
     def __post_init__(self) -> None:
-        if self.baseline_cost_per_sample <= 0:
+        if not self.baseline_cost_per_sample > 0:
             raise ConfigError("baseline_cost_per_sample must be positive")
         if not 0.0 <= self.fp_budget <= 1.0:
             raise ConfigError("fp_budget must be in [0, 1]")

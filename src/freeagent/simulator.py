@@ -92,7 +92,7 @@ class PatternSpec:
             raise ConfigError(f"pattern {self.name}: fraud_rate must be in (0, 1)")
         if len(self.modality_base) != MODALITY_DIM:
             raise ConfigError(f"pattern {self.name}: modality_base must have {MODALITY_DIM} entries")
-        if any(m < 0 for m in self.modality_base) or sum(self.modality_base) <= 0:
+        if any(m < 0 for m in self.modality_base) or not sum(self.modality_base) > 0:
             raise ConfigError(f"pattern {self.name}: modality_base must be non-negative, sum > 0")
         for coord in self.fraud_shift:
             if not 0 <= coord < FEATURE_DIM:
@@ -119,7 +119,7 @@ class DriftSchedule:
             raise ConfigError("segment starts must be strictly increasing")
         for seg in self.segments:
             weights = [w for _, w in seg.mixture]
-            if not weights or any(w <= 0 for w in weights):
+            if not weights or not all(w > 0 for w in weights):  # NaN fails too
                 raise ConfigError("mixture weights must be positive")
             if abs(sum(weights) - 1.0) > 1e-9:
                 raise ConfigError("mixture weights must sum to 1")

@@ -1,6 +1,7 @@
 """Config parsing, CLI verbs, output schemas, and snapshot round-trips."""
 
 import json
+import math
 import os
 from functools import partial
 from pathlib import Path
@@ -90,6 +91,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"bad\.json:2:"):
             load_config(path)
 
+    def test_integer_too_long_to_convert_rejected(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"schema_version": 1' + "0" * 5000 + "}")
+        with pytest.raises(ConfigError, match=r"long\.json: .*4300"):
+            load_config(path)
+
     def test_round_trip_through_dict(self):
         cfg = section_4_4_preset()
         again = parse_config(config_to_dict(cfg))
@@ -119,7 +126,9 @@ class TestCli:
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
     @pytest.mark.parametrize("key,value,named", [
-        pytest.param("lifecycle", {"sustain_window": 0}, "sustain_window", id="sustain_window_0"),
+        # a range check names the section it was read from
+        pytest.param("lifecycle", {"sustain_window": 0}, "cfg.json.lifecycle: sustain_window",
+                     id="sustain_window_0"),
         pytest.param(None, None, "absent.json", id="missing_file"),
         pytest.param("lifecycle", [], "cfg.json.lifecycle", id="lifecycle_list"),
         pytest.param("stream.total_cycles", "abc", "cfg.json.stream.total_cycles",
@@ -152,6 +161,54 @@ class TestCli:
                      id="required_skill_number"),
         pytest.param("roster.0.skills", ["fraud", None], "cfg.json.roster[0].skills",
                      id="agent_skill_null"),
+        # lists of numbers are checked as a whole: no strings or bools inside
+        pytest.param("roster.0.experts.0.weights", ["1", 0, 0, 0, 0, 0],
+                     "cfg.json.roster[0].experts[0].weights", id="expert_weight_text"),
+        pytest.param("roster.0.experts.0.profile", [True, 0, 0],
+                     "cfg.json.roster[0].experts[0].profile", id="expert_profile_bool"),
+        pytest.param("stream.patterns.0.modality_base", [0.7, "0.3", 0.0],
+                     "cfg.json.stream.patterns[0].modality_base", id="modality_base_text"),
+        pytest.param("stream.patterns.0.fraud_shift", {"0": "4.0"},
+                     "cfg.json.stream.patterns[0].fraud_shift.0", id="fraud_shift_text"),
+        pytest.param("stream.patterns.0.fraud_shift", {"0": True},
+                     "cfg.json.stream.patterns[0].fraud_shift.0", id="fraud_shift_bool"),
+        # coordinates are canonical integers, so no two keys name one coordinate
+        pytest.param("stream.patterns.0.fraud_shift", {"01": 1.0, "1": 2.0},
+                     "cfg.json.stream.patterns[0].fraud_shift", id="fraud_shift_key_zero_padded"),
+        pytest.param("stream.patterns.0.fraud_shift", {" 1": 1.0},
+                     "cfg.json.stream.patterns[0].fraud_shift", id="fraud_shift_key_space"),
+        # numbers are finite floats: no overflow, NaN or Infinity
+        pytest.param("roster.0.experts.0.threshold", 10**400,
+                     "cfg.json.roster[0].experts[0].threshold", id="threshold_overflow"),
+        pytest.param("stream.schedule.0.mixture.A", 10**400,
+                     "cfg.json.stream.schedule[0].mixture.A", id="mixture_weight_overflow"),
+        pytest.param("roster.0.experts.0.weights", [10**400, 0, 0, 0, 0, 0],
+                     "cfg.json.roster[0].experts[0].weights", id="expert_weight_overflow"),
+        pytest.param("roster.0.experts.0.threshold", math.nan,
+                     "cfg.json.roster[0].experts[0].threshold", id="threshold_nan"),
+        pytest.param("roster.0.experts.0.weights", [math.inf, 0, 0, 0, 0, 0],
+                     "cfg.json.roster[0].experts[0].weights", id="expert_weight_inf"),
+        pytest.param("roster.0.experts.0.profile", [math.nan, 0, 0],
+                     "cfg.json.roster[0].experts[0].profile", id="expert_profile_nan"),
+        pytest.param("stream.patterns.0.modality_base", [math.nan, 0.3, 0.0],
+                     "cfg.json.stream.patterns[0].modality_base", id="modality_base_nan"),
+        pytest.param("stream.schedule.0.mixture.A", math.nan,
+                     "cfg.json.stream.schedule[0].mixture.A", id="mixture_weight_nan"),
+        pytest.param("roster.0.learning_rate", math.nan, "cfg.json.roster[0].learning_rate",
+                     id="learning_rate_nan"),
+        pytest.param("roster.0.cost_per_sample", math.nan, "cfg.json.roster[0].cost_per_sample",
+                     id="cost_per_sample_nan"),
+        pytest.param("reward", {"baseline_cost_per_sample": math.inf},
+                     "cfg.json.reward.baseline_cost_per_sample", id="baseline_cost_inf"),
+        pytest.param("lifecycle", {"reward_threshold": math.nan},
+                     "cfg.json.lifecycle.reward_threshold", id="reward_threshold_nan"),
+        pytest.param("stream.patterns.0.fraud_shift", {"0": -math.inf},
+                     "cfg.json.stream.patterns[0].fraud_shift.0", id="fraud_shift_inf"),
+        # validate checks what the run would: the agent spec, not only the gate
+        pytest.param("roster.0.learning_rate", -1, "cfg.json.roster[0]: learning_rate",
+                     id="learning_rate_negative"),
+        pytest.param("roster.0.learning_rate", 800, "cfg.json.roster[0]: learning_rate",
+                     id="learning_rate_overflows_the_gate_factor"),
     ])
     def test_validate_bad_config_exits_nonzero(self, tmp_path, capsys, verb, key, value, named):
         path = tmp_path / "absent.json"
@@ -413,6 +470,30 @@ class TestSnapshots:
         for name in later:
             assert (resumed / "snapshots" / name).read_bytes() == (
                 full / "snapshots" / name
+            ).read_bytes(), name
+
+    def test_resume_keeps_a_mixture_order_that_first_use_would_break(self, tmp_path):
+        # the first segment uses only B, so listing patterns by first use
+        # would turn the A/B mixture into B/A and change every later sample
+        node = json.loads(json.dumps(MINIMAL))
+        node["stream"]["total_cycles"] = 3
+        node["stream"]["patterns"].append(
+            dict(node["stream"]["patterns"][0], name="B", fraud_shift={"1": 4.0})
+        )
+        node["stream"]["schedule"] = [
+            {"start_cycle": 0, "mixture": {"B": 1.0}},
+            {"start_cycle": 1, "mixture": {"A": 0.25, "B": 0.75}},
+        ]
+        node["output"] = {"snapshot_interval": 1}
+        cfg = parse_config(node)
+        assert parse_config(config_to_dict(cfg)) == cfg
+        Engine(cfg).run(tmp_path / "full")
+        restore_engine(tmp_path / "full" / "snapshots" / "state_cycle_0001.json").run(
+            tmp_path / "resumed"
+        )
+        for name in ("summary.json", "snapshots/state_cycle_0003.json"):
+            assert (tmp_path / "resumed" / name).read_bytes() == (
+                tmp_path / "full" / name
             ).read_bytes(), name
 
     def test_snapshot_holds_exactly_the_engine_state(self, tmp_path):

@@ -1,0 +1,174 @@
+"""Property tests over JSON configs generated from the config schema tables.
+
+The strategy walks ``freeagent.config.SCHEMA``: every key of every section
+comes from a dataclass field, its values from the field's type and length,
+and a key with a dataclass default is sometimes left out. A few keys get
+values chosen here: the schedule, whose patterns and start cycles depend on
+each other, and the run sizes, kept small so each example runs in
+milliseconds. ``configs(bad=...)``
+swaps in a wrong value (wrong JSON type, non-finite, overflowing, out of
+range, malformed coordinate) with about that probability per value.
+"""
+
+import json
+import math
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
+
+from freeagent.cli import main
+from freeagent.config import SCHEMA, AgentSpec, RunConfig, config_to_dict, parse_config
+from freeagent.domain import FRAUD_ROLE, ConfigError, DispatchedRole
+from freeagent.engine import Engine, restore_engine
+from freeagent.lifecycle import LifecycleConfig, RoleSpec
+from freeagent.moe import Expert
+from freeagent.reward import RewardConfig, RewardWeights
+from freeagent.simulator import PatternSpec, StreamConfig
+
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, 10**400, 1e300, -1e300, -1.0, 1.5, "1", True, None]
+BAD_INTS = [-1, 0, 2**64, 2.5, "1", True, None]
+SKILLS = ["fraud", "pattern-B"]
+
+
+def maybe_bad(good, bad, rate):
+    """``good``, or one of ``bad`` with probability about ``rate``; the bad
+    draw sits mid-range, away from the bounds that hypothesis favours."""
+    if rate == 0:
+        return good
+    n = round(1 / rate)
+    return st.integers(0, n - 1).flatmap(lambda u: st.sampled_from(bad) if u == n // 2 else good)
+
+
+def value(key, length, rate):
+    """Values of one schema key, from its field's type."""
+    number = st.floats(0.01, 0.99)
+    size = length or 3
+    if key.kind is float:
+        return maybe_bad(number, BAD_NUMBERS, rate)
+    if key.kind == float | None:
+        return st.one_of(st.none(), maybe_bad(number, BAD_NUMBERS, rate))
+    if key.kind is int:
+        return maybe_bad(st.integers(1, 3), BAD_INTS, rate)
+    if key.kind is bool:
+        return maybe_bad(st.booleans(), [0, "true", None], rate)
+    if key.kind is str:
+        return maybe_bad(st.sampled_from("ABC"), [1, None], rate)
+    if key.kind == DispatchedRole:
+        return maybe_bad(st.just(FRAUD_ROLE), ["Triage", None], rate)
+    if key.kind == tuple[float, ...]:
+        bad = [[], [0.5] * (size + 1), ["1"] * size, [True] * size, [math.nan] * size]
+        return maybe_bad(st.lists(number, min_size=size, max_size=size), bad, rate)
+    if key.kind == frozenset[str]:
+        return maybe_bad(st.lists(st.sampled_from(SKILLS), max_size=2), ["fraud", [1]], rate)
+    if key.kind == dict[int, float]:
+        bad = [{"01": 1.0}, {" 1": 1.0}, {"x": 1.0}, {"9": 1.0}, {"0": "1"}, {"0": math.inf}]
+        shift = st.dictionaries(st.integers(0, 5).map(str), number, max_size=2)
+        return maybe_bad(shift, bad, rate)
+    if key.kind == tuple[Expert, ...]:
+        return maybe_bad(st.lists(record(Expert, rate), min_size=1, max_size=2), [[], {}], rate)
+    raise AssertionError(f"no strategy for {key.name}: {key.kind}")
+
+
+def record(cls, rate, **chosen):
+    """JSON objects holding the table keys of ``cls``; optional keys may be left out."""
+    lengths = {f.name: f.metadata.get("length") for f in fields(cls)}
+    required, optional = {}, {}
+    for key in SCHEMA[cls]:
+        if key.name in chosen:
+            required[key.name] = chosen[key.name]
+        else:
+            (required if key.required else optional)[key.name] = value(key, lengths[key.name], rate)
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+@st.composite
+def configs(draw, bad=0.0, snapshot_interval=None):
+    names = draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=2, unique=True))
+    patterns = [draw(record(PatternSpec, bad, name=st.just(name))) for name in names]
+    starts = [0] + sorted(draw(st.sets(st.integers(1, 3), max_size=2)))
+    schedule = []
+    for start in starts:
+        used = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        weights = [draw(maybe_bad(st.just(w), BAD_NUMBERS, bad)) for w in (0.25, 0.75)]
+        mixture = dict(zip(used, weights)) if len(used) == 2 else {used[0]: 1.0}
+        schedule.append({"start_cycle": start, "mixture": mixture})
+    stream = draw(record(
+        StreamConfig, bad,
+        samples_per_cycle=maybe_bad(st.integers(1, 20), [0, 2.5, True], bad),
+        total_cycles=maybe_bad(st.integers(1, 4), [0, "1", None], bad),
+    ))
+    node = {"stream": dict(stream, patterns=patterns, schedule=schedule)}
+    node["roles"] = draw(st.lists(record(RoleSpec, bad), max_size=1))
+    for section in ("roster", "pool"):
+        node[section] = draw(st.lists(record(AgentSpec, bad), max_size=2))
+    node["lifecycle"] = draw(record(LifecycleConfig, bad))
+    node["reward"] = draw(record(RewardWeights, bad)) | draw(record(RewardConfig, bad))
+    chosen = {"snapshot_interval": st.just(snapshot_interval)} if snapshot_interval else {}
+    node["output"] = draw(record(RunConfig, bad, **chosen))
+    return node
+
+
+def _valid(node) -> RunConfig:
+    try:
+        return parse_config(node)
+    except ConfigError:
+        assume(False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(node=configs())
+def test_parse_dump_parse_gives_an_equal_config(node):
+    cfg = _valid(node)
+    dumped = config_to_dict(cfg)
+    assert parse_config(json.loads(json.dumps(dumped))) == cfg
+    assert config_to_dict(parse_config(dumped)) == dumped
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(node=configs(bad=0.03))
+def test_every_config_runs_or_is_rejected_before_any_output(node):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        path.write_text(json.dumps(node))
+        verdict = main(["validate", "--config", str(path)])
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == verdict
+        event("runs" if code == 0 else "rejected")
+        if code == 0:
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["completed_through_cycle"] == summary["total_cycles"] - 1
+        else:
+            assert code == 2 and not out.exists()
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(node=configs(snapshot_interval=1), data=st.data())
+def test_resumed_run_writes_identical_bytes(node, data):
+    cfg = _valid(node)
+    total = cfg.stream.total_cycles
+    with tempfile.TemporaryDirectory() as tmp:
+        full, resumed = Path(tmp) / "full", Path(tmp) / "resumed"
+        Engine(cfg).run(full)
+        at = data.draw(st.integers(1, total), label="resume at")
+        restore_engine(full / "snapshots" / f"state_cycle_{at:04d}.json").run(resumed)
+
+        assert (resumed / "summary.json").read_bytes() == (full / "summary.json").read_bytes()
+        events = (full / "events.jsonl").read_text().splitlines()
+        assert (resumed / "events.jsonl").read_text().splitlines() == [
+            line for line in events if json.loads(line)["cycle"] >= at
+        ]
+        header, *rows = (full / "metrics.csv").read_text().splitlines()
+        assert (resumed / "metrics.csv").read_text().splitlines() == [header] + [
+            row for row in rows if int(row.split(",")[0]) >= at
+        ]
+        if cfg.emit_detections:  # sample seq numbers run on across cycles
+            first_seq = at * cfg.stream.samples_per_cycle
+            detections = (full / "detections.jsonl").read_text().splitlines()
+            assert (resumed / "detections.jsonl").read_text().splitlines() == [
+                line for line in detections if json.loads(line)["seq"] >= first_seq
+            ]
+        for cycle in range(at + 1, total + 1):
+            name = f"snapshots/state_cycle_{cycle:04d}.json"
+            assert (resumed / name).read_bytes() == (full / name).read_bytes(), name

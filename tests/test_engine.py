@@ -1,7 +1,9 @@
 """Engine-level cycle composition: ordering, conservation, stall recovery,
 and event-log replay."""
 
-from freeagent.config import AgentSpec, RunConfig
+from dataclasses import replace
+
+from freeagent.config import AgentSpec, RunConfig, section_4_4_preset
 from freeagent.domain import AgentStatus, EventKind
 from freeagent.engine import METRICS_COLUMNS, Engine
 from freeagent.lifecycle import LifecycleConfig, RoleSpec
@@ -182,6 +184,28 @@ class TestServiceCap:
                 assert agent.service_time < 3
         fa = [e for e in events if e.kind is EventKind.FREE_AGENCY]
         assert fa and fa[0].cycle == 2  # ticked to 3 at the end of cycle 2
+
+    def test_cap_two_frees_each_signed_agent_before_it_decides_as_active(self):
+        # Documented, not rejected: signed at service 1 after the tick, an
+        # agent shadows one cycle and reaches the cap on the tick of the cycle
+        # that promotes it, so the cap sweep frees it before it ever decides.
+        base = section_4_4_preset(samples_per_cycle=100, total_cycles=8)
+        cfg = replace(
+            base,
+            lifecycle=LifecycleConfig(max_service_time=2, sustain_window=1),
+            pool=(base.pool[0],) * 3,
+        )
+        engine = Engine(cfg)
+        reports = [engine.run_cycle() for _ in range(8)]
+        routine = (EventKind.EVALUATE, EventKind.SERVICE_TICK)
+        for agent in (1, 2, 3):
+            kinds = [e.kind for r in reports for e in r.events if e.agent == agent]
+            transitions = [k for k in kinds if k not in routine]
+            assert transitions == [EventKind.SIGN, EventKind.PROMOTE, EventKind.FREE_AGENCY]
+        active = {row.agent for r in reports for row in r.rows if row.status == "Active"}
+        assert active == {0}
+        decided = [r.system_tp + r.system_fp + r.system_fn + r.system_tn for r in reports]
+        assert decided[2:] == [0] * 6
 
     def test_preseeded_overcap_agent_released_at_first_evaluation(self):
         roster = (
