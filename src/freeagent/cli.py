@@ -99,15 +99,11 @@ def cmd_report(args: argparse.Namespace) -> int:
             key["first_release"], key["first_sign"], key["first_promote"]
         )
     )
-    print("final roster:")
-    for agent in summary["final_roster"]:
-        print(
-            f"  agent {agent['id']} [{agent['status']}] "
-            f"performance={agent['performance']:.4f} service_time={agent['service_time']}"
-        )
-    if summary["final_pool"]:
-        print("final pool:")
-        for agent in summary["final_pool"]:
+    for name in ("roster", "pool"):
+        agents = summary[f"final_{name}"]
+        if agents or name == "roster":  # an empty pool is left out
+            print(f"final {name}:")
+        for agent in agents:
             print(
                 f"  agent {agent['id']} [{agent['status']}] "
                 f"performance={agent['performance']:.4f} service_time={agent['service_time']}"
@@ -117,10 +113,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        if args.preset:
-            preset_config(args.preset)
-        else:
-            load_config(args.config)
+        _load_run_config(args)
     except (ConfigError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -161,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    if args.command == "validate" and bool(args.config) == bool(args.preset):
-        print("error: exactly one of --config or --preset is required", file=sys.stderr)
-        return EXIT_CONFIG
     return args.func(args)
 
 

@@ -79,11 +79,11 @@ class RunConfig:
     snapshot_interval: int = 0
 
     def __post_init__(self) -> None:
-        if self.snapshot_interval < 0:
-            raise ConfigError("snapshot_interval must be >= 0")
+        if self.snapshot_interval < 0:  # read from the output section
+            raise ConfigError("snapshot_interval must be >= 0", at="output")
         names = [r.name for r in self.roles]
         if len(names) != len(set(names)):
-            raise ConfigError("duplicate role names")
+            raise ConfigError("duplicate role names", at="roles")
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +245,11 @@ def _read(cls: type, node: dict, path: str) -> dict:
 
 
 def _build(cls: type, path: str, values: dict):
-    """``cls(**values)``; its range checks' errors name ``path``."""
+    """``cls(**values)``; its range checks' errors name ``path`` and the key they are at."""
     try:
         return cls(**values)
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}.{exc.at}: {exc}" if exc.at else f"{path}: {exc}") from None
 
 
 def from_dict(cls: type, node: dict, path: str):
@@ -271,6 +271,12 @@ def _required(node: dict, key: str, path: str, parse: Callable):
     if key not in node:
         raise ConfigError(f"{path}: missing required key '{key}'")
     return parse(node[key], path, key)
+
+
+def read_object(node: dict, path: str, parsers: dict[str, Callable]) -> dict:
+    """Each key of ``parsers``, required and parsed, from an object with no other key."""
+    _check_keys(node, set(parsers), path)
+    return {key: _required(node, key, path, parse) for key, parse in parsers.items()}
 
 
 def _parse_stream(node: dict, path: str) -> StreamConfig:

@@ -25,7 +25,14 @@ DispatchedRole = Literal["FraudDetection"]
 
 
 class ConfigError(ValueError):
-    """Invalid configuration: bad dimensions, bad ranges, unknown keys."""
+    """Invalid configuration: bad dimensions, bad ranges, unknown keys.
+
+    ``at`` names the key, below the object being built, that holds the error.
+    """
+
+    def __init__(self, message: str, at: str = "") -> None:
+        super().__init__(message)
+        self.at = at
 
 
 class LifecycleError(RuntimeError):
@@ -66,24 +73,23 @@ class EventKind(str, Enum):
 
 @dataclass(slots=True)
 class Agent:
-    """One roster or pool member.
+    """One roster or pool member: the spec it was built from, fixed for the
+    run, plus its state.
 
     ``performance`` is always the output of the most recent evaluation
     (0.0 before the first). ``service_time`` counts completed roster
-    cycles and never decreases while the agent is not Released.
+    cycles and never decreases while the agent is not Released. Only the
+    gate of ``moe`` learns; its experts and learning rate are the spec's.
     ``access_tier`` follows ``status`` and is never stored.
     """
 
     id: AgentId
-    role: str
-    skills: frozenset[str]
+    spec: "AgentSpec"  # noqa: F821 - defined in the config module
     status: AgentStatus
     moe: "MoEState"  # noqa: F821 - resolved at runtime via moe module
     service_time: int = 0
     performance: float = 0.0
     consecutive_below: int = 0
-    cost_per_sample: float = 1.0
-    handoff_reliability: float = 1.0
 
     @property
     def access_tier(self) -> AccessTier:
@@ -99,6 +105,11 @@ class RosterEvent:
     agent: AgentId
     detail: str = ""
     performance_snapshot: float = 0.0
+
+    @classmethod
+    def of(cls, cycle: int, kind: EventKind, agent: Agent, detail: str) -> RosterEvent:
+        """An event of ``agent``, snapshotting its performance as it stands."""
+        return cls(cycle, kind, agent.id, detail, agent.performance)
 
     def to_dict(self) -> dict:
         return {

@@ -15,19 +15,26 @@ Stage order within one cycle is fixed for determinism:
 
 All randomness is drawn from counter-keyed generators (stream and
 handoffs), so the engine's whole state is its config, cycle, roster, pool
-and run totals. A snapshot holds exactly that, so a run resumed at any
-cycle boundary writes the same bytes, summary.json included.
+and run totals. An agent is its spec, which the config holds, plus its
+state. A snapshot holds the config, the cycle, each agent's state and the
+totals, so a run resumed at any cycle boundary writes the same bytes,
+summary.json included.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .config import AgentSpec, RunConfig, config_to_dict, list_of, parse_config, to_dict
-from .domain import Agent, AgentId, AgentStatus, EventKind, RosterEvent
+from .config import (  # the JSON-kind parsers read snapshots too
+    _BOOL, _DICT, _INT, _LIST, _STR, RunConfig, _build, _number, _numbers, config_to_dict,
+    parse_config, read_object, to_dict,
+)
+from .domain import Agent, AgentId, AgentStatus, ConfigError, EventKind, RosterEvent
 from .lifecycle import (
     enforce_service_cap,
     evaluate_and_release,
@@ -37,12 +44,12 @@ from .lifecycle import (
     vacant_roles,
 )
 from .metrics import PerformanceLog, count_ratios
-from .moe import Expert, MoEState, rl_update, uniform_moe
+from .moe import MoEState, rl_update, uniform_moe
 from .pipeline import CyclePipeline, DetectionRecord
 from .reward import compute_components, compute_reward
 from .simulator import generate_cycle
 
-SNAPSHOT_FORMAT_VERSION = 2
+SNAPSHOT_FORMAT_VERSION = 3
 
 METRICS_COLUMNS = (
     "cycle", "agent", "status", "TP", "FP", "FN", "TN",
@@ -136,57 +143,26 @@ def _system_metrics(tp: int, fp: int, fn: int, tn: int) -> dict:
     return {"decided": tp + fp + fn + tn, "f1": f1, "accuracy": accuracy}
 
 
-def _agent_from_spec(spec: AgentSpec, agent_id: AgentId, status: AgentStatus) -> Agent:
-    return Agent(
-        id=agent_id,
-        role=spec.role,
-        skills=spec.skills,
-        status=status,
-        moe=uniform_moe(spec.experts, learning_rate=spec.learning_rate),
-        service_time=spec.service_time,
-        cost_per_sample=spec.cost_per_sample,
-        handoff_reliability=spec.handoff_reliability,
-    )
-
-
-def agent_to_dict(agent: Agent) -> dict:
+def agent_state(agent: Agent) -> dict:
+    """What a snapshot keeps of an agent: everything its spec does not hold."""
     return {
         "id": agent.id,
-        "role": agent.role,
-        "skills": sorted(agent.skills),
         "status": agent.status.value,
         "service_time": agent.service_time,
         "performance": agent.performance,
         "consecutive_below": agent.consecutive_below,
-        "cost_per_sample": agent.cost_per_sample,
-        "handoff_reliability": agent.handoff_reliability,
-        "moe": {
-            "learning_rate": agent.moe.learning_rate,
-            "gate_weights": list(agent.moe.gate_weights),
-            "experts": [to_dict(e) for e in agent.moe.experts],
-        },
+        "gate_weights": list(agent.moe.gate_weights),
     }
 
 
-def agent_from_dict(node: dict) -> Agent:
-    moe_node = node["moe"]
-    path = f"agent {node['id']}.moe"
-    return Agent(
-        id=node["id"],
-        role=node["role"],
-        skills=frozenset(node["skills"]),
-        status=AgentStatus(node["status"]),
-        moe=MoEState(
-            experts=list_of(Expert)(moe_node["experts"], path, "experts"),
-            gate_weights=tuple(moe_node["gate_weights"]),
-            learning_rate=moe_node["learning_rate"],
-        ),
-        service_time=node["service_time"],
-        performance=node["performance"],
-        consecutive_below=node["consecutive_below"],
-        cost_per_sample=node["cost_per_sample"],
-        handoff_reliability=node["handoff_reliability"],
-    )
+def agent_to_dict(agent: Agent) -> dict:
+    """The summary.json entry of an agent: its state and its spec's fixed fields."""
+    spec, node = agent.spec, agent_state(agent)
+    moe = {"learning_rate": spec.learning_rate, "gate_weights": node.pop("gate_weights"),
+           "experts": [to_dict(e) for e in spec.experts]}
+    return {**node, "role": spec.role, "skills": sorted(spec.skills), "moe": moe,
+            "cost_per_sample": spec.cost_per_sample,
+            "handoff_reliability": spec.handoff_reliability}
 
 
 class Engine:
@@ -195,19 +171,16 @@ class Engine:
     def __init__(self, config: RunConfig) -> None:
         # Agent ids are spec order: roster specs first, then pool specs.
         n_roster = len(config.roster)
+        agents = [
+            Agent(i, spec, AgentStatus.ACTIVE if i < n_roster else AgentStatus.RELEASED,
+                  uniform_moe(spec.experts, spec.learning_rate), spec.service_time)
+            for i, spec in enumerate((*config.roster, *config.pool))
+        ]
         self.config = config
         self.cycle = 0
-        self.roster: dict[AgentId, Agent] = {
-            i: _agent_from_spec(spec, i, AgentStatus.ACTIVE) for i, spec in enumerate(config.roster)
-        }
-        self.pool: list[Agent] = [
-            _agent_from_spec(spec, n_roster + i, AgentStatus.RELEASED)
-            for i, spec in enumerate(config.pool)
-        ]
+        self.roster: dict[AgentId, Agent] = {a.id: a for a in agents[:n_roster]}
+        self.pool: list[Agent] = agents[n_roster:]
         self.totals = RunTotals()
-        self.misbehaving: frozenset[AgentId] = frozenset(
-            i for i, spec in enumerate((*config.roster, *config.pool)) if spec.misbehaving
-        )
         self.log = PerformanceLog()  # per-cycle windows, empty at every cycle boundary
 
     # -- one cycle --------------------------------------------------------
@@ -224,7 +197,6 @@ class Engine:
             log=self.log,
             seed=cfg.stream.seed,
             cycle=cycle,
-            misbehaving=self.misbehaving,
             emit_detections=cfg.emit_detections,
         )
         pipe.run_batch(batch)
@@ -306,33 +278,21 @@ class Engine:
         with (
             (out / "events.jsonl").open("w", encoding="utf-8", newline="\n") as events_file,
             (out / "metrics.csv").open("w", encoding="utf-8", newline="\n") as metrics_file,
+            (out / "detections.jsonl").open("w", encoding="utf-8", newline="\n")
+            if self.config.emit_detections else nullcontext() as detections_file,
         ):
-            detections_file = (
-                (out / "detections.jsonl").open("w", encoding="utf-8", newline="\n")
-                if self.config.emit_detections
-                else None
-            )
-            try:
-                metrics_file.write(",".join(METRICS_COLUMNS) + "\n")
-                while self.cycle < self.config.stream.total_cycles:
-                    report = self.run_cycle()
-                    for event in report.events:
-                        events_file.write(
-                            json.dumps(event.to_dict(), separators=(",", ":")) + "\n"
-                        )
-                    for row in report.rows:
-                        metrics_file.write(row.to_csv() + "\n")
-                    if detections_file is not None:
-                        for det in report.detections:
-                            detections_file.write(
-                                json.dumps(det.to_dict(), separators=(",", ":")) + "\n"
-                            )
-                    interval = self.config.snapshot_interval
-                    if interval > 0 and self.cycle % interval == 0:
-                        write_snapshot(self, snap_dir / f"state_cycle_{self.cycle:04d}.json")
-            finally:
-                if detections_file is not None:
-                    detections_file.close()
+            metrics_file.write(",".join(METRICS_COLUMNS) + "\n")
+            while self.cycle < self.config.stream.total_cycles:
+                report = self.run_cycle()
+                for event in report.events:
+                    events_file.write(json.dumps(event.to_dict(), separators=(",", ":")) + "\n")
+                for row in report.rows:
+                    metrics_file.write(row.to_csv() + "\n")
+                for det in report.detections:  # empty unless emit_detections is set
+                    detections_file.write(json.dumps(det.to_dict(), separators=(",", ":")) + "\n")
+                interval = self.config.snapshot_interval
+                if interval > 0 and self.cycle % interval == 0:
+                    write_snapshot(self, snap_dir / f"state_cycle_{self.cycle:04d}.json")
 
         summary = self.build_summary()
         (out / "summary.json").write_text(
@@ -386,8 +346,8 @@ def snapshot_state(engine: Engine) -> dict:
         "format_version": SNAPSHOT_FORMAT_VERSION,
         "next_cycle": engine.cycle,
         "config": config_to_dict(engine.config),
-        "roster": [agent_to_dict(engine.roster[aid]) for aid in sorted(engine.roster)],
-        "pool": [agent_to_dict(a) for a in engine.pool],
+        "roster": [agent_state(engine.roster[aid]) for aid in sorted(engine.roster)],
+        "pool": [agent_state(a) for a in engine.pool],
         "totals": asdict(engine.totals),
     }
 
@@ -406,14 +366,98 @@ def write_snapshot(engine: Engine, path: str | Path) -> None:
         raise
 
 
+def _checked(parse: Callable, ok: Callable, expected: str) -> Callable:
+    """``parse``, refusing a value for which ``ok`` is false."""
+
+    def check(value, path: str, key: str):
+        if ok(parsed := parse(value, path, key)):
+            return parsed
+        raise ConfigError(f"{path}.{key}: expected {expected}, got {value!r}")
+
+    return check
+
+
+def _each(parse: Callable) -> Callable:
+    """The parser of a JSON list whose item i ``parse`` reads at ``key[i]``."""
+    return lambda value, path, key: [
+        parse(item, path, f"{key}[{i}]") for i, item in enumerate(_LIST(value, path, key))
+    ]
+
+
+def _object(parsers: dict[str, Callable]) -> Callable:
+    """The parser of a JSON object holding exactly the keys of ``parsers``."""
+    return lambda value, path, key: read_object(value, f"{path}.{key}", parsers)
+
+
+_COUNT = _checked(_INT, lambda n: n >= 0, "an integer >= 0")
+_STATUSES = {status.value for status in AgentStatus}
+_KINDS = {kind.value for kind in EventKind}
+
+
+def _cycle(value, path: str, key: str) -> tuple[int, int, int, int, bool]:
+    """One cycle of the run totals: tp, fp, fn, tn, and whether it stalled."""
+    row = _checked(_LIST, lambda row: len(row) == 5, "four integers and a bool")(value, path, key)
+    parsers = (_COUNT,) * 4 + (_BOOL,)
+    return tuple(parse(v, path, f"{key}[{j}]") for j, (parse, v) in enumerate(zip(parsers, row)))
+
+
+def _event_counts(value, path: str, key: str) -> dict[str, int]:
+    counts = _checked(_DICT, _KINDS.issuperset, f"keys among {sorted(_KINDS)}")(value, path, key)
+    return {kind: _COUNT(n, f"{path}.{key}", kind) for kind, n in counts.items()}
+
+
+_AGENTS = _each(_object({  # the keys of agent_state
+    "id": _COUNT, "service_time": _COUNT, "consecutive_below": _COUNT,
+    "status": _checked(_STR, _STATUSES.__contains__, f"one of {sorted(_STATUSES)}"),
+    "performance": _checked(_number, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
+    "gate_weights": _numbers(),
+}))
+_SNAPSHOT = {
+    "format_version": _INT, "next_cycle": _COUNT, "config": _DICT,
+    "roster": _AGENTS, "pool": _AGENTS,
+    "totals": _object({
+        "cycles": _each(_cycle),
+        "event_counts": _event_counts,
+        "key_cycles": _object(dict.fromkeys(FIRST_EVENT_KEYS.values(), lambda value, *at: (
+            None if value is None else _COUNT(value, *at)))),
+    }),
+}
+
+
+def _engine_from_snapshot(node: dict, path: str) -> Engine:
+    """The engine of a parsed snapshot: each agent entry joined to the spec
+    at its id, the gate rebuilt through ``MoEState``."""
+    snap = read_object(node, path, _SNAPSHOT)
+    engine = Engine(parse_config(snap["config"], source=f"{path}.config"))
+    specs = (*engine.config.roster, *engine.config.pool)
+    if sorted(a["id"] for a in snap["roster"] + snap["pool"]) != list(range(len(specs))):
+        raise ConfigError(f"{path}: roster and pool ids must be 0..{len(specs) - 1}, each once")
+    agents: dict[str, list[Agent]] = {"roster": [], "pool": []}
+    for key, joined in agents.items():
+        for i, state in enumerate(snap[key]):
+            at, spec, status = f"{path}.{key}[{i}]", specs[state["id"]], state.pop("status")
+            if (status == AgentStatus.RELEASED) != (key == "pool"):
+                raise ConfigError(f"{at}.status: a {key} agent cannot be {status}")
+            gate = dict(experts=spec.experts, gate_weights=state.pop("gate_weights"),
+                        learning_rate=spec.learning_rate)
+            moe = _build(MoEState, at, gate)
+            joined.append(Agent(spec=spec, status=AgentStatus(status), moe=moe, **state))
+    engine.roster, engine.pool = {a.id: a for a in agents["roster"]}, agents["pool"]
+    engine.cycle, engine.totals = snap["next_cycle"], RunTotals(**snap["totals"])
+    if (covered := len(engine.totals.cycles)) != engine.cycle:
+        raise ConfigError(f"{path}: totals cover {covered} cycles, not {engine.cycle}")
+    return engine
+
+
 def restore_engine(path: str | Path) -> Engine:
-    """Rebuild an engine from a snapshot; refuses partial or alien files."""
+    """Rebuild an engine from a snapshot. Refuses partial or alien files
+    and any value its parsers reject, naming the value's dotted path."""
     try:
         node = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SnapshotError(f"snapshot not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"snapshot corrupt at {path}:{exc.lineno}: {exc.msg}")
+    except ValueError as exc:  # bad JSON, not UTF-8, or an integer too long to convert
+        raise SnapshotError(f"snapshot corrupt at {path}: {exc}")
 
     if not isinstance(node, dict) or "format_version" not in node:
         raise SnapshotError(f"{path}: not a snapshot file")
@@ -423,20 +467,6 @@ def restore_engine(path: str | Path) -> Engine:
             f"!= supported {SNAPSHOT_FORMAT_VERSION}"
         )
     try:
-        engine = Engine(parse_config(node["config"], source=f"{path}#config"))
-        engine.roster = {a["id"]: agent_from_dict(a) for a in node["roster"]}
-        engine.pool = [agent_from_dict(a) for a in node["pool"]]
-        engine.cycle = int(node["next_cycle"])
-        totals = node["totals"]
-        engine.totals = RunTotals(
-            cycles=[tuple(c) for c in totals["cycles"]],
-            event_counts=dict(totals["event_counts"]),
-            key_cycles=dict(totals["key_cycles"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(f"{path}: snapshot incomplete or malformed ({exc!r})")
-    if len(engine.totals.cycles) != engine.cycle:
-        raise SnapshotError(
-            f"{path}: totals cover {len(engine.totals.cycles)} cycles, not {engine.cycle}"
-        )
-    return engine
+        return _engine_from_snapshot(node, str(path))
+    except ConfigError as exc:
+        raise SnapshotError(str(exc)) from None

@@ -64,7 +64,7 @@ class RoleSpec:
 def vacant_roles(roster: dict[AgentId, Agent], roles: tuple[RoleSpec, ...]) -> list[RoleSpec]:
     """A role is vacant iff no Active or Probationary agent fills it."""
     filled = {
-        agent.role
+        agent.spec.role
         for agent in roster.values()
         if agent.status in (AgentStatus.ACTIVE, AgentStatus.PROBATIONARY)
     }
@@ -84,15 +84,7 @@ def _release(
     agent.consecutive_below = 0
     del roster[agent.id]
     pool.append(agent)
-    events.append(
-        RosterEvent(
-            cycle=cycle,
-            kind=kind,
-            agent=agent.id,
-            detail=detail,
-            performance_snapshot=agent.performance,
-        )
-    )
+    events.append(RosterEvent.of(cycle, kind, agent, detail))
 
 
 def evaluate_and_release(
@@ -164,7 +156,7 @@ def fill_vacant_roles(
     for vacancy in vacancies:
         candidates = [
             a for a in pool
-            if a.skills >= vacancy.required_skills
+            if a.spec.skills >= vacancy.required_skills
             and service_after_signing(a) < cfg.max_service_time
         ]
         if not candidates:
@@ -177,20 +169,12 @@ def fill_vacant_roles(
         best = min(candidates, key=lambda a: (-a.performance, a.id))
         pool.remove(best)
         best.status = AgentStatus.PROBATIONARY
-        best.role = vacancy.name
         best.consecutive_below = 0
         best.service_time = service_after_signing(best)
         roster[best.id] = best
         signed.append(best.id)
-        events.append(
-            RosterEvent(
-                cycle=cycle,
-                kind=EventKind.SIGN,
-                agent=best.id,
-                detail=f"signed for role {vacancy.name}",
-                performance_snapshot=best.performance,
-            )
-        )
+        detail = f"signed for role {vacancy.name}"
+        events.append(RosterEvent.of(cycle, EventKind.SIGN, best, detail))
     return signed
 
 
@@ -222,15 +206,8 @@ def transition_probationary(
         if performance >= cfg.release_threshold:
             agent.status = AgentStatus.ACTIVE
             agent.consecutive_below = 0
-            events.append(
-                RosterEvent(
-                    cycle=cycle,
-                    kind=EventKind.PROMOTE,
-                    agent=agent_id,
-                    detail=f"shadow performance {performance:.4f} >= {cfg.release_threshold}",
-                    performance_snapshot=performance,
-                )
-            )
+            detail = f"shadow performance {performance:.4f} >= {cfg.release_threshold}"
+            events.append(RosterEvent.of(cycle, EventKind.PROMOTE, agent, detail))
         else:
             _release(
                 agent, roster, pool, EventKind.RELEASE, cycle,
@@ -247,15 +224,8 @@ def increment_service_time(
     for agent_id in sorted(roster):
         agent = roster[agent_id]
         agent.service_time += 1
-        events.append(
-            RosterEvent(
-                cycle=cycle,
-                kind=EventKind.SERVICE_TICK,
-                agent=agent_id,
-                detail=f"service_time={agent.service_time}",
-                performance_snapshot=agent.performance,
-            )
-        )
+        detail = f"service_time={agent.service_time}"
+        events.append(RosterEvent.of(cycle, EventKind.SERVICE_TICK, agent, detail))
 
 
 def enforce_service_cap(

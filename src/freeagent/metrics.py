@@ -81,16 +81,7 @@ def evaluate_fraud_performance(
     win = log.window(agent.id)
     score = f1_from_counts(win.true_positives, win.false_positives, win.false_negatives)
     agent.performance = score
-    events.append(
-        RosterEvent(
-            cycle=cycle,
-            kind=EventKind.EVALUATE,
-            agent=agent.id,
-            detail=(
-                f"tp={win.true_positives} fp={win.false_positives} "
-                f"fn={win.false_negatives} tn={win.true_negatives}"
-            ),
-            performance_snapshot=score,
-        )
-    )
+    detail = (f"tp={win.true_positives} fp={win.false_positives} "
+              f"fn={win.false_negatives} tn={win.true_negatives}")
+    events.append(RosterEvent.of(cycle, EventKind.EVALUATE, agent, detail))
     return score

@@ -65,10 +65,8 @@ def check_learning_rate(rate: float) -> None:
 
 
 def uniform_moe(experts: tuple[Expert, ...], learning_rate: float = 0.05) -> MoEState:
-    n = len(experts)
-    if n == 0:
-        raise ConfigError("an agent needs at least one expert")
-    return MoEState(experts=experts, gate_weights=(1.0 / n,) * n, learning_rate=learning_rate)
+    n = len(experts)  # no experts: no weights, which MoEState refuses
+    return MoEState(experts, tuple(1.0 / n for _ in experts), learning_rate)
 
 
 def rl_update(moe: MoEState, experts: Sequence[int], signals: Sequence[float]) -> MoEState:

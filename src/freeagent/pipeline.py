@@ -136,13 +136,11 @@ class CyclePipeline:
         log: PerformanceLog,
         seed: int,
         cycle: int,
-        misbehaving: frozenset[AgentId] = frozenset(),
         emit_detections: bool = False,
     ) -> None:
         self.roster = roster
         self.log = log
         self.cycle = cycle
-        self.misbehaving = misbehaving
         # Per agent: the experts used and the +1/-1 reward signals, in seq order.
         self.rewards: dict[AgentId, tuple[list[int], list[float]]] = {}
         self.detections: list[DetectionRecord] = []
@@ -153,7 +151,7 @@ class CyclePipeline:
         # Membership and status are fixed for the duration of the batch;
         # performance only changes at evaluation time, so the dispatch
         # order and each agent's tier are too.
-        fraud = [a for a in roster.values() if a.role == FRAUD_ROLE]
+        fraud = [a for a in roster.values() if a.spec.role == FRAUD_ROLE]
         self._active = [
             (a, a.access_tier)
             for a in sorted(fraud, key=lambda a: (-a.performance, a.id))
@@ -173,11 +171,11 @@ class CyclePipeline:
         batch; a fully reliable agent draws nothing.
         """
         win = self.log.window(agent.id)
-        if agent.handoff_reliability >= 1.0:
+        if agent.spec.handoff_reliability >= 1.0:
             ok = np.ones(k, dtype=bool)
         else:
             gen = self._rng.reset("handoff", self._seed, self.cycle, agent.id)
-            ok = gen.random(k) < agent.handoff_reliability
+            ok = gen.random(k) < agent.spec.handoff_reliability
         win.handoffs_attempted += k
         win.handoffs_succeeded += int(np.count_nonzero(ok))
         return ok
@@ -199,7 +197,7 @@ class CyclePipeline:
             win.false_positives += int(np.count_nonzero(verdict & ~label))
             win.false_negatives += int(np.count_nonzero(~verdict & label))
             win.true_negatives += int(np.count_nonzero(~verdict & ~label))
-            if agent.id in self.misbehaving and tier is not AccessTier.FULL:
+            if agent.spec.misbehaving and tier is not AccessTier.FULL:
                 # Audit hook: the agent tried to read the raw samples. Each
                 # attempt is blocked and tallied; the decisions still run
                 # on redacted data.

@@ -81,7 +81,7 @@ def compute_components(agent: Agent, log: PerformanceLog, cfg: RewardConfig) -> 
     # Every decided sample costs the agent's cost_per_sample, so the
     # baseline cost of the work over the cost spent is a ratio of rates.
     if win.samples_seen > 0:
-        efficiency = _clamp(cfg.baseline_cost_per_sample / agent.cost_per_sample)
+        efficiency = _clamp(cfg.baseline_cost_per_sample / agent.spec.cost_per_sample)
     else:
         efficiency = 0.0
 

@@ -128,16 +128,14 @@ class ScalarPipeline:
     keyed stream for the cycle.
     """
 
-    def __init__(self, roster: dict[AgentId, Agent], seed: int, cycle: int,
-                 misbehaving: frozenset[AgentId] = frozenset()) -> None:
+    def __init__(self, roster: dict[AgentId, Agent], seed: int, cycle: int) -> None:
         self.log = PerformanceLog()
         self.rewards: dict[AgentId, list[tuple[int, float]]] = {}
         self.detections: list[DetectionRecord] = []
         self.stalled_samples = 0
-        self._misbehaving = misbehaving
         self._rngs: dict[AgentId, KeyedRng] = {}
         self._seed, self._cycle = seed, cycle
-        fraud = [a for a in roster.values() if a.role == FRAUD_ROLE]
+        fraud = [a for a in roster.values() if a.spec.role == FRAUD_ROLE]
         ranked = sorted(fraud, key=lambda a: (-a.performance, a.id))
         self._active = [a for a in ranked if a.status is AgentStatus.ACTIVE]
         self._shadows = sorted(
@@ -147,19 +145,19 @@ class ScalarPipeline:
     def _handoff_ok(self, agent: Agent) -> bool:
         win = self.log.window(agent.id)
         win.handoffs_attempted += 1
-        if agent.handoff_reliability >= 1.0:
+        if agent.spec.handoff_reliability >= 1.0:
             ok = True
         else:
             if agent.id not in self._rngs:
                 self._rngs[agent.id] = KeyedRng()
                 self._rngs[agent.id].reset("handoff", self._seed, self._cycle, agent.id)
-            ok = bool(self._rngs[agent.id].generator.random() < agent.handoff_reliability)
+            ok = bool(self._rngs[agent.id].generator.random() < agent.spec.handoff_reliability)
         win.handoffs_succeeded += ok
         return ok
 
     def _decide(self, agent: Agent, sample: DataSample, shadow: bool) -> None:
         tier = agent.access_tier
-        if agent.id in self._misbehaving and tier is not AccessTier.FULL:
+        if agent.spec.misbehaving and tier is not AccessTier.FULL:
             self.log.window(agent.id).violations += 1
         features = redact(sample.features, tier)
         idx = gate(agent.moe, sample.modality)

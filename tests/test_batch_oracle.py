@@ -7,7 +7,8 @@ from dataclasses import astuple
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from freeagent.domain import AccessTier, Agent, AgentStatus
+from freeagent.config import AgentSpec
+from freeagent.domain import FRAUD_ROLE, AccessTier, Agent, AgentStatus
 from freeagent.metrics import PerformanceLog
 from freeagent.moe import Expert, MoEState, rl_update
 from freeagent.pipeline import CyclePipeline, decide, redact
@@ -55,17 +56,23 @@ def rosters(draw):
     roster = {}
     for agent_id in draw(st.permutations(range(n_active + n_shadow))):
         status = AgentStatus.ACTIVE if len(roster) < n_active else AgentStatus.PROBATIONARY
+        moe = draw(moes())
+        spec = AgentSpec(
+            role=FRAUD_ROLE,
+            skills=frozenset({"fraud"}),
+            experts=moe.experts,
+            learning_rate=moe.learning_rate,
+            handoff_reliability=draw(st.sampled_from((1.0, 0.9, 0.5, 0.0))),
+            misbehaving=draw(st.booleans()),
+        )
         roster[agent_id] = Agent(
             id=agent_id,
-            role="FraudDetection",
-            skills=frozenset({"fraud"}),
+            spec=spec,
             status=status,
-            moe=draw(moes()),
+            moe=moe,
             performance=draw(st.sampled_from((0.0, 0.5, 0.9))),
-            handoff_reliability=draw(st.sampled_from((1.0, 0.9, 0.5, 0.0))),
         )
-    misbehaving = frozenset(draw(st.sets(st.sampled_from(sorted(roster) or [0]))))
-    return roster, misbehaving
+    return roster
 
 
 @st.composite
@@ -86,13 +93,12 @@ def streams(draw):
 @settings(max_examples=60, deadline=None)
 @given(stream=streams(), cycle=st.integers(0, 1), roster=rosters())
 def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
-    roster, misbehaving = roster
     pipe = CyclePipeline(roster, PerformanceLog(), seed=stream.seed, cycle=cycle,
-                         misbehaving=misbehaving, emit_detections=True)
+                         emit_detections=True)
     batch = generate_cycle(stream, cycle)
     pipe.run_batch(batch)
 
-    ref = oracle.ScalarPipeline(roster, seed=stream.seed, cycle=cycle, misbehaving=misbehaving)
+    ref = oracle.ScalarPipeline(roster, seed=stream.seed, cycle=cycle)
     rng = oracle.KeyedRng()
     samples = [oracle.generate_sample(stream, cycle, seq, rng) for seq in range(len(batch))]
     for sample in samples:

@@ -209,6 +209,17 @@ class TestCli:
                      id="learning_rate_negative"),
         pytest.param("roster.0.learning_rate", 800, "cfg.json.roster[0]: learning_rate",
                      id="learning_rate_overflows_the_gate_factor"),
+        # the run config's own checks name the section they read
+        pytest.param("output", {"snapshot_interval": -1},
+                     "cfg.json.output: snapshot_interval must be >= 0",
+                     id="snapshot_interval_negative"),
+        pytest.param("roles", MINIMAL["roles"] * 2, "cfg.json.roles: duplicate role names",
+                     id="duplicate_role_names"),
+        # a cycle's batch is built in memory at once: too large a one would
+        # fail inside numpy after the output directory exists
+        pytest.param("stream.samples_per_cycle", 2**62,
+                     "cfg.json.stream: samples_per_cycle must be in [1, 1048576]",
+                     id="samples_per_cycle_too_large"),
     ])
     def test_validate_bad_config_exits_nonzero(self, tmp_path, capsys, verb, key, value, named):
         path = tmp_path / "absent.json"
@@ -238,7 +249,11 @@ class TestCli:
         assert f"{section}[0].{field}" in capsys.readouterr().err
 
     def test_validate_requires_exactly_one_source(self, capsys):
-        assert main(["validate"]) == 2
+        for sources in ([], ["--config", "cfg.json", "--preset", "section-4.4"]):
+            assert main(["validate", *sources]) == 2
+            assert capsys.readouterr().err == (
+                "invalid: exactly one of --config or --preset is required\n"
+            )
 
     def test_run_config_and_report(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -376,15 +391,22 @@ class TestSnapshots:
         with pytest.raises(SnapshotError):
             restore_engine(snap)
 
+    def test_snapshot_that_is_not_utf8_refused(self, tmp_path):
+        snap = tmp_path / "snap.json"
+        snap.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SnapshotError, match="snapshot corrupt at .*utf-8"):
+            restore_engine(snap)
+
     def test_version_mismatch_refused(self, tmp_path):
         engine = Engine(small_config())
         snap = tmp_path / "snap.json"
         write_snapshot(engine, snap)
         node = json.loads(snap.read_text())
-        for version in (1, 999):  # format 1 lacks the run totals
+        # format 1 lacks the run totals, formats 1 and 2 repeat each agent's spec
+        for version in (1, 2, 999):
             node["format_version"] = version
             snap.write_text(json.dumps(node))
-            with pytest.raises(SnapshotError, match=f"snapshot format {version} != supported 2"):
+            with pytest.raises(SnapshotError, match=f"snapshot format {version} != supported 3"):
                 restore_engine(snap)
 
     def test_missing_snapshot_refused(self, tmp_path):
@@ -497,7 +519,7 @@ class TestSnapshots:
             ).read_bytes(), name
 
     def test_snapshot_holds_exactly_the_engine_state(self, tmp_path):
-        engine = Engine(small_config())
+        engine = Engine(small_config(pool_specs=small_config().roster))
         engine.run_cycle()
         snap = tmp_path / "snap.json"
         write_snapshot(engine, snap)
@@ -505,6 +527,11 @@ class TestSnapshots:
         node = json.loads(text)
         assert sorted(node) == ["config", "format_version", "next_cycle", "pool", "roster", "totals"]
         assert sorted(node["totals"]) == ["cycles", "event_counts", "key_cycles"]
+        # an agent is its spec, which the config holds, plus this state
+        state = ["consecutive_below", "gate_weights", "id", "performance", "service_time",
+                 "status"]
+        assert node["roster"] and node["pool"]
+        assert all(sorted(a) == state for a in node["roster"] + node["pool"])
         assert text == json.dumps(node, separators=(",", ":"), sort_keys=True) + "\n"
 
     def test_cli_restore_flow(self, tmp_path):
@@ -542,6 +569,100 @@ class TestSnapshots:
         out = tmp_path / "out"
         assert main(["run", "--restore", str(snap), *override, "--out", str(out)]) == 2
         assert f"{override[0]} cannot be combined with --restore" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,named", [
+        # an agent entry holds its state only; an old spec key is unknown
+        pytest.param("roster.0.skills", ["fraud"], "snap.json.roster[0]: unknown keys ['skills']",
+                     id="old_spec_key"),
+        pytest.param("roster.0.skills", "fraud", "snap.json.roster[0]: unknown keys",
+                     id="skills_string"),
+        pytest.param("roster.0.role", "Other", "snap.json.roster[0]: unknown keys ['role']",
+                     id="role_other"),
+        pytest.param("pool.0.handoff_reliability", math.nan, "snap.json.pool[0]: unknown keys",
+                     id="handoff_reliability_nan"),
+        pytest.param("pool.0.cost_per_sample", -1.0, "snap.json.pool[0]: unknown keys",
+                     id="cost_per_sample_negative"),
+        pytest.param("roster.0.extra", 1, "snap.json.roster[0]: unknown keys ['extra']",
+                     id="unknown_key"),
+        pytest.param("roster.0.performance", None,
+                     "snap.json.roster[0]: missing required key 'performance'", id="missing_key"),
+        # counts are JSON integers >= 0
+        pytest.param("roster.0.id", 0.0, "snap.json.roster[0].id", id="id_float"),
+        pytest.param("pool.0.id", -1, "snap.json.pool[0].id", id="id_negative"),
+        pytest.param("roster.0.service_time", "3", "snap.json.roster[0].service_time",
+                     id="service_time_text"),
+        pytest.param("roster.0.service_time", -1, "snap.json.roster[0].service_time",
+                     id="service_time_negative"),
+        pytest.param("roster.0.consecutive_below", True, "snap.json.roster[0].consecutive_below",
+                     id="consecutive_below_bool"),
+        pytest.param("roster.0.consecutive_below", -2, "snap.json.roster[0].consecutive_below",
+                     id="consecutive_below_negative"),
+        # performance is a finite number in [0, 1]
+        pytest.param("roster.0.performance", "0.9", "snap.json.roster[0].performance",
+                     id="performance_text"),
+        pytest.param("roster.0.performance", math.nan, "snap.json.roster[0].performance",
+                     id="performance_nan"),
+        pytest.param("roster.0.performance", 1.5, "snap.json.roster[0].performance",
+                     id="performance_above_one"),
+        # the gate is rebuilt through MoEState, so its checks run
+        pytest.param("roster.0.gate_weights", [0.5, 0.5],
+                     "snap.json.roster[0]: gate_weights length must match expert count",
+                     id="gate_weights_long"),
+        pytest.param("roster.0.gate_weights", [-1.0], "snap.json.roster[0]: gate weights",
+                     id="gate_weights_negative"),
+        pytest.param("roster.0.gate_weights", [0.0], "snap.json.roster[0]: gate weights",
+                     id="gate_weights_zero"),
+        pytest.param("roster.0.gate_weights", ["1"], "snap.json.roster[0].gate_weights",
+                     id="gate_weights_text"),
+        # ids are spec order: 0..n-1, each once, and a status fits the list
+        pytest.param("pool.0.id", 0, "snap.json: roster and pool ids", id="id_in_roster_and_pool"),
+        pytest.param("pool", [], "snap.json: roster and pool ids", id="id_missing"),
+        pytest.param("pool.0.id", 2, "snap.json: roster and pool ids", id="id_without_spec"),
+        pytest.param("roster.0.status", "Released", "snap.json.roster[0].status",
+                     id="roster_agent_released"),
+        pytest.param("pool.0.status", "Active", "snap.json.pool[0].status",
+                     id="pool_agent_active"),
+        pytest.param("pool.0.status", "Other", "snap.json.pool[0].status", id="status_unknown"),
+        # a cycle's totals are four integers and a bool
+        pytest.param("totals.cycles.0", "x", "snap.json.totals.cycles[0]", id="cycle_text"),
+        pytest.param("totals.cycles.0", [1, 2, 3, 4], "snap.json.totals.cycles[0]",
+                     id="cycle_short"),
+        pytest.param("totals.cycles.0", [1, 2, 3, 4.0, False], "snap.json.totals.cycles[0][3]",
+                     id="cycle_count_float"),
+        pytest.param("totals.cycles.0", [1, 2, 3, 4, 0], "snap.json.totals.cycles[0][4]",
+                     id="cycle_stalled_number"),
+        # the rest of the totals and the cycle count are checked too
+        pytest.param("totals.event_counts.Bogus", 1, "snap.json.totals.event_counts",
+                     id="event_count_unknown_kind"),
+        pytest.param("totals.event_counts.Sign", "1", "snap.json.totals.event_counts.Sign",
+                     id="event_count_text"),
+        pytest.param("totals.key_cycles.first_sign", None,
+                     "snap.json.totals.key_cycles: missing required key 'first_sign'",
+                     id="key_cycle_missing"),
+        pytest.param("next_cycle", "1", "snap.json.next_cycle", id="next_cycle_text"),
+        pytest.param("next_cycle", 2, "snap.json: totals cover 1 cycles, not 2",
+                     id="next_cycle_past_the_totals"),
+    ])
+    def test_cli_restore_rejects_a_bad_snapshot(self, tmp_path, capsys, key, value, named):
+        # one Active roster agent and one Released pool agent, after a cycle
+        engine = Engine(small_config(cycles=2, pool_specs=small_config().roster))
+        engine.run_cycle()
+        snap = tmp_path / "snap.json"
+        write_snapshot(engine, snap)
+        node = json.loads(snap.read_text())
+        *parents, last = (int(part) if part.isdigit() else part for part in key.split("."))
+        entry = node
+        for part in parents:
+            entry = entry[part]
+        if value is None:
+            del entry[last]
+        else:
+            entry[last] = value
+        snap.write_text(json.dumps(node))
+        out = tmp_path / "out"
+        assert main(["run", "--restore", str(snap), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -159,7 +159,7 @@ class TestReplacementFlow:
         signed_agent = engine.roster.get(sign.agent) or next(
             a for a in engine.pool if a.id == sign.agent
         )
-        assert signed_agent.skills >= required
+        assert signed_agent.spec.skills >= required
 
 
 class TestLiteralMode:

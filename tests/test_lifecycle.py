@@ -107,12 +107,10 @@ class TestEvaluateAndRelease:
 
 class TestFillVacantRoles:
     def test_skills_superset_required(self):
-        a = detector(1)
+        a = detector(1, skills={"text"})
         a.status = AgentStatus.RELEASED
-        a.skills = frozenset({"text"})
-        b = detector(2)
+        b = detector(2, skills={"text", "pattern-B"})
         b.status = AgentStatus.RELEASED
-        b.skills = frozenset({"text", "pattern-B"})
         b.performance = 0.9
         pool = [a, b]
         roster, events = {}, []

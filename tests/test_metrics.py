@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from freeagent.config import AgentSpec
 from freeagent.domain import (
+    FRAUD_ROLE,
     Agent,
     AgentStatus,
 )
@@ -29,14 +31,13 @@ def f1_oracle(tp: int, fp: int, fn: int) -> float:
 
 
 def make_agent(agent_id=0, cost=1.0):
-    return Agent(
-        id=agent_id,
-        role="FraudDetection",
+    spec = AgentSpec(
+        role=FRAUD_ROLE,
         skills=frozenset({"fraud"}),
-        status=AgentStatus.ACTIVE,
-        moe=uniform_moe((Expert(profile=(1.0,), weights=(1.0,), threshold=0.0),)),
+        experts=(Expert(profile=(1.0,), weights=(1.0,), threshold=0.0),),
         cost_per_sample=cost,
     )
+    return Agent(id=agent_id, spec=spec, status=AgentStatus.ACTIVE, moe=uniform_moe(spec.experts))
 
 
 def decide_batch(log: PerformanceLog, verdicts: list[bool], labels: list[bool]) -> None:

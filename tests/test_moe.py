@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from freeagent.config import AgentSpec
 from freeagent.domain import (
+    FRAUD_ROLE,
     Agent,
     AgentStatus,
     ComputationError,
@@ -40,13 +42,8 @@ def two_expert_moe(gate_weights=(0.5, 0.5), profiles=((1.0, 0.0), (0.0, 1.0))):
 
 
 def make_agent(moe, status=AgentStatus.PROBATIONARY):
-    return Agent(
-        id=0,
-        role="FraudDetection",
-        skills=frozenset({"fraud"}),
-        status=status,
-        moe=moe,
-    )
+    spec = AgentSpec(FRAUD_ROLE, frozenset({"fraud"}), moe.experts, moe.learning_rate)
+    return Agent(id=0, spec=spec, status=status, moe=moe)
 
 
 class TestGate:

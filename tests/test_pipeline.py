@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from freeagent.config import AgentSpec
 from freeagent.domain import (
+    FRAUD_ROLE,
     AccessTier,
     Agent,
     AgentStatus,
@@ -21,20 +23,18 @@ from freeagent.simulator import SampleBatch
 
 
 def detector(agent_id, status=AgentStatus.ACTIVE, performance=0.0, threshold=0.5,
-             reliability=1.0, weights=None):
+             reliability=1.0, weights=None, skills=("fraud",), misbehaving=False):
     """Agent with one expert scoring feature 0."""
-    agent = Agent(
-        id=agent_id,
-        role="FraudDetection",
-        skills=frozenset({"fraud"}),
-        status=status,
-        moe=uniform_moe(
-            (Expert(profile=(1.0, 0.0, 0.0),
-                    weights=weights or (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-                    threshold=threshold),)
-        ),
+    spec = AgentSpec(
+        role=FRAUD_ROLE,
+        skills=frozenset(skills),
+        experts=(Expert(profile=(1.0, 0.0, 0.0),
+                        weights=weights or (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                        threshold=threshold),),
         handoff_reliability=reliability,
+        misbehaving=misbehaving,
     )
+    agent = Agent(id=agent_id, spec=spec, status=status, moe=uniform_moe(spec.experts))
     agent.performance = performance
     return agent
 
@@ -205,10 +205,10 @@ class TestProcessSample:
         assert pipe.rewards[0] == ([0, 0], [1.0, -1.0])
 
     def test_misbehaving_restricted_agent_logged_not_leaked(self):
-        shadow = detector(1, status=AgentStatus.PROBATIONARY)
+        shadow = detector(1, status=AgentStatus.PROBATIONARY, misbehaving=True)
         roster = {0: detector(0), 1: shadow}
         log = PerformanceLog()
-        pipe = pipeline(roster, log, misbehaving=frozenset({1}))
+        pipe = pipeline(roster, log)
         pipe.run_batch(batch((0.0, 0, 0, 9.0, 0, 0), label=True))
         assert log.window(1).violations == 1
         # decision still based on redacted data (sensitive suffix invisible)
@@ -216,9 +216,9 @@ class TestProcessSample:
         assert row.verdict is False
 
     def test_misbehaving_full_tier_agent_never_violates(self):
-        roster = {0: detector(0)}
+        roster = {0: detector(0, misbehaving=True)}
         log = PerformanceLog()
-        pipe = pipeline(roster, log, misbehaving=frozenset({0}))
+        pipe = pipeline(roster, log)
         pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True))
         assert log.window(0).violations == 0
 
