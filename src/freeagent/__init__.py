@@ -9,12 +9,11 @@ from .domain import (
     ComputationError,
     ConfigError,
     EventKind,
-    LifecycleError,
     RosterEvent,
 )
 from .engine import Engine, SnapshotError, restore_engine, snapshot_state, write_snapshot
 from .lifecycle import LifecycleConfig
-from .moe import Expert, MoEState, moe_init, rl_update, uniform_moe
+from .moe import Expert, check_gate, rl_update, uniform_gate
 from .simulator import DriftSchedule, PatternSpec, ScenarioSpec, Segment, StreamConfig
 
 __version__ = "0.1.0"
@@ -31,19 +30,17 @@ __all__ = [
     "EventKind",
     "Expert",
     "LifecycleConfig",
-    "LifecycleError",
-    "MoEState",
     "PatternSpec",
     "RosterEvent",
     "ScenarioSpec",
     "Segment",
     "SnapshotError",
     "StreamConfig",
-    "moe_init",
+    "check_gate",
     "restore_engine",
     "rl_update",
     "snapshot_state",
-    "uniform_moe",
+    "uniform_gate",
     "write_snapshot",
     "__version__",
 ]

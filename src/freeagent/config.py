@@ -21,7 +21,7 @@ import numpy as np
 
 from .domain import FRAUD_ROLE, AccessTier, ConfigError, DispatchedRole
 from .lifecycle import LifecycleConfig, RoleSpec
-from .moe import Expert, check_learning_rate, uniform_moe
+from .moe import Expert, check_learning_rate, uniform_gate
 from .pipeline import decide, redact
 from .reward import RewardConfig, RewardWeights
 from .simulator import (
@@ -122,25 +122,19 @@ def _number(value, path: str, key: str) -> float:
     raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
 
 
-def _numbers(length: int | None = None) -> Callable:
-    """The parser of a list of ``length`` (any, if None) finite numbers,
-    checked as a whole rather than per element."""
-
-    def parse(value, path: str, key: str) -> tuple[float, ...]:
-        if type(value) is list and len(value) == (length or len(value)):
-            types = set(map(type, value))
-            if types <= _NUMBER_TYPES:
-                try:
-                    numbers = tuple(value) if types == _FLOATS else tuple(map(float, value))
-                except OverflowError:
-                    numbers = (math.inf,)
-                # a sum of finite numbers may overflow: then check each one
-                if math.isfinite(sum(numbers)) or all(map(math.isfinite, numbers)):
-                    return numbers
-        count = length or "a list of"
-        raise ConfigError(f"{path}.{key}: expected {count} finite numbers, got {value!r}")
-
-    return parse
+def _numbers(value, path: str, key: str) -> tuple[float, ...]:
+    """A list of finite numbers, checked as a whole rather than per element."""
+    if type(value) is list:
+        types = set(map(type, value))
+        if types <= _NUMBER_TYPES:
+            try:
+                numbers = tuple(value) if types == _FLOATS else tuple(map(float, value))
+            except OverflowError:
+                numbers = (math.inf,)
+            # a sum of finite numbers may overflow: then check each one
+            if math.isfinite(sum(numbers)) or all(map(math.isfinite, numbers)):
+                return numbers
+    raise ConfigError(f"{path}.{key}: expected a list of finite numbers, got {value!r}")
 
 
 def _strings(value, path: str, key: str) -> frozenset[str]:
@@ -201,7 +195,7 @@ _KINDS = {
     int: (_INT, None),
     bool: (_BOOL, None),
     str: (_STR, None),
-    tuple[float, ...]: (_numbers(), list),
+    tuple[float, ...]: (_numbers, list),
     frozenset[str]: (_strings, sorted),
     dict[int, float]: (_shift, lambda shift: {str(k): v for k, v in sorted(shift.items())}),
     tuple[Expert, ...]: (list_of(Expert), lambda experts: [to_dict(e) for e in experts]),
@@ -213,8 +207,6 @@ def _table(cls: type) -> tuple[Key, ...]:
     table, kinds = [], get_type_hints(cls)
     for f in fields(cls):
         parse, dump = _KINDS.get(kinds[f.name], (None, None))
-        if "length" in f.metadata:
-            parse = _numbers(f.metadata["length"])
         if parse is not None:
             required = f.default is MISSING and f.default_factory is MISSING
             table.append(Key(f.name, kinds[f.name], parse, dump, required))
@@ -424,8 +416,8 @@ def _check_calibration(scenario: ScenarioSpec) -> None:
     pure_a, mixture = generate_cycle(stream, 0), generate_cycle(stream, DRIFT_CYCLE)
 
     def accuracy(spec: AgentSpec, batch: SampleBatch, tier: AccessTier) -> float:
-        moe = uniform_moe(spec.experts)
-        _, _, verdict = decide(moe, redact(batch.features, tier), batch.modality)
+        gate = uniform_gate(len(spec.experts))
+        _, _, verdict = decide(spec.experts, gate, redact(batch.features, tier), batch.modality)
         return np.count_nonzero(verdict == batch.label) / len(batch)
 
     checks = (

@@ -35,10 +35,6 @@ class ConfigError(ValueError):
         self.at = at
 
 
-class LifecycleError(RuntimeError):
-    """An operation was applied to an agent in the wrong lifecycle state."""
-
-
 class ComputationError(ValueError):
     """Numeric inputs outside the contract (non-finite, out of range)."""
 
@@ -76,17 +72,18 @@ class Agent:
     """One roster or pool member: the spec it was built from, fixed for the
     run, plus its state.
 
-    ``performance`` is always the output of the most recent evaluation
-    (0.0 before the first). ``service_time`` counts completed roster
-    cycles and never decreases while the agent is not Released. Only the
-    gate of ``moe`` learns; its experts and learning rate are the spec's.
+    ``gate_weights`` weigh the spec's experts, one weight each, and are
+    the only learned state: the experts and the learning rate are the
+    spec's. ``performance`` is always the output of the most recent
+    evaluation (0.0 before the first). ``service_time`` counts completed
+    roster cycles and never decreases while the agent is not Released.
     ``access_tier`` follows ``status`` and is never stored.
     """
 
     id: AgentId
     spec: "AgentSpec"  # noqa: F821 - defined in the config module
     status: AgentStatus
-    moe: "MoEState"  # noqa: F821 - resolved at runtime via moe module
+    gate_weights: tuple[float, ...]
     service_time: int = 0
     performance: float = 0.0
     consecutive_below: int = 0

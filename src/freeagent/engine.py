@@ -10,15 +10,17 @@ Stage order within one cycle is fixed for determinism:
   4. fill vacancies, transition probationary agents (those on probation
      before this cycle's signings), tick service time, then sweep the
      service cap so no roster agent ends the cycle at or past it
-  5. metrics rows are emitted, all windows reset, and the cycle is folded
-     into the run totals that summary.json reports
+  5. metrics rows are emitted and the cycle is folded into the run
+     totals that summary.json reports
+
+Each cycle's performance windows live in a log of that cycle alone.
 
 All randomness is drawn from counter-keyed generators (stream and
 handoffs), so the engine's whole state is its config, cycle, roster, pool
 and run totals. An agent is its spec, which the config holds, plus its
-state. A snapshot holds the config, the cycle, each agent's state and the
-totals, so a run resumed at any cycle boundary writes the same bytes,
-summary.json included.
+state, whose only learned part is the gate weights. A snapshot holds the
+config, the cycle, each agent's state and the totals, so a run resumed
+at any cycle boundary writes the same bytes, summary.json included.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ import json
 import os
 from collections.abc import Callable
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import (  # the JSON-kind parsers read snapshots too
-    _BOOL, _DICT, _INT, _LIST, _STR, RunConfig, _build, _number, _numbers, config_to_dict,
-    parse_config, read_object, to_dict,
+    _BOOL, _DICT, _INT, _LIST, _STR, RunConfig, _number, _numbers, config_to_dict, parse_config,
+    read_object, to_dict,
 )
 from .domain import Agent, AgentId, AgentStatus, ConfigError, EventKind, RosterEvent
 from .lifecycle import (
@@ -44,7 +46,7 @@ from .lifecycle import (
     vacant_roles,
 )
 from .metrics import PerformanceLog, count_ratios
-from .moe import MoEState, rl_update, uniform_moe
+from .moe import check_gate, rl_update, uniform_gate
 from .pipeline import CyclePipeline, DetectionRecord
 from .reward import compute_components, compute_reward
 from .simulator import generate_cycle
@@ -151,7 +153,7 @@ def agent_state(agent: Agent) -> dict:
         "service_time": agent.service_time,
         "performance": agent.performance,
         "consecutive_below": agent.consecutive_below,
-        "gate_weights": list(agent.moe.gate_weights),
+        "gate_weights": list(agent.gate_weights),
     }
 
 
@@ -173,7 +175,7 @@ class Engine:
         n_roster = len(config.roster)
         agents = [
             Agent(i, spec, AgentStatus.ACTIVE if i < n_roster else AgentStatus.RELEASED,
-                  uniform_moe(spec.experts, spec.learning_rate), spec.service_time)
+                  uniform_gate(len(spec.experts)), spec.service_time)
             for i, spec in enumerate((*config.roster, *config.pool))
         ]
         self.config = config
@@ -181,7 +183,6 @@ class Engine:
         self.roster: dict[AgentId, Agent] = {a.id: a for a in agents[:n_roster]}
         self.pool: list[Agent] = agents[n_roster:]
         self.totals = RunTotals()
-        self.log = PerformanceLog()  # per-cycle windows, empty at every cycle boundary
 
     # -- one cycle --------------------------------------------------------
 
@@ -189,12 +190,13 @@ class Engine:
         cfg = self.config
         cycle = self.cycle
         events: list[RosterEvent] = []
+        log = PerformanceLog()
 
         # Stage 1: process the batch with the roster as it stands.
         batch = generate_cycle(cfg.stream, cycle)
         pipe = CyclePipeline(
             roster=self.roster,
-            log=self.log,
+            log=log,
             seed=cfg.stream.seed,
             cycle=cycle,
             emit_detections=cfg.emit_detections,
@@ -204,18 +206,18 @@ class Engine:
 
         # Stage 2: cycle rewards, then gate updates in recorded order.
         components = {
-            aid: compute_components(self.roster[aid], self.log, cfg.reward_config)
+            aid: compute_components(self.roster[aid], log, cfg.reward_config)
             for aid in sorted(self.roster)
         }
         rewards = {aid: compute_reward(cfg.reward_weights, c) for aid, c in components.items()}
         for aid in sorted(pipe.rewards):
             agent = self.roster[aid]
-            agent.moe = rl_update(agent.moe, *pipe.rewards[aid])
+            agent.gate_weights = rl_update(
+                agent.gate_weights, agent.spec.learning_rate, *pipe.rewards[aid]
+            )
 
         # Stage 3: evaluation and release.
-        evaluate_and_release(
-            self.roster, self.pool, self.log, cfg.lifecycle, cycle, events, rewards
-        )
+        evaluate_and_release(self.roster, self.pool, log, cfg.lifecycle, cycle, events, rewards)
 
         # Stage 4: refill, probation transitions, service accounting. Only
         # agents already on probation have a shadow window to be judged on;
@@ -225,19 +227,17 @@ class Engine:
         }
         vacancies = vacant_roles(self.roster, cfg.roles)
         fill_vacant_roles(self.roster, self.pool, vacancies, cfg.lifecycle, cycle, events)
-        transition_probationary(
-            self.roster, self.pool, self.log, cfg.lifecycle, cycle, events, eligible
-        )
+        transition_probationary(self.roster, self.pool, log, cfg.lifecycle, cycle, events, eligible)
         increment_service_time(self.roster, cycle, events)
         enforce_service_cap(self.roster, self.pool, cfg.lifecycle, cycle, events)
 
-        # Stage 5: metrics rows (status as of the pipeline phase), reset.
+        # Stage 5: metrics rows (status as of the pipeline phase).
         rows = []
         system = [0, 0, 0, 0]  # the Active agents' tp, fp, fn, tn
         all_agents = {a.id: a for a in (*self.pool, *self.roster.values())}
         for aid, status in pipeline_status.items():
             agent = all_agents[aid]
-            win = self.log.window(aid)
+            win = log.window(aid)
             comps = components[aid]
             tp, fp, fn, tn = (
                 win.true_positives, win.false_positives,
@@ -257,7 +257,6 @@ class Engine:
             if status is AgentStatus.ACTIVE:
                 system = [total + n for total, n in zip(system, (tp, fp, fn, tn))]
 
-        self.log.reset_all()
         self.cycle += 1
 
         report = CycleReport(
@@ -348,7 +347,7 @@ def snapshot_state(engine: Engine) -> dict:
         "config": config_to_dict(engine.config),
         "roster": [agent_state(engine.roster[aid]) for aid in sorted(engine.roster)],
         "pool": [agent_state(a) for a in engine.pool],
-        "totals": asdict(engine.totals),
+        "totals": vars(engine.totals),
     }
 
 
@@ -410,7 +409,7 @@ _AGENTS = _each(_object({  # the keys of agent_state
     "id": _COUNT, "service_time": _COUNT, "consecutive_below": _COUNT,
     "status": _checked(_STR, _STATUSES.__contains__, f"one of {sorted(_STATUSES)}"),
     "performance": _checked(_number, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
-    "gate_weights": _numbers(),
+    "gate_weights": _numbers,
 }))
 _SNAPSHOT = {
     "format_version": _INT, "next_cycle": _COUNT, "config": _DICT,
@@ -426,7 +425,7 @@ _SNAPSHOT = {
 
 def _engine_from_snapshot(node: dict, path: str) -> Engine:
     """The engine of a parsed snapshot: each agent entry joined to the spec
-    at its id, the gate rebuilt through ``MoEState``."""
+    at its id, whose experts its gate weights must fit."""
     snap = read_object(node, path, _SNAPSHOT)
     engine = Engine(parse_config(snap["config"], source=f"{path}.config"))
     specs = (*engine.config.roster, *engine.config.pool)
@@ -438,10 +437,11 @@ def _engine_from_snapshot(node: dict, path: str) -> Engine:
             at, spec, status = f"{path}.{key}[{i}]", specs[state["id"]], state.pop("status")
             if (status == AgentStatus.RELEASED) != (key == "pool"):
                 raise ConfigError(f"{at}.status: a {key} agent cannot be {status}")
-            gate = dict(experts=spec.experts, gate_weights=state.pop("gate_weights"),
-                        learning_rate=spec.learning_rate)
-            moe = _build(MoEState, at, gate)
-            joined.append(Agent(spec=spec, status=AgentStatus(status), moe=moe, **state))
+            try:
+                check_gate(state["gate_weights"], len(spec.experts))
+            except ConfigError as exc:
+                raise ConfigError(f"{at}.gate_weights: {exc}") from None
+            joined.append(Agent(spec=spec, status=AgentStatus(status), **state))
     engine.roster, engine.pool = {a.id: a for a in agents["roster"]}, agents["pool"]
     engine.cycle, engine.totals = snap["next_cycle"], RunTotals(**snap["totals"])
     if (covered := len(engine.totals.cycles)) != engine.cycle:

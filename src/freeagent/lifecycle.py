@@ -23,7 +23,7 @@ from .domain import (
     RosterEvent,
 )
 from .metrics import PerformanceLog, evaluate_fraud_performance
-from .moe import moe_init
+from .moe import uniform_gate
 
 logger = logging.getLogger("freeagent.lifecycle")
 
@@ -94,25 +94,23 @@ def evaluate_and_release(
     cfg: LifecycleConfig,
     cycle: int,
     events: list[RosterEvent],
-    rewards: dict[AgentId, float] | None = None,
+    rewards: dict[AgentId, float],
 ) -> None:
     """Evaluate every roster agent and move sustained underperformers
     (or agents past the service cap) to the pool.
 
     A cycle counts as "below" when F1 drops under the release threshold,
-    or when the cycle reward drops under the optional reward threshold.
-    Underperformance takes precedence over the service cap when both
-    trigger at once.
+    or when the agent's cycle reward in ``rewards`` drops under the
+    optional reward threshold. Underperformance takes precedence over the
+    service cap when both trigger at once.
     """
     for agent_id in sorted(roster):
         agent = roster[agent_id]
         performance = evaluate_fraud_performance(agent, log, cycle, events)
 
-        below = performance < cfg.release_threshold
-        if cfg.reward_threshold is not None and rewards is not None:
-            reward = rewards.get(agent_id)
-            if reward is not None and reward < cfg.reward_threshold:
-                below = True
+        below = performance < cfg.release_threshold or (
+            cfg.reward_threshold is not None and rewards[agent_id] < cfg.reward_threshold
+        )
 
         agent.consecutive_below = agent.consecutive_below + 1 if below else 0
 
@@ -185,7 +183,7 @@ def transition_probationary(
     cfg: LifecycleConfig,
     cycle: int,
     events: list[RosterEvent],
-    eligible: set[AgentId] | None = None,
+    eligible: set[AgentId],
 ) -> None:
     """Promote or re-release probationary agents on their shadow window.
 
@@ -197,11 +195,9 @@ def transition_probationary(
     """
     for agent_id in sorted(roster):
         agent = roster[agent_id]
-        if agent.status is not AgentStatus.PROBATIONARY:
+        if agent.status is not AgentStatus.PROBATIONARY or agent_id not in eligible:
             continue
-        if eligible is not None and agent_id not in eligible:
-            continue
-        moe_init(agent)
+        agent.gate_weights = uniform_gate(len(agent.spec.experts))
         performance = evaluate_fraud_performance(agent, log, cycle, events)
         if performance >= cfg.release_threshold:
             agent.status = AgentStatus.ACTIVE

@@ -1,7 +1,7 @@
 """Per-agent detection bookkeeping and F1 evaluation.
 
-Windows are tumbling: the engine resets all counters after each
-evaluation pass, so every evaluation reflects only the cycle just
+Windows are tumbling: the engine starts every cycle with a fresh
+``PerformanceLog``, so every evaluation reflects only the cycle just
 processed (which is what makes drift visible quickly).
 """
 
@@ -37,7 +37,7 @@ class AgentWindow:
 
 @dataclass
 class PerformanceLog:
-    """Per-AgentId windows; counters reset together at window boundaries."""
+    """Per-AgentId windows of one cycle."""
 
     windows: dict[AgentId, AgentWindow] = field(default_factory=dict)
 
@@ -47,9 +47,6 @@ class PerformanceLog:
             win = AgentWindow()
             self.windows[agent] = win
         return win
-
-    def reset_all(self) -> None:
-        self.windows.clear()
 
 
 def count_ratios(tp: int, fp: int, fn: int, tn: int) -> tuple[float, float, float, float]:

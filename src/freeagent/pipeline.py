@@ -13,17 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    FRAUD_ROLE,
-    SENSITIVE_START,
-    AccessTier,
-    Agent,
-    AgentId,
-    AgentStatus,
-    ConfigError,
-)
+from .domain import FRAUD_ROLE, SENSITIVE_START, AccessTier, Agent, AgentId, AgentStatus
 from .metrics import PerformanceLog
-from .moe import MoEState
+from .moe import Expert
 from .simulator import KeyedRng, SampleBatch
 
 logger = logging.getLogger("freeagent.pipeline")
@@ -94,7 +86,10 @@ def _dot_columns(rows: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
 
 
 def decide(
-    moe: MoEState, features: np.ndarray, modality: np.ndarray
+    experts: tuple[Expert, ...],
+    gate_weights: tuple[float, ...],
+    features: np.ndarray,
+    modality: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Route each row through the gate and score it with the chosen expert.
 
@@ -104,16 +99,13 @@ def decide(
     bare feature/modality rows so a decision cannot depend on anything
     else in the sample. Pure: no state is touched.
     """
-    dims = (modality.shape[1], features.shape[1])
-    if any((len(e.profile), len(e.weights)) != dims for e in moe.experts):
-        raise ConfigError(f"expert profile/weights lengths differ from modality/features {dims}")
     affinity = np.column_stack(
-        [w * _dot_columns(modality, e.profile) for w, e in zip(moe.gate_weights, moe.experts)]
+        [w * _dot_columns(modality, e.profile) for w, e in zip(gate_weights, experts)]
     )
     chosen = affinity.argmax(axis=1)  # first maximum
-    scores = np.column_stack([_dot_columns(features, e.weights) for e in moe.experts])
+    scores = np.column_stack([_dot_columns(features, e.weights) for e in experts])
     score = np.take_along_axis(scores, chosen[:, None], axis=1)[:, 0]
-    thresholds = np.array([e.threshold for e in moe.experts])
+    thresholds = np.array([e.threshold for e in experts])
     return chosen, score, score >= thresholds[chosen]
 
 
@@ -190,7 +182,8 @@ class CyclePipeline:
                 return
             if tier not in views:
                 views[tier] = redact(batch.features, tier)
-            expert, score, verdict = decide(agent.moe, views[tier][rows], batch.modality[rows])
+            expert, score, verdict = decide(agent.spec.experts, agent.gate_weights,
+                                            views[tier][rows], batch.modality[rows])
             label = batch.label[rows]
             win = self.log.window(agent.id)
             win.true_positives += int(np.count_nonzero(verdict & label))

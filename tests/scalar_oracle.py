@@ -5,7 +5,9 @@ columns (``simulator.generate_cycle``, ``pipeline.CyclePipeline``) and
 applies a batch of gate steps at once (``moe.rl_update``). This module
 does the same work one sample at a time with plain Python floats, in the
 order the stream and dispatch contracts state, so tests can require the
-batch path to match it bit for bit.
+batch path to match it bit for bit. Its gate and gate step are its own,
+over plain weights; it uses neither ``pipeline.decide`` nor
+``moe.rl_update``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from freeagent.domain import FRAUD_ROLE, SENSITIVE_START, AccessTier, Agent, AgentId, AgentStatus
 from freeagent.metrics import PerformanceLog
-from freeagent.moe import Expert, MoEState
+from freeagent.moe import Expert
 from freeagent.pipeline import Action, DetectionRecord
 from freeagent.simulator import _MODALITY_JITTER, FEATURE_DIM, MODALITY_DIM, KeyedRng, StreamConfig
 
@@ -82,12 +84,14 @@ def _dot(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     return sum(x * y for x, y in zip(a, b))
 
 
-def gate(moe: MoEState, modality: tuple[float, ...]) -> int:
+def gate(
+    experts: tuple[Expert, ...], gate_weights: tuple[float, ...], modality: tuple[float, ...]
+) -> int:
     """Index maximizing gate_weight * dot(profile, modality), ties to the lowest."""
     best_idx = 0
     best_aff = -math.inf
-    for idx, expert in enumerate(moe.experts):
-        aff = moe.gate_weights[idx] * _dot(expert.profile, modality)
+    for idx, expert in enumerate(experts):
+        aff = gate_weights[idx] * _dot(expert.profile, modality)
         if aff > best_aff:
             best_aff = aff
             best_idx = idx
@@ -99,10 +103,12 @@ def expert_score(expert: Expert, features: tuple[float, ...]) -> tuple[float, bo
     return score, score >= expert.threshold
 
 
-def rl_update(moe: MoEState, expert_used: int, reward: float) -> tuple[float, ...]:
+def rl_update(
+    gate_weights: tuple[float, ...], learning_rate: float, expert_used: int, reward: float
+) -> tuple[float, ...]:
     """One multiplicative-weights step; returns the new gate weights."""
-    weights = list(moe.gate_weights)
-    weights[expert_used] *= math.exp(moe.learning_rate * reward)
+    weights = list(gate_weights)
+    weights[expert_used] *= math.exp(learning_rate * reward)
     total = sum(weights)
     return tuple(w / total for w in weights)
 
@@ -160,8 +166,8 @@ class ScalarPipeline:
         if agent.spec.misbehaving and tier is not AccessTier.FULL:
             self.log.window(agent.id).violations += 1
         features = redact(sample.features, tier)
-        idx = gate(agent.moe, sample.modality)
-        score, verdict = expert_score(agent.moe.experts[idx], features)
+        idx = gate(agent.spec.experts, agent.gate_weights, sample.modality)
+        score, verdict = expert_score(agent.spec.experts[idx], features)
         update_fraud_metrics(self.log, agent.id, verdict, sample.label)
         self.rewards.setdefault(agent.id, []).append(
             (idx, 1.0 if verdict == sample.label else -1.0)

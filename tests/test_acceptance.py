@@ -21,7 +21,7 @@ from freeagent.domain import AccessTier, AgentStatus, EventKind
 from freeagent.engine import Engine, restore_engine
 from freeagent.lifecycle import LifecycleConfig, RoleSpec
 from freeagent.metrics import f1_from_counts
-from freeagent.moe import Expert, MoEState, rl_update
+from freeagent.moe import Expert, rl_update
 from freeagent.pipeline import decide
 from freeagent.reward import RewardComponents, RewardWeights, compute_reward
 from freeagent.simulator import (
@@ -54,14 +54,15 @@ class ScenarioRun:
         self.config = config
         self.engine = Engine(config)
         self.reports = []
-        self.shadow_states: dict[tuple[int, int], MoEState] = {}
+        # (cycle, agent) -> the shadow agent's experts and gate weights
+        self.shadow_states: dict[tuple[int, int], tuple] = {}
         self.active_by_cycle: dict[int, set[int]] = {}
         started = time.perf_counter()
         while self.engine.cycle < config.stream.total_cycles:
             cycle = self.engine.cycle
             for aid, agent in self.engine.roster.items():
                 if agent.status is AgentStatus.PROBATIONARY:
-                    self.shadow_states[(cycle, aid)] = agent.moe
+                    self.shadow_states[(cycle, aid)] = (agent.spec.experts, agent.gate_weights)
             self.active_by_cycle[cycle] = {
                 aid
                 for aid, agent in self.engine.roster.items()
@@ -317,11 +318,11 @@ class TestCriterion5ShadowAudit:
         mismatches = 0
         for det in shadow_rows:
             cycle, seq = divmod(det.seq, spc)
-            moe = scenario.shadow_states[(cycle, det.agent)]
+            experts, gate_weights = scenario.shadow_states[(cycle, det.agent)]
             sample = generate_sample(scenario.config.stream, cycle, seq, rng)
-            idx = gate(moe, sample.modality)
+            idx = gate(experts, gate_weights, sample.modality)
             score, verdict = expert_score(
-                moe.experts[idx], redact(sample.features, AccessTier.RESTRICTED)
+                experts[idx], redact(sample.features, AccessTier.RESTRICTED)
             )
             if verdict != det.verdict or score != det.score:
                 mismatches += 1
@@ -335,30 +336,32 @@ class TestCriterion5ShadowAudit:
 
 class TestCriterion6GatingLearning:
     def test_gate_learns_the_correct_expert(self):
-        wrong = Expert(profile=(1.0,), weights=(0.0,), threshold=0.5)   # always legit
-        right = Expert(profile=(1.0,), weights=(1.0,), threshold=0.5)   # fraud on x=1
-        moe = MoEState(experts=(wrong, right), gate_weights=(0.5, 0.5), learning_rate=0.05)
+        profile = (1.0, 0.0, 0.0)
+        wrong = Expert(profile, weights=(0.0,) * 6, threshold=0.5)   # always legit
+        right = Expert(profile, weights=(1.0, 0, 0, 0, 0, 0), threshold=0.5)   # fraud on x=1
+        experts, gate_weights = (wrong, right), (0.5, 0.5)
 
         # stationary all-fraud stream, one sample per batch
-        features, modality, label = np.ones((1, 1)), np.ones((1, 1)), True
+        features, modality, label = np.ones((1, 6)), np.ones((1, 3)), True
         selections = []
         for _ in range(300):
-            chosen, _, verdict = decide(moe, features, modality)
+            chosen, _, verdict = decide(experts, gate_weights, features, modality)
             idx = int(chosen[0])
             selections.append(idx)
-            moe = rl_update(moe, [idx], [1.0 if bool(verdict[0]) == label else -1.0])
+            reward = 1.0 if bool(verdict[0]) == label else -1.0
+            gate_weights = rl_update(gate_weights, 0.05, [idx], [reward])
 
         tail_freq = sum(1 for s in selections[-100:] if s == 1) / 100
         # closed form: expert 0 used once at -1, expert 1 gets +1 thereafter
         closed = (0.5 * math.exp(0.05 * 299)) / (
             0.5 * math.exp(0.05 * 299) + 0.5 * math.exp(-0.05)
         )
-        weight_ok = moe.gate_weights[1] > 0.99
-        closed_ok = abs(moe.gate_weights[1] - closed) < 1e-9
+        weight_ok = gate_weights[1] > 0.99
+        closed_ok = abs(gate_weights[1] - closed) < 1e-9
         criterion(
             "6", "gating learns the rewarded expert",
             tail_freq >= 0.9 and weight_ok and closed_ok,
-            f"tail selection freq={tail_freq:.2f}, final weight={moe.gate_weights[1]:.6f}",
+            f"tail selection freq={tail_freq:.2f}, final weight={gate_weights[1]:.6f}",
         )
 
 

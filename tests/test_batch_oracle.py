@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from freeagent.config import AgentSpec
 from freeagent.domain import FRAUD_ROLE, AccessTier, Agent, AgentStatus
 from freeagent.metrics import PerformanceLog
-from freeagent.moe import Expert, MoEState, rl_update
+from freeagent.moe import Expert, rl_update
 from freeagent.pipeline import CyclePipeline, decide, redact
 from freeagent.simulator import DriftSchedule, PatternSpec, Segment, StreamConfig, generate_cycle
 from tests import scalar_oracle as oracle
@@ -41,12 +41,13 @@ def experts(draw):
 
 
 @st.composite
-def moes(draw):
+def gates(draw):
+    """Experts and gate weights for them."""
     chosen = tuple(draw(st.lists(experts(), min_size=1, max_size=4)))
     gate_weights = [draw(st.sampled_from(GATE_WEIGHTS)) for _ in chosen]
     if sum(gate_weights) == 0:
         gate_weights[-1] = 1.0
-    return MoEState(chosen, tuple(gate_weights), draw(st.sampled_from((0.05, 0.3))))
+    return chosen, tuple(gate_weights)
 
 
 @st.composite
@@ -56,12 +57,12 @@ def rosters(draw):
     roster = {}
     for agent_id in draw(st.permutations(range(n_active + n_shadow))):
         status = AgentStatus.ACTIVE if len(roster) < n_active else AgentStatus.PROBATIONARY
-        moe = draw(moes())
+        chosen, gate_weights = draw(gates())
         spec = AgentSpec(
             role=FRAUD_ROLE,
             skills=frozenset({"fraud"}),
-            experts=moe.experts,
-            learning_rate=moe.learning_rate,
+            experts=chosen,
+            learning_rate=draw(st.sampled_from((0.05, 0.3))),
             handoff_reliability=draw(st.sampled_from((1.0, 0.9, 0.5, 0.0))),
             misbehaving=draw(st.booleans()),
         )
@@ -69,7 +70,7 @@ def rosters(draw):
             id=agent_id,
             spec=spec,
             status=status,
-            moe=moe,
+            gate_weights=gate_weights,
             performance=draw(st.sampled_from((0.0, 0.5, 0.9))),
         )
     return roster
@@ -112,13 +113,14 @@ def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
     for agent_id, steps in ref.rewards.items():
         used, signals = pipe.rewards[agent_id]
         assert list(zip(used, signals)) == steps
-        gate_weights = roster[agent_id].moe
+        agent = roster[agent_id]
+        gate_weights = agent.gate_weights
         for expert_used, signal in steps:
-            gate_weights = MoEState(gate_weights.experts,
-                                    oracle.rl_update(gate_weights, expert_used, signal),
-                                    gate_weights.learning_rate)
-        updated = rl_update(roster[agent_id].moe, used, signals)
-        assert hexes(updated.gate_weights) == hexes(gate_weights.gate_weights)
+            gate_weights = oracle.rl_update(
+                gate_weights, agent.spec.learning_rate, expert_used, signal
+            )
+        updated = rl_update(agent.gate_weights, agent.spec.learning_rate, used, signals)
+        assert hexes(updated) == hexes(gate_weights)
 
     def rows(detections):
         return [(d.seq, d.agent, d.verdict, d.score.hex(), d.shadow, d.action)
@@ -129,14 +131,15 @@ def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
 
     # The kernel on every tier's view, Sandbox included, for every agent.
     for agent in roster.values():
+        agent_experts = agent.spec.experts
         for tier in AccessTier:
-            chosen, score, verdict = decide(agent.moe, redact(batch.features, tier),
-                                            batch.modality)
+            chosen, score, verdict = decide(agent_experts, agent.gate_weights,
+                                            redact(batch.features, tier), batch.modality)
             expected = []
             for s in samples:
-                idx = oracle.gate(agent.moe, s.modality)
+                idx = oracle.gate(agent_experts, agent.gate_weights, s.modality)
                 expected.append((idx, *oracle.expert_score(
-                    agent.moe.experts[idx], oracle.redact(s.features, tier))))
+                    agent_experts[idx], oracle.redact(s.features, tier))))
             got = zip(chosen.tolist(), score.tolist(), verdict.tolist())
             assert [(i, x.hex(), v) for i, x, v in got] == [
                 (i, x.hex(), v) for i, x, v in expected
@@ -149,9 +152,8 @@ def test_negative_weight_on_redacted_coordinate_scores_plus_zero():
     # and returns +0.0, which detections.jsonl shows
     expert = Expert(profile=(1.0, 0.0, 0.0), weights=(0.0, 0.0, 0.0, -1.0, -0.5, -2.0),
                     threshold=0.5)
-    moe = MoEState((expert,), (1.0,))
     features = np.array([[-1.5, -2.0, -0.3, 4.0, 1.0, -2.0]])
     restricted = redact(features, AccessTier.RESTRICTED)
-    _, score, _ = decide(moe, restricted, np.array([[1.0, 0.0, 0.0]]))
+    _, score, _ = decide((expert,), (1.0,), restricted, np.array([[1.0, 0.0, 0.0]]))
     expected = oracle.expert_score(expert, tuple(restricted[0].tolist()))[0]
     assert score[0].hex() == expected.hex() == "0x0.0p+0"

@@ -367,8 +367,8 @@ class TestSnapshots:
         assert {k: v.performance for k, v in restored.roster.items()} == {
             k: v.performance for k, v in full.roster.items()
         }
-        assert {k: v.moe.gate_weights for k, v in restored.roster.items()} == {
-            k: v.moe.gate_weights for k, v in full.roster.items()
+        assert {k: v.gate_weights for k, v in restored.roster.items()} == {
+            k: v.gate_weights for k, v in full.roster.items()
         }
 
     def test_snapshot_of_empty_state_restorable(self, tmp_path):
@@ -605,13 +605,13 @@ class TestSnapshots:
                      id="performance_nan"),
         pytest.param("roster.0.performance", 1.5, "snap.json.roster[0].performance",
                      id="performance_above_one"),
-        # the gate is rebuilt through MoEState, so its checks run
+        # the gate weights must fit the experts of the spec at the agent's id
         pytest.param("roster.0.gate_weights", [0.5, 0.5],
-                     "snap.json.roster[0]: gate_weights length must match expert count",
+                     "snap.json.roster[0].gate_weights: expected one weight per expert (1), got 2",
                      id="gate_weights_long"),
-        pytest.param("roster.0.gate_weights", [-1.0], "snap.json.roster[0]: gate weights",
+        pytest.param("roster.0.gate_weights", [-1.0], "snap.json.roster[0].gate_weights: gate",
                      id="gate_weights_negative"),
-        pytest.param("roster.0.gate_weights", [0.0], "snap.json.roster[0]: gate weights",
+        pytest.param("roster.0.gate_weights", [0.0], "snap.json.roster[0].gate_weights: gate",
                      id="gate_weights_zero"),
         pytest.param("roster.0.gate_weights", ["1"], "snap.json.roster[0].gate_weights",
                      id="gate_weights_text"),

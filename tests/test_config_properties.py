@@ -1,8 +1,9 @@
 """Property tests over JSON configs generated from the config schema tables.
 
 The strategy walks ``freeagent.config.SCHEMA``: every key of every section
-comes from a dataclass field, its values from the field's type and length,
-and a key with a dataclass default is sometimes left out. A few keys get
+comes from a dataclass field, its values from the field's type (and, for
+an expert's profile and weights, the length of their space), and a key
+with a dataclass default is sometimes left out. A few keys get
 values chosen here: the schedule, whose patterns and start cycles depend on
 each other, and the run sizes, kept small so each example runs in
 milliseconds. ``configs(bad=...)``
@@ -13,14 +14,13 @@ range, malformed coordinate) with about that probability per value.
 import json
 import math
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from freeagent.cli import main
 from freeagent.config import SCHEMA, AgentSpec, RunConfig, config_to_dict, parse_config
-from freeagent.domain import FRAUD_ROLE, ConfigError, DispatchedRole
+from freeagent.domain import FEATURE_DIM, FRAUD_ROLE, MODALITY_DIM, ConfigError, DispatchedRole
 from freeagent.engine import Engine, restore_engine
 from freeagent.lifecycle import LifecycleConfig, RoleSpec
 from freeagent.moe import Expert
@@ -30,6 +30,8 @@ from freeagent.simulator import PatternSpec, StreamConfig
 BAD_NUMBERS = [math.nan, math.inf, -math.inf, 10**400, 1e300, -1e300, -1.0, 1.5, "1", True, None]
 BAD_INTS = [-1, 0, 2**64, 2.5, "1", True, None]
 SKILLS = ["fraud", "pattern-B"]
+# The lists of numbers with a fixed length; any other list has 3 entries.
+LENGTHS = {(Expert, "profile"): MODALITY_DIM, (Expert, "weights"): FEATURE_DIM}
 
 
 def maybe_bad(good, bad, rate):
@@ -73,13 +75,13 @@ def value(key, length, rate):
 
 def record(cls, rate, **chosen):
     """JSON objects holding the table keys of ``cls``; optional keys may be left out."""
-    lengths = {f.name: f.metadata.get("length") for f in fields(cls)}
     required, optional = {}, {}
     for key in SCHEMA[cls]:
         if key.name in chosen:
             required[key.name] = chosen[key.name]
         else:
-            (required if key.required else optional)[key.name] = value(key, lengths[key.name], rate)
+            length = LENGTHS.get((cls, key.name))
+            (required if key.required else optional)[key.name] = value(key, length, rate)
     return st.fixed_dictionaries(required, optional=optional)
 
 

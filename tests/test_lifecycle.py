@@ -1,5 +1,7 @@
 """Release, signing, probation, and service-time rules at the function level."""
 
+from dataclasses import replace
+
 import pytest
 
 from freeagent.domain import AgentStatus, ConfigError, EventKind
@@ -25,6 +27,10 @@ def seeded_log(agent_id, tp, fp, fn, tn=0):
     return log
 
 
+# Cycle rewards of the roster; read only under a reward threshold.
+REWARDS = {0: 1.0, 2: 1.0, 5: 1.0}
+
+
 def window_for_f1(agent_id, f1_target, log=None):
     """Construct a window whose F1 is exactly f1_target (recall=precision)."""
     # with FP == FN, F1 == TP/(TP+FP); choose TP=round(1000*f1), FP=FN=rest
@@ -42,7 +48,7 @@ class TestEvaluateAndRelease:
         agent = detector(0)
         roster, pool = {0: agent}, []
         events = []
-        evaluate_and_release(roster, pool, window_for_f1(0, 0.79), cfg, 0, events)
+        evaluate_and_release(roster, pool, window_for_f1(0, 0.79), cfg, 0, events, REWARDS)
         assert roster == {} and pool == [agent]
         assert agent.status is AgentStatus.RELEASED
         kinds = [e.kind for e in events]
@@ -53,7 +59,7 @@ class TestEvaluateAndRelease:
         agent = detector(0)
         agent.service_time = 50
         roster, pool, events = {0: agent}, [], []
-        evaluate_and_release(roster, pool, window_for_f1(0, 0.95), cfg, 0, events)
+        evaluate_and_release(roster, pool, window_for_f1(0, 0.95), cfg, 0, events, REWARDS)
         assert pool == [agent]
         assert events[-1].kind is EventKind.FREE_AGENCY
 
@@ -62,7 +68,7 @@ class TestEvaluateAndRelease:
         agent = detector(0)
         agent.consecutive_below = 1  # one bad prior cycle
         roster, pool, events = {0: agent}, [], []
-        evaluate_and_release(roster, pool, window_for_f1(0, 0.85), cfg, 0, events)
+        evaluate_and_release(roster, pool, window_for_f1(0, 0.85), cfg, 0, events, REWARDS)
         assert 0 in roster
         assert agent.consecutive_below == 0  # good cycle resets the streak
 
@@ -72,7 +78,9 @@ class TestEvaluateAndRelease:
         roster, pool = {0: agent}, []
         for cycle in range(3):
             events = []
-            evaluate_and_release(roster, pool, window_for_f1(0, 0.5), cfg, cycle, events)
+            evaluate_and_release(
+                roster, pool, window_for_f1(0, 0.5), cfg, cycle, events, REWARDS
+            )
         assert pool == [agent]
         assert agent.status is AgentStatus.RELEASED
 
@@ -91,7 +99,7 @@ class TestEvaluateAndRelease:
         agent = detector(0)
         agent.service_time = 10
         roster, pool, events = {0: agent}, [], []
-        evaluate_and_release(roster, pool, window_for_f1(0, 0.1), cfg, 0, events)
+        evaluate_and_release(roster, pool, window_for_f1(0, 0.1), cfg, 0, events, REWARDS)
         assert events[-1].kind is EventKind.RELEASE
 
     def test_ascending_id_order(self):
@@ -101,7 +109,7 @@ class TestEvaluateAndRelease:
         window_for_f1(5, 0.1, log)
         window_for_f1(2, 0.1, log)
         events = []
-        evaluate_and_release(roster, [], log, cfg, 0, events)
+        evaluate_and_release(roster, [], log, cfg, 0, events, REWARDS)
         assert [e.agent for e in events] == [2, 2, 5, 5]
 
 
@@ -197,16 +205,14 @@ class TestVacancies:
 
 class TestTransitionProbationary:
     def make_prob(self, agent_id=1):
-        agent = detector(agent_id, status=AgentStatus.PROBATIONARY)
-        agent.moe = agent.moe.__class__(
-            experts=agent.moe.experts, gate_weights=(1.0,), learning_rate=0.05
-        )
-        return agent
+        return detector(agent_id, status=AgentStatus.PROBATIONARY)
 
     def test_promoted_at_088(self):
         agent = self.make_prob()
         roster, pool, events = {1: agent}, [], []
-        transition_probationary(roster, pool, window_for_f1(1, 0.88), LifecycleConfig(), 0, events)
+        transition_probationary(
+            roster, pool, window_for_f1(1, 0.88), LifecycleConfig(), 0, events, {1}
+        )
         assert agent.status is AgentStatus.ACTIVE
         assert agent.access_tier.name == "FULL"
         assert events[-1].kind is EventKind.PROMOTE
@@ -214,7 +220,9 @@ class TestTransitionProbationary:
     def test_released_below_threshold(self):
         agent = self.make_prob()
         roster, pool, events = {1: agent}, [], []
-        transition_probationary(roster, pool, window_for_f1(1, 0.70), LifecycleConfig(), 0, events)
+        transition_probationary(
+            roster, pool, window_for_f1(1, 0.70), LifecycleConfig(), 0, events, {1}
+        )
         assert agent.status is AgentStatus.RELEASED
         assert pool == [agent]
         assert events[-1].kind is EventKind.RELEASE
@@ -222,30 +230,34 @@ class TestTransitionProbationary:
     def test_exact_threshold_promotes(self):
         agent = self.make_prob()
         roster, pool, events = {1: agent}, [], []
-        transition_probationary(roster, pool, window_for_f1(1, 0.80), LifecycleConfig(), 0, events)
+        transition_probationary(
+            roster, pool, window_for_f1(1, 0.80), LifecycleConfig(), 0, events, {1}
+        )
         assert agent.status is AgentStatus.ACTIVE
 
     def test_gate_reset_on_transition(self):
         agent = detector(1, status=AgentStatus.PROBATIONARY)
-        moe = agent.moe
-        agent.moe = moe.__class__(
-            experts=moe.experts * 2, gate_weights=(0.9, 0.1), learning_rate=0.05
+        agent.spec = replace(agent.spec, experts=agent.spec.experts * 2)
+        agent.gate_weights = (0.9, 0.1)
+        transition_probationary(
+            {1: agent}, [], window_for_f1(1, 0.9), LifecycleConfig(), 0, [], {1}
         )
-        transition_probationary({1: agent}, [], window_for_f1(1, 0.9), LifecycleConfig(), 0, [])
-        assert agent.moe.gate_weights == (0.5, 0.5)
+        assert agent.gate_weights == (0.5, 0.5)
 
     def test_ineligible_agent_skipped(self):
         agent = self.make_prob()
         roster, pool, events = {1: agent}, [], []
         transition_probationary(
-            roster, pool, window_for_f1(1, 0.9), LifecycleConfig(), 0, events, eligible=set()
+            roster, pool, window_for_f1(1, 0.9), LifecycleConfig(), 0, events, set()
         )
         assert agent.status is AgentStatus.PROBATIONARY
         assert events == []
 
     def test_active_agents_untouched(self):
         agent = detector(1)
-        transition_probationary({1: agent}, [], window_for_f1(1, 0.1), LifecycleConfig(), 0, [])
+        transition_probationary(
+            {1: agent}, [], window_for_f1(1, 0.1), LifecycleConfig(), 0, [], {1}
+        )
         assert agent.status is AgentStatus.ACTIVE
 
 

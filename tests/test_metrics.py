@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from freeagent import engine as engine_module
 from freeagent.config import AgentSpec
 from freeagent.domain import (
     FRAUD_ROLE,
@@ -18,9 +19,10 @@ from freeagent.metrics import (
     evaluate_fraud_performance,
     f1_from_counts,
 )
-from freeagent.moe import Expert, uniform_moe
+from freeagent.moe import Expert, uniform_gate
 from freeagent.pipeline import CyclePipeline
 from freeagent.simulator import SampleBatch
+from tests.test_engine import small_config
 from tests.test_pipeline import detector
 
 
@@ -34,10 +36,10 @@ def make_agent(agent_id=0, cost=1.0):
     spec = AgentSpec(
         role=FRAUD_ROLE,
         skills=frozenset({"fraud"}),
-        experts=(Expert(profile=(1.0,), weights=(1.0,), threshold=0.0),),
+        experts=(Expert(profile=(1.0, 0.0, 0.0), weights=(1.0,) + (0.0,) * 5, threshold=0.0),),
         cost_per_sample=cost,
     )
-    return Agent(id=agent_id, spec=spec, status=AgentStatus.ACTIVE, moe=uniform_moe(spec.experts))
+    return Agent(id=agent_id, spec=spec, status=AgentStatus.ACTIVE, gate_weights=uniform_gate(1))
 
 
 def decide_batch(log: PerformanceLog, verdicts: list[bool], labels: list[bool]) -> None:
@@ -138,14 +140,21 @@ class TestEvaluate:
         assert agent.performance == 0.0
 
 
-def test_window_reset_clears_everything():
-    log = PerformanceLog()
-    agent = make_agent()
-    decide_batch(log, [True], [True])
-    win = log.window(agent.id)
-    win.handoffs_attempted, win.handoffs_succeeded, win.violations = 1, 1, 1
-    log.reset_all()
-    win = log.window(agent.id)
-    assert win.samples_seen == 0
-    assert win.handoffs_attempted == 0
-    assert win.violations == 0
+def test_window_reset_clears_everything(monkeypatch):
+    # the engine hands each cycle's pipeline a log of that cycle alone
+    logs = []
+
+    class Recording(CyclePipeline):
+        def __init__(self, roster, log, **kwargs):
+            assert log.windows == {}  # nothing carried over, handoffs and violations included
+            logs.append(log)
+            super().__init__(roster, log, **kwargs)
+
+    monkeypatch.setattr(engine_module, "CyclePipeline", Recording)
+    engine = engine_module.Engine(small_config(cycles=3))
+    for _ in range(3):
+        engine.run_cycle()
+    assert len({id(log) for log in logs}) == 3
+    for log in logs:
+        win = log.window(0)
+        assert win.samples_seen == win.handoffs_attempted == 60

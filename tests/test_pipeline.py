@@ -11,7 +11,7 @@ from freeagent.domain import (
     AgentStatus,
 )
 from freeagent.metrics import PerformanceLog
-from freeagent.moe import Expert, uniform_moe
+from freeagent.moe import Expert, uniform_gate
 from freeagent.pipeline import (
     Action,
     CyclePipeline,
@@ -34,7 +34,7 @@ def detector(agent_id, status=AgentStatus.ACTIVE, performance=0.0, threshold=0.5
         handoff_reliability=reliability,
         misbehaving=misbehaving,
     )
-    agent = Agent(id=agent_id, spec=spec, status=status, moe=uniform_moe(spec.experts))
+    agent = Agent(id=agent_id, spec=spec, status=status, gate_weights=uniform_gate(1))
     agent.performance = performance
     return agent
 
@@ -120,7 +120,7 @@ class TestRedact:
         agent = detector(0)
         for label in (True, False):
             b = batch((0.9, 0, 0, 0, 0, 0), label=label)
-            _, _, verdict = decide(agent.moe, b.features, b.modality)
+            _, _, verdict = decide(agent.spec.experts, agent.gate_weights, b.features, b.modality)
             assert verdict.tolist() == [True]  # from the score, not the label
 
 

@@ -9,7 +9,7 @@ from scipy.stats import binom
 from freeagent.config import section_4_4_preset
 from freeagent.domain import AccessTier, ConfigError
 from freeagent.engine import Engine
-from freeagent.moe import uniform_moe
+from freeagent.moe import uniform_gate
 from freeagent.pipeline import decide, redact
 from freeagent.simulator import (
     DriftSchedule,
@@ -168,7 +168,8 @@ def accuracy(spec, stream, tier):
     """Share of correct verdicts of ``spec``'s experts under a uniform gate
     on the stream's one cycle, the features redacted to ``tier``."""
     batch = generate_cycle(stream, 0)
-    _, _, verdict = decide(uniform_moe(spec.experts), redact(batch.features, tier), batch.modality)
+    gate = uniform_gate(len(spec.experts))
+    _, _, verdict = decide(spec.experts, gate, redact(batch.features, tier), batch.modality)
     return np.count_nonzero(verdict == batch.label) / len(batch)
 
 
