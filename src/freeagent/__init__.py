@@ -14,7 +14,7 @@ from .domain import (
 from .engine import Engine, SnapshotError, restore_engine, snapshot_state, write_snapshot
 from .lifecycle import LifecycleConfig
 from .moe import Expert, check_gate, rl_update, uniform_gate
-from .simulator import DriftSchedule, PatternSpec, ScenarioSpec, Segment, StreamConfig
+from .simulator import PatternSpec, ScenarioSpec, Segment, StreamConfig
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "AgentStatus",
     "ComputationError",
     "ConfigError",
-    "DriftSchedule",
     "Engine",
     "EventKind",
     "Expert",

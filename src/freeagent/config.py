@@ -2,9 +2,11 @@
 bundled scenario preset, which checks its own calibration.
 
 Configs are plain JSON, and the config dataclasses are the schema: each
-field whose type has a JSON kind is a key (see ``SCHEMA``). Patterns, the
-schedule and the section layout have their own code. Errors name the
-dotted path, and all of them come before any execution starts.
+field is a key (see ``SCHEMA``), and a field holding a config dataclass, or
+a tuple of them, is a nested object or a list of objects. Only the
+``output`` section, which holds two of ``RunConfig``'s own fields, has
+code of its own. Errors name the dotted path, and all of them come before
+any execution starts.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import functools
 import json
 import math
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -23,10 +25,9 @@ from .domain import FRAUD_ROLE, AccessTier, ConfigError, DispatchedRole
 from .lifecycle import LifecycleConfig, RoleSpec
 from .moe import Expert, check_learning_rate, uniform_gate
 from .pipeline import decide, redact
-from .reward import RewardConfig, RewardWeights
+from .reward import RewardConfig
 from .simulator import (
     DEFAULT_SCENARIO,
-    DriftSchedule,
     PatternSpec,
     SampleBatch,
     ScenarioSpec,
@@ -70,8 +71,7 @@ class AgentSpec:
 class RunConfig:
     stream: StreamConfig
     lifecycle: LifecycleConfig = field(default_factory=LifecycleConfig)
-    reward_weights: RewardWeights = field(default_factory=RewardWeights)
-    reward_config: RewardConfig = field(default_factory=RewardConfig)
+    reward: RewardConfig = field(default_factory=RewardConfig)
     roles: tuple[RoleSpec, ...] = ()
     roster: tuple[AgentSpec, ...] = ()
     pool: tuple[AgentSpec, ...] = ()
@@ -143,6 +143,11 @@ def _strings(value, path: str, key: str) -> frozenset[str]:
     raise ConfigError(f"{path}.{key}: expected a list of strings, got {value!r}")
 
 
+def _weights(value, path: str, key: str) -> dict[str, float]:
+    """Name -> finite number."""
+    return {name: _number(w, f"{path}.{key}", name) for name, w in _DICT(value, path, key).items()}
+
+
 def _shift(value, path: str, key: str) -> dict[int, float]:
     """Coordinate -> offset; coordinates are canonical integers ("3", not
     "03" or " 3"), so no two keys name the same one."""
@@ -166,7 +171,12 @@ def _fraud_role(value, path: str, key: str) -> str:
     return value
 
 
-def list_of(cls: type) -> Callable:
+def _object_of(cls: type) -> Callable:
+    """The parser of a JSON ``cls`` object."""
+    return lambda value, path, key: from_dict(cls, value, f"{path}.{key}")
+
+
+def _list_of(cls: type) -> Callable:
     """The parser of a JSON list of ``cls`` objects."""
 
     def parse(value, path: str, key: str) -> tuple:
@@ -188,7 +198,7 @@ class Key(NamedTuple):
     required: bool
 
 
-# The parser and dump of each field type that has a JSON kind.
+# The parser and dump of each field type but a config dataclass or a tuple of them.
 _KINDS = {
     float: (_number, None),
     float | None: (lambda value, *at: None if value is None else _number(value, *at), None),
@@ -198,30 +208,9 @@ _KINDS = {
     tuple[float, ...]: (_numbers, list),
     frozenset[str]: (_strings, sorted),
     dict[int, float]: (_shift, lambda shift: {str(k): v for k, v in sorted(shift.items())}),
-    tuple[Expert, ...]: (list_of(Expert), lambda experts: [to_dict(e) for e in experts]),
+    dict[str, float]: (_weights, dict),
     DispatchedRole: (_fraud_role, None),
 }
-
-
-def _table(cls: type) -> tuple[Key, ...]:
-    table, kinds = [], get_type_hints(cls)
-    for f in fields(cls):
-        parse, dump = _KINDS.get(kinds[f.name], (None, None))
-        if parse is not None:
-            required = f.default is MISSING and f.default_factory is MISSING
-            table.append(Key(f.name, kinds[f.name], parse, dump, required))
-    return tuple(table)
-
-
-SCHEMA = {
-    cls: _table(cls)
-    for cls in (Expert, PatternSpec, Segment, StreamConfig, AgentSpec, RoleSpec,
-                LifecycleConfig, RewardWeights, RewardConfig, RunConfig)
-}
-# Views of SCHEMA for the parse and the dump, which run once per object.
-_KEYS = {cls: frozenset(key.name for key in t) for cls, t in SCHEMA.items()}
-_PARSE = {cls: [(key.name, key.parse, key.required) for key in t] for cls, t in SCHEMA.items()}
-_DUMP = {cls: [(key.name, key.dump) for key in t] for cls, t in SCHEMA.items()}
 
 
 def _read(cls: type, node: dict, path: str) -> dict:
@@ -259,45 +248,52 @@ def to_dict(obj) -> dict:
     return node
 
 
-def _required(node: dict, key: str, path: str, parse: Callable):
-    if key not in node:
-        raise ConfigError(f"{path}: missing required key '{key}'")
-    return parse(node[key], path, key)
+def _kind(kind: object) -> tuple[Callable, Callable | None] | None:
+    """The parser and dump of a field type: a config dataclass is a nested
+    object, ``tuple[cls, ...]`` a list of them."""
+    if kind in _KINDS:
+        return _KINDS[kind]
+    if is_dataclass(kind):
+        return _object_of(kind), to_dict
+    args = get_args(kind)
+    if get_origin(kind) is tuple and len(args) == 2 and args[1] is ... and is_dataclass(args[0]):
+        return _list_of(args[0]), lambda items: [to_dict(item) for item in items]
+    return None
+
+
+def _table(cls: type) -> tuple[Key, ...]:
+    """One key per field; a field with no JSON kind fails at import."""
+    table, kinds = [], get_type_hints(cls)
+    for f in fields(cls):
+        if (kind := _kind(kinds[f.name])) is None:
+            raise TypeError(f"{cls.__name__}.{f.name}: no JSON kind for {kinds[f.name]}")
+        required = f.default is MISSING and f.default_factory is MISSING
+        table.append(Key(f.name, kinds[f.name], *kind, required))
+    return tuple(table)
+
+
+SCHEMA = {
+    cls: _table(cls)
+    for cls in (Expert, PatternSpec, Segment, StreamConfig, AgentSpec, RoleSpec,
+                LifecycleConfig, RewardConfig, RunConfig)
+}
+# Views of SCHEMA for the parse and the dump, which run once per object.
+_KEYS = {cls: frozenset(key.name for key in t) for cls, t in SCHEMA.items()}
+_PARSE = {cls: [(key.name, key.parse, key.required) for key in t] for cls, t in SCHEMA.items()}
+_DUMP = {cls: [(key.name, key.dump) for key in t] for cls, t in SCHEMA.items()}
 
 
 def read_object(node: dict, path: str, parsers: dict[str, Callable]) -> dict:
     """Each key of ``parsers``, required and parsed, from an object with no other key."""
     _check_keys(node, set(parsers), path)
-    return {key: _required(node, key, path, parse) for key, parse in parsers.items()}
+    if missing := [key for key in parsers if key not in node]:
+        raise ConfigError(f"{path}: missing required key '{missing[0]}'")
+    return {key: parse(node[key], path, key) for key, parse in parsers.items()}
 
 
-def _parse_stream(node: dict, path: str) -> StreamConfig:
-    _check_keys(node, _KEYS[StreamConfig] | {"patterns", "schedule"}, path)
-    patterns = _required(node, "patterns", path, list_of(PatternSpec))
-    names = {p.name for p in patterns}
-    if len(names) != len(patterns):
-        raise ConfigError(f"{path}.patterns: duplicate pattern names")
-
-    segments = []
-    for i, seg in enumerate(_required(node, "schedule", path, _LIST)):
-        seg_path = f"{path}.schedule[{i}]"
-        _check_keys(seg, _KEYS[Segment] | {"mixture"}, seg_path)
-        weights = _required(seg, "mixture", seg_path, _DICT)
-        _check_keys(weights, names, f"{seg_path}.mixture")
-        mixture = tuple(  # pattern list order keeps mixtures deterministic
-            (p, _number(weights[p.name], f"{seg_path}.mixture", p.name))
-            for p in patterns
-            if p.name in weights
-        )
-        values = dict(_read(Segment, seg, seg_path), mixture=mixture)
-        segments.append(_build(Segment, seg_path, values))
-
-    schedule = _build(DriftSchedule, f"{path}.schedule", dict(segments=tuple(segments)))
-    return _build(StreamConfig, path, dict(_read(StreamConfig, node, path), schedule=schedule))
-
-
-_SECTIONS = {"schema_version", "stream", "lifecycle", "reward", "roles", "roster", "pool", "output"}
-_LISTS = {"roles": list_of(RoleSpec), "roster": list_of(AgentSpec), "pool": list_of(AgentSpec)}
+# RunConfig's keys read from the output section; the others are top-level sections.
+_OUTPUT = ("emit_detections", "snapshot_interval")
+_SECTIONS = _KEYS[RunConfig] - set(_OUTPUT) | {"schema_version", "output"}
 
 
 def parse_config(root: dict, source: str = "<config>") -> RunConfig:
@@ -305,23 +301,13 @@ def parse_config(root: dict, source: str = "<config>") -> RunConfig:
     version = _INT(root.get("schema_version", CONFIG_SCHEMA_VERSION), source, "schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"{source}: unsupported schema_version {version}")
-
-    stream = _parse_stream(_required(root, "stream", source, _DICT), f"{source}.stream")
-    lifecycle = from_dict(LifecycleConfig, root.get("lifecycle", {}), f"{source}.lifecycle")
-    # The reward section holds the fields of two objects, output RunConfig's own.
-    reward, reward_path = root.get("reward", {}), f"{source}.reward"
-    _check_keys(reward, _KEYS[RewardWeights] | _KEYS[RewardConfig], reward_path)
-    weights, reward_config = (
-        _build(cls, reward_path, _read(cls, reward, reward_path))
-        for cls in (RewardWeights, RewardConfig)
-    )
-    lists = {key: parse(root[key], source, key) for key, parse in _LISTS.items() if key in root}
     output, output_path = root.get("output", {}), f"{source}.output"
-    _check_keys(output, _KEYS[RunConfig], output_path)
-    return _build(RunConfig, source, dict(
-        _read(RunConfig, output, output_path), **lists, stream=stream, lifecycle=lifecycle,
-        reward_weights=weights, reward_config=reward_config,
-    ))
+    _check_keys(output, set(_OUTPUT), output_path)
+    values = _read(RunConfig, root, source)
+    for name, parse, _ in _PARSE[RunConfig]:
+        if name in output:
+            values[name] = parse(output[name], output_path, name)
+    return _build(RunConfig, source, values)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -334,42 +320,12 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(root, source=str(path))
 
 
-def _pattern_order(segments: tuple[Segment, ...]) -> list[PatternSpec]:
-    """The patterns in an order every mixture keeps (the parse orders a
-    mixture by the pattern list); first use breaks ties."""
-    pending = [[p for p, _ in seg.mixture] for seg in segments]
-    order = []
-    while any(pending):
-        tails = {p.name for mixture in pending for p in mixture[1:]}
-        head = next((m[0] for m in pending if m and m[0].name not in tails), None)
-        if head is None:
-            raise ConfigError("the mixtures order their patterns inconsistently")
-        order.append(head)
-        pending = [[p for p in mixture if p.name != head.name] for mixture in pending]
-    return order
-
-
 def config_to_dict(cfg: RunConfig) -> dict:
     """The JSON form of ``cfg``; snapshots embed it, and ``parse_config``
     reads it back to an equal config."""
-    segments = cfg.stream.schedule.segments
-    return {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "stream": {
-            **to_dict(cfg.stream),
-            "patterns": [to_dict(p) for p in _pattern_order(segments)],
-            "schedule": [
-                {**to_dict(seg), "mixture": {p.name: w for p, w in seg.mixture}}
-                for seg in segments
-            ],
-        },
-        "lifecycle": to_dict(cfg.lifecycle),
-        "reward": {**to_dict(cfg.reward_weights), **to_dict(cfg.reward_config)},
-        "roles": [to_dict(r) for r in cfg.roles],
-        "roster": [to_dict(a) for a in cfg.roster],
-        "pool": [to_dict(a) for a in cfg.pool],
-        "output": to_dict(cfg),
-    }
+    node = to_dict(cfg)
+    output = {key: node.pop(key) for key in _OUTPUT}
+    return {"schema_version": CONFIG_SCHEMA_VERSION, **node, "output": output}
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +341,21 @@ _CALIBRATION_SEED = 0xCA11B
 _CALIBRATION_SAMPLES = 10_000
 
 
-def _scenario(scenario: ScenarioSpec) -> tuple[DriftSchedule, AgentSpec, AgentSpec]:
-    """The drift schedule, the incumbent tuned for pattern A and the
+def _scenario(
+    scenario: ScenarioSpec, seed: int, samples_per_cycle: int, total_cycles: int
+) -> tuple[StreamConfig, AgentSpec, AgentSpec]:
+    """The drifting stream, the incumbent tuned for pattern A and the
     pattern-B candidate; accuracies are constructed, not learned."""
-    pattern_a, pattern_b = scenario_patterns(scenario)
     b_weight = scenario.post_drift_b_weight
-    schedule = DriftSchedule(
-        (
-            Segment(0, ((pattern_a, 1.0),)),
-            Segment(DRIFT_CYCLE, ((pattern_a, 1.0 - b_weight), (pattern_b, b_weight))),
-        )
+    stream = StreamConfig(
+        seed=seed,
+        samples_per_cycle=samples_per_cycle,
+        total_cycles=total_cycles,
+        patterns=scenario_patterns(scenario),
+        schedule=(
+            Segment(0, {"A": 1.0}),
+            Segment(DRIFT_CYCLE, {"A": 1.0 - b_weight, "B": b_weight}),
+        ),
     )
     skills = frozenset({"fraud", "text", "numeric", "behavior"})
     incumbent = AgentSpec(
@@ -403,7 +364,7 @@ def _scenario(scenario: ScenarioSpec) -> tuple[DriftSchedule, AgentSpec, AgentSp
     candidate = AgentSpec(
         FRAUD_ROLE, skills | {"pattern-B"}, candidate_experts(scenario), handoff_reliability=0.98
     )
-    return schedule, incumbent, candidate
+    return stream, incumbent, candidate
 
 
 @functools.cache
@@ -411,8 +372,9 @@ def _check_calibration(scenario: ScenarioSpec) -> None:
     """Measure the designed accuracies with a uniform gate, each batch
     redacted to the tier it is scored at, and refuse a scenario outside
     its bands."""
-    schedule, incumbent, candidate = _scenario(scenario)
-    stream = StreamConfig(_CALIBRATION_SEED, _CALIBRATION_SAMPLES, DRIFT_CYCLE + 1, schedule)
+    stream, incumbent, candidate = _scenario(
+        scenario, _CALIBRATION_SEED, _CALIBRATION_SAMPLES, DRIFT_CYCLE + 1
+    )
     pure_a, mixture = generate_cycle(stream, 0), generate_cycle(stream, DRIFT_CYCLE)
 
     def accuracy(spec: AgentSpec, batch: SampleBatch, tier: AccessTier) -> float:
@@ -447,14 +409,9 @@ def section_4_4_preset(
     accuracies miss their bands (measured once per scenario and process).
     """
     _check_calibration(scenario)
-    schedule, incumbent, candidate = _scenario(scenario)
+    stream, incumbent, candidate = _scenario(scenario, seed, samples_per_cycle, total_cycles)
     return RunConfig(
-        stream=StreamConfig(
-            seed=seed,
-            samples_per_cycle=samples_per_cycle,
-            total_cycles=total_cycles,
-            schedule=schedule,
-        ),
+        stream=stream,
         lifecycle=LifecycleConfig(),
         roles=(RoleSpec(name=FRAUD_ROLE, required_skills=frozenset({"fraud", "pattern-B"})),),
         roster=(incumbent,),

@@ -206,10 +206,10 @@ class Engine:
 
         # Stage 2: cycle rewards, then gate updates in recorded order.
         components = {
-            aid: compute_components(self.roster[aid], log, cfg.reward_config)
+            aid: compute_components(self.roster[aid], log, cfg.reward)
             for aid in sorted(self.roster)
         }
-        rewards = {aid: compute_reward(cfg.reward_weights, c) for aid, c in components.items()}
+        rewards = {aid: compute_reward(cfg.reward, c) for aid, c in components.items()}
         for aid in sorted(pipe.rewards):
             agent = self.roster[aid]
             agent.gate_weights = rl_update(
@@ -306,16 +306,19 @@ class Engine:
             for i, (tp, fp, fn, tn, stalled) in enumerate(totals.cycles)
         ]
 
+        # A phase per segment that starts within the run, ending where the
+        # next one starts or the run ends.
+        stream = self.config.stream
+        segments = [seg for seg in stream.schedule if seg.start_cycle < stream.total_cycles]
+        ends = [seg.start_cycle for seg in segments[1:]] + [stream.total_cycles]
         phases = []
-        segments = self.config.stream.schedule.segments
-        ends = [seg.start_cycle for seg in segments[1:]] + [self.config.stream.total_cycles]
         for seg, end in zip(segments, ends):
             span = totals.cycles[seg.start_cycle:end]
             phases.append(
                 {
                     "start_cycle": seg.start_cycle,
                     "end_cycle": end - 1,
-                    "mixture": {p.name: w for p, w in seg.mixture},
+                    "mixture": dict(seg.mixture),
                     **_system_metrics(*(sum(c[k] for c in span) for k in range(4))),
                 }
             )

@@ -23,7 +23,6 @@ logger = logging.getLogger("freeagent.pipeline")
 
 class Action:
     BLOCK = "Block"
-    ALERT = "Alert"
     NONE = "None"
 
 

@@ -22,20 +22,6 @@ from .metrics import PerformanceLog, f1_from_counts
 
 
 @dataclass(frozen=True, slots=True)
-class RewardWeights:
-    alpha: float = 1.0
-    beta: float = 0.25
-    gamma: float = 0.25
-    delta: float = 0.5
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "delta"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ConfigError(f"reward weight {name} must be finite and >= 0")
-
-
-@dataclass(frozen=True, slots=True)
 class RewardComponents:
     accuracy: float
     synergy: float
@@ -45,17 +31,28 @@ class RewardComponents:
 
 @dataclass(frozen=True, slots=True)
 class RewardConfig:
+    """The reward section: the four component weights, the cost baseline of
+    efficiency and the false-positive budget of the penalty."""
+
+    alpha: float = 1.0
+    beta: float = 0.25
+    gamma: float = 0.25
+    delta: float = 0.5
     baseline_cost_per_sample: float = 1.0
     fp_budget: float = 0.10
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "delta"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ConfigError(f"reward weight {name} must be finite and >= 0")
         if not self.baseline_cost_per_sample > 0:
             raise ConfigError("baseline_cost_per_sample must be positive")
         if not 0.0 <= self.fp_budget <= 1.0:
             raise ConfigError("fp_budget must be in [0, 1]")
 
 
-def compute_reward(w: RewardWeights, c: RewardComponents) -> float:
+def compute_reward(w: RewardConfig, c: RewardComponents) -> float:
     """alpha*accuracy + beta*synergy + gamma*efficiency - delta*penalty."""
     parts = (c.accuracy, c.synergy, c.efficiency, c.penalty)
     if not all(math.isfinite(p) for p in parts):

@@ -8,11 +8,13 @@ Philox4x64 bit generator whose 128-bit key is
 ``blake2b("sample|<seed>|<cycle>|<seq>", digest_size=16)`` with a zero
 counter. Per sample the draw order is fixed: one uniform for the pattern
 mixture, one uniform for the fraud label, FEATURE_DIM standard normals
-for feature noise, MODALITY_DIM uniforms for modality jitter. Any cycle
-(and any single sample) is therefore reproducible without generating
-anything before it. Bit-exactness holds only for a fixed numpy version,
-so pin your numpy (pyproject.toml only sets a floor); the bytes were
-checked on numpy 2.4.6.
+for feature noise, MODALITY_DIM uniforms for modality jitter. The pattern
+is the first of the running segment's mixture, taken in the order of the
+stream's pattern list, whose running weight exceeds the first uniform.
+Any cycle (and any single sample) is therefore reproducible without
+generating anything before it. Bit-exactness holds only for a fixed numpy
+version, so pin your numpy (pyproject.toml only sets a floor); the bytes
+were checked on numpy 2.4.6.
 
 Scenario construction
 ---------------------
@@ -106,45 +108,23 @@ class PatternSpec:
 
 @dataclass(frozen=True)
 class Segment:
+    """From ``start_cycle`` on, each sample's pattern is drawn from
+    ``mixture``, a pattern name -> weight map."""
+
     start_cycle: int
-    mixture: tuple[tuple[PatternSpec, float], ...]
-
-
-@dataclass(frozen=True)
-class DriftSchedule:
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ConfigError("drift schedule needs at least one segment")
-        if self.segments[0].start_cycle != 0:
-            raise ConfigError("first segment must start at cycle 0")
-        starts = [seg.start_cycle for seg in self.segments]
-        if starts != sorted(set(starts)):
-            raise ConfigError("segment starts must be strictly increasing")
-        for seg in self.segments:
-            weights = [w for _, w in seg.mixture]
-            if not weights or not all(w > 0 for w in weights):  # NaN fails too
-                raise ConfigError("mixture weights must be positive")
-            if abs(sum(weights) - 1.0) > 1e-9:
-                raise ConfigError("mixture weights must sum to 1")
-
-    def segment_for(self, cycle: int) -> Segment:
-        active = self.segments[0]
-        for seg in self.segments:
-            if seg.start_cycle <= cycle:
-                active = seg
-            else:
-                break
-        return active
+    mixture: dict[str, float]
 
 
 @dataclass(frozen=True)
 class StreamConfig:
+    """The stream: its seed and sizes, the patterns, and the drift schedule
+    of pattern mixtures. Errors name the key they are at."""
+
     seed: int
     samples_per_cycle: int
     total_cycles: int
-    schedule: DriftSchedule
+    patterns: tuple[PatternSpec, ...]
+    schedule: tuple[Segment, ...]
 
     def __post_init__(self) -> None:
         if not 1 <= self.samples_per_cycle <= MAX_SAMPLES_PER_CYCLE:
@@ -153,6 +133,33 @@ class StreamConfig:
             raise ConfigError("total_cycles must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
+        names = [p.name for p in self.patterns]
+        if len(set(names)) != len(names):
+            raise ConfigError("duplicate pattern names", at="patterns")
+        if not self.schedule:
+            raise ConfigError("drift schedule needs at least one segment", at="schedule")
+        if self.schedule[0].start_cycle != 0:
+            raise ConfigError("first segment must start at cycle 0", at="schedule")
+        starts = [seg.start_cycle for seg in self.schedule]
+        if starts != sorted(set(starts)):
+            raise ConfigError("segment starts must be strictly increasing", at="schedule")
+        for i, seg in enumerate(self.schedule):
+            at = f"schedule[{i}].mixture"
+            if unknown := seg.mixture.keys() - set(names):
+                raise ConfigError(f"unknown patterns {sorted(unknown)}", at=at)
+            weights = [w for _, w in self._ordered(seg)]  # summed in pattern-list order
+            if not weights or not all(w > 0 for w in weights):  # NaN fails too
+                raise ConfigError("mixture weights must be positive", at=at)
+            if abs(sum(weights) - 1.0) > 1e-9:
+                raise ConfigError("mixture weights must sum to 1", at=at)
+
+    def _ordered(self, seg: Segment) -> tuple[tuple[PatternSpec, float], ...]:
+        return tuple((p, seg.mixture[p.name]) for p in self.patterns if p.name in seg.mixture)
+
+    def mixture(self, cycle: int) -> tuple[tuple[PatternSpec, float], ...]:
+        """The mixture of the segment running at ``cycle``, in pattern-list
+        order, which keeps the draw of each sample's pattern deterministic."""
+        return self._ordered(next(s for s in reversed(self.schedule) if s.start_cycle <= cycle))
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,7 +203,7 @@ def generate_cycle(cfg: StreamConfig, cycle: int) -> SampleBatch:
 
     # First mixture entry whose running weight exceeds the pattern uniform;
     # the last entry takes anything the rounded sum leaves uncovered.
-    mixture = cfg.schedule.segment_for(cycle).mixture
+    mixture = cfg.mixture(cycle)
     bounds = list(accumulate(weight for _, weight in mixture))
     pattern = np.minimum(np.searchsorted(bounds, uniforms[:, 0], side="right"), len(mixture) - 1)
     label = uniforms[:, 1] < np.array([spec.fraud_rate for spec, _ in mixture])[pattern]

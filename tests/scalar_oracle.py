@@ -34,7 +34,9 @@ class DataSample:
 def generate_sample(cfg: StreamConfig, cycle: int, seq: int, rng: KeyedRng) -> DataSample:
     """The sample at (cycle, seq), drawn from its own keyed substream."""
     gen = rng.reset("sample", cfg.seed, cycle, seq)
-    mixture = cfg.schedule.segment_for(cycle).mixture
+    # the last segment started by ``cycle``; its mixture in pattern-list order
+    weights = [seg for seg in cfg.schedule if seg.start_cycle <= cycle][-1].mixture
+    mixture = [(spec, weights[spec.name]) for spec in cfg.patterns if spec.name in weights]
 
     u_pattern = gen.random()
     pattern = len(mixture) - 1

@@ -23,9 +23,8 @@ from freeagent.lifecycle import LifecycleConfig, RoleSpec
 from freeagent.metrics import f1_from_counts
 from freeagent.moe import Expert, rl_update
 from freeagent.pipeline import decide
-from freeagent.reward import RewardComponents, RewardWeights, compute_reward
+from freeagent.reward import RewardComponents, RewardConfig, compute_reward
 from freeagent.simulator import (
-    DriftSchedule,
     KeyedRng,
     PatternSpec,
     Segment,
@@ -176,7 +175,7 @@ class TestCriterion3RewardLinearity:
         max_slope_err = 0.0
         bounds_ok = True
         for _ in range(1_000):
-            w = RewardWeights(*(rng.uniform(0.0, 2.0) for _ in range(4)))
+            w = RewardConfig(*(rng.uniform(0.0, 2.0) for _ in range(4)))
             weights = (w.alpha, w.beta, w.gamma, w.delta)
             base = [rng.uniform(0.0, 0.7) for _ in range(4)]
             delta = rng.uniform(0.01, 0.3)
@@ -210,10 +209,10 @@ def _random_run_config(rng: random.Random) -> RunConfig:
                 modality_base=rng.choice(bases),
             )
         )
-    mix = tuple((p, 1.0 / len(patterns)) for p in patterns)
-    segments = [Segment(0, mix)]
+    mix = {p.name: 1.0 / len(patterns) for p in patterns}
+    segments = (Segment(0, mix),)
     if len(patterns) == 2 and rng.random() < 0.5:
-        segments = [Segment(0, ((patterns[0], 1.0),)), Segment(rng.randrange(5, 20), mix)]
+        segments = (Segment(0, {patterns[0].name: 1.0}), Segment(rng.randrange(5, 20), mix))
 
     def agent_spec():
         experts = tuple(
@@ -239,7 +238,8 @@ def _random_run_config(rng: random.Random) -> RunConfig:
             seed=rng.getrandbits(32),
             samples_per_cycle=40,
             total_cycles=30,
-            schedule=DriftSchedule(tuple(segments)),
+            patterns=tuple(patterns),
+            schedule=segments,
         ),
         lifecycle=LifecycleConfig(
             release_threshold=rng.uniform(0.5, 0.9),

@@ -12,7 +12,7 @@ from freeagent.domain import FRAUD_ROLE, AccessTier, Agent, AgentStatus
 from freeagent.metrics import PerformanceLog
 from freeagent.moe import Expert, rl_update
 from freeagent.pipeline import CyclePipeline, decide, redact
-from freeagent.simulator import DriftSchedule, PatternSpec, Segment, StreamConfig, generate_cycle
+from freeagent.simulator import PatternSpec, Segment, StreamConfig, generate_cycle
 from tests import scalar_oracle as oracle
 
 PATTERNS = (
@@ -84,10 +84,11 @@ def streams(draw):
         seed=draw(st.integers(0, 2**64 - 1)),
         samples_per_cycle=draw(st.integers(1, 60)),
         total_cycles=2,
-        schedule=DriftSchedule((
-            Segment(0, ((PATTERNS[0], 1.0),)),
-            Segment(1, tuple(zip(PATTERNS, (w / total for w in weights)))),
-        )),
+        patterns=PATTERNS,
+        schedule=(
+            Segment(0, {"A": 1.0}),
+            Segment(1, dict(zip("ABC", (w / total for w in weights)))),
+        ),
     )
 
 

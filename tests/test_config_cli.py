@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import pytest
 from freeagent.cli import main
 from freeagent.config import (
     PRESETS,
+    SCHEMA,
+    _table,
     config_to_dict,
     load_config,
     parse_config,
@@ -102,6 +105,33 @@ class TestParsing:
         again = parse_config(config_to_dict(cfg))
         assert config_to_dict(again) == config_to_dict(cfg)
 
+    @pytest.mark.parametrize("names,mixtures", [
+        pytest.param("AB", [{"A": 1.0}], id="unused_pattern"),
+        pytest.param("BA", [{"A": 1.0}, {"B": 1.0}], id="not_in_first_use_order"),
+    ])
+    def test_pattern_list_round_trips_as_written(self, names, mixtures):
+        node = json.loads(json.dumps(MINIMAL))
+        pattern = node["stream"]["patterns"][0]
+        node["stream"]["patterns"] = [dict(pattern, name=name) for name in names]
+        node["stream"]["schedule"] = [
+            {"start_cycle": start, "mixture": mixture} for start, mixture in enumerate(mixtures)
+        ]
+        dumped = config_to_dict(parse_config(node))
+        assert dumped["stream"]["patterns"] == node["stream"]["patterns"]
+
+    def test_every_schema_table_covers_every_field(self):
+        for cls, table in SCHEMA.items():
+            assert [key.name for key in table] == [f.name for f in fields(cls)], cls.__name__
+
+    def test_a_field_without_a_json_kind_fails_naming_it(self):
+        @dataclass(frozen=True)
+        class Odd:
+            count: int
+            bits: set[int]
+
+        with pytest.raises(TypeError, match=r"Odd\.bits: no JSON kind"):
+            _table(Odd)
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_config("nope")
@@ -136,6 +166,15 @@ class TestCli:
         pytest.param("stream.patterns", [1], "cfg.json.stream.patterns[0]", id="pattern_number"),
         pytest.param("stream.schedule.0.mixture.A", "x", "cfg.json.stream.schedule[0].mixture.A",
                      id="mixture_weight_text"),
+        # a mixture names listed patterns, and its weights sum to 1
+        pytest.param("stream.schedule", [{"start_cycle": 0, "mixture": {"A": 1.0}},
+                                         {"start_cycle": 1, "mixture": {"Z": 1.0}}],
+                     "cfg.json.stream.schedule[1].mixture: unknown patterns ['Z']",
+                     id="mixture_pattern_unknown"),
+        pytest.param("stream.schedule", [{"start_cycle": 0, "mixture": {"A": 1.0}},
+                                         {"start_cycle": 1, "mixture": {"A": 0.5}}],
+                     "cfg.json.stream.schedule[1].mixture: mixture weights must sum to 1",
+                     id="mixture_weights_sum"),
         # a string would otherwise be taken as the set of its letters
         pytest.param("roles.0.required_skills", "fraud", "cfg.json.roles[0].required_skills",
                      id="skills_string"),
@@ -338,6 +377,16 @@ class TestOutputSchemas:
         engine.run(tmp_path)
         first = json.loads((tmp_path / "events.jsonl").read_text().splitlines()[0])
         assert list(first) == ["cycle", "kind", "agent", "detail", "performance_snapshot"]
+
+    def test_summary_phases_stop_at_the_end_of_the_run(self, tmp_path):
+        # a segment that starts after the last cycle is no phase
+        node = json.loads(json.dumps(MINIMAL))
+        node["stream"]["total_cycles"] = 3
+        node["stream"]["schedule"].append({"start_cycle": 10, "mixture": {"A": 1.0}})
+        summary = Engine(parse_config(node)).run(tmp_path)
+        (phase,) = summary["phases"]
+        assert (phase["start_cycle"], phase["end_cycle"]) == (0, 2)
+        assert phase["decided"] == sum(c["decided"] for c in summary["cycles"]) > 0
 
     def test_csv_floats_fixed_to_six_decimals(self, tmp_path):
         engine = Engine(small_config(cycles=1))

@@ -2,18 +2,20 @@
 
 The strategy walks ``freeagent.config.SCHEMA``: every key of every section
 comes from a dataclass field, its values from the field's type (and, for
-an expert's profile and weights, the length of their space), and a key
-with a dataclass default is sometimes left out. A few keys get
-values chosen here: the schedule, whose patterns and start cycles depend on
-each other, and the run sizes, kept small so each example runs in
-milliseconds. ``configs(bad=...)``
-swaps in a wrong value (wrong JSON type, non-finite, overflowing, out of
-range, malformed coordinate) with about that probability per value.
+an expert's profile and weights, the length of their space), a field
+holding a config dataclass is a nested object, and a key with a dataclass
+default is sometimes left out. A few keys get values chosen here: the
+patterns and the schedule, which depend on each other, and the run sizes
+and list lengths, kept small so each example runs in milliseconds.
+``configs(bad=...)`` swaps in a wrong value (wrong JSON type, non-finite,
+overflowing, out of range, malformed coordinate) with about that
+probability per value.
 """
 
 import json
 import math
 import tempfile
+from dataclasses import is_dataclass
 from pathlib import Path
 
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
@@ -22,9 +24,8 @@ from freeagent.cli import main
 from freeagent.config import SCHEMA, AgentSpec, RunConfig, config_to_dict, parse_config
 from freeagent.domain import FEATURE_DIM, FRAUD_ROLE, MODALITY_DIM, ConfigError, DispatchedRole
 from freeagent.engine import Engine, restore_engine
-from freeagent.lifecycle import LifecycleConfig, RoleSpec
+from freeagent.lifecycle import RoleSpec
 from freeagent.moe import Expert
-from freeagent.reward import RewardConfig, RewardWeights
 from freeagent.simulator import PatternSpec, StreamConfig
 
 BAD_NUMBERS = [math.nan, math.inf, -math.inf, 10**400, 1e300, -1e300, -1.0, 1.5, "1", True, None]
@@ -32,6 +33,8 @@ BAD_INTS = [-1, 0, 2**64, 2.5, "1", True, None]
 SKILLS = ["fraud", "pattern-B"]
 # The lists of numbers with a fixed length; any other list has 3 entries.
 LENGTHS = {(Expert, "profile"): MODALITY_DIM, (Expert, "weights"): FEATURE_DIM}
+# RunConfig's keys that a config file holds in its output section.
+OUTPUT = ("emit_detections", "snapshot_interval")
 
 
 def maybe_bad(good, bad, rate):
@@ -68,6 +71,8 @@ def value(key, length, rate):
         bad = [{"01": 1.0}, {" 1": 1.0}, {"x": 1.0}, {"9": 1.0}, {"0": "1"}, {"0": math.inf}]
         shift = st.dictionaries(st.integers(0, 5).map(str), number, max_size=2)
         return maybe_bad(shift, bad, rate)
+    if is_dataclass(key.kind):
+        return maybe_bad(record(key.kind, rate), [[], None], rate)
     if key.kind == tuple[Expert, ...]:
         return maybe_bad(st.lists(record(Expert, rate), min_size=1, max_size=2), [[], {}], rate)
     raise AssertionError(f"no strategy for {key.name}: {key.kind}")
@@ -96,19 +101,19 @@ def configs(draw, bad=0.0, snapshot_interval=None):
         weights = [draw(maybe_bad(st.just(w), BAD_NUMBERS, bad)) for w in (0.25, 0.75)]
         mixture = dict(zip(used, weights)) if len(used) == 2 else {used[0]: 1.0}
         schedule.append({"start_cycle": start, "mixture": mixture})
-    stream = draw(record(
+    stream = record(
         StreamConfig, bad,
         samples_per_cycle=maybe_bad(st.integers(1, 20), [0, 2.5, True], bad),
         total_cycles=maybe_bad(st.integers(1, 4), [0, "1", None], bad),
-    ))
-    node = {"stream": dict(stream, patterns=patterns, schedule=schedule)}
-    node["roles"] = draw(st.lists(record(RoleSpec, bad), max_size=1))
-    for section in ("roster", "pool"):
-        node[section] = draw(st.lists(record(AgentSpec, bad), max_size=2))
-    node["lifecycle"] = draw(record(LifecycleConfig, bad))
-    node["reward"] = draw(record(RewardWeights, bad)) | draw(record(RewardConfig, bad))
+        patterns=st.just(patterns), schedule=st.just(schedule),
+    )
     chosen = {"snapshot_interval": st.just(snapshot_interval)} if snapshot_interval else {}
-    node["output"] = draw(record(RunConfig, bad, **chosen))
+    agents = st.lists(record(AgentSpec, bad), max_size=2)
+    node = draw(record(
+        RunConfig, bad, stream=stream, roles=st.lists(record(RoleSpec, bad), max_size=1),
+        roster=agents, pool=agents, **chosen,
+    ))
+    node["output"] = {key: node.pop(key) for key in OUTPUT if key in node}
     return node
 
 
@@ -143,6 +148,31 @@ def test_every_config_runs_or_is_rejected_before_any_output(node):
             assert summary["completed_through_cycle"] == summary["total_cycles"] - 1
         else:
             assert code == 2 and not out.exists()
+
+
+def test_at_least_a_quarter_of_the_generated_configs_run():
+    # The property above holds whatever share of configs is rejected, so a
+    # strategy that stopped making valid ones, or valid agents, would leave
+    # the runs untested. A config runs iff it parses, as that property
+    # checks; derandomized, the shares are fixed numbers, not flaky ones.
+    agents = []  # per generated config: its agent count, None if rejected
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(node=configs(bad=0.03))
+    def parse(node):
+        try:
+            cfg = parse_config(json.loads(json.dumps(node)))
+        except ConfigError:
+            agents.append(None)
+        else:
+            agents.append(len(cfg.roster) + len(cfg.pool))
+
+    parse()
+    runs = [n for n in agents if n is not None]
+    assert len(runs) >= len(agents) / 4, f"{len(runs)} of {len(agents)} configs run"
+    with_agents = sum(n > 0 for n in runs)
+    assert with_agents >= len(agents) / 10, f"{with_agents} of {len(agents)} run an agent"
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

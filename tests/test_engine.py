@@ -8,7 +8,7 @@ from freeagent.domain import AgentStatus, EventKind
 from freeagent.engine import METRICS_COLUMNS, Engine
 from freeagent.lifecycle import LifecycleConfig, RoleSpec
 from freeagent.moe import Expert
-from freeagent.simulator import DriftSchedule, PatternSpec, Segment, StreamConfig
+from freeagent.simulator import PatternSpec, Segment, StreamConfig
 
 GOOD_PATTERN = PatternSpec(
     name="A", fraud_rate=0.5, fraud_shift={0: 6.0}, modality_base=(0.7, 0.3, 0.0)
@@ -39,7 +39,8 @@ def small_config(
             seed=seed,
             samples_per_cycle=spc,
             total_cycles=cycles,
-            schedule=DriftSchedule((Segment(0, ((GOOD_PATTERN, 1.0),)),)),
+            patterns=(GOOD_PATTERN,),
+            schedule=(Segment(0, {GOOD_PATTERN.name: 1.0}),),
         ),
         lifecycle=lifecycle or LifecycleConfig(),
         roles=(RoleSpec(name="FraudDetection", required_skills=required),),
@@ -231,8 +232,8 @@ class TestDegenerate:
     def test_empty_roster_and_pool_cycle_completes(self, caplog):
         cfg = RunConfig(
             stream=StreamConfig(
-                seed=1, samples_per_cycle=10, total_cycles=2,
-                schedule=DriftSchedule((Segment(0, ((GOOD_PATTERN, 1.0),)),)),
+                seed=1, samples_per_cycle=10, total_cycles=2, patterns=(GOOD_PATTERN,),
+                schedule=(Segment(0, {GOOD_PATTERN.name: 1.0}),),
             ),
             roles=(RoleSpec(name="FraudDetection", required_skills=frozenset({"fraud"})),),
         )

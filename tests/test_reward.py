@@ -10,7 +10,6 @@ from freeagent.metrics import PerformanceLog, f1_from_counts
 from freeagent.reward import (
     RewardComponents,
     RewardConfig,
-    RewardWeights,
     compute_components,
     compute_reward,
 )
@@ -19,35 +18,35 @@ from tests.test_metrics import make_agent
 
 class TestComputeReward:
     def test_accuracy_only(self):
-        w = RewardWeights(alpha=1.0, beta=0.0, gamma=0.0, delta=0.0)
+        w = RewardConfig(alpha=1.0, beta=0.0, gamma=0.0, delta=0.0)
         c = RewardComponents(accuracy=0.9, synergy=0.2, efficiency=0.4, penalty=0.7)
         assert compute_reward(w, c) == pytest.approx(0.9)
 
     def test_weighted_mix(self):
-        w = RewardWeights(alpha=0.5, beta=0.2, gamma=0.2, delta=0.1)
+        w = RewardConfig(alpha=0.5, beta=0.2, gamma=0.2, delta=0.1)
         c = RewardComponents(accuracy=1.0, synergy=1.0, efficiency=1.0, penalty=0.0)
         assert compute_reward(w, c) == pytest.approx(0.9)
 
     def test_pure_penalty_negates(self):
-        w = RewardWeights(alpha=0.0, beta=0.0, gamma=0.0, delta=1.0)
+        w = RewardConfig(alpha=0.0, beta=0.0, gamma=0.0, delta=1.0)
         c = RewardComponents(accuracy=0.5, synergy=0.5, efficiency=0.5, penalty=0.3)
         assert compute_reward(w, c) == pytest.approx(-0.3)
 
     def test_non_finite_rejected(self):
-        w = RewardWeights()
+        w = RewardConfig()
         c = RewardComponents(accuracy=math.nan, synergy=0.0, efficiency=0.0, penalty=0.0)
         with pytest.raises(ComputationError):
             compute_reward(w, c)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
-            RewardWeights(alpha=-0.1)
+            RewardConfig(alpha=-0.1)
 
     def test_linearity_per_component(self):
         rng = random.Random(11)
         signs = {"accuracy": 1.0, "synergy": 1.0, "efficiency": 1.0, "penalty": -1.0}
         for _ in range(200):
-            w = RewardWeights(*(rng.uniform(0, 2) for _ in range(4)))
+            w = RewardConfig(*(rng.uniform(0, 2) for _ in range(4)))
             base = {k: rng.uniform(0, 0.5) for k in signs}
             delta = rng.uniform(0.01, 0.5)
             r0 = compute_reward(w, RewardComponents(**base))
@@ -60,14 +59,14 @@ class TestComputeReward:
     def test_bounds_with_clamped_components(self):
         rng = random.Random(13)
         for _ in range(500):
-            w = RewardWeights(*(rng.uniform(0, 2) for _ in range(4)))
+            w = RewardConfig(*(rng.uniform(0, 2) for _ in range(4)))
             c = RewardComponents(*(rng.uniform(0, 1) for _ in range(4)))
             r = compute_reward(w, c)
             assert -w.delta - 1e-12 <= r <= w.alpha + w.beta + w.gamma + 1e-12
 
     def test_accuracy_weight_ranking_matches_f1(self):
         # with weights (1,0,0,0) ranking by reward is ranking by F1
-        w = RewardWeights(alpha=1.0, beta=0.0, gamma=0.0, delta=0.0)
+        w = RewardConfig(alpha=1.0, beta=0.0, gamma=0.0, delta=0.0)
         rng = random.Random(17)
         triples = [(rng.randint(0, 50), rng.randint(0, 50), rng.randint(0, 50)) for _ in range(50)]
         f1s = [f1_from_counts(*t) for t in triples]

@@ -1,6 +1,8 @@
 """Stream generation: determinism, schedule, mixture statistics, and the
 section-4.4 preset's calibration bands."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,6 @@ from freeagent.engine import Engine
 from freeagent.moe import uniform_gate
 from freeagent.pipeline import decide, redact
 from freeagent.simulator import (
-    DriftSchedule,
     KeyedRng,
     PatternSpec,
     ScenarioSpec,
@@ -28,6 +29,10 @@ PATTERN_A = PatternSpec(
 PATTERN_B = PatternSpec(
     name="B", fraud_rate=0.5, fraud_shift={2: 2.0}, modality_base=(0.0, 0.3, 0.7)
 )
+PATTERN_C = PatternSpec(
+    name="C", fraud_rate=0.7, fraud_shift={1: -1.5, 4: 2.5, 5: 0.25},
+    modality_base=(0.2, 0.0, 0.8),
+)
 
 
 def columns(batch):
@@ -41,15 +46,16 @@ def same_batch(a, b):
 
 
 def pattern_names(cfg, cycle, batch):
-    mixture = cfg.schedule.segment_for(cycle).mixture
+    mixture = cfg.mixture(cycle)
     return [mixture[k][0].name for k in batch.pattern.tolist()]
 
 
-def stream(seed=7, spc=1000, cycles=4, segments=None):
-    schedule = DriftSchedule(
-        segments or (Segment(0, ((PATTERN_A, 1.0),)), Segment(2, ((PATTERN_A, 0.5), (PATTERN_B, 0.5))))
-    )
-    return StreamConfig(seed=seed, samples_per_cycle=spc, total_cycles=cycles, schedule=schedule)
+DRIFT = (Segment(0, {"A": 1.0}), Segment(2, {"A": 0.5, "B": 0.5}))
+
+
+def stream(seed=7, spc=1000, cycles=4, segments=DRIFT, patterns=(PATTERN_A, PATTERN_B, PATTERN_C)):
+    return StreamConfig(seed=seed, samples_per_cycle=spc, total_cycles=cycles, patterns=patterns,
+                        schedule=segments)
 
 
 class TestDeterminism:
@@ -84,7 +90,7 @@ class TestStreamContent:
         n, p = 1000, 0.2
         lo, hi = binom.ppf(0.0005, n, p), binom.ppf(0.9995, n, p)
         assert 155 <= lo <= 162 and 238 <= hi <= 246
-        cfg = stream(spc=n, segments=(Segment(0, ((PATTERN_A, 1.0),)),))
+        cfg = stream(spc=n, segments=(Segment(0, {"A": 1.0}),))
         frauds = int(generate_cycle(cfg, 0).label.sum())
         assert lo <= frauds <= hi
 
@@ -105,7 +111,7 @@ class TestStreamContent:
                 assert modality[0] == 0.0
 
     def test_fraud_shift_applied_to_designated_coordinate(self):
-        cfg = stream(spc=2000, segments=(Segment(0, ((PATTERN_A, 1.0),)),))
+        cfg = stream(spc=2000, segments=(Segment(0, {"A": 1.0}),))
         batch = generate_cycle(cfg, 0)
         fraud_mean = batch.features[batch.label, 0].mean()
         legit_mean = batch.features[~batch.label, 0].mean()
@@ -115,12 +121,6 @@ class TestStreamContent:
         cfg = stream(spc=10)
         batch = generate_cycle(cfg, 2)
         assert (batch.seq0, len(batch)) == (20, 10)
-
-
-PATTERN_C = PatternSpec(
-    name="C", fraud_rate=0.7, fraud_shift={1: -1.5, 4: 2.5, 5: 0.25},
-    modality_base=(0.2, 0.0, 0.8),
-)
 
 
 @settings(max_examples=25, deadline=None)
@@ -133,9 +133,9 @@ def test_batch_matches_oracle_sample_by_sample(seed, cycle, weights):
     # multi-pattern segments, including a mixture whose weights need not
     # sum to 1 bit-exactly, so the last entry also catches the remainder
     total = sum(weights)
-    mixture = tuple(zip((PATTERN_A, PATTERN_B, PATTERN_C), (w / total for w in weights)))
+    mixture = dict(zip("ABC", (w / total for w in weights)))
     cfg = stream(seed=seed, spc=40, segments=(
-        Segment(0, ((PATTERN_B, 0.3), (PATTERN_C, 0.7))), Segment(2, mixture),
+        Segment(0, {"B": 0.3, "C": 0.7}), Segment(2, mixture),
     ))
     batch = generate_cycle(cfg, cycle)
     rng = KeyedRng()
@@ -149,19 +149,39 @@ def test_batch_matches_oracle_sample_by_sample(seed, cycle, weights):
 
 class TestScheduleValidation:
     def test_first_segment_must_start_at_zero(self):
-        with pytest.raises(ConfigError):
-            DriftSchedule((Segment(1, ((PATTERN_A, 1.0),)),))
+        with pytest.raises(ConfigError, match="first segment must start at cycle 0") as exc:
+            stream(segments=(Segment(1, {"A": 1.0}),))
+        assert exc.value.at == "schedule"
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ConfigError):
-            DriftSchedule((Segment(0, ((PATTERN_A, 0.6), (PATTERN_B, 0.5))),))
+        # summed in pattern-list order, as the stream draws them
+        with pytest.raises(ConfigError, match="sum to 1") as exc:
+            stream(segments=(Segment(0, {"B": 0.5, "A": 0.6}),))
+        assert exc.value.at == "schedule[0].mixture"
+
+    @pytest.mark.parametrize("patterns,segments,at,message", [
+        pytest.param((PATTERN_A,), (), "schedule", "at least one segment", id="no_segment"),
+        pytest.param((PATTERN_A,), (Segment(0, {"A": 1.0}), Segment(0, {"A": 1.0})), "schedule",
+                     "strictly increasing", id="starts_repeat"),
+        pytest.param((PATTERN_A,), (Segment(0, {"A": 1.0}), Segment(2, {"Z": 1.0})),
+                     "schedule[1].mixture", "unknown patterns ['Z']", id="unknown_pattern"),
+        pytest.param((PATTERN_A, PATTERN_B), (Segment(0, {"A": 1.5, "B": -0.5}),),
+                     "schedule[0].mixture", "positive", id="weight_negative"),
+        pytest.param((PATTERN_A,), (Segment(0, {}),), "schedule[0].mixture", "positive",
+                     id="mixture_empty"),
+        pytest.param((PATTERN_A, PATTERN_A), (Segment(0, {"A": 1.0}),), "patterns",
+                     "duplicate pattern names", id="duplicate_pattern"),
+    ])
+    def test_bad_schedule_rejected_at_its_key(self, patterns, segments, at, message):
+        with pytest.raises(ConfigError) as exc:
+            stream(segments=segments, patterns=patterns)
+        assert message in str(exc.value) and exc.value.at == at
 
     def test_segment_lookup(self):
-        sched = stream().schedule
-        assert sched.segment_for(0).start_cycle == 0
-        assert sched.segment_for(1).start_cycle == 0
-        assert sched.segment_for(2).start_cycle == 2
-        assert sched.segment_for(99).start_cycle == 2
+        # the running segment's mixture, in pattern-list order
+        cfg = stream(segments=(Segment(0, {"A": 1.0}), Segment(2, {"B": 0.75, "A": 0.25})))
+        assert cfg.mixture(0) == cfg.mixture(1) == ((PATTERN_A, 1.0),)
+        assert cfg.mixture(2) == cfg.mixture(99) == ((PATTERN_A, 0.25), (PATTERN_B, 0.75))
 
 
 def accuracy(spec, stream, tier):
@@ -187,17 +207,13 @@ class TestScenario:
         # preset's own pre- and post-drift mixtures
         cfg = section_4_4_preset()
         (incumbent,), (candidate,) = cfg.roster, cfg.pool
-        pre_drift, post_drift = cfg.stream.schedule.segments
-        pure_a = StreamConfig(
-            seed=123, samples_per_cycle=10_000, total_cycles=1,
-            schedule=DriftSchedule((Segment(0, pre_drift.mixture),)),
-        )
-        mixture = StreamConfig(
-            seed=321, samples_per_cycle=10_000, total_cycles=1,
-            schedule=DriftSchedule((Segment(0, post_drift.mixture),)),
-        )
-        assert [(p.name, w) for p, w in pre_drift.mixture] == [("A", 1.0)]
-        assert [(p.name, w) for p, w in post_drift.mixture] == [("A", 0.5), ("B", 0.5)]
+        pre_drift, post_drift = cfg.stream.schedule
+        pure_a = replace(cfg.stream, seed=123, samples_per_cycle=10_000, total_cycles=1,
+                         schedule=(Segment(0, pre_drift.mixture),))
+        mixture = replace(cfg.stream, seed=321, samples_per_cycle=10_000, total_cycles=1,
+                          schedule=(Segment(0, post_drift.mixture),))
+        assert [(p.name, w) for p, w in pure_a.mixture(0)] == [("A", 1.0)]
+        assert [(p.name, w) for p, w in mixture.mixture(0)] == [("A", 0.5), ("B", 0.5)]
         assert post_drift.start_cycle == 10
         assert 0.93 <= accuracy(incumbent, pure_a, AccessTier.FULL) <= 0.97
         assert 0.72 <= accuracy(incumbent, mixture, AccessTier.FULL) <= 0.78
