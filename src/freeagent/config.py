@@ -2,11 +2,11 @@
 bundled scenario preset, which checks its own calibration.
 
 Configs are plain JSON, and the config dataclasses are the schema: each
-field is a key (see ``SCHEMA``), and a field holding a config dataclass, or
-a tuple of them, is a nested object or a list of objects. Only the
+field is a key (see ``SCHEMA``) whose type hint gives its JSON kind, so a
+nested dataclass is an object and a tuple of them a list. Only the
 ``output`` section, which holds two of ``RunConfig``'s own fields, has
-code of its own. Errors name the dotted path, and all of them come before
-any execution starts.
+code of its own; the engine's snapshots and output rows use the same
+kinds. Errors name the dotted path, all before any execution starts.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from enum import Enum
+from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple, get_args, get_origin, get_type_hints
+from types import UnionType
+from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -143,11 +146,6 @@ def _strings(value, path: str, key: str) -> frozenset[str]:
     raise ConfigError(f"{path}.{key}: expected a list of strings, got {value!r}")
 
 
-def _weights(value, path: str, key: str) -> dict[str, float]:
-    """Name -> finite number."""
-    return {name: _number(w, f"{path}.{key}", name) for name, w in _DICT(value, path, key).items()}
-
-
 def _shift(value, path: str, key: str) -> dict[int, float]:
     """Coordinate -> offset; coordinates are canonical integers ("3", not
     "03" or " 3"), so no two keys name the same one."""
@@ -163,31 +161,61 @@ def _shift(value, path: str, key: str) -> dict[int, float]:
     return shift
 
 
-def _fraud_role(value, path: str, key: str) -> str:
-    if _STR(value, path, key) != FRAUD_ROLE:
-        raise ConfigError(
-            f"{path}.{key}: unsupported role {value!r}; only {FRAUD_ROLE!r} is dispatched"
-        )
-    return value
+def _among(values: dict) -> Callable:
+    """The parser of a string among the keys of ``values``, read as its value."""
 
-
-def _object_of(cls: type) -> Callable:
-    """The parser of a JSON ``cls`` object."""
-    return lambda value, path, key: from_dict(cls, value, f"{path}.{key}")
-
-
-def _list_of(cls: type) -> Callable:
-    """The parser of a JSON list of ``cls`` objects."""
-
-    def parse(value, path: str, key: str) -> tuple:
-        items = _LIST(value, path, key)
-        return tuple(from_dict(cls, node, f"{path}.{key}[{i}]") for i, node in enumerate(items))
+    def parse(value, path: str, key: str):
+        if type(value) is str and value in values:
+            return values[value]
+        raise ConfigError(f"{path}.{key}: expected one of {sorted(values)}, got {value!r}")
 
     return parse
 
 
+def _sequence(make: type, item: tuple) -> tuple:
+    """A JSON list of ``item``s, read as ``make``; item i's errors name ``key[i]``."""
+    parse, dump = item
+
+    def parse_items(value, path: str, key: str):
+        return make(parse(v, path, f"{key}[{i}]") for i, v in enumerate(_LIST(value, path, key)))
+
+    return parse_items, list if dump is None else lambda items: [dump(v) for v in items]
+
+
+def _fixed(*items: tuple) -> tuple:
+    """A JSON list of one value per item, read as a tuple; value j's errors name ``key[j]``."""
+    dumps = [dump for _, dump in items]
+
+    def parse_items(value, path: str, key: str) -> tuple:
+        if type(value) is not list or len(value) != len(items):
+            raise ConfigError(f"{path}.{key}: expected a list of {len(items)}, got {value!r}")
+        return tuple(parse(v, path, f"{key}[{j}]")
+                     for j, ((parse, _), v) in enumerate(zip(items, value)))
+
+    return parse_items, list if not any(dumps) else (
+        lambda row: [v if d is None else d(v) for d, v in zip(dumps, row)])
+
+
+def _mapping(item: tuple) -> tuple:
+    """A JSON object of names -> ``item``s; the errors of name's value name ``key.name``."""
+    parse, dump = item
+
+    def parse_items(value, path: str, key: str) -> dict:
+        node, at = _DICT(value, path, key), f"{path}.{key}"
+        return {name: parse(v, at, name) for name, v in node.items()}
+
+    return parse_items, dict if dump is None else lambda node: {k: dump(v) for k, v in node.items()}
+
+
+def _nullable(item: tuple) -> tuple:
+    """null or ``item``."""
+    parse, dump = item
+    return (lambda value, path, key: None if value is None else parse(value, path, key),
+            dump and (lambda value: None if value is None else dump(value)))
+
+
 # ---------------------------------------------------------------------------
-# The schema: one table per config dataclass, built from its fields
+# The schema: one table per dataclass, built from its fields' type hints
 # ---------------------------------------------------------------------------
 
 class Key(NamedTuple):
@@ -198,19 +226,25 @@ class Key(NamedTuple):
     required: bool
 
 
-# The parser and dump of each field type but a config dataclass or a tuple of them.
+# The parser and dump of each leaf type and of those read as a whole: a list of numbers
+# (checked at once), a skill set (dumped sorted), a fraud shift and a config file.
 _KINDS = {
     float: (_number, None),
-    float | None: (lambda value, *at: None if value is None else _number(value, *at), None),
     int: (_INT, None),
     bool: (_BOOL, None),
     str: (_STR, None),
     tuple[float, ...]: (_numbers, list),
     frozenset[str]: (_strings, sorted),
     dict[int, float]: (_shift, lambda shift: {str(k): v for k, v in sorted(shift.items())}),
-    dict[str, float]: (_weights, dict),
-    DispatchedRole: (_fraud_role, None),
+    RunConfig: (lambda value, path, key: parse_config(value, f"{path}.{key}"),
+                lambda cfg: config_to_dict(cfg)),
 }
+
+# Views of every table for the parse and the dump, which run once per object.
+_KEYS: dict[type, frozenset[str]] = {}
+_PARSE: dict[type, list] = {}
+_DUMP: dict[type, list] = {}
+_SKIPPED: dict[type, dict] = {}  # the fields built as None, of the tables that skip any
 
 
 def _read(cls: type, node: dict, path: str) -> dict:
@@ -236,11 +270,11 @@ def _build(cls: type, path: str, values: dict):
 def from_dict(cls: type, node: dict, path: str):
     """``cls`` from a JSON object holding only its table keys."""
     _check_keys(node, _KEYS[cls], path)
-    return _build(cls, path, _read(cls, node, path))
+    return _build(cls, path, {**_SKIPPED.get(cls, {}), **_read(cls, node, path)})
 
 
 def to_dict(obj) -> dict:
-    """The JSON object of a config dataclass: its table fields, in order."""
+    """The JSON object of a dataclass with a table: its table fields, in order."""
     node = {}
     for name, dump in _DUMP[type(obj)]:
         value = getattr(obj, name)
@@ -249,26 +283,52 @@ def to_dict(obj) -> dict:
 
 
 def _kind(kind: object) -> tuple[Callable, Callable | None] | None:
-    """The parser and dump of a field type: a config dataclass is a nested
-    object, ``tuple[cls, ...]`` a list of them."""
+    """The parser and dump of a type hint, built from its parts: a dataclass
+    is an object, ``list[x]`` and ``tuple[x, ...]`` are lists, a fixed
+    ``tuple[a, b]`` is a list of that length, ``dict[str, x]`` an object,
+    ``x | None`` null or x, and a ``Literal`` or an ``Enum`` a string among
+    its values (an Enum dumps ``.value``). None: the hint has no JSON kind."""
     if kind in _KINDS:
         return _KINDS[kind]
     if is_dataclass(kind):
-        return _object_of(kind), to_dict
-    args = get_args(kind)
-    if get_origin(kind) is tuple and len(args) == 2 and args[1] is ... and is_dataclass(args[0]):
-        return _list_of(args[0]), lambda items: [to_dict(item) for item in items]
-    return None
+        return (lambda value, path, key: from_dict(kind, value, f"{path}.{key}")), to_dict
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return _among({member.value: member for member in kind}), attrgetter("value")
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Literal:
+        return _among({arg: arg for arg in args}), None
+    if origin is list or origin is tuple and args[1:] == (...,):
+        form, parts = functools.partial(_sequence, origin), args[:1]
+    elif origin is tuple:
+        form, parts = _fixed, args
+    elif origin is dict and args[0] is str:
+        form, parts = _mapping, args[1:]
+    elif origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        form, parts = _nullable, [arg for arg in args if arg is not type(None)]
+    else:
+        return None
+    kinds = [_kind(part) for part in parts]
+    return None if None in kinds else form(*kinds)
 
 
-def _table(cls: type) -> tuple[Key, ...]:
-    """One key per field; a field with no JSON kind fails at import."""
-    table, kinds = [], get_type_hints(cls)
+def _table(cls: type, skip: tuple[str, ...] = (), required: bool = False) -> tuple[Key, ...]:
+    """One key per field of ``cls`` but those in ``skip``, which are built
+    as None; with ``required``, every key is, default or not. From then on
+    ``from_dict`` and ``to_dict`` read and write ``cls`` through the table.
+    A field with no JSON kind fails at import."""
+    table, kinds = [], get_type_hints(cls, localns=globals())  # globals: Agent.spec's type
     for f in fields(cls):
+        if f.name in skip:
+            continue
         if (kind := _kind(kinds[f.name])) is None:
             raise TypeError(f"{cls.__name__}.{f.name}: no JSON kind for {kinds[f.name]}")
-        required = f.default is MISSING and f.default_factory is MISSING
-        table.append(Key(f.name, kinds[f.name], *kind, required))
+        default = f.default is not MISSING or f.default_factory is not MISSING
+        table.append(Key(f.name, kinds[f.name], *kind, required or not default))
+    _KEYS[cls] = frozenset(key.name for key in table)
+    _PARSE[cls] = [(key.name, key.parse, key.required) for key in table]
+    _DUMP[cls] = [(key.name, key.dump) for key in table]
+    if skip:
+        _SKIPPED[cls] = dict.fromkeys(skip)
     return tuple(table)
 
 
@@ -277,18 +337,6 @@ SCHEMA = {
     for cls in (Expert, PatternSpec, Segment, StreamConfig, AgentSpec, RoleSpec,
                 LifecycleConfig, RewardConfig, RunConfig)
 }
-# Views of SCHEMA for the parse and the dump, which run once per object.
-_KEYS = {cls: frozenset(key.name for key in t) for cls, t in SCHEMA.items()}
-_PARSE = {cls: [(key.name, key.parse, key.required) for key in t] for cls, t in SCHEMA.items()}
-_DUMP = {cls: [(key.name, key.dump) for key in t] for cls, t in SCHEMA.items()}
-
-
-def read_object(node: dict, path: str, parsers: dict[str, Callable]) -> dict:
-    """Each key of ``parsers``, required and parsed, from an object with no other key."""
-    _check_keys(node, set(parsers), path)
-    if missing := [key for key in parsers if key not in node]:
-        raise ConfigError(f"{path}: missing required key '{missing[0]}'")
-    return {key: parse(node[key], path, key) for key, parse in parsers.items()}
 
 
 # RunConfig's keys read from the output section; the others are top-level sections.

@@ -74,9 +74,10 @@ class Agent:
 
     ``gate_weights`` weigh the spec's experts, one weight each, and are
     the only learned state: the experts and the learning rate are the
-    spec's. ``performance`` is always the output of the most recent
+    spec's. ``performance``, in [0, 1], is the output of the most recent
     evaluation (0.0 before the first). ``service_time`` counts completed
     roster cycles and never decreases while the agent is not Released.
+    Counts are >= 0; building an agent checks them and ``performance``.
     ``access_tier`` follows ``status`` and is never stored.
     """
 
@@ -87,6 +88,14 @@ class Agent:
     service_time: int = 0
     performance: float = 0.0
     consecutive_below: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("id", "service_time", "consecutive_below"):
+            if (count := getattr(self, name)) < 0:
+                raise ConfigError(f"expected an integer >= 0, got {count}", at=name)
+        if not 0.0 <= self.performance <= 1.0:
+            raise ConfigError(f"expected a number in [0, 1], got {self.performance}",
+                              at="performance")
 
     @property
     def access_tier(self) -> AccessTier:
@@ -107,12 +116,3 @@ class RosterEvent:
     def of(cls, cycle: int, kind: EventKind, agent: Agent, detail: str) -> RosterEvent:
         """An event of ``agent``, snapshotting its performance as it stands."""
         return cls(cycle, kind, agent.id, detail, agent.performance)
-
-    def to_dict(self) -> dict:
-        return {
-            "cycle": self.cycle,
-            "kind": self.kind.value,
-            "agent": self.agent,
-            "detail": self.detail,
-            "performance_snapshot": self.performance_snapshot,
-        }

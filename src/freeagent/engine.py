@@ -27,15 +27,11 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import (  # the JSON-kind parsers read snapshots too
-    _BOOL, _DICT, _INT, _LIST, _STR, RunConfig, _number, _numbers, config_to_dict, parse_config,
-    read_object, to_dict,
-)
+from .config import RunConfig, _table, from_dict, to_dict
 from .domain import Agent, AgentId, AgentStatus, ConfigError, EventKind, RosterEvent
 from .lifecycle import (
     enforce_service_cap,
@@ -64,6 +60,7 @@ FIRST_EVENT_KEYS = {
     EventKind.SIGN: "first_sign",
     EventKind.PROMOTE: "first_promote",
 }
+_EVENT_KINDS = {kind.value for kind in EventKind}
 
 
 class SnapshotError(RuntimeError):
@@ -126,6 +123,24 @@ class RunTotals:
         default_factory=lambda: dict.fromkeys(FIRST_EVENT_KEYS.values())
     )
 
+    def __post_init__(self) -> None:
+        for i, row in enumerate(self.cycles):
+            if min(row[:4]) < 0:
+                raise ConfigError(f"expected counts >= 0, got {list(row)}", at=f"cycles[{i}]")
+        for kind, count in self.event_counts.items():
+            if kind not in _EVENT_KINDS or count < 0:
+                raise ConfigError(f"expected a count >= 0 of a known event kind, got {count}",
+                                  at=f"event_counts.{kind}")
+        keys = FIRST_EVENT_KEYS.values()
+        if missing := [key for key in keys if key not in self.key_cycles]:
+            raise ConfigError(f"missing required key '{missing[0]}'", at="key_cycles")
+        for key, cycle in self.key_cycles.items():
+            if key not in keys:
+                raise ConfigError("unknown key", at=f"key_cycles.{key}")
+            if cycle is not None and not 0 <= cycle < len(self.cycles):  # a cycle run so far
+                raise ConfigError(f"expected a cycle in [0, {len(self.cycles) - 1}], got {cycle}",
+                                  at=f"key_cycles.{key}")
+
     def fold(self, report: CycleReport) -> None:
         self.cycles.append(
             (report.system_tp, report.system_fp, report.system_fn, report.system_tn,
@@ -145,21 +160,9 @@ def _system_metrics(tp: int, fp: int, fn: int, tn: int) -> dict:
     return {"decided": tp + fp + fn + tn, "f1": f1, "accuracy": accuracy}
 
 
-def agent_state(agent: Agent) -> dict:
-    """What a snapshot keeps of an agent: everything its spec does not hold."""
-    return {
-        "id": agent.id,
-        "status": agent.status.value,
-        "service_time": agent.service_time,
-        "performance": agent.performance,
-        "consecutive_below": agent.consecutive_below,
-        "gate_weights": list(agent.gate_weights),
-    }
-
-
 def agent_to_dict(agent: Agent) -> dict:
     """The summary.json entry of an agent: its state and its spec's fixed fields."""
-    spec, node = agent.spec, agent_state(agent)
+    spec, node = agent.spec, to_dict(agent)
     moe = {"learning_rate": spec.learning_rate, "gate_weights": node.pop("gate_weights"),
            "experts": [to_dict(e) for e in spec.experts]}
     return {**node, "role": spec.role, "skills": sorted(spec.skills), "moe": moe,
@@ -284,11 +287,11 @@ class Engine:
             while self.cycle < self.config.stream.total_cycles:
                 report = self.run_cycle()
                 for event in report.events:
-                    events_file.write(json.dumps(event.to_dict(), separators=(",", ":")) + "\n")
+                    events_file.write(json.dumps(to_dict(event), separators=(",", ":")) + "\n")
                 for row in report.rows:
                     metrics_file.write(row.to_csv() + "\n")
                 for det in report.detections:  # empty unless emit_detections is set
-                    detections_file.write(json.dumps(det.to_dict(), separators=(",", ":")) + "\n")
+                    detections_file.write(json.dumps(to_dict(det), separators=(",", ":")) + "\n")
                 interval = self.config.snapshot_interval
                 if interval > 0 and self.cycle % interval == 0:
                     write_snapshot(self, snap_dir / f"state_cycle_{self.cycle:04d}.json")
@@ -342,16 +345,31 @@ class Engine:
 # Snapshot / restore
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Snapshot:
+    """A snapshot file: the whole engine state at a cycle boundary."""
+
+    format_version: int
+    next_cycle: int
+    config: RunConfig
+    roster: list[Agent]
+    pool: list[Agent]
+    totals: RunTotals
+
+
+# Output rows and snapshots are schema dumps; each key of a snapshot is required.
+_table(RosterEvent)
+_table(DetectionRecord)
+_table(Agent, skip=("spec",), required=True)  # restore joins each entry to its spec
+_table(RunTotals, required=True)
+_table(Snapshot, required=True)
+
+
 def snapshot_state(engine: Engine) -> dict:
     """The whole engine state at a cycle boundary."""
-    return {
-        "format_version": SNAPSHOT_FORMAT_VERSION,
-        "next_cycle": engine.cycle,
-        "config": config_to_dict(engine.config),
-        "roster": [agent_state(engine.roster[aid]) for aid in sorted(engine.roster)],
-        "pool": [agent_state(a) for a in engine.pool],
-        "totals": vars(engine.totals),
-    }
+    roster = [engine.roster[aid] for aid in sorted(engine.roster)]
+    return to_dict(Snapshot(SNAPSHOT_FORMAT_VERSION, engine.cycle, engine.config, roster,
+                            engine.pool, engine.totals))
 
 
 def write_snapshot(engine: Engine, path: str | Path) -> None:
@@ -368,87 +386,30 @@ def write_snapshot(engine: Engine, path: str | Path) -> None:
         raise
 
 
-def _checked(parse: Callable, ok: Callable, expected: str) -> Callable:
-    """``parse``, refusing a value for which ``ok`` is false."""
-
-    def check(value, path: str, key: str):
-        if ok(parsed := parse(value, path, key)):
-            return parsed
-        raise ConfigError(f"{path}.{key}: expected {expected}, got {value!r}")
-
-    return check
-
-
-def _each(parse: Callable) -> Callable:
-    """The parser of a JSON list whose item i ``parse`` reads at ``key[i]``."""
-    return lambda value, path, key: [
-        parse(item, path, f"{key}[{i}]") for i, item in enumerate(_LIST(value, path, key))
-    ]
-
-
-def _object(parsers: dict[str, Callable]) -> Callable:
-    """The parser of a JSON object holding exactly the keys of ``parsers``."""
-    return lambda value, path, key: read_object(value, f"{path}.{key}", parsers)
-
-
-_COUNT = _checked(_INT, lambda n: n >= 0, "an integer >= 0")
-_STATUSES = {status.value for status in AgentStatus}
-_KINDS = {kind.value for kind in EventKind}
-
-
-def _cycle(value, path: str, key: str) -> tuple[int, int, int, int, bool]:
-    """One cycle of the run totals: tp, fp, fn, tn, and whether it stalled."""
-    row = _checked(_LIST, lambda row: len(row) == 5, "four integers and a bool")(value, path, key)
-    parsers = (_COUNT,) * 4 + (_BOOL,)
-    return tuple(parse(v, path, f"{key}[{j}]") for j, (parse, v) in enumerate(zip(parsers, row)))
-
-
-def _event_counts(value, path: str, key: str) -> dict[str, int]:
-    counts = _checked(_DICT, _KINDS.issuperset, f"keys among {sorted(_KINDS)}")(value, path, key)
-    return {kind: _COUNT(n, f"{path}.{key}", kind) for kind, n in counts.items()}
-
-
-_AGENTS = _each(_object({  # the keys of agent_state
-    "id": _COUNT, "service_time": _COUNT, "consecutive_below": _COUNT,
-    "status": _checked(_STR, _STATUSES.__contains__, f"one of {sorted(_STATUSES)}"),
-    "performance": _checked(_number, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
-    "gate_weights": _numbers,
-}))
-_SNAPSHOT = {
-    "format_version": _INT, "next_cycle": _COUNT, "config": _DICT,
-    "roster": _AGENTS, "pool": _AGENTS,
-    "totals": _object({
-        "cycles": _each(_cycle),
-        "event_counts": _event_counts,
-        "key_cycles": _object(dict.fromkeys(FIRST_EVENT_KEYS.values(), lambda value, *at: (
-            None if value is None else _COUNT(value, *at)))),
-    }),
-}
-
-
 def _engine_from_snapshot(node: dict, path: str) -> Engine:
-    """The engine of a parsed snapshot: each agent entry joined to the spec
-    at its id, whose experts its gate weights must fit."""
-    snap = read_object(node, path, _SNAPSHOT)
-    engine = Engine(parse_config(snap["config"], source=f"{path}.config"))
-    specs = (*engine.config.roster, *engine.config.pool)
-    if sorted(a["id"] for a in snap["roster"] + snap["pool"]) != list(range(len(specs))):
+    """The engine of a parsed snapshot: each agent joined to the spec at
+    its id, whose experts its gate weights must fit, and a cycle the run
+    has and the totals cover."""
+    snap = from_dict(Snapshot, node, path)
+    specs = (*snap.config.roster, *snap.config.pool)
+    if sorted(a.id for a in snap.roster + snap.pool) != list(range(len(specs))):
         raise ConfigError(f"{path}: roster and pool ids must be 0..{len(specs) - 1}, each once")
-    agents: dict[str, list[Agent]] = {"roster": [], "pool": []}
-    for key, joined in agents.items():
-        for i, state in enumerate(snap[key]):
-            at, spec, status = f"{path}.{key}[{i}]", specs[state["id"]], state.pop("status")
-            if (status == AgentStatus.RELEASED) != (key == "pool"):
-                raise ConfigError(f"{at}.status: a {key} agent cannot be {status}")
+    for key, agents in (("roster", snap.roster), ("pool", snap.pool)):
+        for i, agent in enumerate(agents):
+            at, agent.spec = f"{path}.{key}[{i}]", specs[agent.id]
+            if (agent.status is AgentStatus.RELEASED) != (key == "pool"):
+                raise ConfigError(f"{at}.status: a {key} agent cannot be {agent.status.value}")
             try:
-                check_gate(state["gate_weights"], len(spec.experts))
+                check_gate(agent.gate_weights, len(agent.spec.experts))
             except ConfigError as exc:
                 raise ConfigError(f"{at}.gate_weights: {exc}") from None
-            joined.append(Agent(spec=spec, status=AgentStatus(status), **state))
-    engine.roster, engine.pool = {a.id: a for a in agents["roster"]}, agents["pool"]
-    engine.cycle, engine.totals = snap["next_cycle"], RunTotals(**snap["totals"])
-    if (covered := len(engine.totals.cycles)) != engine.cycle:
-        raise ConfigError(f"{path}: totals cover {covered} cycles, not {engine.cycle}")
+    if not 0 <= (cycle := snap.next_cycle) <= (total := snap.config.stream.total_cycles):
+        raise ConfigError(f"{path}.next_cycle: expected a cycle in [0, {total}], got {cycle}")
+    if (covered := len(snap.totals.cycles)) != cycle:
+        raise ConfigError(f"{path}: totals cover {covered} cycles, not {cycle}")
+    engine = Engine(snap.config)
+    engine.roster, engine.pool = {a.id: a for a in snap.roster}, snap.pool
+    engine.cycle, engine.totals = cycle, snap.totals
     return engine
 
 

@@ -41,16 +41,6 @@ class DetectionRecord:
     shadow: bool
     action: str
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "agent": self.agent,
-            "verdict": self.verdict,
-            "score": self.score,
-            "shadow": self.shadow,
-            "action": self.action,
-        }
-
 
 def quantize_coarse(values: np.ndarray) -> np.ndarray:
     """Round to 1 decimal, halves away from zero (the sandbox obfuscation)."""

@@ -166,9 +166,9 @@ class StreamConfig:
 class SampleBatch:
     """One cycle of the stream as columns, row i being sample ``seq0 + i``.
 
-    ``label`` and ``pattern`` (an index into the cycle's mixture) are
-    ground truth for metrics and reward only; agents never see them (the
-    decision path takes features and modality, nothing else).
+    ``label`` is the truth metrics and reward score against; ``pattern``
+    (an index into the cycle's mixture) is read by the tests only. Agents
+    see neither: the decision path takes features and modality alone.
     """
 
     seq0: int

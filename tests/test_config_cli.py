@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -13,6 +14,7 @@ from freeagent.cli import main
 from freeagent.config import (
     PRESETS,
     SCHEMA,
+    _kind,
     _table,
     config_to_dict,
     load_config,
@@ -20,10 +22,11 @@ from freeagent.config import (
     preset_config,
     section_4_4_preset,
 )
-from freeagent.domain import ConfigError
+from freeagent.domain import Agent, AgentStatus, ConfigError, DispatchedRole
 from freeagent.engine import (
     METRICS_COLUMNS,
     Engine,
+    RunTotals,
     SnapshotError,
     restore_engine,
     write_snapshot,
@@ -131,6 +134,44 @@ class TestParsing:
 
         with pytest.raises(TypeError, match=r"Odd\.bits: no JSON kind"):
             _table(Odd)
+
+    @pytest.mark.parametrize("hint,value,named", [
+        pytest.param(DispatchedRole, "Triage", "at.key: expected one of ['FraudDetection']",
+                     id="literal"),
+        pytest.param(AgentStatus, "active", "at.key: expected one of ['Active', 'Probationary",
+                     id="enum"),
+        pytest.param(AgentStatus, ["Active"], "at.key: expected one of", id="enum_list"),
+        pytest.param(list[int], [1, "2"], "at.key[1]: expected int", id="list_item"),
+        pytest.param(tuple[AgentStatus, ...], "Active", "at.key: expected list", id="tuple_str"),
+        pytest.param(tuple[int, bool], [1], "at.key: expected a list of 2", id="fixed_short"),
+        pytest.param(tuple[int, bool], [1, 0], "at.key[1]: expected bool", id="fixed_item"),
+        pytest.param(dict[str, int], {"a": 1.0}, "at.key.a: expected int", id="dict_value"),
+        pytest.param(dict[str, int], [], "at.key: expected dict", id="dict_list"),
+        pytest.param(int | None, "1", "at.key: expected int", id="optional"),
+    ])
+    def test_a_kind_built_from_a_type_hint_names_the_bad_part(self, hint, value, named):
+        parse, _ = _kind(hint)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            parse(value, "at", "key")
+
+    @pytest.mark.parametrize("hint,value,parsed", [
+        pytest.param(DispatchedRole, "FraudDetection", "FraudDetection", id="literal"),
+        pytest.param(AgentStatus, "Active", AgentStatus.ACTIVE, id="enum"),
+        pytest.param(tuple[AgentStatus, ...], ["Released"], (AgentStatus.RELEASED,),
+                     id="tuple_of_enums"),
+        pytest.param(list[tuple[int, bool]], [[1, True]], [(1, True)], id="list_of_fixed"),
+        pytest.param(dict[str, int | None], {"a": None, "b": 2}, {"a": None, "b": 2},
+                     id="dict_of_optional"),
+        pytest.param(dict[str, AgentStatus], {"a": "Active"}, {"a": AgentStatus.ACTIVE},
+                     id="dict_of_enums"),
+        pytest.param(AgentStatus | None, "Released", AgentStatus.RELEASED, id="optional_enum"),
+        pytest.param(AgentStatus | None, None, None, id="optional_enum_null"),
+    ])
+    def test_a_kind_built_from_a_type_hint_round_trips(self, hint, value, parsed):
+        parse, dump = _kind(hint)
+        assert parse(value, "at", "key") == parsed
+        assert type(parse(value, "at", "key")) is type(parsed)
+        assert (parsed if dump is None else dump(parsed)) == value
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError, match="unknown preset"):
@@ -411,7 +452,7 @@ class TestSnapshots:
         restored_events = [e for _ in range(3) for e in restored.run_cycle().events]
 
         full_tail = [e for e in full_events if e.cycle >= 3]
-        assert [e.to_dict() for e in restored_events] == [e.to_dict() for e in full_tail]
+        assert restored_events == full_tail
         assert restored.build_summary() == full.build_summary()
         assert {k: v.performance for k, v in restored.roster.items()} == {
             k: v.performance for k, v in full.roster.items()
@@ -581,7 +622,26 @@ class TestSnapshots:
                  "status"]
         assert node["roster"] and node["pool"]
         assert all(sorted(a) == state for a in node["roster"] + node["pool"])
+        # the keys are the dataclass fields, spelled nowhere else
+        assert state == sorted(f.name for f in fields(Agent) if f.name != "spec")
+        assert sorted(node["totals"]) == sorted(f.name for f in fields(RunTotals))
         assert text == json.dumps(node, separators=(",", ":"), sort_keys=True) + "\n"
+
+    def test_restore_refuses_a_snapshot_past_the_end_of_its_run(self, tmp_path, capsys):
+        # a finished 2-cycle run, edited to a third cycle its totals cover
+        engine = Engine(small_config(cycles=2))
+        engine.run_cycle()
+        engine.run_cycle()
+        snap = tmp_path / "snap.json"
+        write_snapshot(engine, snap)
+        node = json.loads(snap.read_text())
+        node["next_cycle"] = 3
+        node["totals"]["cycles"].append(node["totals"]["cycles"][-1])
+        snap.write_text(json.dumps(node))
+        out = tmp_path / "out"
+        assert main(["run", "--restore", str(snap), "--out", str(out)]) == 2
+        assert "snap.json.next_cycle" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_restore_flow(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -692,6 +752,12 @@ class TestSnapshots:
         pytest.param("next_cycle", "1", "snap.json.next_cycle", id="next_cycle_text"),
         pytest.param("next_cycle", 2, "snap.json: totals cover 1 cycles, not 2",
                      id="next_cycle_past_the_totals"),
+        # a snapshot lies within its run: a cycle it names is one the run has had
+        pytest.param("next_cycle", 3, "snap.json.next_cycle: expected a cycle in [0, 2], got 3",
+                     id="next_cycle_past_the_run"),
+        pytest.param("totals.key_cycles.first_release", 99,
+                     "snap.json.totals.key_cycles.first_release: expected a cycle in [0, 0], got 99",
+                     id="key_cycle_past_the_totals"),
     ])
     def test_cli_restore_rejects_a_bad_snapshot(self, tmp_path, capsys, key, value, named):
         # one Active roster agent and one Released pool agent, after a cycle

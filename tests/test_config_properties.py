@@ -108,10 +108,13 @@ def configs(draw, bad=0.0, snapshot_interval=None):
         patterns=st.just(patterns), schedule=st.just(schedule),
     )
     chosen = {"snapshot_interval": st.just(snapshot_interval)} if snapshot_interval else {}
-    agents = st.lists(record(AgentSpec, bad), max_size=2)
+    # a roster agent in every config, so most runs exercise the lifecycle;
+    # TestDegenerate covers the agentless run
+    roster = st.lists(record(AgentSpec, bad), min_size=1, max_size=2)
+    pool = st.lists(record(AgentSpec, bad), max_size=2)
     node = draw(record(
         RunConfig, bad, stream=stream, roles=st.lists(record(RoleSpec, bad), max_size=1),
-        roster=agents, pool=agents, **chosen,
+        roster=roster, pool=pool, **chosen,
     ))
     node["output"] = {key: node.pop(key) for key in OUTPUT if key in node}
     return node
@@ -154,7 +157,11 @@ def test_at_least_a_quarter_of_the_generated_configs_run():
     # The property above holds whatever share of configs is rejected, so a
     # strategy that stopped making valid ones, or valid agents, would leave
     # the runs untested. A config runs iff it parses, as that property
-    # checks; derandomized, the shares are fixed numbers, not flaky ones.
+    # checks, and every config that runs has a roster agent. Derandomized,
+    # the shares are fixed for a given tree, but hypothesis also draws
+    # literals from every local module loaded, so they move with the code
+    # and the tests collected: over 30 seeds with the whole suite loaded, the
+    # share with an agent ranged from 0.43 to 0.75, hence two fifths.
     agents = []  # per generated config: its agent count, None if rejected
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None,
@@ -172,7 +179,7 @@ def test_at_least_a_quarter_of_the_generated_configs_run():
     runs = [n for n in agents if n is not None]
     assert len(runs) >= len(agents) / 4, f"{len(runs)} of {len(agents)} configs run"
     with_agents = sum(n > 0 for n in runs)
-    assert with_agents >= len(agents) / 10, f"{with_agents} of {len(agents)} run an agent"
+    assert with_agents >= len(agents) * 2 / 5, f"{with_agents} of {len(agents)} run an agent"
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

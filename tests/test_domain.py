@@ -2,9 +2,12 @@
 
 import pytest
 
+from freeagent.config import to_dict
 from freeagent.domain import (
     AccessTier,
+    Agent,
     AgentStatus,
+    ConfigError,
     EventKind,
     RosterEvent,
 )
@@ -33,6 +36,19 @@ def test_tier_ordering_reflects_privilege():
 
 
 def test_event_serialization_field_order():
+    # an events.jsonl row is the schema dump of its event
     event = RosterEvent(cycle=2, kind=EventKind.SIGN, agent=7, detail="x", performance_snapshot=0.5)
-    assert list(event.to_dict()) == ["cycle", "kind", "agent", "detail", "performance_snapshot"]
-    assert event.to_dict()["kind"] == "Sign"
+    assert list(to_dict(event)) == ["cycle", "kind", "agent", "detail", "performance_snapshot"]
+    assert to_dict(event)["kind"] == "Sign"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("id", -1), ("service_time", -1), ("consecutive_below", -2),
+    ("performance", 1.5), ("performance", -0.5),
+])
+def test_agent_refuses_out_of_range_state_naming_the_field(field, value):
+    # a snapshot's agent entries are read through these checks
+    state = {"id": 0, "status": AgentStatus.ACTIVE, "gate_weights": (1.0,), field: value}
+    with pytest.raises(ConfigError) as exc:
+        Agent(spec=detector(0).spec, **state)
+    assert exc.value.at == field
