@@ -11,10 +11,11 @@ from .domain import (
     EventKind,
     RosterEvent,
 )
+from .config import ScenarioSpec
 from .engine import Engine, SnapshotError, restore_engine, snapshot_state, write_snapshot
 from .lifecycle import LifecycleConfig
 from .moe import Expert, check_gate, rl_update, uniform_gate
-from .simulator import PatternSpec, ScenarioSpec, Segment, StreamConfig
+from .simulator import PatternSpec, Segment, StreamConfig
 
 __version__ = "0.1.0"
 

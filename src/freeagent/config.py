@@ -1,5 +1,6 @@
 """Run configuration: schema, strict validation, JSON round-trip, and the
-bundled scenario preset, which checks its own calibration.
+bundled scenario: its closed-form design and the preset that runs it,
+which checks its own calibration.
 
 Configs are plain JSON, and the config dataclasses are the schema: each
 field is a key (see ``SCHEMA``) whose type hint gives its JSON kind, so a
@@ -19,6 +20,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
+from statistics import NormalDist
 from types import UnionType
 from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
@@ -29,18 +31,7 @@ from .lifecycle import LifecycleConfig, RoleSpec
 from .moe import Expert, check_learning_rate, uniform_gate
 from .pipeline import decide, redact
 from .reward import RewardConfig
-from .simulator import (
-    DEFAULT_SCENARIO,
-    PatternSpec,
-    SampleBatch,
-    ScenarioSpec,
-    Segment,
-    StreamConfig,
-    candidate_experts,
-    generate_cycle,
-    incumbent_experts,
-    scenario_patterns,
-)
+from .simulator import PatternSpec, SampleBatch, Segment, StreamConfig, generate_cycle
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -377,8 +368,93 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Presets
+# Presets. The bundled scenario: an incumbent tuned for pattern A, and a
+# candidate tuned for the post-drift A/B mixture with extra headroom on the
+# sensitive suffix.
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """Accuracy targets and acceptance bands for the bundled scenario.
+
+    The scenario's accuracy numbers are produced BY DESIGN, not learned:
+    fraud samples shift designated feature coordinates by offsets computed
+    in closed form from the Gaussian error function, so a linear expert
+    with a known threshold hits a designed accuracy. The scenario exists
+    to exercise the roster machinery, not to make a learning claim. The
+    preset that runs it (``section_4_4_preset``) measures the designed
+    accuracies and refuses to build outside the spec bands.
+
+    Derivation sketch (all via the normal quantile z):
+      * a single-coordinate expert with threshold z(p) on a fraud shift
+        of 2*z(p) is correct on each class with probability p;
+      * the incumbent's behavior expert keeps its pattern-A threshold, so
+        the visible pattern-B shift is set for the incumbent's designed
+        mixture accuracy;
+      * the candidate's strongest expert also weights the first sensitive
+        coordinate; its threshold is placed for the full-tier class
+        accuracies and the visible shift for the restricted-tier target.
+    """
+
+    incumbent_a_accuracy: float = 0.95
+    incumbent_mixture_accuracy: float = 0.75
+    candidate_shadow_mixture_accuracy: float = 0.88
+    candidate_full_legit_accuracy: float = 0.95
+    candidate_full_fraud_accuracy: float = 0.91
+    fraud_rate: float = 0.5
+    post_drift_b_weight: float = 0.5
+    sensitive_weight: float = 0.5
+    incumbent_a_band: tuple[float, float] = (0.93, 0.97)
+    incumbent_mixture_band: tuple[float, float] = (0.72, 0.78)
+    candidate_shadow_band: tuple[float, float] = (0.85, 0.91)
+    candidate_full_min: float = 0.90
+
+    def offsets(self) -> dict[str, float]:
+        """Solve the feature shifts and thresholds in closed form."""
+        normal = NormalDist()
+        z = normal.inv_cdf
+        phi = normal.cdf
+        theta = z(self.incumbent_a_accuracy)
+        shift_a = 2.0 * theta
+
+        mix_b = self.post_drift_b_weight
+        acc_b_incumbent = (
+            self.incumbent_mixture_accuracy - (1.0 - mix_b) * self.incumbent_a_accuracy
+        ) / mix_b
+        fraud_hit = 2.0 * acc_b_incumbent - self.incumbent_a_accuracy
+        if not 0.0 < fraud_hit < 1.0:
+            raise ConfigError("incumbent mixture target infeasible for the given A accuracy")
+        shift_b_visible = theta + z(fraud_hit)
+
+        sigma_full = (2.0 + self.sensitive_weight**2) ** 0.5
+        threshold_candidate = sigma_full * z(self.candidate_full_legit_accuracy)
+        mean_full = threshold_candidate + sigma_full * z(self.candidate_full_fraud_accuracy)
+
+        acc_b_shadow = (
+            self.candidate_shadow_mixture_accuracy - (1.0 - mix_b) * self.incumbent_a_accuracy
+        ) / mix_b
+        legit_restricted = phi(threshold_candidate / 2.0**0.5)
+        fraud_restricted = 2.0 * acc_b_shadow - legit_restricted
+        if not 0.0 < fraud_restricted < 1.0:
+            raise ConfigError("candidate shadow target infeasible for the given thresholds")
+        mean_restricted = threshold_candidate + 2.0**0.5 * z(fraud_restricted)
+
+        shift_b_numeric = mean_restricted - shift_b_visible
+        shift_b_sensitive = (mean_full - mean_restricted) / self.sensitive_weight
+        if shift_b_numeric <= 0 or shift_b_sensitive <= 0:
+            raise ConfigError("scenario targets produce non-positive feature shifts")
+
+        return {
+            "theta": theta,
+            "shift_a": shift_a,
+            "shift_b_visible": shift_b_visible,
+            "shift_b_numeric": shift_b_numeric,
+            "shift_b_sensitive": shift_b_sensitive,
+            "threshold_candidate": threshold_candidate,
+        }
+
+
+DEFAULT_SCENARIO = ScenarioSpec()
 
 # The drift arrives at this cycle: pattern A before it, the A/B mixture after.
 DRIFT_CYCLE = 10
@@ -393,24 +469,58 @@ def _scenario(
     scenario: ScenarioSpec, seed: int, samples_per_cycle: int, total_cycles: int
 ) -> tuple[StreamConfig, AgentSpec, AgentSpec]:
     """The drifting stream, the incumbent tuned for pattern A and the
-    pattern-B candidate; accuracies are constructed, not learned."""
+    pattern-B candidate, all from one solve of the scenario's offsets;
+    accuracies are constructed, not learned."""
+    ofs = scenario.offsets()
+    pattern_a = PatternSpec(
+        name="A",
+        fraud_rate=scenario.fraud_rate,
+        fraud_shift={0: ofs["shift_a"]},
+        modality_base=(0.7, 0.3, 0.0),
+    )
+    pattern_b = PatternSpec(
+        name="B",
+        fraud_rate=scenario.fraud_rate,
+        fraud_shift={
+            1: ofs["shift_b_numeric"],
+            2: ofs["shift_b_visible"],
+            3: ofs["shift_b_sensitive"],
+        },
+        modality_base=(0.0, 0.3, 0.7),
+    )
     b_weight = scenario.post_drift_b_weight
     stream = StreamConfig(
         seed=seed,
         samples_per_cycle=samples_per_cycle,
         total_cycles=total_cycles,
-        patterns=scenario_patterns(scenario),
+        patterns=(pattern_a, pattern_b),
         schedule=(
             Segment(0, {"A": 1.0}),
             Segment(DRIFT_CYCLE, {"A": 1.0 - b_weight, "B": b_weight}),
         ),
     )
-    skills = frozenset({"fraud", "text", "numeric", "behavior"})
-    incumbent = AgentSpec(
-        FRAUD_ROLE, skills, incumbent_experts(scenario), handoff_reliability=0.98
+
+    # Expert k reads modality k. Both agents share the first two, each
+    # scoring feature k at the pattern-A threshold; the incumbent's third
+    # does the same on feature 2, and the candidate's also weighs the
+    # pattern-B shifts at its own threshold.
+    theta = ofs["theta"]
+    shared = (
+        Expert(profile=(1.0, 0.0, 0.0), weights=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), threshold=theta),
+        Expert(profile=(0.0, 1.0, 0.0), weights=(0.0, 1.0, 0.0, 0.0, 0.0, 0.0), threshold=theta),
     )
+    incumbent_third = Expert(
+        profile=(0.0, 0.0, 1.0), weights=(0.0, 0.0, 1.0, 0.0, 0.0, 0.0), threshold=theta
+    )
+    candidate_third = Expert(
+        profile=(0.0, 0.0, 1.0),
+        weights=(0.0, 1.0, 1.0, scenario.sensitive_weight, 0.0, 0.0),
+        threshold=ofs["threshold_candidate"],
+    )
+    skills = frozenset({"fraud", "text", "numeric", "behavior"})
+    incumbent = AgentSpec(FRAUD_ROLE, skills, (*shared, incumbent_third), handoff_reliability=0.98)
     candidate = AgentSpec(
-        FRAUD_ROLE, skills | {"pattern-B"}, candidate_experts(scenario), handoff_reliability=0.98
+        FRAUD_ROLE, skills | {"pattern-B"}, (*shared, candidate_third), handoff_reliability=0.98
     )
     return stream, incumbent, candidate
 

@@ -1,5 +1,4 @@
-"""Seeded synthetic transaction stream with scheduled concept drift, and
-the closed-form design of the bundled scenario's patterns and experts.
+"""Seeded synthetic transaction stream with scheduled concept drift.
 
 Stream determinism contract
 ---------------------------
@@ -15,16 +14,6 @@ Any cycle (and any single sample) is therefore reproducible without
 generating anything before it. Bit-exactness holds only for a fixed numpy
 version, so pin your numpy (pyproject.toml only sets a floor); the bytes
 were checked on numpy 2.4.6.
-
-Scenario construction
----------------------
-The bundled scenario's accuracy numbers are produced BY DESIGN, not
-learned: fraud samples shift designated feature coordinates by offsets
-computed in closed form from the Gaussian error function, so a linear
-expert with a known threshold hits a designed accuracy. The scenario
-exists to exercise the roster machinery, not to make a learning claim.
-The preset that runs it (``config.section_4_4_preset``) measures the
-designed accuracies and refuses to build outside the spec bands.
 """
 
 from __future__ import annotations
@@ -32,14 +21,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import accumulate
-from statistics import NormalDist
 
 import numpy as np
 
 from .domain import FEATURE_DIM, MODALITY_DIM, ConfigError
-from .moe import Expert
-
-_NORMAL = NormalDist()
 
 # Relative jitter applied to non-zero modality base entries. Zero entries
 # stay exactly zero so experts for unrelated modalities never compete.
@@ -223,137 +208,4 @@ def generate_cycle(cfg: StreamConfig, cycle: int) -> SampleBatch:
         modality=modality / total[:, None],
         label=label,
         pattern=pattern,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Demo scenario: incumbent tuned for pattern A, candidate tuned for the
-# post-drift A/B mixture with extra headroom on the sensitive suffix.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Accuracy targets and acceptance bands for the bundled scenario.
-
-    Derivation sketch (all via the normal quantile z):
-      * a single-coordinate expert with threshold z(p) on a fraud shift
-        of 2*z(p) is correct on each class with probability p;
-      * the incumbent's behavior expert keeps its pattern-A threshold, so
-        the visible pattern-B shift is set for the incumbent's designed
-        mixture accuracy;
-      * the candidate's strongest expert also weights the first sensitive
-        coordinate; its threshold is placed for the full-tier class
-        accuracies and the visible shift for the restricted-tier target.
-    """
-
-    incumbent_a_accuracy: float = 0.95
-    incumbent_mixture_accuracy: float = 0.75
-    candidate_shadow_mixture_accuracy: float = 0.88
-    candidate_full_legit_accuracy: float = 0.95
-    candidate_full_fraud_accuracy: float = 0.91
-    fraud_rate: float = 0.5
-    post_drift_b_weight: float = 0.5
-    sensitive_weight: float = 0.5
-    incumbent_a_band: tuple[float, float] = (0.93, 0.97)
-    incumbent_mixture_band: tuple[float, float] = (0.72, 0.78)
-    candidate_shadow_band: tuple[float, float] = (0.85, 0.91)
-    candidate_full_min: float = 0.90
-
-    def offsets(self) -> dict[str, float]:
-        """Solve the feature shifts and thresholds in closed form."""
-        z = _NORMAL.inv_cdf
-        phi = _NORMAL.cdf
-        theta = z(self.incumbent_a_accuracy)
-        shift_a = 2.0 * theta
-
-        mix_b = self.post_drift_b_weight
-        acc_b_incumbent = (
-            self.incumbent_mixture_accuracy - (1.0 - mix_b) * self.incumbent_a_accuracy
-        ) / mix_b
-        fraud_hit = 2.0 * acc_b_incumbent - self.incumbent_a_accuracy
-        if not 0.0 < fraud_hit < 1.0:
-            raise ConfigError("incumbent mixture target infeasible for the given A accuracy")
-        shift_b_visible = theta + z(fraud_hit)
-
-        sigma_full = (2.0 + self.sensitive_weight**2) ** 0.5
-        threshold_candidate = sigma_full * z(self.candidate_full_legit_accuracy)
-        mean_full = threshold_candidate + sigma_full * z(self.candidate_full_fraud_accuracy)
-
-        acc_b_shadow = (
-            self.candidate_shadow_mixture_accuracy - (1.0 - mix_b) * self.incumbent_a_accuracy
-        ) / mix_b
-        legit_restricted = phi(threshold_candidate / 2.0**0.5)
-        fraud_restricted = 2.0 * acc_b_shadow - legit_restricted
-        if not 0.0 < fraud_restricted < 1.0:
-            raise ConfigError("candidate shadow target infeasible for the given thresholds")
-        mean_restricted = threshold_candidate + 2.0**0.5 * z(fraud_restricted)
-
-        shift_b_numeric = mean_restricted - shift_b_visible
-        shift_b_sensitive = (mean_full - mean_restricted) / self.sensitive_weight
-        if shift_b_numeric <= 0 or shift_b_sensitive <= 0:
-            raise ConfigError("scenario targets produce non-positive feature shifts")
-
-        return {
-            "theta": theta,
-            "shift_a": shift_a,
-            "shift_b_visible": shift_b_visible,
-            "shift_b_numeric": shift_b_numeric,
-            "shift_b_sensitive": shift_b_sensitive,
-            "threshold_candidate": threshold_candidate,
-        }
-
-
-DEFAULT_SCENARIO = ScenarioSpec()
-
-
-def scenario_patterns(spec: ScenarioSpec = DEFAULT_SCENARIO) -> tuple[PatternSpec, PatternSpec]:
-    ofs = spec.offsets()
-    pattern_a = PatternSpec(
-        name="A",
-        fraud_rate=spec.fraud_rate,
-        fraud_shift={0: ofs["shift_a"]},
-        modality_base=(0.7, 0.3, 0.0),
-    )
-    pattern_b = PatternSpec(
-        name="B",
-        fraud_rate=spec.fraud_rate,
-        fraud_shift={
-            1: ofs["shift_b_numeric"],
-            2: ofs["shift_b_visible"],
-            3: ofs["shift_b_sensitive"],
-        },
-        modality_base=(0.0, 0.3, 0.7),
-    )
-    return pattern_a, pattern_b
-
-
-def _unit_weight(coord: int) -> tuple[float, ...]:
-    w = [0.0] * FEATURE_DIM
-    w[coord] = 1.0
-    return tuple(w)
-
-
-def incumbent_experts(spec: ScenarioSpec = DEFAULT_SCENARIO) -> tuple[Expert, ...]:
-    theta = spec.offsets()["theta"]
-    return (
-        Expert(profile=(1.0, 0.0, 0.0), weights=_unit_weight(0), threshold=theta),
-        Expert(profile=(0.0, 1.0, 0.0), weights=_unit_weight(1), threshold=theta),
-        Expert(profile=(0.0, 0.0, 1.0), weights=_unit_weight(2), threshold=theta),
-    )
-
-
-def candidate_experts(spec: ScenarioSpec = DEFAULT_SCENARIO) -> tuple[Expert, ...]:
-    ofs = spec.offsets()
-    pattern_b_weights = [0.0] * FEATURE_DIM
-    pattern_b_weights[1] = 1.0
-    pattern_b_weights[2] = 1.0
-    pattern_b_weights[3] = spec.sensitive_weight
-    return (
-        Expert(profile=(1.0, 0.0, 0.0), weights=_unit_weight(0), threshold=ofs["theta"]),
-        Expert(profile=(0.0, 1.0, 0.0), weights=_unit_weight(1), threshold=ofs["theta"]),
-        Expert(
-            profile=(0.0, 0.0, 1.0),
-            weights=tuple(pattern_b_weights),
-            threshold=ofs["threshold_candidate"],
-        ),
     )

@@ -14,6 +14,7 @@ from freeagent.cli import main
 from freeagent.config import (
     PRESETS,
     SCHEMA,
+    ScenarioSpec,
     _kind,
     _table,
     config_to_dict,
@@ -31,7 +32,6 @@ from freeagent.engine import (
     restore_engine,
     write_snapshot,
 )
-from freeagent.simulator import ScenarioSpec
 from tests.test_engine import small_config
 
 MINIMAL = {

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
-from freeagent.config import section_4_4_preset
+from freeagent.config import ScenarioSpec, section_4_4_preset
 from freeagent.domain import AccessTier, ConfigError
 from freeagent.engine import Engine
 from freeagent.moe import uniform_gate
@@ -16,7 +16,6 @@ from freeagent.pipeline import decide, redact
 from freeagent.simulator import (
     KeyedRng,
     PatternSpec,
-    ScenarioSpec,
     Segment,
     StreamConfig,
     generate_cycle,
