@@ -230,7 +230,7 @@ class Engine:
         }
         vacancies = vacant_roles(self.roster, cfg.roles)
         fill_vacant_roles(self.roster, self.pool, vacancies, cfg.lifecycle, cycle, events)
-        transition_probationary(self.roster, self.pool, log, cfg.lifecycle, cycle, events, eligible)
+        transition_probationary(self.roster, self.pool, cfg.lifecycle, cycle, events, eligible)
         increment_service_time(self.roster, cycle, events)
         enforce_service_cap(self.roster, self.pool, cfg.lifecycle, cycle, events)
 

@@ -3,9 +3,11 @@ transitions, and service-time accounting.
 
 All operations mutate the (roster, pool) pair in place, append audit
 events, and iterate agents in ascending id order so runs are
-deterministic. The roster and pool are disjoint at every step; every
-transition is visible as exactly one Release/FreeAgency/Sign/Promote
-event, which is what makes event-log replay possible.
+deterministic; this module writes every event kind. The roster and pool
+are disjoint at every step. Every roster agent is evaluated once per
+cycle, with one Evaluate event, and every transition is visible as
+exactly one Release/FreeAgency/Sign/Promote event, which is what makes
+event-log replay possible.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .domain import (
     EventKind,
     RosterEvent,
 )
-from .metrics import PerformanceLog, evaluate_fraud_performance
+from .metrics import PerformanceLog, f1_from_counts
 from .moe import uniform_gate
 
 logger = logging.getLogger("freeagent.lifecycle")
@@ -96,19 +98,27 @@ def evaluate_and_release(
     events: list[RosterEvent],
     rewards: dict[AgentId, float],
 ) -> None:
-    """Evaluate every roster agent and move sustained underperformers
-    (or agents past the service cap) to the pool.
+    """Evaluate every roster agent, Probationary ones included, and move
+    sustained underperformers (or agents past the service cap) to the pool.
 
-    A cycle counts as "below" when F1 drops under the release threshold,
-    or when the agent's cycle reward in ``rewards`` drops under the
-    optional reward threshold. Underperformance takes precedence over the
-    service cap when both trigger at once.
+    An agent's performance becomes the F1 of its window in ``log``, and
+    an Evaluate event records the window's counts. A cycle counts as
+    "below" when F1 drops under the release threshold, or when the
+    agent's cycle reward in ``rewards`` drops under the optional reward
+    threshold. Underperformance takes precedence over the service cap
+    when both trigger at once.
     """
     for agent_id in sorted(roster):
         agent = roster[agent_id]
-        performance = evaluate_fraud_performance(agent, log, cycle, events)
+        win = log.window(agent_id)
+        agent.performance = f1_from_counts(
+            win.true_positives, win.false_positives, win.false_negatives
+        )
+        detail = (f"tp={win.true_positives} fp={win.false_positives} "
+                  f"fn={win.false_negatives} tn={win.true_negatives}")
+        events.append(RosterEvent.of(cycle, EventKind.EVALUATE, agent, detail))
 
-        below = performance < cfg.release_threshold or (
+        below = agent.performance < cfg.release_threshold or (
             cfg.reward_threshold is not None and rewards[agent_id] < cfg.reward_threshold
         )
 
@@ -179,7 +189,6 @@ def fill_vacant_roles(
 def transition_probationary(
     roster: dict[AgentId, Agent],
     pool: list[Agent],
-    log: PerformanceLog,
     cfg: LifecycleConfig,
     cycle: int,
     events: list[RosterEvent],
@@ -188,26 +197,26 @@ def transition_probationary(
     """Promote or re-release probationary agents on their shadow window.
 
     Each eligible agent first has its gate reset to uniform (the moe
-    init of the first transition pass), is then evaluated on the shadow
-    metrics it accumulated this cycle, and either becomes a full Active
-    member or returns to the pool. Agents signed this same cycle have no
-    shadow window yet and must not be in ``eligible``.
+    init of the first transition pass), then either becomes a full Active
+    member or returns to the pool, on the performance that
+    ``evaluate_and_release`` measured on its shadow window this cycle.
+    Agents signed this same cycle have no shadow window yet and must not
+    be in ``eligible``.
     """
-    for agent_id in sorted(roster):
+    for agent_id in sorted(eligible):
         agent = roster[agent_id]
-        if agent.status is not AgentStatus.PROBATIONARY or agent_id not in eligible:
+        if agent.status is not AgentStatus.PROBATIONARY:
             continue
         agent.gate_weights = uniform_gate(len(agent.spec.experts))
-        performance = evaluate_fraud_performance(agent, log, cycle, events)
-        if performance >= cfg.release_threshold:
+        if agent.performance >= cfg.release_threshold:
             agent.status = AgentStatus.ACTIVE
             agent.consecutive_below = 0
-            detail = f"shadow performance {performance:.4f} >= {cfg.release_threshold}"
+            detail = f"shadow performance {agent.performance:.4f} >= {cfg.release_threshold}"
             events.append(RosterEvent.of(cycle, EventKind.PROMOTE, agent, detail))
         else:
             _release(
                 agent, roster, pool, EventKind.RELEASE, cycle,
-                f"failed probation at {performance:.4f} < {cfg.release_threshold}",
+                f"failed probation at {agent.performance:.4f} < {cfg.release_threshold}",
                 events,
             )
 

@@ -1,4 +1,4 @@
-"""Per-agent detection bookkeeping and F1 evaluation.
+"""Per-agent confusion and handoff counters, and the ratios of the counts.
 
 Windows are tumbling: the engine starts every cycle with a fresh
 ``PerformanceLog``, so every evaluation reflects only the cycle just
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .domain import Agent, AgentId, EventKind, RosterEvent
+from .domain import AgentId
 
 
 @dataclass(slots=True)
@@ -69,16 +69,3 @@ def count_ratios(tp: int, fp: int, fn: int, tn: int) -> tuple[float, float, floa
 def f1_from_counts(tp: int, fp: int, fn: int) -> float:
     """F1 via precision and recall, with 0/0 ratios defined as 0."""
     return count_ratios(tp, fp, fn, 0)[2]
-
-
-def evaluate_fraud_performance(
-    agent: Agent, log: PerformanceLog, cycle: int, events: list[RosterEvent]
-) -> float:
-    """Set agent.performance to the F1 of its current window and audit it."""
-    win = log.window(agent.id)
-    score = f1_from_counts(win.true_positives, win.false_positives, win.false_negatives)
-    agent.performance = score
-    detail = (f"tp={win.true_positives} fp={win.false_positives} "
-              f"fn={win.false_negatives} tn={win.true_negatives}")
-    events.append(RosterEvent.of(cycle, EventKind.EVALUATE, agent, detail))
-    return score

@@ -10,7 +10,8 @@ and the pinned one; the test is not skipped on another numpy.
 
 Runs: the section-4.4 preset with detections at seeds 42 and 7, the
 dispatch workload cut to 3 cycles, and the churn workload cut to 60 cycles
-(12 snapshots), resumed from its cycle-30 snapshot.
+(12 snapshots), resumed from its cycle-30 snapshot. The same runs check
+that the event log evaluates each roster agent once per cycle.
 """
 
 import hashlib
@@ -32,55 +33,55 @@ RESUME_AT = 30
 GOLDEN = {
     "churn": {
         "events.jsonl":
-            "752b4dff641fea6b4217180419c4cf6a72f1c28e600c6dab3dcaba01eb60499a",
+            "a3f71f1138bd37d839e7e9782eab8ecdb65d8192fa5855b94504698dca7aab34",
         "metrics.csv":
             "f7b572dab201dc423cf492c4c6a3d055e716f86ffb579ac13f7297d19c53af7b",
         "snapshots/state_cycle_0005.json":
             "98ca31adb530d7c43cb6bce401d54f19c17c4d4bf90c1621a64de4dec8ffea7a",
         "snapshots/state_cycle_0010.json":
-            "6f950e4eafd7199c16da6400c6080108439b7dd1cbf149f5bd7a0a836978b343",
+            "73abc773c935c4f127f368ab91a7c1df2e4d3034d2eaa11468b6d9b5efe92878",
         "snapshots/state_cycle_0015.json":
-            "cc46c1c0c1d9d5c82d54abbaa0945e11f71eacc1196e07c57c745d1c1d0eb812",
+            "9c80599a548e3d1f37d1e5024d63476f324b41a7548e4d795bf4f8e36e51f025",
         "snapshots/state_cycle_0020.json":
-            "93ca80c5c9aa8829f4b697358f05af9fd76f3838d6f3ae4c945151fca5af4017",
+            "5325e6d75103d22a6a6b07284e090f300609fedc252d15bd13dc25261bdb8ba3",
         "snapshots/state_cycle_0025.json":
-            "749cdddef076d3a2dfbdb2ea2d6e23a810daf6b4381eef561b67ed75f67e3d15",
+            "42eb66fbebd50e2a9adfa3730e3e8afbdaa9bf0dea4fafa6027634fcf9376386",
         "snapshots/state_cycle_0030.json":
-            "b40b8bdb88e986d7a1f2b999fb943c5098d23806cfb8550bb2fca7c68f6a3ab4",
+            "032a6e1463e5647e262e1694113cdb392d2b3f9636a4558e4bd13d7cfb47b35d",
         "snapshots/state_cycle_0035.json":
-            "b57f72b93700622127abcd101708a19e422921d2c5d694ca1b73bc777572336a",
+            "f10683e42c259453612686d5e64c0df41c2137fb59d0bb6434c55ae723cecc32",
         "snapshots/state_cycle_0040.json":
-            "6f71ef74e6a05b359b63aa4dea0c2d05e2d492bd448d142b64b2992c71451862",
+            "73a166ced4235d0d622d43183a5d5a533103be7f0adcc9067bce0643d07f3d7a",
         "snapshots/state_cycle_0045.json":
-            "26564233dcbd0199a99d2369070130dc08b42259d930ec5e3b8ec74aa8ec57d2",
+            "ce5b64456451bf21471c6e1c166cf86c46652357b2abd797aab7e7e6f7a5fc78",
         "snapshots/state_cycle_0050.json":
-            "741ae943e8a8cce9b2e8549b5b2de6720fcb12669a9513bfd96cd58bf4fae180",
+            "1d48b74ab5b2025b07952bcb08b0be57bba97eb79692bbab3c051730145d327c",
         "snapshots/state_cycle_0055.json":
-            "c20de475f947b3723d4447c7cda7c4460a34ba48dae8c0bcdb227a4907652521",
+            "99fdeb62de8c45f576c51b04fd0d5ef045081c9fcc95b2d530c6e9c154fb3006",
         "snapshots/state_cycle_0060.json":
-            "130ffb0178e78025d840a7ada6f3910f02997db19247856c016703c83bcc9b78",
+            "8ebffe7c1b2f354e3ead2f86f13d85a103c90e1901feaaf7273873ec85ee5f7a",
         "summary.json":
-            "cf67423b261841e1c47efc0aea79448314539ee5b45a7719801c573b39a6fffd",
+            "6a8a34637e054288eb1c18f1dcffd8039d00fb9cf7d0dba3c1bfb6fa82d42feb",
     },
     "churn-resumed": {
         "events.jsonl":
-            "01737d72eb14ee150f8836345eb826c87f53ca2ea0b5d85e0b3fdc7ddb882449",
+            "eac438954c67bf48743c670a7dfe441204817a905c34a497834294a1802bd777",
         "metrics.csv":
             "6fff139165bb1e888aef09ea68065405e790c361181261c875c66b5ee49bc5d7",
         "snapshots/state_cycle_0035.json":
-            "b57f72b93700622127abcd101708a19e422921d2c5d694ca1b73bc777572336a",
+            "f10683e42c259453612686d5e64c0df41c2137fb59d0bb6434c55ae723cecc32",
         "snapshots/state_cycle_0040.json":
-            "6f71ef74e6a05b359b63aa4dea0c2d05e2d492bd448d142b64b2992c71451862",
+            "73a166ced4235d0d622d43183a5d5a533103be7f0adcc9067bce0643d07f3d7a",
         "snapshots/state_cycle_0045.json":
-            "26564233dcbd0199a99d2369070130dc08b42259d930ec5e3b8ec74aa8ec57d2",
+            "ce5b64456451bf21471c6e1c166cf86c46652357b2abd797aab7e7e6f7a5fc78",
         "snapshots/state_cycle_0050.json":
-            "741ae943e8a8cce9b2e8549b5b2de6720fcb12669a9513bfd96cd58bf4fae180",
+            "1d48b74ab5b2025b07952bcb08b0be57bba97eb79692bbab3c051730145d327c",
         "snapshots/state_cycle_0055.json":
-            "c20de475f947b3723d4447c7cda7c4460a34ba48dae8c0bcdb227a4907652521",
+            "99fdeb62de8c45f576c51b04fd0d5ef045081c9fcc95b2d530c6e9c154fb3006",
         "snapshots/state_cycle_0060.json":
-            "130ffb0178e78025d840a7ada6f3910f02997db19247856c016703c83bcc9b78",
+            "8ebffe7c1b2f354e3ead2f86f13d85a103c90e1901feaaf7273873ec85ee5f7a",
         "summary.json":
-            "cf67423b261841e1c47efc0aea79448314539ee5b45a7719801c573b39a6fffd",
+            "6a8a34637e054288eb1c18f1dcffd8039d00fb9cf7d0dba3c1bfb6fa82d42feb",
     },
     "dispatch": {
         "events.jsonl":
@@ -94,21 +95,21 @@ GOLDEN = {
         "detections.jsonl":
             "de8547dfcc8cb1681483e2096d386d081f22d5eb888bd56224fd78894d8474f3",
         "events.jsonl":
-            "956302422480ed9f35d1b5e7c982e92cda959498a227a5e9e83131205e783d89",
+            "2f161e82b9539c06b6b1eab2e0f67ce7c74f3d0b6b024df666c7826554c94fb7",
         "metrics.csv":
             "8ddc38bcbdfd857ea4fd39d39642c0ae1857cd75436c830e4c6f13ed6fba0f7f",
         "summary.json":
-            "508853a92bbf182feb804eca4fa9bdf6099325bcb5bb32764096245aef822160",
+            "a4a6cc381239f330fc59beead16d4f518b0c3d3a65baf913d7461522928cbb75",
     },
     "preset-7": {
         "detections.jsonl":
             "60d2221df6ed65c3c9e94d5b2379ed7a9f414344692e3653e21784d5747be627",
         "events.jsonl":
-            "4d3fcdf19b123e39b255cbced18e004c25940005ae977b91ea53660507e4881e",
+            "dd143ef88f7a9d58bba1fce5d6d3ad6f7290723147c781ea1c366182f965b466",
         "metrics.csv":
             "2b308fbaf7851878bc9156498bae24efeba2502b6f53558dd99269fbea261616",
         "summary.json":
-            "aea2671c93849525fb6a70fa21a0d49498685dfd8b1cb7a0c216e21867614a47",
+            "7f618438aadbdd8f3a242b32a8541a92537dce6ed0b1a218eb3a526cf36d00ed",
     },
 }
 
@@ -175,3 +176,13 @@ def test_the_churn_snapshots_and_the_resumed_run(runs):
     for name in later:
         assert (resumed / "snapshots" / name).read_bytes() == (
             full / "snapshots" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("run", ["preset-42", "preset-7", "churn"])
+def test_every_roster_agent_is_evaluated_once_per_cycle(runs, run):
+    # metrics.csv holds one row per roster agent and cycle
+    _, *rows = (runs[run] / "metrics.csv").read_text().splitlines()
+    roster = sorted((int(row.split(",")[0]), int(row.split(",")[1])) for row in rows)
+    events = [json.loads(line) for line in (runs[run] / "events.jsonl").read_text().splitlines()]
+    evaluated = sorted((e["cycle"], e["agent"]) for e in events if e["kind"] == "Evaluate")
+    assert evaluated == roster

@@ -42,6 +42,28 @@ def window_for_f1(agent_id, f1_target, log=None):
     return log
 
 
+class TestEvaluate:
+    def test_sets_performance_and_emits_event(self):
+        agent = detector(0)
+        events = []
+        evaluate_and_release({0: agent}, [], seeded_log(0, 8, 2, 2), LifecycleConfig(), 3,
+                             events, REWARDS)
+        assert agent.performance == pytest.approx(0.8)
+        assert len(events) == 1
+        assert events[0].kind.value == "Evaluate"
+        assert events[0].cycle == 3
+        assert events[0].performance_snapshot == pytest.approx(0.8)
+        assert events[0].detail == "tp=8 fp=2 fn=2 tn=0"
+
+    def test_empty_window_evaluates_to_zero(self):
+        agent = detector(0, performance=0.9)
+        events = []
+        evaluate_and_release({0: agent}, [], PerformanceLog(), LifecycleConfig(), 0, events,
+                             REWARDS)
+        assert agent.performance == 0.0
+        assert events[0].performance_snapshot == 0.0
+
+
 class TestEvaluateAndRelease:
     def test_immediate_release_below_threshold_w1(self):
         cfg = LifecycleConfig(release_threshold=0.80, sustain_window=1)
@@ -204,60 +226,60 @@ class TestVacancies:
 
 
 class TestTransitionProbationary:
-    def make_prob(self, agent_id=1):
-        return detector(agent_id, status=AgentStatus.PROBATIONARY)
+    def make_prob(self, agent_id=1, performance=0.0):
+        """A probationary agent whose shadow window evaluated to ``performance``."""
+        return detector(agent_id, status=AgentStatus.PROBATIONARY, performance=performance)
 
     def test_promoted_at_088(self):
-        agent = self.make_prob()
+        agent = self.make_prob(performance=0.88)
         roster, pool, events = {1: agent}, [], []
-        transition_probationary(
-            roster, pool, window_for_f1(1, 0.88), LifecycleConfig(), 0, events, {1}
-        )
+        transition_probationary(roster, pool, LifecycleConfig(), 0, events, {1})
         assert agent.status is AgentStatus.ACTIVE
         assert agent.access_tier.name == "FULL"
         assert events[-1].kind is EventKind.PROMOTE
 
     def test_released_below_threshold(self):
-        agent = self.make_prob()
+        agent = self.make_prob(performance=0.70)
         roster, pool, events = {1: agent}, [], []
-        transition_probationary(
-            roster, pool, window_for_f1(1, 0.70), LifecycleConfig(), 0, events, {1}
-        )
+        transition_probationary(roster, pool, LifecycleConfig(), 0, events, {1})
         assert agent.status is AgentStatus.RELEASED
         assert pool == [agent]
         assert events[-1].kind is EventKind.RELEASE
 
     def test_exact_threshold_promotes(self):
-        agent = self.make_prob()
+        agent = self.make_prob(performance=0.80)
         roster, pool, events = {1: agent}, [], []
-        transition_probationary(
-            roster, pool, window_for_f1(1, 0.80), LifecycleConfig(), 0, events, {1}
-        )
+        transition_probationary(roster, pool, LifecycleConfig(), 0, events, {1})
         assert agent.status is AgentStatus.ACTIVE
 
     def test_gate_reset_on_transition(self):
-        agent = detector(1, status=AgentStatus.PROBATIONARY)
+        agent = self.make_prob(performance=0.9)
         agent.spec = replace(agent.spec, experts=agent.spec.experts * 2)
         agent.gate_weights = (0.9, 0.1)
-        transition_probationary(
-            {1: agent}, [], window_for_f1(1, 0.9), LifecycleConfig(), 0, [], {1}
-        )
+        transition_probationary({1: agent}, [], LifecycleConfig(), 0, [], {1})
         assert agent.gate_weights == (0.5, 0.5)
 
     def test_ineligible_agent_skipped(self):
-        agent = self.make_prob()
+        agent = self.make_prob(performance=0.9)
         roster, pool, events = {1: agent}, [], []
-        transition_probationary(
-            roster, pool, window_for_f1(1, 0.9), LifecycleConfig(), 0, events, set()
-        )
+        transition_probationary(roster, pool, LifecycleConfig(), 0, events, set())
         assert agent.status is AgentStatus.PROBATIONARY
         assert events == []
 
     def test_active_agents_untouched(self):
-        agent = detector(1)
-        transition_probationary(
-            {1: agent}, [], window_for_f1(1, 0.1), LifecycleConfig(), 0, [], {1}
-        )
+        agent = detector(1, performance=0.1)
+        transition_probationary({1: agent}, [], LifecycleConfig(), 0, [], {1})
+        assert agent.status is AgentStatus.ACTIVE
+
+    def test_judged_on_the_evaluation_of_stage_3_with_no_second_event(self):
+        # evaluate_and_release already evaluated the agent on its shadow
+        # window; the transition writes only the Promote or Release
+        agent = self.make_prob()
+        roster, pool, events = {1: agent}, [], []
+        cfg = LifecycleConfig()
+        evaluate_and_release(roster, pool, window_for_f1(1, 0.88), cfg, 0, events, {1: 1.0})
+        transition_probationary(roster, pool, cfg, 0, events, {1})
+        assert [e.kind for e in events] == [EventKind.EVALUATE, EventKind.PROMOTE]
         assert agent.status is AgentStatus.ACTIVE
 
 

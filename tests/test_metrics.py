@@ -1,4 +1,4 @@
-"""Confusion bookkeeping and F1 evaluation."""
+"""Confusion bookkeeping and the ratios of the counts."""
 
 import random
 
@@ -7,19 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freeagent import engine as engine_module
-from freeagent.config import AgentSpec
-from freeagent.domain import (
-    FRAUD_ROLE,
-    Agent,
-    AgentStatus,
-)
-from freeagent.metrics import (
-    PerformanceLog,
-    count_ratios,
-    evaluate_fraud_performance,
-    f1_from_counts,
-)
-from freeagent.moe import Expert, uniform_gate
+from freeagent.metrics import PerformanceLog, count_ratios, f1_from_counts
 from freeagent.pipeline import CyclePipeline
 from freeagent.simulator import SampleBatch
 from tests.test_engine import small_config
@@ -30,16 +18,6 @@ def f1_oracle(tp: int, fp: int, fn: int) -> float:
     """Independent harmonic-mean identity: F1 = 2TP / (2TP + FP + FN)."""
     denom = 2 * tp + fp + fn
     return 0.0 if denom == 0 else 2 * tp / denom
-
-
-def make_agent(agent_id=0, cost=1.0):
-    spec = AgentSpec(
-        role=FRAUD_ROLE,
-        skills=frozenset({"fraud"}),
-        experts=(Expert(profile=(1.0, 0.0, 0.0), weights=(1.0,) + (0.0,) * 5, threshold=0.0),),
-        cost_per_sample=cost,
-    )
-    return Agent(id=agent_id, spec=spec, status=AgentStatus.ACTIVE, gate_weights=uniform_gate(1))
 
 
 def decide_batch(log: PerformanceLog, verdicts: list[bool], labels: list[bool]) -> None:
@@ -115,29 +93,6 @@ class TestF1:
         f1 = f1_from_counts(tp, fp, fn)
         assert 0.0 <= f1 <= 1.0
         assert (f1 == 1.0) == (fp == 0 and fn == 0 and tp > 0)
-
-
-class TestEvaluate:
-    def test_sets_performance_and_emits_event(self):
-        log = PerformanceLog()
-        agent = make_agent()
-        win = log.window(agent.id)
-        win.true_positives, win.false_positives, win.false_negatives = 8, 2, 2
-        events = []
-        result = evaluate_fraud_performance(agent, log, cycle=3, events=events)
-        assert result == pytest.approx(0.8)
-        assert agent.performance == pytest.approx(0.8)
-        assert len(events) == 1
-        assert events[0].kind.value == "Evaluate"
-        assert events[0].cycle == 3
-        assert events[0].performance_snapshot == pytest.approx(0.8)
-
-    def test_empty_window_evaluates_to_zero(self):
-        log = PerformanceLog()
-        agent = make_agent()
-        events = []
-        assert evaluate_fraud_performance(agent, log, 0, events) == 0.0
-        assert agent.performance == 0.0
 
 
 def test_window_reset_clears_everything(monkeypatch):

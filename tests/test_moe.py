@@ -22,7 +22,6 @@ from freeagent.lifecycle import LifecycleConfig, transition_probationary
 from freeagent.moe import Expert, check_gate, rl_update, uniform_gate
 from freeagent.pipeline import decide
 from tests.test_engine import BLIND_EXPERT, GOOD_EXPERT, small_config
-from tests.test_lifecycle import window_for_f1
 
 FEATURE_0 = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -54,8 +53,10 @@ def probationary(gate_weights, n_experts):
 
 
 def reset_gate(agent):
-    """Run the probation transition on ``agent``, which resets its gate."""
-    transition_probationary({0: agent}, [], window_for_f1(0, 0.9), LifecycleConfig(), 0, [], {0})
+    """Run the probation transition on ``agent``, which resets its gate; a
+    shadow performance of 0.9 promotes it."""
+    agent.performance = 0.9
+    transition_probationary({0: agent}, [], LifecycleConfig(), 0, [], {0})
 
 
 class TestGate:

@@ -5,15 +5,26 @@ import random
 
 import pytest
 
-from freeagent.domain import ComputationError, ConfigError
+from freeagent.config import AgentSpec
+from freeagent.domain import FRAUD_ROLE, Agent, AgentStatus, ComputationError, ConfigError
 from freeagent.metrics import PerformanceLog, f1_from_counts
+from freeagent.moe import Expert, uniform_gate
 from freeagent.reward import (
     RewardComponents,
     RewardConfig,
     compute_components,
     compute_reward,
 )
-from tests.test_metrics import make_agent
+
+
+def make_agent(agent_id=0, cost=1.0):
+    spec = AgentSpec(
+        role=FRAUD_ROLE,
+        skills=frozenset({"fraud"}),
+        experts=(Expert(profile=(1.0, 0.0, 0.0), weights=(1.0,) + (0.0,) * 5, threshold=0.0),),
+        cost_per_sample=cost,
+    )
+    return Agent(id=agent_id, spec=spec, status=AgentStatus.ACTIVE, gate_weights=uniform_gate(1))
 
 
 class TestComputeReward:
