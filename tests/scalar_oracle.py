@@ -7,19 +7,26 @@ does the same work one sample at a time with plain Python floats, in the
 order the stream and dispatch contracts state, so tests can require the
 batch path to match it bit for bit. Its gate and gate step are its own,
 over plain weights; it uses neither ``pipeline.decide`` nor
-``moe.rl_update``.
+``moe.rl_update``. Its keyed streams are its own too: each sample and
+each agent's handoff stream is a fresh ``Generator(Philox(key=...))``
+whose key it derives with ``hashlib`` as the stream contract documents,
+so a change to the engine's key derivation or generator reset fails
+against it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from freeagent.domain import FRAUD_ROLE, SENSITIVE_START, AccessTier, Agent, AgentId, AgentStatus
 from freeagent.metrics import PerformanceLog
 from freeagent.moe import Expert
 from freeagent.pipeline import Action, DetectionRecord
-from freeagent.simulator import _MODALITY_JITTER, FEATURE_DIM, MODALITY_DIM, KeyedRng, StreamConfig
+from freeagent.simulator import _MODALITY_JITTER, FEATURE_DIM, MODALITY_DIM, StreamConfig
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,9 +38,17 @@ class DataSample:
     pattern: int  # index into the cycle's mixture
 
 
-def generate_sample(cfg: StreamConfig, cycle: int, seq: int, rng: KeyedRng) -> DataSample:
+def keyed_generator(kind: str, seed: int, cycle: int, index: int) -> np.random.Generator:
+    """A fresh Philox4x64 generator with a zero counter, keyed by
+    ``blake2b("<kind>|<seed>|<cycle>|<index>", digest_size=16)``; the key's
+    first 8 digest bytes are its low word, read little-endian."""
+    digest = hashlib.blake2b(f"{kind}|{seed}|{cycle}|{index}".encode(), digest_size=16).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+
+
+def generate_sample(cfg: StreamConfig, cycle: int, seq: int) -> DataSample:
     """The sample at (cycle, seq), drawn from its own keyed substream."""
-    gen = rng.reset("sample", cfg.seed, cycle, seq)
+    gen = keyed_generator("sample", cfg.seed, cycle, seq)
     # the last segment started by ``cycle``; its mixture in pattern-list order
     weights = [seg for seg in cfg.schedule if seg.start_cycle <= cycle][-1].mixture
     mixture = [(spec, weights[spec.name]) for spec in cfg.patterns if spec.name in weights]
@@ -141,7 +156,7 @@ class ScalarPipeline:
         self.rewards: dict[AgentId, list[tuple[int, float]]] = {}
         self.detections: list[DetectionRecord] = []
         self.stalled_samples = 0
-        self._rngs: dict[AgentId, KeyedRng] = {}
+        self._rngs: dict[AgentId, np.random.Generator] = {}
         self._seed, self._cycle = seed, cycle
         fraud = [a for a in roster.values() if a.spec.role == FRAUD_ROLE]
         ranked = sorted(fraud, key=lambda a: (-a.performance, a.id))
@@ -157,9 +172,8 @@ class ScalarPipeline:
             ok = True
         else:
             if agent.id not in self._rngs:
-                self._rngs[agent.id] = KeyedRng()
-                self._rngs[agent.id].reset("handoff", self._seed, self._cycle, agent.id)
-            ok = bool(self._rngs[agent.id].generator.random() < agent.spec.handoff_reliability)
+                self._rngs[agent.id] = keyed_generator("handoff", self._seed, self._cycle, agent.id)
+            ok = bool(self._rngs[agent.id].random() < agent.spec.handoff_reliability)
         win.handoffs_succeeded += ok
         return ok
 

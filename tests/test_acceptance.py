@@ -24,12 +24,7 @@ from freeagent.metrics import f1_from_counts
 from freeagent.moe import Expert, rl_update
 from freeagent.pipeline import decide
 from freeagent.reward import RewardComponents, RewardConfig, compute_reward
-from freeagent.simulator import (
-    KeyedRng,
-    PatternSpec,
-    Segment,
-    StreamConfig,
-)
+from freeagent.simulator import PatternSpec, Segment, StreamConfig
 from tests.scalar_oracle import expert_score, gate, generate_sample, redact
 from tests.test_engine import BLIND_EXPERT, replay_membership, small_config
 
@@ -314,12 +309,11 @@ class TestCriterion5ShadowAudit:
         )
 
         # recompute every shadow decision from Restricted-redacted inputs
-        rng = KeyedRng()
         mismatches = 0
         for det in shadow_rows:
             cycle, seq = divmod(det.seq, spc)
             experts, gate_weights = scenario.shadow_states[(cycle, det.agent)]
-            sample = generate_sample(scenario.config.stream, cycle, seq, rng)
+            sample = generate_sample(scenario.config.stream, cycle, seq)
             idx = gate(experts, gate_weights, sample.modality)
             score, verdict = expert_score(
                 experts[idx], redact(sample.features, AccessTier.RESTRICTED)

@@ -101,8 +101,7 @@ def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
     pipe.run_batch(batch)
 
     ref = oracle.ScalarPipeline(roster, seed=stream.seed, cycle=cycle)
-    rng = oracle.KeyedRng()
-    samples = [oracle.generate_sample(stream, cycle, seq, rng) for seq in range(len(batch))]
+    samples = [oracle.generate_sample(stream, cycle, seq) for seq in range(len(batch))]
     for sample in samples:
         ref.process_sample(sample)
 

@@ -14,7 +14,6 @@ from freeagent.engine import Engine
 from freeagent.moe import uniform_gate
 from freeagent.pipeline import decide, redact
 from freeagent.simulator import (
-    KeyedRng,
     PatternSpec,
     Segment,
     StreamConfig,
@@ -66,9 +65,8 @@ class TestDeterminism:
         # any single sample is reproducible without generating the rest
         cfg = stream(spc=50)
         batch = generate_cycle(cfg, 3)
-        rng = KeyedRng()
         for seq in (0, 17, 49):
-            s = generate_sample(cfg, 3, seq, rng)
+            s = generate_sample(cfg, 3, seq)
             assert s.seq == batch.seq0 + seq
             assert s.features == tuple(batch.features[seq].tolist())
             assert s.label is bool(batch.label[seq])
@@ -137,9 +135,8 @@ def test_batch_matches_oracle_sample_by_sample(seed, cycle, weights):
         Segment(0, {"B": 0.3, "C": 0.7}), Segment(2, mixture),
     ))
     batch = generate_cycle(cfg, cycle)
-    rng = KeyedRng()
     for i in range(len(batch)):
-        s = generate_sample(cfg, cycle, i, rng)
+        s = generate_sample(cfg, cycle, i)
         assert batch.seq0 + i == s.seq
         assert [x.hex() for x in batch.features[i].tolist()] == [x.hex() for x in s.features]
         assert [x.hex() for x in batch.modality[i].tolist()] == [x.hex() for x in s.modality]
