@@ -264,12 +264,13 @@ def from_dict(cls: type, node: dict, path: str):
     return _build(cls, path, {**_SKIPPED.get(cls, {}), **_read(cls, node, path)})
 
 
-def to_dict(obj) -> dict:
-    """The JSON object of a dataclass with a table: its table fields, in order."""
+def to_dict(obj, skip: tuple[str, ...] = ()) -> dict:
+    """The JSON object of a dataclass with a table: its table fields but ``skip``, in order."""
     node = {}
     for name, dump in _DUMP[type(obj)]:
-        value = getattr(obj, name)
-        node[name] = value if dump is None else dump(value)
+        if name not in skip:
+            value = getattr(obj, name)
+            node[name] = value if dump is None else dump(value)
     return node
 
 

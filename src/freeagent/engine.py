@@ -25,13 +25,14 @@ at any cycle boundary writes the same bytes, summary.json included.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import RunConfig, _table, from_dict, to_dict
+from .config import RunConfig, _table, config_to_dict, from_dict, to_dict
 from .domain import Agent, AgentId, AgentStatus, ConfigError, EventKind, RosterEvent
 from .lifecycle import (
     enforce_service_cap,
@@ -45,7 +46,7 @@ from .metrics import PerformanceLog, count_ratios
 from .moe import check_gate, rl_update, uniform_gate
 from .pipeline import CyclePipeline, DetectionRecord
 from .reward import compute_components, compute_reward
-from .simulator import generate_cycle
+from .simulator import generate_cycle, keyed_reset
 
 SNAPSHOT_FORMAT_VERSION = 3
 
@@ -174,6 +175,7 @@ class Engine:
     """Owns all mutable run state; one instance per run."""
 
     def __init__(self, config: RunConfig) -> None:
+        keyed_reset()  # an unsupported numpy is refused before any output exists
         # Agent ids are spec order: roster specs first, then pool specs.
         n_roster = len(config.roster)
         agents = [
@@ -186,6 +188,11 @@ class Engine:
         self.roster: dict[AgentId, Agent] = {a.id: a for a in agents[:n_roster]}
         self.pool: list[Agent] = agents[n_roster:]
         self.totals = RunTotals()
+
+    @functools.cached_property
+    def config_json(self) -> str:
+        """The config as snapshots embed it, encoded once per engine."""
+        return json.dumps(config_to_dict(self.config), separators=(",", ":"), sort_keys=True)
 
     # -- one cycle --------------------------------------------------------
 
@@ -365,18 +372,19 @@ _table(RunTotals, required=True)
 _table(Snapshot, required=True)
 
 
-def snapshot_state(engine: Engine) -> dict:
-    """The whole engine state at a cycle boundary."""
+def snapshot_state(engine: Engine, skip: tuple[str, ...] = ()) -> dict:
+    """The whole engine state at a cycle boundary, but the keys in ``skip``."""
     roster = [engine.roster[aid] for aid in sorted(engine.roster)]
     return to_dict(Snapshot(SNAPSHOT_FORMAT_VERSION, engine.cycle, engine.config, roster,
-                            engine.pool, engine.totals))
+                            engine.pool, engine.totals), skip)
 
 
 def write_snapshot(engine: Engine, path: str | Path) -> None:
     """Write the snapshot atomically: a reader of ``path`` sees either the
     previous file or the complete new one, never a partial write."""
     path = Path(path)
-    text = json.dumps(snapshot_state(engine), separators=(",", ":"), sort_keys=True) + "\n"
+    rest = json.dumps(snapshot_state(engine, ("config",)), separators=(",", ":"), sort_keys=True)
+    text = '{"config":' + engine.config_json + "," + rest[1:] + "\n"  # sorted, config is first
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text, encoding="utf-8")

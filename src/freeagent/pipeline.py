@@ -16,7 +16,7 @@ import numpy as np
 from .domain import FRAUD_ROLE, SENSITIVE_START, AccessTier, Agent, AgentId, AgentStatus
 from .metrics import PerformanceLog
 from .moe import Expert
-from .simulator import KeyedRng, SampleBatch
+from .simulator import SampleBatch, derive_keys, keyed_reset
 
 logger = logging.getLogger("freeagent.pipeline")
 
@@ -128,7 +128,6 @@ class CyclePipeline:
         self.stalled_samples = 0
         self._seed = seed
         self._emit = emit_detections
-        self._rng = KeyedRng()
         # Membership and status are fixed for the duration of the batch;
         # performance only changes at evaluation time, so the dispatch
         # order and each agent's tier are too.
@@ -155,7 +154,8 @@ class CyclePipeline:
         if agent.spec.handoff_reliability >= 1.0:
             ok = np.ones(k, dtype=bool)
         else:
-            gen = self._rng.reset("handoff", self._seed, self.cycle, agent.id)
+            (key,) = derive_keys("handoff", self._seed, self.cycle, (agent.id,)).tolist()
+            gen = keyed_reset()(*key)
             ok = gen.random(k) < agent.spec.handoff_reliability
         win.handoffs_attempted += k
         win.handoffs_succeeded += int(np.count_nonzero(ok))

@@ -3,22 +3,35 @@
 Stream determinism contract
 ---------------------------
 Every sample is generated from its own counter-based substream: a numpy
-Philox4x64 bit generator whose 128-bit key is
-``blake2b("sample|<seed>|<cycle>|<seq>", digest_size=16)`` with a zero
-counter. Per sample the draw order is fixed: one uniform for the pattern
-mixture, one uniform for the fraud label, FEATURE_DIM standard normals
-for feature noise, MODALITY_DIM uniforms for modality jitter. The pattern
-is the first of the running segment's mixture, taken in the order of the
-stream's pattern list, whose running weight exceeds the first uniform.
-Any cycle (and any single sample) is therefore reproducible without
-generating anything before it. Bit-exactness holds only for a fixed numpy
-version, so pin your numpy (pyproject.toml only sets a floor); the bytes
-were checked on numpy 2.4.6.
+Philox4x64 bit generator with a zero counter whose 128-bit key is
+``blake2b("sample|<seed>|<cycle>|<seq>", digest_size=16)`` (two
+little-endian words, low first). Per sample the draw order is fixed: one
+uniform for the pattern mixture, one for the fraud label, FEATURE_DIM
+standard normals for feature noise, MODALITY_DIM uniforms for modality
+jitter. The pattern is the first of the running segment's mixture, taken
+in the order of the stream's pattern list, whose running weight exceeds
+the first uniform. Any cycle (and any single sample) is therefore
+reproducible without generating anything before it. Bit-exactness holds
+only for a fixed numpy version, so pin your numpy (pyproject.toml only
+sets a floor); the bytes were checked on numpy 2.4.6.
+
+A fresh substream costs one key write (Salmon et al., SC'11): the
+process's one Philox generator is reset (``keyed_reset``) by writing the
+key, a zero counter, ``buffer_pos = 4`` and ``has_uint32 = 0`` into
+numpy's ``philox_state``, every field a draw reads before writing. Before
+the first reset, a probe set through numpy's setter must read back through
+``_PhiloxState``, or the engine refuses to run, naming the numpy version;
+the check only reads. Sharing is safe because streams (samples, handoffs,
+calibration) are never interleaved: each is reset, drawn and left before
+the next reset.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -36,34 +49,63 @@ _MODALITY_JITTER = 0.1
 MAX_SAMPLES_PER_CYCLE = 2**20
 
 
-def derive_key(*parts: object) -> np.ndarray:
-    """128-bit Philox key from a domain-separated part list."""
-    payload = "|".join(str(p) for p in parts).encode()
-    digest = hashlib.blake2b(payload, digest_size=16).digest()
-    return np.frombuffer(digest, dtype=np.uint64)
+def derive_keys(kind: str, seed: int, cycle: int, indices: Iterable[int]) -> np.ndarray:
+    """One (low, high) uint64 row per index: the Philox key ``blake2b("<kind>|
+    <seed>|<cycle>|<index>", digest_size=16)``, the shared prefix hashed once."""
+    prefix = hashlib.blake2b(f"{kind}|{seed}|{cycle}|".encode(), digest_size=16)
+    digests = bytearray()
+    for index in indices:
+        h = prefix.copy()
+        h.update(str(index).encode())
+        digests += h.digest()
+    return np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
 
 
-class KeyedRng:
-    """Reusable Philox generator reset to a fresh key per use.
+# numpy's ``philox_state`` (numpy/random/philox.h), at ``Philox().ctypes.state_address``.
+class _PhiloxState(ctypes.Structure):
+    _fields_ = [("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)),
+                ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
+                ("buffer_pos", ctypes.c_int), ("buffer", ctypes.c_uint64 * 4),
+                ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
 
-    Resetting the bit-generator state is equivalent to constructing
-    ``Generator(Philox(key=...))`` but avoids per-sample object churn.
-    """
 
-    def __init__(self) -> None:
-        self._bitgen = np.random.Philox(key=0)
-        self.generator = np.random.Generator(self._bitgen)
+# Each field differs from a fresh state's and from the others', so no misread matches.
+_PROBE = {"bit_generator": "Philox", "state": {"counter": (1, 2, 3, 2**64 - 1), "key": (2**63, 5)},
+          "buffer": (6, 7, 8, 9), "buffer_pos": 2, "has_uint32": 1, "uinteger": 2**32 - 10}
 
-    def reset(self, *parts: object) -> np.random.Generator:
-        self._bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": derive_key(*parts)},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self.generator
+
+def check_philox_layout(bitgen: np.random.BitGenerator) -> _PhiloxState:
+    """``bitgen``'s state, once ``_PROBE`` set through numpy's own setter
+    reads back through ``_PhiloxState``; else refuse. Writes nothing through it."""
+    if isinstance(bitgen, np.random.Philox):
+        bitgen.state = _PROBE
+        st = _PhiloxState.from_address(bitgen.ctypes.state_address)
+        seen = {"bit_generator": "Philox",
+                "state": {"counter": tuple(st.ctr.contents), "key": tuple(st.key.contents)},
+                "buffer": tuple(st.buffer), "buffer_pos": st.buffer_pos,
+                "has_uint32": st.has_uint32, "uinteger": st.uinteger}
+        if seen == _PROBE:
+            return st
+    raise RuntimeError(f"numpy {np.__version__}: a {type(bitgen).__name__} state does not read "
+                       "back through the philox_state layout the keyed streams are reset in")
+
+
+@functools.cache
+def keyed_reset() -> Callable[[int, int], np.random.Generator]:
+    """The in-place reset of the process's one keyed generator, built and checked
+    on first use: ``reset(low, high)`` gives ``Generator(Philox(key=low | high << 64))``."""
+    bitgen = np.random.Philox(key=0)
+    state = check_philox_layout(bitgen)
+    key, counter = state.key.contents, state.ctr.contents
+    generator = np.random.Generator(bitgen)  # keeps the state's memory alive
+
+    def reset(low: int, high: int) -> np.random.Generator:
+        key[:] = low, high
+        counter[:] = 0, 0, 0, 0
+        state.buffer_pos, state.has_uint32 = 4, 0
+        return generator
+
+    return reset
 
 
 @dataclass(frozen=True)
@@ -179,12 +221,13 @@ def generate_cycle(cfg: StreamConfig, cycle: int) -> SampleBatch:
     uniforms = np.empty((n, 2))
     features = np.empty((n, FEATURE_DIM))
     jitter = np.empty((n, MODALITY_DIM))
-    rng = KeyedRng()
-    for seq in range(n):
-        gen = rng.reset("sample", cfg.seed, cycle, seq)
-        gen.random(out=uniforms[seq])
-        gen.standard_normal(out=features[seq])
-        gen.random(out=jitter[seq])
+    reset = keyed_reset()
+    keys = derive_keys("sample", cfg.seed, cycle, range(n)).tolist()
+    for (low, high), u, f, j in zip(keys, uniforms, features, jitter):
+        gen = reset(low, high)
+        gen.random(out=u)
+        gen.standard_normal(out=f)
+        gen.random(out=j)
 
     # First mixture entry whose running weight exceeds the pattern uniform;
     # the last entry takes anything the rounded sum leaves uncovered.

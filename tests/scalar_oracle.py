@@ -38,12 +38,17 @@ class DataSample:
     pattern: int  # index into the cycle's mixture
 
 
+def philox_generator(key: int) -> np.random.Generator:
+    """A fresh Philox4x64 generator with a zero counter and the 128-bit ``key``."""
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def keyed_generator(kind: str, seed: int, cycle: int, index: int) -> np.random.Generator:
-    """A fresh Philox4x64 generator with a zero counter, keyed by
-    ``blake2b("<kind>|<seed>|<cycle>|<index>", digest_size=16)``; the key's
-    first 8 digest bytes are its low word, read little-endian."""
+    """The generator keyed by ``blake2b("<kind>|<seed>|<cycle>|<index>",
+    digest_size=16)``; the key's first 8 digest bytes are its low word, read
+    little-endian."""
     digest = hashlib.blake2b(f"{kind}|{seed}|{cycle}|{index}".encode(), digest_size=16).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+    return philox_generator(int.from_bytes(digest, "little"))
 
 
 def generate_sample(cfg: StreamConfig, cycle: int, seq: int) -> DataSample:

@@ -1,14 +1,26 @@
-"""Stream generation: determinism, schedule, mixture statistics, and the
-section-4.4 preset's calibration bands."""
+"""Stream generation: determinism, schedule, mixture statistics, the
+in-place keyed reset, and the section-4.4 preset's calibration."""
 
+import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import binom
 
-from freeagent.config import ScenarioSpec, section_4_4_preset
+from freeagent import simulator
+from freeagent.config import (
+    _CALIBRATION_SAMPLES,
+    _CALIBRATION_SEED,
+    DEFAULT_SCENARIO,
+    DRIFT_CYCLE,
+    ScenarioSpec,
+    _check_calibration,
+    _scenario,
+    section_4_4_preset,
+)
 from freeagent.domain import AccessTier, ConfigError
 from freeagent.engine import Engine
 from freeagent.moe import uniform_gate
@@ -17,9 +29,12 @@ from freeagent.simulator import (
     PatternSpec,
     Segment,
     StreamConfig,
+    check_philox_layout,
+    derive_keys,
     generate_cycle,
+    keyed_reset,
 )
-from tests.scalar_oracle import generate_sample
+from tests.scalar_oracle import generate_sample, philox_generator
 
 PATTERN_A = PatternSpec(
     name="A", fraud_rate=0.2, fraud_shift={0: 3.0}, modality_base=(0.7, 0.3, 0.0)
@@ -143,6 +158,116 @@ def test_batch_matches_oracle_sample_by_sample(seed, cycle, weights):
         assert (bool(batch.label[i]), int(batch.pattern[i])) == (s.label, s.pattern)
 
 
+WORD = st.integers(0, 2**64 - 1)
+DRAWS = (
+    lambda gen: gen.random(5),
+    lambda gen: gen.standard_normal(7),
+    lambda gen: gen.integers(0, 2**32, size=3, dtype=np.uint32),
+)
+
+
+def leave_mid_block(gen):
+    gen.random()
+    assert gen.bit_generator.state["buffer_pos"] < 4
+
+
+def leave_half_word(gen):
+    gen.integers(0, 2**32, dtype=np.uint32)
+    assert gen.bit_generator.state["has_uint32"] == 1
+
+
+class DeafPhilox(np.random.Philox):
+    """A Philox whose state setter keeps nothing it is given."""
+
+    @property
+    def state(self):
+        return np.random.Philox.state.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        pass
+
+
+class TestKeyedReset:
+    @pytest.mark.parametrize("dirty", [leave_mid_block, leave_half_word])
+    @settings(max_examples=40, deadline=None)
+    @given(low=WORD, high=WORD)
+    @example(low=0, high=0)
+    @example(low=2**64 - 1, high=2**64 - 1)
+    @example(low=0, high=2**64 - 1)
+    @example(low=2**64 - 1, high=0)
+    def test_in_place_reset_draws_as_a_fresh_generator(self, dirty, low, high):
+        # the shared generator is left dirty by an earlier stream: a reset
+        # that forgot the key, the counter, the buffer position or the
+        # pending half word would draw differently from here on
+        reset = keyed_reset()
+        dirty(reset(2**63 + 1, 12345))
+        ours, fresh = reset(low, high), philox_generator(low | high << 64)
+        for draw in DRAWS:
+            assert np.array_equal(draw(ours), draw(fresh))
+
+    def test_layout_check_accepts_a_philox_and_returns_its_state(self):
+        bitgen = np.random.Philox(key=0)
+        state = check_philox_layout(bitgen)
+        assert state.buffer_pos == bitgen.state["buffer_pos"]
+        assert list(state.key.contents) == bitgen.state["state"]["key"].tolist()
+
+    @pytest.mark.parametrize("make", [lambda: np.random.PCG64(5), lambda: DeafPhilox(key=5)],
+                             ids=["pcg64", "deaf_philox"])
+    def test_layout_check_refuses_a_state_that_does_not_read_back(self, make):
+        bitgen = make()
+        # the state as numpy's own getter reads it, past DeafPhilox's override
+        getter = (np.random.Philox if isinstance(bitgen, np.random.Philox) else type(bitgen)).state
+        before = repr(getter.__get__(bitgen))
+        with pytest.raises(RuntimeError, match=f"^numpy {re.escape(np.__version__)}: "
+                                               f"a {type(bitgen).__name__} state"):
+            check_philox_layout(bitgen)
+        assert repr(getter.__get__(bitgen)) == before  # nothing was written
+
+    def test_the_engine_builds_and_checks_one_generator_per_process(self, monkeypatch, tmp_path):
+        checked = []
+        real = simulator.check_philox_layout
+        monkeypatch.setattr(simulator, "check_philox_layout",
+                            lambda bitgen: checked.append(bitgen) or real(bitgen))
+        simulator.keyed_reset.cache_clear()
+        try:
+            # handoff reliability 0.98 draws a handoff stream per agent per cycle
+            cfg = section_4_4_preset(total_cycles=12, samples_per_cycle=50)
+            assert {spec.handoff_reliability for spec in (*cfg.roster, *cfg.pool)} == {0.98}
+            Engine(cfg).run(tmp_path / "first")
+            Engine(cfg).run(tmp_path / "second")
+            _check_calibration.__wrapped__(DEFAULT_SCENARIO)
+        finally:
+            simulator.keyed_reset.cache_clear()
+        assert len(checked) == 1
+
+
+class TestKeys:
+    def test_bulk_keys_match_per_sample_blake2b_at_digit_boundaries(self):
+        seed, cycle = 2**64 - 1, 7
+        keys = derive_keys("sample", seed, cycle, range(1001))
+        assert keys.shape == (1001, 2) and keys.dtype == np.uint64
+        for seq in (0, 9, 10, 99, 100, 999, 1000):
+            digest = hashlib.blake2b(f"sample|{seed}|{cycle}|{seq}".encode(), digest_size=16)
+            low, high = keys[seq].tolist()
+            assert low | high << 64 == int.from_bytes(digest.digest(), "little")
+
+    def test_handoff_key_of_one_index(self):
+        digest = hashlib.blake2b(b"handoff|42|3|17", digest_size=16).digest()
+        (low, high), = derive_keys("handoff", 42, 3, (17,)).tolist()
+        assert low | high << 64 == int.from_bytes(digest, "little")
+
+    @pytest.mark.parametrize("seed,spc", [(2**64 - 1, 1001), (2**64 - 1, 1), (0, 1)])
+    def test_batch_matches_oracle_across_digit_boundaries(self, seed, spc):
+        cfg = stream(seed=seed, spc=spc)
+        batch = generate_cycle(cfg, 2)
+        for seq in {0, 9, 10, 99, 100, 999, 1000} & set(range(spc)):
+            s = generate_sample(cfg, 2, seq)
+            assert [x.hex() for x in batch.features[seq].tolist()] == [x.hex() for x in s.features]
+            assert [x.hex() for x in batch.modality[seq].tolist()] == [x.hex() for x in s.modality]
+            assert (bool(batch.label[seq]), int(batch.pattern[seq])) == (s.label, s.pattern)
+
+
 class TestScheduleValidation:
     def test_first_segment_must_start_at_zero(self):
         with pytest.raises(ConfigError, match="first segment must start at cycle 0") as exc:
@@ -215,6 +340,28 @@ class TestScenario:
         assert 0.72 <= accuracy(incumbent, mixture, AccessTier.FULL) <= 0.78
         assert 0.85 <= accuracy(candidate, mixture, AccessTier.RESTRICTED) <= 0.91
         assert accuracy(candidate, mixture, AccessTier.FULL) >= 0.90
+
+    def test_the_calibration_stream_is_pinned(self):
+        # exact correct counts on the preset's own calibration stream, so a
+        # stream that moved but stayed in band still fails
+        stream, incumbent, candidate = _scenario(
+            DEFAULT_SCENARIO, _CALIBRATION_SEED, _CALIBRATION_SAMPLES, DRIFT_CYCLE + 1
+        )
+        assert (_CALIBRATION_SEED, _CALIBRATION_SAMPLES) == (0xCA11B, 10_000)
+        pure_a, mixture = generate_cycle(stream, 0), generate_cycle(stream, DRIFT_CYCLE)
+
+        def correct(spec, batch, tier):
+            gate = uniform_gate(len(spec.experts))
+            _, _, verdict = decide(spec.experts, gate, redact(batch.features, tier),
+                                   batch.modality)
+            return int(np.count_nonzero(verdict == batch.label))
+
+        assert [
+            correct(incumbent, pure_a, AccessTier.FULL),
+            correct(incumbent, mixture, AccessTier.FULL),
+            correct(candidate, mixture, AccessTier.RESTRICTED),
+            correct(candidate, mixture, AccessTier.FULL),
+        ] == [9488, 7410, 8760, 9411]
 
     def test_infeasible_targets_rejected(self):
         bad = ScenarioSpec(incumbent_mixture_accuracy=0.95)  # no drop at all
