@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config, preset_config
-from .domain import ConfigError
+from .domain import ConfigError, UnsupportedNumpy
 from .engine import Engine, SnapshotError, restore_engine
 
 logger = logging.getLogger("freeagent.cli")
@@ -50,7 +50,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.emit_detections:
                 config = replace(config, emit_detections=True)
             engine = Engine(config)
-    except (ConfigError, SnapshotError, OSError) as exc:
+    except (ConfigError, SnapshotError, UnsupportedNumpy, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -114,7 +114,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         _load_run_config(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, UnsupportedNumpy, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print("ok")

@@ -8,13 +8,16 @@ from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from freeagent import simulator
 from freeagent.cli import main
 from freeagent.config import (
     PRESETS,
     SCHEMA,
     ScenarioSpec,
+    _check_calibration,
     _kind,
     _table,
     config_to_dict,
@@ -23,7 +26,7 @@ from freeagent.config import (
     preset_config,
     section_4_4_preset,
 )
-from freeagent.domain import Agent, AgentStatus, ConfigError, DispatchedRole
+from freeagent.domain import Agent, AgentStatus, ConfigError, DispatchedRole, UnsupportedNumpy
 from freeagent.engine import (
     METRICS_COLUMNS,
     Engine,
@@ -193,6 +196,23 @@ class TestCli:
         args = [verb, "--preset", "section-4.4"] + (["--out", str(out)] if verb == "run" else [])
         assert main(args) == 2
         assert "calibration failed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("check", ["check_philox_layout", "check_kernel"])
+    @pytest.mark.parametrize("verb,prefix", [("validate", "invalid"), ("run", "error")])
+    def test_an_unsupported_numpy_exits_2_naming_it(
+        self, tmp_path, capsys, monkeypatch, verb, prefix, check
+    ):
+        def refuse(*_):
+            raise UnsupportedNumpy(f"numpy {np.__version__}: draws differently")
+
+        monkeypatch.setattr(simulator, check, refuse)
+        simulator.keyed_reset.cache_clear()  # a refused build is not cached
+        _check_calibration.cache_clear()  # the preset's calibration draws a stream
+        out = tmp_path / "out"
+        args = [verb, "--preset", "section-4.4"] + (["--out", str(out)] if verb == "run" else [])
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"{prefix}: numpy {np.__version__}: draws differently\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])

@@ -2,6 +2,7 @@
 in-place keyed reset, and the section-4.4 preset's calibration."""
 
 import hashlib
+import itertools
 import re
 from dataclasses import replace
 
@@ -21,11 +22,13 @@ from freeagent.config import (
     _scenario,
     section_4_4_preset,
 )
-from freeagent.domain import AccessTier, ConfigError
+from freeagent.domain import AccessTier, ConfigError, UnsupportedNumpy
 from freeagent.engine import Engine
 from freeagent.moe import uniform_gate
 from freeagent.pipeline import decide, redact
 from freeagent.simulator import (
+    KERNEL_MAX_ROWS,
+    KERNEL_MIN_ROWS,
     PatternSpec,
     Segment,
     StreamConfig,
@@ -33,8 +36,9 @@ from freeagent.simulator import (
     derive_keys,
     generate_cycle,
     keyed_reset,
+    philox_words,
 )
-from tests.scalar_oracle import generate_sample, philox_generator
+from tests.scalar_oracle import generate_sample, keyed_generator, philox_generator
 
 PATTERN_A = PatternSpec(
     name="A", fraud_rate=0.2, fraud_shift={0: 3.0}, modality_base=(0.7, 0.3, 0.0)
@@ -135,6 +139,20 @@ class TestStreamContent:
         assert (batch.seq0, len(batch)) == (20, 10)
 
 
+# Row counts on both sides of the kernel selection and across a chunk edge.
+ROW_COUNTS = (1, KERNEL_MIN_ROWS - 1, KERNEL_MIN_ROWS, KERNEL_MAX_ROWS + 1)
+
+
+def same_rows(batch, cfg, cycle, seqs):
+    """Rows ``seqs`` of ``batch`` against the scalar oracle, bit for bit."""
+    for i in seqs:
+        s = generate_sample(cfg, cycle, i)
+        assert batch.seq0 + i == s.seq
+        assert [x.hex() for x in batch.features[i].tolist()] == [x.hex() for x in s.features]
+        assert [x.hex() for x in batch.modality[i].tolist()] == [x.hex() for x in s.modality]
+        assert (bool(batch.label[i]), int(batch.pattern[i])) == (s.label, s.pattern)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
@@ -146,16 +164,11 @@ def test_batch_matches_oracle_sample_by_sample(seed, cycle, weights):
     # sum to 1 bit-exactly, so the last entry also catches the remainder
     total = sum(weights)
     mixture = dict(zip("ABC", (w / total for w in weights)))
-    cfg = stream(seed=seed, spc=40, segments=(
-        Segment(0, {"B": 0.3, "C": 0.7}), Segment(2, mixture),
-    ))
-    batch = generate_cycle(cfg, cycle)
-    for i in range(len(batch)):
-        s = generate_sample(cfg, cycle, i)
-        assert batch.seq0 + i == s.seq
-        assert [x.hex() for x in batch.features[i].tolist()] == [x.hex() for x in s.features]
-        assert [x.hex() for x in batch.modality[i].tolist()] == [x.hex() for x in s.modality]
-        assert (bool(batch.label[i]), int(batch.pattern[i])) == (s.label, s.pattern)
+    for spc in ROW_COUNTS:
+        cfg = stream(seed=seed, spc=spc, segments=(
+            Segment(0, {"B": 0.3, "C": 0.7}), Segment(2, mixture),
+        ))
+        same_rows(generate_cycle(cfg, cycle), cfg, cycle, range(spc))
 
 
 WORD = st.integers(0, 2**64 - 1)
@@ -219,16 +232,18 @@ class TestKeyedReset:
         # the state as numpy's own getter reads it, past DeafPhilox's override
         getter = (np.random.Philox if isinstance(bitgen, np.random.Philox) else type(bitgen)).state
         before = repr(getter.__get__(bitgen))
-        with pytest.raises(RuntimeError, match=f"^numpy {re.escape(np.__version__)}: "
-                                               f"a {type(bitgen).__name__} state"):
+        with pytest.raises(UnsupportedNumpy, match=f"^numpy {re.escape(np.__version__)}: "
+                                                   f"a {type(bitgen).__name__} state"):
             check_philox_layout(bitgen)
         assert repr(getter.__get__(bitgen)) == before  # nothing was written
 
     def test_the_engine_builds_and_checks_one_generator_per_process(self, monkeypatch, tmp_path):
-        checked = []
-        real = simulator.check_philox_layout
+        checked, kernel_checked = [], []
+        real, real_kernel = simulator.check_philox_layout, simulator.check_kernel
         monkeypatch.setattr(simulator, "check_philox_layout",
                             lambda bitgen: checked.append(bitgen) or real(bitgen))
+        monkeypatch.setattr(simulator, "check_kernel",
+                            lambda: kernel_checked.append(1) or real_kernel())
         simulator.keyed_reset.cache_clear()
         try:
             # handoff reliability 0.98 draws a handoff stream per agent per cycle
@@ -236,10 +251,11 @@ class TestKeyedReset:
             assert {spec.handoff_reliability for spec in (*cfg.roster, *cfg.pool)} == {0.98}
             Engine(cfg).run(tmp_path / "first")
             Engine(cfg).run(tmp_path / "second")
+            # 10,000-sample cycles: the kernel draws them, in chunks
             _check_calibration.__wrapped__(DEFAULT_SCENARIO)
         finally:
             simulator.keyed_reset.cache_clear()
-        assert len(checked) == 1
+        assert len(checked) == len(kernel_checked) == 1
 
 
 class TestKeys:
@@ -257,15 +273,86 @@ class TestKeys:
         (low, high), = derive_keys("handoff", 42, 3, (17,)).tolist()
         assert low | high << 64 == int.from_bytes(digest, "little")
 
-    @pytest.mark.parametrize("seed,spc", [(2**64 - 1, 1001), (2**64 - 1, 1), (0, 1)])
+    @pytest.mark.parametrize("seed,spc", [
+        (2**64 - 1, 1001), (2**64 - 1, 1), (0, 1),
+        (0, KERNEL_MIN_ROWS - 1), (2**64 - 1, KERNEL_MIN_ROWS), (0, KERNEL_MAX_ROWS + 1),
+    ])
     def test_batch_matches_oracle_across_digit_boundaries(self, seed, spc):
         cfg = stream(seed=seed, spc=spc)
-        batch = generate_cycle(cfg, 2)
-        for seq in {0, 9, 10, 99, 100, 999, 1000} & set(range(spc)):
-            s = generate_sample(cfg, 2, seq)
-            assert [x.hex() for x in batch.features[seq].tolist()] == [x.hex() for x in s.features]
-            assert [x.hex() for x in batch.modality[seq].tolist()] == [x.hex() for x in s.modality]
-            assert (bool(batch.label[seq]), int(batch.pattern[seq])) == (s.label, s.pattern)
+        seqs = {0, 9, 10, 99, 100, 999, 1000, spc - 1} & set(range(spc))
+        same_rows(generate_cycle(cfg, 2), cfg, 2, sorted(seqs))
+
+
+def extract_tables():
+    """numpy's ziggurat tables, read back through ``standard_normal``: each
+    draw starts at a word set into Philox's buffer. ``rabs = 1`` returns
+    ``wi[idx]``, and ``ki[idx]`` is the least ``rabs`` off the fast path,
+    where a draw reads more than its one word. The idx-0 tail can refill the
+    buffer and end at position 1 again, but with the counter moved."""
+    bitgen = np.random.Philox(key=0)
+    gen, fresh = np.random.Generator(bitgen), bitgen.state
+
+    def draw(idx, rabs):
+        bitgen.state = {**fresh, "buffer": (idx | rabs << 9, 0, 0, 0), "buffer_pos": 0}
+        x = gen.standard_normal()
+        after = bitgen.state
+        return x, after["buffer_pos"] == 1 and after["state"]["counter"].tolist() == [0] * 4
+
+    wi, ki = [], []
+    for idx in range(256):
+        wi.append(draw(idx, 1)[0])
+        lo, hi = 0, 2**52  # the least rabs off the fast path is in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if draw(idx, mid)[1] else (lo, mid)
+        ki.append(lo)
+    return wi, ki
+
+
+class TestKernel:
+    def test_the_tables_are_numpys_own(self):
+        wi, ki = extract_tables()
+        assert [x.hex() for x in wi] == [x.hex() for x in simulator._WI.tolist()]
+        assert ki == simulator._KI.tolist()
+        assert (ki[0], ki[1]) == (0xEF33D8025EF6A, 0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(keys=st.lists(st.tuples(WORD, WORD), min_size=1, max_size=4))
+    @example(keys=[(0, 0)])
+    @example(keys=[(2**64 - 1, 2**64 - 1)])
+    @example(keys=[(0, 2**64 - 1), (2**64 - 1, 0)])
+    def test_words_are_a_fresh_generators_first_twelve(self, keys):
+        raw = [np.random.Philox(key=low | high << 64).random_raw(12) for low, high in keys]
+        assert philox_words(np.array(keys, dtype=np.uint64)).T.tolist() == np.array(raw).tolist()
+
+    def test_rows_off_the_fast_path_are_redrawn_exactly(self):
+        # the first seed whose kernel-sized cycle has a normal word in the
+        # idx-0 tail and one at idx 1, whose ki of 0 accepts no word
+        ki0 = simulator._KI.tolist()[0]
+        for seed in itertools.count():
+            normals = [keyed_generator("sample", seed, 2, seq).bit_generator.random_raw(8)[2:]
+                       for seq in range(KERNEL_MIN_ROWS)]
+            tail = [seq for seq, words in enumerate(normals) if any(
+                w & 0xFF == 0 and w >> 9 & 2**52 - 1 >= ki0 for w in words.tolist())]
+            idx_1 = [seq for seq, words in enumerate(normals) if any(words & 0xFF == 1)]
+            if tail and idx_1:
+                break
+        cfg = stream(seed=seed, spc=KERNEL_MIN_ROWS)
+        same_rows(generate_cycle(cfg, 2), cfg, 2, range(KERNEL_MIN_ROWS))
+
+    @pytest.mark.parametrize("name,entry", [("_WI", 7), ("_KI", 5), ("_PHILOX_M", 1)])
+    def test_the_engine_refuses_a_kernel_numpy_draws_differently(
+        self, monkeypatch, tmp_path, name, entry
+    ):
+        cfg = section_4_4_preset(total_cycles=1, samples_per_cycle=KERNEL_MIN_ROWS)
+        changed = getattr(simulator, name).copy()
+        # a wi 2**20 ulps up, a ki past the fast path, a multiplier off by 2**20
+        changed.view(np.uint64).flat[entry] += 2**20
+        monkeypatch.setattr(simulator, name, changed)
+        simulator.keyed_reset.cache_clear()  # a refused build is not cached
+        with pytest.raises(UnsupportedNumpy, match=f"^numpy {re.escape(np.__version__)}: "):
+            Engine(cfg).run(tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestScheduleValidation:
