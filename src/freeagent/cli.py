@@ -12,6 +12,7 @@ from pathlib import Path
 from .config import load_config, preset_config
 from .domain import ConfigError, UnsupportedNumpy
 from .engine import Engine, SnapshotError, restore_engine
+from .simulator import keyed_reset
 
 logger = logging.getLogger("freeagent.cli")
 
@@ -114,6 +115,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         _load_run_config(args)
+        keyed_reset()  # refuses an unsupported numpy, as a run does
     except (ConfigError, UnsupportedNumpy, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -61,16 +61,18 @@ def redact(features: np.ndarray, tier: AccessTier) -> np.ndarray:
     return out
 
 
-def _dot_columns(rows: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
-    """Row-wise dot product, accumulated one column at a time from 0.0.
+def _dot_columns(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Dot products along the first axis, accumulated one term at a time from 0.0.
 
-    This is the sequential sum a scalar dot product takes, so every row's
-    result is bit-identical to it (``rows @ weights`` is not). Starting
-    from 0.0 also turns a leading -0.0 product into +0.0, as ``sum()`` does.
+    ``columns[j] * weights[j]`` holds the j-th product of every result
+    element; the sum is the sequential one a scalar dot product takes, so
+    each element is bit-identical to it (a matrix product is not).
+    Starting from 0.0 also turns a leading -0.0 product into +0.0, as
+    ``sum()`` does.
     """
     acc = 0.0
-    for j, w in enumerate(weights):
-        acc = acc + rows[:, j] * w
+    for column, weight in zip(columns, weights):
+        acc = acc + column * weight
     return acc
 
 
@@ -87,13 +89,20 @@ def decide(
     gate_weight * dot(profile, modality), ties to the lowest index. Takes
     bare feature/modality rows so a decision cannot depend on anything
     else in the sample. Pure: no state is touched.
+
+    One pass covers every expert: the ``(n, E)`` affinities are summed
+    one modality column at a time from 0.0 against the experts' profile
+    matrix, then scaled by the gate weights. Only the chosen expert's
+    weights are gathered, and each row's score is summed one feature
+    column at a time from 0.0. Every element gets the same IEEE
+    operations, in the same order, as in a scalar loop over the samples
+    and experts, so the bits are the same.
     """
-    affinity = np.column_stack(
-        [w * _dot_columns(modality, e.profile) for w, e in zip(gate_weights, experts)]
-    )
+    profiles = np.array([e.profile for e in experts]).T  # (MODALITY_DIM, E)
+    affinity = _dot_columns(modality.T[:, :, None], profiles) * np.array(gate_weights)
     chosen = affinity.argmax(axis=1)  # first maximum
-    scores = np.column_stack([_dot_columns(features, e.weights) for e in experts])
-    score = np.take_along_axis(scores, chosen[:, None], axis=1)[:, 0]
+    weights = np.array([e.weights for e in experts])[chosen]  # (n, FEATURE_DIM)
+    score = _dot_columns(features.T, weights.T)
     thresholds = np.array([e.threshold for e in experts])
     return chosen, score, score >= thresholds[chosen]
 
@@ -175,10 +184,11 @@ class CyclePipeline:
                                             views[tier][rows], batch.modality[rows])
             label = batch.label[rows]
             win = self.log.window(agent.id)
-            win.true_positives += int(np.count_nonzero(verdict & label))
-            win.false_positives += int(np.count_nonzero(verdict & ~label))
-            win.false_negatives += int(np.count_nonzero(~verdict & label))
-            win.true_negatives += int(np.count_nonzero(~verdict & ~label))
+            tn, fn, fp, tp = np.bincount(2 * verdict + label, minlength=4).tolist()
+            win.true_positives += tp
+            win.false_positives += fp
+            win.false_negatives += fn
+            win.true_negatives += tn
             if agent.spec.misbehaving and tier is not AccessTier.FULL:
                 # Audit hook: the agent tried to read the raw samples. Each
                 # attempt is blocked and tallied; the decisions still run

@@ -207,13 +207,18 @@ class TestCli:
             raise UnsupportedNumpy(f"numpy {np.__version__}: draws differently")
 
         monkeypatch.setattr(simulator, check, refuse)
-        simulator.keyed_reset.cache_clear()  # a refused build is not cached
-        _check_calibration.cache_clear()  # the preset's calibration draws a stream
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(MINIMAL))
         out = tmp_path / "out"
-        args = [verb, "--preset", "section-4.4"] + (["--out", str(out)] if verb == "run" else [])
-        assert main(args) == 2
-        assert capsys.readouterr().err == f"{prefix}: numpy {np.__version__}: draws differently\n"
-        assert not out.exists()
+        # a config file draws no calibration stream before the check
+        for source in (["--preset", "section-4.4"], ["--config", str(path)]):
+            simulator.keyed_reset.cache_clear()  # a refused build is not cached
+            _check_calibration.cache_clear()  # the preset's calibration draws a stream
+            args = [verb, *source] + (["--out", str(out)] if verb == "run" else [])
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert err == f"{prefix}: numpy {np.__version__}: draws differently\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
     @pytest.mark.parametrize("key,value,named", [
