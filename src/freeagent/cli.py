@@ -14,11 +14,12 @@ from .domain import ConfigError, UnsupportedNumpy
 from .engine import Engine, SnapshotError, restore_engine
 from .simulator import keyed_reset
 
-logger = logging.getLogger("freeagent.cli")
-
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+
+_REPORT_KEYS = {"seed", "total_cycles", "samples_per_cycle", "phases", "event_counts",
+                "key_cycles", "final_roster", "final_pool"}
 
 
 def _load_run_config(args: argparse.Namespace):
@@ -75,7 +76,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     summary_path = Path(args.out_dir) / "summary.json"
     try:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        if not isinstance(summary, dict) or not summary.keys() >= _REPORT_KEYS:
+            raise ValueError(f"not a run summary: expected an object with {sorted(_REPORT_KEYS)}")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON or not a summary
         print(f"error: cannot read {summary_path}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -583,7 +583,7 @@ PRESETS = {
 }
 
 
-def preset_config(name: str, seed: int | None = None) -> RunConfig:
+def preset_config(name: str) -> RunConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset '{name}'; available: {sorted(PRESETS)}")
-    return PRESETS[name]() if seed is None else PRESETS[name](seed=seed)
+    return PRESETS[name]()

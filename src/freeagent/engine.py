@@ -212,13 +212,10 @@ class Engine:
             emit_detections=cfg.emit_detections,
         )
         pipe.run_batch(batch)
-        pipeline_status = {aid: self.roster[aid].status for aid in sorted(self.roster)}
+        members = [(agent, agent.status) for _, agent in sorted(self.roster.items())]
 
         # Stage 2: cycle rewards, then gate updates in recorded order.
-        components = {
-            aid: compute_components(self.roster[aid], log, cfg.reward)
-            for aid in sorted(self.roster)
-        }
+        components = {agent.id: compute_components(agent, log, cfg.reward) for agent, _ in members}
         rewards = {aid: compute_reward(cfg.reward, c) for aid, c in components.items()}
         for aid in sorted(pipe.rewards):
             agent = self.roster[aid]
@@ -244,11 +241,9 @@ class Engine:
         # Stage 5: metrics rows (status as of the pipeline phase).
         rows = []
         system = [0, 0, 0, 0]  # the Active agents' tp, fp, fn, tn
-        all_agents = {a.id: a for a in (*self.pool, *self.roster.values())}
-        for aid, status in pipeline_status.items():
-            agent = all_agents[aid]
-            win = log.window(aid)
-            comps = components[aid]
+        for agent, status in members:
+            win = log.window(agent.id)
+            comps = components[agent.id]
             tp, fp, fn, tn = (
                 win.true_positives, win.false_positives,
                 win.false_negatives, win.true_negatives,
@@ -256,11 +251,11 @@ class Engine:
             precision, recall, f1, accuracy = count_ratios(tp, fp, fn, tn)
             rows.append(
                 MetricsRow(
-                    cycle=cycle, agent=aid, status=status.value,
+                    cycle=cycle, agent=agent.id, status=status.value,
                     tp=tp, fp=fp, fn=fn, tn=tn,
                     precision=precision, recall=recall, f1=f1, accuracy=accuracy,
                     synergy=comps.synergy, efficiency=comps.efficiency,
-                    penalty=comps.penalty, reward=rewards[aid],
+                    penalty=comps.penalty, reward=rewards[agent.id],
                     service_time=agent.service_time,
                 )
             )

@@ -139,17 +139,14 @@ class CyclePipeline:
         self._emit = emit_detections
         # Membership and status are fixed for the duration of the batch;
         # performance only changes at evaluation time, so the dispatch
-        # order and each agent's tier are too.
+        # order is too.
         fraud = [a for a in roster.values() if a.spec.role == FRAUD_ROLE]
         self._active = [
-            (a, a.access_tier)
-            for a in sorted(fraud, key=lambda a: (-a.performance, a.id))
+            a for a in sorted(fraud, key=lambda a: (-a.performance, a.id))
             if a.status is AgentStatus.ACTIVE
         ]
         self._shadows = [
-            (a, a.access_tier)
-            for a in sorted(fraud, key=lambda a: a.id)
-            if a.status is AgentStatus.PROBATIONARY
+            a for a in sorted(fraud, key=lambda a: a.id) if a.status is AgentStatus.PROBATIONARY
         ]
 
     def _handoffs(self, agent: Agent, k: int) -> np.ndarray:
@@ -173,11 +170,12 @@ class CyclePipeline:
     def run_batch(self, batch: SampleBatch) -> None:
         n = len(batch)
         views: dict[AccessTier, np.ndarray] = {}
-        records = []  # (row, slot, record); slot 0 is the assigned agent, then shadows by id
+        records: list[DetectionRecord] = []
 
-        def run(agent: Agent, tier: AccessTier, rows: np.ndarray, slot: int) -> None:
+        def run(agent: Agent, rows: np.ndarray, shadow: bool) -> None:
             if not len(rows):
                 return
+            tier = agent.access_tier
             if tier not in views:
                 views[tier] = redact(batch.features, tier)
             expert, score, verdict = decide(agent.spec.experts, agent.gate_weights,
@@ -198,30 +196,29 @@ class CyclePipeline:
                 expert.tolist(), np.where(verdict == label, 1.0, -1.0).tolist()
             )
             if self._emit:
-                shadow = slot > 0
                 records.extend(
-                    (i, slot, DetectionRecord(batch.seq0 + i, agent.id, v, s, shadow,
-                                              Action.BLOCK if v and not shadow else Action.NONE))
+                    DetectionRecord(batch.seq0 + i, agent.id, v, s, shadow,
+                                    Action.BLOCK if v and not shadow else Action.NONE)
                     for i, s, v in zip(rows.tolist(), score.tolist(), verdict.tolist())
                 )
 
         # Dispatch down the performance ranking, one fall-through level at
         # a time, until every handoff succeeded or the ranking ran out.
         pending = np.arange(n)
-        for agent, tier in self._active:
+        for agent in self._active:
             if not len(pending):
                 break
             ok = self._handoffs(agent, len(pending))
-            run(agent, tier, pending[ok], 0)
+            run(agent, pending[ok], False)
             pending = pending[~ok]
         if not self._active:
             self.stalled_samples += n
 
-        for slot, (agent, tier) in enumerate(self._shadows, start=1):
-            run(agent, tier, np.flatnonzero(self._handoffs(agent, n)), slot)
+        for agent in self._shadows:
+            run(agent, np.flatnonzero(self._handoffs(agent, n)), True)
 
-        records.sort(key=lambda r: r[:2])
-        self.detections.extend(r[2] for r in records)
+        records.sort(key=lambda r: (r.seq, r.shadow, r.agent))
+        self.detections.extend(records)
         if self.stalled_samples:
             logger.warning(
                 "cycle %d: no active %s agent; %d samples undecided (vacancy pending)",

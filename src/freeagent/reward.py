@@ -79,17 +79,13 @@ def compute_components(agent: Agent, log: PerformanceLog, cfg: RewardConfig) -> 
     # baseline cost of the work over the cost spent is a ratio of rates.
     if win.samples_seen > 0:
         efficiency = _clamp(cfg.baseline_cost_per_sample / agent.spec.cost_per_sample)
-    else:
-        efficiency = 0.0
-
-    if win.samples_seen > 0:
         fp_denom = win.false_positives + win.true_negatives
         fp_rate = win.false_positives / fp_denom if fp_denom > 0 else 0.0
         penalty = min(
             1.0, win.violations / win.samples_seen + max(0.0, fp_rate - cfg.fp_budget)
         )
     else:
-        penalty = 0.0
+        efficiency = penalty = 0.0
 
     return RewardComponents(
         accuracy=_clamp(accuracy),

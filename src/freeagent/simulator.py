@@ -294,24 +294,20 @@ def generate_cycle(cfg: StreamConfig, cycle: int) -> SampleBatch:
     jitter = np.empty((n, MODALITY_DIM))
     keys = derive_keys("sample", cfg.seed, cycle, range(n))
     reset = keyed_reset()  # built and checked before the kernel's first call
-    redrawn = [uniforms, features, jitter]  # by a keyed reset: all, below KERNEL_MIN_ROWS
+    drawn = np.zeros(n, dtype=bool)  # by the kernel, every normal on the fast path
     if n >= KERNEL_MIN_ROWS:
-        drawn = np.empty(n, dtype=bool)  # by the kernel, every normal on the fast path
         for rows in np.array_split(np.arange(n), -(-n // KERNEL_MAX_ROWS)):  # even chunks
             words = philox_words(keys[rows])
             uniforms[rows] = (words[0:2] >> 11).T * 2.0**-53
             jitter[rows] = (words[8:11] >> 11).T * 2.0**-53
             normals, accepted = ziggurat(words[2:8])
             features[rows], drawn[rows] = normals.T, accepted.all(axis=0)
-        redo = np.flatnonzero(~drawn)
-        keys, redrawn = keys[redo], [column[redo] for column in redrawn]
-    for (low, high), u, f, j in zip(keys.tolist(), *redrawn):
+    redo = np.flatnonzero(~drawn)  # the rest: drawn in place through the keyed reset
+    for i, (low, high) in zip(redo.tolist(), keys[redo].tolist()):
         gen = reset(low, high)
-        gen.random(out=u)
-        gen.standard_normal(out=f)
-        gen.random(out=j)
-    if n >= KERNEL_MIN_ROWS:
-        uniforms[redo], features[redo], jitter[redo] = redrawn
+        gen.random(out=uniforms[i])
+        gen.standard_normal(out=features[i])
+        gen.random(out=jitter[i])
 
     # First mixture entry whose running weight exceeds the pattern uniform;
     # the last entry takes anything the rounded sum leaves uncovered.

@@ -404,8 +404,20 @@ class TestCli:
         assert sum(not r["shadow"] for r in rows) == decided["Active"] > 0
         assert sum(r["shadow"] for r in rows) == decided["Probationary"] > 0
 
-    def test_report_missing_dir_errors(self, tmp_path, capsys):
-        assert main(["report", str(tmp_path / "nothing")]) == 1
+    @pytest.mark.parametrize("content,reason", [
+        (None, "No such file"),
+        (b"\xff\xfe{}", "codec can't decode"),
+        (b"[1, 2]", "not a run summary"),
+        (b"{}", "not a run summary"),
+    ], ids=["missing", "not-utf8", "not-object", "no-keys"])
+    def test_report_missing_dir_errors(self, tmp_path, capsys, content, reason):
+        out = tmp_path / "nothing"
+        if content is not None:
+            out.mkdir()
+            (out / "summary.json").write_bytes(content)
+        assert main(["report", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {out / 'summary.json'}: ") and reason in err
 
     def test_unwritable_output_dir_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -255,3 +255,12 @@ class TestShadowIsolation:
         assert [(d.seq, d.agent) for d in emitted.detections] == [
             (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)
         ]
+        # Per seq the assigned row comes first, then the shadows by id,
+        # even when the assigned agent's id is above theirs.
+        roster = {3: detector(3), 2: detector(2, status=AgentStatus.PROBATIONARY),
+                  1: detector(1, status=AgentStatus.PROBATIONARY)}
+        emitted = pipeline(roster, seed=5)
+        emitted.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=2))
+        assert [(d.seq, d.agent, d.shadow) for d in emitted.detections] == [
+            (0, 3, False), (0, 1, True), (0, 2, True), (1, 3, False), (1, 1, True), (1, 2, True)
+        ]
