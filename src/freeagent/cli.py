@@ -72,6 +72,41 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _report_lines(summary: dict) -> list[str]:
+    lines = [
+        f"run seed {summary['seed']}, {summary['total_cycles']} cycles, "
+        f"{summary['samples_per_cycle']} samples/cycle",
+        "",
+    ]
+    header = f"{'phase':>6} {'cycles':>12} {'mixture':<24} {'decided':>8} {'accuracy':>9} {'f1':>7}"
+    lines += [header, "-" * len(header)]
+    for i, phase in enumerate(summary["phases"]):
+        mixture = " ".join(f"{k}:{v:g}" for k, v in sorted(phase["mixture"].items()))
+        cycles = f"{phase['start_cycle']}-{phase['end_cycle']}"
+        lines.append(
+            f"{i:>6} {cycles:>12} {mixture:<24} {phase['decided']:>8} "
+            f"{phase['accuracy']:>9.4f} {phase['f1']:>7.4f}"
+        )
+    key = summary["key_cycles"]
+    lines += [
+        "",
+        "events: " + ", ".join(f"{k}={v}" for k, v in sorted(summary["event_counts"].items())),
+        "first release: {0}, first sign: {1}, first promote: {2}".format(
+            key["first_release"], key["first_sign"], key["first_promote"]
+        ),
+    ]
+    for name in ("roster", "pool"):
+        agents = summary[f"final_{name}"]
+        if agents or name == "roster":  # an empty pool is left out
+            lines.append(f"final {name}:")
+        lines += [
+            f"  agent {agent['id']} [{agent['status']}] "
+            f"performance={agent['performance']:.4f} service_time={agent['service_time']}"
+            for agent in agents
+        ]
+    return lines
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     summary_path = Path(args.out_dir) / "summary.json"
     try:
@@ -81,37 +116,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON or not a summary
         print(f"error: cannot read {summary_path}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-    print(f"run seed {summary['seed']}, {summary['total_cycles']} cycles, "
-          f"{summary['samples_per_cycle']} samples/cycle")
-    print()
-    header = f"{'phase':>6} {'cycles':>12} {'mixture':<24} {'decided':>8} {'accuracy':>9} {'f1':>7}"
-    print(header)
-    print("-" * len(header))
-    for i, phase in enumerate(summary["phases"]):
-        mixture = " ".join(f"{k}:{v:g}" for k, v in sorted(phase["mixture"].items()))
-        cycles = f"{phase['start_cycle']}-{phase['end_cycle']}"
-        print(
-            f"{i:>6} {cycles:>12} {mixture:<24} {phase['decided']:>8} "
-            f"{phase['accuracy']:>9.4f} {phase['f1']:>7.4f}"
-        )
-    print()
-    key = summary["key_cycles"]
-    print("events: " + ", ".join(f"{k}={v}" for k, v in sorted(summary["event_counts"].items())))
-    print(
-        "first release: {0}, first sign: {1}, first promote: {2}".format(
-            key["first_release"], key["first_sign"], key["first_promote"]
-        )
-    )
-    for name in ("roster", "pool"):
-        agents = summary[f"final_{name}"]
-        if agents or name == "roster":  # an empty pool is left out
-            print(f"final {name}:")
-        for agent in agents:
-            print(
-                f"  agent {agent['id']} [{agent['status']}] "
-                f"performance={agent['performance']:.4f} service_time={agent['service_time']}"
-            )
+    try:  # the whole report, before its first line is printed
+        lines = _report_lines(summary)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:  # a malformed entry
+        print(f"error: cannot read {summary_path}: not a run summary: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    print("\n".join(lines))
     return EXIT_OK
 
 

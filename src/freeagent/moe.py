@@ -6,15 +6,20 @@ its gate weights, one per expert, are the only state that learns
 (``Agent.gate_weights``). The update is deterministic: the used expert's
 gate weight is multiplied by ``exp(learning_rate * reward)`` and the
 vector is renormalized, so a stream of +1 rewards makes an expert's
-weight approach 1 geometrically. Routing and scoring of a batch live in
-``pipeline.decide``.
+weight approach 1 geometrically. The renormalizing total adds the
+weights left to right in expert order, ``w0 + w1 + ...``, in a step
+function generated once per expert count; it never calls ``sum()``,
+which compensates its rounding from Python 3.12 on, so the gate's bytes
+do not depend on the Python version. Routing and scoring of a batch
+live in ``pipeline.decide``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .domain import FEATURE_DIM, MODALITY_DIM, ComputationError, ConfigError
@@ -69,6 +74,34 @@ def check_gate(weights: tuple[float, ...], n: int) -> None:
         raise ConfigError("gate weights must be non-negative with positive sum")
 
 
+@functools.cache
+def _gate_step(n: int) -> Callable[..., tuple[float, ...]]:
+    """The gate's step loop for ``n`` experts, generated once per ``n``.
+
+    The weights live in the locals ``w0 ... w{n-1}``; an ``if e == 0:
+    ... elif`` chain scales the used one, ``t = w0 + w1 + ...`` adds them
+    left to right, and each local is divided by ``t``. These are the
+    additions ``sum()`` makes from integer 0 up to Python 3.11: ``0 +
+    w0`` differs from ``w0`` only when ``w0`` is -0.0, and adding any
+    nonzero weight drops that zero's sign, so the totals are equal.
+    """
+    ws = [f"w{i}" for i in range(n)]
+    chain = "\n        el".join(f"if e == {i}: {w} *= factors[r]" for i, w in enumerate(ws))
+    source = "\n".join([
+        "def step(weights, experts_used, signals, factors):",
+        f"    {', '.join(ws)}, = weights",
+        "    for e, r in zip(experts_used, signals):",
+        f"        {chain}",
+        f"        else: raise IndexError(f'expert {{e}} out of range for {n} experts')",
+        f"        t = {' + '.join(ws)}",
+        *(f"        {w} /= t" for w in ws),
+        f"    return ({', '.join(ws)},)",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<gate step for {n} experts>", "exec"), namespace)
+    return namespace["step"]
+
+
 def rl_update(
     gate_weights: tuple[float, ...],
     learning_rate: float,
@@ -78,7 +111,8 @@ def rl_update(
     """Multiplicative-weights steps on the gate, one per sample outcome, in order.
 
     For each outcome the used expert's weight is scaled by exp(eta *
-    reward) and the vector renormalized to sum 1. Positive rewards
+    reward) and the vector renormalized to sum 1, its total added left
+    to right in expert order (``_gate_step``). Positive rewards
     reinforce the route that produced them; a zero reward is a no-op.
     The steps are taken one at a time because the closed form over a
     batch rounds differently. Returns the new weights.
@@ -88,9 +122,4 @@ def rl_update(
         if not -1.0 <= reward <= 1.0:
             raise ComputationError(f"sample reward {reward} outside [-1, 1]")
         factors[reward] = math.exp(learning_rate * reward)
-    weights = list(gate_weights)
-    for expert_used, reward in zip(experts_used, signals):
-        weights[expert_used] *= factors[reward]
-        total = sum(weights)
-        weights = [w / total for w in weights]
-    return tuple(weights)
+    return _gate_step(len(gate_weights))(gate_weights, experts_used, signals, factors)

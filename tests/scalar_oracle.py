@@ -79,7 +79,7 @@ def generate_sample(cfg: StreamConfig, cycle: int, seq: int) -> DataSample:
         base * (1.0 + _MODALITY_JITTER * (2.0 * u - 1.0)) if base > 0 else 0.0
         for base, u in zip(spec.modality_base, jitter)
     ]
-    total = sum(modality)
+    total = _add_left(modality)
     return DataSample(
         seq=cycle * cfg.samples_per_cycle + seq,
         features=tuple(features),
@@ -102,8 +102,17 @@ def redact(features: tuple[float, ...], tier: AccessTier) -> tuple[float, ...]:
     return tuple(visible) + (0.0,) * (len(features) - SENSITIVE_START)
 
 
+def _add_left(values) -> float:
+    """``0.0 + v0 + v1 + ...``, added left to right, as ``sum()`` does up to Python 3.11."""
+    # From 3.12 on, sum() of floats compensates its rounding (CPython gh-100425).
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _dot(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    return sum(x * y for x, y in zip(a, b))
+    return _add_left(x * y for x, y in zip(a, b))
 
 
 def gate(
@@ -131,7 +140,7 @@ def rl_update(
     """One multiplicative-weights step; returns the new gate weights."""
     weights = list(gate_weights)
     weights[expert_used] *= math.exp(learning_rate * reward)
-    total = sum(weights)
+    total = _add_left(weights)
     return tuple(w / total for w in weights)
 
 

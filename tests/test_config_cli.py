@@ -64,6 +64,15 @@ MINIMAL = {
     ],
 }
 
+# A summary with every key ``report`` prints, each entry well formed.
+SUMMARY = {
+    "seed": 3, "total_cycles": 2, "samples_per_cycle": 20, "event_counts": {},
+    "phases": [{"start_cycle": 0, "end_cycle": 1, "mixture": {"A": 1.0},
+                "decided": 40, "accuracy": 0.5, "f1": 0.5}],
+    "key_cycles": {"first_release": None, "first_sign": None, "first_promote": None},
+    "final_roster": [], "final_pool": [],
+}
+
 
 class TestParsing:
     def test_minimal_config_parses(self):
@@ -409,14 +418,19 @@ class TestCli:
         (b"\xff\xfe{}", "codec can't decode"),
         (b"[1, 2]", "not a run summary"),
         (b"{}", "not a run summary"),
-    ], ids=["missing", "not-utf8", "not-object", "no-keys"])
+        (json.dumps({**SUMMARY, "phases": [{}]}).encode(), "KeyError: 'mixture'"),
+        (json.dumps({**SUMMARY, "key_cycles": {"first_sign": None, "first_promote": None}})
+         .encode(), "KeyError: 'first_release'"),
+    ], ids=["missing", "not-utf8", "not-object", "no-keys", "phase-entry", "key-cycles-entry"])
     def test_report_missing_dir_errors(self, tmp_path, capsys, content, reason):
         out = tmp_path / "nothing"
         if content is not None:
             out.mkdir()
             (out / "summary.json").write_bytes(content)
         assert main(["report", str(out)]) == 1
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing of the report is printed before the error
+        err = captured.err
         assert err.startswith(f"error: cannot read {out / 'summary.json'}: ") and reason in err
 
     def test_unwritable_output_dir_exits_nonzero(self, tmp_path, capsys):
