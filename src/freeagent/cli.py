@@ -10,9 +10,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config, preset_config
-from .domain import ConfigError, UnsupportedNumpy
+from .domain import ConfigError
 from .engine import Engine, SnapshotError, restore_engine
-from .simulator import keyed_reset
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -52,7 +51,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.emit_detections:
                 config = replace(config, emit_detections=True)
             engine = Engine(config)
-    except (ConfigError, SnapshotError, UnsupportedNumpy, OSError) as exc:
+    except (ConfigError, SnapshotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -129,8 +128,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         _load_run_config(args)
-        keyed_reset()  # refuses an unsupported numpy, as a run does
-    except (ConfigError, UnsupportedNumpy, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print("ok")

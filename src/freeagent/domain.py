@@ -35,10 +35,6 @@ class ConfigError(ValueError):
         self.at = at
 
 
-class UnsupportedNumpy(RuntimeError):
-    """numpy's Philox or ziggurat is not what the keyed streams are built on."""
-
-
 class ComputationError(ValueError):
     """Numeric inputs outside the contract (non-finite, out of range)."""
 

@@ -46,9 +46,11 @@ from .metrics import PerformanceLog, count_ratios
 from .moe import check_gate, rl_update, uniform_gate
 from .pipeline import CyclePipeline, DetectionRecord
 from .reward import compute_components, compute_reward
-from .simulator import generate_cycle, keyed_reset
+from .simulator import generate_cycle
 
-SNAPSHOT_FORMAT_VERSION = 3
+# Format 4: each cycle draws one keyed stream. Format 3 snapshots were
+# written when each sample had its own, so they would resume to other bytes.
+SNAPSHOT_FORMAT_VERSION = 4
 
 METRICS_COLUMNS = (
     "cycle", "agent", "status", "TP", "FP", "FN", "TN",
@@ -175,7 +177,6 @@ class Engine:
     """Owns all mutable run state; one instance per run."""
 
     def __init__(self, config: RunConfig) -> None:
-        keyed_reset()  # an unsupported numpy is refused before any output exists
         # Agent ids are spec order: roster specs first, then pool specs.
         n_roster = len(config.roster)
         agents = [

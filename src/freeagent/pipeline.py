@@ -16,7 +16,7 @@ import numpy as np
 from .domain import FRAUD_ROLE, SENSITIVE_START, AccessTier, Agent, AgentId, AgentStatus
 from .metrics import PerformanceLog
 from .moe import Expert
-from .simulator import SampleBatch, derive_keys, keyed_reset
+from .simulator import SampleBatch, keyed_generator
 
 logger = logging.getLogger("freeagent.pipeline")
 
@@ -160,8 +160,7 @@ class CyclePipeline:
         if agent.spec.handoff_reliability >= 1.0:
             ok = np.ones(k, dtype=bool)
         else:
-            (key,) = derive_keys("handoff", self._seed, self.cycle, (agent.id,)).tolist()
-            gen = keyed_reset()(*key)
+            gen = keyed_generator("handoff", self._seed, self.cycle, agent.id)
             ok = gen.random(k) < agent.spec.handoff_reliability
         win.handoffs_attempted += k
         win.handoffs_succeeded += int(np.count_nonzero(ok))

@@ -7,11 +7,12 @@ does the same work one sample at a time with plain Python floats, in the
 order the stream and dispatch contracts state, so tests can require the
 batch path to match it bit for bit. Its gate and gate step are its own,
 over plain weights; it uses neither ``pipeline.decide`` nor
-``moe.rl_update``. Its keyed streams are its own too: each sample and
-each agent's handoff stream is a fresh ``Generator(Philox(key=...))``
-whose key it derives with ``hashlib`` as the stream contract documents,
-so a change to the engine's key derivation or generator reset fails
-against it.
+``moe.rl_update``. Its keyed streams are its own too: each cycle's sample
+stream and each agent's handoff stream is a fresh
+``Generator(Philox(key=...))`` whose key it derives with ``hashlib`` as
+the stream contract documents, and it draws the sample stream one scalar
+at a time, so a change to the engine's key derivation or draw order
+fails against it.
 """
 
 from __future__ import annotations
@@ -38,55 +39,60 @@ class DataSample:
     pattern: int  # index into the cycle's mixture
 
 
-def philox_generator(key: int) -> np.random.Generator:
-    """A fresh Philox4x64 generator with a zero counter and the 128-bit ``key``."""
-    return np.random.Generator(np.random.Philox(key=key))
+def keyed_generator(text: str) -> np.random.Generator:
+    """A fresh Philox4x64 generator with a zero counter, keyed by
+    ``blake2b(text, digest_size=16)``; the key's first 8 digest bytes are its
+    low word, read little-endian."""
+    digest = hashlib.blake2b(text.encode(), digest_size=16).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
 
 
-def keyed_generator(kind: str, seed: int, cycle: int, index: int) -> np.random.Generator:
-    """The generator keyed by ``blake2b("<kind>|<seed>|<cycle>|<index>",
-    digest_size=16)``; the key's first 8 digest bytes are its low word, read
-    little-endian."""
-    digest = hashlib.blake2b(f"{kind}|{seed}|{cycle}|{index}".encode(), digest_size=16).digest()
-    return philox_generator(int.from_bytes(digest, "little"))
-
-
-def generate_sample(cfg: StreamConfig, cycle: int, seq: int) -> DataSample:
-    """The sample at (cycle, seq), drawn from its own keyed substream."""
-    gen = keyed_generator("sample", cfg.seed, cycle, seq)
+def generate_cycle_samples(cfg: StreamConfig, cycle: int) -> list[DataSample]:
+    """The samples of ``cycle``, in seq order, drawn one scalar at a time
+    from the cycle's keyed stream: every sample's two uniforms (pattern,
+    label), then every sample's FEATURE_DIM normals, then every sample's
+    MODALITY_DIM jitter uniforms."""
+    n = cfg.samples_per_cycle
+    gen = keyed_generator(f"sample|{cfg.seed}|{cycle}")
+    uniforms = [gen.random() for _ in range(2 * n)]
+    normals = [gen.standard_normal() for _ in range(n * FEATURE_DIM)]
+    jitters = [gen.random() for _ in range(n * MODALITY_DIM)]
     # the last segment started by ``cycle``; its mixture in pattern-list order
     weights = [seg for seg in cfg.schedule if seg.start_cycle <= cycle][-1].mixture
     mixture = [(spec, weights[spec.name]) for spec in cfg.patterns if spec.name in weights]
 
-    u_pattern = gen.random()
-    pattern = len(mixture) - 1
-    acc = 0.0
-    for k, (_, weight) in enumerate(mixture):
-        acc += weight
-        if u_pattern < acc:
-            pattern = k
-            break
-    spec = mixture[pattern][0]
+    samples = []
+    for seq in range(n):
+        u_pattern, u_label = uniforms[2 * seq:2 * seq + 2]
+        pattern = len(mixture) - 1
+        acc = 0.0
+        for k, (_, weight) in enumerate(mixture):
+            acc += weight
+            if u_pattern < acc:
+                pattern = k
+                break
+        spec = mixture[pattern][0]
 
-    label = bool(gen.random() < spec.fraud_rate)
-    features = gen.standard_normal(FEATURE_DIM).tolist()
-    if label:
-        for coord, shift in spec.fraud_shift.items():
-            features[coord] += shift
+        label = bool(u_label < spec.fraud_rate)
+        features = normals[seq * FEATURE_DIM:(seq + 1) * FEATURE_DIM]
+        if label:
+            for coord, shift in spec.fraud_shift.items():
+                features[coord] += shift
 
-    jitter = gen.random(MODALITY_DIM).tolist()
-    modality = [
-        base * (1.0 + _MODALITY_JITTER * (2.0 * u - 1.0)) if base > 0 else 0.0
-        for base, u in zip(spec.modality_base, jitter)
-    ]
-    total = _add_left(modality)
-    return DataSample(
-        seq=cycle * cfg.samples_per_cycle + seq,
-        features=tuple(features),
-        modality=tuple(m / total for m in modality),
-        label=label,
-        pattern=pattern,
-    )
+        jitter = jitters[seq * MODALITY_DIM:(seq + 1) * MODALITY_DIM]
+        modality = [
+            base * (1.0 + _MODALITY_JITTER * (2.0 * u - 1.0)) if base > 0 else 0.0
+            for base, u in zip(spec.modality_base, jitter)
+        ]
+        total = _add_left(modality)
+        samples.append(DataSample(
+            seq=cycle * n + seq,
+            features=tuple(features),
+            modality=tuple(m / total for m in modality),
+            label=label,
+            pattern=pattern,
+        ))
+    return samples
 
 
 def quantize_coarse(value: float) -> float:
@@ -186,7 +192,8 @@ class ScalarPipeline:
             ok = True
         else:
             if agent.id not in self._rngs:
-                self._rngs[agent.id] = keyed_generator("handoff", self._seed, self._cycle, agent.id)
+                key = f"handoff|{self._seed}|{self._cycle}|{agent.id}"
+                self._rngs[agent.id] = keyed_generator(key)
             ok = bool(self._rngs[agent.id].random() < agent.spec.handoff_reliability)
         win.handoffs_succeeded += ok
         return ok

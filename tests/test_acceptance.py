@@ -25,7 +25,7 @@ from freeagent.moe import Expert, rl_update
 from freeagent.pipeline import decide
 from freeagent.reward import RewardComponents, RewardConfig, compute_reward
 from freeagent.simulator import PatternSpec, Segment, StreamConfig
-from tests.scalar_oracle import expert_score, gate, generate_sample, redact
+from tests.scalar_oracle import expert_score, gate, generate_cycle_samples, redact
 from tests.test_engine import BLIND_EXPERT, replay_membership, small_config
 
 DRIFT_CYCLE = 10
@@ -308,12 +308,16 @@ class TestCriterion5ShadowAudit:
             d.agent in scenario.active_by_cycle[d.seq // spc] for d in action_rows
         )
 
-        # recompute every shadow decision from Restricted-redacted inputs
+        # recompute every shadow decision from Restricted-redacted inputs,
+        # each cycle's samples drawn once by the oracle
+        samples = {}
         mismatches = 0
         for det in shadow_rows:
             cycle, seq = divmod(det.seq, spc)
             experts, gate_weights = scenario.shadow_states[(cycle, det.agent)]
-            sample = generate_sample(scenario.config.stream, cycle, seq)
+            if cycle not in samples:
+                samples[cycle] = generate_cycle_samples(scenario.config.stream, cycle)
+            sample = samples[cycle][seq]
             idx = gate(experts, gate_weights, sample.modality)
             score, verdict = expert_score(
                 experts[idx], redact(sample.features, AccessTier.RESTRICTED)

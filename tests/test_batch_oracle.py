@@ -82,7 +82,7 @@ def streams(draw):
     total = sum(weights)
     return StreamConfig(
         seed=draw(st.integers(0, 2**64 - 1)),
-        samples_per_cycle=draw(st.integers(1, 60)),
+        samples_per_cycle=draw(st.sampled_from((1, 2, 50, 1000, 2049))),
         total_cycles=2,
         patterns=PATTERNS,
         schedule=(
@@ -101,7 +101,7 @@ def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
     pipe.run_batch(batch)
 
     ref = oracle.ScalarPipeline(roster, seed=stream.seed, cycle=cycle)
-    samples = [oracle.generate_sample(stream, cycle, seq) for seq in range(len(batch))]
+    samples = oracle.generate_cycle_samples(stream, cycle)
     for sample in samples:
         ref.process_sample(sample)
 

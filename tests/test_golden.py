@@ -33,83 +33,83 @@ RESUME_AT = 30
 GOLDEN = {
     "churn": {
         "events.jsonl":
-            "a3f71f1138bd37d839e7e9782eab8ecdb65d8192fa5855b94504698dca7aab34",
+            "a692cdc738c9f9169678bbc2368c91521ab78617ebe16762103a6c1e97a4da83",
         "metrics.csv":
-            "f7b572dab201dc423cf492c4c6a3d055e716f86ffb579ac13f7297d19c53af7b",
+            "504ddc15146f36c7daec55c8b5fe0ae181bd60c163d512977741b35ac1f32604",
         "snapshots/state_cycle_0005.json":
-            "98ca31adb530d7c43cb6bce401d54f19c17c4d4bf90c1621a64de4dec8ffea7a",
+            "da5c3beb2ba0b46a8cae839053f5c708a0f3ef02bd8e5d80da69813d5827505a",
         "snapshots/state_cycle_0010.json":
-            "73abc773c935c4f127f368ab91a7c1df2e4d3034d2eaa11468b6d9b5efe92878",
+            "001397fb408038878936ba7e7d3a693f57cc65bbf64ed208c80379489ba7e341",
         "snapshots/state_cycle_0015.json":
-            "9c80599a548e3d1f37d1e5024d63476f324b41a7548e4d795bf4f8e36e51f025",
+            "c85fecbbfc720c1a6960dfedcba40e38438cc40000a6e8cd10594e61495c7fcb",
         "snapshots/state_cycle_0020.json":
-            "5325e6d75103d22a6a6b07284e090f300609fedc252d15bd13dc25261bdb8ba3",
+            "5617c8cae741036c54f13b5a50443f15e7c8d3baf947cc1aaed39a0541c2c183",
         "snapshots/state_cycle_0025.json":
-            "42eb66fbebd50e2a9adfa3730e3e8afbdaa9bf0dea4fafa6027634fcf9376386",
+            "986fb4a8a438d5af406e682cefa46fe172529ecea62801aa2385e03fda2e550a",
         "snapshots/state_cycle_0030.json":
-            "032a6e1463e5647e262e1694113cdb392d2b3f9636a4558e4bd13d7cfb47b35d",
+            "a1bdbe0f8399f7a66efd0006a6d30718aa62f3210d88dfb79c45a04f7dec7347",
         "snapshots/state_cycle_0035.json":
-            "f10683e42c259453612686d5e64c0df41c2137fb59d0bb6434c55ae723cecc32",
+            "8b8daddd495ba27e55ae89d51a7d3eb65f7313431e9df7baca5957b141ec84a3",
         "snapshots/state_cycle_0040.json":
-            "73a166ced4235d0d622d43183a5d5a533103be7f0adcc9067bce0643d07f3d7a",
+            "e1086d65b5b2175a998b54068d67802374304c8c867dd3d67dd11c96235c234f",
         "snapshots/state_cycle_0045.json":
-            "ce5b64456451bf21471c6e1c166cf86c46652357b2abd797aab7e7e6f7a5fc78",
+            "fee23ef5a0cb785d83eb00da81800887bd096dd436daa2eed280265714f07899",
         "snapshots/state_cycle_0050.json":
-            "1d48b74ab5b2025b07952bcb08b0be57bba97eb79692bbab3c051730145d327c",
+            "a783a79ff132c0e485e204c76eecc9eab0053ad2acbb9ee04ee16071d38c581a",
         "snapshots/state_cycle_0055.json":
-            "99fdeb62de8c45f576c51b04fd0d5ef045081c9fcc95b2d530c6e9c154fb3006",
+            "20127fc026e7e1b990986049555fecf47df2e1ef96e929baff5debe90925918b",
         "snapshots/state_cycle_0060.json":
-            "8ebffe7c1b2f354e3ead2f86f13d85a103c90e1901feaaf7273873ec85ee5f7a",
+            "af1a98a1bcef147de55bb3846ddcab69c3b484e3adbca24c8d9b08deeae0df7a",
         "summary.json":
-            "6a8a34637e054288eb1c18f1dcffd8039d00fb9cf7d0dba3c1bfb6fa82d42feb",
+            "8865dd288c8cccc87a2831067e27572ed628f5b008e9986246b3bd556a9ea4f4",
     },
     "churn-resumed": {
         "events.jsonl":
-            "eac438954c67bf48743c670a7dfe441204817a905c34a497834294a1802bd777",
+            "c5a9da91b3baaa7edfbda9fa9be4e34d9039f014928e1f1140f2fef7bf015ede",
         "metrics.csv":
-            "6fff139165bb1e888aef09ea68065405e790c361181261c875c66b5ee49bc5d7",
+            "0e88783ab829a11f6bfd1e33c0cd078b43e00cca287dd1b48f54100ad1f327da",
         "snapshots/state_cycle_0035.json":
-            "f10683e42c259453612686d5e64c0df41c2137fb59d0bb6434c55ae723cecc32",
+            "8b8daddd495ba27e55ae89d51a7d3eb65f7313431e9df7baca5957b141ec84a3",
         "snapshots/state_cycle_0040.json":
-            "73a166ced4235d0d622d43183a5d5a533103be7f0adcc9067bce0643d07f3d7a",
+            "e1086d65b5b2175a998b54068d67802374304c8c867dd3d67dd11c96235c234f",
         "snapshots/state_cycle_0045.json":
-            "ce5b64456451bf21471c6e1c166cf86c46652357b2abd797aab7e7e6f7a5fc78",
+            "fee23ef5a0cb785d83eb00da81800887bd096dd436daa2eed280265714f07899",
         "snapshots/state_cycle_0050.json":
-            "1d48b74ab5b2025b07952bcb08b0be57bba97eb79692bbab3c051730145d327c",
+            "a783a79ff132c0e485e204c76eecc9eab0053ad2acbb9ee04ee16071d38c581a",
         "snapshots/state_cycle_0055.json":
-            "99fdeb62de8c45f576c51b04fd0d5ef045081c9fcc95b2d530c6e9c154fb3006",
+            "20127fc026e7e1b990986049555fecf47df2e1ef96e929baff5debe90925918b",
         "snapshots/state_cycle_0060.json":
-            "8ebffe7c1b2f354e3ead2f86f13d85a103c90e1901feaaf7273873ec85ee5f7a",
+            "af1a98a1bcef147de55bb3846ddcab69c3b484e3adbca24c8d9b08deeae0df7a",
         "summary.json":
-            "6a8a34637e054288eb1c18f1dcffd8039d00fb9cf7d0dba3c1bfb6fa82d42feb",
+            "8865dd288c8cccc87a2831067e27572ed628f5b008e9986246b3bd556a9ea4f4",
     },
     "dispatch": {
         "events.jsonl":
-            "ff9f367ea8c4781c048a283795ce6bd725e150a78594a55447062b0846b6d0a1",
+            "a397f9f773faa52ed10c72592200bfa9bd1c4833876f55c3121769abbb78750e",
         "metrics.csv":
-            "aeae42a22ca7fa14fe1ff2a1af26a3084a4e44d42f686fe43df99189f16b9da8",
+            "ec3c52a3c9f8a5384b2b8948bf99ef5218ab7a5e24ca54178365f9b8dbcd7d9c",
         "summary.json":
-            "f31ee7c05f572c8d1274e676fa0bfd45452a3aae727b63aa148fd3166174f529",
+            "e1d7410b21b7caa0ae43e9fefd7f443dab171cd741f370ef665a4c663bc5f2d8",
     },
     "preset-42": {
         "detections.jsonl":
-            "de8547dfcc8cb1681483e2096d386d081f22d5eb888bd56224fd78894d8474f3",
+            "9e17055b527e755f8e787a75dfaa58a8a7639bd6abdb348ecf7be7559f077c8f",
         "events.jsonl":
-            "2f161e82b9539c06b6b1eab2e0f67ce7c74f3d0b6b024df666c7826554c94fb7",
+            "ed39c0e75e474b0517fea622455e9638e148f2d64edd1a3902d8bd46c0edae71",
         "metrics.csv":
-            "8ddc38bcbdfd857ea4fd39d39642c0ae1857cd75436c830e4c6f13ed6fba0f7f",
+            "4a5f5876d817b9007875fa9890091973f33ddf594b1f2fd1565f934b61c8a74d",
         "summary.json":
-            "a4a6cc381239f330fc59beead16d4f518b0c3d3a65baf913d7461522928cbb75",
+            "2afc436006738eb8842d449eb1689a38b675b0b315f94c0f9caf9aeb6d11fc83",
     },
     "preset-7": {
         "detections.jsonl":
-            "60d2221df6ed65c3c9e94d5b2379ed7a9f414344692e3653e21784d5747be627",
+            "c66ca57cb96fb7621b047592a00e0fb2715ed930585c10871e6d6375a58383ca",
         "events.jsonl":
-            "dd143ef88f7a9d58bba1fce5d6d3ad6f7290723147c781ea1c366182f965b466",
+            "8f072817410fd440bbe13673d8be1813e30188ee86c4aceae33f1fa3e6ec8f4c",
         "metrics.csv":
-            "2b308fbaf7851878bc9156498bae24efeba2502b6f53558dd99269fbea261616",
+            "d05935494992083b49ced94640c20a58f13c882c6e895c4f459e034a1af6f528",
         "summary.json":
-            "7f618438aadbdd8f3a242b32a8541a92537dce6ed0b1a218eb3a526cf36d00ed",
+            "3935fbf3fa27758633903c853531fc999a36fd8cdf1ea9ff5b378328ebeb8467",
     },
 }
 
@@ -160,7 +160,7 @@ def test_the_churn_snapshots_and_the_resumed_run(runs):
     full, resumed = runs["churn"], runs["churn-resumed"]
     snapshots = sorted(p.name for p in (full / "snapshots").iterdir())
     assert snapshots == [f"state_cycle_{c:04d}.json" for c in range(5, 61, 5)]
-    assert json.loads((full / "summary.json").read_text())["event_counts"]["Promote"] == 13
+    assert json.loads((full / "summary.json").read_text())["event_counts"]["Promote"] == 14
 
     assert (resumed / "summary.json").read_bytes() == (full / "summary.json").read_bytes()
     events = (full / "events.jsonl").read_text().splitlines()

@@ -1,44 +1,29 @@
-"""Stream generation: determinism, schedule, mixture statistics, the
-in-place keyed reset, and the section-4.4 preset's calibration."""
+"""Stream generation: determinism, the keyed streams against the scalar
+oracle, schedule, mixture statistics, and the section-4.4 preset's
+calibration."""
 
-import hashlib
-import itertools
-import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
-from freeagent import simulator
 from freeagent.config import (
     _CALIBRATION_SAMPLES,
     _CALIBRATION_SEED,
     DEFAULT_SCENARIO,
     DRIFT_CYCLE,
     ScenarioSpec,
-    _check_calibration,
     _scenario,
     section_4_4_preset,
 )
-from freeagent.domain import AccessTier, ConfigError, UnsupportedNumpy
+from freeagent.domain import AccessTier, ConfigError
 from freeagent.engine import Engine
 from freeagent.moe import uniform_gate
 from freeagent.pipeline import decide, redact
-from freeagent.simulator import (
-    KERNEL_MAX_ROWS,
-    KERNEL_MIN_ROWS,
-    PatternSpec,
-    Segment,
-    StreamConfig,
-    check_philox_layout,
-    derive_keys,
-    generate_cycle,
-    keyed_reset,
-    philox_words,
-)
-from tests.scalar_oracle import generate_sample, keyed_generator, philox_generator
+from freeagent.simulator import PatternSpec, Segment, StreamConfig, generate_cycle, keyed_generator
+from tests import scalar_oracle as oracle
 
 PATTERN_A = PatternSpec(
     name="A", fraud_rate=0.2, fraud_shift={0: 3.0}, modality_base=(0.7, 0.3, 0.0)
@@ -79,16 +64,6 @@ class TestDeterminism:
     def test_same_config_same_cycle_identical(self):
         cfg = stream()
         assert same_batch(generate_cycle(cfg, 1), generate_cycle(cfg, 1))
-
-    def test_random_access_matches_batch(self):
-        # any single sample is reproducible without generating the rest
-        cfg = stream(spc=50)
-        batch = generate_cycle(cfg, 3)
-        for seq in (0, 17, 49):
-            s = generate_sample(cfg, 3, seq)
-            assert s.seq == batch.seq0 + seq
-            assert s.features == tuple(batch.features[seq].tolist())
-            assert s.label is bool(batch.label[seq])
 
     def test_different_seeds_differ(self):
         a = generate_cycle(stream(seed=1, spc=20), 0)
@@ -139,14 +114,15 @@ class TestStreamContent:
         assert (batch.seq0, len(batch)) == (20, 10)
 
 
-# Row counts on both sides of the kernel selection and across a chunk edge.
-ROW_COUNTS = (1, KERNEL_MIN_ROWS - 1, KERNEL_MIN_ROWS, KERNEL_MAX_ROWS + 1)
+# Row counts from one to past 2048, so a fill spans many Philox blocks.
+ROW_COUNTS = (1, 2, 50, 1000, 2049)
 
 
 def same_rows(batch, cfg, cycle, seqs):
     """Rows ``seqs`` of ``batch`` against the scalar oracle, bit for bit."""
+    samples = oracle.generate_cycle_samples(cfg, cycle)
     for i in seqs:
-        s = generate_sample(cfg, cycle, i)
+        s = samples[i]
         assert batch.seq0 + i == s.seq
         assert [x.hex() for x in batch.features[i].tolist()] == [x.hex() for x in s.features]
         assert [x.hex() for x in batch.modality[i].tolist()] == [x.hex() for x in s.modality]
@@ -171,188 +147,19 @@ def test_batch_matches_oracle_sample_by_sample(seed, cycle, weights):
         same_rows(generate_cycle(cfg, cycle), cfg, cycle, range(spc))
 
 
-WORD = st.integers(0, 2**64 - 1)
-DRAWS = (
-    lambda gen: gen.random(5),
-    lambda gen: gen.standard_normal(7),
-    lambda gen: gen.integers(0, 2**32, size=3, dtype=np.uint32),
-)
-
-
-def leave_mid_block(gen):
-    gen.random()
-    assert gen.bit_generator.state["buffer_pos"] < 4
-
-
-def leave_half_word(gen):
-    gen.integers(0, 2**32, dtype=np.uint32)
-    assert gen.bit_generator.state["has_uint32"] == 1
-
-
-class DeafPhilox(np.random.Philox):
-    """A Philox whose state setter keeps nothing it is given."""
-
-    @property
-    def state(self):
-        return np.random.Philox.state.__get__(self)
-
-    @state.setter
-    def state(self, value):
-        pass
-
-
-class TestKeyedReset:
-    @pytest.mark.parametrize("dirty", [leave_mid_block, leave_half_word])
-    @settings(max_examples=40, deadline=None)
-    @given(low=WORD, high=WORD)
-    @example(low=0, high=0)
-    @example(low=2**64 - 1, high=2**64 - 1)
-    @example(low=0, high=2**64 - 1)
-    @example(low=2**64 - 1, high=0)
-    def test_in_place_reset_draws_as_a_fresh_generator(self, dirty, low, high):
-        # the shared generator is left dirty by an earlier stream: a reset
-        # that forgot the key, the counter, the buffer position or the
-        # pending half word would draw differently from here on
-        reset = keyed_reset()
-        dirty(reset(2**63 + 1, 12345))
-        ours, fresh = reset(low, high), philox_generator(low | high << 64)
-        for draw in DRAWS:
-            assert np.array_equal(draw(ours), draw(fresh))
-
-    def test_layout_check_accepts_a_philox_and_returns_its_state(self):
-        bitgen = np.random.Philox(key=0)
-        state = check_philox_layout(bitgen)
-        assert state.buffer_pos == bitgen.state["buffer_pos"]
-        assert list(state.key.contents) == bitgen.state["state"]["key"].tolist()
-
-    @pytest.mark.parametrize("make", [lambda: np.random.PCG64(5), lambda: DeafPhilox(key=5)],
-                             ids=["pcg64", "deaf_philox"])
-    def test_layout_check_refuses_a_state_that_does_not_read_back(self, make):
-        bitgen = make()
-        # the state as numpy's own getter reads it, past DeafPhilox's override
-        getter = (np.random.Philox if isinstance(bitgen, np.random.Philox) else type(bitgen)).state
-        before = repr(getter.__get__(bitgen))
-        with pytest.raises(UnsupportedNumpy, match=f"^numpy {re.escape(np.__version__)}: "
-                                                   f"a {type(bitgen).__name__} state"):
-            check_philox_layout(bitgen)
-        assert repr(getter.__get__(bitgen)) == before  # nothing was written
-
-    def test_the_engine_builds_and_checks_one_generator_per_process(self, monkeypatch, tmp_path):
-        checked, kernel_checked = [], []
-        real, real_kernel = simulator.check_philox_layout, simulator.check_kernel
-        monkeypatch.setattr(simulator, "check_philox_layout",
-                            lambda bitgen: checked.append(bitgen) or real(bitgen))
-        monkeypatch.setattr(simulator, "check_kernel",
-                            lambda: kernel_checked.append(1) or real_kernel())
-        simulator.keyed_reset.cache_clear()
-        try:
-            # handoff reliability 0.98 draws a handoff stream per agent per cycle
-            cfg = section_4_4_preset(total_cycles=12, samples_per_cycle=50)
-            assert {spec.handoff_reliability for spec in (*cfg.roster, *cfg.pool)} == {0.98}
-            Engine(cfg).run(tmp_path / "first")
-            Engine(cfg).run(tmp_path / "second")
-            # 10,000-sample cycles: the kernel draws them, in chunks
-            _check_calibration.__wrapped__(DEFAULT_SCENARIO)
-        finally:
-            simulator.keyed_reset.cache_clear()
-        assert len(checked) == len(kernel_checked) == 1
-
-
 class TestKeys:
-    def test_bulk_keys_match_per_sample_blake2b_at_digit_boundaries(self):
-        seed, cycle = 2**64 - 1, 7
-        keys = derive_keys("sample", seed, cycle, range(1001))
-        assert keys.shape == (1001, 2) and keys.dtype == np.uint64
-        for seq in (0, 9, 10, 99, 100, 999, 1000):
-            digest = hashlib.blake2b(f"sample|{seed}|{cycle}|{seq}".encode(), digest_size=16)
-            low, high = keys[seq].tolist()
-            assert low | high << 64 == int.from_bytes(digest.digest(), "little")
-
     def test_handoff_key_of_one_index(self):
-        digest = hashlib.blake2b(b"handoff|42|3|17", digest_size=16).digest()
-        (low, high), = derive_keys("handoff", 42, 3, (17,)).tolist()
-        assert low | high << 64 == int.from_bytes(digest, "little")
+        ours = keyed_generator("handoff", 42, 3, 17)
+        theirs = oracle.keyed_generator("handoff|42|3|17")
+        assert ours.random(5).tolist() == theirs.random(5).tolist()
 
+    # seeds of 1 and 20 digits in the key text, at both ends of the 64-bit range
     @pytest.mark.parametrize("seed,spc", [
-        (2**64 - 1, 1001), (2**64 - 1, 1), (0, 1),
-        (0, KERNEL_MIN_ROWS - 1), (2**64 - 1, KERNEL_MIN_ROWS), (0, KERNEL_MAX_ROWS + 1),
+        (2**64 - 1, 1001), (2**64 - 1, 1), (0, 1), (0, 127), (2**64 - 1, 128), (0, 2049),
     ])
     def test_batch_matches_oracle_across_digit_boundaries(self, seed, spc):
         cfg = stream(seed=seed, spc=spc)
-        seqs = {0, 9, 10, 99, 100, 999, 1000, spc - 1} & set(range(spc))
-        same_rows(generate_cycle(cfg, 2), cfg, 2, sorted(seqs))
-
-
-def extract_tables():
-    """numpy's ziggurat tables, read back through ``standard_normal``: each
-    draw starts at a word set into Philox's buffer. ``rabs = 1`` returns
-    ``wi[idx]``, and ``ki[idx]`` is the least ``rabs`` off the fast path,
-    where a draw reads more than its one word. The idx-0 tail can refill the
-    buffer and end at position 1 again, but with the counter moved."""
-    bitgen = np.random.Philox(key=0)
-    gen, fresh = np.random.Generator(bitgen), bitgen.state
-
-    def draw(idx, rabs):
-        bitgen.state = {**fresh, "buffer": (idx | rabs << 9, 0, 0, 0), "buffer_pos": 0}
-        x = gen.standard_normal()
-        after = bitgen.state
-        return x, after["buffer_pos"] == 1 and after["state"]["counter"].tolist() == [0] * 4
-
-    wi, ki = [], []
-    for idx in range(256):
-        wi.append(draw(idx, 1)[0])
-        lo, hi = 0, 2**52  # the least rabs off the fast path is in [lo, hi]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (mid + 1, hi) if draw(idx, mid)[1] else (lo, mid)
-        ki.append(lo)
-    return wi, ki
-
-
-class TestKernel:
-    def test_the_tables_are_numpys_own(self):
-        wi, ki = extract_tables()
-        assert [x.hex() for x in wi] == [x.hex() for x in simulator._WI.tolist()]
-        assert ki == simulator._KI.tolist()
-        assert (ki[0], ki[1]) == (0xEF33D8025EF6A, 0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(keys=st.lists(st.tuples(WORD, WORD), min_size=1, max_size=4))
-    @example(keys=[(0, 0)])
-    @example(keys=[(2**64 - 1, 2**64 - 1)])
-    @example(keys=[(0, 2**64 - 1), (2**64 - 1, 0)])
-    def test_words_are_a_fresh_generators_first_twelve(self, keys):
-        raw = [np.random.Philox(key=low | high << 64).random_raw(12) for low, high in keys]
-        assert philox_words(np.array(keys, dtype=np.uint64)).T.tolist() == np.array(raw).tolist()
-
-    def test_rows_off_the_fast_path_are_redrawn_exactly(self):
-        # the first seed whose kernel-sized cycle has a normal word in the
-        # idx-0 tail and one at idx 1, whose ki of 0 accepts no word
-        ki0 = simulator._KI.tolist()[0]
-        for seed in itertools.count():
-            normals = [keyed_generator("sample", seed, 2, seq).bit_generator.random_raw(8)[2:]
-                       for seq in range(KERNEL_MIN_ROWS)]
-            tail = [seq for seq, words in enumerate(normals) if any(
-                w & 0xFF == 0 and w >> 9 & 2**52 - 1 >= ki0 for w in words.tolist())]
-            idx_1 = [seq for seq, words in enumerate(normals) if any(words & 0xFF == 1)]
-            if tail and idx_1:
-                break
-        cfg = stream(seed=seed, spc=KERNEL_MIN_ROWS)
-        same_rows(generate_cycle(cfg, 2), cfg, 2, range(KERNEL_MIN_ROWS))
-
-    @pytest.mark.parametrize("name,entry", [("_WI", 7), ("_KI", 5), ("_PHILOX_M", 1)])
-    def test_the_engine_refuses_a_kernel_numpy_draws_differently(
-        self, monkeypatch, tmp_path, name, entry
-    ):
-        cfg = section_4_4_preset(total_cycles=1, samples_per_cycle=KERNEL_MIN_ROWS)
-        changed = getattr(simulator, name).copy()
-        # a wi 2**20 ulps up, a ki past the fast path, a multiplier off by 2**20
-        changed.view(np.uint64).flat[entry] += 2**20
-        monkeypatch.setattr(simulator, name, changed)
-        simulator.keyed_reset.cache_clear()  # a refused build is not cached
-        with pytest.raises(UnsupportedNumpy, match=f"^numpy {re.escape(np.__version__)}: "):
-            Engine(cfg).run(tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+        same_rows(generate_cycle(cfg, 2), cfg, 2, range(spc))
 
 
 class TestScheduleValidation:
@@ -448,7 +255,7 @@ class TestScenario:
             correct(incumbent, mixture, AccessTier.FULL),
             correct(candidate, mixture, AccessTier.RESTRICTED),
             correct(candidate, mixture, AccessTier.FULL),
-        ] == [9488, 7410, 8760, 9411]
+        ] == [9454, 7431, 8776, 9383]
 
     def test_infeasible_targets_rejected(self):
         bad = ScenarioSpec(incumbent_mixture_accuracy=0.95)  # no drop at all
