@@ -30,9 +30,10 @@ import json
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import attrgetter, is_
 from pathlib import Path
 
-from .config import RunConfig, _table, config_to_dict, from_dict, to_dict
+from .config import _DUMP, RunConfig, _table, config_to_dict, from_dict, to_dict
 from .domain import Agent, AgentId, AgentStatus, ConfigError, EventKind, RosterEvent
 from .lifecycle import (
     enforce_service_cap,
@@ -64,6 +65,10 @@ FIRST_EVENT_KEYS = {
     EventKind.PROMOTE: "first_promote",
 }
 _EVENT_KINDS = {kind.value for kind in EventKind}
+
+# Built once: json.dumps with separators builds a new encoder per call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_COMPACT_SORTED = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 
 class SnapshotError(RuntimeError):
@@ -189,11 +194,15 @@ class Engine:
         self.roster: dict[AgentId, Agent] = {a.id: a for a in agents[:n_roster]}
         self.pool: list[Agent] = agents[n_roster:]
         self.totals = RunTotals()
+        # write_snapshot's encodings, kept between snapshots: each agent's
+        # entry with the state it encodes, by id, and one per totals row.
+        self._agent_json: dict[AgentId, tuple[tuple, str]] = {}
+        self._cycle_json: list[str] = []
 
     @functools.cached_property
     def config_json(self) -> str:
         """The config as snapshots embed it, encoded once per engine."""
-        return json.dumps(config_to_dict(self.config), separators=(",", ":"), sort_keys=True)
+        return _COMPACT_SORTED.encode(config_to_dict(self.config))
 
     # -- one cycle --------------------------------------------------------
 
@@ -290,11 +299,11 @@ class Engine:
             while self.cycle < self.config.stream.total_cycles:
                 report = self.run_cycle()
                 for event in report.events:
-                    events_file.write(json.dumps(to_dict(event), separators=(",", ":")) + "\n")
+                    events_file.write(_COMPACT.encode(to_dict(event)) + "\n")
                 for row in report.rows:
                     metrics_file.write(row.to_csv() + "\n")
                 for det in report.detections:  # empty unless emit_detections is set
-                    detections_file.write(json.dumps(to_dict(det), separators=(",", ":")) + "\n")
+                    detections_file.write(_COMPACT.encode(to_dict(det)) + "\n")
                 interval = self.config.snapshot_interval
                 if interval > 0 and self.cycle % interval == 0:
                     write_snapshot(self, snap_dir / f"state_cycle_{self.cycle:04d}.json")
@@ -367,20 +376,46 @@ _table(Agent, skip=("spec",), required=True)  # restore joins each entry to its 
 _table(RunTotals, required=True)
 _table(Snapshot, required=True)
 
+_AGENT_STATE = attrgetter(*(name for name, _ in _DUMP[Agent]))
 
-def snapshot_state(engine: Engine, skip: tuple[str, ...] = ()) -> dict:
-    """The whole engine state at a cycle boundary, but the keys in ``skip``."""
+
+def snapshot_state(engine: Engine) -> dict:
+    """The whole engine state at a cycle boundary."""
     roster = [engine.roster[aid] for aid in sorted(engine.roster)]
     return to_dict(Snapshot(SNAPSHOT_FORMAT_VERSION, engine.cycle, engine.config, roster,
-                            engine.pool, engine.totals), skip)
+                            engine.pool, engine.totals))
+
+
+def _agent_entry(engine: Engine, agent: Agent) -> str:
+    """The agent's compact, sorted ``to_dict``, encoded again only when a
+    state field is no longer the object it encoded: equal values need not
+    encode alike (0.0 and -0.0)."""
+    state, cached = _AGENT_STATE(agent), engine._agent_json.get(agent.id)
+    if cached is None or not all(map(is_, cached[0], state)):
+        cached = engine._agent_json[agent.id] = state, _COMPACT_SORTED.encode(to_dict(agent))
+    return cached[1]
 
 
 def write_snapshot(engine: Engine, path: str | Path) -> None:
-    """Write the snapshot atomically: a reader of ``path`` sees either the
-    previous file or the complete new one, never a partial write."""
+    """Write ``snapshot_state(engine)`` as compact, key-sorted JSON and a
+    newline, atomically: a reader of ``path`` sees either the previous file
+    or the complete new one, never a partial write.
+
+    The text is spliced from encodings the engine keeps between snapshots:
+    the config, each agent's entry while its state stays the same, and each
+    totals row, encoded the first time a snapshot sees it."""
     path = Path(path)
-    rest = json.dumps(snapshot_state(engine, ("config",)), separators=(",", ":"), sort_keys=True)
-    text = '{"config":' + engine.config_json + "," + rest[1:] + "\n"  # sorted, config is first
+    roster = ",".join(_agent_entry(engine, engine.roster[aid]) for aid in sorted(engine.roster))
+    pool = ",".join(_agent_entry(engine, agent) for agent in engine.pool)
+    totals, cycles = engine.totals, engine._cycle_json
+    cycles.extend(_COMPACT.encode(list(row)) for row in totals.cycles[len(cycles):])
+    text = (  # the keys of snapshot_state, sorted
+        f'{{"config":{engine.config_json},"format_version":{SNAPSHOT_FORMAT_VERSION},'
+        f'"next_cycle":{engine.cycle},"pool":[{pool}],"roster":[{roster}],'
+        f'"totals":{{"cycles":[{",".join(cycles)}],'
+        f'"event_counts":{_COMPACT_SORTED.encode(totals.event_counts)},'
+        f'"key_cycles":{_COMPACT_SORTED.encode(totals.key_cycles)}}}}}\n'
+    )
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text, encoding="utf-8")

@@ -163,7 +163,7 @@ def fill_vacant_roles(
     signed: list[AgentId] = []
     for vacancy in vacancies:
         candidates = [
-            a for a in pool
+            i for i, a in enumerate(pool)
             if a.spec.skills >= vacancy.required_skills
             and service_after_signing(a) < cfg.max_service_time
         ]
@@ -174,8 +174,7 @@ def fill_vacant_roles(
                 cycle, vacancy.name, sorted(vacancy.required_skills),
             )
             continue
-        best = min(candidates, key=lambda a: (-a.performance, a.id))
-        pool.remove(best)
+        best = pool.pop(min(candidates, key=lambda i: (-pool[i].performance, pool[i].id)))
         best.status = AgentStatus.PROBATIONARY
         best.consecutive_below = 0
         best.service_time = service_after_signing(best)
