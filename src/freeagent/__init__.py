@@ -2,7 +2,6 @@
 fraud-detection agents on a simulated drifting transaction stream."""
 
 from .domain import (
-    AccessTier,
     Agent,
     AgentId,
     AgentStatus,
@@ -20,7 +19,6 @@ from .simulator import PatternSpec, Segment, StreamConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessTier",
     "Agent",
     "AgentId",
     "AgentStatus",

@@ -26,7 +26,7 @@ from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hi
 
 import numpy as np
 
-from .domain import FRAUD_ROLE, AccessTier, ConfigError, DispatchedRole
+from .domain import FRAUD_ROLE, ConfigError, DispatchedRole
 from .lifecycle import LifecycleConfig, RoleSpec
 from .moe import Expert, check_learning_rate, uniform_gate
 from .pipeline import decide, redact
@@ -393,8 +393,8 @@ class ScenarioSpec:
         the visible pattern-B shift is set for the incumbent's designed
         mixture accuracy;
       * the candidate's strongest expert also weights the first sensitive
-        coordinate; its threshold is placed for the full-tier class
-        accuracies and the visible shift for the restricted-tier target.
+        coordinate; its threshold is placed for the full-view class
+        accuracies and the visible shift for the Restricted-view target.
     """
 
     incumbent_a_accuracy: float = 0.95
@@ -528,27 +528,27 @@ def _scenario(
 
 @functools.cache
 def _check_calibration(scenario: ScenarioSpec) -> None:
-    """Measure the designed accuracies with a uniform gate, each batch
-    redacted to the tier it is scored at, and refuse a scenario outside
-    its bands."""
+    """Measure the designed accuracies with a uniform gate, each on the
+    full features or on their Restricted view (``redact``), and refuse a
+    scenario outside its bands."""
     stream, incumbent, candidate = _scenario(
         scenario, _CALIBRATION_SEED, _CALIBRATION_SAMPLES, DRIFT_CYCLE + 1
     )
     pure_a, mixture = generate_cycle(stream, 0), generate_cycle(stream, DRIFT_CYCLE)
 
-    def accuracy(spec: AgentSpec, batch: SampleBatch, tier: AccessTier) -> float:
+    def accuracy(spec: AgentSpec, batch: SampleBatch, features: np.ndarray) -> float:
         gate = uniform_gate(len(spec.experts))
-        _, _, verdict = decide(spec.experts, gate, redact(batch.features, tier), batch.modality)
+        _, _, verdict = decide(spec.experts, gate, features, batch.modality)
         return np.count_nonzero(verdict == batch.label) / len(batch)
 
     checks = (
-        ("incumbent on pattern A", accuracy(incumbent, pure_a, AccessTier.FULL),
+        ("incumbent on pattern A", accuracy(incumbent, pure_a, pure_a.features),
          scenario.incumbent_a_band),
-        ("incumbent on mixture", accuracy(incumbent, mixture, AccessTier.FULL),
+        ("incumbent on mixture", accuracy(incumbent, mixture, mixture.features),
          scenario.incumbent_mixture_band),
-        ("candidate shadow on mixture", accuracy(candidate, mixture, AccessTier.RESTRICTED),
+        ("candidate shadow on mixture", accuracy(candidate, mixture, redact(mixture.features)),
          scenario.candidate_shadow_band),
-        ("candidate full on mixture", accuracy(candidate, mixture, AccessTier.FULL),
+        ("candidate full on mixture", accuracy(candidate, mixture, mixture.features),
          (scenario.candidate_full_min, 1.0)),
     )
     for label, measured, (lo, hi) in checks:

@@ -8,11 +8,11 @@ engine loop. Safe to copy between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import Literal
 
 # Fixed layout of the feature space. The last three feature entries are
-# "sensitive": visible only at Full access tier (see pipeline.redact).
+# "sensitive": hidden from Probationary shadows (see pipeline.redact).
 FEATURE_DIM = 6
 SENSITIVE_START = 3
 MODALITY_DIM = 3
@@ -45,19 +45,6 @@ class AgentStatus(str, Enum):
     RELEASED = "Released"
 
 
-class AccessTier(IntEnum):
-    SANDBOX = 0
-    RESTRICTED = 1
-    FULL = 2
-
-
-_TIER_BY_STATUS = {
-    AgentStatus.RELEASED: AccessTier.SANDBOX,
-    AgentStatus.PROBATIONARY: AccessTier.RESTRICTED,
-    AgentStatus.ACTIVE: AccessTier.FULL,
-}
-
-
 class EventKind(str, Enum):
     EVALUATE = "Evaluate"
     RELEASE = "Release"
@@ -78,7 +65,8 @@ class Agent:
     evaluation (0.0 before the first). ``service_time`` counts completed
     roster cycles and never decreases while the agent is not Released.
     Counts are >= 0; building an agent checks them and ``performance``.
-    ``access_tier`` follows ``status`` and is never stored.
+    ``status`` picks the features the agent decides on: all of them when
+    Active, their Restricted view (``pipeline.redact``) when Probationary.
     """
 
     id: AgentId
@@ -96,10 +84,6 @@ class Agent:
         if not 0.0 <= self.performance <= 1.0:
             raise ConfigError(f"expected a number in [0, 1], got {self.performance}",
                               at="performance")
-
-    @property
-    def access_tier(self) -> AccessTier:
-        return _TIER_BY_STATUS[self.status]
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,9 +1,9 @@
 """Batch dispatch: pick the best active detector, run probationary agents
-in shadow, enforce tiered redaction, and act on fraud verdicts.
+in shadow on redacted features, and act on fraud verdicts.
 
 Shadow decisions never trigger actions and shadow agents only ever see
-Restricted-tier data; both properties are auditable from the detection
-log. Actions are recorded, not executed.
+the Restricted view (``redact``); both properties are auditable from the
+detection log. Actions are recorded, not executed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FRAUD_ROLE, SENSITIVE_START, AccessTier, Agent, AgentId, AgentStatus
+from .domain import FRAUD_ROLE, SENSITIVE_START, Agent, AgentId, AgentStatus
 from .metrics import PerformanceLog
 from .moe import Expert
 from .simulator import SampleBatch, keyed_generator
@@ -42,22 +42,12 @@ class DetectionRecord:
     action: str
 
 
-def quantize_coarse(values: np.ndarray) -> np.ndarray:
-    """Round to 1 decimal, halves away from zero (the sandbox obfuscation)."""
-    return np.copysign(np.floor(np.abs(values) * 10.0 + 0.5), values) / 10.0
-
-
-def redact(features: np.ndarray, tier: AccessTier) -> np.ndarray:
-    """Feature rows as an agent at ``tier`` sees them.
-
-    Full sees everything; Restricted loses the sensitive suffix; Sandbox
-    additionally sees only coarsened values of the remaining features.
-    """
-    if tier is AccessTier.FULL:
-        return features
-    visible = features[:, :SENSITIVE_START]
+def redact(features: np.ndarray) -> np.ndarray:
+    """The Restricted view a Probationary shadow decides on: a copy of the
+    feature rows with the sensitive suffix zeroed. Active agents decide on
+    the rows themselves."""
     out = np.zeros_like(features)
-    out[:, :SENSITIVE_START] = quantize_coarse(visible) if tier is AccessTier.SANDBOX else visible
+    out[:, :SENSITIVE_START] = features[:, :SENSITIVE_START]
     return out
 
 
@@ -154,31 +144,28 @@ class CyclePipeline:
 
         Each dispatch takes the next uniform of the agent's keyed stream,
         which starts fresh because an agent is reached at most once per
-        batch; a fully reliable agent draws nothing.
+        batch.
         """
         win = self.log.window(agent.id)
-        if agent.spec.handoff_reliability >= 1.0:
-            ok = np.ones(k, dtype=bool)
-        else:
-            gen = keyed_generator("handoff", self._seed, self.cycle, agent.id)
-            ok = gen.random(k) < agent.spec.handoff_reliability
+        gen = keyed_generator("handoff", self._seed, self.cycle, agent.id)
+        ok = gen.random(k) < agent.spec.handoff_reliability
         win.handoffs_attempted += k
         win.handoffs_succeeded += int(np.count_nonzero(ok))
         return ok
 
     def run_batch(self, batch: SampleBatch) -> None:
+        """Dispatch every sample of ``batch``: Active agents decide on its
+        features, shadows on their Restricted view, built once per batch."""
         n = len(batch)
-        views: dict[AccessTier, np.ndarray] = {}
+        restricted = redact(batch.features) if self._shadows else batch.features
         records: list[DetectionRecord] = []
 
         def run(agent: Agent, rows: np.ndarray, shadow: bool) -> None:
             if not len(rows):
                 return
-            tier = agent.access_tier
-            if tier not in views:
-                views[tier] = redact(batch.features, tier)
+            features = restricted if shadow else batch.features
             expert, score, verdict = decide(agent.spec.experts, agent.gate_weights,
-                                            views[tier][rows], batch.modality[rows])
+                                            features[rows], batch.modality[rows])
             label = batch.label[rows]
             win = self.log.window(agent.id)
             tn, fn, fp, tp = np.bincount(2 * verdict + label, minlength=4).tolist()
@@ -186,7 +173,7 @@ class CyclePipeline:
             win.false_positives += fp
             win.false_negatives += fn
             win.true_negatives += tn
-            if agent.spec.misbehaving and tier is not AccessTier.FULL:
+            if agent.spec.misbehaving and shadow:
                 # Audit hook: the agent tried to read the raw samples. Each
                 # attempt is blocked and tallied; the decisions still run
                 # on redacted data.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from freeagent.domain import FRAUD_ROLE, SENSITIVE_START, AccessTier, Agent, AgentId, AgentStatus
+from freeagent.domain import FRAUD_ROLE, SENSITIVE_START, Agent, AgentId, AgentStatus
 from freeagent.metrics import PerformanceLog
 from freeagent.moe import Expert
 from freeagent.pipeline import Action, DetectionRecord
@@ -95,17 +95,9 @@ def generate_cycle_samples(cfg: StreamConfig, cycle: int) -> list[DataSample]:
     return samples
 
 
-def quantize_coarse(value: float) -> float:
-    return math.copysign(math.floor(abs(value) * 10.0 + 0.5), value) / 10.0
-
-
-def redact(features: tuple[float, ...], tier: AccessTier) -> tuple[float, ...]:
-    if tier is AccessTier.FULL:
-        return features
-    visible = list(features[:SENSITIVE_START])
-    if tier is AccessTier.SANDBOX:
-        visible = [quantize_coarse(v) for v in visible]
-    return tuple(visible) + (0.0,) * (len(features) - SENSITIVE_START)
+def redact(features: tuple[float, ...]) -> tuple[float, ...]:
+    """The Restricted view a shadow decides on: the sensitive suffix zeroed."""
+    return features[:SENSITIVE_START] + (0.0,) * (len(features) - SENSITIVE_START)
 
 
 def _add_left(values) -> float:
@@ -188,21 +180,17 @@ class ScalarPipeline:
     def _handoff_ok(self, agent: Agent) -> bool:
         win = self.log.window(agent.id)
         win.handoffs_attempted += 1
-        if agent.spec.handoff_reliability >= 1.0:
-            ok = True
-        else:
-            if agent.id not in self._rngs:
-                key = f"handoff|{self._seed}|{self._cycle}|{agent.id}"
-                self._rngs[agent.id] = keyed_generator(key)
-            ok = bool(self._rngs[agent.id].random() < agent.spec.handoff_reliability)
+        if agent.id not in self._rngs:
+            key = f"handoff|{self._seed}|{self._cycle}|{agent.id}"
+            self._rngs[agent.id] = keyed_generator(key)
+        ok = bool(self._rngs[agent.id].random() < agent.spec.handoff_reliability)
         win.handoffs_succeeded += ok
         return ok
 
     def _decide(self, agent: Agent, sample: DataSample, shadow: bool) -> None:
-        tier = agent.access_tier
-        if agent.spec.misbehaving and tier is not AccessTier.FULL:
+        if agent.spec.misbehaving and shadow:
             self.log.window(agent.id).violations += 1
-        features = redact(sample.features, tier)
+        features = redact(sample.features) if shadow else sample.features
         idx = gate(agent.spec.experts, agent.gate_weights, sample.modality)
         score, verdict = expert_score(agent.spec.experts[idx], features)
         update_fraud_metrics(self.log, agent.id, verdict, sample.label)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from freeagent.config import AgentSpec, RunConfig, preset_config
-from freeagent.domain import AccessTier, AgentStatus, EventKind
+from freeagent.domain import AgentStatus, EventKind
 from freeagent.engine import Engine, restore_engine
 from freeagent.lifecycle import LifecycleConfig, RoleSpec
 from freeagent.metrics import f1_from_counts
@@ -319,9 +319,7 @@ class TestCriterion5ShadowAudit:
                 samples[cycle] = generate_cycle_samples(scenario.config.stream, cycle)
             sample = samples[cycle][seq]
             idx = gate(experts, gate_weights, sample.modality)
-            score, verdict = expert_score(
-                experts[idx], redact(sample.features, AccessTier.RESTRICTED)
-            )
+            score, verdict = expert_score(experts[idx], redact(sample.features))
             if verdict != det.verdict or score != det.score:
                 mismatches += 1
 

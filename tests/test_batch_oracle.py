@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from freeagent.config import AgentSpec
-from freeagent.domain import FRAUD_ROLE, AccessTier, Agent, AgentStatus
+from freeagent.domain import FRAUD_ROLE, Agent, AgentStatus
 from freeagent.metrics import PerformanceLog
 from freeagent.moe import Expert, rl_update
 from freeagent.pipeline import CyclePipeline, decide, redact
@@ -129,17 +129,19 @@ def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
     assert rows(pipe.detections) == rows(ref.detections)
     assert all(type(d.score) is float and type(d.verdict) is bool for d in pipe.detections)
 
-    # The kernel on every tier's view, Sandbox included, for every agent.
+    # The kernel on both views, full and Restricted, for every agent.
     for agent in roster.values():
         agent_experts = agent.spec.experts
-        for tier in AccessTier:
+        for restricted in (False, True):
+            features = redact(batch.features) if restricted else batch.features
             chosen, score, verdict = decide(agent_experts, agent.gate_weights,
-                                            redact(batch.features, tier), batch.modality)
+                                            features, batch.modality)
             expected = []
             for s in samples:
                 idx = oracle.gate(agent_experts, agent.gate_weights, s.modality)
                 expected.append((idx, *oracle.expert_score(
-                    agent_experts[idx], oracle.redact(s.features, tier))))
+                    agent_experts[idx],
+                    oracle.redact(s.features) if restricted else s.features)))
             got = zip(chosen.tolist(), score.tolist(), verdict.tolist())
             assert [(i, x.hex(), v) for i, x, v in got] == [
                 (i, x.hex(), v) for i, x, v in expected
@@ -153,7 +155,7 @@ def test_negative_weight_on_redacted_coordinate_scores_plus_zero():
     expert = Expert(profile=(1.0, 0.0, 0.0), weights=(0.0, 0.0, 0.0, -1.0, -0.5, -2.0),
                     threshold=0.5)
     features = np.array([[-1.5, -2.0, -0.3, 4.0, 1.0, -2.0]])
-    restricted = redact(features, AccessTier.RESTRICTED)
+    restricted = redact(features)
     _, score, _ = decide((expert,), (1.0,), restricted, np.array([[1.0, 0.0, 0.0]]))
     expected = oracle.expert_score(expert, tuple(restricted[0].tolist()))[0]
     assert score[0].hex() == expected.hex() == "0x0.0p+0"

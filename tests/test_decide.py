@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeagent.config import section_4_4_preset
-from freeagent.domain import FEATURE_DIM, MODALITY_DIM, AccessTier
+from freeagent.domain import FEATURE_DIM, MODALITY_DIM
 from freeagent.moe import Expert, uniform_gate
 from freeagent.pipeline import decide, redact
 from tests import scalar_oracle as oracle
@@ -20,10 +20,15 @@ PROFILES = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
 WEIGHTS = (0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 0.3)
 THRESHOLDS = (-0.5, 0.0, 0.5, 1.0)
 GATE_WEIGHTS = (0.0, 0.25, 0.5, 1.0)  # 0.0: a starved expert that underflowed
-# Small negatives quantize to -0.0 in the Sandbox view.
+# Signed zeros and negatives, so products come out -0.0 in either view.
 FEATURES = st.one_of(st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -0.01, 0.04)),
                      st.floats(-10.0, 10.0))
 MODALITY = st.one_of(st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0)), st.floats(0.0, 2.0))
+
+
+def view(features, restricted):
+    """The rows a shadow (``restricted``) or an Active agent decides on."""
+    return redact(features) if restricted else features
 
 
 def reference(experts, gate_weights, features, modality):
@@ -65,19 +70,19 @@ def cases(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=cases(), tier=st.sampled_from(AccessTier))
-def test_matches_scalar_reference(case, tier):
+@given(case=cases(), restricted=st.booleans())
+def test_matches_scalar_reference(case, restricted):
     experts, gate_weights, features, modality = case
-    same_as_reference(experts, gate_weights, redact(features, tier), modality)
+    same_as_reference(experts, gate_weights, view(features, restricted), modality)
 
 
-@pytest.mark.parametrize("tier", list(AccessTier))
-def test_dispatch_experts_repeated_four_times(tier):
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
+def test_dispatch_experts_repeated_four_times(restricted):
     # the dispatch workload's agents: the preset candidate's three experts,
     # four times over, so a uniform gate ties every expert with three copies
     experts = section_4_4_preset().pool[0].experts * 4
     rng = np.random.default_rng(11)
-    features = redact(rng.standard_normal((500, FEATURE_DIM)), tier)
+    features = view(rng.standard_normal((500, FEATURE_DIM)), restricted)
     modality = rng.random((500, MODALITY_DIM)) * (rng.random((500, MODALITY_DIM)) < 0.7)
     for gate_weights in (uniform_gate(12), tuple(rng.random(12)), (0.0,) * 11 + (1.0,)):
         chosen, _, _ = same_as_reference(experts, gate_weights, features, modality)
@@ -111,26 +116,26 @@ def test_the_gate_weight_scales_the_summed_affinity():
     assert chosen.tolist() == [0]
 
 
-@pytest.mark.parametrize("tier", list(AccessTier))
-def test_a_score_equal_to_its_threshold_is_fraud(tier):
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
+def test_a_score_equal_to_its_threshold_is_fraud(restricted):
     expert = Expert(profile=(1.0, 0.0, 0.0), weights=(0.5, 1.0, 0.0, -1.0, 0.0, 0.0),
                     threshold=0.5)
     features = np.array([[0.2, 0.4, 0.0, 0.0, 0.0, 0.0],  # 0.1 + 0.4 == 0.5
                          [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
                          [0.0, 0.5, -0.0, 0.0, 0.0, 0.0],
                          [-0.0, 0.4, 0.0, 0.0, 0.0, 0.0]])
-    _, score, verdict = same_as_reference((expert,), (1.0,), redact(features, tier),
+    _, score, verdict = same_as_reference((expert,), (1.0,), view(features, restricted),
                                           np.ones((4, MODALITY_DIM)))
     assert score.tolist()[:3] == [0.5] * 3
     assert verdict.tolist() == [True, True, True, False]
 
 
 def test_all_negative_zero_products_score_plus_zero():
-    # a Sandbox row of small negatives quantizes to -0.0; every product is
-    # -0.0 and the sum from 0.0 gives +0.0, as the scalar sum() does
+    # a Restricted row of -0.0s: every product is -0.0 and the sum from 0.0
+    # gives +0.0, as the scalar sum() does
     expert = Expert(profile=(1.0, 0.0, 0.0), weights=(1.0, 1.0, 1.0, -1.0, -1.0, -1.0),
                     threshold=0.0)
-    features = redact(np.array([[-0.01, -0.04, -0.0, 3.0, 1.0, 2.0]]), AccessTier.SANDBOX)
+    features = redact(np.array([[-0.0] * FEATURE_DIM]))
     assert features.tobytes() == np.array([[-0.0, -0.0, -0.0, 0.0, 0.0, 0.0]]).tobytes()
     _, score, verdict = same_as_reference((expert,), (1.0,), features, np.ones((1, MODALITY_DIM)))
     assert score[0].hex() == "0x0.0p+0" and verdict.tolist() == [True]

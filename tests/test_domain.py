@@ -4,7 +4,6 @@ import pytest
 
 from freeagent.config import to_dict
 from freeagent.domain import (
-    AccessTier,
     Agent,
     AgentStatus,
     ConfigError,
@@ -12,27 +11,6 @@ from freeagent.domain import (
     RosterEvent,
 )
 from tests.test_pipeline import detector
-
-
-def test_tier_is_pure_function_of_status():
-    assert detector(0, status=AgentStatus.RELEASED).access_tier is AccessTier.SANDBOX
-    assert detector(0, status=AgentStatus.PROBATIONARY).access_tier is AccessTier.RESTRICTED
-    assert detector(0, status=AgentStatus.ACTIVE).access_tier is AccessTier.FULL
-
-
-def test_tier_follows_status_assignment():
-    agent = detector(0)
-    tiers = {AgentStatus.PROBATIONARY: AccessTier.RESTRICTED,
-             AgentStatus.RELEASED: AccessTier.SANDBOX, AgentStatus.ACTIVE: AccessTier.FULL}
-    for status, tier in tiers.items():
-        agent.status = status
-        assert agent.access_tier is tier
-    with pytest.raises(AttributeError):
-        agent.access_tier = AccessTier.FULL  # derived, never stored
-
-
-def test_tier_ordering_reflects_privilege():
-    assert AccessTier.SANDBOX < AccessTier.RESTRICTED < AccessTier.FULL
 
 
 def test_event_serialization_field_order():

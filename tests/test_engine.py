@@ -11,6 +11,7 @@ from freeagent.engine import METRICS_COLUMNS, Engine, RunTotals
 from freeagent.lifecycle import LifecycleConfig, RoleSpec
 from freeagent.moe import Expert
 from freeagent.simulator import PatternSpec, Segment, StreamConfig
+from tests.test_golden import workload
 
 GOOD_PATTERN = PatternSpec(
     name="A", fraud_rate=0.5, fraud_shift={0: 6.0}, modality_base=(0.7, 0.3, 0.0)
@@ -139,6 +140,18 @@ class TestReplacementFlow:
             pool_ids = {a.id for a in engine.pool}
             assert roster_ids | pool_ids == ids
             assert roster_ids & pool_ids == set()
+
+    @pytest.mark.parametrize("make", [lambda: workload("churn", 60), section_4_4_preset],
+                             ids=["churn-60", "preset"])
+    def test_roster_agents_are_active_or_probationary_and_pool_agents_released(self, make):
+        # Only roster agents decide, on the view their status picks, so no
+        # other status may reach the roster, nor a deciding one the pool.
+        engine = Engine(make())
+        for _ in range(engine.config.stream.total_cycles):
+            engine.run_cycle()
+            assert all(a.status in (AgentStatus.ACTIVE, AgentStatus.PROBATIONARY)
+                       for a in engine.roster.values())
+            assert all(a.status is AgentStatus.RELEASED for a in engine.pool)
 
     def test_replay_reproduces_final_partition(self):
         engine = self.make_engine()

@@ -235,7 +235,6 @@ class TestTransitionProbationary:
         roster, pool, events = {1: agent}, [], []
         transition_probationary(roster, pool, LifecycleConfig(), 0, events, {1})
         assert agent.status is AgentStatus.ACTIVE
-        assert agent.access_tier.name == "FULL"
         assert events[-1].kind is EventKind.PROMOTE
 
     def test_released_below_threshold(self):

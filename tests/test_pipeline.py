@@ -1,12 +1,10 @@
 """Dispatch, redaction, shadow processing, and handoff behaviour."""
 
 import numpy as np
-import pytest
 
 from freeagent.config import AgentSpec
 from freeagent.domain import (
     FRAUD_ROLE,
-    AccessTier,
     Agent,
     AgentStatus,
 )
@@ -16,7 +14,6 @@ from freeagent.pipeline import (
     Action,
     CyclePipeline,
     decide,
-    quantize_coarse,
     redact,
 )
 from freeagent.simulator import SampleBatch
@@ -97,23 +94,18 @@ class TestRedact:
     FEATURES = (0.9, 0.1, 0.2, 0.7, 0.3, 0.5)
 
     def test_full_is_identity(self):
-        x = batch(self.FEATURES).features
-        assert redact(x, AccessTier.FULL) is x
+        # an Active agent decides on the batch's own rows, suffix included
+        log = PerformanceLog()
+        pipe = pipeline({0: detector(0, weights=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0))}, log)
+        pipe.run_batch(batch((0.0, 0, 0, 5.0, 0, 0), label=True))
+        [row] = pipe.detections
+        assert (row.verdict, row.score) == (True, 5.0)
 
     def test_restricted_zeroes_sensitive_suffix(self):
-        red = redact(batch(self.FEATURES).features, AccessTier.RESTRICTED)
+        x = batch(self.FEATURES).features
+        red = redact(x)
         assert red.tolist() == [[0.9, 0.1, 0.2, 0.0, 0.0, 0.0]]
-
-    def test_sandbox_quantizes_and_zeroes(self):
-        red = redact(batch((0.87, -0.14, 1.25, 0.7, 0.3, 0.5)).features, AccessTier.SANDBOX)
-        assert red.tolist() == [[0.9, -0.1, 1.3, 0.0, 0.0, 0.0]]
-
-    @pytest.mark.parametrize(
-        "value,expected",
-        [(0.87, 0.9), (0.85, 0.9), (-0.85, -0.9), (0.84, 0.8), (0.0, 0.0), (1.25, 1.3)],
-    )
-    def test_quantize_half_away_from_zero(self, value, expected):
-        assert quantize_coarse(value) == pytest.approx(expected)
+        assert x.tolist() == [list(self.FEATURES)]  # a copy: the batch is untouched
 
     def test_label_and_pattern_not_readable_by_decision(self):
         # the decision path takes only features and modality

@@ -18,7 +18,7 @@ from freeagent.config import (
     _scenario,
     section_4_4_preset,
 )
-from freeagent.domain import AccessTier, ConfigError
+from freeagent.domain import ConfigError
 from freeagent.engine import Engine
 from freeagent.moe import uniform_gate
 from freeagent.pipeline import decide, redact
@@ -199,12 +199,13 @@ class TestScheduleValidation:
         assert cfg.mixture(2) == cfg.mixture(99) == ((PATTERN_A, 0.25), (PATTERN_B, 0.75))
 
 
-def accuracy(spec, stream, tier):
+def accuracy(spec, stream, restricted=False):
     """Share of correct verdicts of ``spec``'s experts under a uniform gate
-    on the stream's one cycle, the features redacted to ``tier``."""
+    on the stream's one cycle, on the full features or their Restricted view."""
     batch = generate_cycle(stream, 0)
     gate = uniform_gate(len(spec.experts))
-    _, _, verdict = decide(spec.experts, gate, redact(batch.features, tier), batch.modality)
+    features = redact(batch.features) if restricted else batch.features
+    _, _, verdict = decide(spec.experts, gate, features, batch.modality)
     return np.count_nonzero(verdict == batch.label) / len(batch)
 
 
@@ -230,10 +231,10 @@ class TestScenario:
         assert [(p.name, w) for p, w in pure_a.mixture(0)] == [("A", 1.0)]
         assert [(p.name, w) for p, w in mixture.mixture(0)] == [("A", 0.5), ("B", 0.5)]
         assert post_drift.start_cycle == 10
-        assert 0.93 <= accuracy(incumbent, pure_a, AccessTier.FULL) <= 0.97
-        assert 0.72 <= accuracy(incumbent, mixture, AccessTier.FULL) <= 0.78
-        assert 0.85 <= accuracy(candidate, mixture, AccessTier.RESTRICTED) <= 0.91
-        assert accuracy(candidate, mixture, AccessTier.FULL) >= 0.90
+        assert 0.93 <= accuracy(incumbent, pure_a) <= 0.97
+        assert 0.72 <= accuracy(incumbent, mixture) <= 0.78
+        assert 0.85 <= accuracy(candidate, mixture, restricted=True) <= 0.91
+        assert accuracy(candidate, mixture) >= 0.90
 
     def test_the_calibration_stream_is_pinned(self):
         # exact correct counts on the preset's own calibration stream, so a
@@ -244,17 +245,16 @@ class TestScenario:
         assert (_CALIBRATION_SEED, _CALIBRATION_SAMPLES) == (0xCA11B, 10_000)
         pure_a, mixture = generate_cycle(stream, 0), generate_cycle(stream, DRIFT_CYCLE)
 
-        def correct(spec, batch, tier):
+        def correct(spec, batch, features):
             gate = uniform_gate(len(spec.experts))
-            _, _, verdict = decide(spec.experts, gate, redact(batch.features, tier),
-                                   batch.modality)
+            _, _, verdict = decide(spec.experts, gate, features, batch.modality)
             return int(np.count_nonzero(verdict == batch.label))
 
         assert [
-            correct(incumbent, pure_a, AccessTier.FULL),
-            correct(incumbent, mixture, AccessTier.FULL),
-            correct(candidate, mixture, AccessTier.RESTRICTED),
-            correct(candidate, mixture, AccessTier.FULL),
+            correct(incumbent, pure_a, pure_a.features),
+            correct(incumbent, mixture, mixture.features),
+            correct(candidate, mixture, redact(mixture.features)),
+            correct(candidate, mixture, mixture.features),
         ] == [9454, 7431, 8776, 9383]
 
     def test_infeasible_targets_rejected(self):
