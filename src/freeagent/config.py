@@ -50,6 +50,8 @@ class AgentSpec:
     service_time: int = 0
 
     def __post_init__(self) -> None:
+        if self.role != FRAUD_ROLE:
+            raise ConfigError(f"expected one of {[FRAUD_ROLE]}, got {self.role!r}", at="role")
         check_learning_rate(self.learning_rate)
         if not self.cost_per_sample > 0:
             raise ConfigError("cost_per_sample must be positive")
@@ -264,13 +266,12 @@ def from_dict(cls: type, node: dict, path: str):
     return _build(cls, path, {**_SKIPPED.get(cls, {}), **_read(cls, node, path)})
 
 
-def to_dict(obj, skip: tuple[str, ...] = ()) -> dict:
-    """The JSON object of a dataclass with a table: its table fields but ``skip``, in order."""
+def to_dict(obj) -> dict:
+    """The JSON object of a dataclass with a table: its table fields, in order."""
     node = {}
     for name, dump in _DUMP[type(obj)]:
-        if name not in skip:
-            value = getattr(obj, name)
-            node[name] = value if dump is None else dump(value)
+        value = getattr(obj, name)
+        node[name] = value if dump is None else dump(value)
     return node
 
 

@@ -7,9 +7,9 @@ Stage order within one cycle is fixed for determinism:
   2. per-agent cycle rewards are computed and each agent's recorded
      per-sample reward signals are applied to its gate, in sample order
   3. evaluate-and-release
-  4. fill vacancies, transition probationary agents (those on probation
-     before this cycle's signings), tick service time, then sweep the
-     service cap so no roster agent ends the cycle at or past it
+  4. take the vacancies stage 3 left, judge every Probationary agent on
+     its shadow window, sign into those vacancies, tick service time, then
+     sweep the service cap so no roster agent ends the cycle at or past it
   5. metrics rows are emitted and the cycle is folded into the run
      totals that summary.json reports
 
@@ -32,6 +32,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import attrgetter, is_
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import _DUMP, RunConfig, _table, config_to_dict, from_dict, to_dict
 from .domain import Agent, AgentId, AgentStatus, ConfigError, EventKind, RosterEvent
@@ -75,8 +76,9 @@ class SnapshotError(RuntimeError):
     """Snapshot missing, corrupt, or from an incompatible version."""
 
 
-@dataclass(frozen=True, slots=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
+    """One metrics.csv row, its fields in ``METRICS_COLUMNS`` order."""
+
     cycle: int
     agent: AgentId
     status: str
@@ -95,15 +97,8 @@ class MetricsRow:
     service_time: int
 
     def to_csv(self) -> str:
-        return ",".join(
-            (
-                str(self.cycle), str(self.agent), self.status,
-                str(self.tp), str(self.fp), str(self.fn), str(self.tn),
-                f"{self.precision:.6f}", f"{self.recall:.6f}", f"{self.f1:.6f}",
-                f"{self.accuracy:.6f}", f"{self.synergy:.6f}", f"{self.efficiency:.6f}",
-                f"{self.penalty:.6f}", f"{self.reward:.6f}", str(self.service_time),
-            )
-        )
+        """Floats with 6 decimals, everything else as ``str``."""
+        return ",".join(f"{v:.6f}" if type(v) is float else str(v) for v in self)
 
 
 @dataclass
@@ -236,15 +231,12 @@ class Engine:
         # Stage 3: evaluation and release.
         evaluate_and_release(self.roster, self.pool, log, cfg.lifecycle, cycle, events, rewards)
 
-        # Stage 4: refill, probation transitions, service accounting. Only
-        # agents already on probation have a shadow window to be judged on;
-        # those signed below (a released agent re-signed included) wait.
-        eligible = {
-            aid for aid, agent in self.roster.items() if agent.status is AgentStatus.PROBATIONARY
-        }
+        # Stage 4: probation transitions, refill, service accounting. The
+        # vacancies are those stage 3 left, so a failed probation is refilled
+        # next cycle.
         vacancies = vacant_roles(self.roster, cfg.roles)
+        transition_probationary(self.roster, self.pool, cfg.lifecycle, cycle, events)
         fill_vacant_roles(self.roster, self.pool, vacancies, cfg.lifecycle, cycle, events)
-        transition_probationary(self.roster, self.pool, cfg.lifecycle, cycle, events, eligible)
         increment_service_time(self.roster, cycle, events)
         enforce_service_cap(self.roster, self.pool, cfg.lifecycle, cycle, events)
 

@@ -16,6 +16,7 @@ import logging
 from dataclasses import dataclass
 
 from .domain import (
+    FRAUD_ROLE,
     Agent,
     AgentId,
     AgentStatus,
@@ -62,14 +63,17 @@ class RoleSpec:
     name: DispatchedRole
     required_skills: frozenset[str]
 
+    def __post_init__(self) -> None:
+        if self.name != FRAUD_ROLE:
+            raise ConfigError(f"expected one of {[FRAUD_ROLE]}, got {self.name!r}", at="name")
+
 
 def vacant_roles(roster: dict[AgentId, Agent], roles: tuple[RoleSpec, ...]) -> list[RoleSpec]:
-    """A role is vacant iff no Active or Probationary agent fills it."""
-    filled = {
-        agent.spec.role
-        for agent in roster.values()
-        if agent.status in (AgentStatus.ACTIVE, AgentStatus.PROBATIONARY)
-    }
+    """A role is vacant iff no roster agent holds it. Every roster agent,
+    Active or Probationary, fills its role. The engine takes the vacancies
+    before it judges probation, so an agent that fails probation leaves
+    its role open until the next cycle."""
+    filled = {agent.spec.role for agent in roster.values()}
     return [role for role in roles if role.name not in filled]
 
 
@@ -191,18 +195,17 @@ def transition_probationary(
     cfg: LifecycleConfig,
     cycle: int,
     events: list[RosterEvent],
-    eligible: set[AgentId],
 ) -> None:
-    """Promote or re-release probationary agents on their shadow window.
+    """Promote or re-release every Probationary roster agent on its shadow window.
 
-    Each eligible agent first has its gate reset to uniform (the moe
-    init of the first transition pass), then either becomes a full Active
-    member or returns to the pool, on the performance that
+    Each such agent first has its gate reset to uniform (the moe init of
+    the first transition pass), then either becomes a full Active member
+    or returns to the pool, on the performance that
     ``evaluate_and_release`` measured on its shadow window this cycle.
-    Agents signed this same cycle have no shadow window yet and must not
-    be in ``eligible``.
+    The engine runs this before it signs, so every agent judged here was
+    on probation through the cycle's batch.
     """
-    for agent_id in sorted(eligible):
+    for agent_id in sorted(roster):
         agent = roster[agent_id]
         if agent.status is not AgentStatus.PROBATIONARY:
             continue

@@ -70,8 +70,8 @@ def check_gate(weights: tuple[float, ...], n: int) -> None:
     """
     if len(weights) != n:
         raise ConfigError(f"expected one weight per expert ({n}), got {len(weights)}")
-    if any(w < 0 for w in weights) or sum(weights) <= 0:
-        raise ConfigError("gate weights must be non-negative with positive sum")
+    if not all(0 <= w < math.inf for w in weights) or sum(weights) <= 0:
+        raise ConfigError("gate weights must be finite and non-negative with positive sum")
 
 
 @functools.cache

@@ -130,13 +130,13 @@ class CyclePipeline:
         # Membership and status are fixed for the duration of the batch;
         # performance only changes at evaluation time, so the dispatch
         # order is too.
-        fraud = [a for a in roster.values() if a.spec.role == FRAUD_ROLE]
         self._active = [
-            a for a in sorted(fraud, key=lambda a: (-a.performance, a.id))
+            a for a in sorted(roster.values(), key=lambda a: (-a.performance, a.id))
             if a.status is AgentStatus.ACTIVE
         ]
         self._shadows = [
-            a for a in sorted(fraud, key=lambda a: a.id) if a.status is AgentStatus.PROBATIONARY
+            a for a in sorted(roster.values(), key=lambda a: a.id)
+            if a.status is AgentStatus.PROBATIONARY
         ]
 
     def _handoffs(self, agent: Agent, k: int) -> np.ndarray:

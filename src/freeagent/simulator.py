@@ -39,7 +39,7 @@ _MODALITY_JITTER = 0.1
 
 # A cycle's batch is built in memory at once, so its size is capped well
 # below what numpy refuses to allocate: one dispatch-workload cycle at the
-# cap took 2.4 s and peaked at 240 MB on a 2-core Xeon VM (numpy 2.4.6).
+# cap took 2.6-2.8 s and peaked at 240 MB on a 2-core Xeon VM (numpy 2.4.6).
 MAX_SAMPLES_PER_CYCLE = 2**20
 
 

@@ -14,6 +14,7 @@ from freeagent.cli import main
 from freeagent.config import (
     PRESETS,
     SCHEMA,
+    AgentSpec,
     ScenarioSpec,
     _kind,
     _table,
@@ -23,7 +24,7 @@ from freeagent.config import (
     preset_config,
     section_4_4_preset,
 )
-from freeagent.domain import Agent, AgentStatus, ConfigError, DispatchedRole
+from freeagent.domain import FRAUD_ROLE, Agent, AgentStatus, ConfigError, DispatchedRole
 from freeagent.engine import (
     METRICS_COLUMNS,
     Engine,
@@ -32,6 +33,7 @@ from freeagent.engine import (
     restore_engine,
     write_snapshot,
 )
+from freeagent.lifecycle import RoleSpec
 from tests.test_engine import small_config
 
 MINIMAL = {
@@ -336,6 +338,16 @@ class TestCli:
         path.write_text(json.dumps(bad))
         assert main(["validate", "--config", str(path)]) == 2
         assert f"{section}[0].{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make,at", [
+        (lambda role: AgentSpec(role, frozenset(), small_config().roster[0].experts), "role"),
+        (lambda role: RoleSpec(role, frozenset()), "name"),
+    ], ids=["agent_spec", "role_spec"])
+    def test_specs_built_in_python_refuse_another_role(self, make, at):
+        make(FRAUD_ROLE)
+        with pytest.raises(ConfigError, match="expected one of") as exc:
+            make("Triage")
+        assert exc.value.at == at
 
     def test_validate_requires_exactly_one_source(self, capsys):
         for sources in ([], ["--config", "cfg.json", "--preset", "section-4.4"]):

@@ -153,6 +153,21 @@ class TestReplacementFlow:
                        for a in engine.roster.values())
             assert all(a.status is AgentStatus.RELEASED for a in engine.pool)
 
+    def test_failed_probation_is_refilled_the_next_cycle(self):
+        # The vacancies are taken before probation is judged: a lone agent
+        # released at cycle 12 leaves its role open until cycle 13.
+        cfg = section_4_4_preset()
+        engine = Engine(replace(cfg, lifecycle=replace(cfg.lifecycle, release_threshold=0.9,
+                                                       sustain_window=2)))
+        kinds = (EventKind.RELEASE, EventKind.SIGN, EventKind.PROMOTE, EventKind.FREE_AGENCY)
+        events = [(e.cycle, e.kind, e.agent, e.detail) for _ in range(15)
+                  for e in engine.run_cycle().events if e.kind in kinds]
+        assert [event[:3] for event in events] == [
+            (11, EventKind.RELEASE, 0), (11, EventKind.SIGN, 1), (12, EventKind.RELEASE, 1),
+            (13, EventKind.SIGN, 1), (14, EventKind.PROMOTE, 1),
+        ]
+        assert events[2][3].startswith("failed probation")
+
     def test_replay_reproduces_final_partition(self):
         engine = self.make_engine()
         initial_roster = set(engine.roster)

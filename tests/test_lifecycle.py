@@ -233,14 +233,14 @@ class TestTransitionProbationary:
     def test_promoted_at_088(self):
         agent = self.make_prob(performance=0.88)
         roster, pool, events = {1: agent}, [], []
-        transition_probationary(roster, pool, LifecycleConfig(), 0, events, {1})
+        transition_probationary(roster, pool, LifecycleConfig(), 0, events)
         assert agent.status is AgentStatus.ACTIVE
         assert events[-1].kind is EventKind.PROMOTE
 
     def test_released_below_threshold(self):
         agent = self.make_prob(performance=0.70)
         roster, pool, events = {1: agent}, [], []
-        transition_probationary(roster, pool, LifecycleConfig(), 0, events, {1})
+        transition_probationary(roster, pool, LifecycleConfig(), 0, events)
         assert agent.status is AgentStatus.RELEASED
         assert pool == [agent]
         assert events[-1].kind is EventKind.RELEASE
@@ -248,26 +248,30 @@ class TestTransitionProbationary:
     def test_exact_threshold_promotes(self):
         agent = self.make_prob(performance=0.80)
         roster, pool, events = {1: agent}, [], []
-        transition_probationary(roster, pool, LifecycleConfig(), 0, events, {1})
+        transition_probationary(roster, pool, LifecycleConfig(), 0, events)
         assert agent.status is AgentStatus.ACTIVE
 
     def test_gate_reset_on_transition(self):
         agent = self.make_prob(performance=0.9)
         agent.spec = replace(agent.spec, experts=agent.spec.experts * 2)
         agent.gate_weights = (0.9, 0.1)
-        transition_probationary({1: agent}, [], LifecycleConfig(), 0, [], {1})
+        transition_probationary({1: agent}, [], LifecycleConfig(), 0, [])
         assert agent.gate_weights == (0.5, 0.5)
 
-    def test_ineligible_agent_skipped(self):
-        agent = self.make_prob(performance=0.9)
-        roster, pool, events = {1: agent}, [], []
-        transition_probationary(roster, pool, LifecycleConfig(), 0, events, set())
-        assert agent.status is AgentStatus.PROBATIONARY
-        assert events == []
+    def test_every_probationary_roster_agent_is_judged(self):
+        active = detector(0, performance=0.1)
+        probs = [self.make_prob(1, 0.9), self.make_prob(2, 0.7), self.make_prob(3, 0.85)]
+        roster, pool, events = {a.id: a for a in (active, *probs)}, [], []
+        transition_probationary(roster, pool, LifecycleConfig(), 0, events)
+        assert [(e.agent, e.kind) for e in events] == [
+            (1, EventKind.PROMOTE), (2, EventKind.RELEASE), (3, EventKind.PROMOTE)
+        ]
+        assert sorted(roster) == [0, 1, 3] and pool == [probs[1]]
+        assert active.status is AgentStatus.ACTIVE
 
     def test_active_agents_untouched(self):
         agent = detector(1, performance=0.1)
-        transition_probationary({1: agent}, [], LifecycleConfig(), 0, [], {1})
+        transition_probationary({1: agent}, [], LifecycleConfig(), 0, [])
         assert agent.status is AgentStatus.ACTIVE
 
     def test_judged_on_the_evaluation_of_stage_3_with_no_second_event(self):
@@ -277,7 +281,7 @@ class TestTransitionProbationary:
         roster, pool, events = {1: agent}, [], []
         cfg = LifecycleConfig()
         evaluate_and_release(roster, pool, window_for_f1(1, 0.88), cfg, 0, events, {1: 1.0})
-        transition_probationary(roster, pool, cfg, 0, events, {1})
+        transition_probationary(roster, pool, cfg, 0, events)
         assert [e.kind for e in events] == [EventKind.EVALUATE, EventKind.PROMOTE]
         assert agent.status is AgentStatus.ACTIVE
 

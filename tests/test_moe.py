@@ -56,7 +56,7 @@ def reset_gate(agent):
     """Run the probation transition on ``agent``, which resets its gate; a
     shadow performance of 0.9 promotes it."""
     agent.performance = 0.9
-    transition_probationary({0: agent}, [], LifecycleConfig(), 0, [], {0})
+    transition_probationary({0: agent}, [], LifecycleConfig(), 0, [])
 
 
 class TestGate:
@@ -230,6 +230,8 @@ class TestCheckGate:
         pytest.param((0.3, 0.3, 0.4), "expected one weight per expert (2), got 3", id="long"),
         pytest.param((1.5, -0.5), "non-negative with positive sum", id="negative"),
         pytest.param((0.0, 0.0), "non-negative with positive sum", id="zero_sum"),
+        pytest.param((math.nan, 1.0), "finite and non-negative", id="nan"),
+        pytest.param((math.inf, 1.0), "finite and non-negative", id="inf"),
     ])
     def test_rejects_a_gate_that_cannot_route(self, weights, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
