@@ -1,0 +1,163 @@
+"""Alternating before/after pairs of the benchmark, written as one BENCH file.
+
+    python3 bench/pairs.py --parent HEAD~1 --out BENCH_21.json
+
+Checks out ``--parent`` with ``git worktree`` under ``.bench-work/`` (which
+git ignores) and compares it with this checkout's working tree. For each
+workload of ``BENCHMARK.json`` it runs ``perfbench/run.py --trace 0`` from
+the two trees in turn, the parent first in odd pairs and second in even
+ones; each side runs its own ``perfbench/`` as a black box. The BENCH file
+holds, per workload and side, the median and quartiles of every end-to-end
+metric over the pairs, the ratio of the medians (change over parent), the
+number of pairs the change won, both output digests and the output files
+whose bytes differ, with the Python and numpy versions and the CPU model.
+The worktree is removed when the runs end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import platform
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+SIDES = ("parent", "change")
+
+
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="the git revision to compare against")
+    p.add_argument("--out", required=True, type=Path, help="the BENCH file to write")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=SPEC["run_seconds"],
+                   help="perfbench's --seconds for every run")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--cycles", type=int, help="truncate every workload (smoke tests only)")
+    return p.parse_args(argv)
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def file_digests(out: Path) -> dict[str, str]:
+    """Output file (relative to ``out``) -> sha256 hex digest."""
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def bench_run(tree: Path, workload: str, work: Path, args: argparse.Namespace) -> dict:
+    """One ``perfbench/run.py --trace 0`` from ``tree``: its result line,
+    with the output digest it printed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
+           "--seconds", str(args.seconds), "--trace", "0", "--work", str(work)]
+    if args.cycles is not None:
+        cmd += ["--cycles", str(args.cycles)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"error: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    result["digest"] = re.search(r"output digest (\S+)", proc.stdout).group(1)
+    return result
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(runs: dict[str, list[dict]]) -> dict:
+    """Each end-to-end metric's statistics per side over the pairs."""
+    out = {}
+    for metric in SPEC["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        stats = {side: quartiles(values[side]) for side in SIDES}
+        wins = sum((c > p) if higher else (c < p)
+                   for p, c in zip(values["parent"], values["change"]))
+        out[name] = {"unit": metric["unit"], "better": metric["better"], **stats,
+                     "ratio": stats["change"]["median"] / stats["parent"]["median"],
+                     "change_better_in": wins}
+    return out
+
+
+def run_workload(trees: dict[str, Path], workload: str, base: Path,
+                 args: argparse.Namespace) -> dict:
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    works = {side: base / "work" / side / workload for side in SIDES}
+    for pair in range(1, args.pairs + 1):
+        order = SIDES if pair % 2 else SIDES[::-1]
+        for side in order:
+            runs[side].append(bench_run(trees[side], workload, works[side], args))
+        print(f"{workload}: pair {pair} of {args.pairs} done", file=sys.stderr)
+    files = {side: file_digests(works[side] / "out") for side in SIDES}
+    return {
+        "pairs": args.pairs,
+        "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
+        "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
+        "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+        "digests": {side: runs[side][-1]["digest"] for side in SIDES},
+        "differing_files": sorted(name for name in files["parent"].keys() | files["change"].keys()
+                                  if files["parent"].get(name) != files["change"].get(name)),
+        "metrics": compare(runs),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
+    if args.pairs < 1:
+        raise SystemExit("error: --pairs must be at least 1")
+    commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    (ROOT / ".bench-work").mkdir(exist_ok=True)
+    base = Path(tempfile.mkdtemp(prefix="pairs-", dir=ROOT / ".bench-work"))
+    trees = {"parent": base / "parent", "change": ROOT}
+    try:
+        git("worktree", "add", "--detach", str(trees["parent"]), commit)
+        workloads = {w["name"]: run_workload(trees, w["name"], base, args)
+                     for w in SPEC["workloads"]}
+    finally:
+        if trees["parent"].exists():
+            git("worktree", "remove", "--force", str(trees["parent"]))
+        shutil.rmtree(base, ignore_errors=True)
+    bench = {
+        "parent": {"rev": args.parent, "commit": commit},
+        "change": {"commit": git("rev-parse", "HEAD"),
+                   "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "command": {"seed": args.seed, "seconds": args.seconds, "trace": 0,
+                    "cycles": args.cycles},
+        "host": {"python": platform.python_version(), "numpy": np.__version__,
+                 "cpu": cpu_model()},
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,8 +4,9 @@ fixed per-cycle stage order, and persists the machine-readable outputs.
 Stage order within one cycle is fixed for determinism:
 
   1. pipeline processes the cycle's batch against the current roster
-  2. per-agent cycle rewards are computed and each agent's recorded
-     per-sample reward signals are applied to its gate, in sample order
+  2. per-agent cycle rewards are computed and each agent's gate takes
+     one closed-form update from its experts' net rewards over the batch
+     (gate contract 2, ``moe.rl_update``)
   3. evaluate-and-release
   4. take the vacancies stage 3 left, judge every Probationary agent on
      its shadow window, sign into those vacancies, tick service time, then
@@ -50,9 +51,10 @@ from .pipeline import CyclePipeline, DetectionRecord
 from .reward import compute_components, compute_reward
 from .simulator import generate_cycle
 
-# Format 4: each cycle draws one keyed stream. Format 3 snapshots were
-# written when each sample had its own, so they would resume to other bytes.
-SNAPSHOT_FORMAT_VERSION = 4
+# Format 5: one closed-form gate update per agent per cycle (gate contract
+# 2). Format 4 snapshots were written under one gate step per decision,
+# which rounds differently, so they would resume to other gate bytes.
+SNAPSHOT_FORMAT_VERSION = 5
 
 METRICS_COLUMNS = (
     "cycle", "agent", "status", "TP", "FP", "FN", "TN",
@@ -219,13 +221,13 @@ class Engine:
         pipe.run_batch(batch)
         members = [(agent, agent.status) for _, agent in sorted(self.roster.items())]
 
-        # Stage 2: cycle rewards, then gate updates in recorded order.
+        # Stage 2: cycle rewards, then one gate update per agent that decided.
         components = {agent.id: compute_components(agent, log, cfg.reward) for agent, _ in members}
         rewards = {aid: compute_reward(cfg.reward, c) for aid, c in components.items()}
         for aid in sorted(pipe.rewards):
             agent = self.roster[aid]
             agent.gate_weights = rl_update(
-                agent.gate_weights, agent.spec.learning_rate, *pipe.rewards[aid]
+                agent.gate_weights, agent.spec.learning_rate, pipe.rewards[aid]
             )
 
         # Stage 3: evaluation and release.

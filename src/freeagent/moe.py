@@ -1,25 +1,26 @@
 """Per-agent mixture of experts: linear scorers, hard top-1 gating, and a
-multiplicative-weights gate update driven by per-sample rewards.
+multiplicative-weights gate update driven by each cycle's rewards.
 
 An agent's experts and learning rate are its spec's, fixed for the run;
 its gate weights, one per expert, are the only state that learns
-(``Agent.gate_weights``). The update is deterministic: the used expert's
-gate weight is multiplied by ``exp(learning_rate * reward)`` and the
-vector is renormalized, so a stream of +1 rewards makes an expert's
-weight approach 1 geometrically. The renormalizing total adds the
-weights left to right in expert order, ``w0 + w1 + ...``, in a step
-function generated once per expert count; it never calls ``sum()``,
-which compensates its rounding from Python 3.12 on, so the gate's bytes
-do not depend on the Python version. Routing and scoring of a batch
-live in ``pipeline.decide``.
+(``Agent.gate_weights``). The update is deterministic and runs once per
+agent per cycle (gate contract 2): each expert's weight is multiplied by
+``exp(learning_rate * R)``, where ``R`` is the expert's net reward over
+the cycle (+1 per correct decision, -1 per wrong one), and the vector is
+renormalized. That is the product of one step per decision, so a stream
+of +1 rewards makes an expert's weight approach 1 geometrically. The
+renormalizing total adds the weights left to right in expert order,
+``w0 + w1 + ...``; it never calls ``sum()``, which compensates its
+rounding from Python 3.12 on, so the gate's bytes do not depend on the
+Python version. Routing and scoring of a batch live in
+``pipeline.decide``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .domain import FEATURE_DIM, MODALITY_DIM, ComputationError, ConfigError
@@ -62,64 +63,51 @@ def uniform_gate(n: int) -> tuple[float, ...]:
     return (1.0 / n,) * n
 
 
+def _add_left(values) -> float:
+    """``0.0 + v0 + v1 + ...``, the total ``sum()`` takes up to Python 3.11."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def check_gate(weights: tuple[float, ...], n: int) -> None:
     """Refuse gate weights that cannot route between ``n`` experts.
 
     Weights may be 0 rather than strictly positive: a starved expert's
-    weight may underflow to 0.0 after enough renormalizations.
+    weight may underflow to 0.0 after enough renormalizations. Their total,
+    added left to right as ``rl_update`` adds it, must be finite: every
+    gate the engine writes sums to 1.
     """
     if len(weights) != n:
         raise ConfigError(f"expected one weight per expert ({n}), got {len(weights)}")
-    if not all(0 <= w < math.inf for w in weights) or sum(weights) <= 0:
+    total = _add_left(weights)
+    if not all(0 <= w < math.inf for w in weights) or total <= 0:
         raise ConfigError("gate weights must be finite and non-negative with positive sum")
-
-
-@functools.cache
-def _gate_step(n: int) -> Callable[..., tuple[float, ...]]:
-    """The gate's step loop for ``n`` experts, generated once per ``n``.
-
-    The weights live in the locals ``w0 ... w{n-1}``; an ``if e == 0:
-    ... elif`` chain scales the used one, ``t = w0 + w1 + ...`` adds them
-    left to right, and each local is divided by ``t``. These are the
-    additions ``sum()`` makes from integer 0 up to Python 3.11: ``0 +
-    w0`` differs from ``w0`` only when ``w0`` is -0.0, and adding any
-    nonzero weight drops that zero's sign, so the totals are equal.
-    """
-    ws = [f"w{i}" for i in range(n)]
-    chain = "\n        el".join(f"if e == {i}: {w} *= factors[r]" for i, w in enumerate(ws))
-    source = "\n".join([
-        "def step(weights, experts_used, signals, factors):",
-        f"    {', '.join(ws)}, = weights",
-        "    for e, r in zip(experts_used, signals):",
-        f"        {chain}",
-        f"        else: raise IndexError(f'expert {{e}} out of range for {n} experts')",
-        f"        t = {' + '.join(ws)}",
-        *(f"        {w} /= t" for w in ws),
-        f"    return ({', '.join(ws)},)",
-    ])
-    namespace: dict = {}
-    exec(compile(source, f"<gate step for {n} experts>", "exec"), namespace)
-    return namespace["step"]
+    if total == math.inf:
+        raise ConfigError("gate weights must add up, left to right, to a finite total")
 
 
 def rl_update(
-    gate_weights: tuple[float, ...],
-    learning_rate: float,
-    experts_used: Sequence[int],
-    signals: Sequence[float],
+    gate_weights: tuple[float, ...], learning_rate: float, net: Sequence[float]
 ) -> tuple[float, ...]:
-    """Multiplicative-weights steps on the gate, one per sample outcome, in order.
+    """One cycle's multiplicative-weights update of the gate, in closed form.
 
-    For each outcome the used expert's weight is scaled by exp(eta *
-    reward) and the vector renormalized to sum 1, its total added left
-    to right in expert order (``_gate_step``). Positive rewards
-    reinforce the route that produced them; a zero reward is a no-op.
-    The steps are taken one at a time because the closed form over a
-    batch rounds differently. Returns the new weights.
+    ``net[e]`` is expert e's net reward over the cycle. Each weight is
+    scaled by ``exp(learning_rate * (net[e] - m))``, ``m`` the largest net
+    reward of a positive weight, and divided by the scaled total, added
+    left to right. Taking out the common factor ``exp(learning_rate * m)``
+    means no factor exceeds 1, so ``exp`` cannot overflow, and the expert
+    at ``m`` keeps its weight, so the total is positive. A weight of 0
+    stays 0. Returns the new weights.
     """
-    factors = {}
-    for reward in set(signals):
-        if not -1.0 <= reward <= 1.0:
-            raise ComputationError(f"sample reward {reward} outside [-1, 1]")
-        factors[reward] = math.exp(learning_rate * reward)
-    return _gate_step(len(gate_weights))(gate_weights, experts_used, signals, factors)
+    n = len(gate_weights)
+    if len(net) != n:
+        raise IndexError(f"net rewards of {len(net)} experts out of range for {n} experts")
+    if not all(map(math.isfinite, net)):
+        raise ComputationError(f"net reward not finite: {list(net)}")
+    m = max(r for w, r in zip(gate_weights, net) if w > 0)
+    scaled = [w * math.exp(learning_rate * (r - m)) if w > 0 else w
+              for w, r in zip(gate_weights, net)]
+    total = _add_left(scaled)
+    return tuple(x / total for x in scaled)

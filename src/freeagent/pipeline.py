@@ -121,8 +121,9 @@ class CyclePipeline:
         self.roster = roster
         self.log = log
         self.cycle = cycle
-        # Per agent: the experts used and the +1/-1 reward signals, in seq order.
-        self.rewards: dict[AgentId, tuple[list[int], list[float]]] = {}
+        # Per agent: each expert's net reward, +1 per correct decision and -1
+        # per wrong one (the input of ``moe.rl_update``).
+        self.rewards: dict[AgentId, list[float]] = {}
         self.detections: list[DetectionRecord] = []
         self.stalled_samples = 0
         self._seed = seed
@@ -178,9 +179,11 @@ class CyclePipeline:
                 # attempt is blocked and tallied; the decisions still run
                 # on redacted data.
                 win.violations += len(rows)
-            self.rewards[agent.id] = (
-                expert.tolist(), np.where(verdict == label, 1.0, -1.0).tolist()
-            )
+            # Sums of +1 and -1 are exact in float64, in any order.
+            self.rewards[agent.id] = np.bincount(
+                expert, weights=np.where(verdict == label, 1.0, -1.0),
+                minlength=len(agent.spec.experts),
+            ).tolist()
             if self._emit:
                 records.extend(
                     DetectionRecord(batch.seq0 + i, agent.id, v, s, shadow,

@@ -2,11 +2,12 @@
 
 The engine generates, redacts, routes, scores and counts one cycle as
 columns (``simulator.generate_cycle``, ``pipeline.CyclePipeline``) and
-applies a batch of gate steps at once (``moe.rl_update``). This module
-does the same work one sample at a time with plain Python floats, in the
-order the stream and dispatch contracts state, so tests can require the
-batch path to match it bit for bit. Its gate and gate step are its own,
-over plain weights; it uses neither ``pipeline.decide`` nor
+updates each gate once from its experts' net rewards (``moe.rl_update``).
+This module does the same work one sample at a time with plain Python
+floats, in the order the stream and dispatch contracts state, adding each
+decision's reward to its expert's net reward as it goes, so tests can
+require the batch path to match it bit for bit. Its gate and gate update
+are its own, over plain weights; it uses neither ``pipeline.decide`` nor
 ``moe.rl_update``. Its keyed streams are its own too: each cycle's sample
 stream and each agent's handoff stream is a fresh
 ``Generator(Philox(key=...))`` whose key it derives with ``hashlib`` as
@@ -132,12 +133,26 @@ def expert_score(expert: Expert, features: tuple[float, ...]) -> tuple[float, bo
     return score, score >= expert.threshold
 
 
+def net_rewards(n: int, steps) -> list[float]:
+    """Each of ``n`` experts' net reward over ``(expert_used, reward)`` steps,
+    added one step at a time."""
+    net = [0.0] * n
+    for expert_used, reward in steps:
+        if not 0 <= expert_used < n:
+            raise IndexError(f"expert {expert_used} out of range for {n} experts")
+        net[expert_used] += reward
+    return net
+
+
 def rl_update(
-    gate_weights: tuple[float, ...], learning_rate: float, expert_used: int, reward: float
+    gate_weights: tuple[float, ...], learning_rate: float, net: list[float]
 ) -> tuple[float, ...]:
-    """One multiplicative-weights step; returns the new gate weights."""
-    weights = list(gate_weights)
-    weights[expert_used] *= math.exp(learning_rate * reward)
+    """Gate contract 2 over plain floats: each weight scaled by
+    ``exp(learning_rate * (R - m))``, ``m`` the largest net reward ``R`` of a
+    positive weight, then divided by the total added left to right."""
+    m = max(r for w, r in zip(gate_weights, net) if w > 0)
+    weights = [w * math.exp(learning_rate * (r - m)) if w > 0 else w
+               for w, r in zip(gate_weights, net)]
     total = _add_left(weights)
     return tuple(w / total for w in weights)
 
@@ -165,7 +180,7 @@ class ScalarPipeline:
 
     def __init__(self, roster: dict[AgentId, Agent], seed: int, cycle: int) -> None:
         self.log = PerformanceLog()
-        self.rewards: dict[AgentId, list[tuple[int, float]]] = {}
+        self.rewards: dict[AgentId, list[float]] = {}  # per agent, each expert's net reward
         self.detections: list[DetectionRecord] = []
         self.stalled_samples = 0
         self._rngs: dict[AgentId, np.random.Generator] = {}
@@ -194,9 +209,8 @@ class ScalarPipeline:
         idx = gate(agent.spec.experts, agent.gate_weights, sample.modality)
         score, verdict = expert_score(agent.spec.experts[idx], features)
         update_fraud_metrics(self.log, agent.id, verdict, sample.label)
-        self.rewards.setdefault(agent.id, []).append(
-            (idx, 1.0 if verdict == sample.label else -1.0)
-        )
+        net = self.rewards.setdefault(agent.id, [0.0] * len(agent.spec.experts))
+        net[idx] += 1.0 if verdict == sample.label else -1.0
         self.detections.append(DetectionRecord(
             seq=sample.seq, agent=agent.id, verdict=verdict, score=score, shadow=shadow,
             action=Action.BLOCK if verdict and not shadow else Action.NONE,

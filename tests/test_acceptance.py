@@ -344,8 +344,9 @@ class TestCriterion6GatingLearning:
             chosen, _, verdict = decide(experts, gate_weights, features, modality)
             idx = int(chosen[0])
             selections.append(idx)
-            reward = 1.0 if bool(verdict[0]) == label else -1.0
-            gate_weights = rl_update(gate_weights, 0.05, [idx], [reward])
+            net = [0.0, 0.0]
+            net[idx] = 1.0 if bool(verdict[0]) == label else -1.0
+            gate_weights = rl_update(gate_weights, 0.05, net)
 
         tail_freq = sum(1 for s in selections[-100:] if s == 1) / 100
         # closed form: expert 0 used once at -1, expert 1 gets +1 thereafter

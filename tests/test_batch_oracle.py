@@ -110,17 +110,12 @@ def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
     }
     assert pipe.stalled_samples == ref.stalled_samples
     assert sorted(pipe.rewards) == sorted(ref.rewards)
-    for agent_id, steps in ref.rewards.items():
-        used, signals = pipe.rewards[agent_id]
-        assert list(zip(used, signals)) == steps
+    for agent_id, net in ref.rewards.items():
+        assert hexes(pipe.rewards[agent_id]) == hexes(net)
         agent = roster[agent_id]
-        gate_weights = agent.gate_weights
-        for expert_used, signal in steps:
-            gate_weights = oracle.rl_update(
-                gate_weights, agent.spec.learning_rate, expert_used, signal
-            )
-        updated = rl_update(agent.gate_weights, agent.spec.learning_rate, used, signals)
-        assert hexes(updated) == hexes(gate_weights)
+        updated = rl_update(agent.gate_weights, agent.spec.learning_rate, pipe.rewards[agent_id])
+        assert hexes(updated) == hexes(
+            oracle.rl_update(agent.gate_weights, agent.spec.learning_rate, net))
 
     def rows(detections):
         return [(d.seq, d.agent, d.verdict, d.score.hex(), d.shadow, d.action)

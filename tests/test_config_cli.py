@@ -34,7 +34,7 @@ from freeagent.engine import (
     write_snapshot,
 )
 from freeagent.lifecycle import RoleSpec
-from tests.test_engine import small_config
+from tests.test_engine import GOOD_EXPERT, small_config
 
 MINIMAL = {
     "stream": {
@@ -531,12 +531,13 @@ class TestSnapshots:
         write_snapshot(engine, snap)
         node = json.loads(snap.read_text())
         # format 1 lacks the run totals, formats 1 and 2 repeat each agent's spec,
-        # and formats up to 3 drew each sample from its own stream: resumed now,
-        # such a run would write other bytes than the run it came from
-        for version in (1, 2, 3, 999):
+        # formats up to 3 drew each sample from its own stream, and formats up
+        # to 4 stepped the gate once per decision: resumed now, such a run
+        # would write other bytes than the run it came from
+        for version in (1, 2, 3, 4, 999):
             node["format_version"] = version
             snap.write_text(json.dumps(node))
-            with pytest.raises(SnapshotError, match=f"snapshot format {version} != supported 4"):
+            with pytest.raises(SnapshotError, match=f"snapshot format {version} != supported 5"):
                 restore_engine(snap)
 
     def test_missing_snapshot_refused(self, tmp_path):
@@ -718,6 +719,21 @@ class TestSnapshots:
         out = tmp_path / "out"
         assert main(["run", "--restore", str(snap), *override, "--out", str(out)]) == 2
         assert f"{override[0]} cannot be combined with --restore" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_restore_refuses_gate_weights_whose_total_overflows(self, tmp_path, capsys):
+        # each weight is finite, their total is not: the gate cannot renormalize
+        engine = Engine(small_config(roster_experts=(GOOD_EXPERT,) * 3))
+        engine.run_cycle()
+        snap = tmp_path / "snap.json"
+        write_snapshot(engine, snap)
+        node = json.loads(snap.read_text())
+        node["roster"][0]["gate_weights"] = [1e308, 1e308, 1e308]
+        snap.write_text(json.dumps(node))
+        out = tmp_path / "out"
+        assert main(["run", "--restore", str(snap), "--out", str(out)]) == 2
+        assert "snap.json.roster[0].gate_weights: gate weights must add up" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value,named", [

@@ -37,31 +37,31 @@ GOLDEN = {
         "metrics.csv":
             "504ddc15146f36c7daec55c8b5fe0ae181bd60c163d512977741b35ac1f32604",
         "snapshots/state_cycle_0005.json":
-            "da5c3beb2ba0b46a8cae839053f5c708a0f3ef02bd8e5d80da69813d5827505a",
+            "30d044d2555eaf701e5ac0b2d03a96398b17705921133a7f4f156a81edd43244",
         "snapshots/state_cycle_0010.json":
-            "001397fb408038878936ba7e7d3a693f57cc65bbf64ed208c80379489ba7e341",
+            "c7c1044cb17289e410a7d8cebeaac09feb7890b6ae8c73f7b2f2b6ffacf07e80",
         "snapshots/state_cycle_0015.json":
-            "c85fecbbfc720c1a6960dfedcba40e38438cc40000a6e8cd10594e61495c7fcb",
+            "8f6140fd801b53305408fa33def167259678b1fd50b7bd748d4ff4698718833c",
         "snapshots/state_cycle_0020.json":
-            "5617c8cae741036c54f13b5a50443f15e7c8d3baf947cc1aaed39a0541c2c183",
+            "da27d86ffae1759c282f37c391089ce5f5e7921a750e7be662fe972bd9f65d5a",
         "snapshots/state_cycle_0025.json":
-            "986fb4a8a438d5af406e682cefa46fe172529ecea62801aa2385e03fda2e550a",
+            "7f5c152c890a56f5156f4ca43fda1c19a47bbdfb6147a96933b1b307b227eff1",
         "snapshots/state_cycle_0030.json":
-            "a1bdbe0f8399f7a66efd0006a6d30718aa62f3210d88dfb79c45a04f7dec7347",
+            "504fd837e1f0e12e948d1a4494642c73c472f25b13a7e737f5a18db04278c090",
         "snapshots/state_cycle_0035.json":
-            "8b8daddd495ba27e55ae89d51a7d3eb65f7313431e9df7baca5957b141ec84a3",
+            "2f341007a5bab47916f1de41db10dc917124e3a263fc0f462abc8887a1e4fea7",
         "snapshots/state_cycle_0040.json":
-            "e1086d65b5b2175a998b54068d67802374304c8c867dd3d67dd11c96235c234f",
+            "b05b2423cf18cf479445697bf01b8cdb570918d67118066887469f3d45899bc8",
         "snapshots/state_cycle_0045.json":
-            "fee23ef5a0cb785d83eb00da81800887bd096dd436daa2eed280265714f07899",
+            "e51e1641bd79256831fd65d332165341e6993f0278eb27c52d42dbae207e35c8",
         "snapshots/state_cycle_0050.json":
-            "a783a79ff132c0e485e204c76eecc9eab0053ad2acbb9ee04ee16071d38c581a",
+            "2788d654e8dc9614470534a7c560ad048ba21375c404ba791f87e874ef4df4ba",
         "snapshots/state_cycle_0055.json":
-            "20127fc026e7e1b990986049555fecf47df2e1ef96e929baff5debe90925918b",
+            "75f77148920944fdb857be763142ff07b8b37c48e324e61aded70f8b562105b7",
         "snapshots/state_cycle_0060.json":
-            "af1a98a1bcef147de55bb3846ddcab69c3b484e3adbca24c8d9b08deeae0df7a",
+            "035045d78ab25feca3aa4c1a8cfc0bbc2409838985a59ed71c5141638d2d4883",
         "summary.json":
-            "8865dd288c8cccc87a2831067e27572ed628f5b008e9986246b3bd556a9ea4f4",
+            "f558e570de6cda34c5386ede53c897221324fdcad32d90f7144df11bba309058",
     },
     "churn-resumed": {
         "events.jsonl":
@@ -69,19 +69,19 @@ GOLDEN = {
         "metrics.csv":
             "0e88783ab829a11f6bfd1e33c0cd078b43e00cca287dd1b48f54100ad1f327da",
         "snapshots/state_cycle_0035.json":
-            "8b8daddd495ba27e55ae89d51a7d3eb65f7313431e9df7baca5957b141ec84a3",
+            "2f341007a5bab47916f1de41db10dc917124e3a263fc0f462abc8887a1e4fea7",
         "snapshots/state_cycle_0040.json":
-            "e1086d65b5b2175a998b54068d67802374304c8c867dd3d67dd11c96235c234f",
+            "b05b2423cf18cf479445697bf01b8cdb570918d67118066887469f3d45899bc8",
         "snapshots/state_cycle_0045.json":
-            "fee23ef5a0cb785d83eb00da81800887bd096dd436daa2eed280265714f07899",
+            "e51e1641bd79256831fd65d332165341e6993f0278eb27c52d42dbae207e35c8",
         "snapshots/state_cycle_0050.json":
-            "a783a79ff132c0e485e204c76eecc9eab0053ad2acbb9ee04ee16071d38c581a",
+            "2788d654e8dc9614470534a7c560ad048ba21375c404ba791f87e874ef4df4ba",
         "snapshots/state_cycle_0055.json":
-            "20127fc026e7e1b990986049555fecf47df2e1ef96e929baff5debe90925918b",
+            "75f77148920944fdb857be763142ff07b8b37c48e324e61aded70f8b562105b7",
         "snapshots/state_cycle_0060.json":
-            "af1a98a1bcef147de55bb3846ddcab69c3b484e3adbca24c8d9b08deeae0df7a",
+            "035045d78ab25feca3aa4c1a8cfc0bbc2409838985a59ed71c5141638d2d4883",
         "summary.json":
-            "8865dd288c8cccc87a2831067e27572ed628f5b008e9986246b3bd556a9ea4f4",
+            "f558e570de6cda34c5386ede53c897221324fdcad32d90f7144df11bba309058",
     },
     "dispatch": {
         "events.jsonl":
@@ -89,7 +89,7 @@ GOLDEN = {
         "metrics.csv":
             "ec3c52a3c9f8a5384b2b8948bf99ef5218ab7a5e24ca54178365f9b8dbcd7d9c",
         "summary.json":
-            "e1d7410b21b7caa0ae43e9fefd7f443dab171cd741f370ef665a4c663bc5f2d8",
+            "3c6d5514a681a9a938c9dfbb053db2aa1de1730e856fa447e4be5db054f8c19b",
     },
     "preset-42": {
         "detections.jsonl":
@@ -99,7 +99,7 @@ GOLDEN = {
         "metrics.csv":
             "4a5f5876d817b9007875fa9890091973f33ddf594b1f2fd1565f934b61c8a74d",
         "summary.json":
-            "2afc436006738eb8842d449eb1689a38b675b0b315f94c0f9caf9aeb6d11fc83",
+            "7cd97793a47306cad62a5c1dcec571f2220678c1878a7aa2b3d82a9603108cd5",
     },
     "preset-7": {
         "detections.jsonl":
@@ -109,7 +109,7 @@ GOLDEN = {
         "metrics.csv":
             "d05935494992083b49ced94640c20a58f13c882c6e895c4f459e034a1af6f528",
         "summary.json":
-            "3935fbf3fa27758633903c853531fc999a36fd8cdf1ea9ff5b378328ebeb8467",
+            "d2ac161b3abeabba1d61ee24d9609ac4506c256b258d2905acd613db94f5712f",
     },
 }
 

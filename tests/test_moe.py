@@ -143,7 +143,7 @@ def test_expert_lengths_checked_at_construction(profile, weights, at):
 class TestRlUpdate:
     def test_single_positive_update(self):
         # independent oracle: direct evaluation of the exponential step
-        updated = rl_update((0.5, 0.5), 0.05, [0], [1.0])
+        updated = rl_update((0.5, 0.5), 0.05, [1.0, 0.0])
         e = math.exp(0.05)
         expect0 = 0.5 * e / (0.5 * e + 0.5)
         assert updated[0] == pytest.approx(expect0, abs=1e-12)
@@ -153,20 +153,22 @@ class TestRlUpdate:
         assert updated[1] == pytest.approx(0.4875, abs=5e-4)
 
     def test_zero_reward_is_noop(self):
-        assert rl_update((0.5, 0.5), 0.05, [1], [0.0]) == (0.5, 0.5)
+        # a +1 and a -1 on expert 1 cancel
+        assert rl_update((0.5, 0.5), 0.05, [0.0, 0.0]) == (0.5, 0.5)
 
     def test_hundred_updates_match_closed_form(self):
-        weights = rl_update((0.5, 0.5), 0.05, [1] * 100, [1.0] * 100)
+        weights = rl_update((0.5, 0.5), 0.05, [0.0, 100.0])
         closed = 0.5 * math.exp(5.0) / (0.5 + 0.5 * math.exp(5.0))
         assert weights[1] == pytest.approx(closed, abs=1e-9)
         assert weights[1] > 0.99
 
     def test_out_of_range_reward_rejected(self):
-        with pytest.raises(ComputationError):
-            rl_update((0.5, 0.5), 0.05, [0, 0], [1.0, 1.5])
+        for reward in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ComputationError):
+                rl_update((0.5, 0.5), 0.05, [1.0, reward])
 
     def test_experts_and_rate_untouched(self):
-        # a cycle's gate steps change the agent's gate weights, never its spec
+        # a cycle's gate update changes the agent's gate weights, never its spec
         config = small_config(roster_experts=(GOOD_EXPERT, BLIND_EXPERT), cycles=1)
         engine = Engine(config)
         engine.run_cycle()
@@ -182,7 +184,10 @@ class TestRlUpdate:
         )
     )
     def test_normalization_preserved_over_any_sequence(self, steps):
-        weights = rl_update((0.5, 0.5), 0.05, *zip(*steps))
+        net = [0.0, 0.0]
+        for expert, reward in steps:
+            net[expert] += reward
+        weights = rl_update((0.5, 0.5), 0.05, net)
         assert abs(sum(weights) - 1.0) < 1e-9
 
     def test_rewarded_expert_dominates(self):
@@ -190,7 +195,7 @@ class TestRlUpdate:
         weights = uniform_gate(3)
         prev = weights[2]
         for _ in range(200):
-            weights = rl_update(weights, 0.05, [2], [1.0])
+            weights = rl_update(weights, 0.05, [0.0, 0.0, 1.0])
             assert weights[2] > prev
             prev = weights[2]
         assert weights[2] > 0.99
@@ -232,6 +237,8 @@ class TestCheckGate:
         pytest.param((0.0, 0.0), "non-negative with positive sum", id="zero_sum"),
         pytest.param((math.nan, 1.0), "finite and non-negative", id="nan"),
         pytest.param((math.inf, 1.0), "finite and non-negative", id="inf"),
+        # each weight is finite, but not their total
+        pytest.param((1e308, 1e308), "to a finite total", id="total_overflows"),
     ])
     def test_rejects_a_gate_that_cannot_route(self, weights, message):
         with pytest.raises(ConfigError, match=re.escape(message)):

@@ -188,13 +188,13 @@ class TestProcessSample:
         assert log.window(0).samples_seen == 0
         assert log.window(1).true_positives == 1
 
-    def test_reward_signals_recorded_per_sample(self):
+    def test_net_rewards_recorded_per_expert(self):
         roster = {0: detector(0)}
         pipe = pipeline(roster)
         two = batch((0.9, 0, 0, 0, 0, 0), n=2)
         two.label[0] = True  # the fraud verdict is correct on seq 0, wrong on seq 1
         pipe.run_batch(two)
-        assert pipe.rewards[0] == ([0, 0], [1.0, -1.0])
+        assert pipe.rewards[0] == [0.0]  # +1 and -1 on expert 0
 
     def test_misbehaving_restricted_agent_logged_not_leaked(self):
         shadow = detector(1, status=AgentStatus.PROBATIONARY, misbehaving=True)
