@@ -6,12 +6,14 @@ Checks out ``--parent`` with ``git worktree`` under ``.bench-work/`` (which
 git ignores) and compares it with this checkout's working tree. For each
 workload of ``BENCHMARK.json`` it runs ``perfbench/run.py --trace 0`` from
 the two trees in turn, the parent first in odd pairs and second in even
-ones; each side runs its own ``perfbench/`` as a black box. The BENCH file
-holds, per workload and side, the median and quartiles of every end-to-end
-metric over the pairs, the ratio of the medians (change over parent), the
-number of pairs the change won, both output digests and the output files
-whose bytes differ, with the Python and numpy versions and the CPU model.
-The worktree is removed when the runs end.
+ones, then ``perfbench/run.py --trace 1 --seconds 0`` once per side; each
+side runs its own ``perfbench/`` as a black box. The BENCH file holds, per
+workload and side, the median and quartiles of every end-to-end metric over
+the pairs, the ratio of the medians (change over parent), the number of
+pairs the change won, both output digests and the output files whose bytes
+differ, the traced per-layer metrics and the count and byte metrics that
+differ between the sides, with the Python and numpy versions and the CPU
+model. The worktree is removed when the runs end.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SIDES = ("parent", "change")
+# Per-layer metrics that a run repeats exactly, so any difference between
+# the sides is a change in what the engine does, not noise.
+EXACT_LAYERS = [m["name"] for m in SPEC["per_layer"] if m["unit"] in ("count", "bytes")]
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -68,11 +73,13 @@ def file_digests(out: Path) -> dict[str, str]:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-def bench_run(tree: Path, workload: str, work: Path, args: argparse.Namespace) -> dict:
-    """One ``perfbench/run.py --trace 0`` from ``tree``: its result line,
-    with the output digest it printed."""
+def bench_run(tree: Path, workload: str, work: Path, args: argparse.Namespace,
+              trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` from ``tree``: its result line, with the
+    output digest it printed. A traced run is one round (``--seconds 0``)."""
+    seconds = args.seconds if trace == 0 else 0
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", "0", "--work", str(work)]
+           "--seconds", str(seconds), "--trace", str(trace), "--work", str(work)]
     if args.cycles is not None:
         cmd += ["--cycles", str(args.cycles)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -117,15 +124,27 @@ def run_workload(trees: dict[str, Path], workload: str, base: Path,
             runs[side].append(bench_run(trees[side], workload, works[side], args))
         print(f"{workload}: pair {pair} of {args.pairs} done", file=sys.stderr)
     files = {side: file_digests(works[side] / "out") for side in SIDES}
+    digests = {side: runs[side][-1]["digest"] for side in SIDES}
+    traced = {side: bench_run(trees[side], workload, works[side], args, trace=1)
+              for side in SIDES}
+    print(f"{workload}: traced runs done", file=sys.stderr)
+    layers = {side: {name: m["value"] for name, m in traced[side]["metrics"].items()}
+              for side in SIDES}
+    every = {side: [*runs[side], traced[side]] for side in SIDES}
     return {
         "pairs": args.pairs,
-        "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
-        "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
-        "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
-        "digests": {side: runs[side][-1]["digest"] for side in SIDES},
+        # every run checked out, and the traced run wrote the timed runs' bytes
+        "correct": {side: all(r["correct"] for r in every[side])
+                    and traced[side]["digest"] == digests[side] for side in SIDES},
+        "attempted": {side: sum(r["attempted"] for r in every[side]) for side in SIDES},
+        "failed": {side: sum(r["failed"] for r in every[side]) for side in SIDES},
+        "digests": digests,
         "differing_files": sorted(name for name in files["parent"].keys() | files["change"].keys()
                                   if files["parent"].get(name) != files["change"].get(name)),
         "metrics": compare(runs),
+        "layers": layers,
+        "layer_mismatches": [name for name in EXACT_LAYERS
+                             if layers["parent"].get(name) != layers["change"].get(name)],
     }
 
 

@@ -10,7 +10,6 @@ from .domain import (
     EventKind,
     RosterEvent,
 )
-from .config import ScenarioSpec
 from .engine import Engine, SnapshotError, restore_engine, snapshot_state, write_snapshot
 from .lifecycle import LifecycleConfig
 from .moe import Expert, check_gate, rl_update, uniform_gate
@@ -30,7 +29,6 @@ __all__ = [
     "LifecycleConfig",
     "PatternSpec",
     "RosterEvent",
-    "ScenarioSpec",
     "Segment",
     "SnapshotError",
     "StreamConfig",

@@ -375,88 +375,74 @@ def config_to_dict(cfg: RunConfig) -> dict:
 # sensitive suffix.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Accuracy targets and acceptance bands for the bundled scenario.
+# The scenario's accuracy numbers are produced BY DESIGN, not learned:
+# fraud samples shift designated feature coordinates by offsets computed in
+# closed form from the Gaussian error function, so a linear expert with a
+# known threshold hits a designed accuracy. The scenario exists to exercise
+# the roster machinery, not to make a learning claim. The preset measures
+# the designed accuracies and refuses to build outside CALIBRATION_BANDS.
+#
+# Derivation sketch (all via the normal quantile z):
+#   * a single-coordinate expert with threshold z(p) on a fraud shift of
+#     2*z(p) is correct on each class with probability p;
+#   * the incumbent's behavior expert keeps its pattern-A threshold, so the
+#     visible pattern-B shift is set for the incumbent's designed mixture
+#     accuracy;
+#   * the candidate's strongest expert also weights the first sensitive
+#     coordinate; its threshold is placed for the full-view class
+#     accuracies and the visible shift for the Restricted-view target.
+INCUMBENT_A_ACCURACY = 0.95
+INCUMBENT_MIXTURE_ACCURACY = 0.75
+CANDIDATE_SHADOW_MIXTURE_ACCURACY = 0.88
+CANDIDATE_FULL_LEGIT_ACCURACY = 0.95
+CANDIDATE_FULL_FRAUD_ACCURACY = 0.91
+FRAUD_RATE = 0.5
+POST_DRIFT_B_WEIGHT = 0.5
+SENSITIVE_WEIGHT = 0.5
 
-    The scenario's accuracy numbers are produced BY DESIGN, not learned:
-    fraud samples shift designated feature coordinates by offsets computed
-    in closed form from the Gaussian error function, so a linear expert
-    with a known threshold hits a designed accuracy. The scenario exists
-    to exercise the roster machinery, not to make a learning claim. The
-    preset that runs it (``section_4_4_preset``) measures the designed
-    accuracies and refuses to build outside the spec bands.
-
-    Derivation sketch (all via the normal quantile z):
-      * a single-coordinate expert with threshold z(p) on a fraud shift
-        of 2*z(p) is correct on each class with probability p;
-      * the incumbent's behavior expert keeps its pattern-A threshold, so
-        the visible pattern-B shift is set for the incumbent's designed
-        mixture accuracy;
-      * the candidate's strongest expert also weights the first sensitive
-        coordinate; its threshold is placed for the full-view class
-        accuracies and the visible shift for the Restricted-view target.
-    """
-
-    incumbent_a_accuracy: float = 0.95
-    incumbent_mixture_accuracy: float = 0.75
-    candidate_shadow_mixture_accuracy: float = 0.88
-    candidate_full_legit_accuracy: float = 0.95
-    candidate_full_fraud_accuracy: float = 0.91
-    fraud_rate: float = 0.5
-    post_drift_b_weight: float = 0.5
-    sensitive_weight: float = 0.5
-    incumbent_a_band: tuple[float, float] = (0.93, 0.97)
-    incumbent_mixture_band: tuple[float, float] = (0.72, 0.78)
-    candidate_shadow_band: tuple[float, float] = (0.85, 0.91)
-    candidate_full_min: float = 0.90
-
-    def offsets(self) -> dict[str, float]:
-        """Solve the feature shifts and thresholds in closed form."""
-        normal = NormalDist()
-        z = normal.inv_cdf
-        phi = normal.cdf
-        theta = z(self.incumbent_a_accuracy)
-        shift_a = 2.0 * theta
-
-        mix_b = self.post_drift_b_weight
-        acc_b_incumbent = (
-            self.incumbent_mixture_accuracy - (1.0 - mix_b) * self.incumbent_a_accuracy
-        ) / mix_b
-        fraud_hit = 2.0 * acc_b_incumbent - self.incumbent_a_accuracy
-        if not 0.0 < fraud_hit < 1.0:
-            raise ConfigError("incumbent mixture target infeasible for the given A accuracy")
-        shift_b_visible = theta + z(fraud_hit)
-
-        sigma_full = (2.0 + self.sensitive_weight**2) ** 0.5
-        threshold_candidate = sigma_full * z(self.candidate_full_legit_accuracy)
-        mean_full = threshold_candidate + sigma_full * z(self.candidate_full_fraud_accuracy)
-
-        acc_b_shadow = (
-            self.candidate_shadow_mixture_accuracy - (1.0 - mix_b) * self.incumbent_a_accuracy
-        ) / mix_b
-        legit_restricted = phi(threshold_candidate / 2.0**0.5)
-        fraud_restricted = 2.0 * acc_b_shadow - legit_restricted
-        if not 0.0 < fraud_restricted < 1.0:
-            raise ConfigError("candidate shadow target infeasible for the given thresholds")
-        mean_restricted = threshold_candidate + 2.0**0.5 * z(fraud_restricted)
-
-        shift_b_numeric = mean_restricted - shift_b_visible
-        shift_b_sensitive = (mean_full - mean_restricted) / self.sensitive_weight
-        if shift_b_numeric <= 0 or shift_b_sensitive <= 0:
-            raise ConfigError("scenario targets produce non-positive feature shifts")
-
-        return {
-            "theta": theta,
-            "shift_a": shift_a,
-            "shift_b_visible": shift_b_visible,
-            "shift_b_numeric": shift_b_numeric,
-            "shift_b_sensitive": shift_b_sensitive,
-            "threshold_candidate": threshold_candidate,
-        }
+# Each calibration check and the accuracy band it must land in.
+CALIBRATION_BANDS = {
+    "incumbent on pattern A": (0.93, 0.97),
+    "incumbent on mixture": (0.72, 0.78),
+    "candidate shadow on mixture": (0.85, 0.91),
+    "candidate full on mixture": (0.90, 1.0),
+}
 
 
-DEFAULT_SCENARIO = ScenarioSpec()
+@functools.cache
+def _offsets() -> dict[str, float]:
+    """Solve the feature shifts and thresholds in closed form."""
+    normal = NormalDist()
+    z = normal.inv_cdf
+    phi = normal.cdf
+    theta = z(INCUMBENT_A_ACCURACY)
+    shift_a = 2.0 * theta
+
+    mix_b = POST_DRIFT_B_WEIGHT
+    acc_b_incumbent = (INCUMBENT_MIXTURE_ACCURACY - (1.0 - mix_b) * INCUMBENT_A_ACCURACY) / mix_b
+    fraud_hit = 2.0 * acc_b_incumbent - INCUMBENT_A_ACCURACY
+    shift_b_visible = theta + z(fraud_hit)
+
+    sigma_full = (2.0 + SENSITIVE_WEIGHT**2) ** 0.5
+    threshold_candidate = sigma_full * z(CANDIDATE_FULL_LEGIT_ACCURACY)
+    mean_full = threshold_candidate + sigma_full * z(CANDIDATE_FULL_FRAUD_ACCURACY)
+
+    acc_b_shadow = (
+        CANDIDATE_SHADOW_MIXTURE_ACCURACY - (1.0 - mix_b) * INCUMBENT_A_ACCURACY
+    ) / mix_b
+    legit_restricted = phi(threshold_candidate / 2.0**0.5)
+    fraud_restricted = 2.0 * acc_b_shadow - legit_restricted
+    mean_restricted = threshold_candidate + 2.0**0.5 * z(fraud_restricted)
+
+    return {
+        "theta": theta,
+        "shift_a": shift_a,
+        "shift_b_visible": shift_b_visible,
+        "shift_b_numeric": mean_restricted - shift_b_visible,
+        "shift_b_sensitive": (mean_full - mean_restricted) / SENSITIVE_WEIGHT,
+        "threshold_candidate": threshold_candidate,
+    }
+
 
 # The drift arrives at this cycle: pattern A before it, the A/B mixture after.
 DRIFT_CYCLE = 10
@@ -467,22 +453,21 @@ _CALIBRATION_SEED = 0xCA11B
 _CALIBRATION_SAMPLES = 10_000
 
 
-def _scenario(
-    scenario: ScenarioSpec, seed: int, samples_per_cycle: int, total_cycles: int
-) -> tuple[StreamConfig, AgentSpec, AgentSpec]:
+def _scenario(seed: int, samples_per_cycle: int,
+              total_cycles: int) -> tuple[StreamConfig, AgentSpec, AgentSpec]:
     """The drifting stream, the incumbent tuned for pattern A and the
-    pattern-B candidate, all from one solve of the scenario's offsets;
-    accuracies are constructed, not learned."""
-    ofs = scenario.offsets()
+    pattern-B candidate, all from the scenario's offsets; accuracies are
+    constructed, not learned."""
+    ofs = _offsets()
     pattern_a = PatternSpec(
         name="A",
-        fraud_rate=scenario.fraud_rate,
+        fraud_rate=FRAUD_RATE,
         fraud_shift={0: ofs["shift_a"]},
         modality_base=(0.7, 0.3, 0.0),
     )
     pattern_b = PatternSpec(
         name="B",
-        fraud_rate=scenario.fraud_rate,
+        fraud_rate=FRAUD_RATE,
         fraud_shift={
             1: ofs["shift_b_numeric"],
             2: ofs["shift_b_visible"],
@@ -490,7 +475,6 @@ def _scenario(
         },
         modality_base=(0.0, 0.3, 0.7),
     )
-    b_weight = scenario.post_drift_b_weight
     stream = StreamConfig(
         seed=seed,
         samples_per_cycle=samples_per_cycle,
@@ -498,7 +482,7 @@ def _scenario(
         patterns=(pattern_a, pattern_b),
         schedule=(
             Segment(0, {"A": 1.0}),
-            Segment(DRIFT_CYCLE, {"A": 1.0 - b_weight, "B": b_weight}),
+            Segment(DRIFT_CYCLE, {"A": 1.0 - POST_DRIFT_B_WEIGHT, "B": POST_DRIFT_B_WEIGHT}),
         ),
     )
 
@@ -516,7 +500,7 @@ def _scenario(
     )
     candidate_third = Expert(
         profile=(0.0, 0.0, 1.0),
-        weights=(0.0, 1.0, 1.0, scenario.sensitive_weight, 0.0, 0.0),
+        weights=(0.0, 1.0, 1.0, SENSITIVE_WEIGHT, 0.0, 0.0),
         threshold=ofs["threshold_candidate"],
     )
     skills = frozenset({"fraud", "text", "numeric", "behavior"})
@@ -528,13 +512,12 @@ def _scenario(
 
 
 @functools.cache
-def _check_calibration(scenario: ScenarioSpec) -> None:
+def _check_calibration() -> None:
     """Measure the designed accuracies with a uniform gate, each on the
-    full features or on their Restricted view (``redact``), and refuse a
-    scenario outside its bands."""
-    stream, incumbent, candidate = _scenario(
-        scenario, _CALIBRATION_SEED, _CALIBRATION_SAMPLES, DRIFT_CYCLE + 1
-    )
+    full features or on their Restricted view (``redact``), and refuse one
+    outside its band in ``CALIBRATION_BANDS``."""
+    stream, incumbent, candidate = _scenario(_CALIBRATION_SEED, _CALIBRATION_SAMPLES,
+                                             DRIFT_CYCLE + 1)
     pure_a, mixture = generate_cycle(stream, 0), generate_cycle(stream, DRIFT_CYCLE)
 
     def accuracy(spec: AgentSpec, batch: SampleBatch, features: np.ndarray) -> float:
@@ -542,34 +525,29 @@ def _check_calibration(scenario: ScenarioSpec) -> None:
         _, _, verdict = decide(spec.experts, gate, features, batch.modality)
         return np.count_nonzero(verdict == batch.label) / len(batch)
 
-    checks = (
-        ("incumbent on pattern A", accuracy(incumbent, pure_a, pure_a.features),
-         scenario.incumbent_a_band),
-        ("incumbent on mixture", accuracy(incumbent, mixture, mixture.features),
-         scenario.incumbent_mixture_band),
-        ("candidate shadow on mixture", accuracy(candidate, mixture, redact(mixture.features)),
-         scenario.candidate_shadow_band),
-        ("candidate full on mixture", accuracy(candidate, mixture, mixture.features),
-         (scenario.candidate_full_min, 1.0)),
-    )
-    for label, measured, (lo, hi) in checks:
-        if not lo <= measured <= hi:
-            raise ConfigError(f"calibration failed: {label} = {measured:.4f} outside [{lo}, {hi}]")
+    measured = {
+        "incumbent on pattern A": accuracy(incumbent, pure_a, pure_a.features),
+        "incumbent on mixture": accuracy(incumbent, mixture, mixture.features),
+        "candidate shadow on mixture": accuracy(candidate, mixture, redact(mixture.features)),
+        "candidate full on mixture": accuracy(candidate, mixture, mixture.features),
+    }
+    for label, (lo, hi) in CALIBRATION_BANDS.items():
+        if not lo <= measured[label] <= hi:
+            raise ConfigError(
+                f"calibration failed: {label} = {measured[label]:.4f} outside [{lo}, {hi}]"
+            )
 
 
 def section_4_4_preset(
-    seed: int = 42,
-    scenario: ScenarioSpec = DEFAULT_SCENARIO,
-    total_cycles: int = 30,
-    samples_per_cycle: int = 1000,
+    seed: int = 42, total_cycles: int = 30, samples_per_cycle: int = 1000
 ) -> RunConfig:
     """Drift scenario: an incumbent tuned for pattern A degrades when
     pattern B arrives at ``DRIFT_CYCLE``, and a pattern-B candidate waits
     in the pool. Raises ``ConfigError`` if the scenario's designed
-    accuracies miss their bands (measured once per scenario and process).
+    accuracies miss their bands (measured once per process).
     """
-    _check_calibration(scenario)
-    stream, incumbent, candidate = _scenario(scenario, seed, samples_per_cycle, total_cycles)
+    _check_calibration()
+    stream, incumbent, candidate = _scenario(seed, samples_per_cycle, total_cycles)
     return RunConfig(
         stream=stream,
         lifecycle=LifecycleConfig(),

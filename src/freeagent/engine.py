@@ -4,15 +4,16 @@ fixed per-cycle stage order, and persists the machine-readable outputs.
 Stage order within one cycle is fixed for determinism:
 
   1. pipeline processes the cycle's batch against the current roster
-  2. per-agent cycle rewards are computed and each agent's gate takes
-     one closed-form update from its experts' net rewards over the batch
-     (gate contract 2, ``moe.rl_update``)
-  3. evaluate-and-release
+  2. each roster agent's cycle is scored once, as its metrics.csv row
+     (counts, ratios, reward components and reward), and each agent's
+     gate takes one closed-form update from its experts' net rewards over
+     the batch (gate contract 2, ``moe.rl_update``)
+  3. evaluate-and-release, on those rows
   4. take the vacancies stage 3 left, judge every Probationary agent on
      its shadow window, sign into those vacancies, tick service time, then
      sweep the service cap so no roster agent ends the cycle at or past it
-  5. metrics rows are emitted and the cycle is folded into the run
-     totals that summary.json reports
+  5. the rows take the service time stage 4 left, and the Active agents'
+     rows are folded into the run totals that summary.json reports
 
 Each cycle's performance windows live in a log of that cycle alone.
 
@@ -33,7 +34,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import attrgetter, is_
 from pathlib import Path
-from typing import NamedTuple
 
 from .config import _DUMP, RunConfig, _table, config_to_dict, from_dict, to_dict
 from .domain import Agent, AgentId, AgentStatus, ConfigError, EventKind, RosterEvent
@@ -45,7 +45,7 @@ from .lifecycle import (
     transition_probationary,
     vacant_roles,
 )
-from .metrics import PerformanceLog, count_ratios
+from .metrics import METRICS_COLUMNS, MetricsRow, PerformanceLog, count_ratios
 from .moe import check_gate, rl_update, uniform_gate
 from .pipeline import CyclePipeline, DetectionRecord
 from .reward import compute_components, compute_reward
@@ -55,12 +55,6 @@ from .simulator import generate_cycle
 # 2). Format 4 snapshots were written under one gate step per decision,
 # which rounds differently, so they would resume to other gate bytes.
 SNAPSHOT_FORMAT_VERSION = 5
-
-METRICS_COLUMNS = (
-    "cycle", "agent", "status", "TP", "FP", "FN", "TN",
-    "precision", "recall", "f1", "accuracy",
-    "synergy", "efficiency", "penalty", "reward", "service_time",
-)
 
 FIRST_EVENT_KEYS = {
     EventKind.RELEASE: "first_release",
@@ -78,41 +72,12 @@ class SnapshotError(RuntimeError):
     """Snapshot missing, corrupt, or from an incompatible version."""
 
 
-class MetricsRow(NamedTuple):
-    """One metrics.csv row, its fields in ``METRICS_COLUMNS`` order."""
-
-    cycle: int
-    agent: AgentId
-    status: str
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    precision: float
-    recall: float
-    f1: float
-    accuracy: float
-    synergy: float
-    efficiency: float
-    penalty: float
-    reward: float
-    service_time: int
-
-    def to_csv(self) -> str:
-        """Floats with 6 decimals, everything else as ``str``."""
-        return ",".join(f"{v:.6f}" if type(v) is float else str(v) for v in self)
-
-
 @dataclass
 class CycleReport:
     cycle: int
     rows: list[MetricsRow]
     events: list[RosterEvent]
     detections: list[DetectionRecord]
-    system_tp: int
-    system_fp: int
-    system_fn: int
-    system_tn: int
     stalled: bool
 
 
@@ -147,10 +112,10 @@ class RunTotals:
                                   at=f"key_cycles.{key}")
 
     def fold(self, report: CycleReport) -> None:
-        self.cycles.append(
-            (report.system_tp, report.system_fp, report.system_fn, report.system_tn,
-             report.stalled)
-        )
+        active = [row for row in report.rows if row.status == AgentStatus.ACTIVE.value]
+        self.cycles.append((sum(r.tp for r in active), sum(r.fp for r in active),
+                            sum(r.fn for r in active), sum(r.tn for r in active),
+                            report.stalled))
         for event in report.events:
             kind = event.kind.value
             self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
@@ -219,11 +184,22 @@ class Engine:
             emit_detections=cfg.emit_detections,
         )
         pipe.run_batch(batch)
-        members = [(agent, agent.status) for _, agent in sorted(self.roster.items())]
+        members = [agent for _, agent in sorted(self.roster.items())]
 
-        # Stage 2: cycle rewards, then one gate update per agent that decided.
-        components = {agent.id: compute_components(agent, log, cfg.reward) for agent, _ in members}
-        rewards = {aid: compute_reward(cfg.reward, c) for aid, c in components.items()}
+        # Stage 2: score each member's cycle once, as its metrics.csv row
+        # with the status it processed the batch in, then one gate update
+        # per agent that decided.
+        rows: dict[AgentId, MetricsRow] = {}
+        for agent in members:
+            win = log.window(agent.id)
+            counts = (win.true_positives, win.false_positives,
+                      win.false_negatives, win.true_negatives)
+            comps = compute_components(agent, log, cfg.reward)
+            rows[agent.id] = MetricsRow(
+                cycle, agent.id, agent.status.value, *counts, *count_ratios(*counts),
+                comps.synergy, comps.efficiency, comps.penalty,
+                compute_reward(cfg.reward, comps), agent.service_time,
+            )
         for aid in sorted(pipe.rewards):
             agent = self.roster[aid]
             agent.gate_weights = rl_update(
@@ -231,7 +207,7 @@ class Engine:
             )
 
         # Stage 3: evaluation and release.
-        evaluate_and_release(self.roster, self.pool, log, cfg.lifecycle, cycle, events, rewards)
+        evaluate_and_release(self.roster, self.pool, rows, cfg.lifecycle, cycle, events)
 
         # Stage 4: probation transitions, refill, service accounting. The
         # vacancies are those stage 3 left, so a failed probation is refilled
@@ -242,34 +218,13 @@ class Engine:
         increment_service_time(self.roster, cycle, events)
         enforce_service_cap(self.roster, self.pool, cfg.lifecycle, cycle, events)
 
-        # Stage 5: metrics rows (status as of the pipeline phase).
-        rows = []
-        system = [0, 0, 0, 0]  # the Active agents' tp, fp, fn, tn
-        for agent, status in members:
-            win = log.window(agent.id)
-            comps = components[agent.id]
-            tp, fp, fn, tn = (
-                win.true_positives, win.false_positives,
-                win.false_negatives, win.true_negatives,
-            )
-            precision, recall, f1, accuracy = count_ratios(tp, fp, fn, tn)
-            rows.append(
-                MetricsRow(
-                    cycle=cycle, agent=agent.id, status=status.value,
-                    tp=tp, fp=fp, fn=fn, tn=tn,
-                    precision=precision, recall=recall, f1=f1, accuracy=accuracy,
-                    synergy=comps.synergy, efficiency=comps.efficiency,
-                    penalty=comps.penalty, reward=rewards[agent.id],
-                    service_time=agent.service_time,
-                )
-            )
-            if status is AgentStatus.ACTIVE:
-                system = [total + n for total, n in zip(system, (tp, fp, fn, tn))]
-
+        # Stage 5: the rows take the service time of stage 4, and the cycle
+        # joins the totals.
         self.cycle += 1
-
         report = CycleReport(
-            cycle, rows, events, pipe.detections, *system, stalled=pipe.stalled_samples > 0
+            cycle,
+            [rows[agent.id]._replace(service_time=agent.service_time) for agent in members],
+            events, pipe.detections, stalled=pipe.stalled_samples > 0,
         )
         self.totals.fold(report)
         return report

@@ -25,7 +25,7 @@ from .domain import (
     EventKind,
     RosterEvent,
 )
-from .metrics import PerformanceLog, f1_from_counts
+from .metrics import MetricsRow
 from .moe import uniform_gate
 
 logger = logging.getLogger("freeagent.lifecycle")
@@ -96,34 +96,29 @@ def _release(
 def evaluate_and_release(
     roster: dict[AgentId, Agent],
     pool: list[Agent],
-    log: PerformanceLog,
+    rows: dict[AgentId, MetricsRow],
     cfg: LifecycleConfig,
     cycle: int,
     events: list[RosterEvent],
-    rewards: dict[AgentId, float],
 ) -> None:
     """Evaluate every roster agent, Probationary ones included, and move
     sustained underperformers (or agents past the service cap) to the pool.
 
-    An agent's performance becomes the F1 of its window in ``log``, and
-    an Evaluate event records the window's counts. A cycle counts as
-    "below" when F1 drops under the release threshold, or when the
-    agent's cycle reward in ``rewards`` drops under the optional reward
-    threshold. Underperformance takes precedence over the service cap
-    when both trigger at once.
+    Each agent is judged on its metrics.csv row of the cycle in ``rows``:
+    its performance becomes the row's F1, and an Evaluate event records
+    the row's counts. A cycle counts as "below" when the F1 drops under
+    the release threshold, or when the row's reward drops under the
+    optional reward threshold. Underperformance takes precedence over the
+    service cap when both trigger at once.
     """
     for agent_id in sorted(roster):
-        agent = roster[agent_id]
-        win = log.window(agent_id)
-        agent.performance = f1_from_counts(
-            win.true_positives, win.false_positives, win.false_negatives
-        )
-        detail = (f"tp={win.true_positives} fp={win.false_positives} "
-                  f"fn={win.false_negatives} tn={win.true_negatives}")
+        agent, row = roster[agent_id], rows[agent_id]
+        agent.performance = row.f1
+        detail = f"tp={row.tp} fp={row.fp} fn={row.fn} tn={row.tn}"
         events.append(RosterEvent.of(cycle, EventKind.EVALUATE, agent, detail))
 
-        below = agent.performance < cfg.release_threshold or (
-            cfg.reward_threshold is not None and rewards[agent_id] < cfg.reward_threshold
+        below = row.f1 < cfg.release_threshold or (
+            cfg.reward_threshold is not None and row.reward < cfg.reward_threshold
         )
 
         agent.consecutive_below = agent.consecutive_below + 1 if below else 0

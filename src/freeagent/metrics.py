@@ -1,4 +1,5 @@
-"""Per-agent confusion and handoff counters, and the ratios of the counts.
+"""Per-agent confusion and handoff counters, the ratios of the counts, and
+the metrics.csv row that scores one agent's cycle.
 
 Windows are tumbling: the engine starts every cycle with a fresh
 ``PerformanceLog``, so every evaluation reflects only the cycle just
@@ -8,6 +9,7 @@ processed (which is what makes drift visible quickly).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .domain import AgentId
 
@@ -33,6 +35,41 @@ class AgentWindow:
             + self.false_negatives
             + self.true_negatives
         )
+
+
+METRICS_COLUMNS = (
+    "cycle", "agent", "status", "TP", "FP", "FN", "TN",
+    "precision", "recall", "f1", "accuracy",
+    "synergy", "efficiency", "penalty", "reward", "service_time",
+)
+
+
+class MetricsRow(NamedTuple):
+    """One agent's cycle as metrics.csv writes it and the lifecycle judges
+    it, its fields in ``METRICS_COLUMNS`` order. ``status`` is the agent's
+    status while the cycle's batch ran, ``service_time`` its service after
+    the cycle's lifecycle stages."""
+
+    cycle: int
+    agent: AgentId
+    status: str
+    tp: int
+    fp: int
+    fn: int
+    tn: int
+    precision: float
+    recall: float
+    f1: float
+    accuracy: float
+    synergy: float
+    efficiency: float
+    penalty: float
+    reward: float
+    service_time: int
+
+    def to_csv(self) -> str:
+        """Floats with 6 decimals, everything else as ``str``."""
+        return ",".join(f"{v:.6f}" if type(v) is float else str(v) for v in self)
 
 
 @dataclass

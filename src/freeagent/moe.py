@@ -49,7 +49,11 @@ class Expert:
             raise ConfigError("expert profile entries must be non-negative", at="profile")
 
 
-# The largest rate whose gate factor exp(learning_rate * reward) stays finite.
+# The largest learning rate a config may set. rl_update's factors never
+# exceed 1, so any finite rate keeps the gate finite; an infinite one would
+# give the best expert the factor exp(inf * 0), NaN. This bound, ln of the
+# largest float, is the range configs have always had, and the gate tests
+# cover rates up to it.
 MAX_LEARNING_RATE = math.log(sys.float_info.max)
 
 

@@ -110,24 +110,14 @@ class TestCriterion1Scenario:
         promoted = scenario.pooled_accuracy(1, status="Active")
         e_ok = promote is not None and promoted is not None and promoted >= 0.90
 
-        pre_reports = [r for r in scenario.reports if r.cycle < DRIFT_CYCLE]
-        f1_pre = f1_from_counts(
-            sum(r.system_tp for r in pre_reports),
-            sum(r.system_fp for r in pre_reports),
-            sum(r.system_fn for r in pre_reports),
-        )
+        # the Active agents' (tp, fp, fn, tn, stalled) of each cycle, by cycle
+        system = scenario.engine.totals.cycles
+        pre_counts = [sum(c[k] for c in system[:DRIFT_CYCLE]) for k in range(3)]
+        f1_pre = f1_from_counts(*pre_counts)
         f_ok = False
         if promote is not None:
-            window = [
-                r
-                for r in scenario.reports
-                if promote.cycle <= r.cycle < promote.cycle + 10
-                and r.system_tp + r.system_fp + r.system_fn + r.system_tn > 0
-            ]
-            f_ok = any(
-                abs(f1_from_counts(r.system_tp, r.system_fp, r.system_fn) - f1_pre) <= 0.05
-                for r in window
-            )
+            window = [c for c in system[promote.cycle:promote.cycle + 10] if sum(c[:4]) > 0]
+            f_ok = any(abs(f1_from_counts(*c[:3]) - f1_pre) <= 0.05 for c in window)
 
         runtime_ok = scenario.elapsed < 60.0
 

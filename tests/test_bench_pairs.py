@@ -1,5 +1,6 @@
 """Smoke test of ``bench/pairs.py`` on truncated workloads: one pair per
-workload against HEAD, two cycles per run, no timed rounds."""
+workload against HEAD, two cycles per run, no timed rounds, then one
+traced run per side."""
 
 import json
 import re
@@ -33,6 +34,10 @@ def test_the_pairs_writer_runs_both_trees_and_removes_its_worktree(tmp_path):
                 assert stats[side]["q1"] <= stats[side]["median"] <= stats[side]["q3"]
             assert stats["ratio"] == stats["change"]["median"] / stats["parent"]["median"]
             assert stats["change_better_in"] in (0, 1)
+        # the same code on both sides: every traced count and byte total agrees
+        assert result["layer_mismatches"] == []
+        for side in ("parent", "change"):
+            assert sorted(result["layers"][side]) == sorted(m["name"] for m in SPEC["per_layer"])
 
     worktrees = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=ROOT,
                                check=True, capture_output=True, text=True).stdout

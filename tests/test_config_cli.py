@@ -5,17 +5,15 @@ import math
 import os
 import re
 from dataclasses import dataclass, fields
-from functools import partial
 from pathlib import Path
 
 import pytest
 
+from freeagent import config
 from freeagent.cli import main
 from freeagent.config import (
-    PRESETS,
     SCHEMA,
     AgentSpec,
-    ScenarioSpec,
     _kind,
     _table,
     config_to_dict,
@@ -198,8 +196,8 @@ class TestCli:
     def test_preset_outside_its_calibration_bands_exits_nonzero(
         self, tmp_path, capsys, monkeypatch, verb
     ):
-        narrow = ScenarioSpec(incumbent_a_band=(0.999, 1.0))
-        monkeypatch.setitem(PRESETS, "section-4.4", partial(section_4_4_preset, scenario=narrow))
+        monkeypatch.setitem(config.CALIBRATION_BANDS, "incumbent on pattern A", (0.999, 1.0))
+        config._check_calibration.cache_clear()
         out = tmp_path / "out"
         args = [verb, "--preset", "section-4.4"] + (["--out", str(out)] if verb == "run" else [])
         assert main(args) == 2

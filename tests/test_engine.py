@@ -125,8 +125,7 @@ class TestReplacementFlow:
         reports = [engine.run_cycle() for _ in range(3)]
         # cycle 2 has no Active agent (probation), but the shadow decided samples
         assert reports[2].stalled
-        stall = reports[2]
-        assert stall.system_tp + stall.system_fp + stall.system_fn + stall.system_tn == 0
+        assert engine.totals.cycles[2] == (0, 0, 0, 0, True)  # no Active agent decided
         shadow_rows = [r for r in reports[2].rows if r.status == "Probationary"]
         assert len(shadow_rows) == 1
         assert shadow_rows[0].tp + shadow_rows[0].fp + shadow_rows[0].fn + shadow_rows[0].tn > 0
@@ -235,7 +234,7 @@ class TestServiceCap:
             assert transitions == [EventKind.SIGN, EventKind.PROMOTE, EventKind.FREE_AGENCY]
         active = {row.agent for r in reports for row in r.rows if row.status == "Active"}
         assert active == {0}
-        decided = [r.system_tp + r.system_fp + r.system_fn + r.system_tn for r in reports]
+        decided = [sum(cycle[:4]) for cycle in engine.totals.cycles]
         assert decided[2:] == [0] * 6
 
     def test_preseeded_overcap_agent_released_at_first_evaluation(self):
@@ -270,7 +269,7 @@ class TestDegenerate:
         engine = Engine(cfg)
         with caplog.at_level("WARNING"):
             report = engine.run_cycle()
-        assert report.system_tp + report.system_fp + report.system_fn + report.system_tn == 0
+        assert engine.totals.cycles == [(0, 0, 0, 0, True)]
         assert report.stalled
         assert "unfilled" in caplog.text  # the vacancy is logged
 

@@ -15,39 +15,34 @@ from freeagent.lifecycle import (
     transition_probationary,
     vacant_roles,
 )
-from freeagent.metrics import PerformanceLog
+from freeagent.metrics import MetricsRow, count_ratios
 from tests.test_pipeline import detector
 
 
-def seeded_log(agent_id, tp, fp, fn, tn=0):
-    log = PerformanceLog()
-    win = log.window(agent_id)
-    win.true_positives, win.false_positives = tp, fp
-    win.false_negatives, win.true_negatives = fn, tn
-    return log
+def seeded_rows(agent_id, tp, fp, fn, tn=0, reward=1.0, rows=None):
+    """``rows`` (or a new dict) with the agent's metrics row of a cycle with
+    these counts and this cycle reward; the reward is read only under a
+    reward threshold."""
+    rows = {} if rows is None else rows
+    rows[agent_id] = MetricsRow(0, agent_id, "Active", tp, fp, fn, tn,
+                                *count_ratios(tp, fp, fn, tn), 0.0, 0.0, 0.0, reward, 0)
+    return rows
 
 
-# Cycle rewards of the roster; read only under a reward threshold.
-REWARDS = {0: 1.0, 2: 1.0, 5: 1.0}
-
-
-def window_for_f1(agent_id, f1_target, log=None):
-    """Construct a window whose F1 is exactly f1_target (recall=precision)."""
+def rows_for_f1(agent_id, f1_target, rows=None, reward=1.0):
+    """Rows with one whose F1 is exactly f1_target (recall=precision)."""
     # with FP == FN, F1 == TP/(TP+FP); choose TP=round(1000*f1), FP=FN=rest
-    log = log or PerformanceLog()
     tp = round(1000 * f1_target)
     bad = 1000 - tp
-    win = log.window(agent_id)
-    win.true_positives, win.false_positives, win.false_negatives = tp, bad, bad
-    return log
+    return seeded_rows(agent_id, tp, bad, bad, reward=reward, rows=rows)
 
 
 class TestEvaluate:
     def test_sets_performance_and_emits_event(self):
         agent = detector(0)
         events = []
-        evaluate_and_release({0: agent}, [], seeded_log(0, 8, 2, 2), LifecycleConfig(), 3,
-                             events, REWARDS)
+        evaluate_and_release({0: agent}, [], seeded_rows(0, 8, 2, 2), LifecycleConfig(), 3,
+                             events)
         assert agent.performance == pytest.approx(0.8)
         assert len(events) == 1
         assert events[0].kind.value == "Evaluate"
@@ -58,8 +53,8 @@ class TestEvaluate:
     def test_empty_window_evaluates_to_zero(self):
         agent = detector(0, performance=0.9)
         events = []
-        evaluate_and_release({0: agent}, [], PerformanceLog(), LifecycleConfig(), 0, events,
-                             REWARDS)
+        evaluate_and_release({0: agent}, [], seeded_rows(0, 0, 0, 0), LifecycleConfig(), 0,
+                             events)
         assert agent.performance == 0.0
         assert events[0].performance_snapshot == 0.0
 
@@ -70,7 +65,7 @@ class TestEvaluateAndRelease:
         agent = detector(0)
         roster, pool = {0: agent}, []
         events = []
-        evaluate_and_release(roster, pool, window_for_f1(0, 0.79), cfg, 0, events, REWARDS)
+        evaluate_and_release(roster, pool, rows_for_f1(0, 0.79), cfg, 0, events)
         assert roster == {} and pool == [agent]
         assert agent.status is AgentStatus.RELEASED
         kinds = [e.kind for e in events]
@@ -81,7 +76,7 @@ class TestEvaluateAndRelease:
         agent = detector(0)
         agent.service_time = 50
         roster, pool, events = {0: agent}, [], []
-        evaluate_and_release(roster, pool, window_for_f1(0, 0.95), cfg, 0, events, REWARDS)
+        evaluate_and_release(roster, pool, rows_for_f1(0, 0.95), cfg, 0, events)
         assert pool == [agent]
         assert events[-1].kind is EventKind.FREE_AGENCY
 
@@ -90,7 +85,7 @@ class TestEvaluateAndRelease:
         agent = detector(0)
         agent.consecutive_below = 1  # one bad prior cycle
         roster, pool, events = {0: agent}, [], []
-        evaluate_and_release(roster, pool, window_for_f1(0, 0.85), cfg, 0, events, REWARDS)
+        evaluate_and_release(roster, pool, rows_for_f1(0, 0.85), cfg, 0, events)
         assert 0 in roster
         assert agent.consecutive_below == 0  # good cycle resets the streak
 
@@ -100,9 +95,7 @@ class TestEvaluateAndRelease:
         roster, pool = {0: agent}, []
         for cycle in range(3):
             events = []
-            evaluate_and_release(
-                roster, pool, window_for_f1(0, 0.5), cfg, cycle, events, REWARDS
-            )
+            evaluate_and_release(roster, pool, rows_for_f1(0, 0.5), cfg, cycle, events)
         assert pool == [agent]
         assert agent.status is AgentStatus.RELEASED
 
@@ -111,9 +104,7 @@ class TestEvaluateAndRelease:
         agent = detector(0)
         roster, pool, events = {0: agent}, [], []
         # F1 fine (0.95) but reward under tau
-        evaluate_and_release(
-            roster, pool, window_for_f1(0, 0.95), cfg, 0, events, rewards={0: 0.2}
-        )
+        evaluate_and_release(roster, pool, rows_for_f1(0, 0.95, reward=0.2), cfg, 0, events)
         assert pool == [agent]
 
     def test_release_precedence_over_free_agency(self):
@@ -121,17 +112,16 @@ class TestEvaluateAndRelease:
         agent = detector(0)
         agent.service_time = 10
         roster, pool, events = {0: agent}, [], []
-        evaluate_and_release(roster, pool, window_for_f1(0, 0.1), cfg, 0, events, REWARDS)
+        evaluate_and_release(roster, pool, rows_for_f1(0, 0.1), cfg, 0, events)
         assert events[-1].kind is EventKind.RELEASE
 
     def test_ascending_id_order(self):
         cfg = LifecycleConfig(sustain_window=1)
         roster = {5: detector(5), 2: detector(2)}
-        log = PerformanceLog()
-        window_for_f1(5, 0.1, log)
-        window_for_f1(2, 0.1, log)
+        rows = rows_for_f1(5, 0.1)
+        rows_for_f1(2, 0.1, rows)
         events = []
-        evaluate_and_release(roster, [], log, cfg, 0, events, REWARDS)
+        evaluate_and_release(roster, [], rows, cfg, 0, events)
         assert [e.agent for e in events] == [2, 2, 5, 5]
 
 
@@ -280,7 +270,7 @@ class TestTransitionProbationary:
         agent = self.make_prob()
         roster, pool, events = {1: agent}, [], []
         cfg = LifecycleConfig()
-        evaluate_and_release(roster, pool, window_for_f1(1, 0.88), cfg, 0, events, {1: 1.0})
+        evaluate_and_release(roster, pool, rows_for_f1(1, 0.88), cfg, 0, events)
         transition_probationary(roster, pool, cfg, 0, events)
         assert [e.kind for e in events] == [EventKind.EVALUATE, EventKind.PROMOTE]
         assert agent.status is AgentStatus.ACTIVE

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
+from freeagent import config
 from freeagent.config import (
     _CALIBRATION_SAMPLES,
     _CALIBRATION_SEED,
-    DEFAULT_SCENARIO,
     DRIFT_CYCLE,
-    ScenarioSpec,
     _scenario,
     section_4_4_preset,
 )
@@ -240,7 +239,7 @@ class TestScenario:
         # exact correct counts on the preset's own calibration stream, so a
         # stream that moved but stayed in band still fails
         stream, incumbent, candidate = _scenario(
-            DEFAULT_SCENARIO, _CALIBRATION_SEED, _CALIBRATION_SAMPLES, DRIFT_CYCLE + 1
+            _CALIBRATION_SEED, _CALIBRATION_SAMPLES, DRIFT_CYCLE + 1
         )
         assert (_CALIBRATION_SEED, _CALIBRATION_SAMPLES) == (0xCA11B, 10_000)
         pure_a, mixture = generate_cycle(stream, 0), generate_cycle(stream, DRIFT_CYCLE)
@@ -257,30 +256,23 @@ class TestScenario:
             correct(candidate, mixture, mixture.features),
         ] == [9454, 7431, 8776, 9383]
 
-    def test_infeasible_targets_rejected(self):
-        bad = ScenarioSpec(incumbent_mixture_accuracy=0.95)  # no drop at all
-        with pytest.raises(ConfigError):
-            bad.offsets()
-
-    def test_calibration_failure_raises(self):
-        narrow = ScenarioSpec(incumbent_a_band=(0.999, 1.0))
+    def test_calibration_failure_raises(self, monkeypatch):
+        monkeypatch.setitem(config.CALIBRATION_BANDS, "incumbent on pattern A", (0.999, 1.0))
+        config._check_calibration.cache_clear()
         with pytest.raises(ConfigError, match="calibration failed: incumbent on pattern A"):
-            section_4_4_preset(scenario=narrow)
+            section_4_4_preset()
 
-    @pytest.mark.parametrize("narrow,check", [
-        pytest.param({"incumbent_mixture_band": (0.76, 0.78)}, "incumbent on mixture",
-                     id="incumbent_mixture"),
-        pytest.param({"candidate_shadow_band": (0.85, 0.86)}, "candidate shadow on mixture",
-                     id="candidate_shadow"),
-        pytest.param({"candidate_full_min": 0.99}, "candidate full on mixture",
-                     id="candidate_full"),
+    @pytest.mark.parametrize("check,band", [
+        pytest.param("incumbent on mixture", (0.76, 0.78), id="incumbent_mixture"),
+        pytest.param("candidate shadow on mixture", (0.85, 0.86), id="candidate_shadow"),
+        pytest.param("candidate full on mixture", (0.99, 1.0), id="candidate_full"),
     ])
-    def test_every_band_is_checked_whatever_the_run_size(self, narrow, check):
+    def test_every_band_is_checked_whatever_the_run_size(self, monkeypatch, check, band):
         # the calibration stream is the preset's own, not the caller's
+        monkeypatch.setitem(config.CALIBRATION_BANDS, check, band)
+        config._check_calibration.cache_clear()
         with pytest.raises(ConfigError, match=f"calibration failed: {check} = "):
-            section_4_4_preset(
-                seed=1, scenario=ScenarioSpec(**narrow), total_cycles=1, samples_per_cycle=1
-            )
+            section_4_4_preset(seed=1, total_cycles=1, samples_per_cycle=1)
 
 
 class TestPatternValidation:
