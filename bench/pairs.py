@@ -13,7 +13,10 @@ the pairs, the ratio of the medians (change over parent), the number of
 pairs the change won, both output digests and the output files whose bytes
 differ, the traced per-layer metrics and the count and byte metrics that
 differ between the sides, with the Python and numpy versions and the CPU
-model. The worktree is removed when the runs end.
+model. It also times the preset's calibration check, the first
+``section_4_4_preset()`` call of a fresh interpreter, five times per side
+from that side's ``src/``, the sides alternating. The worktree is removed
+when the runs end.
 """
 
 from __future__ import annotations
@@ -38,6 +41,17 @@ SIDES = ("parent", "change")
 # Per-layer metrics that a run repeats exactly, so any difference between
 # the sides is a change in what the engine does, not noise.
 EXACT_LAYERS = [m["name"] for m in SPEC["per_layer"] if m["unit"] in ("count", "bytes")]
+CALIBRATION_RUNS = 5
+# argv[1] is the src/ directory to import freeagent from. A process runs the
+# scenario's calibration check once, in its first section_4_4_preset().
+CALIBRATION_PROBE = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from freeagent.config import section_4_4_preset
+start = time.perf_counter()
+section_4_4_preset()
+print(time.perf_counter() - start)
+"""
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -114,6 +128,22 @@ def compare(runs: dict[str, list[dict]]) -> dict:
     return out
 
 
+def calibration(trees: dict[str, Path]) -> dict:
+    """Each side's calibration time, the sides alternating as in the pairs."""
+    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    for run in range(1, CALIBRATION_RUNS + 1):
+        for side in SIDES if run % 2 else SIDES[::-1]:
+            cmd = [sys.executable, "-c", CALIBRATION_PROBE, str(trees[side] / "src")]
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise SystemExit(f"error: the calibration probe of {trees[side]} exited "
+                                 f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+            times[side].append(float(proc.stdout))
+    stats = {side: quartiles(times[side]) for side in SIDES}
+    return {"unit": "s", "better": "lower", "runs": CALIBRATION_RUNS, **stats,
+            "ratio": stats["change"]["median"] / stats["parent"]["median"]}
+
+
 def run_workload(trees: dict[str, Path], workload: str, base: Path,
                  args: argparse.Namespace) -> dict:
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
@@ -160,6 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         git("worktree", "add", "--detach", str(trees["parent"]), commit)
         workloads = {w["name"]: run_workload(trees, w["name"], base, args)
                      for w in SPEC["workloads"]}
+        calibration_s = calibration(trees)
     finally:
         if trees["parent"].exists():
             git("worktree", "remove", "--force", str(trees["parent"]))
@@ -173,6 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "cpu": cpu_model()},
         "workloads": workloads,
+        "calibration_s": calibration_s,
     }
     args.out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
     return 0

@@ -4,10 +4,11 @@ fixed per-cycle stage order, and persists the machine-readable outputs.
 Stage order within one cycle is fixed for determinism:
 
   1. pipeline processes the cycle's batch against the current roster
-  2. each roster agent's cycle is scored once, as its metrics.csv row
-     (counts, ratios, reward components and reward), and each agent's
-     gate takes one closed-form update from its experts' net rewards over
-     the batch (gate contract 2, ``moe.rl_update``)
+  2. one pass over the roster in id order scores each agent's window
+     once, as its metrics.csv row (counts, ratios, reward components and
+     a reward whose accuracy is the row's F1), and gives the gate of each
+     agent that decided one closed-form update from the net rewards its
+     window holds (gate contract 2, ``moe.rl_update``)
   3. evaluate-and-release, on those rows
   4. take the vacancies stage 3 left, judge every Probationary agent on
      its shadow window, sign into those vacancies, tick service time, then
@@ -186,25 +187,23 @@ class Engine:
         pipe.run_batch(batch)
         members = [agent for _, agent in sorted(self.roster.items())]
 
-        # Stage 2: score each member's cycle once, as its metrics.csv row
-        # with the status it processed the batch in, then one gate update
-        # per agent that decided.
+        # Stage 2: score each member's window once, as its metrics.csv row
+        # with the status it processed the batch in; the gate of a member
+        # that decided takes its one update. No row reads a gate.
         rows: dict[AgentId, MetricsRow] = {}
         for agent in members:
             win = log.window(agent.id)
             counts = (win.true_positives, win.false_positives,
                       win.false_negatives, win.true_negatives)
-            comps = compute_components(agent, log, cfg.reward)
+            ratios = count_ratios(*counts)
+            parts = compute_components(agent, win, cfg.reward)
             rows[agent.id] = MetricsRow(
-                cycle, agent.id, agent.status.value, *counts, *count_ratios(*counts),
-                comps.synergy, comps.efficiency, comps.penalty,
-                compute_reward(cfg.reward, comps), agent.service_time,
+                cycle, agent.id, agent.status.value, *counts, *ratios, *parts,
+                compute_reward(cfg.reward, ratios[2], *parts), agent.service_time,
             )
-        for aid in sorted(pipe.rewards):
-            agent = self.roster[aid]
-            agent.gate_weights = rl_update(
-                agent.gate_weights, agent.spec.learning_rate, pipe.rewards[aid]
-            )
+            if win.net is not None:
+                agent.gate_weights = rl_update(agent.gate_weights, agent.spec.learning_rate,
+                                               win.net)
 
         # Stage 3: evaluation and release.
         evaluate_and_release(self.roster, self.pool, rows, cfg.lifecycle, cycle, events)

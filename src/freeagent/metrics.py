@@ -1,5 +1,6 @@
-"""Per-agent confusion and handoff counters, the ratios of the counts, and
-the metrics.csv row that scores one agent's cycle.
+"""Per-agent cycle tallies (confusion, handoff and violation counters and
+each expert's net reward), the ratios of the counts, and the metrics.csv
+row that scores one agent's cycle.
 
 Windows are tumbling: the engine starts every cycle with a fresh
 ``PerformanceLog``, so every evaluation reflects only the cycle just
@@ -16,7 +17,10 @@ from .domain import AgentId
 
 @dataclass(slots=True)
 class AgentWindow:
-    """Confusion counters plus handoff and violation tallies for one agent."""
+    """One agent's tally of its cycle: confusion counters, handoff and
+    violation tallies, and ``net``, each expert's net reward over the
+    batch (+1 per correct decision, -1 per wrong one; the input of
+    ``moe.rl_update``), which stays None unless the agent decided."""
 
     true_positives: int = 0
     false_positives: int = 0
@@ -25,6 +29,7 @@ class AgentWindow:
     handoffs_attempted: int = 0
     handoffs_succeeded: int = 0
     violations: int = 0
+    net: list[float] | None = None
 
     @property
     def samples_seen(self) -> int:
@@ -102,7 +107,3 @@ def count_ratios(tp: int, fp: int, fn: int, tn: int) -> tuple[float, float, floa
     accuracy = (tp + tn) / decided if decided > 0 else 0.0
     return precision, recall, f1, accuracy
 
-
-def f1_from_counts(tp: int, fp: int, fn: int) -> float:
-    """F1 via precision and recall, with 0/0 ratios defined as 0."""
-    return count_ratios(tp, fp, fn, 0)[2]

@@ -121,9 +121,6 @@ class CyclePipeline:
         self.roster = roster
         self.log = log
         self.cycle = cycle
-        # Per agent: each expert's net reward, +1 per correct decision and -1
-        # per wrong one (the input of ``moe.rl_update``).
-        self.rewards: dict[AgentId, list[float]] = {}
         self.detections: list[DetectionRecord] = []
         self.stalled_samples = 0
         self._seed = seed
@@ -180,7 +177,7 @@ class CyclePipeline:
                 # on redacted data.
                 win.violations += len(rows)
             # Sums of +1 and -1 are exact in float64, in any order.
-            self.rewards[agent.id] = np.bincount(
+            win.net = np.bincount(
                 expert, weights=np.where(verdict == label, 1.0, -1.0),
                 minlength=len(agent.spec.experts),
             ).tolist()

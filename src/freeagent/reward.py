@@ -1,15 +1,19 @@
 """Multi-factor cycle reward: weighted accuracy, synergy, and efficiency
-minus a weighted penalty, each component normalized into [0, 1].
+minus a weighted penalty, each component in [0, 1].
 
-Component operationalization (from one agent window and the agent's cost):
-  accuracy   - detection F1 for the window
+The engine scores each roster agent's cycle once, as its metrics.csv row.
+The reward's accuracy is that row's detection F1 (``metrics.count_ratios``);
+``compute_components`` derives the other three from the agent's window
+and cost:
   synergy    - fraction of dispatch handoffs that completed
-  efficiency - baseline cost for the work done divided by cost spent,
-               clamped to [0, 1]
+  efficiency - baseline cost per sample over the agent's cost per sample,
+               capped at 1
   penalty    - violation rate plus false-positive rate in excess of the
                configured budget, capped at 1
 
-Default weights favour accuracy; they are config knobs, not tuned values.
+The F1 and synergy are ratios of counts and the other two are capped, so
+every component is in [0, 1] without a clamp. Default weights favour
+accuracy; they are config knobs, not tuned values.
 """
 
 from __future__ import annotations
@@ -18,15 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .domain import Agent, ComputationError, ConfigError
-from .metrics import PerformanceLog, f1_from_counts
-
-
-@dataclass(frozen=True, slots=True)
-class RewardComponents:
-    accuracy: float
-    synergy: float
-    efficiency: float
-    penalty: float
+from .metrics import AgentWindow
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,33 +48,28 @@ class RewardConfig:
             raise ConfigError("fp_budget must be in [0, 1]")
 
 
-def compute_reward(w: RewardConfig, c: RewardComponents) -> float:
+def compute_reward(w: RewardConfig, accuracy: float, synergy: float, efficiency: float,
+                   penalty: float) -> float:
     """alpha*accuracy + beta*synergy + gamma*efficiency - delta*penalty."""
-    parts = (c.accuracy, c.synergy, c.efficiency, c.penalty)
+    parts = (accuracy, synergy, efficiency, penalty)
     if not all(math.isfinite(p) for p in parts):
         raise ComputationError(f"non-finite reward component in {parts}")
-    return w.alpha * c.accuracy + w.beta * c.synergy + w.gamma * c.efficiency - w.delta * c.penalty
+    return w.alpha * accuracy + w.beta * synergy + w.gamma * efficiency - w.delta * penalty
 
 
-def compute_components(agent: Agent, log: PerformanceLog, cfg: RewardConfig) -> RewardComponents:
-    """Derive the four reward inputs from the agent's current window.
+def compute_components(agent: Agent, win: AgentWindow,
+                       cfg: RewardConfig) -> tuple[float, float, float]:
+    """The synergy, efficiency and penalty of the agent's window.
 
     Degenerate denominators (no handoffs, no samples) yield 0 for the
     affected component rather than an error.
     """
-    win = log.window(agent.id)
-
-    accuracy = f1_from_counts(win.true_positives, win.false_positives, win.false_negatives)
-
-    if win.handoffs_attempted > 0:
-        synergy = win.handoffs_succeeded / win.handoffs_attempted
-    else:
-        synergy = 0.0
+    synergy = win.handoffs_succeeded / win.handoffs_attempted if win.handoffs_attempted else 0.0
 
     # Every decided sample costs the agent's cost_per_sample, so the
     # baseline cost of the work over the cost spent is a ratio of rates.
     if win.samples_seen > 0:
-        efficiency = _clamp(cfg.baseline_cost_per_sample / agent.spec.cost_per_sample)
+        efficiency = min(cfg.baseline_cost_per_sample / agent.spec.cost_per_sample, 1.0)
         fp_denom = win.false_positives + win.true_negatives
         fp_rate = win.false_positives / fp_denom if fp_denom > 0 else 0.0
         penalty = min(
@@ -86,14 +77,4 @@ def compute_components(agent: Agent, log: PerformanceLog, cfg: RewardConfig) -> 
         )
     else:
         efficiency = penalty = 0.0
-
-    return RewardComponents(
-        accuracy=_clamp(accuracy),
-        synergy=_clamp(synergy),
-        efficiency=efficiency,
-        penalty=_clamp(penalty),
-    )
-
-
-def _clamp(x: float) -> float:
-    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+    return synergy, efficiency, penalty

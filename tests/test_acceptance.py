@@ -20,10 +20,10 @@ from freeagent.config import AgentSpec, RunConfig, preset_config
 from freeagent.domain import AgentStatus, EventKind
 from freeagent.engine import Engine, restore_engine
 from freeagent.lifecycle import LifecycleConfig, RoleSpec
-from freeagent.metrics import f1_from_counts
+from freeagent.metrics import count_ratios
 from freeagent.moe import Expert, rl_update
 from freeagent.pipeline import decide
-from freeagent.reward import RewardComponents, RewardConfig, compute_reward
+from freeagent.reward import RewardConfig, compute_reward
 from freeagent.simulator import PatternSpec, Segment, StreamConfig
 from tests.scalar_oracle import expert_score, gate, generate_cycle_samples, redact
 from tests.test_engine import BLIND_EXPERT, replay_membership, small_config
@@ -113,11 +113,11 @@ class TestCriterion1Scenario:
         # the Active agents' (tp, fp, fn, tn, stalled) of each cycle, by cycle
         system = scenario.engine.totals.cycles
         pre_counts = [sum(c[k] for c in system[:DRIFT_CYCLE]) for k in range(3)]
-        f1_pre = f1_from_counts(*pre_counts)
+        f1_pre = count_ratios(*pre_counts, 0)[2]
         f_ok = False
         if promote is not None:
             window = [c for c in system[promote.cycle:promote.cycle + 10] if sum(c[:4]) > 0]
-            f_ok = any(abs(f1_from_counts(*c[:3]) - f1_pre) <= 0.05 for c in window)
+            f_ok = any(abs(count_ratios(*c[:3], 0)[2] - f1_pre) <= 0.05 for c in window)
 
         runtime_ok = scenario.elapsed < 60.0
 
@@ -135,6 +135,9 @@ class TestCriterion1Scenario:
 
 class TestCriterion2F1Oracle:
     def test_f1_matches_independent_oracle(self):
+        def f1(tp, fp, fn):  # the F1 of every metrics.csv row
+            return count_ratios(tp, fp, fn, 0)[2]
+
         def oracle(tp, fp, fn):
             denom = 2 * tp + fp + fn
             return 0.0 if denom == 0 else 2 * tp / denom
@@ -143,12 +146,12 @@ class TestCriterion2F1Oracle:
         worst = 0.0
         for _ in range(10_000):
             tp, fp, fn = (rng.randint(0, 100) for _ in range(3))
-            worst = max(worst, abs(f1_from_counts(tp, fp, fn) - oracle(tp, fp, fn)))
+            worst = max(worst, abs(f1(tp, fp, fn) - oracle(tp, fp, fn)))
 
         for value in range(101):  # any two of the three zero, exhaustively
-            worst = max(worst, abs(f1_from_counts(value, 0, 0) - oracle(value, 0, 0)))
-            worst = max(worst, abs(f1_from_counts(0, value, 0) - oracle(0, value, 0)))
-            worst = max(worst, abs(f1_from_counts(0, 0, value) - oracle(0, 0, value)))
+            worst = max(worst, abs(f1(value, 0, 0) - oracle(value, 0, 0)))
+            worst = max(worst, abs(f1(0, value, 0) - oracle(0, value, 0)))
+            worst = max(worst, abs(f1(0, 0, value) - oracle(0, 0, value)))
 
         criterion("2", "F1 oracle equivalence", worst < 1e-12, f"max |diff|={worst:.2e}")
 
@@ -164,12 +167,12 @@ class TestCriterion3RewardLinearity:
             weights = (w.alpha, w.beta, w.gamma, w.delta)
             base = [rng.uniform(0.0, 0.7) for _ in range(4)]
             delta = rng.uniform(0.01, 0.3)
-            r0 = compute_reward(w, RewardComponents(*base))
+            r0 = compute_reward(w, *base)
             bounds_ok &= -w.delta - 1e-12 <= r0 <= w.alpha + w.beta + w.gamma + 1e-12
             for k in range(4):
                 bumped = list(base)
                 bumped[k] += delta
-                slope = (compute_reward(w, RewardComponents(*bumped)) - r0) / delta
+                slope = (compute_reward(w, *bumped) - r0) / delta
                 max_slope_err = max(max_slope_err, abs(slope - signs[k] * weights[k]))
         criterion(
             "3", "reward linearity and bounds",

@@ -2,7 +2,7 @@
 ``CyclePipeline.run_batch`` -> ``rl_update``) against the sample-at-a-time
 oracle in ``tests/scalar_oracle.py``, compared bit for bit."""
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -105,15 +105,17 @@ def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
     for sample in samples:
         ref.process_sample(sample)
 
-    assert {a: astuple(w) for a, w in pipe.log.windows.items()} == {
-        a: astuple(w) for a, w in ref.log.windows.items()
-    }
+    def counts(windows):  # every tally but the net rewards, which the oracle keeps apart
+        return {a: astuple(replace(w, net=None)) for a, w in windows.items()}
+
+    assert counts(pipe.log.windows) == counts(ref.log.windows)
     assert pipe.stalled_samples == ref.stalled_samples
-    assert sorted(pipe.rewards) == sorted(ref.rewards)
+    nets = {a: w.net for a, w in pipe.log.windows.items() if w.net is not None}
+    assert sorted(nets) == sorted(ref.rewards)
     for agent_id, net in ref.rewards.items():
-        assert hexes(pipe.rewards[agent_id]) == hexes(net)
+        assert hexes(nets[agent_id]) == hexes(net)
         agent = roster[agent_id]
-        updated = rl_update(agent.gate_weights, agent.spec.learning_rate, pipe.rewards[agent_id])
+        updated = rl_update(agent.gate_weights, agent.spec.learning_rate, nets[agent_id])
         assert hexes(updated) == hexes(
             oracle.rl_update(agent.gate_weights, agent.spec.learning_rate, net))
 

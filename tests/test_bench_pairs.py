@@ -1,6 +1,6 @@
 """Smoke test of ``bench/pairs.py`` on truncated workloads: one pair per
 workload against HEAD, two cycles per run, no timed rounds, then one
-traced run per side."""
+traced run per side, and the calibration probe on both sides."""
 
 import json
 import re
@@ -38,6 +38,11 @@ def test_the_pairs_writer_runs_both_trees_and_removes_its_worktree(tmp_path):
         assert result["layer_mismatches"] == []
         for side in ("parent", "change"):
             assert sorted(result["layers"][side]) == sorted(m["name"] for m in SPEC["per_layer"])
+
+    calibration = bench["calibration_s"]
+    for side in ("parent", "change"):
+        assert 0 < calibration[side]["q1"] <= calibration[side]["median"] <= calibration[side]["q3"]
+    assert calibration["ratio"] == calibration["change"]["median"] / calibration["parent"]["median"]
 
     worktrees = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=ROOT,
                                check=True, capture_output=True, text=True).stdout

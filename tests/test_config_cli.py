@@ -297,7 +297,7 @@ class TestCli:
         pytest.param("roster.0.learning_rate", -1, "cfg.json.roster[0]: learning_rate",
                      id="learning_rate_negative"),
         pytest.param("roster.0.learning_rate", 800, "cfg.json.roster[0]: learning_rate",
-                     id="learning_rate_overflows_the_gate_factor"),
+                     id="learning_rate_above_its_bound"),
         # the run config's own checks name the section they read
         pytest.param("output", {"snapshot_interval": -1},
                      "cfg.json.output: snapshot_interval must be >= 0",

@@ -2,14 +2,18 @@
 and event-log replay."""
 
 from dataclasses import replace
+from operator import is_
 
 import pytest
 
+from freeagent import engine as engine_module
 from freeagent.config import AgentSpec, RunConfig, section_4_4_preset
 from freeagent.domain import AgentStatus, ConfigError, EventKind
 from freeagent.engine import METRICS_COLUMNS, Engine, RunTotals
 from freeagent.lifecycle import LifecycleConfig, RoleSpec
-from freeagent.moe import Expert
+from freeagent.moe import Expert, rl_update
+from freeagent.pipeline import CyclePipeline
+from freeagent.reward import compute_reward
 from freeagent.simulator import PatternSpec, Segment, StreamConfig
 from tests.test_golden import workload
 
@@ -151,6 +155,50 @@ class TestReplacementFlow:
             assert all(a.status in (AgentStatus.ACTIVE, AgentStatus.PROBATIONARY)
                        for a in engine.roster.values())
             assert all(a.status is AgentStatus.RELEASED for a in engine.pool)
+
+    @pytest.mark.parametrize("make", [lambda: workload("churn", 60), section_4_4_preset],
+                             ids=["churn-60", "preset"])
+    def test_the_gate_input_and_the_row_come_from_one_tally(self, monkeypatch, make):
+        # Stage 2 reads each member's window once: its row scores the
+        # window's counts, its gate learns from the window's net rewards,
+        # and the row's reward follows from the row's own columns, so the
+        # reward a release was judged on can be explained from metrics.csv.
+        logs, nets = [], []
+
+        class Recording(CyclePipeline):
+            def __init__(self, roster, log, **kwargs):
+                logs.append(log)
+                super().__init__(roster, log, **kwargs)
+
+        def recording_update(gate_weights, learning_rate, net):
+            nets.append(net)
+            return rl_update(gate_weights, learning_rate, net)
+
+        monkeypatch.setattr(engine_module, "CyclePipeline", Recording)
+        monkeypatch.setattr(engine_module, "rl_update", recording_update)
+        engine = Engine(make())
+        decided = 0
+        for _ in range(engine.config.stream.total_cycles):
+            before = len(nets)
+            report = engine.run_cycle()
+            windows, fed = logs[-1].windows, []
+            for row in report.rows:
+                win = windows[row.agent]
+                assert (row.tp, row.fp, row.fn, row.tn) == (
+                    win.true_positives, win.false_positives,
+                    win.false_negatives, win.true_negatives)
+                if win.net is None:
+                    assert win.samples_seen == 0
+                else:
+                    assert sum(win.net) == (row.tp + row.tn) - (row.fp + row.fn)
+                    fed.append(win.net)
+                reward = compute_reward(engine.config.reward, row.f1, row.synergy,
+                                        row.efficiency, row.penalty)
+                assert row.reward.hex() == reward.hex()
+            # the gates took exactly the windows' net rewards, in id order
+            assert len(nets) - before == len(fed) and all(map(is_, nets[before:], fed))
+            decided += len(fed)
+        assert decided > 0
 
     def test_failed_probation_is_refilled_the_next_cycle(self):
         # The vacancies are taken before probation is judged: a lone agent

@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freeagent import engine as engine_module
-from freeagent.metrics import PerformanceLog, count_ratios, f1_from_counts
+from freeagent.metrics import PerformanceLog, count_ratios
 from freeagent.pipeline import CyclePipeline
 from freeagent.simulator import SampleBatch
 from tests.test_engine import small_config
 from tests.test_pipeline import detector
+
+
+def f1(tp: int, fp: int, fn: int) -> float:
+    """The F1 that ``count_ratios`` gives; true negatives do not enter it."""
+    return count_ratios(tp, fp, fn, 0)[2]
 
 
 def f1_oracle(tp: int, fp: int, fn: int) -> float:
@@ -64,35 +69,35 @@ class TestUpdateFraudMetrics:
 
 class TestF1:
     def test_balanced_example(self):
-        assert f1_from_counts(8, 2, 2) == pytest.approx(0.8, abs=1e-12)
+        assert f1(8, 2, 2) == pytest.approx(0.8, abs=1e-12)
 
     def test_all_zero_window_is_zero(self):
-        assert f1_from_counts(0, 0, 0) == 0.0
+        assert f1(0, 0, 0) == 0.0
 
     def test_perfect_detection(self):
-        assert f1_from_counts(5, 0, 0) == 1.0
+        assert f1(5, 0, 0) == 1.0
 
     def test_uneven_example(self):
         # P=0.5, R=0.25 -> F1=1/3
-        assert f1_from_counts(1, 1, 3) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert f1(1, 1, 3) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))
     def test_matches_harmonic_oracle(self, tp, fp, fn):
-        assert abs(f1_from_counts(tp, fp, fn) - f1_oracle(tp, fp, fn)) < 1e-12
+        assert abs(f1(tp, fp, fn) - f1_oracle(tp, fp, fn)) < 1e-12
 
     @given(*(st.integers(0, 100) for _ in range(4)))
     def test_count_ratios_match_definitions(self, tp, fp, fn, tn):
-        precision, recall, f1, accuracy = count_ratios(tp, fp, fn, tn)
+        precision, recall, f1_score, accuracy = count_ratios(tp, fp, fn, tn)
         assert precision == (tp / (tp + fp) if tp + fp else 0.0)
         assert recall == (tp / (tp + fn) if tp + fn else 0.0)
-        assert f1 == f1_from_counts(tp, fp, fn)
+        assert f1_score == f1(tp, fp, fn)
         assert accuracy == ((tp + tn) / (tp + fp + fn + tn) if tp + fp + fn + tn else 0.0)
 
     @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))
     def test_bounded_and_one_only_when_clean(self, tp, fp, fn):
-        f1 = f1_from_counts(tp, fp, fn)
-        assert 0.0 <= f1 <= 1.0
-        assert (f1 == 1.0) == (fp == 0 and fn == 0 and tp > 0)
+        value = f1(tp, fp, fn)
+        assert 0.0 <= value <= 1.0
+        assert (value == 1.0) == (fp == 0 and fn == 0 and tp > 0)
 
 
 def test_window_reset_clears_everything(monkeypatch):

@@ -194,7 +194,7 @@ class TestProcessSample:
         two = batch((0.9, 0, 0, 0, 0, 0), n=2)
         two.label[0] = True  # the fraud verdict is correct on seq 0, wrong on seq 1
         pipe.run_batch(two)
-        assert pipe.rewards[0] == [0.0]  # +1 and -1 on expert 0
+        assert pipe.log.window(0).net == [0.0]  # +1 and -1 on expert 0
 
     def test_misbehaving_restricted_agent_logged_not_leaked(self):
         shadow = detector(1, status=AgentStatus.PROBATIONARY, misbehaving=True)
