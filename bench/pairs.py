@@ -12,11 +12,11 @@ workload and side, the median and quartiles of every end-to-end metric over
 the pairs, the ratio of the medians (change over parent), the number of
 pairs the change won, both output digests and the output files whose bytes
 differ, the traced per-layer metrics and the count and byte metrics that
-differ between the sides, with the Python and numpy versions and the CPU
-model. It also times the preset's calibration check, the first
-``section_4_4_preset()`` call of a fresh interpreter, five times per side
-from that side's ``src/``, the sides alternating. The worktree is removed
-when the runs end.
+differ between the sides, with the Python and numpy versions, the CPU
+model and the commit and tree of the working tree measured. It also times
+the preset's calibration check, the first ``section_4_4_preset()`` call of
+a fresh interpreter, five times per side from that side's ``src/``, the
+sides alternating. The worktree is removed when the runs end.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import re
 import shutil
@@ -66,9 +67,28 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     return p.parse_args(argv)
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def git(*args: str, cwd: Path = ROOT, env: dict[str, str] | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, env=env, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def measured_commit(root: Path = ROOT) -> tuple[str, str]:
+    """The commit whose tree is the working tree of ``root`` (every file git
+    does not ignore, untracked ones included), and that tree. It is ``HEAD``
+    when nothing differs, else a commit on top of ``HEAD`` that no branch
+    references, as ``git stash create`` makes. The real index is untouched."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index"),
+               "GIT_AUTHOR_NAME": "bench", "GIT_AUTHOR_EMAIL": "bench@localhost",
+               "GIT_COMMITTER_NAME": "bench", "GIT_COMMITTER_EMAIL": "bench@localhost"}
+        git("read-tree", "HEAD", cwd=root, env=env)
+        git("add", "--all", cwd=root, env=env)
+        tree = git("write-tree", cwd=root, env=env)
+        head = git("rev-parse", "HEAD", cwd=root)
+        if tree == git("rev-parse", "HEAD^{tree}", cwd=root):
+            return head, tree
+        return git("commit-tree", tree, "-p", head, "-m", "the measured working tree",
+                   cwd=root, env=env), tree
 
 
 def cpu_model() -> str:
@@ -183,6 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         raise SystemExit("error: --pairs must be at least 1")
     commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    change, tree = measured_commit()  # before the runs, which take a while
+    head = git("rev-parse", "HEAD")
     (ROOT / ".bench-work").mkdir(exist_ok=True)
     base = Path(tempfile.mkdtemp(prefix="pairs-", dir=ROOT / ".bench-work"))
     trees = {"parent": base / "parent", "change": ROOT}
@@ -197,8 +219,8 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(base, ignore_errors=True)
     bench = {
         "parent": {"rev": args.parent, "commit": commit},
-        "change": {"commit": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "change": {"commit": change, "tree": tree, "head": head,
+                   "uncommitted_changes": change != head},
         "command": {"seed": args.seed, "seconds": args.seconds, "trace": 0,
                     "cycles": args.cycles},
         "host": {"python": platform.python_version(), "numpy": np.__version__,

@@ -175,8 +175,9 @@ class Engine:
         events: list[RosterEvent] = []
         log = PerformanceLog()
 
-        # Stage 1: process the batch with the roster as it stands.
-        batch = generate_cycle(cfg.stream, cycle)
+        # Stage 1: process the batch with the roster as it stands. An empty
+        # roster reads no sample, so its cycle draws none.
+        batch = generate_cycle(cfg.stream, cycle) if self.roster else cfg.stream.samples_per_cycle
         pipe = CyclePipeline(
             roster=self.roster,
             log=log,

@@ -151,11 +151,12 @@ class CyclePipeline:
         win.handoffs_succeeded += int(np.count_nonzero(ok))
         return ok
 
-    def run_batch(self, batch: SampleBatch) -> None:
+    def run_batch(self, batch: SampleBatch | int) -> None:
         """Dispatch every sample of ``batch``: Active agents decide on its
-        features, shadows on their Restricted view, built once per batch."""
-        n = len(batch)
-        restricted = redact(batch.features) if self._shadows else batch.features
+        features, shadows on their Restricted view, built once per batch.
+        An empty roster may be given the batch's size alone: all stall."""
+        n = batch if isinstance(batch, int) else len(batch)
+        restricted = redact(batch.features) if self._shadows else None
         records: list[DetectionRecord] = []
 
         def run(agent: Agent, rows: np.ndarray, shadow: bool) -> None:

@@ -5,9 +5,12 @@ Stream determinism contract
 Each cycle draws from one keyed stream: a fresh numpy ``Generator`` over a
 Philox4x64 bit generator with a zero counter, whose 128-bit key is
 ``blake2b("sample|<seed>|<cycle>", digest_size=16)`` read little-endian
-(the key/counter split of Salmon et al., SC'11). For a cycle of ``n``
-samples it draws, in this order, ``random((n, 2))`` (per sample, one
-uniform for the pattern mixture and one for the fraud label),
+(the key/counter split of Salmon et al., SC'11). The key and counter are
+all of a generator's state, so building one takes no seeding entropy, and
+a cycle that is not generated (the engine draws none for an empty roster)
+shifts no other cycle's stream. For a cycle of ``n`` samples it draws, in
+this order, ``random((n, 2))`` (per sample, one uniform for the pattern
+mixture and one for the fraud label),
 ``standard_normal((n, FEATURE_DIM))`` for feature noise and
 ``random((n, MODALITY_DIM))`` for modality jitter. A fill yields what the
 same number of scalar calls would, in row-major order. The pattern is the
@@ -25,6 +28,7 @@ were checked on numpy 2.4.6.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from itertools import accumulate
@@ -43,11 +47,21 @@ _MODALITY_JITTER = 0.1
 MAX_SAMPLES_PER_CYCLE = 2**20
 
 
+# ``Philox(key=...)`` seeds itself from OS entropy before it sets the key; a
+# fixed sequence draws none, and the state setter copies these values over.
+_NO_ENTROPY = np.random.SeedSequence(0)
+_ZEROS = np.zeros(4, np.uint64)
+
+
 def keyed_generator(*parts: object) -> np.random.Generator:
-    """A fresh ``Generator(Philox(key))``, the key being ``blake2b("<part>|<part>|...",
-    digest_size=16)`` read little-endian."""
+    """A fresh ``Generator(Philox(key))`` with a zero counter, the key being
+    ``blake2b("<part>|<part>|...", digest_size=16)`` read little-endian."""
     digest = hashlib.blake2b("|".join(map(str, parts)).encode(), digest_size=16).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+    bits = np.random.Philox(_NO_ENTROPY)
+    bits.state = {"bit_generator": "Philox",
+                  "state": {"counter": _ZEROS, "key": np.frombuffer(digest, "<u8")},
+                  "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
 
 
 @dataclass(frozen=True)
@@ -130,6 +144,24 @@ class StreamConfig:
         order, which keeps the draw of each sample's pattern deterministic."""
         return self._ordered(next(s for s in reversed(self.schedule) if s.start_cycle <= cycle))
 
+    @functools.cached_property
+    def _tables(self) -> tuple[tuple[int, tuple], ...]:
+        """Each segment's start and tables, built on first use, not at load:
+        running weights but the last, fraud rates, each shifting pattern's
+        ``(coord, shift)`` pairs, and modality bases whose entries are > 0 or +0.0."""
+        out = []
+        for seg in self.schedule:
+            mixture = self._ordered(seg)
+            base = np.array([spec.modality_base for spec, _ in mixture])
+            out.append((seg.start_cycle, (
+                np.array(list(accumulate(weight for _, weight in mixture))[:-1]),
+                np.array([spec.fraud_rate for spec, _ in mixture]),
+                tuple((k, tuple(spec.fraud_shift.items()))
+                      for k, (spec, _) in enumerate(mixture) if spec.fraud_shift),
+                np.where(base > 0, base, 0.0),
+            )))
+        return tuple(out)
+
 
 @dataclass(frozen=True, slots=True)
 class SampleBatch:
@@ -163,28 +195,35 @@ def generate_cycle(cfg: StreamConfig, cycle: int) -> SampleBatch:
     gen = keyed_generator("sample", cfg.seed, cycle)
     uniforms = gen.random((n, 2))
     features = gen.standard_normal((n, FEATURE_DIM))
-    jitter = gen.random((n, MODALITY_DIM))
+    modality = gen.random((n, MODALITY_DIM))  # the jitter, made the modality in place
 
     # First mixture entry whose running weight exceeds the pattern uniform;
     # the last entry takes anything the rounded sum leaves uncovered.
-    mixture = cfg.mixture(cycle)
-    bounds = list(accumulate(weight for _, weight in mixture))
-    pattern = np.minimum(np.searchsorted(bounds, uniforms[:, 0], side="right"), len(mixture) - 1)
-    label = uniforms[:, 1] < np.array([spec.fraud_rate for spec, _ in mixture])[pattern]
+    bounds, fraud_rates, shifts, base = next(
+        tables for start, tables in reversed(cfg._tables) if start <= cycle
+    )
+    pattern = np.searchsorted(bounds, uniforms[:, 0], side="right")
+    label = uniforms[:, 1] < fraud_rates[pattern]
 
-    for k, (spec, _) in enumerate(mixture):
-        shifted = label & (pattern == k)
-        for coord, shift in spec.fraud_shift.items():
-            features[shifted, coord] += shift
+    fraud = np.flatnonzero(label)
+    fraud_pattern = pattern[fraud]
+    for k, coord_shifts in shifts:
+        rows = fraud[fraud_pattern == k]
+        for coord, shift in coord_shifts:
+            features[:, coord][rows] += shift  # one 1-d index into a column view
 
-    base = np.array([spec.modality_base for spec, _ in mixture])[pattern]
-    # Zero base entries stay exactly zero whatever the jitter.
-    modality = np.where(base > 0, base * (1.0 + _MODALITY_JITTER * (2.0 * jitter - 1.0)), 0.0)
-    total = 0.0 + modality[:, 0] + modality[:, 1] + modality[:, 2]
+    # Zero base entries stay +0.0 whatever the jitter, so the row total
+    # needs no leading 0.0.
+    modality *= 2.0
+    modality -= 1.0
+    modality *= _MODALITY_JITTER
+    modality += 1.0
+    modality *= base[pattern]
+    modality /= (modality[:, 0] + modality[:, 1] + modality[:, 2])[:, None]
     return SampleBatch(
         seq0=cycle * n,
         features=features,
-        modality=modality / total[:, None],
+        modality=modality,
         label=label,
         pattern=pattern,
     )

@@ -1,7 +1,9 @@
-"""Smoke test of ``bench/pairs.py`` on truncated workloads: one pair per
+"""``bench/pairs.py``: a smoke test on truncated workloads, one pair per
 workload against HEAD, two cycles per run, no timed rounds, then one
-traced run per side, and the calibration probe on both sides."""
+traced run per side, and the calibration probe on both sides; and the
+commit it names for the working tree it measures."""
 
+import importlib.util
 import json
 import re
 import subprocess
@@ -20,6 +22,8 @@ def test_the_pairs_writer_runs_both_trees_and_removes_its_worktree(tmp_path):
     bench = json.loads(out.read_text())
 
     assert re.fullmatch(r"[0-9a-f]{40}", bench["parent"]["commit"])
+    assert all(re.fullmatch(r"[0-9a-f]{40}", bench["change"][key])
+               for key in ("commit", "tree", "head"))
     assert bench["command"] == {"seed": 42, "seconds": 0.0, "trace": 0, "cycles": 2}
     assert set(bench["host"]) == {"python", "numpy", "cpu"}
     assert sorted(bench["workloads"]) == sorted(w["name"] for w in SPEC["workloads"])
@@ -47,3 +51,37 @@ def test_the_pairs_writer_runs_both_trees_and_removes_its_worktree(tmp_path):
     worktrees = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=ROOT,
                                check=True, capture_output=True, text=True).stdout
     assert ".bench-work" not in worktrees
+
+
+def test_the_change_side_names_the_tree_it_measured(tmp_path):
+    spec = importlib.util.spec_from_file_location("pairs", ROOT / "bench" / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@localhost",
+                               "-c", "commit.gpgsign=false", *args], cwd=tmp_path,
+                              check=True, capture_output=True, text=True).stdout
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    (tmp_path / ".gitignore").write_text("out/\n")
+    git("add", "a.txt", ".gitignore")
+    git("commit", "-qm", "base")
+    head = git("rev-parse", "HEAD").strip()
+    assert pairs.measured_commit(tmp_path) == (head, git("rev-parse", "HEAD^{tree}").strip())
+
+    # an edit, an untracked file and an ignored one
+    (tmp_path / "a.txt").write_text("two\n")
+    (tmp_path / "b.txt").write_text("new\n")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "x.txt").write_text("ignored\n")
+    commit, tree = pairs.measured_commit(tmp_path)
+    assert commit != head
+    assert git("rev-parse", f"{commit}^{{tree}}").strip() == tree
+    assert git("rev-parse", f"{commit}^").strip() == head
+    assert git("ls-tree", "--name-only", tree).split() == [".gitignore", "a.txt", "b.txt"]
+    assert git("show", f"{commit}:a.txt") == "two\n"
+    # the real index and branch are left as they were
+    assert git("status", "--porcelain") == " M a.txt\n?? b.txt\n"
+    assert git("rev-parse", "HEAD").strip() == head

@@ -7,15 +7,16 @@ from operator import is_
 import pytest
 
 from freeagent import engine as engine_module
+from freeagent.cli import main
 from freeagent.config import AgentSpec, RunConfig, section_4_4_preset
 from freeagent.domain import AgentStatus, ConfigError, EventKind
-from freeagent.engine import METRICS_COLUMNS, Engine, RunTotals
+from freeagent.engine import METRICS_COLUMNS, Engine, RunTotals, restore_engine
 from freeagent.lifecycle import LifecycleConfig, RoleSpec
 from freeagent.moe import Expert, rl_update
 from freeagent.pipeline import CyclePipeline
 from freeagent.reward import compute_reward
-from freeagent.simulator import PatternSpec, Segment, StreamConfig
-from tests.test_golden import workload
+from freeagent.simulator import PatternSpec, Segment, StreamConfig, generate_cycle
+from tests.test_golden import assert_resumed_as_full, workload
 
 GOOD_PATTERN = PatternSpec(
     name="A", fraud_rate=0.5, fraud_shift={0: 6.0}, modality_base=(0.7, 0.3, 0.0)
@@ -330,6 +331,46 @@ class TestDegenerate:
         # released this cycle, but its pipeline-phase row is still emitted
         assert [r.agent for r in report.rows] == [0]
         assert report.rows[0].status == "Active"
+
+
+class TestEmptyRoster:
+    # the cut churn workload's cycles that start with an empty roster
+    EMPTY = [3, 7, 11, 15, 19, 23, 27, 31, 35, 40, 44, 48, 52, 56]
+
+    def test_a_cycle_with_an_empty_roster_draws_no_stream(self, monkeypatch):
+        drawn, stalled = [], []
+
+        def counting_generate(stream, cycle):
+            drawn.append(cycle)
+            return generate_cycle(stream, cycle)
+
+        class Recording(CyclePipeline):
+            def run_batch(self, batch):
+                super().run_batch(batch)
+                stalled.append(self.stalled_samples)
+
+        monkeypatch.setattr(engine_module, "generate_cycle", counting_generate)
+        monkeypatch.setattr(engine_module, "CyclePipeline", Recording)
+        engine = Engine(workload("churn", 60))
+        empty = []
+        for cycle in range(60):
+            if not engine.roster:
+                empty.append(cycle)
+            engine.run_cycle()
+        assert empty == self.EMPTY
+        assert drawn == [c for c in range(60) if c not in empty]
+        # each empty cycle still stalls all its samples, as do the cycles
+        # whose roster has no Active agent
+        assert [stalled[c] for c in empty] == [50] * len(empty)
+        assert sum(stalled) == 1450 and len(stalled) == 60
+
+    def test_a_run_resumed_before_an_empty_roster_cycle_writes_the_same_bytes(self, tmp_path):
+        full, resumed = tmp_path / "full", tmp_path / "resumed"
+        Engine(workload("churn", 40)).run(full)
+        snapshot = full / "snapshots" / "state_cycle_0015.json"
+        assert restore_engine(snapshot).roster == {}
+        assert main(["run", "--restore", str(snapshot), "--out", str(resumed)]) == 0
+        assert_resumed_as_full(full, resumed, 15)
 
 
 class TestRunTotals:

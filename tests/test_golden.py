@@ -156,26 +156,32 @@ def test_output_bytes_match_the_pinned_digests(runs, run):
         )
 
 
+def assert_resumed_as_full(full: Path, resumed: Path, at: int) -> None:
+    """A run resumed from the snapshot taken before cycle ``at`` wrote the
+    full run's bytes from that cycle on, and its summary."""
+    assert (resumed / "summary.json").read_bytes() == (full / "summary.json").read_bytes()
+    events = (full / "events.jsonl").read_text().splitlines()
+    assert (resumed / "events.jsonl").read_text().splitlines() == [
+        line for line in events if json.loads(line)["cycle"] >= at
+    ]
+    header, *rows = (full / "metrics.csv").read_text().splitlines()
+    assert (resumed / "metrics.csv").read_text().splitlines() == [header] + [
+        row for row in rows if int(row.split(",")[0]) >= at
+    ]
+    snapshots = sorted(p.name for p in (full / "snapshots").iterdir())
+    later = [name for name in snapshots if int(name[12:16]) > at]
+    assert sorted(p.name for p in (resumed / "snapshots").iterdir()) == later
+    for name in later:
+        assert (resumed / "snapshots" / name).read_bytes() == (
+            full / "snapshots" / name).read_bytes(), name
+
+
 def test_the_churn_snapshots_and_the_resumed_run(runs):
     full, resumed = runs["churn"], runs["churn-resumed"]
     snapshots = sorted(p.name for p in (full / "snapshots").iterdir())
     assert snapshots == [f"state_cycle_{c:04d}.json" for c in range(5, 61, 5)]
     assert json.loads((full / "summary.json").read_text())["event_counts"]["Promote"] == 14
-
-    assert (resumed / "summary.json").read_bytes() == (full / "summary.json").read_bytes()
-    events = (full / "events.jsonl").read_text().splitlines()
-    assert (resumed / "events.jsonl").read_text().splitlines() == [
-        line for line in events if json.loads(line)["cycle"] >= RESUME_AT
-    ]
-    header, *rows = (full / "metrics.csv").read_text().splitlines()
-    assert (resumed / "metrics.csv").read_text().splitlines() == [header] + [
-        row for row in rows if int(row.split(",")[0]) >= RESUME_AT
-    ]
-    later = [name for name in snapshots if int(name[12:16]) > RESUME_AT]
-    assert sorted(p.name for p in (resumed / "snapshots").iterdir()) == later
-    for name in later:
-        assert (resumed / "snapshots" / name).read_bytes() == (
-            full / "snapshots" / name).read_bytes(), name
+    assert_resumed_as_full(full, resumed, RESUME_AT)
 
 
 @pytest.mark.parametrize("run", ["preset-42", "preset-7", "churn"])

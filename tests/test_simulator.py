@@ -17,7 +17,7 @@ from freeagent.config import (
     _scenario,
     section_4_4_preset,
 )
-from freeagent.domain import ConfigError
+from freeagent.domain import FEATURE_DIM, ConfigError
 from freeagent.engine import Engine
 from freeagent.moe import uniform_gate
 from freeagent.pipeline import decide, redact
@@ -33,6 +33,11 @@ PATTERN_B = PatternSpec(
 PATTERN_C = PatternSpec(
     name="C", fraud_rate=0.7, fraud_shift={1: -1.5, 4: 2.5, 5: 0.25},
     modality_base=(0.2, 0.0, 0.8),
+)
+# PatternSpec takes -0.0 as a base entry; like 0.0 it must give a +0.0 modality
+PATTERN_D = PatternSpec(
+    name="D", fraud_rate=0.4, fraud_shift={0: -2.0, 3: 1.5, 5: 0.5},
+    modality_base=(-0.0, 0.6, 0.0),
 )
 
 
@@ -146,11 +151,46 @@ def test_batch_matches_oracle_sample_by_sample(seed, cycle, weights):
         same_rows(generate_cycle(cfg, cycle), cfg, cycle, range(spc))
 
 
+def test_one_two_and_three_pattern_segments_match_the_oracle():
+    # every segment's tables in one schedule; D's -0.0 base entry next to
+    # its 0.0 one, and patterns that shift one or several coordinates
+    cfg = stream(seed=2**64 - 1, spc=1000, cycles=6,
+                 patterns=(PATTERN_A, PATTERN_B, PATTERN_C, PATTERN_D), segments=(
+                     Segment(0, {"D": 1.0}),
+                     Segment(2, {"A": 0.25, "D": 0.75}),
+                     Segment(4, {"B": 0.2, "C": 0.3, "D": 0.5}),
+                 ))
+    for cycle in range(6):
+        batch = generate_cycle(cfg, cycle)
+        same_rows(batch, cfg, cycle, range(len(batch)))
+        names = pattern_names(cfg, cycle, batch)
+        assert set(names) == ({"D"}, {"A", "D"}, {"B", "C", "D"})[cycle // 2]
+        d_rows = [name == "D" for name in names]
+        assert [m.hex() for m in batch.modality[d_rows, 0].tolist()] == ["0x0.0p+0"] * sum(d_rows)
+
+
 class TestKeys:
     def test_handoff_key_of_one_index(self):
         ours = keyed_generator("handoff", 42, 3, 17)
         theirs = oracle.keyed_generator("handoff|42|3|17")
         assert ours.random(5).tolist() == theirs.random(5).tolist()
+
+    # 20-digit seeds, at both ends of that range, and a fill over many blocks
+    @pytest.mark.parametrize("seed", [10**19, 2**64 - 1])
+    def test_the_generator_is_philox_with_the_key(self, seed):
+        ours = keyed_generator("sample", seed, 7)
+        theirs = oracle.keyed_generator(f"sample|{seed}|7")
+        assert ours.random(3).tobytes() == theirs.random(3).tobytes()
+        assert (ours.standard_normal((2049, FEATURE_DIM)).tobytes()
+                == theirs.standard_normal((2049, FEATURE_DIM)).tobytes())
+
+    def test_generators_of_one_key_share_no_state(self):
+        first = keyed_generator("handoff", 1, 2, 3)
+        second = keyed_generator("handoff", 1, 2, 3)
+        drawn = first.random(4099)
+        assert second.random(4099).tobytes() == drawn.tobytes()
+        # a generator built after both drew starts at counter zero too
+        assert keyed_generator("handoff", 1, 2, 3).random(4099).tobytes() == drawn.tobytes()
 
     # seeds of 1 and 20 digits in the key text, at both ends of the 64-bit range
     @pytest.mark.parametrize("seed,spc", [
