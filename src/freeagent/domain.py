@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Literal
 
-# Fixed layout of the feature space. The last three feature entries are
-# "sensitive": hidden from Probationary shadows (see pipeline.redact).
+# Fixed layout of the feature space. The entries from SENSITIVE_START on are
+# "sensitive": a Probationary shadow is given only the columns before them.
 FEATURE_DIM = 6
 SENSITIVE_START = 3
 MODALITY_DIM = 3
@@ -66,7 +66,7 @@ class Agent:
     roster cycles and never decreases while the agent is not Released.
     Counts are >= 0; building an agent checks them and ``performance``.
     ``status`` picks the features the agent decides on: all of them when
-    Active, their Restricted view (``pipeline.redact``) when Probationary.
+    Active, their Restricted view (the first ``SENSITIVE_START``) when Probationary.
     """
 
     id: AgentId

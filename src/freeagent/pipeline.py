@@ -1,9 +1,10 @@
 """Batch dispatch: pick the best active detector, run probationary agents
-in shadow on redacted features, and act on fraud verdicts.
+in shadow on the visible features, and act on fraud verdicts.
 
-Shadow decisions never trigger actions and shadow agents only ever see
-the Restricted view (``redact``); both properties are auditable from the
-detection log. Actions are recorded, not executed.
+Shadow decisions never trigger actions, and shadow agents are only ever
+given the Restricted view, the first ``SENSITIVE_START`` feature columns;
+both properties are auditable from the detection log. Actions are
+recorded, not executed.
 """
 
 from __future__ import annotations
@@ -42,15 +43,6 @@ class DetectionRecord:
     action: str
 
 
-def redact(features: np.ndarray) -> np.ndarray:
-    """The Restricted view a Probationary shadow decides on: a copy of the
-    feature rows with the sensitive suffix zeroed. Active agents decide on
-    the rows themselves."""
-    out = np.zeros_like(features)
-    out[:, :SENSITIVE_START] = features[:, :SENSITIVE_START]
-    return out
-
-
 def _dot_columns(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Dot products along the first axis, accumulated one term at a time from 0.0.
 
@@ -78,7 +70,9 @@ def decide(
     threshold) per row. The gate picks the expert maximizing
     gate_weight * dot(profile, modality), ties to the lowest index. Takes
     bare feature/modality rows so a decision cannot depend on anything
-    else in the sample. Pure: no state is touched.
+    else in the sample. Rows of fewer than ``FEATURE_DIM`` columns, such
+    as a shadow's Restricted view, are scored on those columns alone.
+    Pure: no state is touched.
 
     One pass covers every expert: the ``(n, E)`` affinities are summed
     one modality column at a time from 0.0 against the experts' profile
@@ -152,19 +146,18 @@ class CyclePipeline:
         return ok
 
     def run_batch(self, batch: SampleBatch | int) -> None:
-        """Dispatch every sample of ``batch``: Active agents decide on its
-        features, shadows on their Restricted view, built once per batch.
-        An empty roster may be given the batch's size alone: all stall."""
+        """Dispatch every sample of ``batch``: Active agents decide on all
+        its feature columns, shadows on the first ``SENSITIVE_START``. An
+        empty roster may be given the batch's size alone: all stall."""
         n = batch if isinstance(batch, int) else len(batch)
-        restricted = redact(batch.features) if self._shadows else None
         records: list[DetectionRecord] = []
 
         def run(agent: Agent, rows: np.ndarray, shadow: bool) -> None:
             if not len(rows):
                 return
-            features = restricted if shadow else batch.features
+            features = batch.features[rows, :SENSITIVE_START] if shadow else batch.features[rows]
             expert, score, verdict = decide(agent.spec.experts, agent.gate_weights,
-                                            features[rows], batch.modality[rows])
+                                            features, batch.modality[rows])
             label = batch.label[rows]
             win = self.log.window(agent.id)
             tn, fn, fp, tp = np.bincount(2 * verdict + label, minlength=4).tolist()
@@ -175,7 +168,7 @@ class CyclePipeline:
             if agent.spec.misbehaving and shadow:
                 # Audit hook: the agent tried to read the raw samples. Each
                 # attempt is blocked and tallied; the decisions still run
-                # on redacted data.
+                # on the visible columns.
                 win.violations += len(rows)
             # Sums of +1 and -1 are exact in float64, in any order.
             win.net = np.bincount(
@@ -207,9 +200,11 @@ class CyclePipeline:
         records.sort(key=lambda r: (r.seq, r.shadow, r.agent))
         self.detections.extend(records)
         if self.stalled_samples:
+            shadows = ", ".join(str(a.id) for a in self._shadows)
             logger.warning(
-                "cycle %d: no active %s agent; %d samples undecided (vacancy pending)",
+                "cycle %d: no active %s agent; %d samples undecided (%s)",
                 self.cycle,
                 FRAUD_ROLE,
                 self.stalled_samples,
+                f"Probationary agent {shadows} in shadow" if shadows else "vacancy pending",
             )

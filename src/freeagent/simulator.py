@@ -139,11 +139,6 @@ class StreamConfig:
     def _ordered(self, seg: Segment) -> tuple[tuple[PatternSpec, float], ...]:
         return tuple((p, seg.mixture[p.name]) for p in self.patterns if p.name in seg.mixture)
 
-    def mixture(self, cycle: int) -> tuple[tuple[PatternSpec, float], ...]:
-        """The mixture of the segment running at ``cycle``, in pattern-list
-        order, which keeps the draw of each sample's pattern deterministic."""
-        return self._ordered(next(s for s in reversed(self.schedule) if s.start_cycle <= cycle))
-
     @functools.cached_property
     def _tables(self) -> tuple[tuple[int, tuple], ...]:
         """Each segment's start and tables, built on first use, not at load:

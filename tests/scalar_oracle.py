@@ -28,7 +28,9 @@ from freeagent.domain import FRAUD_ROLE, SENSITIVE_START, Agent, AgentId, AgentS
 from freeagent.metrics import PerformanceLog
 from freeagent.moe import Expert
 from freeagent.pipeline import Action, DetectionRecord
-from freeagent.simulator import _MODALITY_JITTER, FEATURE_DIM, MODALITY_DIM, StreamConfig
+from freeagent.simulator import (
+    _MODALITY_JITTER, FEATURE_DIM, MODALITY_DIM, PatternSpec, StreamConfig,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,6 +50,12 @@ def keyed_generator(text: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
 
 
+def mixture(cfg: StreamConfig, cycle: int) -> list[tuple[PatternSpec, float]]:
+    """The mixture of the last segment started by ``cycle``, in pattern-list order."""
+    weights = [seg for seg in cfg.schedule if seg.start_cycle <= cycle][-1].mixture
+    return [(spec, weights[spec.name]) for spec in cfg.patterns if spec.name in weights]
+
+
 def generate_cycle_samples(cfg: StreamConfig, cycle: int) -> list[DataSample]:
     """The samples of ``cycle``, in seq order, drawn one scalar at a time
     from the cycle's keyed stream: every sample's two uniforms (pattern,
@@ -58,21 +66,19 @@ def generate_cycle_samples(cfg: StreamConfig, cycle: int) -> list[DataSample]:
     uniforms = [gen.random() for _ in range(2 * n)]
     normals = [gen.standard_normal() for _ in range(n * FEATURE_DIM)]
     jitters = [gen.random() for _ in range(n * MODALITY_DIM)]
-    # the last segment started by ``cycle``; its mixture in pattern-list order
-    weights = [seg for seg in cfg.schedule if seg.start_cycle <= cycle][-1].mixture
-    mixture = [(spec, weights[spec.name]) for spec in cfg.patterns if spec.name in weights]
+    patterns = mixture(cfg, cycle)
 
     samples = []
     for seq in range(n):
         u_pattern, u_label = uniforms[2 * seq:2 * seq + 2]
-        pattern = len(mixture) - 1
+        pattern = len(patterns) - 1
         acc = 0.0
-        for k, (_, weight) in enumerate(mixture):
+        for k, (_, weight) in enumerate(patterns):
             acc += weight
             if u_pattern < acc:
                 pattern = k
                 break
-        spec = mixture[pattern][0]
+        spec = patterns[pattern][0]
 
         label = bool(u_label < spec.fraud_rate)
         features = normals[seq * FEATURE_DIM:(seq + 1) * FEATURE_DIM]

@@ -8,10 +8,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from freeagent.config import AgentSpec
-from freeagent.domain import FRAUD_ROLE, Agent, AgentStatus
+from freeagent.domain import FRAUD_ROLE, SENSITIVE_START, Agent, AgentStatus
 from freeagent.metrics import PerformanceLog
 from freeagent.moe import Expert, rl_update
-from freeagent.pipeline import CyclePipeline, decide, redact
+from freeagent.pipeline import CyclePipeline, decide
 from freeagent.simulator import PatternSpec, Segment, StreamConfig, generate_cycle
 from tests import scalar_oracle as oracle
 
@@ -22,7 +22,8 @@ PATTERNS = (
 )
 # Few distinct values, so gate affinities and expert choices tie often.
 PROFILES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0), (1.0, 1.0, 1.0))
-# Negative weights on the redacted suffix (coordinates 3-5) give -0.0 products.
+# Negative weights on the sensitive suffix (coordinates 3-5) give -0.0
+# products in the oracle's zero-filled Restricted view.
 WEIGHTS = (0.0, 1.0, -1.0, 0.5, -0.25, 0.3)
 GATE_WEIGHTS = (0.0, 0.0, 0.25, 0.5, 1.0)  # 0.0: a starved expert that underflowed
 
@@ -126,11 +127,12 @@ def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
     assert rows(pipe.detections) == rows(ref.detections)
     assert all(type(d.score) is float and type(d.verdict) is bool for d in pipe.detections)
 
-    # The kernel on both views, full and Restricted, for every agent.
+    # The kernel on both views, all columns and a shadow's first
+    # SENSITIVE_START against the oracle's zero-filled row, for every agent.
     for agent in roster.values():
         agent_experts = agent.spec.experts
         for restricted in (False, True):
-            features = redact(batch.features) if restricted else batch.features
+            features = batch.features[:, :SENSITIVE_START] if restricted else batch.features
             chosen, score, verdict = decide(agent_experts, agent.gate_weights,
                                             features, batch.modality)
             expected = []
@@ -146,13 +148,14 @@ def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
 
 
 def test_negative_weight_on_redacted_coordinate_scores_plus_zero():
-    # every product is -0.0: zero weights on negative visible features and
-    # negative weights on the zeroed suffix; a scalar sum() starts from 0
-    # and returns +0.0, which detections.jsonl shows
+    # every visible product is -0.0: zero weights on negative features; the
+    # suffix is not given. A scalar sum() over the zero-filled row, whose
+    # suffix products are -0.0 too, starts from 0 and returns +0.0, which
+    # detections.jsonl shows
     expert = Expert(profile=(1.0, 0.0, 0.0), weights=(0.0, 0.0, 0.0, -1.0, -0.5, -2.0),
                     threshold=0.5)
     features = np.array([[-1.5, -2.0, -0.3, 4.0, 1.0, -2.0]])
-    restricted = redact(features)
-    _, score, _ = decide((expert,), (1.0,), restricted, np.array([[1.0, 0.0, 0.0]]))
-    expected = oracle.expert_score(expert, tuple(restricted[0].tolist()))[0]
+    _, score, _ = decide((expert,), (1.0,), features[:, :SENSITIVE_START],
+                         np.array([[1.0, 0.0, 0.0]]))
+    expected = oracle.expert_score(expert, oracle.redact(tuple(features[0].tolist())))[0]
     assert score[0].hex() == expected.hex() == "0x0.0p+0"

@@ -1,16 +1,18 @@
 """Differential test: ``pipeline.decide``, which routes and scores a batch
 through all of an agent's experts at once, against the per-sample,
 per-expert scalar gate and scorer of ``tests/scalar_oracle.py``, compared
-bit for bit (chosen expert, score bytes, verdict)."""
+bit for bit (chosen expert, score bytes, verdict). A shadow's rows, the
+first ``SENSITIVE_START`` columns, are checked against the oracle on their
+zero-filled Restricted view."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeagent.config import section_4_4_preset
-from freeagent.domain import FEATURE_DIM, MODALITY_DIM
+from freeagent.domain import FEATURE_DIM, MODALITY_DIM, SENSITIVE_START
 from freeagent.moe import Expert, uniform_gate
-from freeagent.pipeline import decide, redact
+from freeagent.pipeline import decide
 from tests import scalar_oracle as oracle
 
 # Few distinct values, so affinities tie and scores hit thresholds exactly;
@@ -26,23 +28,23 @@ FEATURES = st.one_of(st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -0.01, 0.04)),
 MODALITY = st.one_of(st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0)), st.floats(0.0, 2.0))
 
 
-def view(features, restricted):
-    """The rows a shadow (``restricted``) or an Active agent decides on."""
-    return redact(features) if restricted else features
-
-
-def reference(experts, gate_weights, features, modality):
-    """Per row: the oracle's gate over every expert, then the chosen one's score."""
+def reference(experts, gate_weights, features, modality, restricted):
+    """Per row: the oracle's gate over every expert, then the chosen one's
+    score on the full row or its Restricted view (``restricted``)."""
     out = []
     for f, m in zip(features.tolist(), modality.tolist()):
         idx = oracle.gate(experts, gate_weights, tuple(m))
-        out.append((idx, *oracle.expert_score(experts[idx], tuple(f))))
+        f = oracle.redact(tuple(f)) if restricted else tuple(f)
+        out.append((idx, *oracle.expert_score(experts[idx], f)))
     return out
 
 
-def same_as_reference(experts, gate_weights, features, modality):
-    chosen, score, verdict = decide(experts, gate_weights, features, modality)
-    expected = reference(experts, gate_weights, features, modality)
+def same_as_reference(experts, gate_weights, features, modality, restricted=False):
+    """``decide`` on the columns a shadow (``restricted``) or an Active agent
+    is given, against the oracle."""
+    given = features[:, :SENSITIVE_START] if restricted else features
+    chosen, score, verdict = decide(experts, gate_weights, given, modality)
+    expected = reference(experts, gate_weights, features, modality, restricted)
     assert chosen.tolist() == [idx for idx, _, _ in expected]
     assert score.dtype == np.float64
     assert score.tobytes() == np.array([s for _, s, _ in expected]).tobytes()
@@ -73,7 +75,7 @@ def cases(draw):
 @given(case=cases(), restricted=st.booleans())
 def test_matches_scalar_reference(case, restricted):
     experts, gate_weights, features, modality = case
-    same_as_reference(experts, gate_weights, view(features, restricted), modality)
+    same_as_reference(experts, gate_weights, features, modality, restricted)
 
 
 @pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
@@ -82,10 +84,10 @@ def test_dispatch_experts_repeated_four_times(restricted):
     # four times over, so a uniform gate ties every expert with three copies
     experts = section_4_4_preset().pool[0].experts * 4
     rng = np.random.default_rng(11)
-    features = view(rng.standard_normal((500, FEATURE_DIM)), restricted)
+    features = rng.standard_normal((500, FEATURE_DIM))
     modality = rng.random((500, MODALITY_DIM)) * (rng.random((500, MODALITY_DIM)) < 0.7)
     for gate_weights in (uniform_gate(12), tuple(rng.random(12)), (0.0,) * 11 + (1.0,)):
-        chosen, _, _ = same_as_reference(experts, gate_weights, features, modality)
+        chosen, _, _ = same_as_reference(experts, gate_weights, features, modality, restricted)
         if gate_weights == uniform_gate(12):
             assert chosen.max() < 3  # ties break to the lowest index
 
@@ -124,18 +126,17 @@ def test_a_score_equal_to_its_threshold_is_fraud(restricted):
                          [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
                          [0.0, 0.5, -0.0, 0.0, 0.0, 0.0],
                          [-0.0, 0.4, 0.0, 0.0, 0.0, 0.0]])
-    _, score, verdict = same_as_reference((expert,), (1.0,), view(features, restricted),
-                                          np.ones((4, MODALITY_DIM)))
+    _, score, verdict = same_as_reference((expert,), (1.0,), features,
+                                          np.ones((4, MODALITY_DIM)), restricted)
     assert score.tolist()[:3] == [0.5] * 3
     assert verdict.tolist() == [True, True, True, False]
 
 
 def test_all_negative_zero_products_score_plus_zero():
-    # a Restricted row of -0.0s: every product is -0.0 and the sum from 0.0
-    # gives +0.0, as the scalar sum() does
+    # a shadow's columns of -0.0s: every product is -0.0 and the sum from
+    # 0.0 gives +0.0, as the scalar sum() does on the zero-filled row
     expert = Expert(profile=(1.0, 0.0, 0.0), weights=(1.0, 1.0, 1.0, -1.0, -1.0, -1.0),
                     threshold=0.0)
-    features = redact(np.array([[-0.0] * FEATURE_DIM]))
-    assert features.tobytes() == np.array([[-0.0, -0.0, -0.0, 0.0, 0.0, 0.0]]).tobytes()
-    _, score, verdict = same_as_reference((expert,), (1.0,), features, np.ones((1, MODALITY_DIM)))
+    _, score, verdict = same_as_reference((expert,), (1.0,), np.array([[-0.0] * FEATURE_DIM]),
+                                          np.ones((1, MODALITY_DIM)), restricted=True)
     assert score[0].hex() == "0x0.0p+0" and verdict.tolist() == [True]

@@ -1,10 +1,14 @@
-"""Dispatch, redaction, shadow processing, and handoff behaviour."""
+"""Dispatch, the views agents decide on, shadow processing, and handoff
+behaviour."""
 
 import numpy as np
 
+from freeagent import pipeline as pipeline_module
 from freeagent.config import AgentSpec
 from freeagent.domain import (
+    FEATURE_DIM,
     FRAUD_ROLE,
+    SENSITIVE_START,
     Agent,
     AgentStatus,
 )
@@ -14,7 +18,6 @@ from freeagent.pipeline import (
     Action,
     CyclePipeline,
     decide,
-    redact,
 )
 from freeagent.simulator import SampleBatch
 
@@ -89,8 +92,21 @@ class TestSelectFraudAgent:
         assert rows == []
         assert pipe.stalled_samples == 1
 
+    def test_the_stall_warning_names_a_shadow_or_a_pending_vacancy(self, caplog):
+        shadows = {4: detector(4, status=AgentStatus.PROBATIONARY),
+                   2: detector(2, status=AgentStatus.PROBATIONARY)}
+        with caplog.at_level("WARNING", logger="freeagent.pipeline"):
+            pipeline({}).run_batch(5)
+            pipeline(shadows).run_batch(batch((0.9, 0, 0, 0, 0, 0), n=3))
+            pipeline({0: detector(0)}).run_batch(batch((0.9, 0, 0, 0, 0, 0)))
+        assert [r.getMessage() for r in caplog.records] == [
+            "cycle 0: no active FraudDetection agent; 5 samples undecided (vacancy pending)",
+            "cycle 0: no active FraudDetection agent; 3 samples undecided "
+            "(Probationary agent 2, 4 in shadow)",
+        ]
 
-class TestRedact:
+
+class TestViews:
     FEATURES = (0.9, 0.1, 0.2, 0.7, 0.3, 0.5)
 
     def test_full_is_identity(self):
@@ -101,11 +117,26 @@ class TestRedact:
         [row] = pipe.detections
         assert (row.verdict, row.score) == (True, 5.0)
 
-    def test_restricted_zeroes_sensitive_suffix(self):
-        x = batch(self.FEATURES).features
-        red = redact(x)
-        assert red.tolist() == [[0.9, 0.1, 0.2, 0.0, 0.0, 0.0]]
-        assert x.tolist() == [list(self.FEATURES)]  # a copy: the batch is untouched
+    def test_a_shadow_is_given_only_the_visible_columns(self, monkeypatch):
+        given = []
+
+        def spy(experts, gate_weights, features, modality):
+            given.append(features.tolist())
+            return decide(experts, gate_weights, features, modality)
+
+        monkeypatch.setattr(pipeline_module, "decide", spy)
+        roster = {0: detector(0), 1: detector(1, status=AgentStatus.PROBATIONARY),
+                  2: detector(2, status=AgentStatus.PROBATIONARY, misbehaving=True)}
+        log = PerformanceLog()
+        pipeline(roster, log).run_batch(batch(self.FEATURES, n=2))
+        # the Active agent first, then the shadows by id
+        assert [np.shape(rows) for rows in given] == [
+            (2, FEATURE_DIM), (2, SENSITIVE_START), (2, SENSITIVE_START)
+        ]
+        full, visible = list(self.FEATURES), list(self.FEATURES[:SENSITIVE_START])
+        assert given == [[full] * 2, [visible] * 2, [visible] * 2]
+        # the misbehaving shadow's attempts on the raw samples are still tallied
+        assert [log.window(a).violations for a in roster] == [0, 0, 2]
 
     def test_label_and_pattern_not_readable_by_decision(self):
         # the decision path takes only features and modality
@@ -203,7 +234,7 @@ class TestProcessSample:
         pipe = pipeline(roster, log)
         pipe.run_batch(batch((0.0, 0, 0, 9.0, 0, 0), label=True))
         assert log.window(1).violations == 1
-        # decision still based on redacted data (sensitive suffix invisible)
+        # decision still based on the visible columns (sensitive suffix not given)
         [row] = [d for d in pipe.detections if d.shadow]
         assert row.verdict is False
 

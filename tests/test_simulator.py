@@ -17,10 +17,10 @@ from freeagent.config import (
     _scenario,
     section_4_4_preset,
 )
-from freeagent.domain import FEATURE_DIM, ConfigError
+from freeagent.domain import FEATURE_DIM, SENSITIVE_START, ConfigError
 from freeagent.engine import Engine
 from freeagent.moe import uniform_gate
-from freeagent.pipeline import decide, redact
+from freeagent.pipeline import decide
 from freeagent.simulator import PatternSpec, Segment, StreamConfig, generate_cycle, keyed_generator
 from tests import scalar_oracle as oracle
 
@@ -52,7 +52,7 @@ def same_batch(a, b):
 
 
 def pattern_names(cfg, cycle, batch):
-    mixture = cfg.mixture(cycle)
+    mixture = oracle.mixture(cfg, cycle)
     return [mixture[k][0].name for k in batch.pattern.tolist()]
 
 
@@ -232,10 +232,19 @@ class TestScheduleValidation:
         assert message in str(exc.value) and exc.value.at == at
 
     def test_segment_lookup(self):
-        # the running segment's mixture, in pattern-list order
-        cfg = stream(segments=(Segment(0, {"A": 1.0}), Segment(2, {"B": 0.75, "A": 0.25})))
-        assert cfg.mixture(0) == cfg.mixture(1) == ((PATTERN_A, 1.0),)
-        assert cfg.mixture(2) == cfg.mixture(99) == ((PATTERN_A, 0.25), (PATTERN_B, 0.75))
+        # the last segment started by the cycle, its mixture in pattern-list
+        # order: A (weight 0.25, fraud rate 0.2) takes the pattern uniforms
+        # below 0.25, and B (0.75, 0.5) the rest
+        cfg = stream(cycles=100,
+                     segments=(Segment(0, {"A": 1.0}), Segment(2, {"B": 0.75, "A": 0.25})))
+        n = cfg.samples_per_cycle
+        for cycle in (0, 1, 2, 99):
+            batch = generate_cycle(cfg, cycle)
+            u_pattern, u_label = keyed_generator("sample", cfg.seed, cycle).random((n, 2)).T
+            is_b = u_pattern >= 0.25 if cycle >= 2 else np.zeros(n, dtype=bool)
+            assert batch.pattern.tolist() == is_b.astype(int).tolist()
+            rates = np.where(is_b, PATTERN_B.fraud_rate, PATTERN_A.fraud_rate)
+            assert batch.label.tolist() == (u_label < rates).tolist()
 
 
 def accuracy(spec, stream, restricted=False):
@@ -243,7 +252,7 @@ def accuracy(spec, stream, restricted=False):
     on the stream's one cycle, on the full features or their Restricted view."""
     batch = generate_cycle(stream, 0)
     gate = uniform_gate(len(spec.experts))
-    features = redact(batch.features) if restricted else batch.features
+    features = batch.features[:, :SENSITIVE_START] if restricted else batch.features
     _, _, verdict = decide(spec.experts, gate, features, batch.modality)
     return np.count_nonzero(verdict == batch.label) / len(batch)
 
@@ -267,8 +276,8 @@ class TestScenario:
                          schedule=(Segment(0, pre_drift.mixture),))
         mixture = replace(cfg.stream, seed=321, samples_per_cycle=10_000, total_cycles=1,
                           schedule=(Segment(0, post_drift.mixture),))
-        assert [(p.name, w) for p, w in pure_a.mixture(0)] == [("A", 1.0)]
-        assert [(p.name, w) for p, w in mixture.mixture(0)] == [("A", 0.5), ("B", 0.5)]
+        assert [(p.name, w) for p, w in oracle.mixture(pure_a, 0)] == [("A", 1.0)]
+        assert [(p.name, w) for p, w in oracle.mixture(mixture, 0)] == [("A", 0.5), ("B", 0.5)]
         assert post_drift.start_cycle == 10
         assert 0.93 <= accuracy(incumbent, pure_a) <= 0.97
         assert 0.72 <= accuracy(incumbent, mixture) <= 0.78
@@ -292,7 +301,7 @@ class TestScenario:
         assert [
             correct(incumbent, pure_a, pure_a.features),
             correct(incumbent, mixture, mixture.features),
-            correct(candidate, mixture, redact(mixture.features)),
+            correct(candidate, mixture, mixture.features[:, :SENSITIVE_START]),
             correct(candidate, mixture, mixture.features),
         ] == [9454, 7431, 8776, 9383]
 
