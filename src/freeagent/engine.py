@@ -48,7 +48,7 @@ from .lifecycle import (
 )
 from .metrics import METRICS_COLUMNS, MetricsRow, PerformanceLog, count_ratios
 from .moe import check_gate, rl_update, uniform_gate
-from .pipeline import CyclePipeline, DetectionRecord
+from .pipeline import CyclePipeline
 from .reward import compute_components, compute_reward
 from .simulator import generate_cycle
 
@@ -78,7 +78,7 @@ class CycleReport:
     cycle: int
     rows: list[MetricsRow]
     events: list[RosterEvent]
-    detections: list[DetectionRecord]
+    detections: list[str]  # detections.jsonl lines
     stalled: bool
 
 
@@ -251,8 +251,8 @@ class Engine:
                     events_file.write(_COMPACT.encode(to_dict(event)) + "\n")
                 for row in report.rows:
                     metrics_file.write(row.to_csv() + "\n")
-                for det in report.detections:  # empty unless emit_detections is set
-                    detections_file.write(_COMPACT.encode(to_dict(det)) + "\n")
+                if report.detections:  # empty unless emit_detections is set
+                    detections_file.writelines(report.detections)
                 interval = self.config.snapshot_interval
                 if interval > 0 and self.cycle % interval == 0:
                     write_snapshot(self, snap_dir / f"state_cycle_{self.cycle:04d}.json")
@@ -320,7 +320,6 @@ class Snapshot:
 
 # Output rows and snapshots are schema dumps; each key of a snapshot is required.
 _table(RosterEvent)
-_table(DetectionRecord)
 _table(Agent, skip=("spec",), required=True)  # restore joins each entry to its spec
 _table(RunTotals, required=True)
 _table(Snapshot, required=True)

@@ -9,8 +9,8 @@ recorded, not executed.
 
 from __future__ import annotations
 
+import json
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,26 +21,28 @@ from .simulator import SampleBatch, keyed_generator
 
 logger = logging.getLogger("freeagent.pipeline")
 
-
-class Action:
-    BLOCK = "Block"
-    NONE = "None"
+_JSON_BOOL = ("false", "true")
 
 
-@dataclass(frozen=True, slots=True)
-class DetectionRecord:
-    """One decision of one agent on one sample: the only per-sample outcome.
+def _detection_lines(seq0: int, chunks: list[tuple[np.ndarray, ...]]) -> list[str]:
+    """One batch's ``detections.jsonl`` lines from its decision columns.
 
-    ``action`` is Block for a fraud verdict of the assigned agent and None
-    otherwise; shadow rows never carry an action.
+    Each chunk is one agent's ``(rows, agent, shadow, verdict, score)``.
+    Active agents' chunks come first, their rows disjoint, then the shadows'
+    by id, so a stable sort on the row orders the lines by seq, then the
+    assigned agent, then the shadows by id. The action is Block for an
+    assigned fraud verdict, else None. ``json`` writes the scores, so a
+    non-finite one reads ``NaN``, ``Infinity`` or ``-Infinity``.
     """
-
-    seq: int
-    agent: AgentId
-    verdict: bool
-    score: float
-    shadow: bool
-    action: str
+    columns = [np.concatenate(column) for column in zip(*chunks)]
+    order = columns[0].argsort(kind="stable")
+    rows, agent, shadow, verdict, score = (column[order].tolist() for column in columns)
+    scores = json.dumps(score)[1:-1].split(", ")
+    return [
+        f'{{"seq":{seq0 + i},"agent":{a},"verdict":{_JSON_BOOL[v]},"score":{x},'
+        f'"shadow":{_JSON_BOOL[s]},"action":"{"Block" if v and not s else "None"}"}}\n'
+        for i, a, v, x, s in zip(rows, agent, verdict, scores, shadow)
+    ]
 
 
 def _dot_columns(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -100,8 +102,8 @@ class CyclePipeline:
     cycle, agent), so outcomes are reproducible and independent of
     processing order. A failed handoff counts as attempted and skips the
     sample for that agent only; the dispatcher then falls through to the
-    next-best active agent. Detection rows are built only when
-    ``emit_detections`` is set.
+    next-best active agent. The ``detections.jsonl`` lines are rendered
+    only when ``emit_detections`` is set.
     """
 
     def __init__(
@@ -115,7 +117,7 @@ class CyclePipeline:
         self.roster = roster
         self.log = log
         self.cycle = cycle
-        self.detections: list[DetectionRecord] = []
+        self.detections: list[str] = []
         self.stalled_samples = 0
         self._seed = seed
         self._emit = emit_detections
@@ -150,7 +152,7 @@ class CyclePipeline:
         its feature columns, shadows on the first ``SENSITIVE_START``. An
         empty roster may be given the batch's size alone: all stall."""
         n = batch if isinstance(batch, int) else len(batch)
-        records: list[DetectionRecord] = []
+        chunks: list[tuple[np.ndarray, ...]] = []
 
         def run(agent: Agent, rows: np.ndarray, shadow: bool) -> None:
             if not len(rows):
@@ -176,11 +178,8 @@ class CyclePipeline:
                 minlength=len(agent.spec.experts),
             ).tolist()
             if self._emit:
-                records.extend(
-                    DetectionRecord(batch.seq0 + i, agent.id, v, s, shadow,
-                                    Action.BLOCK if v and not shadow else Action.NONE)
-                    for i, s, v in zip(rows.tolist(), score.tolist(), verdict.tolist())
-                )
+                chunks.append((rows, np.full(len(rows), agent.id), np.full(len(rows), shadow),
+                               verdict, score))
 
         # Dispatch down the performance ranking, one fall-through level at
         # a time, until every handoff succeeded or the ranking ran out.
@@ -197,8 +196,8 @@ class CyclePipeline:
         for agent in self._shadows:
             run(agent, np.flatnonzero(self._handoffs(agent, n)), True)
 
-        records.sort(key=lambda r: (r.seq, r.shadow, r.agent))
-        self.detections.extend(records)
+        if chunks:
+            self.detections.extend(_detection_lines(batch.seq0, chunks))
         if self.stalled_samples:
             shadows = ", ".join(str(a.id) for a in self._shadows)
             logger.warning(

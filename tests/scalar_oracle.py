@@ -1,24 +1,28 @@
 """Sample-at-a-time reference for the batch path in ``freeagent``.
 
-The engine generates, redacts, routes, scores and counts one cycle as
-columns (``simulator.generate_cycle``, ``pipeline.CyclePipeline``) and
-updates each gate once from its experts' net rewards (``moe.rl_update``).
-This module does the same work one sample at a time with plain Python
-floats, in the order the stream and dispatch contracts state, adding each
-decision's reward to its expert's net reward as it goes, so tests can
-require the batch path to match it bit for bit. Its gate and gate update
-are its own, over plain weights; it uses neither ``pipeline.decide`` nor
-``moe.rl_update``. Its keyed streams are its own too: each cycle's sample
-stream and each agent's handoff stream is a fresh
-``Generator(Philox(key=...))`` whose key it derives with ``hashlib`` as
-the stream contract documents, and it draws the sample stream one scalar
-at a time, so a change to the engine's key derivation or draw order
-fails against it.
+The engine generates, routes, scores and counts one cycle as columns
+(``simulator.generate_cycle``, ``pipeline.CyclePipeline``), giving a
+shadow only the visible feature columns, renders its ``detections.jsonl``
+lines from those columns, and updates each gate once from its experts' net
+rewards (``moe.rl_update``). This module does the same work one sample at
+a time with plain Python floats, in the order the stream and dispatch
+contracts state: a shadow decides on a zero-filled copy of the row, each
+decision's reward is added to its expert's net reward as it goes, and each
+decision is kept as a record that ``json.dumps`` writes as its line. So
+tests can require the batch path to match it bit for bit and byte for
+byte. Its gate and gate update are its own, over plain weights; it uses
+neither ``pipeline.decide`` nor ``moe.rl_update``. Its keyed streams are
+its own too: each cycle's sample stream and each agent's handoff stream
+is a fresh ``Generator(Philox(key=...))`` whose key it derives with
+``hashlib`` as the stream contract documents, and it draws the sample
+stream one scalar at a time, so a change to the engine's key derivation
+or draw order fails against it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass
 
@@ -27,7 +31,6 @@ import numpy as np
 from freeagent.domain import FRAUD_ROLE, SENSITIVE_START, Agent, AgentId, AgentStatus
 from freeagent.metrics import PerformanceLog
 from freeagent.moe import Expert
-from freeagent.pipeline import Action, DetectionRecord
 from freeagent.simulator import (
     _MODALITY_JITTER, FEATURE_DIM, MODALITY_DIM, PatternSpec, StreamConfig,
 )
@@ -40,6 +43,25 @@ class DataSample:
     modality: tuple[float, ...]
     label: bool
     pattern: int  # index into the cycle's mixture
+
+
+@dataclass(frozen=True, slots=True)
+class Detection:
+    """One decision of one agent on one sample."""
+
+    seq: int
+    agent: AgentId
+    verdict: bool
+    score: float
+    shadow: bool
+
+    def line(self) -> str:
+        """Its ``detections.jsonl`` line: the assigned agent's fraud verdict
+        is the only one that acts."""
+        action = "Block" if self.verdict and not self.shadow else "None"
+        return json.dumps({"seq": self.seq, "agent": self.agent, "verdict": self.verdict,
+                           "score": self.score, "shadow": self.shadow, "action": action},
+                          separators=(",", ":")) + "\n"
 
 
 def keyed_generator(text: str) -> np.random.Generator:
@@ -187,7 +209,7 @@ class ScalarPipeline:
     def __init__(self, roster: dict[AgentId, Agent], seed: int, cycle: int) -> None:
         self.log = PerformanceLog()
         self.rewards: dict[AgentId, list[float]] = {}  # per agent, each expert's net reward
-        self.detections: list[DetectionRecord] = []
+        self.detections: list[Detection] = []
         self.stalled_samples = 0
         self._rngs: dict[AgentId, np.random.Generator] = {}
         self._seed, self._cycle = seed, cycle
@@ -217,10 +239,7 @@ class ScalarPipeline:
         update_fraud_metrics(self.log, agent.id, verdict, sample.label)
         net = self.rewards.setdefault(agent.id, [0.0] * len(agent.spec.experts))
         net[idx] += 1.0 if verdict == sample.label else -1.0
-        self.detections.append(DetectionRecord(
-            seq=sample.seq, agent=agent.id, verdict=verdict, score=score, shadow=shadow,
-            action=Action.BLOCK if verdict and not shadow else Action.NONE,
-        ))
+        self.detections.append(Detection(sample.seq, agent.id, verdict, score, shadow))
 
     def process_sample(self, sample: DataSample) -> None:
         for agent in self._active:

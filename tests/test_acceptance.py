@@ -66,7 +66,8 @@ class ScenarioRun:
         self.elapsed = time.perf_counter() - started
         self.events = [e for report in self.reports for e in report.events]
         self.rows = [row for report in self.reports for row in report.rows]
-        self.detections = [d for report in self.reports for d in report.detections]
+        self.detections = [json.loads(line) for report in self.reports
+                           for line in report.detections]
 
     def pooled_accuracy(self, agent_id, cycles=None, status=None):
         rows = [
@@ -294,11 +295,11 @@ class TestCriterion4LifecycleInvariants:
 class TestCriterion5ShadowAudit:
     def test_shadow_isolation_and_redaction_audit(self, scenario):
         spc = scenario.config.stream.samples_per_cycle
-        shadow_rows = [d for d in scenario.detections if d.shadow]
-        action_rows = [d for d in scenario.detections if d.action != "None"]
+        shadow_rows = [d for d in scenario.detections if d["shadow"]]
+        action_rows = [d for d in scenario.detections if d["action"] != "None"]
 
-        isolation_ok = all(d.action == "None" for d in shadow_rows) and all(
-            d.agent in scenario.active_by_cycle[d.seq // spc] for d in action_rows
+        isolation_ok = all(d["action"] == "None" for d in shadow_rows) and all(
+            d["agent"] in scenario.active_by_cycle[d["seq"] // spc] for d in action_rows
         )
 
         # recompute every shadow decision from Restricted-redacted inputs,
@@ -306,14 +307,14 @@ class TestCriterion5ShadowAudit:
         samples = {}
         mismatches = 0
         for det in shadow_rows:
-            cycle, seq = divmod(det.seq, spc)
-            experts, gate_weights = scenario.shadow_states[(cycle, det.agent)]
+            cycle, seq = divmod(det["seq"], spc)
+            experts, gate_weights = scenario.shadow_states[(cycle, det["agent"])]
             if cycle not in samples:
                 samples[cycle] = generate_cycle_samples(scenario.config.stream, cycle)
             sample = samples[cycle][seq]
             idx = gate(experts, gate_weights, sample.modality)
             score, verdict = expert_score(experts[idx], redact(sample.features))
-            if verdict != det.verdict or score != det.score:
+            if verdict != det["verdict"] or score != det["score"]:
                 mismatches += 1
 
         criterion(

@@ -1,5 +1,6 @@
 """Config parsing, CLI verbs, output schemas, and snapshot round-trips."""
 
+import collections
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from freeagent.engine import (
     write_snapshot,
 )
 from freeagent.lifecycle import RoleSpec
+from freeagent.simulator import generate_cycle
 from tests.test_engine import GOOD_EXPERT, small_config
 
 MINIMAL = {
@@ -470,6 +472,43 @@ class TestOutputSchemas:
         engine.run(tmp_path)
         row = (tmp_path / "metrics.csv").read_text().splitlines()[1].split(",")
         assert all("." in cell and len(cell.split(".")[1]) == 6 for cell in row[7:15])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_scores_are_written_as_json_writes_them(self, tmp_path):
+        # Finite weights that validate accepts, whose products overflow: the
+        # incumbent's scores run to +-inf, and to NaN where the two meet.
+        weights = (1e308, -1e308, 1e308, 0.0, 0.0, 0.0)
+        node = config_to_dict(preset_config("section-4.4"))
+        node["stream"]["total_cycles"] = 3
+        node["output"]["emit_detections"] = True
+        incumbent = node["roster"][0]
+        threshold = incumbent["experts"][0]["threshold"]
+        incumbent["experts"] = [
+            {"profile": [1.0, 0.0, 0.0], "weights": list(weights), "threshold": threshold}
+        ]
+        cfg = parse_config(node)
+        Engine(cfg).run(tmp_path)
+
+        spc = cfg.stream.samples_per_cycle
+        batches = [generate_cycle(cfg.stream, cycle) for cycle in range(3)]
+        written = collections.Counter()
+        for line in (tmp_path / "detections.jsonl").read_text().splitlines():
+            seq, agent, shadow = (json.loads(line)[key] for key in ("seq", "agent", "shadow"))
+            if agent != 0:
+                continue
+            cycle, row = divmod(seq, spc)
+            score = 0.0  # one expert, summed from 0.0 one feature at a time
+            for weight, x in zip(weights, batches[cycle].features[row].tolist()):
+                score += weight * x
+            verdict = score >= threshold
+            assert line == json.dumps(
+                {"seq": seq, "agent": 0, "verdict": verdict, "score": score, "shadow": shadow,
+                 "action": "Block" if verdict and not shadow else "None"},
+                separators=(",", ":"),
+            )
+            written[json.dumps(score) if not math.isfinite(score) else "finite"] += 1
+        assert {"NaN", "Infinity", "-Infinity"} <= written.keys()
 
 
 class TestSnapshots:

@@ -1,6 +1,8 @@
 """Dispatch, the views agents decide on, shadow processing, and handoff
 behaviour."""
 
+import json
+
 import numpy as np
 
 from freeagent import pipeline as pipeline_module
@@ -14,11 +16,7 @@ from freeagent.domain import (
 )
 from freeagent.metrics import PerformanceLog
 from freeagent.moe import Expert, uniform_gate
-from freeagent.pipeline import (
-    Action,
-    CyclePipeline,
-    decide,
-)
+from freeagent.pipeline import CyclePipeline, decide
 from freeagent.simulator import SampleBatch
 
 
@@ -55,15 +53,20 @@ def pipeline(roster, log=None, seed=1, **kwargs):
                          emit_detections=True, **kwargs)
 
 
+def detections(pipe):
+    """The pipeline's detections.jsonl lines, parsed."""
+    return [json.loads(line) for line in pipe.detections]
+
+
 def dispatch_one(roster, log=None):
     """Run one fraud sample through a pipeline; return it and its detections."""
     pipe = pipeline(roster, log)
     pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True))
-    return pipe, pipe.detections
+    return pipe, detections(pipe)
 
 
-def assigned(detections):
-    return [d.agent for d in detections if not d.shadow]
+def assigned(rows):
+    return [d["agent"] for d in rows if not d["shadow"]]
 
 
 class TestSelectFraudAgent:
@@ -84,7 +87,7 @@ class TestSelectFraudAgent:
         roster = {1: detector(1, status=AgentStatus.PROBATIONARY, performance=0.99)}
         pipe, rows = dispatch_one(roster)
         assert assigned(rows) == []
-        assert [d.agent for d in rows if d.shadow] == [1]
+        assert [d["agent"] for d in rows if d["shadow"]] == [1]
         assert pipe.stalled_samples == 1
 
     def test_empty_roster(self):
@@ -114,8 +117,8 @@ class TestViews:
         log = PerformanceLog()
         pipe = pipeline({0: detector(0, weights=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0))}, log)
         pipe.run_batch(batch((0.0, 0, 0, 5.0, 0, 0), label=True))
-        [row] = pipe.detections
-        assert (row.verdict, row.score) == (True, 5.0)
+        [row] = detections(pipe)
+        assert (row["verdict"], row["score"]) == (True, 5.0)
 
     def test_a_shadow_is_given_only_the_visible_columns(self, monkeypatch):
         given = []
@@ -153,9 +156,9 @@ class TestProcessSample:
         log = PerformanceLog()
         pipe = pipeline(roster, log)
         assert pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True)) is None
-        [row] = pipe.detections
-        assert row.verdict is True and row.shadow is False
-        assert row.action == Action.BLOCK
+        [row] = detections(pipe)
+        assert row["verdict"] is True and row["shadow"] is False
+        assert row["action"] == "Block"
         assert log.window(0).true_positives == 1
 
     def test_shadow_false_positive_takes_no_action(self):
@@ -163,10 +166,10 @@ class TestProcessSample:
         log = PerformanceLog()
         pipe = pipeline(roster, log)
         pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=False))
-        active, shadow = pipe.detections
-        assert (active.agent, active.verdict) == (0, False)  # assigned agent says legit
-        assert (shadow.agent, shadow.verdict) == (1, True)   # shadow says fraud
-        assert active.action == shadow.action == Action.NONE
+        active, shadow = detections(pipe)
+        assert (active["agent"], active["verdict"]) == (0, False)  # assigned agent says legit
+        assert (shadow["agent"], shadow["verdict"]) == (1, True)   # shadow says fraud
+        assert active["action"] == shadow["action"] == "None"
         assert log.window(1).false_positives == 1
 
     def test_shadow_decides_on_restricted_view(self):
@@ -177,17 +180,17 @@ class TestProcessSample:
         roster = {0: detector(0), 1: shadow}
         pipe = pipeline(roster)
         pipe.run_batch(batch((0.0, 0, 0, 5.0, 0, 0), label=True))
-        [row] = [d for d in pipe.detections if d.shadow]
-        assert row.verdict is False
-        assert row.score == 0.0
+        [row] = [d for d in detections(pipe) if d["shadow"]]
+        assert row["verdict"] is False
+        assert row["score"] == 0.0
 
     def test_no_active_agent_stalls_but_shadows_run(self):
         roster = {1: detector(1, status=AgentStatus.PROBATIONARY)}
         pipe = pipeline(roster)
         pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True))
         assert pipe.stalled_samples == 1
-        [row] = pipe.detections
-        assert row.agent == 1 and row.shadow and row.action == Action.NONE
+        [row] = detections(pipe)
+        assert row["agent"] == 1 and row["shadow"] and row["action"] == "None"
 
     def test_handoff_failures_traced_under_fixed_seed(self):
         roster = {0: detector(0, reliability=0.5)}
@@ -214,7 +217,7 @@ class TestProcessSample:
         log = PerformanceLog()
         pipe = pipeline({0: never, 1: backup}, log)
         pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True))
-        assert [d.agent for d in pipe.detections] == [1]
+        assert [d["agent"] for d in detections(pipe)] == [1]
         assert log.window(0).handoffs_attempted == 1
         assert log.window(0).samples_seen == 0
         assert log.window(1).true_positives == 1
@@ -235,8 +238,8 @@ class TestProcessSample:
         pipe.run_batch(batch((0.0, 0, 0, 9.0, 0, 0), label=True))
         assert log.window(1).violations == 1
         # decision still based on the visible columns (sensitive suffix not given)
-        [row] = [d for d in pipe.detections if d.shadow]
-        assert row.verdict is False
+        [row] = [d for d in detections(pipe) if d["shadow"]]
+        assert row["verdict"] is False
 
     def test_misbehaving_full_tier_agent_never_violates(self):
         roster = {0: detector(0, misbehaving=True)}
@@ -254,17 +257,17 @@ class TestShadowIsolation:
         }
         pipe = pipeline(roster, seed=5)
         pipe.run_batch(batch((0.1, 0, 0, 0, 0, 0), label=False, n=50))
-        assert all(d.action == Action.NONE for d in pipe.detections)
-        shadow_rows = [d for d in pipe.detections if d.shadow]
+        assert all(d["action"] == "None" for d in detections(pipe))
+        shadow_rows = [d for d in detections(pipe) if d["shadow"]]
         assert len(shadow_rows) == 50
-        assert all(d.verdict for d in shadow_rows)
+        assert all(d["verdict"] for d in shadow_rows)
 
     def test_dispatch_totality_with_reliable_agents(self):
         roster = {0: detector(0), 1: detector(1)}
         pipe = pipeline(roster, seed=5)
         assert pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=40)) is None
-        non_shadow = [d for d in pipe.detections if not d.shadow]
-        assert [d.seq for d in non_shadow] == list(range(40))
+        non_shadow = [d for d in detections(pipe) if not d["shadow"]]
+        assert [d["seq"] for d in non_shadow] == list(range(40))
 
     def test_detection_rows_built_only_when_emitted(self):
         roster = {0: detector(0), 1: detector(1, status=AgentStatus.PROBATIONARY)}
@@ -275,7 +278,7 @@ class TestShadowIsolation:
         assert log.window(0).true_positives == log.window(1).true_positives == 3
         emitted = pipeline(roster, seed=5)
         emitted.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=3))
-        assert [(d.seq, d.agent) for d in emitted.detections] == [
+        assert [(d["seq"], d["agent"]) for d in detections(emitted)] == [
             (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)
         ]
         # Per seq the assigned row comes first, then the shadows by id,
@@ -284,6 +287,6 @@ class TestShadowIsolation:
                   1: detector(1, status=AgentStatus.PROBATIONARY)}
         emitted = pipeline(roster, seed=5)
         emitted.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=2))
-        assert [(d.seq, d.agent, d.shadow) for d in emitted.detections] == [
+        assert [(d["seq"], d["agent"], d["shadow"]) for d in detections(emitted)] == [
             (0, 3, False), (0, 1, True), (0, 2, True), (1, 3, False), (1, 1, True), (1, 2, True)
         ]
