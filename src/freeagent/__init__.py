@@ -10,7 +10,7 @@ from .domain import (
     EventKind,
     RosterEvent,
 )
-from .engine import Engine, SnapshotError, restore_engine, snapshot_state, write_snapshot
+from .engine import Engine, SnapshotError, restore_engine, write_snapshot
 from .lifecycle import LifecycleConfig
 from .moe import Expert, check_gate, rl_update, uniform_gate
 from .simulator import PatternSpec, Segment, StreamConfig
@@ -35,7 +35,6 @@ __all__ = [
     "check_gate",
     "restore_engine",
     "rl_update",
-    "snapshot_state",
     "uniform_gate",
     "write_snapshot",
     "__version__",

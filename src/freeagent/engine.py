@@ -75,7 +75,6 @@ class SnapshotError(RuntimeError):
 
 @dataclass
 class CycleReport:
-    cycle: int
     rows: list[MetricsRow]
     events: list[RosterEvent]
     detections: list[str]  # detections.jsonl lines
@@ -210,8 +209,8 @@ class Engine:
         evaluate_and_release(self.roster, self.pool, rows, cfg.lifecycle, cycle, events)
 
         # Stage 4: probation transitions, refill, service accounting. The
-        # vacancies are those stage 3 left, so a failed probation is refilled
-        # next cycle.
+        # vacancies are those stage 3 left, so a probation failed here is
+        # refilled next cycle.
         vacancies = vacant_roles(self.roster, cfg.roles)
         transition_probationary(self.roster, self.pool, cfg.lifecycle, cycle, events)
         fill_vacant_roles(self.roster, self.pool, vacancies, cfg.lifecycle, cycle, events)
@@ -222,7 +221,6 @@ class Engine:
         # joins the totals.
         self.cycle += 1
         report = CycleReport(
-            cycle,
             [rows[agent.id]._replace(service_time=agent.service_time) for agent in members],
             events, pipe.detections, stalled=pipe.stalled_samples > 0,
         )
@@ -327,13 +325,6 @@ _table(Snapshot, required=True)
 _AGENT_STATE = attrgetter(*(name for name, _ in _DUMP[Agent]))
 
 
-def snapshot_state(engine: Engine) -> dict:
-    """The whole engine state at a cycle boundary."""
-    roster = [engine.roster[aid] for aid in sorted(engine.roster)]
-    return to_dict(Snapshot(SNAPSHOT_FORMAT_VERSION, engine.cycle, engine.config, roster,
-                            engine.pool, engine.totals))
-
-
 def _agent_entry(engine: Engine, agent: Agent) -> str:
     """The agent's compact, sorted ``to_dict``, encoded again only when a
     state field is no longer the object it encoded: equal values need not
@@ -345,9 +336,10 @@ def _agent_entry(engine: Engine, agent: Agent) -> str:
 
 
 def write_snapshot(engine: Engine, path: str | Path) -> None:
-    """Write ``snapshot_state(engine)`` as compact, key-sorted JSON and a
-    newline, atomically: a reader of ``path`` sees either the previous file
-    or the complete new one, never a partial write.
+    """Write the engine's ``Snapshot`` (roster in id order) as the compact,
+    key-sorted JSON of its ``to_dict`` and a newline, atomically: a reader
+    of ``path`` sees either the previous file or the complete new one,
+    never a partial write.
 
     The text is spliced from encodings the engine keeps between snapshots:
     the config, each agent's entry while its state stays the same, and each
@@ -357,7 +349,7 @@ def write_snapshot(engine: Engine, path: str | Path) -> None:
     pool = ",".join(_agent_entry(engine, agent) for agent in engine.pool)
     totals, cycles = engine.totals, engine._cycle_json
     cycles.extend(_COMPACT.encode(list(row)) for row in totals.cycles[len(cycles):])
-    text = (  # the keys of snapshot_state, sorted
+    text = (  # the keys of Snapshot, sorted
         f'{{"config":{engine.config_json},"format_version":{SNAPSHOT_FORMAT_VERSION},'
         f'"next_cycle":{engine.cycle},"pool":[{pool}],"roster":[{roster}],'
         f'"totals":{{"cycles":[{",".join(cycles)}],'

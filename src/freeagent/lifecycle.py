@@ -72,7 +72,8 @@ def vacant_roles(roster: dict[AgentId, Agent], roles: tuple[RoleSpec, ...]) -> l
     """A role is vacant iff no roster agent holds it. Every roster agent,
     Active or Probationary, fills its role. The engine takes the vacancies
     before it judges probation, so an agent that fails probation leaves
-    its role open until the next cycle."""
+    its role open until the next cycle, unless evaluation already released
+    it (at ``sustain_window`` 1)."""
     filled = {agent.spec.role for agent in roster.values()}
     return [role for role in roles if role.name not in filled]
 
@@ -102,14 +103,13 @@ def evaluate_and_release(
     events: list[RosterEvent],
 ) -> None:
     """Evaluate every roster agent, Probationary ones included, and move
-    sustained underperformers (or agents past the service cap) to the pool.
+    sustained underperformers to the pool.
 
     Each agent is judged on its metrics.csv row of the cycle in ``rows``:
     its performance becomes the row's F1, and an Evaluate event records
     the row's counts. A cycle counts as "below" when the F1 drops under
     the release threshold, or when the row's reward drops under the
-    optional reward threshold. Underperformance takes precedence over the
-    service cap when both trigger at once.
+    optional reward threshold.
     """
     for agent_id in sorted(roster):
         agent, row = roster[agent_id], rows[agent_id]
@@ -130,12 +130,6 @@ def evaluate_and_release(
                 f"{agent.consecutive_below} consecutive evaluations",
                 events,
             )
-        elif agent.service_time >= cfg.max_service_time:
-            _release(
-                agent, roster, pool, EventKind.FREE_AGENCY, cycle,
-                f"service_time {agent.service_time} >= cap {cfg.max_service_time}",
-                events,
-            )
 
 
 def fill_vacant_roles(
@@ -145,21 +139,19 @@ def fill_vacant_roles(
     cfg: LifecycleConfig,
     cycle: int,
     events: list[RosterEvent],
-) -> list[AgentId]:
+) -> None:
     """Sign the best qualified pool agent into each vacancy.
 
     Qualification is a skills superset match plus room under the service
     cap: an agent whose service time after signing would already be at
     the cap would be freed again this cycle, so it is passed over.
     Selection is by highest last-known performance with ties to the
-    lowest id. An unfillable vacancy is logged and left open. Returns the
-    signed agent ids.
+    lowest id. An unfillable vacancy is logged and left open.
     """
 
     def service_after_signing(agent: Agent) -> int:
         return agent.service_time if cfg.keep_service_time_on_resign else 0
 
-    signed: list[AgentId] = []
     for vacancy in vacancies:
         candidates = [
             i for i, a in enumerate(pool)
@@ -178,10 +170,8 @@ def fill_vacant_roles(
         best.consecutive_below = 0
         best.service_time = service_after_signing(best)
         roster[best.id] = best
-        signed.append(best.id)
         detail = f"signed for role {vacancy.name}"
         events.append(RosterEvent.of(cycle, EventKind.SIGN, best, detail))
-    return signed
 
 
 def transition_probationary(

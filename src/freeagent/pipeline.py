@@ -183,18 +183,20 @@ class CyclePipeline:
 
         # Dispatch down the performance ranking, one fall-through level at
         # a time, until every handoff succeeded or the ranking ran out.
+        # Weights that validate accepts can overflow a score; the non-finite
+        # score is the documented output, so numpy is not to warn about it.
         pending = np.arange(n)
-        for agent in self._active:
-            if not len(pending):
-                break
-            ok = self._handoffs(agent, len(pending))
-            run(agent, pending[ok], False)
-            pending = pending[~ok]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for agent in self._active:
+                if not len(pending):
+                    break
+                ok = self._handoffs(agent, len(pending))
+                run(agent, pending[ok], False)
+                pending = pending[~ok]
+            for agent in self._shadows:
+                run(agent, np.flatnonzero(self._handoffs(agent, n)), True)
         if not self._active:
             self.stalled_samples += n
-
-        for agent in self._shadows:
-            run(agent, np.flatnonzero(self._handoffs(agent, n)), True)
 
         if chunks:
             self.detections.extend(_detection_lines(batch.seq0, chunks))

@@ -473,8 +473,6 @@ class TestOutputSchemas:
         row = (tmp_path / "metrics.csv").read_text().splitlines()[1].split(",")
         assert all("." in cell and len(cell.split(".")[1]) == 6 for cell in row[7:15])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_scores_are_written_as_json_writes_them(self, tmp_path):
         # Finite weights that validate accepts, whose products overflow: the
         # incumbent's scores run to +-inf, and to NaN where the two meet.

@@ -286,24 +286,28 @@ class TestServiceCap:
         decided = [sum(cycle[:4]) for cycle in engine.totals.cycles]
         assert decided[2:] == [0] * 6
 
-    def test_preseeded_overcap_agent_released_at_first_evaluation(self):
-        roster = (
-            AgentSpec(
-                role="FraudDetection",
-                skills=frozenset({"fraud"}),
-                experts=(GOOD_EXPERT,),
-                service_time=99,
-            ),
-        )
-        cfg = small_config(lifecycle=LifecycleConfig(max_service_time=10))
-        cfg = RunConfig(
-            stream=cfg.stream, lifecycle=cfg.lifecycle, roles=cfg.roles,
-            roster=roster, pool=(),
-        )
+    def test_preseeded_overcap_agent_decides_its_first_cycle_then_is_freed(self):
+        # The cap sweep is the one cap exit: an agent seeded past the cap
+        # decides cycle 0 as Active, is freed after its tick, and its role
+        # is signed the next cycle.
+        base = small_config(lifecycle=LifecycleConfig(max_service_time=10))
+        overcap = replace(base.roster[0], service_time=99)
+        cfg = replace(base, roster=(overcap,), pool=(base.roster[0],))
         engine = Engine(cfg)
-        report = engine.run_cycle()
-        assert any(e.kind is EventKind.FREE_AGENCY for e in report.events)
+        first = engine.run_cycle()
+        (row,) = first.rows
+        assert row.agent == 0 and row.status == "Active"
+        assert row.tp + row.fp + row.fn + row.tn == cfg.stream.samples_per_cycle
+        _, tick, freed = first.events
+        assert [e.kind for e in first.events] == [
+            EventKind.EVALUATE, EventKind.SERVICE_TICK, EventKind.FREE_AGENCY
+        ]
+        assert {e.agent for e in first.events} == {0}
+        assert tick.detail == "service_time=100"
+        assert freed.detail == "service_time 100 reached cap 10"
         assert engine.roster == {}
+        second = engine.run_cycle()
+        assert [e.agent for e in second.events if e.kind is EventKind.SIGN] == [1]
 
 
 class TestDegenerate:

@@ -71,14 +71,19 @@ class TestEvaluateAndRelease:
         kinds = [e.kind for e in events]
         assert kinds == [EventKind.EVALUATE, EventKind.RELEASE]
 
-    def test_service_cap_releases_good_performer_as_free_agency(self):
+    def test_good_performer_at_cap_is_kept_for_the_cap_sweep(self):
+        # evaluation judges performance alone; the cap sweep is the one cap exit
         cfg = LifecycleConfig(max_service_time=50)
         agent = detector(0)
         agent.service_time = 50
         roster, pool, events = {0: agent}, [], []
         evaluate_and_release(roster, pool, rows_for_f1(0, 0.95), cfg, 0, events)
-        assert pool == [agent]
+        assert roster == {0: agent} and pool == []
+        assert [e.kind for e in events] == [EventKind.EVALUATE]
+        enforce_service_cap(roster, pool, cfg, 0, events)
+        assert roster == {} and pool == [agent]
         assert events[-1].kind is EventKind.FREE_AGENCY
+        assert events[-1].detail == "service_time 50 reached cap 50"
 
     def test_sustain_window_not_met_retained(self):
         cfg = LifecycleConfig(sustain_window=3)
@@ -125,6 +130,11 @@ class TestEvaluateAndRelease:
         assert [e.agent for e in events] == [2, 2, 5, 5]
 
 
+def signed(events):
+    """The ids the Sign events record, in order."""
+    return [e.agent for e in events if e.kind is EventKind.SIGN]
+
+
 class TestFillVacantRoles:
     def test_skills_superset_required(self):
         a = detector(1, skills={"text"})
@@ -135,11 +145,11 @@ class TestFillVacantRoles:
         pool = [a, b]
         roster, events = {}, []
         vac = [RoleSpec("FraudDetection", frozenset({"text", "pattern-B"}))]
-        signed = fill_vacant_roles(roster, pool, vac, LifecycleConfig(), 0, events)
-        assert signed == [2]
+        assert fill_vacant_roles(roster, pool, vac, LifecycleConfig(), 0, events) is None
+        assert signed(events) == [2] and len(events) == 1
+        assert events[0].detail == "signed for role FraudDetection"
         assert roster[2].status is AgentStatus.PROBATIONARY
         assert pool == [a]
-        assert events[0].kind is EventKind.SIGN
 
     def test_best_performance_wins(self):
         # brute-force oracle over the 2-candidate set: argmax performance
@@ -149,25 +159,26 @@ class TestFillVacantRoles:
         expected = max([lo, hi], key=lambda a: a.performance).id
         roster, events = {}, []
         vac = [RoleSpec("FraudDetection", frozenset({"fraud"}))]
-        signed = fill_vacant_roles(roster, [lo, hi], vac, LifecycleConfig(), 0, events)
-        assert signed == [expected]
+        fill_vacant_roles(roster, [lo, hi], vac, LifecycleConfig(), 0, events)
+        assert signed(events) == [expected]
 
     def test_performance_tie_breaks_to_lowest_id(self):
         a, b = detector(4, performance=0.8), detector(2, performance=0.8)
         for agent in (a, b):
             agent.status = AgentStatus.RELEASED
-        signed = fill_vacant_roles(
-            {}, [a, b], [RoleSpec("FraudDetection", frozenset())], LifecycleConfig(), 0, []
+        events = []
+        fill_vacant_roles(
+            {}, [a, b], [RoleSpec("FraudDetection", frozenset())], LifecycleConfig(), 0, events
         )
-        assert signed == [2]
+        assert signed(events) == [2]
 
     def test_empty_pool_leaves_vacancy(self, caplog):
         events = []
         with caplog.at_level("WARNING", logger="freeagent.lifecycle"):
-            signed = fill_vacant_roles(
+            fill_vacant_roles(
                 {}, [], [RoleSpec("FraudDetection", frozenset())], LifecycleConfig(), 0, events
             )
-        assert signed == [] and events == []
+        assert events == []
         assert "unfilled" in caplog.text
 
     def test_service_time_reset_when_configured(self):
@@ -175,16 +186,20 @@ class TestFillVacantRoles:
         agent.status = AgentStatus.RELEASED
         agent.service_time = 7
         cfg = LifecycleConfig(keep_service_time_on_resign=False)
-        fill_vacant_roles({}, [agent], [RoleSpec("FraudDetection", frozenset())], cfg, 0, [])
+        events = []
+        fill_vacant_roles({}, [agent], [RoleSpec("FraudDetection", frozenset())], cfg, 0, events)
+        assert signed(events) == [1]
         assert agent.service_time == 0
 
     def test_service_time_kept_by_default(self):
         agent = detector(1)
         agent.status = AgentStatus.RELEASED
         agent.service_time = 7
+        events = []
         fill_vacant_roles(
-            {}, [agent], [RoleSpec("FraudDetection", frozenset())], LifecycleConfig(), 0, []
+            {}, [agent], [RoleSpec("FraudDetection", frozenset())], LifecycleConfig(), 0, events
         )
+        assert signed(events) == [1]
         assert agent.service_time == 7
 
     @pytest.mark.parametrize("keep", [True, False])
@@ -196,13 +211,11 @@ class TestFillVacantRoles:
             agent.status = AgentStatus.RELEASED
         capped.service_time = 2
         cfg = LifecycleConfig(max_service_time=2, keep_service_time_on_resign=keep)
-        roster, pool = {}, [capped, fresh]
-        signed = fill_vacant_roles(
-            roster, pool, [RoleSpec("FraudDetection", frozenset())], cfg, 0, []
-        )
-        assert signed == ([2] if keep else [1])
+        roster, pool, events = {}, [capped, fresh], []
+        fill_vacant_roles(roster, pool, [RoleSpec("FraudDetection", frozenset())], cfg, 0, events)
+        assert signed(events) == ([2] if keep else [1])
         enforce_service_cap(roster, pool, cfg, 0, [])
-        assert list(roster) == signed
+        assert list(roster) == signed(events)
 
 
 class TestVacancies:

@@ -1,9 +1,10 @@
 """The spliced snapshot writer against its oracle, the schema dump.
 
 ``write_snapshot`` splices its text from encodings the engine keeps
-between snapshots. The oracle encodes the whole ``snapshot_state`` afresh,
-so a cached agent entry that outlives a change to the agent, or a totals
-row that never reaches the cache, shows as a byte difference.
+between snapshots. The oracle encodes the schema dump of the whole
+``Snapshot`` afresh, so a cached agent entry that outlives a change to the
+agent, or a totals row that never reaches the cache, shows as a byte
+difference.
 """
 
 import json
@@ -11,15 +12,25 @@ import json
 import pytest
 
 import freeagent.engine
+from freeagent.config import to_dict
 from freeagent.domain import AgentStatus
-from freeagent.engine import Engine, restore_engine, snapshot_state, write_snapshot
+from freeagent.engine import (
+    SNAPSHOT_FORMAT_VERSION,
+    Engine,
+    Snapshot,
+    restore_engine,
+    write_snapshot,
+)
 from tests.test_golden import RESUME_AT, workload
 
 CYCLES = 60  # the golden churn cut: 12 snapshots
 
 
 def oracle(engine: Engine) -> str:
-    return json.dumps(snapshot_state(engine), separators=(",", ":"), sort_keys=True) + "\n"
+    roster = [engine.roster[aid] for aid in sorted(engine.roster)]
+    state = Snapshot(SNAPSHOT_FORMAT_VERSION, engine.cycle, engine.config, roster,
+                     engine.pool, engine.totals)
+    return json.dumps(to_dict(state), separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def check(engine: Engine, path) -> None:
