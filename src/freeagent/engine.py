@@ -37,7 +37,16 @@ from operator import attrgetter, is_
 from pathlib import Path
 
 from .config import _DUMP, RunConfig, _table, config_to_dict, from_dict, to_dict
-from .domain import Agent, AgentId, AgentStatus, ConfigError, EventKind, RosterEvent
+from .domain import (
+    FEATURE_DIM,
+    MODALITY_DIM,
+    Agent,
+    AgentId,
+    AgentStatus,
+    ConfigError,
+    EventKind,
+    RosterEvent,
+)
 from .lifecycle import (
     enforce_service_cap,
     evaluate_and_release,
@@ -46,7 +55,7 @@ from .lifecycle import (
     transition_probationary,
     vacant_roles,
 )
-from .metrics import METRICS_COLUMNS, MetricsRow, PerformanceLog, count_ratios
+from .metrics import METRICS_COLUMNS, METRICS_LINE, MetricsRow, PerformanceLog, count_ratios
 from .moe import check_gate, rl_update, uniform_gate
 from .pipeline import CyclePipeline
 from .reward import compute_components, compute_reward
@@ -138,6 +147,76 @@ def agent_to_dict(agent: Agent) -> dict:
     return {**node, "role": spec.role, "skills": sorted(spec.skills), "moe": moe,
             "cost_per_sample": spec.cost_per_sample,
             "handoff_reliability": spec.handoff_reliability}
+
+
+def event_line(event: RosterEvent) -> str:
+    """The event's ``events.jsonl`` line: its fields in order, compact, as
+    ``json.dumps`` writes them. The detail goes through ``json.dumps``; the
+    snapshot is an agent's performance, a float in [0, 1], whose JSON text
+    is its ``repr``; the kinds are plain words."""
+    return (f'{{"cycle":{event.cycle},"kind":"{event.kind.value}","agent":{event.agent},'
+            f'"detail":{json.dumps(event.detail)},'
+            f'"performance_snapshot":{event.performance_snapshot!r}}}\n')
+
+
+# One ``cycles`` entry and one expert of summary.json, laid out as
+# ``json.dumps(summary, indent=2, sort_keys=True)`` lays them out at their
+# depth: the keys of ``_system_metrics`` with "cycle" and "stalled", and
+# the fields of ``Expert``, sorted, with one slot per number. An entry's
+# counts are ints and its ratios floats in [0, 1], whose JSON text is their
+# ``repr``.
+_CYCLE_ENTRY = ('\n    {\n      "accuracy": %r,\n      "cycle": %d,\n      "decided": %d,'
+                '\n      "f1": %r,\n      "stalled": %s\n    }')
+
+
+def _items(n: int) -> str:
+    return ",".join(["\n              %s"] * n)
+
+
+_EXPERT_ENTRY = (f'\n          {{\n            "profile": [{_items(MODALITY_DIM)}\n            ],'
+                 f'\n            "threshold": %s,'
+                 f'\n            "weights": [{_items(FEATURE_DIM)}\n            ]\n          }}')
+# Where the dump of the rest holds the spliced lists: the cycles, and each
+# agent's experts, pool first, at the depths only these keys have.
+_CYCLES_AT = '\n  "cycles": '
+_EXPERTS_AT = '\n        "experts": '
+
+
+def _listing(entries: list[str], indent: str) -> str:
+    return "[" + ",".join(entries) + "\n" + indent + "]" if entries else "[]"
+
+
+def summary_json(summary: dict) -> str:
+    """``json.dumps(summary, indent=2, sort_keys=True)`` and a newline.
+
+    That dump is json's pure-Python encoder, so it runs only on the parts
+    without a fixed layout: each ``cycles`` entry and each agent's experts
+    come from templates and are spliced in where the dump holds empty
+    lists. json's C encoder writes the experts' numbers, in one call.
+    Nothing is cached: equal numbers need not print alike (0.0 and -0.0)."""
+    agents = [*summary["final_pool"], *summary["final_roster"]]  # in sorted key order
+    head, tail = json.dumps(
+        {**summary, "cycles": [],
+         **{key: [{**agent, "moe": {**agent["moe"], "experts": []}} for agent in summary[key]]
+            for key in ("final_pool", "final_roster")}},
+        indent=2, sort_keys=True,
+    ).split(_CYCLES_AT + "[]")
+    cycles = [
+        _CYCLE_ENTRY % (c["accuracy"], c["cycle"], c["decided"], c["f1"],
+                        "true" if c["stalled"] else "false")
+        for c in summary["cycles"]
+    ]
+    numbers = iter(json.dumps([
+        [*e["profile"], e["threshold"], *e["weights"]]
+        for agent in agents for e in agent["moe"]["experts"]
+    ])[2:-2].split("], ["))
+    parts = tail.split(_EXPERTS_AT + "[]")
+    out = [head, _CYCLES_AT, _listing(cycles, "  "), parts[0]]
+    for agent, part in zip(agents, parts[1:]):
+        experts = [_EXPERT_ENTRY % tuple(next(numbers).split(", "))
+                   for _ in agent["moe"]["experts"]]
+        out += [_EXPERTS_AT, _listing(experts, " " * 8), part]
+    return "".join(out) + "\n"
 
 
 class Engine:
@@ -245,10 +324,8 @@ class Engine:
             metrics_file.write(",".join(METRICS_COLUMNS) + "\n")
             while self.cycle < self.config.stream.total_cycles:
                 report = self.run_cycle()
-                for event in report.events:
-                    events_file.write(_COMPACT.encode(to_dict(event)) + "\n")
-                for row in report.rows:
-                    metrics_file.write(row.to_csv() + "\n")
+                events_file.writelines(map(event_line, report.events))
+                metrics_file.writelines([METRICS_LINE % row for row in report.rows])
                 if report.detections:  # empty unless emit_detections is set
                     detections_file.writelines(report.detections)
                 interval = self.config.snapshot_interval
@@ -256,9 +333,7 @@ class Engine:
                     write_snapshot(self, snap_dir / f"state_cycle_{self.cycle:04d}.json")
 
         summary = self.build_summary()
-        (out / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        (out / "summary.json").write_text(summary_json(summary), encoding="utf-8")
         return summary
 
     def build_summary(self) -> dict:
@@ -316,8 +391,7 @@ class Snapshot:
     totals: RunTotals
 
 
-# Output rows and snapshots are schema dumps; each key of a snapshot is required.
-_table(RosterEvent)
+# Snapshots are schema dumps; each of their keys is required.
 _table(Agent, skip=("spec",), required=True)  # restore joins each entry to its spec
 _table(RunTotals, required=True)
 _table(Snapshot, required=True)

@@ -10,7 +10,7 @@ processed (which is what makes drift visible quickly).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from .domain import AgentId
 
@@ -72,9 +72,12 @@ class MetricsRow(NamedTuple):
     reward: float
     service_time: int
 
-    def to_csv(self) -> str:
-        """Floats with 6 decimals, everything else as ``str``."""
-        return ",".join(f"{v:.6f}" if type(v) is float else str(v) for v in self)
+
+# A row's metrics.csv line, ``METRICS_LINE % row``: float fields with 6
+# decimals, everything else as ``str``.
+METRICS_LINE = ",".join(
+    "%.6f" if hint is float else "%s" for hint in get_type_hints(MetricsRow).values()
+) + "\n"
 
 
 @dataclass

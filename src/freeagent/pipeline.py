@@ -87,7 +87,7 @@ def decide(
     profiles = np.array([e.profile for e in experts]).T  # (MODALITY_DIM, E)
     affinity = _dot_columns(modality.T[:, :, None], profiles) * np.array(gate_weights)
     chosen = affinity.argmax(axis=1)  # first maximum
-    weights = np.array([e.weights for e in experts])[chosen]  # (n, FEATURE_DIM)
+    weights = np.array([e.weights for e in experts]).take(chosen, axis=0)  # (n, FEATURE_DIM)
     score = _dot_columns(features.T, weights.T)
     thresholds = np.array([e.threshold for e in experts])
     return chosen, score, score >= thresholds[chosen]
@@ -157,9 +157,13 @@ class CyclePipeline:
         def run(agent: Agent, rows: np.ndarray, shadow: bool) -> None:
             if not len(rows):
                 return
-            features = batch.features[rows, :SENSITIVE_START] if shadow else batch.features[rows]
+            # A shadow is given a fresh array of the visible columns alone;
+            # a slice of a full-width ``take`` would hold the sensitive ones
+            # in its ``.base``.
+            features = (batch.features[rows, :SENSITIVE_START] if shadow
+                        else batch.features.take(rows, axis=0))
             expert, score, verdict = decide(agent.spec.experts, agent.gate_weights,
-                                            features, batch.modality[rows])
+                                            features, batch.modality.take(rows, axis=0))
             label = batch.label[rows]
             win = self.log.window(agent.id)
             tn, fn, fp, tp = np.bincount(2 * verdict + label, minlength=4).tolist()

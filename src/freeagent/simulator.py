@@ -213,7 +213,7 @@ def generate_cycle(cfg: StreamConfig, cycle: int) -> SampleBatch:
     modality -= 1.0
     modality *= _MODALITY_JITTER
     modality += 1.0
-    modality *= base[pattern]
+    modality *= base.take(pattern, axis=0)
     modality /= (modality[:, 0] + modality[:, 1] + modality[:, 2])[:, None]
     return SampleBatch(
         seq0=cycle * n,

@@ -1,8 +1,9 @@
 """Domain type invariants."""
 
+import json
+
 import pytest
 
-from freeagent.config import to_dict
 from freeagent.domain import (
     Agent,
     AgentStatus,
@@ -10,14 +11,17 @@ from freeagent.domain import (
     EventKind,
     RosterEvent,
 )
+from freeagent.engine import event_line
 from tests.test_pipeline import detector
 
 
 def test_event_serialization_field_order():
-    # an events.jsonl row is the schema dump of its event
+    # an events.jsonl line holds the event's fields in order
     event = RosterEvent(cycle=2, kind=EventKind.SIGN, agent=7, detail="x", performance_snapshot=0.5)
-    assert list(to_dict(event)) == ["cycle", "kind", "agent", "detail", "performance_snapshot"]
-    assert to_dict(event)["kind"] == "Sign"
+    line = json.loads(event_line(event))
+    assert list(line) == ["cycle", "kind", "agent", "detail", "performance_snapshot"]
+    assert line == {"cycle": 2, "kind": "Sign", "agent": 7, "detail": "x",
+                    "performance_snapshot": 0.5}
 
 
 @pytest.mark.parametrize("field,value", [

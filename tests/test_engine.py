@@ -12,6 +12,7 @@ from freeagent.config import AgentSpec, RunConfig, section_4_4_preset
 from freeagent.domain import AgentStatus, ConfigError, EventKind
 from freeagent.engine import METRICS_COLUMNS, Engine, RunTotals, restore_engine
 from freeagent.lifecycle import LifecycleConfig, RoleSpec
+from freeagent.metrics import METRICS_LINE
 from freeagent.moe import Expert, rl_update
 from freeagent.pipeline import CyclePipeline
 from freeagent.reward import compute_reward
@@ -90,7 +91,7 @@ class TestHealthyRoster:
         row = report.rows[0]
         assert row.status == "Active"
         assert row.tp + row.fp + row.fn + row.tn == 60
-        assert len(METRICS_COLUMNS) == len(row.to_csv().split(","))
+        assert len(METRICS_COLUMNS) == len((METRICS_LINE % row).split(","))
 
 
 class TestReplacementFlow:

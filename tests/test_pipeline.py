@@ -125,6 +125,11 @@ class TestViews:
 
         def spy(experts, gate_weights, features, modality):
             given.append(features.tolist())
+            if features.shape[1] == SENSITIVE_START:  # a shadow: no array it views is wider
+                base = features
+                while base is not None:
+                    assert np.ndim(base) == 2 and np.shape(base)[1] <= SENSITIVE_START
+                    base = base.base
             return decide(experts, gate_weights, features, modality)
 
         monkeypatch.setattr(pipeline_module, "decide", spy)
