@@ -3,7 +3,8 @@ fixed per-cycle stage order, and persists the machine-readable outputs.
 
 Stage order within one cycle is fixed for determinism:
 
-  1. pipeline processes the cycle's batch against the current roster
+  1. the pipeline makes one zeroed window per roster agent and processes
+     the cycle's batch against the current roster
   2. one pass over the roster in id order scores each agent's window
      once, as its metrics.csv row (counts, ratios, reward components and
      a reward whose accuracy is the row's F1), and gives the gate of each
@@ -14,9 +15,8 @@ Stage order within one cycle is fixed for determinism:
      its shadow window, sign into those vacancies, tick service time, then
      sweep the service cap so no roster agent ends the cycle at or past it
   5. the rows take the service time stage 4 left, and the Active agents'
-     rows are folded into the run totals that summary.json reports
-
-Each cycle's performance windows live in a log of that cycle alone.
+     rows are folded into the run totals that summary.json reports; a
+     cycle without an Active row stalled
 
 All randomness is drawn from counter-keyed generators (stream and
 handoffs), so the engine's whole state is its config, cycle, roster, pool
@@ -55,7 +55,7 @@ from .lifecycle import (
     transition_probationary,
     vacant_roles,
 )
-from .metrics import METRICS_COLUMNS, METRICS_LINE, MetricsRow, PerformanceLog, count_ratios
+from .metrics import METRICS_COLUMNS, METRICS_LINE, MetricsRow, count_ratios
 from .moe import check_gate, rl_update, uniform_gate
 from .pipeline import CyclePipeline
 from .reward import compute_components, compute_reward
@@ -87,7 +87,6 @@ class CycleReport:
     rows: list[MetricsRow]
     events: list[RosterEvent]
     detections: list[str]  # detections.jsonl lines
-    stalled: bool
 
 
 @dataclass
@@ -121,10 +120,11 @@ class RunTotals:
                                   at=f"key_cycles.{key}")
 
     def fold(self, report: CycleReport) -> None:
+        # A cycle without an Active row stalled: it had no Active agent to take its batch.
         active = [row for row in report.rows if row.status == AgentStatus.ACTIVE.value]
         self.cycles.append((sum(r.tp for r in active), sum(r.fp for r in active),
                             sum(r.fn for r in active), sum(r.tn for r in active),
-                            report.stalled))
+                            not active))
         for event in report.events:
             kind = event.kind.value
             self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
@@ -251,18 +251,11 @@ class Engine:
         cfg = self.config
         cycle = self.cycle
         events: list[RosterEvent] = []
-        log = PerformanceLog()
 
         # Stage 1: process the batch with the roster as it stands. An empty
         # roster reads no sample, so its cycle draws none.
         batch = generate_cycle(cfg.stream, cycle) if self.roster else cfg.stream.samples_per_cycle
-        pipe = CyclePipeline(
-            roster=self.roster,
-            log=log,
-            seed=cfg.stream.seed,
-            cycle=cycle,
-            emit_detections=cfg.emit_detections,
-        )
+        pipe = CyclePipeline(self.roster, cfg.stream.seed, cycle, cfg.emit_detections)
         pipe.run_batch(batch)
         members = [agent for _, agent in sorted(self.roster.items())]
 
@@ -271,7 +264,7 @@ class Engine:
         # that decided takes its one update. No row reads a gate.
         rows: dict[AgentId, MetricsRow] = {}
         for agent in members:
-            win = log.window(agent.id)
+            win = pipe.log.windows[agent.id]
             counts = (win.true_positives, win.false_positives,
                       win.false_negatives, win.true_negatives)
             ratios = count_ratios(*counts)
@@ -301,7 +294,7 @@ class Engine:
         self.cycle += 1
         report = CycleReport(
             [rows[agent.id]._replace(service_time=agent.service_time) for agent in members],
-            events, pipe.detections, stalled=pipe.stalled_samples > 0,
+            events, pipe.detections,
         )
         self.totals.fold(report)
         return report
@@ -311,6 +304,8 @@ class Engine:
     def run(self, out_dir: str | Path) -> dict:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        if not self.config.emit_detections:  # an earlier run's file is not this run's
+            (out / "detections.jsonl").unlink(missing_ok=True)
         snap_dir = out / "snapshots"
         if self.config.snapshot_interval > 0:
             snap_dir.mkdir(exist_ok=True)

@@ -2,14 +2,14 @@
 each expert's net reward), the ratios of the counts, and the metrics.csv
 row that scores one agent's cycle.
 
-Windows are tumbling: the engine starts every cycle with a fresh
-``PerformanceLog``, so every evaluation reflects only the cycle just
-processed (which is what makes drift visible quickly).
+Windows are tumbling: each cycle's pipeline starts one zeroed window per
+roster agent, so every evaluation reflects only the cycle just processed
+(which is what makes drift visible quickly).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, get_type_hints
 
 from .domain import AgentId
@@ -82,16 +82,9 @@ METRICS_LINE = ",".join(
 
 @dataclass
 class PerformanceLog:
-    """Per-AgentId windows of one cycle."""
+    """One cycle's windows: one per roster agent, by id."""
 
-    windows: dict[AgentId, AgentWindow] = field(default_factory=dict)
-
-    def window(self, agent: AgentId) -> AgentWindow:
-        win = self.windows.get(agent)
-        if win is None:
-            win = AgentWindow()
-            self.windows[agent] = win
-        return win
+    windows: dict[AgentId, AgentWindow]
 
 
 def count_ratios(tp: int, fp: int, fn: int, tn: int) -> tuple[float, float, float, float]:

@@ -15,7 +15,7 @@ import logging
 import numpy as np
 
 from .domain import FRAUD_ROLE, SENSITIVE_START, Agent, AgentId, AgentStatus
-from .metrics import PerformanceLog
+from .metrics import AgentWindow, PerformanceLog
 from .moe import Expert
 from .simulator import SampleBatch, keyed_generator
 
@@ -102,20 +102,20 @@ class CyclePipeline:
     cycle, agent), so outcomes are reproducible and independent of
     processing order. A failed handoff counts as attempted and skips the
     sample for that agent only; the dispatcher then falls through to the
-    next-best active agent. The ``detections.jsonl`` lines are rendered
-    only when ``emit_detections`` is set.
+    next-best active agent. Each roster agent's window in ``log`` starts at
+    zero here. The ``detections.jsonl`` lines are rendered only when
+    ``emit_detections`` is set.
     """
 
     def __init__(
         self,
         roster: dict[AgentId, Agent],
-        log: PerformanceLog,
         seed: int,
         cycle: int,
         emit_detections: bool = False,
     ) -> None:
         self.roster = roster
-        self.log = log
+        self.log = PerformanceLog({agent_id: AgentWindow() for agent_id in roster})
         self.cycle = cycle
         self.detections: list[str] = []
         self.stalled_samples = 0
@@ -140,7 +140,7 @@ class CyclePipeline:
         which starts fresh because an agent is reached at most once per
         batch.
         """
-        win = self.log.window(agent.id)
+        win = self.log.windows[agent.id]
         gen = keyed_generator("handoff", self._seed, self.cycle, agent.id)
         ok = gen.random(k) < agent.spec.handoff_reliability
         win.handoffs_attempted += k
@@ -165,7 +165,7 @@ class CyclePipeline:
             expert, score, verdict = decide(agent.spec.experts, agent.gate_weights,
                                             features, batch.modality.take(rows, axis=0))
             label = batch.label[rows]
-            win = self.log.window(agent.id)
+            win = self.log.windows[agent.id]
             tn, fn, fp, tp = np.bincount(2 * verdict + label, minlength=4).tolist()
             win.true_positives += tp
             win.false_positives += fp

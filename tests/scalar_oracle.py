@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from freeagent.domain import FRAUD_ROLE, SENSITIVE_START, Agent, AgentId, AgentStatus
-from freeagent.metrics import PerformanceLog
+from freeagent.metrics import AgentWindow
 from freeagent.moe import Expert
 from freeagent.simulator import (
     _MODALITY_JITTER, FEATURE_DIM, MODALITY_DIM, PatternSpec, StreamConfig,
@@ -185,8 +185,7 @@ def rl_update(
     return tuple(w / total for w in weights)
 
 
-def update_fraud_metrics(log: PerformanceLog, agent_id: AgentId, verdict: bool, label: bool) -> None:
-    win = log.window(agent_id)
+def update_fraud_metrics(win: AgentWindow, verdict: bool, label: bool) -> None:
     if verdict and label:
         win.true_positives += 1
     elif verdict:
@@ -207,7 +206,7 @@ class ScalarPipeline:
     """
 
     def __init__(self, roster: dict[AgentId, Agent], seed: int, cycle: int) -> None:
-        self.log = PerformanceLog()
+        self.windows: dict[AgentId, AgentWindow] = {}  # made by the first sample that needs one
         self.rewards: dict[AgentId, list[float]] = {}  # per agent, each expert's net reward
         self.detections: list[Detection] = []
         self.stalled_samples = 0
@@ -220,8 +219,11 @@ class ScalarPipeline:
             (a for a in fraud if a.status is AgentStatus.PROBATIONARY), key=lambda a: a.id
         )
 
+    def window(self, agent_id: AgentId) -> AgentWindow:
+        return self.windows.setdefault(agent_id, AgentWindow())
+
     def _handoff_ok(self, agent: Agent) -> bool:
-        win = self.log.window(agent.id)
+        win = self.window(agent.id)
         win.handoffs_attempted += 1
         if agent.id not in self._rngs:
             key = f"handoff|{self._seed}|{self._cycle}|{agent.id}"
@@ -232,11 +234,11 @@ class ScalarPipeline:
 
     def _decide(self, agent: Agent, sample: DataSample, shadow: bool) -> None:
         if agent.spec.misbehaving and shadow:
-            self.log.window(agent.id).violations += 1
+            self.window(agent.id).violations += 1
         features = redact(sample.features) if shadow else sample.features
         idx = gate(agent.spec.experts, agent.gate_weights, sample.modality)
         score, verdict = expert_score(agent.spec.experts[idx], features)
-        update_fraud_metrics(self.log, agent.id, verdict, sample.label)
+        update_fraud_metrics(self.window(agent.id), verdict, sample.label)
         net = self.rewards.setdefault(agent.id, [0.0] * len(agent.spec.experts))
         net[idx] += 1.0 if verdict == sample.label else -1.0
         self.detections.append(Detection(sample.seq, agent.id, verdict, score, shadow))

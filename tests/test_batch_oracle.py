@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from freeagent.config import AgentSpec
 from freeagent.domain import FRAUD_ROLE, SENSITIVE_START, Agent, AgentStatus
-from freeagent.metrics import PerformanceLog
+from freeagent.metrics import AgentWindow
 from freeagent.moe import Expert, rl_update
 from freeagent.pipeline import CyclePipeline, decide
 from freeagent.simulator import PatternSpec, Segment, StreamConfig, generate_cycle
@@ -96,8 +96,7 @@ def streams(draw):
 @settings(max_examples=60, deadline=None)
 @given(stream=streams(), cycle=st.integers(0, 1), roster=rosters())
 def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
-    pipe = CyclePipeline(roster, PerformanceLog(), seed=stream.seed, cycle=cycle,
-                         emit_detections=True)
+    pipe = CyclePipeline(roster, seed=stream.seed, cycle=cycle, emit_detections=True)
     batch = generate_cycle(stream, cycle)
     pipe.run_batch(batch)
 
@@ -106,10 +105,12 @@ def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
     for sample in samples:
         ref.process_sample(sample)
 
-    def counts(windows):  # every tally but the net rewards, which the oracle keeps apart
-        return {a: astuple(replace(w, net=None)) for a, w in windows.items()}
+    def counts(windows):  # every tally but the net rewards, which the oracle keeps apart;
+        # zero for an agent the oracle never reached, so it made no window
+        return {a: astuple(replace(windows.get(a, AgentWindow()), net=None)) for a in roster}
 
-    assert counts(pipe.log.windows) == counts(ref.log.windows)
+    assert sorted(pipe.log.windows) == sorted(roster)  # one window per roster agent
+    assert counts(pipe.log.windows) == counts(ref.windows)
     assert pipe.stalled_samples == ref.stalled_samples
     nets = {a: w.net for a, w in pipe.log.windows.items() if w.net is not None}
     assert sorted(nets) == sorted(ref.rewards)

@@ -5,11 +5,14 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
 
+import freeagent
 from freeagent import config
 from freeagent.cli import main
 from freeagent.config import (
@@ -419,6 +422,23 @@ class TestCli:
         assert captured.out == ""  # nothing of the report is printed before the error
         err = captured.err
         assert err.startswith(f"error: cannot read {out / 'summary.json'}: ") and reason in err
+
+    def test_a_report_into_a_closed_pipe_exits_without_a_traceback(self, tmp_path):
+        # far more report than a pipe holds, so the reader closes it mid-write
+        pool = [{"id": i, "status": "Released", "performance": 0.5, "service_time": 1}
+                for i in range(20000)]
+        (tmp_path / "summary.json").write_text(json.dumps({**SUMMARY, "final_pool": pool}))
+        src = str(Path(freeagent.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-m", "freeagent.cli", "report", str(tmp_path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"run seed 3, 2 cycles, 20 samples/cycle\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""
 
     def test_unwritable_output_dir_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 """Engine-level cycle composition: ordering, conservation, stall recovery,
 and event-log replay."""
 
+import re
 from dataclasses import replace
 from operator import is_
 
@@ -130,7 +131,7 @@ class TestReplacementFlow:
         engine = self.make_engine()
         reports = [engine.run_cycle() for _ in range(3)]
         # cycle 2 has no Active agent (probation), but the shadow decided samples
-        assert reports[2].stalled
+        assert engine.totals.cycles[2][4]
         assert engine.totals.cycles[2] == (0, 0, 0, 0, True)  # no Active agent decided
         shadow_rows = [r for r in reports[2].rows if r.status == "Probationary"]
         assert len(shadow_rows) == 1
@@ -168,9 +169,9 @@ class TestReplacementFlow:
         logs, nets = [], []
 
         class Recording(CyclePipeline):
-            def __init__(self, roster, log, **kwargs):
-                logs.append(log)
-                super().__init__(roster, log, **kwargs)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                logs.append(self.log)
 
         def recording_update(gate_weights, learning_rate, net):
             nets.append(net)
@@ -322,9 +323,9 @@ class TestDegenerate:
         )
         engine = Engine(cfg)
         with caplog.at_level("WARNING"):
-            report = engine.run_cycle()
+            engine.run_cycle()
         assert engine.totals.cycles == [(0, 0, 0, 0, True)]
-        assert report.stalled
+        assert engine.totals.cycles[0][4]
         assert "unfilled" in caplog.text  # the vacancy is logged
 
     def test_rewards_row_written_for_released_agent(self):
@@ -376,6 +377,28 @@ class TestEmptyRoster:
         assert restore_engine(snapshot).roster == {}
         assert main(["run", "--restore", str(snapshot), "--out", str(resumed)]) == 0
         assert_resumed_as_full(full, resumed, 15)
+
+
+class TestStall:
+    def test_the_stalled_cycles_are_those_the_pipeline_warned_of(self, caplog):
+        # the totals' flag comes from the rows; the warning from stalled_samples
+        engine = Engine(workload("churn", 60))
+        with caplog.at_level("WARNING", logger="freeagent.pipeline"):
+            while engine.cycle < 60:
+                engine.run_cycle()
+        stall = re.compile(r"cycle (\d+): no active FraudDetection agent")
+        warned = [int(m[1]) for r in caplog.records if (m := stall.match(r.getMessage()))]
+        stalled = [cycle for cycle, row in enumerate(engine.totals.cycles) if row[4]]
+        assert warned == stalled
+        assert len(stalled) == 29  # 1450 stalled samples, 50 a cycle
+
+    def test_a_run_without_detections_removes_an_earlier_runs_file(self, tmp_path):
+        cfg = small_config()
+        Engine(replace(cfg, emit_detections=True)).run(tmp_path)
+        assert (tmp_path / "detections.jsonl").read_text()
+        Engine(cfg).run(tmp_path)
+        assert not (tmp_path / "detections.jsonl").exists()
+        assert (tmp_path / "metrics.csv").exists()
 
 
 class TestRunTotals:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freeagent import engine as engine_module
-from freeagent.metrics import PerformanceLog, count_ratios
+from freeagent.metrics import AgentWindow, count_ratios
 from freeagent.pipeline import CyclePipeline
 from freeagent.simulator import SampleBatch
 from tests.test_engine import small_config
@@ -25,14 +25,17 @@ def f1_oracle(tp: int, fp: int, fn: int) -> float:
     return 0.0 if denom == 0 else 2 * tp / denom
 
 
-def decide_batch(log: PerformanceLog, verdicts: list[bool], labels: list[bool]) -> None:
-    """Have one Active detector decide a batch with the given verdicts and labels."""
+def decide_batch(verdicts: list[bool], labels: list[bool]) -> AgentWindow:
+    """Have one Active detector decide a batch with the given verdicts and
+    labels; return its window."""
     n = len(verdicts)
     features = np.zeros((n, 6))
     features[:, 0] = verdicts  # the detector says fraud iff feature 0 >= 0.5
     batch = SampleBatch(seq0=0, features=features, modality=np.tile([1.0, 0.0, 0.0], (n, 1)),
                         label=np.array(labels, dtype=bool), pattern=np.zeros(n, dtype=int))
-    CyclePipeline({0: detector(0)}, log, seed=0, cycle=0).run_batch(batch)
+    pipe = CyclePipeline({0: detector(0)}, seed=0, cycle=0)
+    pipe.run_batch(batch)
+    return pipe.log.windows[0]
 
 
 class TestUpdateFraudMetrics:
@@ -46,20 +49,16 @@ class TestUpdateFraudMetrics:
         ],
     )
     def test_exactly_one_counter_moves(self, verdict, label, counter):
-        log = PerformanceLog()
-        decide_batch(log, [verdict], [label])
-        win = log.window(0)
+        win = decide_batch([verdict], [label])
         for name in ("true_positives", "false_positives", "false_negatives", "true_negatives"):
             assert getattr(win, name) == (1 if name == counter else 0)
         assert win.samples_seen == 1
 
     def test_confusion_sum_equals_decided(self):
-        log = PerformanceLog()
         rng = random.Random(7)
         n = 200
         pairs = [(rng.random() < 0.5, rng.random() < 0.5) for _ in range(n)]
-        decide_batch(log, [v for v, _ in pairs], [lab for _, lab in pairs])
-        win = log.window(0)
+        win = decide_batch([v for v, _ in pairs], [lab for _, lab in pairs])
         assert win.true_positives == sum(v and lab for v, lab in pairs)
         assert win.true_negatives == sum(not v and not lab for v, lab in pairs)
         counters = win.true_positives + win.false_positives
@@ -101,14 +100,15 @@ class TestF1:
 
 
 def test_window_reset_clears_everything(monkeypatch):
-    # the engine hands each cycle's pipeline a log of that cycle alone
+    # each cycle's pipeline starts a log of that cycle alone
     logs = []
 
     class Recording(CyclePipeline):
-        def __init__(self, roster, log, **kwargs):
-            assert log.windows == {}  # nothing carried over, handoffs and violations included
-            logs.append(log)
-            super().__init__(roster, log, **kwargs)
+        def __init__(self, roster, *args, **kwargs):
+            super().__init__(roster, *args, **kwargs)
+            # nothing carried over, handoffs and violations included
+            assert self.log.windows == {agent_id: AgentWindow() for agent_id in roster}
+            logs.append(self.log)
 
     monkeypatch.setattr(engine_module, "CyclePipeline", Recording)
     engine = engine_module.Engine(small_config(cycles=3))
@@ -116,5 +116,5 @@ def test_window_reset_clears_everything(monkeypatch):
         engine.run_cycle()
     assert len({id(log) for log in logs}) == 3
     for log in logs:
-        win = log.window(0)
+        win = log.windows[0]
         assert win.samples_seen == win.handoffs_attempted == 60

@@ -1,6 +1,7 @@
 """Dispatch, the views agents decide on, shadow processing, and handoff
 behaviour."""
 
+import inspect
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from freeagent.domain import (
     Agent,
     AgentStatus,
 )
-from freeagent.metrics import PerformanceLog
+from freeagent.metrics import AgentWindow
 from freeagent.moe import Expert, uniform_gate
 from freeagent.pipeline import CyclePipeline, decide
 from freeagent.simulator import SampleBatch
@@ -48,9 +49,8 @@ def batch(features, label=False, n=1):
     )
 
 
-def pipeline(roster, log=None, seed=1, **kwargs):
-    return CyclePipeline(roster, log or PerformanceLog(), seed=seed, cycle=0,
-                         emit_detections=True, **kwargs)
+def pipeline(roster, seed=1, **kwargs):
+    return CyclePipeline(roster, seed=seed, cycle=0, emit_detections=True, **kwargs)
 
 
 def detections(pipe):
@@ -58,9 +58,9 @@ def detections(pipe):
     return [json.loads(line) for line in pipe.detections]
 
 
-def dispatch_one(roster, log=None):
+def dispatch_one(roster):
     """Run one fraud sample through a pipeline; return it and its detections."""
-    pipe = pipeline(roster, log)
+    pipe = pipeline(roster)
     pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True))
     return pipe, detections(pipe)
 
@@ -71,12 +71,11 @@ def assigned(rows):
 
 class TestSelectFraudAgent:
     def test_performance_argmax(self):
-        log = PerformanceLog()
         roster = {2: detector(2, performance=0.7), 1: detector(1, performance=0.9)}
-        _, rows = dispatch_one(roster, log)
+        pipe, rows = dispatch_one(roster)
         assert assigned(rows) == [1]
-        assert log.window(1).samples_seen == 1
-        assert log.window(2).samples_seen == 0
+        assert pipe.log.windows[1].samples_seen == 1
+        assert pipe.log.windows[2].samples_seen == 0
 
     def test_tie_breaks_to_lowest_id(self):
         roster = {5: detector(5, performance=0.8), 3: detector(3, performance=0.8)}
@@ -109,13 +108,35 @@ class TestSelectFraudAgent:
         ]
 
 
+class TestWindows:
+    def test_the_pipeline_makes_one_window_per_roster_agent(self):
+        assert "log" not in inspect.signature(CyclePipeline).parameters  # no log is given
+        roster = {3: detector(3, performance=0.9), 1: detector(1, performance=0.5),
+                  2: detector(2, status=AgentStatus.PROBATIONARY, reliability=0.0)}
+        pipe = pipeline(roster)
+        assert pipe.log.windows == {agent_id: AgentWindow() for agent_id in roster}
+        pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=4))
+        windows = pipe.log.windows
+        assert sorted(windows) == sorted(roster)
+        assert len({id(win) for win in windows.values()}) == len(roster)  # none shared
+        assert windows[3].samples_seen == 4 and windows[3].net == [4.0]
+        # agent 3 took every sample, so agent 1 was never reached
+        assert windows[1] == AgentWindow() and windows[1].net is None
+        # every handoff to the shadow failed: attempted, nothing decided
+        assert windows[2] == AgentWindow(handoffs_attempted=4)
+
+    def test_an_empty_roster_has_no_window(self):
+        pipe = pipeline({})
+        pipe.run_batch(3)
+        assert pipe.log.windows == {}
+
+
 class TestViews:
     FEATURES = (0.9, 0.1, 0.2, 0.7, 0.3, 0.5)
 
     def test_full_is_identity(self):
         # an Active agent decides on the batch's own rows, suffix included
-        log = PerformanceLog()
-        pipe = pipeline({0: detector(0, weights=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0))}, log)
+        pipe = pipeline({0: detector(0, weights=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0))})
         pipe.run_batch(batch((0.0, 0, 0, 5.0, 0, 0), label=True))
         [row] = detections(pipe)
         assert (row["verdict"], row["score"]) == (True, 5.0)
@@ -135,8 +156,8 @@ class TestViews:
         monkeypatch.setattr(pipeline_module, "decide", spy)
         roster = {0: detector(0), 1: detector(1, status=AgentStatus.PROBATIONARY),
                   2: detector(2, status=AgentStatus.PROBATIONARY, misbehaving=True)}
-        log = PerformanceLog()
-        pipeline(roster, log).run_batch(batch(self.FEATURES, n=2))
+        pipe = pipeline(roster)
+        pipe.run_batch(batch(self.FEATURES, n=2))
         # the Active agent first, then the shadows by id
         assert [np.shape(rows) for rows in given] == [
             (2, FEATURE_DIM), (2, SENSITIVE_START), (2, SENSITIVE_START)
@@ -144,7 +165,7 @@ class TestViews:
         full, visible = list(self.FEATURES), list(self.FEATURES[:SENSITIVE_START])
         assert given == [[full] * 2, [visible] * 2, [visible] * 2]
         # the misbehaving shadow's attempts on the raw samples are still tallied
-        assert [log.window(a).violations for a in roster] == [0, 0, 2]
+        assert [pipe.log.windows[a].violations for a in roster] == [0, 0, 2]
 
     def test_label_and_pattern_not_readable_by_decision(self):
         # the decision path takes only features and modality
@@ -158,24 +179,22 @@ class TestViews:
 class TestProcessSample:
     def test_fraud_sample_blocks_and_counts_tp(self):
         roster = {0: detector(0)}
-        log = PerformanceLog()
-        pipe = pipeline(roster, log)
+        pipe = pipeline(roster)
         assert pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True)) is None
         [row] = detections(pipe)
         assert row["verdict"] is True and row["shadow"] is False
         assert row["action"] == "Block"
-        assert log.window(0).true_positives == 1
+        assert pipe.log.windows[0].true_positives == 1
 
     def test_shadow_false_positive_takes_no_action(self):
         roster = {0: detector(0, threshold=99.0), 1: detector(1, status=AgentStatus.PROBATIONARY)}
-        log = PerformanceLog()
-        pipe = pipeline(roster, log)
+        pipe = pipeline(roster)
         pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=False))
         active, shadow = detections(pipe)
         assert (active["agent"], active["verdict"]) == (0, False)  # assigned agent says legit
         assert (shadow["agent"], shadow["verdict"]) == (1, True)   # shadow says fraud
         assert active["action"] == shadow["action"] == "None"
-        assert log.window(1).false_positives == 1
+        assert pipe.log.windows[1].false_positives == 1
 
     def test_shadow_decides_on_restricted_view(self):
         # shadow weights the sensitive suffix, which it cannot see
@@ -199,33 +218,30 @@ class TestProcessSample:
 
     def test_handoff_failures_traced_under_fixed_seed(self):
         roster = {0: detector(0, reliability=0.5)}
-        log = PerformanceLog()
-        pipe = pipeline(roster, log, seed=99)
+        pipe = pipeline(roster, seed=99)
         n = 200
         pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=n))
-        win = log.window(0)
+        win = pipe.log.windows[0]
         assert win.handoffs_attempted == n
         # skipped samples leave no confusion-counter trace
         assert win.samples_seen == win.handoffs_succeeded == len(pipe.detections)
         assert 60 <= win.handoffs_succeeded <= 140
 
         # identical seed reproduces the exact same handoff outcomes
-        log2 = PerformanceLog()
-        pipe2 = pipeline({0: detector(0, reliability=0.5)}, log2, seed=99)
+        pipe2 = pipeline({0: detector(0, reliability=0.5)}, seed=99)
         pipe2.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=n))
-        assert log2.window(0).handoffs_succeeded == win.handoffs_succeeded
+        assert pipe2.log.windows[0].handoffs_succeeded == win.handoffs_succeeded
         assert pipe2.detections == pipe.detections
 
     def test_failed_handoff_falls_through_to_backup(self):
         never = detector(0, performance=0.9, reliability=0.0)
         backup = detector(1, performance=0.5)
-        log = PerformanceLog()
-        pipe = pipeline({0: never, 1: backup}, log)
+        pipe = pipeline({0: never, 1: backup})
         pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True))
         assert [d["agent"] for d in detections(pipe)] == [1]
-        assert log.window(0).handoffs_attempted == 1
-        assert log.window(0).samples_seen == 0
-        assert log.window(1).true_positives == 1
+        assert pipe.log.windows[0].handoffs_attempted == 1
+        assert pipe.log.windows[0].samples_seen == 0
+        assert pipe.log.windows[1].true_positives == 1
 
     def test_net_rewards_recorded_per_expert(self):
         roster = {0: detector(0)}
@@ -233,25 +249,23 @@ class TestProcessSample:
         two = batch((0.9, 0, 0, 0, 0, 0), n=2)
         two.label[0] = True  # the fraud verdict is correct on seq 0, wrong on seq 1
         pipe.run_batch(two)
-        assert pipe.log.window(0).net == [0.0]  # +1 and -1 on expert 0
+        assert pipe.log.windows[0].net == [0.0]  # +1 and -1 on expert 0
 
     def test_misbehaving_restricted_agent_logged_not_leaked(self):
         shadow = detector(1, status=AgentStatus.PROBATIONARY, misbehaving=True)
         roster = {0: detector(0), 1: shadow}
-        log = PerformanceLog()
-        pipe = pipeline(roster, log)
+        pipe = pipeline(roster)
         pipe.run_batch(batch((0.0, 0, 0, 9.0, 0, 0), label=True))
-        assert log.window(1).violations == 1
+        assert pipe.log.windows[1].violations == 1
         # decision still based on the visible columns (sensitive suffix not given)
         [row] = [d for d in detections(pipe) if d["shadow"]]
         assert row["verdict"] is False
 
     def test_misbehaving_full_tier_agent_never_violates(self):
         roster = {0: detector(0, misbehaving=True)}
-        log = PerformanceLog()
-        pipe = pipeline(roster, log)
+        pipe = pipeline(roster)
         pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True))
-        assert log.window(0).violations == 0
+        assert pipe.log.windows[0].violations == 0
 
 
 class TestShadowIsolation:
@@ -276,11 +290,10 @@ class TestShadowIsolation:
 
     def test_detection_rows_built_only_when_emitted(self):
         roster = {0: detector(0), 1: detector(1, status=AgentStatus.PROBATIONARY)}
-        log = PerformanceLog()
-        pipe = CyclePipeline(roster, log, seed=5, cycle=0)
+        pipe = CyclePipeline(roster, seed=5, cycle=0)
         pipe.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=3))
         assert pipe.detections == []
-        assert log.window(0).true_positives == log.window(1).true_positives == 3
+        assert pipe.log.windows[0].true_positives == pipe.log.windows[1].true_positives == 3
         emitted = pipeline(roster, seed=5)
         emitted.run_batch(batch((0.9, 0, 0, 0, 0, 0), label=True, n=3))
         assert [(d["seq"], d["agent"]) for d in detections(emitted)] == [
