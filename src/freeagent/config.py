@@ -29,7 +29,7 @@ import numpy as np
 from .domain import FRAUD_ROLE, SENSITIVE_START, ConfigError, DispatchedRole
 from .lifecycle import LifecycleConfig, RoleSpec
 from .moe import Expert, check_learning_rate, uniform_gate
-from .pipeline import decide
+from .pipeline import ExpertMatrices, decide, expert_matrices
 from .reward import RewardConfig
 from .simulator import PatternSpec, SampleBatch, Segment, StreamConfig, generate_cycle
 
@@ -61,6 +61,11 @@ class AgentSpec:
             raise ConfigError("service_time must be non-negative")
         if not self.experts:
             raise ConfigError("agent spec needs at least one expert")
+
+    @functools.cached_property
+    def matrices(self) -> ExpertMatrices:
+        """The experts as ``decide`` reads them, built on first use, not at load."""
+        return expert_matrices(self.experts)
 
 
 @dataclass(frozen=True)
@@ -515,21 +520,21 @@ def _scenario(seed: int, samples_per_cycle: int,
 def _check_calibration() -> None:
     """Measure the designed accuracies with a uniform gate, each on the full
     features or on their Restricted view, the first ``SENSITIVE_START``
-    columns, and refuse one outside its band in ``CALIBRATION_BANDS``."""
+    rows, and refuse one outside its band in ``CALIBRATION_BANDS``."""
     stream, incumbent, candidate = _scenario(_CALIBRATION_SEED, _CALIBRATION_SAMPLES,
                                              DRIFT_CYCLE + 1)
     pure_a, mixture = generate_cycle(stream, 0), generate_cycle(stream, DRIFT_CYCLE)
 
     def accuracy(spec: AgentSpec, batch: SampleBatch, features: np.ndarray) -> float:
         gate = uniform_gate(len(spec.experts))
-        _, _, verdict = decide(spec.experts, gate, features, batch.modality)
+        _, _, verdict = decide(spec.matrices, gate, features, batch.modality)
         return np.count_nonzero(verdict == batch.label) / len(batch)
 
     measured = {
         "incumbent on pattern A": accuracy(incumbent, pure_a, pure_a.features),
         "incumbent on mixture": accuracy(incumbent, mixture, mixture.features),
         "candidate shadow on mixture": accuracy(candidate, mixture,
-                                                mixture.features[:, :SENSITIVE_START]),
+                                                mixture.features[:SENSITIVE_START]),
         "candidate full on mixture": accuracy(candidate, mixture, mixture.features),
     }
     for label, (lo, hi) in CALIBRATION_BANDS.items():

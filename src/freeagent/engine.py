@@ -307,6 +307,12 @@ class Engine:
         if not self.config.emit_detections:  # an earlier run's file is not this run's
             (out / "detections.jsonl").unlink(missing_ok=True)
         snap_dir = out / "snapshots"
+        # A restore point past this run's first cycle is an earlier run's;
+        # a run resumed in place keeps the one it started from.
+        for path in snap_dir.glob("state_cycle_*.json"):
+            number = path.name[len("state_cycle_"):-len(".json")]
+            if number.isdigit() and int(number) > self.cycle:
+                path.unlink()
         if self.config.snapshot_interval > 0:
             snap_dir.mkdir(exist_ok=True)
 

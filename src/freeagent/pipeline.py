@@ -2,7 +2,7 @@
 in shadow on the visible features, and act on fraud verdicts.
 
 Shadow decisions never trigger actions, and shadow agents are only ever
-given the Restricted view, the first ``SENSITIVE_START`` feature columns;
+given the Restricted view, the first ``SENSITIVE_START`` feature rows;
 both properties are auditable from the detection log. Actions are
 recorded, not executed.
 """
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,37 +62,57 @@ def _dot_columns(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return acc
 
 
+class ExpertMatrices(NamedTuple):
+    """An agent's experts as the arrays ``decide`` reads: expert e is row e
+    of ``profiles``, column e of the C-contiguous ``weights`` and
+    ``thresholds[e]``, each value as its ``Expert`` holds it."""
+
+    profiles: np.ndarray  # (E, MODALITY_DIM)
+    weights: np.ndarray  # (FEATURE_DIM, E)
+    thresholds: np.ndarray  # (E,)
+
+
+def expert_matrices(experts: Sequence[Expert]) -> ExpertMatrices:
+    """The experts' matrices, read-only: a spec's are shared by every
+    decision of its agents."""
+    matrices = ExpertMatrices(np.array([e.profile for e in experts]),
+                              np.array([e.weights for e in experts]).T.copy(),
+                              np.array([e.threshold for e in experts]))
+    for array in matrices:
+        array.flags.writeable = False
+    return matrices
+
+
 def decide(
-    experts: tuple[Expert, ...],
+    experts: ExpertMatrices,
     gate_weights: tuple[float, ...],
     features: np.ndarray,
     modality: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Route each row through the gate and score it with the chosen expert.
+    """Route each sample through the gate and score it with the chosen expert.
 
-    Returns the expert index, score and verdict (fraud iff score >=
-    threshold) per row. The gate picks the expert maximizing
-    gate_weight * dot(profile, modality), ties to the lowest index. Takes
-    bare feature/modality rows so a decision cannot depend on anything
-    else in the sample. Rows of fewer than ``FEATURE_DIM`` columns, such
-    as a shadow's Restricted view, are scored on those columns alone.
-    Pure: no state is touched.
+    ``features`` and ``modality`` hold one row per coordinate and one
+    column per sample. Returns the expert index, score and verdict (fraud
+    iff score >= threshold) per sample. The gate picks the expert
+    maximizing gate_weight * dot(profile, modality), ties to the lowest
+    index. Takes bare feature/modality columns so a decision cannot depend
+    on anything else in the sample. Fewer than ``FEATURE_DIM`` feature
+    rows, such as a shadow's Restricted view, are scored on those rows
+    alone. Pure: no state is touched.
 
-    One pass covers every expert: the ``(n, E)`` affinities are summed
-    one modality column at a time from 0.0 against the experts' profile
-    matrix, then scaled by the gate weights. Only the chosen expert's
-    weights are gathered, and each row's score is summed one feature
-    column at a time from 0.0. Every element gets the same IEEE
+    One pass covers every expert: the ``(E, n)`` affinities are summed one
+    modality row at a time from 0.0, then scaled by the gate weights. Only
+    the chosen experts' weights are gathered, and each score is summed one
+    feature row at a time from 0.0. Every element gets the same IEEE
     operations, in the same order, as in a scalar loop over the samples
     and experts, so the bits are the same.
     """
-    profiles = np.array([e.profile for e in experts]).T  # (MODALITY_DIM, E)
-    affinity = _dot_columns(modality.T[:, :, None], profiles) * np.array(gate_weights)
-    chosen = affinity.argmax(axis=1)  # first maximum
-    weights = np.array([e.weights for e in experts]).take(chosen, axis=0)  # (n, FEATURE_DIM)
-    score = _dot_columns(features.T, weights.T)
-    thresholds = np.array([e.threshold for e in experts])
-    return chosen, score, score >= thresholds[chosen]
+    profiles, weights, thresholds = experts
+    affinity = _dot_columns(modality[:, None], profiles.T[:, :, None])
+    affinity *= np.array(gate_weights)[:, None]
+    chosen = affinity.argmax(axis=0)  # first maximum
+    score = _dot_columns(features, weights[:len(features)].take(chosen, axis=1))
+    return chosen, score, score >= thresholds.take(chosen)
 
 
 class CyclePipeline:
@@ -149,7 +171,7 @@ class CyclePipeline:
 
     def run_batch(self, batch: SampleBatch | int) -> None:
         """Dispatch every sample of ``batch``: Active agents decide on all
-        its feature columns, shadows on the first ``SENSITIVE_START``. An
+        its feature rows, shadows on the first ``SENSITIVE_START``. An
         empty roster may be given the batch's size alone: all stall."""
         n = batch if isinstance(batch, int) else len(batch)
         chunks: list[tuple[np.ndarray, ...]] = []
@@ -157,13 +179,13 @@ class CyclePipeline:
         def run(agent: Agent, rows: np.ndarray, shadow: bool) -> None:
             if not len(rows):
                 return
-            # A shadow is given a fresh array of the visible columns alone;
-            # a slice of a full-width ``take`` would hold the sensitive ones
-            # in its ``.base``.
-            features = (batch.features[rows, :SENSITIVE_START] if shadow
-                        else batch.features.take(rows, axis=0))
-            expert, score, verdict = decide(agent.spec.experts, agent.gate_weights,
-                                            features, batch.modality.take(rows, axis=0))
+            # A shadow is given a fresh array of the visible feature rows
+            # alone; a slice of a full-height ``take`` would hold the
+            # sensitive ones in its ``.base``.
+            features = batch.features[:SENSITIVE_START] if shadow else batch.features
+            expert, score, verdict = decide(agent.spec.matrices, agent.gate_weights,
+                                            features.take(rows, axis=1),
+                                            batch.modality.take(rows, axis=1))
             label = batch.label[rows]
             win = self.log.windows[agent.id]
             tn, fn, fp, tp = np.bincount(2 * verdict + label, minlength=4).tolist()

@@ -13,7 +13,8 @@ this order, ``random((n, 2))`` (per sample, one uniform for the pattern
 mixture and one for the fraud label),
 ``standard_normal((n, FEATURE_DIM))`` for feature noise and
 ``random((n, MODALITY_DIM))`` for modality jitter. A fill yields what the
-same number of scalar calls would, in row-major order. The pattern is the
+same number of scalar calls would, in row-major order; the noise and the
+jitter are then copied, once, into the batch's columns. The pattern is the
 first of the running segment's mixture, taken in the order of the stream's
 pattern list, whose running weight exceeds the first uniform.
 
@@ -43,13 +44,21 @@ _MODALITY_JITTER = 0.1
 
 # A cycle's batch is built in memory at once, so its size is capped well
 # below what numpy refuses to allocate: one dispatch-workload cycle at the
-# cap took 2.6-2.8 s and peaked at 240 MB on a 2-core Xeon VM (numpy 2.4.6).
+# cap, the draws' transposed copies included, took 0.6-0.8 s and peaked at
+# 242 MB on a 2-core Xeon VM (numpy 2.4.6).
 MAX_SAMPLES_PER_CYCLE = 2**20
 
 
-# ``Philox(key=...)`` seeds itself from OS entropy before it sets the key; a
-# fixed sequence draws none, and the state setter copies these values over.
-_NO_ENTROPY = np.random.SeedSequence(0)
+class _ZeroSeed(np.random.bit_generator.ISeedSequence):
+    """A seed of zeros for a ``Philox`` whose whole state is set next:
+    ``Philox(key=...)`` would draw OS entropy first, and a ``SeedSequence``
+    hashes its entropy on every call, for a state the setter overwrites."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype)
+
+
+_NO_ENTROPY = _ZeroSeed()
 _ZEROS = np.zeros(4, np.uint64)
 
 
@@ -143,7 +152,8 @@ class StreamConfig:
     def _tables(self) -> tuple[tuple[int, tuple], ...]:
         """Each segment's start and tables, built on first use, not at load:
         running weights but the last, fraud rates, each shifting pattern's
-        ``(coord, shift)`` pairs, and modality bases whose entries are > 0 or +0.0."""
+        ``(coord, shift)`` pairs, and the modality bases, one column per
+        pattern, whose entries are > 0 or +0.0."""
         out = []
         for seg in self.schedule:
             mixture = self._ordered(seg)
@@ -153,23 +163,26 @@ class StreamConfig:
                 np.array([spec.fraud_rate for spec, _ in mixture]),
                 tuple((k, tuple(spec.fraud_shift.items()))
                       for k, (spec, _) in enumerate(mixture) if spec.fraud_shift),
-                np.where(base > 0, base, 0.0),
+                np.where(base > 0, base, 0.0).T.copy(),
             )))
         return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
 class SampleBatch:
-    """One cycle of the stream as columns, row i being sample ``seq0 + i``.
+    """One cycle of the stream as columns, column i being sample ``seq0 + i``.
 
-    ``label`` is the truth metrics and reward score against; ``pattern``
-    (an index into the cycle's mixture) is read by the tests only. Agents
-    see neither: the decision path takes features and modality alone.
+    ``features`` and ``modality`` are C-contiguous, one row per feature or
+    modality coordinate, so each coordinate of the cycle is one run of
+    memory; no row-major copy is kept. ``label`` is the truth metrics and
+    reward score against; ``pattern`` (an index into the cycle's mixture)
+    is read by the tests only. Agents see neither: the decision path takes
+    features and modality alone.
     """
 
     seq0: int
-    features: np.ndarray  # (n, FEATURE_DIM) float64
-    modality: np.ndarray  # (n, MODALITY_DIM) float64
+    features: np.ndarray  # (FEATURE_DIM, n) float64
+    modality: np.ndarray  # (MODALITY_DIM, n) float64
     label: np.ndarray  # (n,) bool
     pattern: np.ndarray  # (n,) int
 
@@ -180,17 +193,19 @@ class SampleBatch:
 def generate_cycle(cfg: StreamConfig, cycle: int) -> SampleBatch:
     """All samples of one cycle, in seq order.
 
-    The draws are the cycle's keyed stream's, in the contract's order;
-    everything after them is a column operation that applies the same IEEE
-    operations, in the same order, as a sample-at-a-time loop would.
+    The draws are the cycle's keyed stream's, in the contract's order; the
+    fills stay row-major, and one copy each transposes the noise and the
+    jitter into the batch's columns. Everything after that is a column
+    operation that applies the same IEEE operations, in the same order, as
+    a sample-at-a-time loop would.
     """
     if not 0 <= cycle < cfg.total_cycles:
         raise ConfigError(f"cycle {cycle} outside [0, {cfg.total_cycles})")
     n = cfg.samples_per_cycle
     gen = keyed_generator("sample", cfg.seed, cycle)
     uniforms = gen.random((n, 2))
-    features = gen.standard_normal((n, FEATURE_DIM))
-    modality = gen.random((n, MODALITY_DIM))  # the jitter, made the modality in place
+    features = gen.standard_normal((n, FEATURE_DIM)).T.copy()
+    modality = gen.random((n, MODALITY_DIM)).T.copy()  # the jitter, made the modality in place
 
     # First mixture entry whose running weight exceeds the pattern uniform;
     # the last entry takes anything the rounded sum leaves uncovered.
@@ -205,16 +220,16 @@ def generate_cycle(cfg: StreamConfig, cycle: int) -> SampleBatch:
     for k, coord_shifts in shifts:
         rows = fraud[fraud_pattern == k]
         for coord, shift in coord_shifts:
-            features[:, coord][rows] += shift  # one 1-d index into a column view
+            features[coord][rows] += shift  # one 1-d index into a feature row
 
-    # Zero base entries stay +0.0 whatever the jitter, so the row total
+    # Zero base entries stay +0.0 whatever the jitter, so a sample's total
     # needs no leading 0.0.
     modality *= 2.0
     modality -= 1.0
     modality *= _MODALITY_JITTER
     modality += 1.0
-    modality *= base.take(pattern, axis=0)
-    modality /= (modality[:, 0] + modality[:, 1] + modality[:, 2])[:, None]
+    modality *= base.take(pattern, axis=1)
+    modality /= modality[0] + modality[1] + modality[2]
     return SampleBatch(
         seq0=cycle * n,
         features=features,

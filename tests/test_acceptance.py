@@ -22,7 +22,7 @@ from freeagent.engine import Engine, restore_engine
 from freeagent.lifecycle import LifecycleConfig, RoleSpec
 from freeagent.metrics import count_ratios
 from freeagent.moe import Expert, rl_update
-from freeagent.pipeline import decide
+from freeagent.pipeline import decide, expert_matrices
 from freeagent.reward import RewardConfig, compute_reward
 from freeagent.simulator import PatternSpec, Segment, StreamConfig
 from tests.scalar_oracle import expert_score, gate, generate_cycle_samples, redact
@@ -329,10 +329,10 @@ class TestCriterion6GatingLearning:
         profile = (1.0, 0.0, 0.0)
         wrong = Expert(profile, weights=(0.0,) * 6, threshold=0.5)   # always legit
         right = Expert(profile, weights=(1.0, 0, 0, 0, 0, 0), threshold=0.5)   # fraud on x=1
-        experts, gate_weights = (wrong, right), (0.5, 0.5)
+        experts, gate_weights = expert_matrices((wrong, right)), (0.5, 0.5)
 
         # stationary all-fraud stream, one sample per batch
-        features, modality, label = np.ones((1, 6)), np.ones((1, 3)), True
+        features, modality, label = np.ones((6, 1)), np.ones((3, 1)), True
         selections = []
         for _ in range(300):
             chosen, _, verdict = decide(experts, gate_weights, features, modality)

@@ -11,7 +11,7 @@ from freeagent.config import AgentSpec
 from freeagent.domain import FRAUD_ROLE, SENSITIVE_START, Agent, AgentStatus
 from freeagent.metrics import AgentWindow
 from freeagent.moe import Expert, rl_update
-from freeagent.pipeline import CyclePipeline, decide
+from freeagent.pipeline import CyclePipeline, decide, expert_matrices
 from freeagent.simulator import PatternSpec, Segment, StreamConfig, generate_cycle
 from tests import scalar_oracle as oracle
 
@@ -124,13 +124,13 @@ def test_batch_cycle_matches_scalar_oracle(stream, cycle, roster):
     # byte for byte: the hand-built lines against json's
     assert pipe.detections == [d.line() for d in ref.detections]
 
-    # The kernel on both views, all columns and a shadow's first
+    # The kernel on both views, all feature rows and a shadow's first
     # SENSITIVE_START against the oracle's zero-filled row, for every agent.
     for agent in roster.values():
         agent_experts = agent.spec.experts
         for restricted in (False, True):
-            features = batch.features[:, :SENSITIVE_START] if restricted else batch.features
-            chosen, score, verdict = decide(agent_experts, agent.gate_weights,
+            features = batch.features[:SENSITIVE_START] if restricted else batch.features
+            chosen, score, verdict = decide(agent.spec.matrices, agent.gate_weights,
                                             features, batch.modality)
             expected = []
             for s in samples:
@@ -151,8 +151,8 @@ def test_negative_weight_on_redacted_coordinate_scores_plus_zero():
     # detections.jsonl shows
     expert = Expert(profile=(1.0, 0.0, 0.0), weights=(0.0, 0.0, 0.0, -1.0, -0.5, -2.0),
                     threshold=0.5)
-    features = np.array([[-1.5, -2.0, -0.3, 4.0, 1.0, -2.0]])
-    _, score, _ = decide((expert,), (1.0,), features[:, :SENSITIVE_START],
-                         np.array([[1.0, 0.0, 0.0]]))
-    expected = oracle.expert_score(expert, oracle.redact(tuple(features[0].tolist())))[0]
+    features = np.array([[-1.5], [-2.0], [-0.3], [4.0], [1.0], [-2.0]])  # one sample
+    _, score, _ = decide(expert_matrices((expert,)), (1.0,), features[:SENSITIVE_START],
+                         np.array([[1.0], [0.0], [0.0]]))
+    expected = oracle.expert_score(expert, oracle.redact(tuple(features[:, 0].tolist())))[0]
     assert score[0].hex() == expected.hex() == "0x0.0p+0"

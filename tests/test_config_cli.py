@@ -517,7 +517,7 @@ class TestOutputSchemas:
                 continue
             cycle, row = divmod(seq, spc)
             score = 0.0  # one expert, summed from 0.0 one feature at a time
-            for weight, x in zip(weights, batches[cycle].features[row].tolist()):
+            for weight, x in zip(weights, batches[cycle].features[:, row].tolist()):
                 score += weight * x
             verdict = score >= threshold
             assert line == json.dumps(

@@ -1,18 +1,19 @@
 """Differential test: ``pipeline.decide``, which routes and scores a batch
 through all of an agent's experts at once, against the per-sample,
 per-expert scalar gate and scorer of ``tests/scalar_oracle.py``, compared
-bit for bit (chosen expert, score bytes, verdict). A shadow's rows, the
-first ``SENSITIVE_START`` columns, are checked against the oracle on their
-zero-filled Restricted view."""
+bit for bit (chosen expert, score bytes, verdict). The cases are written
+one sample per row and given to ``decide`` as the batch's columns. A
+shadow's features, the first ``SENSITIVE_START`` feature rows, are checked
+against the oracle on their zero-filled Restricted view."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeagent.config import section_4_4_preset
-from freeagent.domain import FEATURE_DIM, MODALITY_DIM, SENSITIVE_START
+from freeagent.config import AgentSpec, section_4_4_preset
+from freeagent.domain import FEATURE_DIM, FRAUD_ROLE, MODALITY_DIM, SENSITIVE_START
 from freeagent.moe import Expert, uniform_gate
-from freeagent.pipeline import decide
+from freeagent.pipeline import decide, expert_matrices
 from tests import scalar_oracle as oracle
 
 # Few distinct values, so affinities tie and scores hit thresholds exactly;
@@ -40,10 +41,11 @@ def reference(experts, gate_weights, features, modality, restricted):
 
 
 def same_as_reference(experts, gate_weights, features, modality, restricted=False):
-    """``decide`` on the columns a shadow (``restricted``) or an Active agent
-    is given, against the oracle."""
-    given = features[:, :SENSITIVE_START] if restricted else features
-    chosen, score, verdict = decide(experts, gate_weights, given, modality)
+    """``decide`` on the feature rows a shadow (``restricted``) or an Active
+    agent is given, against the oracle."""
+    given = features.T[:SENSITIVE_START] if restricted else features.T
+    chosen, score, verdict = decide(expert_matrices(experts), gate_weights,
+                                    given.copy(), modality.T.copy())
     expected = reference(experts, gate_weights, features, modality, restricted)
     assert chosen.tolist() == [idx for idx, _, _ in expected]
     assert score.dtype == np.float64
@@ -140,3 +142,25 @@ def test_all_negative_zero_products_score_plus_zero():
     _, score, verdict = same_as_reference((expert,), (1.0,), np.array([[-0.0] * FEATURE_DIM]),
                                           np.ones((1, MODALITY_DIM)), restricted=True)
     assert score[0].hex() == "0x0.0p+0" and verdict.tolist() == [True]
+
+
+def test_a_specs_matrices_are_its_experts_built_once():
+    experts = (Expert(profile=(0.0, -0.0, 1.0), weights=(-0.0, 0.0, 0.3, -1.0, 0.5, -0.25),
+                      threshold=-0.0),
+               Expert(profile=(0.5, 0.5, -0.0), weights=(1.0, -0.0, 0.0, 0.0, -0.0, 0.1),
+                      threshold=0.5))
+    spec = AgentSpec(FRAUD_ROLE, frozenset({"fraud"}), experts)
+    assert "matrices" not in vars(spec)  # built on first use, not at load
+    matrices = spec.matrices
+    assert spec.matrices is matrices
+    assert matrices.profiles.shape == (len(experts), MODALITY_DIM)
+    assert matrices.weights.shape == (FEATURE_DIM, len(experts))
+    assert matrices.weights.flags.c_contiguous
+    assert not any(array.flags.writeable for array in matrices)  # shared, so read-only
+
+    def hexes(rows):
+        return [[x.hex() for x in row] for row in rows]
+
+    assert hexes(matrices.profiles.tolist()) == hexes(e.profile for e in experts)
+    assert hexes(matrices.weights.T.tolist()) == hexes(e.weights for e in experts)
+    assert hexes([matrices.thresholds.tolist()]) == hexes([[e.threshold for e in experts]])

@@ -401,6 +401,24 @@ class TestStall:
         assert (tmp_path / "metrics.csv").exists()
 
 
+class TestRerun:
+    def test_a_rerun_leaves_only_its_own_snapshots(self, tmp_path):
+        cfg = replace(small_config(cycles=8), snapshot_interval=2)
+        Engine(cfg).run(tmp_path)
+        snapshots = tmp_path / "snapshots"
+        assert len(list(snapshots.iterdir())) == 4
+        (snapshots / "notes.txt").write_text("not a restore point\n")
+        rerun = replace(cfg, stream=replace(cfg.stream, seed=7, total_cycles=6),
+                        snapshot_interval=3)
+        Engine(rerun).run(tmp_path)
+        assert sorted(p.name for p in snapshots.iterdir()) == [
+            "notes.txt", "state_cycle_0003.json", "state_cycle_0006.json"]
+        assert restore_engine(snapshots / "state_cycle_0006.json").config == rerun
+        # a run that writes no snapshot leaves none of another run's
+        Engine(replace(rerun, snapshot_interval=0)).run(tmp_path)
+        assert [p.name for p in snapshots.iterdir()] == ["notes.txt"]
+
+
 class TestRunTotals:
     NO_KEY_CYCLES = {"first_release": None, "first_sign": None, "first_promote": None}
 

@@ -10,12 +10,14 @@ and the pinned one; the test is not skipped on another numpy.
 
 Runs: the section-4.4 preset with detections at seeds 42 and 7, the
 dispatch workload cut to 3 cycles, and the churn workload cut to 60 cycles
-(12 snapshots), resumed from its cycle-30 snapshot. The same runs check
-that the event log evaluates each roster agent once per cycle.
+(12 snapshots), resumed from its cycle-30 snapshot into a new directory
+and, in a copy, into its own. The same runs check that the event log
+evaluates each roster agent once per cycle.
 """
 
 import hashlib
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -182,6 +184,18 @@ def test_the_churn_snapshots_and_the_resumed_run(runs):
     assert snapshots == [f"state_cycle_{c:04d}.json" for c in range(5, 61, 5)]
     assert json.loads((full / "summary.json").read_text())["event_counts"]["Promote"] == 14
     assert_resumed_as_full(full, resumed, RESUME_AT)
+
+
+def test_a_restore_in_place_keeps_its_restore_point(runs, tmp_path):
+    # the churn cut's directory resumed into itself: the snapshots up to the
+    # restore point stay, and every file the resumed run writes is its own
+    in_place = tmp_path / "churn"
+    shutil.copytree(runs["churn"], in_place)
+    snapshot = in_place / "snapshots" / f"state_cycle_{RESUME_AT:04d}.json"
+    assert main(["run", "--restore", str(snapshot), "--out", str(in_place)]) == 0
+    kept = {name: digest for name, digest in GOLDEN["churn"].items()
+            if name.startswith("snapshots/") and int(name[-9:-5]) <= RESUME_AT}
+    assert digests(in_place) == {**kept, **GOLDEN["churn-resumed"]}
 
 
 @pytest.mark.parametrize("run", ["preset-42", "preset-7", "churn"])

@@ -29,9 +29,9 @@ def decide_batch(verdicts: list[bool], labels: list[bool]) -> AgentWindow:
     """Have one Active detector decide a batch with the given verdicts and
     labels; return its window."""
     n = len(verdicts)
-    features = np.zeros((n, 6))
-    features[:, 0] = verdicts  # the detector says fraud iff feature 0 >= 0.5
-    batch = SampleBatch(seq0=0, features=features, modality=np.tile([1.0, 0.0, 0.0], (n, 1)),
+    features = np.zeros((6, n))
+    features[0] = verdicts  # the detector says fraud iff feature 0 >= 0.5
+    batch = SampleBatch(seq0=0, features=features, modality=np.repeat([[1.0], [0.0], [0.0]], n, 1),
                         label=np.array(labels, dtype=bool), pattern=np.zeros(n, dtype=int))
     pipe = CyclePipeline({0: detector(0)}, seed=0, cycle=0)
     pipe.run_batch(batch)

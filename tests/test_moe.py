@@ -20,7 +20,7 @@ from freeagent.domain import (
 from freeagent.engine import Engine
 from freeagent.lifecycle import LifecycleConfig, transition_probationary
 from freeagent.moe import Expert, check_gate, rl_update, uniform_gate
-from freeagent.pipeline import decide
+from freeagent.pipeline import decide, expert_matrices
 from tests.test_engine import BLIND_EXPERT, GOOD_EXPERT, small_config
 
 FEATURE_0 = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -28,14 +28,16 @@ FEATURE_0 = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 def gate(experts, gate_weights, modality):
     """The expert ``decide`` routes one sample with this modality to."""
-    features = np.zeros((1, FEATURE_DIM))
-    return int(decide(experts, gate_weights, features, np.array([modality], dtype=float))[0][0])
+    features = np.zeros((FEATURE_DIM, 1))
+    modality = np.array(modality, dtype=float)[:, None]
+    return int(decide(expert_matrices(experts), gate_weights, features, modality)[0][0])
 
 
 def expert_score(expert, features):
     """Score and verdict of ``decide`` for one sample scored by ``expert``."""
-    modality = np.ones((1, MODALITY_DIM))
-    _, score, verdict = decide((expert,), (1.0,), np.array([features], dtype=float), modality)
+    modality = np.ones((MODALITY_DIM, 1))
+    _, score, verdict = decide(expert_matrices((expert,)), (1.0,),
+                               np.array(features, dtype=float)[:, None], modality)
     return float(score[0]), bool(verdict[0])
 
 

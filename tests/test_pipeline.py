@@ -42,8 +42,8 @@ def batch(features, label=False, n=1):
     """``n`` copies of one sample with modality (1, 0, 0), seqs from 0."""
     return SampleBatch(
         seq0=0,
-        features=np.tile(np.array(features, dtype=float), (n, 1)),
-        modality=np.tile([1.0, 0.0, 0.0], (n, 1)),
+        features=np.tile(np.array(features, dtype=float)[:, None], (1, n)),
+        modality=np.tile([[1.0], [0.0], [0.0]], (1, n)),
         label=np.full(n, label),
         pattern=np.zeros(n, dtype=int),
     )
@@ -145,11 +145,11 @@ class TestViews:
         given = []
 
         def spy(experts, gate_weights, features, modality):
-            given.append(features.tolist())
-            if features.shape[1] == SENSITIVE_START:  # a shadow: no array it views is wider
+            given.append(features.T.tolist())  # one list per sample
+            if len(features) == SENSITIVE_START:  # a shadow: no array it views is taller
                 base = features
                 while base is not None:
-                    assert np.ndim(base) == 2 and np.shape(base)[1] <= SENSITIVE_START
+                    assert np.ndim(base) == 2 and len(base) <= SENSITIVE_START
                     base = base.base
             return decide(experts, gate_weights, features, modality)
 
@@ -167,12 +167,28 @@ class TestViews:
         # the misbehaving shadow's attempts on the raw samples are still tallied
         assert [pipe.log.windows[a].violations for a in roster] == [0, 0, 2]
 
+    def test_a_shadows_array_shares_no_memory_with_the_sensitive_rows(self, monkeypatch):
+        given = []
+
+        def spy(experts, gate_weights, features, modality):
+            given.append(features)
+            return decide(experts, gate_weights, features, modality)
+
+        monkeypatch.setattr(pipeline_module, "decide", spy)
+        roster = {0: detector(0), 1: detector(1, status=AgentStatus.PROBATIONARY)}
+        b = batch(self.FEATURES, n=4)
+        pipeline(roster).run_batch(b)
+        active, shadow = given
+        assert active.shape == (FEATURE_DIM, 4) and shadow.shape == (SENSITIVE_START, 4)
+        assert not np.shares_memory(shadow, b.features[SENSITIVE_START:])
+        assert not np.shares_memory(shadow, b.features)  # a fresh array, not a view
+
     def test_label_and_pattern_not_readable_by_decision(self):
         # the decision path takes only features and modality
         agent = detector(0)
         for label in (True, False):
             b = batch((0.9, 0, 0, 0, 0, 0), label=label)
-            _, _, verdict = decide(agent.spec.experts, agent.gate_weights, b.features, b.modality)
+            _, _, verdict = decide(agent.spec.matrices, agent.gate_weights, b.features, b.modality)
             assert verdict.tolist() == [True]  # from the score, not the label
 
 

@@ -17,7 +17,7 @@ from freeagent.config import (
     _scenario,
     section_4_4_preset,
 )
-from freeagent.domain import FEATURE_DIM, SENSITIVE_START, ConfigError
+from freeagent.domain import FEATURE_DIM, MODALITY_DIM, SENSITIVE_START, ConfigError
 from freeagent.engine import Engine
 from freeagent.moe import uniform_gate
 from freeagent.pipeline import decide
@@ -97,7 +97,7 @@ class TestStreamContent:
     def test_modality_normalized_and_zeros_exact(self):
         cfg = stream(spc=200)
         batch = generate_cycle(cfg, 2)
-        for modality, name in zip(batch.modality.tolist(), pattern_names(cfg, 2, batch)):
+        for modality, name in zip(batch.modality.T.tolist(), pattern_names(cfg, 2, batch)):
             assert abs(sum(modality) - 1.0) < 1e-9
             assert all(m >= 0 for m in modality)
             if name == "A":
@@ -108,9 +108,18 @@ class TestStreamContent:
     def test_fraud_shift_applied_to_designated_coordinate(self):
         cfg = stream(spc=2000, segments=(Segment(0, {"A": 1.0}),))
         batch = generate_cycle(cfg, 0)
-        fraud_mean = batch.features[batch.label, 0].mean()
-        legit_mean = batch.features[~batch.label, 0].mean()
+        fraud_mean = batch.features[0, batch.label].mean()
+        legit_mean = batch.features[0, ~batch.label].mean()
         assert fraud_mean - legit_mean == pytest.approx(3.0, abs=0.2)
+
+    @pytest.mark.parametrize("spc", [1, 50, 1000])
+    def test_the_batch_is_one_c_contiguous_row_per_coordinate(self, spc):
+        batch = generate_cycle(stream(spc=spc), 2)
+        assert batch.features.shape == (FEATURE_DIM, spc)
+        assert batch.modality.shape == (MODALITY_DIM, spc)
+        assert batch.features.flags.c_contiguous and batch.modality.flags.c_contiguous
+        # each owns its memory: no row-major draw is kept behind it
+        assert batch.features.base is None and batch.modality.base is None
 
     def test_global_seq_positions(self):
         cfg = stream(spc=10)
@@ -128,8 +137,8 @@ def same_rows(batch, cfg, cycle, seqs):
     for i in seqs:
         s = samples[i]
         assert batch.seq0 + i == s.seq
-        assert [x.hex() for x in batch.features[i].tolist()] == [x.hex() for x in s.features]
-        assert [x.hex() for x in batch.modality[i].tolist()] == [x.hex() for x in s.modality]
+        assert [x.hex() for x in batch.features[:, i].tolist()] == [x.hex() for x in s.features]
+        assert [x.hex() for x in batch.modality[:, i].tolist()] == [x.hex() for x in s.modality]
         assert (bool(batch.label[i]), int(batch.pattern[i])) == (s.label, s.pattern)
 
 
@@ -166,7 +175,7 @@ def test_one_two_and_three_pattern_segments_match_the_oracle():
         names = pattern_names(cfg, cycle, batch)
         assert set(names) == ({"D"}, {"A", "D"}, {"B", "C", "D"})[cycle // 2]
         d_rows = [name == "D" for name in names]
-        assert [m.hex() for m in batch.modality[d_rows, 0].tolist()] == ["0x0.0p+0"] * sum(d_rows)
+        assert [m.hex() for m in batch.modality[0, d_rows].tolist()] == ["0x0.0p+0"] * sum(d_rows)
 
 
 class TestKeys:
@@ -252,8 +261,8 @@ def accuracy(spec, stream, restricted=False):
     on the stream's one cycle, on the full features or their Restricted view."""
     batch = generate_cycle(stream, 0)
     gate = uniform_gate(len(spec.experts))
-    features = batch.features[:, :SENSITIVE_START] if restricted else batch.features
-    _, _, verdict = decide(spec.experts, gate, features, batch.modality)
+    features = batch.features[:SENSITIVE_START] if restricted else batch.features
+    _, _, verdict = decide(spec.matrices, gate, features, batch.modality)
     return np.count_nonzero(verdict == batch.label) / len(batch)
 
 
@@ -295,13 +304,13 @@ class TestScenario:
 
         def correct(spec, batch, features):
             gate = uniform_gate(len(spec.experts))
-            _, _, verdict = decide(spec.experts, gate, features, batch.modality)
+            _, _, verdict = decide(spec.matrices, gate, features, batch.modality)
             return int(np.count_nonzero(verdict == batch.label))
 
         assert [
             correct(incumbent, pure_a, pure_a.features),
             correct(incumbent, mixture, mixture.features),
-            correct(candidate, mixture, mixture.features[:, :SENSITIVE_START]),
+            correct(candidate, mixture, mixture.features[:SENSITIVE_START]),
             correct(candidate, mixture, mixture.features),
         ] == [9454, 7431, 8776, 9383]
 
