@@ -67,6 +67,13 @@ class AgentSpec:
         """The experts as ``decide`` reads them, built on first use, not at load."""
         return expert_matrices(self.experts)
 
+    @functools.cached_property
+    def expert_key(self) -> bytes:
+        """The bytes of ``matrices``: agents whose specs share them decide
+        alike, so a batch groups them on it. Bytes, not float equality,
+        under which 0.0 and -0.0 would be one key."""
+        return b"".join(array.tobytes() for array in self.matrices)
+
 
 @dataclass(frozen=True)
 class RunConfig:

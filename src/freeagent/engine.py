@@ -331,6 +331,12 @@ class Engine:
                     detections_file.writelines(report.detections)
                 interval = self.config.snapshot_interval
                 if interval > 0 and self.cycle % interval == 0:
+                    # Every line of the cycles before the snapshot's reaches
+                    # the files first, so a process that dies after writing
+                    # it leaves them whole up to its cycle.
+                    for file in (events_file, metrics_file, detections_file):
+                        if file is not None:
+                            file.flush()
                     write_snapshot(self, snap_dir / f"state_cycle_{self.cycle:04d}.json")
 
         summary = self.build_summary()

@@ -44,8 +44,9 @@ _MODALITY_JITTER = 0.1
 
 # A cycle's batch is built in memory at once, so its size is capped well
 # below what numpy refuses to allocate: one dispatch-workload cycle at the
-# cap, the draws' transposed copies included, took 0.6-0.8 s and peaked at
-# 242 MB on a 2-core Xeon VM (numpy 2.4.6).
+# cap, the draws' transposed copies included and its six agents decided in
+# blocks of ``pipeline.BLOCK_COLUMNS`` samples, took 0.41-0.48 s and
+# peaked at 173 MB on a 2-core Xeon VM (numpy 2.4.6, three fresh processes).
 MAX_SAMPLES_PER_CYCLE = 2**20
 
 

@@ -1,7 +1,7 @@
 """``bench/pairs.py``: a smoke test on truncated workloads, one pair per
-workload against HEAD, two cycles per run, no timed rounds, then one
-traced run per side, and the calibration probe on both sides; and the
-commit it names for the working tree it measures."""
+workload against the working tree's own commit, two cycles per run, no
+timed rounds, then one traced run per side, and the calibration probe on
+both sides; and the commit it names for the working tree it measures."""
 
 import importlib.util
 import json
@@ -14,14 +14,24 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
+def load_pairs():
+    spec = importlib.util.spec_from_file_location("pairs", ROOT / "bench" / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    return pairs
+
+
 def test_the_pairs_writer_runs_both_trees_and_removes_its_worktree(tmp_path):
+    # the parent is the working tree itself (HEAD when it is clean), so both
+    # sides run the same code even while changes are uncommitted
+    parent, _ = load_pairs().measured_commit(ROOT)
     out = tmp_path / "BENCH.json"
-    subprocess.run([sys.executable, "bench/pairs.py", "--parent", "HEAD", "--out", str(out),
+    subprocess.run([sys.executable, "bench/pairs.py", "--parent", parent, "--out", str(out),
                     "--pairs", "1", "--seconds", "0", "--cycles", "2"],
                    cwd=ROOT, check=True, capture_output=True)
     bench = json.loads(out.read_text())
 
-    assert re.fullmatch(r"[0-9a-f]{40}", bench["parent"]["commit"])
+    assert bench["parent"]["commit"] == parent == bench["change"]["commit"]
     assert all(re.fullmatch(r"[0-9a-f]{40}", bench["change"][key])
                for key in ("commit", "tree", "head"))
     assert bench["command"] == {"seed": 42, "seconds": 0.0, "trace": 0, "cycles": 2}
@@ -54,9 +64,7 @@ def test_the_pairs_writer_runs_both_trees_and_removes_its_worktree(tmp_path):
 
 
 def test_the_change_side_names_the_tree_it_measured(tmp_path):
-    spec = importlib.util.spec_from_file_location("pairs", ROOT / "bench" / "pairs.py")
-    pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pairs)
+    pairs = load_pairs()
 
     def git(*args):
         return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@localhost",

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from freeagent.config import AgentSpec, section_4_4_preset
 from freeagent.domain import FEATURE_DIM, FRAUD_ROLE, MODALITY_DIM, SENSITIVE_START
 from freeagent.moe import Expert, uniform_gate
-from freeagent.pipeline import decide, expert_matrices
+from freeagent.pipeline import ExpertMatrices, decide, expert_matrices
 from tests import scalar_oracle as oracle
 
 # Few distinct values, so affinities tie and scores hit thresholds exactly;
@@ -153,14 +153,110 @@ def test_a_specs_matrices_are_its_experts_built_once():
     assert "matrices" not in vars(spec)  # built on first use, not at load
     matrices = spec.matrices
     assert spec.matrices is matrices
-    assert matrices.profiles.shape == (len(experts), MODALITY_DIM)
+    assert matrices.profiles.shape == (MODALITY_DIM, len(experts))
     assert matrices.weights.shape == (FEATURE_DIM, len(experts))
-    assert matrices.weights.flags.c_contiguous
+    assert matrices.profiles.flags.c_contiguous and matrices.weights.flags.c_contiguous
     assert not any(array.flags.writeable for array in matrices)  # shared, so read-only
 
     def hexes(rows):
         return [[x.hex() for x in row] for row in rows]
 
-    assert hexes(matrices.profiles.tolist()) == hexes(e.profile for e in experts)
+    assert hexes(matrices.profiles.T.tolist()) == hexes(e.profile for e in experts)
     assert hexes(matrices.weights.T.tolist()) == hexes(e.weights for e in experts)
     assert hexes([matrices.thresholds.tolist()]) == hexes([[e.threshold for e in experts]])
+
+
+def test_the_expert_key_is_the_matrices_bytes_signed_zeros_apart():
+    # agents group on the key, so experts equal as floats but not as bytes
+    # (0.0 against -0.0) must not share one
+    expert = Expert(profile=(0.0, 1.0, 0.5), weights=(1.0, 0.0, -1.0, 0.5, 0.0, 0.3),
+                    threshold=0.5)
+    twin = Expert(profile=(-0.0, 1.0, 0.5), weights=expert.weights, threshold=0.5)
+    other = Expert(profile=expert.profile, weights=(1.0, -0.0, -1.0, 0.5, 0.0, 0.3),
+                   threshold=0.5)
+
+    def spec(*experts):
+        return AgentSpec(FRAUD_ROLE, frozenset({"fraud"}), experts)
+
+    assert twin == expert and other == expert  # equal as floats
+    keys = [spec(*e).expert_key for e in ((expert,), (twin,), (other,), (expert, expert))]
+    assert len(set(keys)) == 4
+    assert spec(expert).expert_key == spec(expert).expert_key == b"".join(
+        array.tobytes() for array in spec(expert).matrices)
+
+
+def left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_each_sum_takes_its_terms_in_order(n):
+    # 1e16 + 1.0 rounds back to 1e16, so the features sum to 0.0 in scalar
+    # order and to 1.0 in any order that adds 1.0 after the cancellation
+    terms = (1e16, 1.0, -1e16, 0.0, 0.0, 0.0)
+    assert left_to_right(terms) == 0.0 and left_to_right(terms[::2] + terms[1::2]) == 1.0
+    scorer = Expert(profile=(0.0, 0.0, 0.0), weights=(1.0,) * FEATURE_DIM, threshold=0.5)
+    # the same cancellation in modality space: its affinity ties the
+    # zero-profile expert's 0.0 only in scalar order, and the tie goes to
+    # the lowest index
+    router = Expert(profile=(1.0, 1.0, 1.0), weights=(0.0,) * FEATURE_DIM, threshold=0.5)
+    features = np.tile(np.array(terms)[:, None], (1, n))
+    modality = np.tile([[1e16], [1.0], [-1e16]], (1, n))
+    chosen, score, verdict = decide(expert_matrices((scorer, router)), (1.0, 1.0),
+                                    features, modality)
+    assert chosen.tolist() == [0] * n
+    assert score.tolist() == [0.0] * n and verdict.tolist() == [False] * n
+
+
+@pytest.mark.parametrize("n", [2, 3, 40])
+def test_more_than_eight_rows_are_summed_left_to_right(n):
+    # numpy sums a run of 8 or more elements pairwise; decide reduces over
+    # the outer axis of a C-contiguous array, which it adds one row at a
+    # time, so rows beyond FEATURE_DIM and MODALITY_DIM keep scalar order
+    # (a single column is one run: see decide's docstring)
+    rng = np.random.default_rng(5)
+    rows_f, rows_m, n_experts = 11, 9, 4
+
+    def wide(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape).astype(float)
+
+    weights = wide((rows_f, n_experts))
+    weights[:4] = 1.0
+    experts = ExpertMatrices(np.abs(wide((rows_m, n_experts))), weights, wide(n_experts))
+    features, modality = wide((rows_f, n)), np.abs(wide((rows_m, n)))
+    # column 0 scores 0.0 left to right, where 1.0 + 1e16 rounds to 1e16,
+    # and 1.0 pairwise, which adds 1e16 and -1e16 first
+    features[:, 0] = (1.0, 0.0, 1e16, -1e16, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    gate_weights = tuple(rng.random(n_experts))
+    chosen, score, verdict = decide(experts, gate_weights, features, modality)
+    for k in range(n):
+        affinity = [g * left_to_right((experts.profiles[:, e] * modality[:, k]).tolist())
+                    for e, g in enumerate(gate_weights)]
+        expert = affinity.index(max(affinity))
+        expected = left_to_right((experts.weights[:, expert] * features[:, k]).tolist())
+        assert (chosen[k], score[k].hex(), verdict[k]) == (
+            expert, expected.hex(), expected >= experts.thresholds[expert])
+    assert score[0] == 0.0
+    assert np.sum(experts.weights[:, chosen[0]] * features[:, 0]) == 1.0
+
+
+def test_a_gate_per_column_scales_each_column_alone():
+    # agents that share experts decide together, each column routed by its
+    # own agent's gate: the same bits as deciding each agent's columns apart
+    experts = section_4_4_preset().pool[0].experts * 4
+    matrices = expert_matrices(experts)
+    rng = np.random.default_rng(3)
+    features = rng.standard_normal((FEATURE_DIM, 30))
+    modality = rng.random((MODALITY_DIM, 30))
+    gates = [uniform_gate(12), tuple(rng.random(12)), (0.0,) * 11 + (1.0,)]
+    widths = [10, 15, 5]
+    columns = np.repeat(np.array(gates).T, widths, axis=1)
+    together = decide(matrices, columns, features, modality)
+    bounds = np.cumsum([0] + widths)
+    apart = [decide(matrices, g, features[:, lo:hi].copy(), modality[:, lo:hi].copy())
+             for g, lo, hi in zip(gates, bounds, bounds[1:])]
+    for got, parts in zip(together, zip(*apart)):
+        assert got.tobytes() == np.concatenate(parts).tobytes()

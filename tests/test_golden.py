@@ -17,7 +17,10 @@ evaluates each roster agent once per cycle.
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -196,6 +199,59 @@ def test_a_restore_in_place_keeps_its_restore_point(runs, tmp_path):
     kept = {name: digest for name, digest in GOLDEN["churn"].items()
             if name.startswith("snapshots/") and int(name[-9:-5]) <= RESUME_AT}
     assert digests(in_place) == {**kept, **GOLDEN["churn-resumed"]}
+
+
+# Runs the churn cut with detections and ends the process with os._exit
+# right after the snapshot of cycle AT is written. No `with` block closes,
+# and so flushes, the output files: each holds what the run flushed itself.
+_KILLED_RUN = """
+import os, sys
+from dataclasses import replace
+from freeagent import engine
+from freeagent.config import load_config
+
+at, workload, out = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+write_snapshot = engine.write_snapshot
+
+def write_then_die(eng, path):
+    write_snapshot(eng, path)
+    if path.name == f"state_cycle_{at:04d}.json":
+        os._exit(0)
+
+engine.write_snapshot = write_then_die
+cfg = load_config(workload)
+cfg = replace(cfg, emit_detections=True, stream=replace(cfg.stream, total_cycles=60))
+engine.Engine(cfg).run(out)
+os._exit(1)
+"""
+
+
+@pytest.mark.parametrize("at", [5, 30])
+def test_a_run_killed_after_a_snapshot_leaves_every_line_before_it(runs, tmp_path, at):
+    killed, full = tmp_path / "killed", tmp_path / "full"
+    cfg = workload("churn", 60)
+    Engine(replace(cfg, emit_detections=True)).run(full)
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _KILLED_RUN, str(at),
+                           str(WORKLOADS / "churn.json"), str(killed)], env=env, timeout=120)
+    assert proc.returncode == 0  # it died at the snapshot
+    assert (killed / "snapshots" / f"state_cycle_{at:04d}.json").exists()
+
+    def lines(path):
+        return path.read_text().splitlines()
+
+    golden = runs["churn"]
+    assert lines(killed / "events.jsonl") == [
+        line for line in lines(golden / "events.jsonl") if json.loads(line)["cycle"] < at]
+    header, *rows = lines(golden / "metrics.csv")
+    assert lines(killed / "metrics.csv") == [header] + [
+        row for row in rows if int(row.split(",")[0]) < at]
+    per_cycle = cfg.stream.samples_per_cycle
+    detections = [line for line in lines(full / "detections.jsonl")
+                  if json.loads(line)["seq"] // per_cycle < at]
+    assert detections and lines(killed / "detections.jsonl") == detections
 
 
 @pytest.mark.parametrize("run", ["preset-42", "preset-7", "churn"])

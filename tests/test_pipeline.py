@@ -146,7 +146,7 @@ class TestViews:
 
         def spy(experts, gate_weights, features, modality):
             given.append(features.T.tolist())  # one list per sample
-            if len(features) == SENSITIVE_START:  # a shadow: no array it views is taller
+            if len(features) == SENSITIVE_START:  # a shadow call: no array it views is taller
                 base = features
                 while base is not None:
                     assert np.ndim(base) == 2 and len(base) <= SENSITIVE_START
@@ -158,12 +158,17 @@ class TestViews:
                   2: detector(2, status=AgentStatus.PROBATIONARY, misbehaving=True)}
         pipe = pipeline(roster)
         pipe.run_batch(batch(self.FEATURES, n=2))
-        # the Active agent first, then the shadows by id
-        assert [np.shape(rows) for rows in given] == [
-            (2, FEATURE_DIM), (2, SENSITIVE_START), (2, SENSITIVE_START)
-        ]
+        # Per call: every column is an Active agent's, on every feature, or
+        # every column a shadow's, on the visible ones. The two shadows share
+        # their experts, so they share one call.
         full, visible = list(self.FEATURES), list(self.FEATURES[:SENSITIVE_START])
-        assert given == [[full] * 2, [visible] * 2, [visible] * 2]
+        for rows in given:
+            assert rows in ([full] * len(rows), [visible] * len(rows))
+        seen = {AgentStatus.ACTIVE: 0, AgentStatus.PROBATIONARY: 0}
+        for agent in roster.values():
+            seen[agent.status] += pipe.log.windows[agent.id].samples_seen
+        assert seen == {AgentStatus.ACTIVE: 2, AgentStatus.PROBATIONARY: 4}
+        assert given == [[full] * 2, [visible] * 4]  # the Active agents' call first
         # the misbehaving shadow's attempts on the raw samples are still tallied
         assert [pipe.log.windows[a].violations for a in roster] == [0, 0, 2]
 
