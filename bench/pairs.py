@@ -13,10 +13,13 @@ the pairs, the ratio of the medians (change over parent), the number of
 pairs the change won, both output digests and the output files whose bytes
 differ, the traced per-layer metrics and the count and byte metrics that
 differ between the sides, with the Python and numpy versions, the CPU
-model and the commit and tree of the working tree measured. It also times
-the preset's calibration check, the first ``section_4_4_preset()`` call of
-a fresh interpreter, five times per side from that side's ``src/``, the
-sides alternating. The worktree is removed when the runs end.
+model and the commit and tree of the working tree measured. After the
+traced runs, each workload's ``peak_rss_mb`` is probed with a fixed run
+count: ``perfbench/run.py --trace 0 --seconds 0`` three times per side, the
+sides alternating. It also times the preset's calibration check, the first
+``section_4_4_preset()`` call of a fresh interpreter, five times per side
+from that side's ``src/``, the sides alternating. The worktree is removed
+when the runs end.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ SIDES = ("parent", "change")
 # the sides is a change in what the engine does, not noise.
 EXACT_LAYERS = [m["name"] for m in SPEC["per_layer"] if m["unit"] in ("count", "bytes")]
 CALIBRATION_RUNS = 5
+RSS_RUNS = 3  # fixed-count peak_rss_mb probes per side and workload
 # argv[1] is the src/ directory to import freeagent from. A process runs the
 # scenario's calibration check once, in its first section_4_4_preset().
 CALIBRATION_PROBE = """
@@ -108,10 +112,9 @@ def file_digests(out: Path) -> dict[str, str]:
 
 
 def bench_run(tree: Path, workload: str, work: Path, args: argparse.Namespace,
-              trace: int = 0) -> dict:
+              seconds: float, trace: int = 0) -> dict:
     """One ``perfbench/run.py`` from ``tree``: its result line, with the
-    output digest it printed. A traced run is one round (``--seconds 0``)."""
-    seconds = args.seconds if trace == 0 else 0
+    output digest it printed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(seconds), "--trace", str(trace), "--work", str(work)]
     if args.cycles is not None:
@@ -148,20 +151,31 @@ def compare(runs: dict[str, list[dict]]) -> dict:
     return out
 
 
+def alternating(runs: int):
+    """``runs`` rounds of both sides, the parent first in odd rounds."""
+    for run in range(1, runs + 1):
+        yield from SIDES if run % 2 else SIDES[::-1]
+
+
+def probe_stats(values: dict[str, list[float]], unit: str) -> dict:
+    """Each side's median and quartiles of a probe, and the ratio of the
+    medians (change over parent)."""
+    stats = {side: quartiles(values[side]) for side in SIDES}
+    return {"unit": unit, "better": "lower", "runs": len(values["parent"]), **stats,
+            "ratio": stats["change"]["median"] / stats["parent"]["median"]}
+
+
 def calibration(trees: dict[str, Path]) -> dict:
     """Each side's calibration time, the sides alternating as in the pairs."""
     times: dict[str, list[float]] = {side: [] for side in SIDES}
-    for run in range(1, CALIBRATION_RUNS + 1):
-        for side in SIDES if run % 2 else SIDES[::-1]:
-            cmd = [sys.executable, "-c", CALIBRATION_PROBE, str(trees[side] / "src")]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise SystemExit(f"error: the calibration probe of {trees[side]} exited "
-                                 f"{proc.returncode}:\n{proc.stderr[-2000:]}")
-            times[side].append(float(proc.stdout))
-    stats = {side: quartiles(times[side]) for side in SIDES}
-    return {"unit": "s", "better": "lower", "runs": CALIBRATION_RUNS, **stats,
-            "ratio": stats["change"]["median"] / stats["parent"]["median"]}
+    for side in alternating(CALIBRATION_RUNS):
+        cmd = [sys.executable, "-c", CALIBRATION_PROBE, str(trees[side] / "src")]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"error: the calibration probe of {trees[side]} exited "
+                             f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+        times[side].append(float(proc.stdout))
+    return probe_stats(times, "s")
 
 
 def run_workload(trees: dict[str, Path], workload: str, base: Path,
@@ -171,16 +185,22 @@ def run_workload(trees: dict[str, Path], workload: str, base: Path,
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for side in order:
-            runs[side].append(bench_run(trees[side], workload, works[side], args))
+            runs[side].append(bench_run(trees[side], workload, works[side], args, args.seconds))
         print(f"{workload}: pair {pair} of {args.pairs} done", file=sys.stderr)
     files = {side: file_digests(works[side] / "out") for side in SIDES}
     digests = {side: runs[side][-1]["digest"] for side in SIDES}
-    traced = {side: bench_run(trees[side], workload, works[side], args, trace=1)
+    traced = {side: bench_run(trees[side], workload, works[side], args, 0, trace=1)
               for side in SIDES}
     print(f"{workload}: traced runs done", file=sys.stderr)
     layers = {side: {name: m["value"] for name, m in traced[side]["metrics"].items()}
               for side in SIDES}
-    every = {side: [*runs[side], traced[side]] for side in SIDES}
+    # perfbench reads peak_rss_mb after all its timed runs, so a faster side
+    # runs more of them and reads more memory the engine does not use; each
+    # probe is one warm-up and one timed run (--seconds 0)
+    probes: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for side in alternating(RSS_RUNS):
+        probes[side].append(bench_run(trees[side], workload, works[side], args, 0))
+    every = {side: [*runs[side], traced[side], *probes[side]] for side in SIDES}
     return {
         "pairs": args.pairs,
         # every run checked out, and the traced run wrote the timed runs' bytes
@@ -195,6 +215,9 @@ def run_workload(trees: dict[str, Path], workload: str, base: Path,
         "layers": layers,
         "layer_mismatches": [name for name in EXACT_LAYERS
                              if layers["parent"].get(name) != layers["change"].get(name)],
+        "peak_rss_mb_probe": probe_stats(
+            {side: [r["metrics"]["peak_rss_mb"]["value"] for r in probes[side]]
+             for side in SIDES}, "MB"),
     }
 
 

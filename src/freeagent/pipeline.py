@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Sequence
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -97,6 +98,14 @@ def decide(
     on; ``FEATURE_DIM`` and ``MODALITY_DIM`` are below 8, where that is
     the same left-to-right loop.) Only the chosen experts' weights are
     gathered.
+
+    The affinity product broadcasts the profiles along the samples, a zero
+    stride on its inner axis, which numpy 2.4.6 runs on a slow path (about
+    1 ns per element against 0.23) while the output holds at most 4 ufunc
+    buffers; ``CyclePipeline.run_batch`` calls this under a buffer of
+    ``DECIDE_BUFSIZE`` elements, which keeps its blocks out of that window.
+    The buffer size changes how numpy chunks a loop, not the order of any
+    sum, so the bits are the same under any size.
     """
     profiles, weights, thresholds = experts
     affinity = np.add.reduce(modality[:, None] * profiles[:, :, None], axis=0, initial=0.0)
@@ -113,6 +122,14 @@ def decide(
 # temporaries are bounded per block, not per group: the affinity terms of
 # 12 experts take 288 kB at this size.
 BLOCK_COLUMNS = 2**10
+# numpy's ufunc buffer, in elements, while a cycle decides: small enough to
+# take decide's affinity product off numpy's slow broadcast path (see
+# decide). At the default 8192 that path holds the product of any block of
+# up to 2,730 columns at 12 experts; under this buffer the (3, 12, 1024)
+# product took 8.1 instead of 28.3 us (timeit minima, 2-core Xeon VM). 512
+# and 1024 did no better end to end. Set inside the dispatch's
+# ``np.errstate``, whose exit restores it (numpy 2.0 on).
+DECIDE_BUFSIZE = 2**11
 
 
 class CyclePipeline:
@@ -157,8 +174,9 @@ class CyclePipeline:
             if a.status is AgentStatus.PROBATIONARY
         ]
 
-    def _handoffs(self, agent: Agent, k: int) -> np.ndarray:
-        """Which of ``k`` dispatches to ``agent`` succeed, in dispatch order.
+    def _handoffs(self, agent: Agent, offered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``offered`` rows whose dispatch to ``agent`` succeeds, and
+        which of them did, in dispatch order.
 
         Each dispatch takes the next uniform of the agent's keyed stream,
         which starts fresh because an agent is reached at most once per
@@ -166,10 +184,11 @@ class CyclePipeline:
         """
         win = self.log.windows[agent.id]
         gen = keyed_generator("handoff", self._seed, self.cycle, agent.id)
-        ok = gen.random(k) < agent.spec.handoff_reliability
-        win.handoffs_attempted += k
-        win.handoffs_succeeded += int(np.count_nonzero(ok))
-        return ok
+        ok = gen.random(len(offered)) < agent.spec.handoff_reliability
+        taken = offered.compress(ok)
+        win.handoffs_attempted += len(offered)
+        win.handoffs_succeeded += len(taken)
+        return taken, ok
 
     def _decide_group(
         self, batch: SampleBatch, members: list[tuple[Agent, np.ndarray]], shadow: bool
@@ -177,55 +196,64 @@ class CyclePipeline:
         """Route, score and tally the rows of agents that share one expert
         set and one view, side by side, one ``decide`` call per block of
         ``BLOCK_COLUMNS`` columns; each agent's gate scales only its own
-        columns. Each agent's confusion counts and net rewards come from
-        one ``bincount`` each, over codes offset by the agent's slot in the
-        group. Returns the agents' detection chunks when detections are
-        rendered, else none.
+        columns. Each block is tallied by one ``bincount`` over the codes
+        ``4*(E*slot + expert) + 2*verdict + label``, ``slot`` the agent's
+        place in the group: an agent's bins, summed over its experts, are
+        its confusion counts, and an expert's ``(tn + tp) - (fn + fp)`` is
+        its net reward. Returns the agents' detection chunks when
+        detections are rendered, else none.
         """
         matrices = members[0][0].spec.matrices
-        n_experts, width = len(matrices.thresholds), len(members)
+        n_bins = 4 * len(matrices.thresholds)  # one agent's: 4 per expert
         # A group of one, the usual case, needs no slots: its one gate and
-        # unshifted codes keep it to fewer numpy calls than a slotted pass.
-        if width == 1:
+        # unshifted codes keep it to the fewest numpy calls.
+        if len(members) == 1:
             [(agent, rows)] = members
             gate = agent.gate_weights
         else:
             rows = np.concatenate([r for _, r in members])
-            slot = np.repeat(np.arange(width), [len(r) for _, r in members])
+            edges = [0, *accumulate(len(r) for _, r in members)]
             gates = np.array([agent.gate_weights for agent, _ in members]).T
+            shifts = np.arange(0, n_bins * len(members), n_bins)
         # A shadow is given a fresh array of the visible feature rows
         # alone; a slice of a full-height ``take`` would hold the
         # sensitive ones in its ``.base``.
         features = batch.features[:SENSITIVE_START] if shadow else batch.features
-        confusion, nets, decisions = [], [], []
+        tallies, decisions = [], []
         for lo in range(0, len(rows), BLOCK_COLUMNS):
-            block = rows[lo:lo + BLOCK_COLUMNS]
-            if width > 1:
-                block_slot = slot[lo:lo + BLOCK_COLUMNS]
-                gate = gates.take(block_slot, axis=1)
+            hi = lo + BLOCK_COLUMNS
+            block = rows[lo:hi]
+            if len(members) > 1:
+                # Each agent's gate and code shift, once per column of its
+                # own in this block. Built per block, not once per group: a
+                # group-wide (E, n) gate left enough freed memory at the
+                # heap's top for glibc to hand it back to the system each
+                # cycle, and fault it in again.
+                ends = [min(max(edge, lo), hi) for edge in edges]
+                columns = [b - a for a, b in zip(ends, ends[1:])]
+                gate = gates.repeat(columns, axis=1)
             expert, score, verdict = decide(matrices, gate, features.take(block, axis=1),
                                             batch.modality.take(block, axis=1))
-            label = batch.label.take(block)
-            outcome = 2 * verdict + label  # tn, fn, fp, tp
-            if width > 1:
-                outcome += 4 * block_slot
-                expert += n_experts * block_slot
-            confusion.append(np.bincount(outcome, minlength=4 * width))
-            # Sums of +1 and -1 are exact in float64, in any order.
-            nets.append(np.bincount(expert, weights=np.where(verdict == label, 1.0, -1.0),
-                                    minlength=n_experts * width))
+            code = expert * 4
+            code += 2 * verdict + batch.label.take(block)  # tn, fn, fp, tp
+            if len(members) > 1:
+                code += shifts.repeat(columns)
+            tallies.append(np.bincount(code, minlength=n_bins * len(members)))
             if self._emit:
                 decisions.append((verdict, score))
 
-        confusion = sum(confusion[1:], confusion[0]).reshape(width, 4).tolist()
-        nets = sum(nets[1:], nets[0]).reshape(width, n_experts).tolist()
-        for (agent, rows), (tn, fn, fp, tp), net in zip(members, confusion, nets):
+        # per agent, per expert: its (tn, fn, fp, tp)
+        tally = sum(tallies[1:], tallies[0]).reshape(len(members), -1, 4).tolist()
+        for (agent, rows), outcomes in zip(members, tally):
+            tn, fn, fp, tp = map(sum, zip(*outcomes))
             win = self.log.windows[agent.id]
             win.true_positives += tp
             win.false_positives += fp
             win.false_negatives += fn
             win.true_negatives += tn
-            win.net = net
+            # (tn + tp) - (fn + fp) per expert. An integer's float: a net of
+            # 0 reads +0.0, as a sum of +1.0 and -1.0 from 0.0 does.
+            win.net = [float((a + d) - (b + c)) for a, b, c, d in outcomes]
             if agent.spec.misbehaving and shadow:
                 # Audit hook: the agent tried to read the raw samples. Each
                 # attempt is blocked and tallied; the decisions still run
@@ -246,32 +274,38 @@ class CyclePipeline:
         """Dispatch every sample of ``batch``: Active agents decide on all
         its feature rows, shadows on the first ``SENSITIVE_START``. An
         empty roster may be given the batch's size alone: all stall."""
+        if isinstance(batch, int) and self.roster:
+            raise TypeError("only an empty roster may be given a batch's size "
+                            "instead of its samples")
         n = batch if isinstance(batch, int) else len(batch)
         # Dispatch down the performance ranking, one fall-through level at
         # a time, until every handoff succeeded or the ranking ran out;
         # then each shadow is offered every sample. Agents whose experts are
         # bit-identical and who decide on the same view make one group.
         groups: dict[tuple[bytes, bool], list[tuple[Agent, np.ndarray]]] = {}
-        pending = np.arange(n)
+        everyone = pending = np.arange(n)
         for agent in self._active:
-            if not len(pending):
-                break
-            ok = self._handoffs(agent, len(pending))
-            if len(rows := pending[ok]):
+            rows, ok = self._handoffs(agent, pending)
+            if len(rows):
                 groups.setdefault((agent.spec.expert_key, False), []).append((agent, rows))
-            pending = pending[~ok]
+            if len(rows) == len(pending) or agent is self._active[-1]:
+                break  # nothing falls through, or nobody is left to take it
+            pending = pending.compress(~ok)
         for agent in self._shadows:
-            if len(rows := np.flatnonzero(self._handoffs(agent, n))):
+            if len(rows := self._handoffs(agent, everyone)[0]):
                 groups.setdefault((agent.spec.expert_key, True), []).append((agent, rows))
         if not self._active:
             self.stalled_samples += n
 
         # Weights that validate accepts can overflow a score; the non-finite
         # score is the documented output, so numpy is not to warn about it.
+        # The errstate's exit also restores numpy's buffer size.
         chunks: list[tuple[np.ndarray, ...]] = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for (_, shadow), members in groups.items():
-                chunks += self._decide_group(batch, members, shadow)
+        if groups:
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.setbufsize(DECIDE_BUFSIZE)
+                for (_, shadow), members in groups.items():
+                    chunks += self._decide_group(batch, members, shadow)
         if chunks:  # empty unless detections are rendered
             self.detections.extend(_detection_lines(batch.seq0, chunks))
         if self.stalled_samples:

@@ -14,7 +14,7 @@ from freeagent.metrics import AgentWindow
 from freeagent.moe import Expert, rl_update
 from freeagent import pipeline as pipeline_module
 from freeagent.pipeline import CyclePipeline, decide, expert_matrices
-from freeagent.simulator import PatternSpec, Segment, StreamConfig, generate_cycle
+from freeagent.simulator import PatternSpec, SampleBatch, Segment, StreamConfig, generate_cycle
 from tests import scalar_oracle as oracle
 
 PATTERNS = (
@@ -271,3 +271,56 @@ def test_negative_weight_on_redacted_coordinate_scores_plus_zero():
                          np.array([[1.0], [0.0], [0.0]]))
     expected = oracle.expert_score(expert, oracle.redact(tuple(features[:, 0].tolist())))[0]
     assert score[0].hex() == expected.hex() == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["one-block", "blocks-of-3"])
+def test_one_tally_per_block_gives_each_agent_its_counts_and_nets(block):
+    # One Active agent (a group of width 1) and three shadows sharing its
+    # experts (one group of width 3, the shadow view). Expert 0 decides
+    # four samples, two right and two wrong: a net of exactly 0, which must
+    # read +0.0. Expert 1 decides three, all right. Expert 2 understands a
+    # modality no sample has: never chosen, a net of +0.0 too.
+    experts = (Expert((1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.5),
+               Expert((0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0, 0.0), 0.5),
+               Expert((0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 0.0, 0.0, 0.0), 0.5))
+    rows = [  # feature 0, feature 1, modality, label
+        (0.9, 0.0, (1.0, 0.0, 0.0), True),  # expert 0: tp
+        (0.9, 0.0, (1.0, 0.0, 0.0), False),  # expert 0: fp
+        (0.1, 0.0, (1.0, 0.0, 0.0), False),  # expert 0: tn
+        (0.1, 0.0, (1.0, 0.0, 0.0), True),  # expert 0: fn
+        (0.0, 0.9, (0.0, 1.0, 0.0), True),  # expert 1: tp
+        (0.0, 0.1, (0.0, 1.0, 0.0), False),  # expert 1: tn
+        (0.0, 0.9, (0.0, 1.0, 0.0), True),  # expert 1: tp
+    ]
+    samples = [oracle.DataSample(seq=seq, features=(f0, f1, 0.0, 0.0, 0.0, 0.0),
+                                 modality=modality, label=label, pattern=0)
+               for seq, (f0, f1, modality, label) in enumerate(rows)]
+    batch = SampleBatch(seq0=0, features=np.array([s.features for s in samples]).T.copy(),
+                        modality=np.array([s.modality for s in samples]).T.copy(),
+                        label=np.array([s.label for s in samples]),
+                        pattern=np.zeros(len(samples), dtype=int))
+    spec = AgentSpec(FRAUD_ROLE, frozenset({"fraud"}), experts)
+    gates = {0: (0.5, 0.25, 0.25), 1: (0.25, 0.5, 0.25), 2: (1.0, 1.0, 0.0), 3: (0.5, 0.5, 0.0)}
+    roster = {i: Agent(id=i, spec=spec, gate_weights=gate,
+                       status=AgentStatus.ACTIVE if i == 0 else AgentStatus.PROBATIONARY)
+              for i, gate in gates.items()}
+
+    pipe = CyclePipeline(roster, seed=1, cycle=0, emit_detections=True)
+    with pytest.MonkeyPatch.context() as patch:
+        if block:
+            patch.setattr(pipeline_module, "BLOCK_COLUMNS", block)
+        pipe.run_batch(batch)
+
+    ref = oracle.ScalarPipeline(roster, seed=1, cycle=0)
+    for sample in samples:
+        ref.process_sample(sample)
+    assert all(net == [0.0, 3.0, 0.0] for net in ref.rewards.values())  # the case is built
+    assert tallies(pipe) == {a: (astuple(replace(w, net=None)), hexes(ref.rewards[a]))
+                             for a, w in ref.windows.items()}
+    for agent_id in roster:
+        assert hexes(pipe.log.windows[agent_id].net) == ["0x0.0p+0", "0x1.8000000000000p+1",
+                                                           "0x0.0p+0"]
+        window = pipe.log.windows[agent_id]
+        assert (window.true_positives, window.false_positives, window.false_negatives,
+                window.true_negatives) == (3, 1, 1, 2)
+    assert pipe.detections == [d.line() for d in ref.detections]

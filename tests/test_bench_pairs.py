@@ -1,7 +1,8 @@
 """``bench/pairs.py``: a smoke test on truncated workloads, one pair per
 workload against the working tree's own commit, two cycles per run, no
-timed rounds, then one traced run per side, and the calibration probe on
-both sides; and the commit it names for the working tree it measures."""
+timed rounds, then one traced run per side, the fixed-count peak_rss_mb
+probes, and the calibration probe on both sides; and the commit it names
+for the working tree it measures."""
 
 import importlib.util
 import json
@@ -52,6 +53,12 @@ def test_the_pairs_writer_runs_both_trees_and_removes_its_worktree(tmp_path):
         assert result["layer_mismatches"] == []
         for side in ("parent", "change"):
             assert sorted(result["layers"][side]) == sorted(m["name"] for m in SPEC["per_layer"])
+        # peak_rss_mb at a fixed run count, whatever either side's speed
+        probe = result["peak_rss_mb_probe"]
+        assert (probe["unit"], probe["better"], probe["runs"]) == ("MB", "lower", 3)
+        for side in ("parent", "change"):
+            assert 0 < probe[side]["q1"] <= probe[side]["median"] <= probe[side]["q3"]
+        assert probe["ratio"] == probe["change"]["median"] / probe["parent"]["median"]
 
     calibration = bench["calibration_s"]
     for side in ("parent", "change"):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from freeagent.config import AgentSpec, section_4_4_preset
 from freeagent.domain import FEATURE_DIM, FRAUD_ROLE, MODALITY_DIM, SENSITIVE_START
 from freeagent.moe import Expert, uniform_gate
-from freeagent.pipeline import ExpertMatrices, decide, expert_matrices
+from freeagent.pipeline import DECIDE_BUFSIZE, ExpertMatrices, decide, expert_matrices
 from tests import scalar_oracle as oracle
 
 # Few distinct values, so affinities tie and scores hit thresholds exactly;
@@ -241,6 +241,19 @@ def test_more_than_eight_rows_are_summed_left_to_right(n):
             expert, expected.hex(), expected >= experts.thresholds[expert])
     assert score[0] == 0.0
     assert np.sum(experts.weights[:, chosen[0]] * features[:, 0]) == 1.0
+
+
+@pytest.mark.parametrize("n", [40, 1024, 3000])
+def test_the_sums_keep_their_order_under_the_dispatch_buffer(n):
+    # run_batch decides with numpy's ufunc buffer at DECIDE_BUFSIZE, where
+    # a loop runs in buffer-sized chunks and some broadcasts leave numpy's
+    # slow path: the same bits from a block that fits one chunk (40
+    # columns) to blocks that span many (1024, and 3000, past the slow
+    # path's window at the default buffer for 12 experts)
+    with np.errstate():
+        np.setbufsize(DECIDE_BUFSIZE)
+        test_each_sum_takes_its_terms_in_order(n)
+        test_more_than_eight_rows_are_summed_left_to_right(n)
 
 
 def test_a_gate_per_column_scales_each_column_alone():

@@ -5,6 +5,7 @@ import inspect
 import json
 
 import numpy as np
+import pytest
 
 from freeagent import pipeline as pipeline_module
 from freeagent.config import AgentSpec
@@ -129,6 +130,55 @@ class TestWindows:
         pipe = pipeline({})
         pipe.run_batch(3)
         assert pipe.log.windows == {}
+
+    def test_a_batch_given_as_its_size_needs_an_empty_roster(self):
+        # a roster would draw its handoffs and then have no samples to
+        # decide: refused before any window is touched
+        roster = {1: detector(1, performance=0.9),
+                  2: detector(2, status=AgentStatus.PROBATIONARY)}
+        pipe = pipeline(roster)
+        with pytest.raises(TypeError, match="only an empty roster may be given a batch's size"):
+            pipe.run_batch(1000)
+        assert pipe.log.windows == {agent_id: AgentWindow() for agent_id in roster}
+        assert pipe.stalled_samples == 0 and pipe.detections == []
+
+
+class TestNumpyState:
+    """``run_batch`` decides under its own numpy error state and ufunc
+    buffer size and leaves both as it found them."""
+
+    ROSTER = {1: detector(1, performance=0.9), 2: detector(2, status=AgentStatus.PROBATIONARY)}
+
+    def test_the_dispatch_state_is_set_while_deciding_and_undone_after(self, monkeypatch):
+        seen = []
+
+        def spy(*args):
+            seen.append((np.getbufsize(), np.geterr()["over"], np.geterr()["invalid"]))
+            return decide(*args)
+
+        monkeypatch.setattr(pipeline_module, "decide", spy)
+        with np.errstate(divide="raise", over="warn"):
+            np.setbufsize(4096)
+            before = np.getbufsize(), np.geterr()
+            pipeline(self.ROSTER).run_batch(batch((0.9, 0, 0, 0, 0, 0), n=4))
+            assert (np.getbufsize(), np.geterr()) == before
+        assert seen == [(pipeline_module.DECIDE_BUFSIZE, "ignore", "ignore")] * 2
+
+    def test_a_decide_that_raises_leaves_numpy_as_it_was(self, monkeypatch):
+        calls = []
+
+        def fails_second(*args):
+            calls.append(args)
+            if len(calls) == 2:  # the shadow's group, after the Active one decided
+                raise RuntimeError("decide failed")
+            return decide(*args)
+
+        monkeypatch.setattr(pipeline_module, "decide", fails_second)
+        before = np.getbufsize(), np.geterr()
+        with pytest.raises(RuntimeError, match="decide failed"):
+            pipeline(self.ROSTER).run_batch(batch((0.9, 0, 0, 0, 0, 0), n=4))
+        assert len(calls) == 2
+        assert (np.getbufsize(), np.geterr()) == before
 
 
 class TestViews:
