@@ -66,7 +66,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(
         f"completed {summary['total_cycles']} cycles "
         f"(seed {summary['seed']}): "
-        + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+        + (", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "no transitions")
     )
     print(f"outputs in {Path(args.out).resolve()}")
     return EXIT_OK
@@ -90,7 +90,8 @@ def _report_lines(summary: dict) -> list[str]:
     key = summary["key_cycles"]
     lines += [
         "",
-        "events: " + ", ".join(f"{k}={v}" for k, v in sorted(summary["event_counts"].items())),
+        "events: " + (", ".join(f"{k}={v}" for k, v in sorted(summary["event_counts"].items()))
+                      or "no transitions"),
         "first release: {0}, first sign: {1}, first promote: {2}".format(
             key["first_release"], key["first_sign"], key["first_promote"]
         ),

@@ -46,11 +46,9 @@ class AgentStatus(str, Enum):
 
 
 class EventKind(str, Enum):
-    EVALUATE = "Evaluate"
     RELEASE = "Release"
     SIGN = "Sign"
     PROMOTE = "Promote"
-    SERVICE_TICK = "ServiceTick"
     FREE_AGENCY = "FreeAgency"
 
 
@@ -88,7 +86,7 @@ class Agent:
 
 @dataclass(frozen=True, slots=True)
 class RosterEvent:
-    """Audit record of one roster transition or evaluation."""
+    """Audit record of one roster transition."""
 
     cycle: int
     kind: EventKind

@@ -18,6 +18,10 @@ Stage order within one cycle is fixed for determinism:
      rows are folded into the run totals that summary.json reports; a
      cycle without an Active row stalled
 
+A cycle writes each member's row to metrics.csv, the record of its
+evaluation and of its service time, and its transitions (Release, Sign,
+Promote, FreeAgency) to events.jsonl.
+
 All randomness is drawn from counter-keyed generators (stream and
 handoffs), so the engine's whole state is its config, cycle, roster, pool
 and run totals. An agent is its spec, which the config holds, plus its
@@ -61,10 +65,12 @@ from .pipeline import CyclePipeline
 from .reward import compute_components, compute_reward
 from .simulator import generate_cycle
 
-# Format 5: one closed-form gate update per agent per cycle (gate contract
-# 2). Format 4 snapshots were written under one gate step per decision,
-# which rounds differently, so they would resume to other gate bytes.
-SNAPSHOT_FORMAT_VERSION = 5
+# Format 6: the totals count transitions only. Format 5 snapshots count
+# Evaluate and ServiceTick events too, which a resumed run would carry
+# into summary.json. Format 4 snapshots were written under one gate step
+# per decision, which rounds differently, so they would resume to other
+# gate bytes.
+SNAPSHOT_FORMAT_VERSION = 6
 
 FIRST_EVENT_KEYS = {
     EventKind.RELEASE: "first_release",
@@ -286,7 +292,7 @@ class Engine:
         vacancies = vacant_roles(self.roster, cfg.roles)
         transition_probationary(self.roster, self.pool, cfg.lifecycle, cycle, events)
         fill_vacant_roles(self.roster, self.pool, vacancies, cfg.lifecycle, cycle, events)
-        increment_service_time(self.roster, cycle, events)
+        increment_service_time(self.roster)
         enforce_service_cap(self.roster, self.pool, cfg.lifecycle, cycle, events)
 
         # Stage 5: the rows take the service time of stage 4, and the cycle

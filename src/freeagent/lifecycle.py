@@ -5,7 +5,7 @@ All operations mutate the (roster, pool) pair in place, append audit
 events, and iterate agents in ascending id order so runs are
 deterministic; this module writes every event kind. The roster and pool
 are disjoint at every step. Every roster agent is evaluated once per
-cycle, with one Evaluate event, and every transition is visible as
+cycle, on its metrics.csv row, and every transition is visible as
 exactly one Release/FreeAgency/Sign/Promote event, which is what makes
 event-log replay possible.
 """
@@ -105,18 +105,15 @@ def evaluate_and_release(
     """Evaluate every roster agent, Probationary ones included, and move
     sustained underperformers to the pool.
 
-    Each agent is judged on its metrics.csv row of the cycle in ``rows``:
-    its performance becomes the row's F1, and an Evaluate event records
-    the row's counts. A cycle counts as "below" when the F1 drops under
-    the release threshold, or when the row's reward drops under the
-    optional reward threshold.
+    Each agent is judged on its metrics.csv row of the cycle in ``rows``,
+    which is the evaluation's record: its performance becomes the row's F1.
+    A cycle counts as "below" when the F1 drops under the release
+    threshold, or when the row's reward drops under the optional reward
+    threshold.
     """
     for agent_id in sorted(roster):
         agent, row = roster[agent_id], rows[agent_id]
         agent.performance = row.f1
-        detail = f"tp={row.tp} fp={row.fp} fn={row.fn} tn={row.tn}"
-        events.append(RosterEvent.of(cycle, EventKind.EVALUATE, agent, detail))
-
         below = row.f1 < cfg.release_threshold or (
             cfg.reward_threshold is not None and row.reward < cfg.reward_threshold
         )
@@ -208,16 +205,12 @@ def transition_probationary(
             )
 
 
-def increment_service_time(
-    roster: dict[AgentId, Agent], cycle: int, events: list[RosterEvent]
-) -> None:
+def increment_service_time(roster: dict[AgentId, Agent]) -> None:
     """End-of-cycle tick: every roster agent (Active or Probationary)
-    gains exactly one cycle of service; pool agents are untouched."""
-    for agent_id in sorted(roster):
-        agent = roster[agent_id]
+    gains exactly one cycle of service; pool agents are untouched. The
+    tick is no event: a member's metrics.csv row records its service time."""
+    for agent in roster.values():
         agent.service_time += 1
-        detail = f"service_time={agent.service_time}"
-        events.append(RosterEvent.of(cycle, EventKind.SERVICE_TICK, agent, detail))
 
 
 def enforce_service_cap(

@@ -35,9 +35,9 @@ from freeagent.engine import (
     restore_engine,
     write_snapshot,
 )
-from freeagent.lifecycle import RoleSpec
+from freeagent.lifecycle import LifecycleConfig, RoleSpec
 from freeagent.simulator import generate_cycle
-from tests.test_engine import GOOD_EXPERT, small_config
+from tests.test_engine import BLIND_EXPERT, GOOD_EXPERT, small_config
 
 MINIMAL = {
     "stream": {
@@ -366,10 +366,13 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         for name in ("events.jsonl", "metrics.csv", "summary.json"):
             assert (out / name).exists()
-        capsys.readouterr()
+        # a quiet run: its log is empty, and both lines about it say so
+        assert (out / "events.jsonl").read_text() == ""
+        assert capsys.readouterr().out.startswith("completed 2 cycles (seed 3): no transitions\n")
         assert main(["report", str(out)]) == 0
         report = capsys.readouterr().out
         assert "phase" in report and "final roster" in report
+        assert "\nevents: no transitions\n" in report
 
     def test_run_seed_override(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -472,10 +475,17 @@ class TestOutputSchemas:
         assert header == ",".join(METRICS_COLUMNS)
 
     def test_event_fields_golden(self, tmp_path):
-        engine = Engine(small_config(cycles=1))
+        # a blind incumbent is released on its first evaluation and, the only
+        # pool candidate, signed again into its role in the same cycle
+        engine = Engine(small_config(cycles=1, roster_experts=(BLIND_EXPERT,),
+                                     lifecycle=LifecycleConfig(sustain_window=1)))
         engine.run(tmp_path)
-        first = json.loads((tmp_path / "events.jsonl").read_text().splitlines()[0])
-        assert list(first) == ["cycle", "kind", "agent", "detail", "performance_snapshot"]
+        lines = (tmp_path / "events.jsonl").read_text().splitlines()
+        events = [json.loads(line) for line in lines]
+        assert [(e["cycle"], e["kind"], e["agent"]) for e in events] == [
+            (0, "Release", 0), (0, "Sign", 0)]
+        for event in events:
+            assert list(event) == ["cycle", "kind", "agent", "detail", "performance_snapshot"]
 
     def test_summary_phases_stop_at_the_end_of_the_run(self, tmp_path):
         # a segment that starts after the last cycle is no phase
@@ -586,13 +596,14 @@ class TestSnapshots:
         write_snapshot(engine, snap)
         node = json.loads(snap.read_text())
         # format 1 lacks the run totals, formats 1 and 2 repeat each agent's spec,
-        # formats up to 3 drew each sample from its own stream, and formats up
-        # to 4 stepped the gate once per decision: resumed now, such a run
+        # formats up to 3 drew each sample from its own stream, formats up to 4
+        # stepped the gate once per decision, and format 5's event counts
+        # include Evaluate and ServiceTick events: resumed now, such a run
         # would write other bytes than the run it came from
-        for version in (1, 2, 3, 4, 999):
+        for version in (1, 2, 3, 4, 5, 999):
             node["format_version"] = version
             snap.write_text(json.dumps(node))
-            with pytest.raises(SnapshotError, match=f"snapshot format {version} != supported 5"):
+            with pytest.raises(SnapshotError, match=f"snapshot format {version} != supported 6"):
                 restore_engine(snap)
 
     def test_missing_snapshot_refused(self, tmp_path):

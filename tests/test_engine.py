@@ -71,17 +71,18 @@ def replay_membership(events, initial_roster, initial_pool):
             assert e.agent in pool, f"signing of non-pool agent {e.agent}"
             pool.remove(e.agent)
             roster.add(e.agent)
-        # Evaluate/Promote/ServiceTick do not move agents between sets
+        # Promote does not move an agent between sets
     return roster, pool
 
 
 class TestHealthyRoster:
     def test_no_roster_churn(self):
+        # no transition is logged; each cycle's row records the tick
         engine = Engine(small_config())
-        for _ in range(4):
+        for cycle in range(4):
             report = engine.run_cycle()
-            kinds = {e.kind for e in report.events}
-            assert kinds <= {EventKind.EVALUATE, EventKind.SERVICE_TICK}
+            assert report.events == []
+            assert [(row.agent, row.service_time) for row in report.rows] == [(0, cycle + 1)]
         assert engine.roster[0].service_time == 4
         assert engine.roster[0].performance > 0.9
 
@@ -278,11 +279,13 @@ class TestServiceCap:
         )
         engine = Engine(cfg)
         reports = [engine.run_cycle() for _ in range(8)]
-        routine = (EventKind.EVALUATE, EventKind.SERVICE_TICK)
         for agent in (1, 2, 3):
             kinds = [e.kind for r in reports for e in r.events if e.agent == agent]
-            transitions = [k for k in kinds if k not in routine]
-            assert transitions == [EventKind.SIGN, EventKind.PROMOTE, EventKind.FREE_AGENCY]
+            assert kinds == [EventKind.SIGN, EventKind.PROMOTE, EventKind.FREE_AGENCY]
+            # one shadow row, at service 2 after its tick; the cap sweep
+            # frees it before it decides as Active
+            rows = [row for r in reports for row in r.rows if row.agent == agent]
+            assert [(row.status, row.service_time) for row in rows] == [("Probationary", 2)]
         active = {row.agent for r in reports for row in r.rows if row.status == "Active"}
         assert active == {0}
         decided = [sum(cycle[:4]) for cycle in engine.totals.cycles]
@@ -300,12 +303,9 @@ class TestServiceCap:
         (row,) = first.rows
         assert row.agent == 0 and row.status == "Active"
         assert row.tp + row.fp + row.fn + row.tn == cfg.stream.samples_per_cycle
-        _, tick, freed = first.events
-        assert [e.kind for e in first.events] == [
-            EventKind.EVALUATE, EventKind.SERVICE_TICK, EventKind.FREE_AGENCY
-        ]
-        assert {e.agent for e in first.events} == {0}
-        assert tick.detail == "service_time=100"
+        assert row.service_time == 100  # the tick
+        (freed,) = first.events
+        assert (freed.kind, freed.agent) == (EventKind.FREE_AGENCY, 0)
         assert freed.detail == "service_time 100 reached cap 10"
         assert engine.roster == {}
         second = engine.run_cycle()

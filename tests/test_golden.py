@@ -11,8 +11,10 @@ and the pinned one; the test is not skipped on another numpy.
 Runs: the section-4.4 preset with detections at seeds 42 and 7, the
 dispatch workload cut to 3 cycles, and the churn workload cut to 60 cycles
 (12 snapshots), resumed from its cycle-30 snapshot into a new directory
-and, in a copy, into its own. The same runs check that the event log
-evaluates each roster agent once per cycle.
+and, in a copy, into its own. The same runs check that metrics.csv holds
+one row per roster agent and cycle, the roster the transitions replay to,
+and that the event log and the rows rebuild the log written before
+Evaluate and ServiceTick events were dropped.
 """
 
 import hashlib
@@ -28,8 +30,9 @@ import numpy as np
 import pytest
 
 from freeagent.cli import main
-from freeagent.config import load_config
+from freeagent.config import load_config, preset_config
 from freeagent.engine import Engine
+from freeagent.metrics import count_ratios
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 PINNED_NUMPY = "2.4.6"
@@ -38,83 +41,83 @@ RESUME_AT = 30
 GOLDEN = {
     "churn": {
         "events.jsonl":
-            "a692cdc738c9f9169678bbc2368c91521ab78617ebe16762103a6c1e97a4da83",
+            "e22ad862f7ca131247f37f17f366ce923f3e5c4ab6fd48949f175c12ed5db0b3",
         "metrics.csv":
             "504ddc15146f36c7daec55c8b5fe0ae181bd60c163d512977741b35ac1f32604",
         "snapshots/state_cycle_0005.json":
-            "30d044d2555eaf701e5ac0b2d03a96398b17705921133a7f4f156a81edd43244",
+            "cf6be04f3be2aa43101c4cc7eed0895b9ce1268691729bc1ab0a86daad4559a1",
         "snapshots/state_cycle_0010.json":
-            "c7c1044cb17289e410a7d8cebeaac09feb7890b6ae8c73f7b2f2b6ffacf07e80",
+            "90480fe4c1f2a97fd6d39b97ffc9bf56f65f23b61bf8b8a786068c6e4f289bdb",
         "snapshots/state_cycle_0015.json":
-            "8f6140fd801b53305408fa33def167259678b1fd50b7bd748d4ff4698718833c",
+            "d6cbbfa4f0beb6d54a16241fbd84d3c8742483daa4d563d9d7122c4e78b45670",
         "snapshots/state_cycle_0020.json":
-            "da27d86ffae1759c282f37c391089ce5f5e7921a750e7be662fe972bd9f65d5a",
+            "08b098d648f7fe2ae1f17d849adb21ce632b838950592c0bb94c92e2565188a0",
         "snapshots/state_cycle_0025.json":
-            "7f5c152c890a56f5156f4ca43fda1c19a47bbdfb6147a96933b1b307b227eff1",
+            "96e377b4c6841a3f583161431d10362aa5a38d97b61305885fa6536d3326eafe",
         "snapshots/state_cycle_0030.json":
-            "504fd837e1f0e12e948d1a4494642c73c472f25b13a7e737f5a18db04278c090",
+            "ad4a7bf46f1ae86656874e413b70f9d3b5752dbba634322aa011ccae46c83faa",
         "snapshots/state_cycle_0035.json":
-            "2f341007a5bab47916f1de41db10dc917124e3a263fc0f462abc8887a1e4fea7",
+            "c929f914eb962110422cc6a0e27642a50efc1fd016109eca45dd7c21c257a2d8",
         "snapshots/state_cycle_0040.json":
-            "b05b2423cf18cf479445697bf01b8cdb570918d67118066887469f3d45899bc8",
+            "751243ee8f03ca127587700e40b625e08340d4595a8abb12e758c99da35bd98e",
         "snapshots/state_cycle_0045.json":
-            "e51e1641bd79256831fd65d332165341e6993f0278eb27c52d42dbae207e35c8",
+            "7cda840d0e1a5a270da32aea6f372475ceb4c8a546377c964fb047bc4b608d80",
         "snapshots/state_cycle_0050.json":
-            "2788d654e8dc9614470534a7c560ad048ba21375c404ba791f87e874ef4df4ba",
+            "90db410014f2c9eeff983942cdce949b6f1fbbc115496a836aaed90cd7ae92ce",
         "snapshots/state_cycle_0055.json":
-            "75f77148920944fdb857be763142ff07b8b37c48e324e61aded70f8b562105b7",
+            "51a8db3eb8c26919281ef54ec88446ab2585deaa065a8e900e0943ef4940ed70",
         "snapshots/state_cycle_0060.json":
-            "035045d78ab25feca3aa4c1a8cfc0bbc2409838985a59ed71c5141638d2d4883",
+            "61dd1a07fffd242b9845911ff6b71c86ca98de897067f6e801de0cd74059dbc3",
         "summary.json":
-            "f558e570de6cda34c5386ede53c897221324fdcad32d90f7144df11bba309058",
+            "d3f17deea14bae38a60906a73bad0789e90f408058e7c62feaf011adb3c98876",
     },
     "churn-resumed": {
         "events.jsonl":
-            "c5a9da91b3baaa7edfbda9fa9be4e34d9039f014928e1f1140f2fef7bf015ede",
+            "3c235d01ad1072d41cb72db8eeb414a36f11289c734c1bda3cce87fc21ea5e4b",
         "metrics.csv":
             "0e88783ab829a11f6bfd1e33c0cd078b43e00cca287dd1b48f54100ad1f327da",
         "snapshots/state_cycle_0035.json":
-            "2f341007a5bab47916f1de41db10dc917124e3a263fc0f462abc8887a1e4fea7",
+            "c929f914eb962110422cc6a0e27642a50efc1fd016109eca45dd7c21c257a2d8",
         "snapshots/state_cycle_0040.json":
-            "b05b2423cf18cf479445697bf01b8cdb570918d67118066887469f3d45899bc8",
+            "751243ee8f03ca127587700e40b625e08340d4595a8abb12e758c99da35bd98e",
         "snapshots/state_cycle_0045.json":
-            "e51e1641bd79256831fd65d332165341e6993f0278eb27c52d42dbae207e35c8",
+            "7cda840d0e1a5a270da32aea6f372475ceb4c8a546377c964fb047bc4b608d80",
         "snapshots/state_cycle_0050.json":
-            "2788d654e8dc9614470534a7c560ad048ba21375c404ba791f87e874ef4df4ba",
+            "90db410014f2c9eeff983942cdce949b6f1fbbc115496a836aaed90cd7ae92ce",
         "snapshots/state_cycle_0055.json":
-            "75f77148920944fdb857be763142ff07b8b37c48e324e61aded70f8b562105b7",
+            "51a8db3eb8c26919281ef54ec88446ab2585deaa065a8e900e0943ef4940ed70",
         "snapshots/state_cycle_0060.json":
-            "035045d78ab25feca3aa4c1a8cfc0bbc2409838985a59ed71c5141638d2d4883",
+            "61dd1a07fffd242b9845911ff6b71c86ca98de897067f6e801de0cd74059dbc3",
         "summary.json":
-            "f558e570de6cda34c5386ede53c897221324fdcad32d90f7144df11bba309058",
+            "d3f17deea14bae38a60906a73bad0789e90f408058e7c62feaf011adb3c98876",
     },
     "dispatch": {
         "events.jsonl":
-            "a397f9f773faa52ed10c72592200bfa9bd1c4833876f55c3121769abbb78750e",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "metrics.csv":
             "ec3c52a3c9f8a5384b2b8948bf99ef5218ab7a5e24ca54178365f9b8dbcd7d9c",
         "summary.json":
-            "3c6d5514a681a9a938c9dfbb053db2aa1de1730e856fa447e4be5db054f8c19b",
+            "1798210b5651d797d805f1d39b909e08ed2e2b23ed0a45b55e19a9f58c40959e",
     },
     "preset-42": {
         "detections.jsonl":
             "9e17055b527e755f8e787a75dfaa58a8a7639bd6abdb348ecf7be7559f077c8f",
         "events.jsonl":
-            "ed39c0e75e474b0517fea622455e9638e148f2d64edd1a3902d8bd46c0edae71",
+            "dc12ace70f987b4c7443da85729ac5792dc9bc7b75fdaa894b1fb654c936924a",
         "metrics.csv":
             "4a5f5876d817b9007875fa9890091973f33ddf594b1f2fd1565f934b61c8a74d",
         "summary.json":
-            "7cd97793a47306cad62a5c1dcec571f2220678c1878a7aa2b3d82a9603108cd5",
+            "154a788f3452b347cc735c1a985596a532056422af0cb12ce41da72147abb412",
     },
     "preset-7": {
         "detections.jsonl":
             "c66ca57cb96fb7621b047592a00e0fb2715ed930585c10871e6d6375a58383ca",
         "events.jsonl":
-            "8f072817410fd440bbe13673d8be1813e30188ee86c4aceae33f1fa3e6ec8f4c",
+            "2f7ba15248308e116358e8afeb1976f68f60bba0d2a0d1405e8928d39d01b7ab",
         "metrics.csv":
             "d05935494992083b49ced94640c20a58f13c882c6e895c4f459e034a1af6f528",
         "summary.json":
-            "d2ac161b3abeabba1d61ee24d9609ac4506c256b258d2905acd613db94f5712f",
+            "15857e893e3cfdddd562f39d8b7dafd238be686b068a50c0251bc768e62ea152",
     },
 }
 
@@ -130,6 +133,14 @@ def digests(out: Path) -> dict[str, str]:
 def workload(name: str, cycles: int):
     cfg = load_config(WORKLOADS / f"{name}.json")
     return replace(cfg, stream=replace(cfg.stream, total_cycles=cycles))
+
+
+def run_config(run: str):
+    """The config of a run the ``runs`` fixture made from scratch."""
+    if run.startswith("preset-"):
+        cfg = preset_config("section-4.4")
+        return replace(cfg, stream=replace(cfg.stream, seed=int(run[len("preset-"):])))
+    return workload(run, {"dispatch": 3, "churn": 60}[run])
 
 
 @pytest.fixture(scope="module")
@@ -254,11 +265,113 @@ def test_a_run_killed_after_a_snapshot_leaves_every_line_before_it(runs, tmp_pat
     assert detections and lines(killed / "detections.jsonl") == detections
 
 
+def read_run(out: Path):
+    """A run's transition events and its metrics.csv rows, each row's cells
+    as (cycle, agent, tp, fp, fn, tn, service_time)."""
+    events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    _, *lines = (out / "metrics.csv").read_text().splitlines()
+    rows = []
+    for line in lines:
+        cells = line.split(",")
+        rows.append((*map(int, cells[:2]), *map(int, cells[3:7]), int(cells[-1])))
+    return events, rows
+
+
+def by_cycle(items, cycle_of, cycles: int) -> list[list]:
+    out = [[] for _ in range(cycles)]
+    for item in items:
+        out[cycle_of(item)].append(item)
+    return out
+
+
+def step(roster: set, event: dict) -> None:
+    """Fold one transition into the roster: Release and FreeAgency leave it,
+    Sign joins it, and Promote keeps it."""
+    if event["kind"] in ("Release", "FreeAgency"):
+        roster.remove(event["agent"])
+    elif event["kind"] == "Sign":
+        roster.add(event["agent"])
+
+
 @pytest.mark.parametrize("run", ["preset-42", "preset-7", "churn"])
 def test_every_roster_agent_is_evaluated_once_per_cycle(runs, run):
-    # metrics.csv holds one row per roster agent and cycle
-    _, *rows = (runs[run] / "metrics.csv").read_text().splitlines()
-    roster = sorted((int(row.split(",")[0]), int(row.split(",")[1])) for row in rows)
-    events = [json.loads(line) for line in (runs[run] / "events.jsonl").read_text().splitlines()]
-    evaluated = sorted((e["cycle"], e["agent"]) for e in events if e["kind"] == "Evaluate")
-    assert evaluated == roster
+    # each cycle's metrics.csv rows are the roster at the cycle's start,
+    # replayed from the transitions, one row per agent in id order
+    cfg = run_config(run)
+    events, rows = read_run(runs[run])
+    total = cfg.stream.total_cycles
+    roster = set(range(len(cfg.roster)))
+    for cycle_rows, cycle_events in zip(by_cycle(rows, lambda r: r[0], total),
+                                        by_cycle(events, lambda e: e["cycle"], total)):
+        assert [row[1] for row in cycle_rows] == sorted(roster)
+        for event in cycle_events:
+            step(roster, event)
+
+
+# The sha256 of each run's events.jsonl as written while every roster
+# agent's cycle also logged an Evaluate and a ServiceTick event: the
+# parent log that ``parent_events`` rebuilds from today's outputs.
+PARENT_EVENTS_DIGESTS = {
+    "churn": "a692cdc738c9f9169678bbc2368c91521ab78617ebe16762103a6c1e97a4da83",
+    "dispatch": "a397f9f773faa52ed10c72592200bfa9bd1c4833876f55c3121769abbb78750e",
+    "preset-42": "ed39c0e75e474b0517fea622455e9638e148f2d64edd1a3902d8bd46c0edae71",
+    "preset-7": "8f072817410fd440bbe13673d8be1813e30188ee86c4aceae33f1fa3e6ec8f4c",
+}
+
+
+def parent_events(out: Path, cfg) -> str:
+    """The events.jsonl of a run with its Evaluate and ServiceTick lines put
+    back, in the order the lifecycle wrote them within a cycle: each
+    stage-3 Evaluate with its Release, the probation Promote or Release,
+    the Sign, a ServiceTick per roster agent in id order, the FreeAgency.
+
+    An Evaluate holds its row's counts and the F1 of those counts. A tick
+    holds the service time after it: the row's for an agent with a row
+    this cycle, else (an agent signed this cycle) its service after signing
+    plus one. Either snapshots the agent's latest F1, 0.0 before its first."""
+    total, keep = cfg.stream.total_cycles, cfg.lifecycle.keep_service_time_on_resign
+    events, rows = read_run(out)
+    service = {i: spec.service_time for i, spec in enumerate((*cfg.roster, *cfg.pool))}
+    performance = dict.fromkeys(service, 0.0)
+    roster = set(range(len(cfg.roster)))
+
+    def compact(node: dict) -> str:
+        return json.dumps(node, separators=(",", ":")) + "\n"
+
+    def line(cycle, kind, agent, detail):
+        return compact({"cycle": cycle, "kind": kind, "agent": agent, "detail": detail,
+                        "performance_snapshot": performance[agent]})
+
+    out_lines = []
+    for cycle, (cycle_rows, cycle_events) in enumerate(zip(
+            by_cycle(rows, lambda r: r[0], total), by_cycle(events, lambda e: e["cycle"], total))):
+        stage_3 = {e["agent"]: e for e in cycle_events
+                   if e["kind"] == "Release" and e["detail"].startswith("below threshold")}
+        for _, agent, tp, fp, fn, tn, _ in cycle_rows:
+            performance[agent] = count_ratios(tp, fp, fn, tn)[2]
+            out_lines.append(line(cycle, "Evaluate", agent, f"tp={tp} fp={fp} fn={fn} tn={tn}"))
+            if agent in stage_3:
+                out_lines.append(compact(stage_3[agent]))
+        row_service = {row[1]: row[6] for row in cycle_rows}
+        for event in cycle_events:
+            if event["kind"] != "FreeAgency":
+                step(roster, event)
+                if event not in stage_3.values():
+                    out_lines.append(compact(event))
+        for agent in sorted(roster):
+            service[agent] = row_service.get(agent, (service[agent] if keep else 0) + 1)
+            out_lines.append(line(cycle, "ServiceTick", agent, f"service_time={service[agent]}"))
+        for event in cycle_events:
+            if event["kind"] == "FreeAgency":
+                step(roster, event)
+                out_lines.append(compact(event))
+    return "".join(out_lines)
+
+
+@pytest.mark.parametrize("run", sorted(PARENT_EVENTS_DIGESTS))
+def test_the_rows_and_transitions_rebuild_the_parent_event_log(runs, run):
+    # a differential check of the dropped events: what they said is in the
+    # rows, the transitions and the config (churn-resumed lacks the rows
+    # before its snapshot, so it is not rebuilt)
+    rebuilt = parent_events(runs[run], run_config(run)).encode()
+    assert hashlib.sha256(rebuilt).hexdigest() == PARENT_EVENTS_DIGESTS[run]

@@ -38,17 +38,15 @@ def rows_for_f1(agent_id, f1_target, rows=None, reward=1.0):
 
 
 class TestEvaluate:
-    def test_sets_performance_and_emits_event(self):
+    def test_sets_performance_and_emits_no_event(self):
+        # the row is the evaluation's record: the agent takes its F1, and
+        # only a transition is logged
         agent = detector(0)
-        events = []
-        evaluate_and_release({0: agent}, [], seeded_rows(0, 8, 2, 2), LifecycleConfig(), 3,
-                             events)
-        assert agent.performance == pytest.approx(0.8)
-        assert len(events) == 1
-        assert events[0].kind.value == "Evaluate"
-        assert events[0].cycle == 3
-        assert events[0].performance_snapshot == pytest.approx(0.8)
-        assert events[0].detail == "tp=8 fp=2 fn=2 tn=0"
+        rows, events = seeded_rows(0, 8, 2, 2), []
+        evaluate_and_release({0: agent}, [], rows, LifecycleConfig(), 3, events)
+        assert agent.performance == rows[0].f1 == pytest.approx(0.8)
+        assert agent.consecutive_below == 0  # 0.8 is not below 0.80
+        assert events == []
 
     def test_empty_window_evaluates_to_zero(self):
         agent = detector(0, performance=0.9)
@@ -56,7 +54,8 @@ class TestEvaluate:
         evaluate_and_release({0: agent}, [], seeded_rows(0, 0, 0, 0), LifecycleConfig(), 0,
                              events)
         assert agent.performance == 0.0
-        assert events[0].performance_snapshot == 0.0
+        assert agent.consecutive_below == 1
+        assert events == []
 
 
 class TestEvaluateAndRelease:
@@ -68,8 +67,11 @@ class TestEvaluateAndRelease:
         evaluate_and_release(roster, pool, rows_for_f1(0, 0.79), cfg, 0, events)
         assert roster == {} and pool == [agent]
         assert agent.status is AgentStatus.RELEASED
-        kinds = [e.kind for e in events]
-        assert kinds == [EventKind.EVALUATE, EventKind.RELEASE]
+        assert agent.performance == pytest.approx(0.79)
+        (release,) = events
+        assert (release.kind, release.agent) == (EventKind.RELEASE, 0)
+        assert release.detail == "below threshold 0.8 for 1 consecutive evaluations"
+        assert release.performance_snapshot == agent.performance
 
     def test_good_performer_at_cap_is_kept_for_the_cap_sweep(self):
         # evaluation judges performance alone; the cap sweep is the one cap exit
@@ -79,7 +81,7 @@ class TestEvaluateAndRelease:
         roster, pool, events = {0: agent}, [], []
         evaluate_and_release(roster, pool, rows_for_f1(0, 0.95), cfg, 0, events)
         assert roster == {0: agent} and pool == []
-        assert [e.kind for e in events] == [EventKind.EVALUATE]
+        assert agent.performance == pytest.approx(0.95) and events == []
         enforce_service_cap(roster, pool, cfg, 0, events)
         assert roster == {} and pool == [agent]
         assert events[-1].kind is EventKind.FREE_AGENCY
@@ -125,9 +127,11 @@ class TestEvaluateAndRelease:
         roster = {5: detector(5), 2: detector(2)}
         rows = rows_for_f1(5, 0.1)
         rows_for_f1(2, 0.1, rows)
-        events = []
-        evaluate_and_release(roster, [], rows, cfg, 0, events)
-        assert [e.agent for e in events] == [2, 2, 5, 5]
+        pool, events = [], []
+        evaluate_and_release(roster, pool, rows, cfg, 0, events)
+        assert [(e.kind, e.agent) for e in events] == [(EventKind.RELEASE, 2),
+                                                      (EventKind.RELEASE, 5)]
+        assert [a.id for a in pool] == [2, 5]
 
 
 def signed(events):
@@ -285,7 +289,8 @@ class TestTransitionProbationary:
         cfg = LifecycleConfig()
         evaluate_and_release(roster, pool, rows_for_f1(1, 0.88), cfg, 0, events)
         transition_probationary(roster, pool, cfg, 0, events)
-        assert [e.kind for e in events] == [EventKind.EVALUATE, EventKind.PROMOTE]
+        assert [e.kind for e in events] == [EventKind.PROMOTE]
+        assert events[0].performance_snapshot == agent.performance == pytest.approx(0.88)
         assert agent.status is AgentStatus.ACTIVE
 
 
@@ -294,16 +299,14 @@ class TestServiceTime:
         active = detector(0)
         active.service_time = 4
         prob = detector(1, status=AgentStatus.PROBATIONARY)
-        events = []
-        increment_service_time({0: active, 1: prob}, 0, events)
+        increment_service_time({0: active, 1: prob})
         assert active.service_time == 5
         assert prob.service_time == 1
-        assert [e.kind for e in events] == [EventKind.SERVICE_TICK] * 2
 
     def test_pool_agents_unchanged(self):
         pooled = detector(2, status=AgentStatus.RELEASED)
         pooled.service_time = 7
-        increment_service_time({}, 0, [])
+        increment_service_time({})
         assert pooled.service_time == 7
 
     def test_cap_sweep_releases_at_cap(self):
