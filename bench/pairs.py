@@ -80,15 +80,19 @@ def measured_commit(root: Path = ROOT) -> tuple[str, str]:
     """The commit whose tree is the working tree of ``root`` (every file git
     does not ignore, untracked ones included), and that tree. It is ``HEAD``
     when nothing differs, else a commit on top of ``HEAD`` that no branch
-    references, as ``git stash create`` makes. The real index is untouched."""
+    references, as ``git stash create`` makes. That commit is dated as
+    ``HEAD``, so the same tree names the same commit whenever it is asked.
+    The real index is untouched."""
+    head = git("rev-parse", "HEAD", cwd=root)
+    date = git("show", "-s", "--format=%cI", head, cwd=root)
     with tempfile.TemporaryDirectory() as tmp:
         env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index"),
                "GIT_AUTHOR_NAME": "bench", "GIT_AUTHOR_EMAIL": "bench@localhost",
-               "GIT_COMMITTER_NAME": "bench", "GIT_COMMITTER_EMAIL": "bench@localhost"}
+               "GIT_COMMITTER_NAME": "bench", "GIT_COMMITTER_EMAIL": "bench@localhost",
+               "GIT_AUTHOR_DATE": date, "GIT_COMMITTER_DATE": date}
         git("read-tree", "HEAD", cwd=root, env=env)
         git("add", "--all", cwd=root, env=env)
         tree = git("write-tree", cwd=root, env=env)
-        head = git("rev-parse", "HEAD", cwd=root)
         if tree == git("rev-parse", "HEAD^{tree}", cwd=root):
             return head, tree
         return git("commit-tree", tree, "-p", head, "-m", "the measured working tree",

@@ -42,8 +42,6 @@ from pathlib import Path
 
 from .config import _DUMP, RunConfig, _table, config_to_dict, from_dict, to_dict
 from .domain import (
-    FEATURE_DIM,
-    MODALITY_DIM,
     Agent,
     AgentId,
     AgentStatus,
@@ -80,7 +78,6 @@ FIRST_EVENT_KEYS = {
 _EVENT_KINDS = {kind.value for kind in EventKind}
 
 # Built once: json.dumps with separators builds a new encoder per call.
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
 _COMPACT_SORTED = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 
@@ -163,66 +160,6 @@ def event_line(event: RosterEvent) -> str:
     return (f'{{"cycle":{event.cycle},"kind":"{event.kind.value}","agent":{event.agent},'
             f'"detail":{json.dumps(event.detail)},'
             f'"performance_snapshot":{event.performance_snapshot!r}}}\n')
-
-
-# One ``cycles`` entry and one expert of summary.json, laid out as
-# ``json.dumps(summary, indent=2, sort_keys=True)`` lays them out at their
-# depth: the keys of ``_system_metrics`` with "cycle" and "stalled", and
-# the fields of ``Expert``, sorted, with one slot per number. An entry's
-# counts are ints and its ratios floats in [0, 1], whose JSON text is their
-# ``repr``.
-_CYCLE_ENTRY = ('\n    {\n      "accuracy": %r,\n      "cycle": %d,\n      "decided": %d,'
-                '\n      "f1": %r,\n      "stalled": %s\n    }')
-
-
-def _items(n: int) -> str:
-    return ",".join(["\n              %s"] * n)
-
-
-_EXPERT_ENTRY = (f'\n          {{\n            "profile": [{_items(MODALITY_DIM)}\n            ],'
-                 f'\n            "threshold": %s,'
-                 f'\n            "weights": [{_items(FEATURE_DIM)}\n            ]\n          }}')
-# Where the dump of the rest holds the spliced lists: the cycles, and each
-# agent's experts, pool first, at the depths only these keys have.
-_CYCLES_AT = '\n  "cycles": '
-_EXPERTS_AT = '\n        "experts": '
-
-
-def _listing(entries: list[str], indent: str) -> str:
-    return "[" + ",".join(entries) + "\n" + indent + "]" if entries else "[]"
-
-
-def summary_json(summary: dict) -> str:
-    """``json.dumps(summary, indent=2, sort_keys=True)`` and a newline.
-
-    That dump is json's pure-Python encoder, so it runs only on the parts
-    without a fixed layout: each ``cycles`` entry and each agent's experts
-    come from templates and are spliced in where the dump holds empty
-    lists. json's C encoder writes the experts' numbers, in one call.
-    Nothing is cached: equal numbers need not print alike (0.0 and -0.0)."""
-    agents = [*summary["final_pool"], *summary["final_roster"]]  # in sorted key order
-    head, tail = json.dumps(
-        {**summary, "cycles": [],
-         **{key: [{**agent, "moe": {**agent["moe"], "experts": []}} for agent in summary[key]]
-            for key in ("final_pool", "final_roster")}},
-        indent=2, sort_keys=True,
-    ).split(_CYCLES_AT + "[]")
-    cycles = [
-        _CYCLE_ENTRY % (c["accuracy"], c["cycle"], c["decided"], c["f1"],
-                        "true" if c["stalled"] else "false")
-        for c in summary["cycles"]
-    ]
-    numbers = iter(json.dumps([
-        [*e["profile"], e["threshold"], *e["weights"]]
-        for agent in agents for e in agent["moe"]["experts"]
-    ])[2:-2].split("], ["))
-    parts = tail.split(_EXPERTS_AT + "[]")
-    out = [head, _CYCLES_AT, _listing(cycles, "  "), parts[0]]
-    for agent, part in zip(agents, parts[1:]):
-        experts = [_EXPERT_ENTRY % tuple(next(numbers).split(", "))
-                   for _ in agent["moe"]["experts"]]
-        out += [_EXPERTS_AT, _listing(experts, " " * 8), part]
-    return "".join(out) + "\n"
 
 
 class Engine:
@@ -346,7 +283,7 @@ class Engine:
                     write_snapshot(self, snap_dir / f"state_cycle_{self.cycle:04d}.json")
 
         summary = self.build_summary()
-        (out / "summary.json").write_text(summary_json(summary), encoding="utf-8")
+        (out / "summary.json").write_text(_COMPACT_SORTED.encode(summary) + "\n", encoding="utf-8")
         return summary
 
     def build_summary(self) -> dict:
@@ -435,7 +372,7 @@ def write_snapshot(engine: Engine, path: str | Path) -> None:
     roster = ",".join(_agent_entry(engine, engine.roster[aid]) for aid in sorted(engine.roster))
     pool = ",".join(_agent_entry(engine, agent) for agent in engine.pool)
     totals, cycles = engine.totals, engine._cycle_json
-    cycles.extend(_COMPACT.encode(list(row)) for row in totals.cycles[len(cycles):])
+    cycles.extend(_COMPACT_SORTED.encode(list(row)) for row in totals.cycles[len(cycles):])
     text = (  # the keys of Snapshot, sorted
         f'{{"config":{engine.config_json},"format_version":{SNAPSHOT_FORMAT_VERSION},'
         f'"next_cycle":{engine.cycle},"pool":[{pool}],"roster":[{roster}],'

@@ -27,9 +27,10 @@ def test_the_pairs_writer_runs_both_trees_and_removes_its_worktree(tmp_path):
     # sides run the same code even while changes are uncommitted
     parent, _ = load_pairs().measured_commit(ROOT)
     out = tmp_path / "BENCH.json"
-    subprocess.run([sys.executable, "bench/pairs.py", "--parent", parent, "--out", str(out),
-                    "--pairs", "1", "--seconds", "0", "--cycles", "2"],
-                   cwd=ROOT, check=True, capture_output=True)
+    proc = subprocess.run([sys.executable, "bench/pairs.py", "--parent", parent, "--out", str(out),
+                           "--pairs", "1", "--seconds", "0", "--cycles", "2"],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, f"pairs.py exited {proc.returncode}:\n{proc.stderr[-4000:]}"
     bench = json.loads(out.read_text())
 
     assert bench["parent"]["commit"] == parent == bench["change"]["commit"]
@@ -97,6 +98,10 @@ def test_the_change_side_names_the_tree_it_measured(tmp_path):
     assert git("rev-parse", f"{commit}^").strip() == head
     assert git("ls-tree", "--name-only", tree).split() == [".gitignore", "a.txt", "b.txt"]
     assert git("show", f"{commit}:a.txt") == "two\n"
+    # dated as HEAD, so asking again, a second later or not, names the same commit
+    assert git("show", "-s", "--format=%cI%n%aI", commit) == git(
+        "show", "-s", "--format=%cI%n%cI", head)
+    assert pairs.measured_commit(tmp_path) == (commit, tree)
     # the real index and branch are left as they were
     assert git("status", "--porcelain") == " M a.txt\n?? b.txt\n"
     assert git("rev-parse", "HEAD").strip() == head

@@ -13,8 +13,9 @@ dispatch workload cut to 3 cycles, and the churn workload cut to 60 cycles
 (12 snapshots), resumed from its cycle-30 snapshot into a new directory
 and, in a copy, into its own. The same runs check that metrics.csv holds
 one row per roster agent and cycle, the roster the transitions replay to,
-and that the event log and the rows rebuild the log written before
-Evaluate and ServiceTick events were dropped.
+that the event log and the rows rebuild the log written before Evaluate
+and ServiceTick events were dropped, and that summary.json laid out at
+indent=2 is the file written before it took the compact encoding.
 """
 
 import hashlib
@@ -69,7 +70,7 @@ GOLDEN = {
         "snapshots/state_cycle_0060.json":
             "61dd1a07fffd242b9845911ff6b71c86ca98de897067f6e801de0cd74059dbc3",
         "summary.json":
-            "d3f17deea14bae38a60906a73bad0789e90f408058e7c62feaf011adb3c98876",
+            "56d403f4b501fd5c6b66b19ee4c0229ec1b9a29831cb7fabec57fb7b7e6e2e1a",
     },
     "churn-resumed": {
         "events.jsonl":
@@ -89,7 +90,7 @@ GOLDEN = {
         "snapshots/state_cycle_0060.json":
             "61dd1a07fffd242b9845911ff6b71c86ca98de897067f6e801de0cd74059dbc3",
         "summary.json":
-            "d3f17deea14bae38a60906a73bad0789e90f408058e7c62feaf011adb3c98876",
+            "56d403f4b501fd5c6b66b19ee4c0229ec1b9a29831cb7fabec57fb7b7e6e2e1a",
     },
     "dispatch": {
         "events.jsonl":
@@ -97,7 +98,7 @@ GOLDEN = {
         "metrics.csv":
             "ec3c52a3c9f8a5384b2b8948bf99ef5218ab7a5e24ca54178365f9b8dbcd7d9c",
         "summary.json":
-            "1798210b5651d797d805f1d39b909e08ed2e2b23ed0a45b55e19a9f58c40959e",
+            "85aab5c433ab7e2924adb393c0f50c81dba327d9eaf973d3b3a8dd1e741a4a54",
     },
     "preset-42": {
         "detections.jsonl":
@@ -107,7 +108,7 @@ GOLDEN = {
         "metrics.csv":
             "4a5f5876d817b9007875fa9890091973f33ddf594b1f2fd1565f934b61c8a74d",
         "summary.json":
-            "154a788f3452b347cc735c1a985596a532056422af0cb12ce41da72147abb412",
+            "0503334ad7aa8fd899ae8baf1b856fcb430549094505bd3466f533a0e913a9ad",
     },
     "preset-7": {
         "detections.jsonl":
@@ -117,7 +118,7 @@ GOLDEN = {
         "metrics.csv":
             "d05935494992083b49ced94640c20a58f13c882c6e895c4f459e034a1af6f528",
         "summary.json":
-            "15857e893e3cfdddd562f39d8b7dafd238be686b068a50c0251bc768e62ea152",
+            "cca6545f72886e36109cff71dd8ba7cc39ebf541dd0b9371d872b2b5c1414f13",
     },
 }
 
@@ -375,3 +376,26 @@ def test_the_rows_and_transitions_rebuild_the_parent_event_log(runs, run):
     # before its snapshot, so it is not rebuilt)
     rebuilt = parent_events(runs[run], run_config(run)).encode()
     assert hashlib.sha256(rebuilt).hexdigest() == PARENT_EVENTS_DIGESTS[run]
+
+
+# The sha256 of each run's summary.json as written with json's indent=2,
+# key-sorted layout, before the file took the snapshots' compact encoding.
+PARENT_SUMMARY_DIGESTS = {
+    "churn": "d3f17deea14bae38a60906a73bad0789e90f408058e7c62feaf011adb3c98876",
+    "churn-resumed": "d3f17deea14bae38a60906a73bad0789e90f408058e7c62feaf011adb3c98876",
+    "dispatch": "1798210b5651d797d805f1d39b909e08ed2e2b23ed0a45b55e19a9f58c40959e",
+    "preset-42": "154a788f3452b347cc735c1a985596a532056422af0cb12ce41da72147abb412",
+    "preset-7": "15857e893e3cfdddd562f39d8b7dafd238be686b068a50c0251bc768e62ea152",
+}
+
+
+@pytest.mark.parametrize("run", sorted(PARENT_SUMMARY_DIGESTS))
+def test_the_summary_re_indented_is_the_parent_summary(runs, run):
+    # a differential check of the moved whitespace: the file is the compact,
+    # key-sorted dump of what it holds, and that laid out at indent=2 is the
+    # parent's file, byte for byte
+    text = (runs[run] / "summary.json").read_text(encoding="utf-8")
+    summary = json.loads(text)
+    assert text == json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n"
+    indented = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == PARENT_SUMMARY_DIGESTS[run]

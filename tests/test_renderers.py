@@ -1,10 +1,10 @@
 """Each output renderer against the generic path it replaces.
 
-``metrics.csv`` rows, ``events.jsonl`` lines and ``summary.json`` are
-rendered from fixed templates. The oracles here are the generic
-expressions they replaced: ``str``/``.6f`` per field for a row, the
-compact ``json.dumps`` of an event's fields, and json's own
-``indent=2, sort_keys=True`` dump of the summary.
+``metrics.csv`` rows and ``events.jsonl`` lines are rendered from fixed
+templates. The oracles here are the generic expressions they replaced:
+``str``/``.6f`` per field for a row and the compact ``json.dumps`` of an
+event's fields. ``summary.json`` is json's own compact, key-sorted dump
+of the summary, which its oracle writes through ``json.dumps``.
 """
 
 import json
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from freeagent.config import AgentSpec
 from freeagent.domain import EventKind, RosterEvent
-from freeagent.engine import Engine, event_line, summary_json
+from freeagent.engine import _COMPACT_SORTED, Engine, event_line
 from freeagent.metrics import METRICS_LINE, MetricsRow
 from freeagent.moe import Expert
 from freeagent.simulator import PatternSpec, Segment
@@ -35,7 +35,7 @@ def event_oracle(event: RosterEvent) -> str:
 
 
 def summary_oracle(summary: dict) -> str:
-    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    return json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # -- metrics.csv ---------------------------------------------------------
@@ -109,7 +109,7 @@ def test_the_summary_file_is_json_dumps_of_the_summary(tmp_path, name, cycles):
 
 def test_equal_numbers_are_rendered_as_written(tmp_path):
     # Two agents whose experts differ only in the sign of zeros, a skill
-    # spelling a spliced key, and patterns named after the spliced keys.
+    # spelling a key of the summary, and patterns named after its keys.
     def expert(zero):
         return Expert(profile=(1.0, zero, zero), weights=(1.0, zero, 0.0, zero, 0.0, zero),
                       threshold=3.0)
@@ -128,6 +128,7 @@ def test_equal_numbers_are_rendered_as_written(tmp_path):
 
 
 def test_an_empty_run_summary_matches_the_oracle():
+    # no cycle run: empty cycles and counts, and no key cycle yet
     summary = Engine(small_config()).build_summary()
-    assert summary["cycles"] == []
-    assert summary_json(summary) == summary_oracle(summary)
+    assert summary["cycles"] == [] and set(summary["key_cycles"].values()) == {None}
+    assert _COMPACT_SORTED.encode(summary) + "\n" == summary_oracle(summary)
