@@ -152,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--emit-detections", action="store_true", help="write per-sample detections.jsonl"
     )
-    run_p.add_argument("--restore", type=Path, help="resume from a snapshot file")
+    run_p.add_argument("--restore", type=Path, help="resume from a snapshot in DIR/snapshots/, "
+                       "DIR holding the run's files, which give the cycles before it")
     run_p.set_defaults(func=cmd_run)
 
     report_p = sub.add_parser("report", help="print the phase summary of a finished run")

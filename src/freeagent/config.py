@@ -187,20 +187,6 @@ def _sequence(make: type, item: tuple) -> tuple:
     return parse_items, list if dump is None else lambda items: [dump(v) for v in items]
 
 
-def _fixed(*items: tuple) -> tuple:
-    """A JSON list of one value per item, read as a tuple; value j's errors name ``key[j]``."""
-    dumps = [dump for _, dump in items]
-
-    def parse_items(value, path: str, key: str) -> tuple:
-        if type(value) is not list or len(value) != len(items):
-            raise ConfigError(f"{path}.{key}: expected a list of {len(items)}, got {value!r}")
-        return tuple(parse(v, path, f"{key}[{j}]")
-                     for j, ((parse, _), v) in enumerate(zip(items, value)))
-
-    return parse_items, list if not any(dumps) else (
-        lambda row: [v if d is None else d(v) for d, v in zip(dumps, row)])
-
-
 def _mapping(item: tuple) -> tuple:
     """A JSON object of names -> ``item``s; the errors of name's value name ``key.name``."""
     parse, dump = item
@@ -289,8 +275,7 @@ def to_dict(obj) -> dict:
 
 def _kind(kind: object) -> tuple[Callable, Callable | None] | None:
     """The parser and dump of a type hint, built from its parts: a dataclass
-    is an object, ``list[x]`` and ``tuple[x, ...]`` are lists, a fixed
-    ``tuple[a, b]`` is a list of that length, ``dict[str, x]`` an object,
+    is an object, ``list[x]`` and ``tuple[x, ...]`` are lists, ``dict[str, x]`` an object,
     ``x | None`` null or x, and a ``Literal`` or an ``Enum`` a string among
     its values (an Enum dumps ``.value``). None: the hint has no JSON kind."""
     if kind in _KINDS:
@@ -304,8 +289,6 @@ def _kind(kind: object) -> tuple[Callable, Callable | None] | None:
         return _among({arg: arg for arg in args}), None
     if origin is list or origin is tuple and args[1:] == (...,):
         form, parts = functools.partial(_sequence, origin), args[:1]
-    elif origin is tuple:
-        form, parts = _fixed, args
     elif origin is dict and args[0] is str:
         form, parts = _mapping, args[1:]
     elif origin in (Union, UnionType) and len(args) == 2 and type(None) in args:

@@ -26,8 +26,8 @@ All randomness is drawn from counter-keyed generators (stream and
 handoffs), so the engine's whole state is its config, cycle, roster, pool
 and run totals. An agent is its spec, which the config holds, plus its
 state, whose only learned part is the gate weights. A snapshot holds the
-config, the cycle, each agent's state and the totals, so a run resumed
-at any cycle boundary writes the same bytes, summary.json included.
+config, the cycle and each agent's state; a restore folds the totals from
+the run's files, so a resumed run writes the whole run, summary.json included.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from __future__ import annotations
 import functools
 import json
 import os
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from operator import attrgetter, is_
 from pathlib import Path
 
-from .config import _DUMP, RunConfig, _table, config_to_dict, from_dict, to_dict
+from .config import _DUMP, _INT, RunConfig, _table, config_to_dict, from_dict, to_dict
 from .domain import (
     Agent,
     AgentId,
@@ -57,25 +57,23 @@ from .lifecycle import (
     transition_probationary,
     vacant_roles,
 )
-from .metrics import METRICS_COLUMNS, METRICS_LINE, MetricsRow, count_ratios
+from .metrics import METRICS_COLUMNS, METRICS_LINE, METRICS_TYPES, MetricsRow, count_ratios
 from .moe import check_gate, rl_update, uniform_gate
 from .pipeline import CyclePipeline
 from .reward import compute_components, compute_reward
 from .simulator import generate_cycle
 
-# Format 6: the totals count transitions only. Format 5 snapshots count
-# Evaluate and ServiceTick events too, which a resumed run would carry
-# into summary.json. Format 4 snapshots were written under one gate step
-# per decision, which rounds differently, so they would resume to other
-# gate bytes.
-SNAPSHOT_FORMAT_VERSION = 6
+# Format 7: the run's files give the run totals. Format 6 snapshots carry
+# them, format 5's count Evaluate and ServiceTick events too, and format 4's
+# were written under one gate step per decision, which rounds differently,
+# so they would resume to other gate bytes.
+SNAPSHOT_FORMAT_VERSION = 7
 
 FIRST_EVENT_KEYS = {
     EventKind.RELEASE: "first_release",
     EventKind.SIGN: "first_sign",
     EventKind.PROMOTE: "first_promote",
 }
-_EVENT_KINDS = {kind.value for kind in EventKind}
 
 # Built once: json.dumps with separators builds a new encoder per call.
 _COMPACT_SORTED = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
@@ -95,32 +93,13 @@ class CycleReport:
 @dataclass
 class RunTotals:
     """Everything summary.json reports about the cycles run so far, folded
-    in once per cycle; snapshots carry it so a resumed run reports the
-    whole run."""
+    in once per cycle; a restore folds it again from the run's files."""
 
     cycles: list[tuple[int, int, int, int, bool]] = field(default_factory=list)
     event_counts: dict[str, int] = field(default_factory=dict)
     key_cycles: dict[str, int | None] = field(
         default_factory=lambda: dict.fromkeys(FIRST_EVENT_KEYS.values())
     )
-
-    def __post_init__(self) -> None:
-        for i, row in enumerate(self.cycles):
-            if min(row[:4]) < 0:
-                raise ConfigError(f"expected counts >= 0, got {list(row)}", at=f"cycles[{i}]")
-        for kind, count in self.event_counts.items():
-            if kind not in _EVENT_KINDS or count < 0:
-                raise ConfigError(f"expected a count >= 0 of a known event kind, got {count}",
-                                  at=f"event_counts.{kind}")
-        keys = FIRST_EVENT_KEYS.values()
-        if missing := [key for key in keys if key not in self.key_cycles]:
-            raise ConfigError(f"missing required key '{missing[0]}'", at="key_cycles")
-        for key, cycle in self.key_cycles.items():
-            if key not in keys:
-                raise ConfigError("unknown key", at=f"key_cycles.{key}")
-            if cycle is not None and not 0 <= cycle < len(self.cycles):  # a cycle run so far
-                raise ConfigError(f"expected a cycle in [0, {len(self.cycles) - 1}], got {cycle}",
-                                  at=f"key_cycles.{key}")
 
     def fold(self, report: CycleReport) -> None:
         # A cycle without an Active row stalled: it had no Active agent to take its batch.
@@ -178,10 +157,11 @@ class Engine:
         self.roster: dict[AgentId, Agent] = {a.id: a for a in agents[:n_roster]}
         self.pool: list[Agent] = agents[n_roster:]
         self.totals = RunTotals()
-        # write_snapshot's encodings, kept between snapshots: each agent's
-        # entry with the state it encodes, by id, and one per totals row.
+        # Each output file's text before the first cycle, which run writes first.
+        self.history = {"events.jsonl": "", "metrics.csv": ",".join(METRICS_COLUMNS) + "\n",
+                        **({"detections.jsonl": ""} if config.emit_detections else {})}
+        # write_snapshot's encoding of each agent's entry with the state it encodes, by id.
         self._agent_json: dict[AgentId, tuple[tuple, str]] = {}
-        self._cycle_json: list[str] = []
 
     @functools.cached_property
     def config_json(self) -> str:
@@ -250,36 +230,33 @@ class Engine:
         if not self.config.emit_detections:  # an earlier run's file is not this run's
             (out / "detections.jsonl").unlink(missing_ok=True)
         snap_dir = out / "snapshots"
-        # A restore point past this run's first cycle is an earlier run's;
-        # a run resumed in place keeps the one it started from.
-        for path in snap_dir.glob("state_cycle_*.json"):
+        # A restore point past this run's first cycle, or a temporary one, is
+        # an earlier run's; a run resumed in place keeps the one it started from.
+        for path in snap_dir.glob("state_cycle_*.json*"):
             number = path.name[len("state_cycle_"):-len(".json")]
-            if number.isdigit() and int(number) > self.cycle:
+            if path.suffix == ".tmp" or number.isdigit() and int(number) > self.cycle:
                 path.unlink()
         if self.config.snapshot_interval > 0:
             snap_dir.mkdir(exist_ok=True)
 
-        with (
-            (out / "events.jsonl").open("w", encoding="utf-8", newline="\n") as events_file,
-            (out / "metrics.csv").open("w", encoding="utf-8", newline="\n") as metrics_file,
-            (out / "detections.jsonl").open("w", encoding="utf-8", newline="\n")
-            if self.config.emit_detections else nullcontext() as detections_file,
-        ):
-            metrics_file.write(",".join(METRICS_COLUMNS) + "\n")
+        with ExitStack() as stack:
+            files = {name: stack.enter_context(
+                (out / name).open("w", encoding="utf-8", newline="\n")) for name in self.history}
+            for name, file in files.items():  # flushed at once: a resume in place truncated it
+                file.write(self.history[name])
+                file.flush()
             while self.cycle < self.config.stream.total_cycles:
                 report = self.run_cycle()
-                events_file.writelines(map(event_line, report.events))
-                metrics_file.writelines([METRICS_LINE % row for row in report.rows])
+                files["events.jsonl"].writelines(map(event_line, report.events))
+                files["metrics.csv"].writelines([METRICS_LINE % row for row in report.rows])
                 if report.detections:  # empty unless emit_detections is set
-                    detections_file.writelines(report.detections)
-                interval = self.config.snapshot_interval
-                if interval > 0 and self.cycle % interval == 0:
+                    files["detections.jsonl"].writelines(report.detections)
+                if (interval := self.config.snapshot_interval) > 0 and self.cycle % interval == 0:
                     # Every line of the cycles before the snapshot's reaches
                     # the files first, so a process that dies after writing
                     # it leaves them whole up to its cycle.
-                    for file in (events_file, metrics_file, detections_file):
-                        if file is not None:
-                            file.flush()
+                    for file in files.values():
+                        file.flush()
                     write_snapshot(self, snap_dir / f"state_cycle_{self.cycle:04d}.json")
 
         summary = self.build_summary()
@@ -338,13 +315,12 @@ class Snapshot:
     config: RunConfig
     roster: list[Agent]
     pool: list[Agent]
-    totals: RunTotals
 
 
-# Snapshots are schema dumps; each of their keys is required.
+# Snapshots are schema dumps, and a restore reads events.jsonl; every key is required.
 _table(Agent, skip=("spec",), required=True)  # restore joins each entry to its spec
-_table(RunTotals, required=True)
 _table(Snapshot, required=True)
+_table(RosterEvent, required=True)
 
 _AGENT_STATE = attrgetter(*(name for name, _ in _DUMP[Agent]))
 
@@ -363,22 +339,16 @@ def write_snapshot(engine: Engine, path: str | Path) -> None:
     """Write the engine's ``Snapshot`` (roster in id order) as the compact,
     key-sorted JSON of its ``to_dict`` and a newline, atomically: a reader
     of ``path`` sees either the previous file or the complete new one,
-    never a partial write.
+    never a partial write. A restore folds the run totals from the run's files.
 
     The text is spliced from encodings the engine keeps between snapshots:
-    the config, each agent's entry while its state stays the same, and each
-    totals row, encoded the first time a snapshot sees it."""
+    the config, and each agent's entry while its state stays the same."""
     path = Path(path)
     roster = ",".join(_agent_entry(engine, engine.roster[aid]) for aid in sorted(engine.roster))
     pool = ",".join(_agent_entry(engine, agent) for agent in engine.pool)
-    totals, cycles = engine.totals, engine._cycle_json
-    cycles.extend(_COMPACT_SORTED.encode(list(row)) for row in totals.cycles[len(cycles):])
     text = (  # the keys of Snapshot, sorted
         f'{{"config":{engine.config_json},"format_version":{SNAPSHOT_FORMAT_VERSION},'
-        f'"next_cycle":{engine.cycle},"pool":[{pool}],"roster":[{roster}],'
-        f'"totals":{{"cycles":[{",".join(cycles)}],'
-        f'"event_counts":{_COMPACT_SORTED.encode(totals.event_counts)},'
-        f'"key_cycles":{_COMPACT_SORTED.encode(totals.key_cycles)}}}}}\n'
+        f'"next_cycle":{engine.cycle},"pool":[{pool}],"roster":[{roster}]}}\n'
     )
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -391,8 +361,8 @@ def write_snapshot(engine: Engine, path: str | Path) -> None:
 
 def _engine_from_snapshot(node: dict, path: str) -> Engine:
     """The engine of a parsed snapshot: each agent joined to the spec at
-    its id, whose experts its gate weights must fit, and a cycle the run
-    has and the totals cover."""
+    its id, whose experts its gate weights must fit, a cycle the run has,
+    and the history of the cycles before it."""
     snap = from_dict(Snapshot, node, path)
     specs = (*snap.config.roster, *snap.config.pool)
     if sorted(a.id for a in snap.roster + snap.pool) != list(range(len(specs))):
@@ -408,17 +378,78 @@ def _engine_from_snapshot(node: dict, path: str) -> Engine:
                 raise ConfigError(f"{at}.gate_weights: {exc}") from None
     if not 0 <= (cycle := snap.next_cycle) <= (total := snap.config.stream.total_cycles):
         raise ConfigError(f"{path}.next_cycle: expected a cycle in [0, {total}], got {cycle}")
-    if (covered := len(snap.totals.cycles)) != cycle:
-        raise ConfigError(f"{path}: totals cover {covered} cycles, not {cycle}")
     engine = Engine(snap.config)
-    engine.roster, engine.pool = {a.id: a for a in snap.roster}, snap.pool
-    engine.cycle, engine.totals = cycle, snap.totals
+    engine.roster, engine.pool, engine.cycle = {a.id: a for a in snap.roster}, snap.pool, cycle
+    if cycle > 0:
+        _read_history(engine, Path(path).parent.parent)
     return engine
 
 
+def _read_history(engine: Engine, run: Path) -> None:
+    """Give a restored engine its run's history: each output file's text up
+    to its first line of a cycle past the last or without a closing newline,
+    and the totals of those cycles. Refused unless each cycle's rows are the
+    roster replayed to its start, and the replay ends at the snapshot's."""
+    n, cfg, items = engine.cycle, engine.config, {}
+    parse = {  # a line's item; a detection's is its cycle
+        "events.jsonl": lambda line: from_dict(RosterEvent, json.loads(line), "event"),
+        "metrics.csv": lambda line: MetricsRow._make(
+            kind(cell) for kind, cell in zip(METRICS_TYPES, line.split(","), strict=True)),
+        "detections.jsonl": lambda line: (
+            _INT(json.loads(line)["seq"], "detection", "seq") // cfg.stream.samples_per_cycle),
+    }
+    for name, fresh in engine.history.items():  # a fresh run's text: the metrics.csv header
+        path, last = run / name, 0
+        try:
+            text = path.read_bytes().decode("utf-8")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{path}: cannot read the run before cycle {n}: {exc}") from None
+        if not text.startswith(fresh):
+            raise ConfigError(f"{path}:1: expected the header {fresh!r}")
+        lines = text.split("\n")  # the last one has no closing newline
+        items[name], end = [[] for _ in range(n)], len(lines) - 1
+        for i in range(bool(fresh), end):
+            try:
+                cycle = getattr(item := parse[name](lines[i]), "cycle", item)
+            except (ValueError, LookupError, TypeError) as exc:  # ConfigError included
+                raise ConfigError(f"{path}:{i + 1}: {exc}") from None
+            if cycle >= n:
+                end = i
+                break
+            if cycle < last:
+                raise ConfigError(f"{path}:{i + 1}: cycle {cycle} after cycle {last}")
+            items[name][last := cycle].append(item)
+        engine.history[name] = "".join(line + "\n" for line in lines[:end])
+
+    roster = dict.fromkeys(range(len(cfg.roster)), AgentStatus.ACTIVE)
+    pool = dict.fromkeys(range(len(cfg.roster), len(cfg.roster) + len(cfg.pool)))  # in order
+    row_at, event_at = 2, 1  # the line of the next row and of the next transition
+    for cycle, (rows, events) in enumerate(zip(items["metrics.csv"], items["events.jsonl"])):
+        if [(row.agent, row.status) for row in rows] != sorted(roster.items()):
+            raise ConfigError(f"{run / 'metrics.csv'}:{row_at}: not the roster of cycle {cycle}")
+        for event in events:
+            kind, agent = event.kind, event.agent
+            if agent not in (pool if kind is EventKind.SIGN else roster):
+                raise ConfigError(f"{run / 'events.jsonl'}:{event_at}: an illegal {kind.value}")
+            if kind is EventKind.SIGN:
+                del pool[agent]
+                roster[agent] = AgentStatus.PROBATIONARY
+            elif kind is EventKind.PROMOTE:
+                roster[agent] = AgentStatus.ACTIVE
+            else:
+                pool[agent] = roster.pop(agent)
+            event_at += 1
+        row_at += len(rows)
+        engine.totals.fold(CycleReport(rows, events, []))
+    if roster != {a.id: a.status for a in engine.roster.values()} or list(pool) != [
+            a.id for a in engine.pool]:
+        raise ConfigError(f"{run / 'events.jsonl'}:{event_at}: the run replays to roster "
+                          f"{sorted(roster)} and pool {list(pool)}, not the snapshot's")
+
+
 def restore_engine(path: str | Path) -> Engine:
-    """Rebuild an engine from a snapshot. Refuses partial or alien files
-    and any value its parsers reject, naming the value's dotted path."""
+    """Rebuild an engine from a snapshot in its run's ``snapshots/``, refusing
+    partial or alien files and any value its parsers reject, naming where."""
     try:
         node = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:

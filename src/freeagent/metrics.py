@@ -73,11 +73,11 @@ class MetricsRow(NamedTuple):
     service_time: int
 
 
-# A row's metrics.csv line, ``METRICS_LINE % row``: float fields with 6
+# Each column's type, which reads its cell back (integers exact), and a
+# row's metrics.csv line, ``METRICS_LINE % row``: float fields with 6
 # decimals, everything else as ``str``.
-METRICS_LINE = ",".join(
-    "%.6f" if hint is float else "%s" for hint in get_type_hints(MetricsRow).values()
-) + "\n"
+METRICS_TYPES = tuple(get_type_hints(MetricsRow).values())
+METRICS_LINE = ",".join("%.6f" if hint is float else "%s" for hint in METRICS_TYPES) + "\n"
 
 
 @dataclass

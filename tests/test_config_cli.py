@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import pytest
@@ -30,7 +30,6 @@ from freeagent.domain import FRAUD_ROLE, Agent, AgentStatus, ConfigError, Dispat
 from freeagent.engine import (
     METRICS_COLUMNS,
     Engine,
-    RunTotals,
     SnapshotError,
     restore_engine,
     write_snapshot,
@@ -157,8 +156,6 @@ class TestParsing:
         pytest.param(AgentStatus, ["Active"], "at.key: expected one of", id="enum_list"),
         pytest.param(list[int], [1, "2"], "at.key[1]: expected int", id="list_item"),
         pytest.param(tuple[AgentStatus, ...], "Active", "at.key: expected list", id="tuple_str"),
-        pytest.param(tuple[int, bool], [1], "at.key: expected a list of 2", id="fixed_short"),
-        pytest.param(tuple[int, bool], [1, 0], "at.key[1]: expected bool", id="fixed_item"),
         pytest.param(dict[str, int], {"a": 1.0}, "at.key.a: expected int", id="dict_value"),
         pytest.param(dict[str, int], [], "at.key: expected dict", id="dict_list"),
         pytest.param(int | None, "1", "at.key: expected int", id="optional"),
@@ -173,7 +170,6 @@ class TestParsing:
         pytest.param(AgentStatus, "Active", AgentStatus.ACTIVE, id="enum"),
         pytest.param(tuple[AgentStatus, ...], ["Released"], (AgentStatus.RELEASED,),
                      id="tuple_of_enums"),
-        pytest.param(list[tuple[int, bool]], [[1, True]], [(1, True)], id="list_of_fixed"),
         pytest.param(dict[str, int | None], {"a": None, "b": 2}, {"a": None, "b": 2},
                      id="dict_of_optional"),
         pytest.param(dict[str, AgentStatus], {"a": "Active"}, {"a": AgentStatus.ACTIVE},
@@ -545,12 +541,9 @@ class TestSnapshots:
         full = Engine(cfg)
         full_events = [e for _ in range(6) for e in full.run_cycle().events]
 
-        half = Engine(cfg)
-        for _ in range(3):
-            half.run_cycle()
-        snap = tmp_path / "snap.json"
-        write_snapshot(half, snap)
-        restored = restore_engine(snap)
+        # the snapshot sits in its run's directory, whose files hold cycles 0-2
+        Engine(replace(cfg, snapshot_interval=3)).run(tmp_path)
+        restored = restore_engine(tmp_path / "snapshots" / "state_cycle_0003.json")
         assert restored.cycle == 3
         restored_events = [e for _ in range(3) for e in restored.run_cycle().events]
 
@@ -597,13 +590,14 @@ class TestSnapshots:
         node = json.loads(snap.read_text())
         # format 1 lacks the run totals, formats 1 and 2 repeat each agent's spec,
         # formats up to 3 drew each sample from its own stream, formats up to 4
-        # stepped the gate once per decision, and format 5's event counts
-        # include Evaluate and ServiceTick events: resumed now, such a run
-        # would write other bytes than the run it came from
-        for version in (1, 2, 3, 4, 5, 999):
+        # stepped the gate once per decision, format 5's event counts
+        # include Evaluate and ServiceTick events (resumed now, such a run
+        # would write other bytes than the run it came from), and formats up
+        # to 6 carry the run totals that format 7 folds from the run's files
+        for version in (1, 2, 3, 4, 5, 6, 999):
             node["format_version"] = version
             snap.write_text(json.dumps(node))
-            with pytest.raises(SnapshotError, match=f"snapshot format {version} != supported 6"):
+            with pytest.raises(SnapshotError, match=f"snapshot format {version} != supported 7"):
                 restore_engine(snap)
 
     def test_missing_snapshot_refused(self, tmp_path):
@@ -722,8 +716,8 @@ class TestSnapshots:
         write_snapshot(engine, snap)
         text = snap.read_text()
         node = json.loads(text)
-        assert sorted(node) == ["config", "format_version", "next_cycle", "pool", "roster", "totals"]
-        assert sorted(node["totals"]) == ["cycles", "event_counts", "key_cycles"]
+        # the run totals are the run's files' to hold
+        assert sorted(node) == ["config", "format_version", "next_cycle", "pool", "roster"]
         # an agent is its spec, which the config holds, plus this state
         state = ["consecutive_below", "gate_weights", "id", "performance", "service_time",
                  "status"]
@@ -731,11 +725,10 @@ class TestSnapshots:
         assert all(sorted(a) == state for a in node["roster"] + node["pool"])
         # the keys are the dataclass fields, spelled nowhere else
         assert state == sorted(f.name for f in fields(Agent) if f.name != "spec")
-        assert sorted(node["totals"]) == sorted(f.name for f in fields(RunTotals))
         assert text == json.dumps(node, separators=(",", ":"), sort_keys=True) + "\n"
 
     def test_restore_refuses_a_snapshot_past_the_end_of_its_run(self, tmp_path, capsys):
-        # a finished 2-cycle run, edited to a third cycle its totals cover
+        # a finished 2-cycle run, edited to a third cycle
         engine = Engine(small_config(cycles=2))
         engine.run_cycle()
         engine.run_cycle()
@@ -743,7 +736,6 @@ class TestSnapshots:
         write_snapshot(engine, snap)
         node = json.loads(snap.read_text())
         node["next_cycle"] = 3
-        node["totals"]["cycles"].append(node["totals"]["cycles"][-1])
         snap.write_text(json.dumps(node))
         out = tmp_path / "out"
         assert main(["run", "--restore", str(snap), "--out", str(out)]) == 2
@@ -855,31 +847,13 @@ class TestSnapshots:
         pytest.param("pool.0.status", "Active", "snap.json.pool[0].status",
                      id="pool_agent_active"),
         pytest.param("pool.0.status", "Other", "snap.json.pool[0].status", id="status_unknown"),
-        # a cycle's totals are four integers and a bool
-        pytest.param("totals.cycles.0", "x", "snap.json.totals.cycles[0]", id="cycle_text"),
-        pytest.param("totals.cycles.0", [1, 2, 3, 4], "snap.json.totals.cycles[0]",
-                     id="cycle_short"),
-        pytest.param("totals.cycles.0", [1, 2, 3, 4.0, False], "snap.json.totals.cycles[0][3]",
-                     id="cycle_count_float"),
-        pytest.param("totals.cycles.0", [1, 2, 3, 4, 0], "snap.json.totals.cycles[0][4]",
-                     id="cycle_stalled_number"),
-        # the rest of the totals and the cycle count are checked too
-        pytest.param("totals.event_counts.Bogus", 1, "snap.json.totals.event_counts",
-                     id="event_count_unknown_kind"),
-        pytest.param("totals.event_counts.Sign", "1", "snap.json.totals.event_counts.Sign",
-                     id="event_count_text"),
-        pytest.param("totals.key_cycles.first_sign", None,
-                     "snap.json.totals.key_cycles: missing required key 'first_sign'",
-                     id="key_cycle_missing"),
+        # the run totals are folded from the run's files, not read from here
+        pytest.param("totals", {"cycles": []}, "snap.json: unknown keys ['totals']",
+                     id="format_6_totals"),
         pytest.param("next_cycle", "1", "snap.json.next_cycle", id="next_cycle_text"),
-        pytest.param("next_cycle", 2, "snap.json: totals cover 1 cycles, not 2",
-                     id="next_cycle_past_the_totals"),
         # a snapshot lies within its run: a cycle it names is one the run has had
         pytest.param("next_cycle", 3, "snap.json.next_cycle: expected a cycle in [0, 2], got 3",
                      id="next_cycle_past_the_run"),
-        pytest.param("totals.key_cycles.first_release", 99,
-                     "snap.json.totals.key_cycles.first_release: expected a cycle in [0, 0], got 99",
-                     id="key_cycle_past_the_totals"),
     ])
     def test_cli_restore_rejects_a_bad_snapshot(self, tmp_path, capsys, key, value, named):
         # one Active roster agent and one Released pool agent, after a cycle

@@ -11,11 +11,14 @@ and the pinned one; the test is not skipped on another numpy.
 Runs: the section-4.4 preset with detections at seeds 42 and 7, the
 dispatch workload cut to 3 cycles, and the churn workload cut to 60 cycles
 (12 snapshots), resumed from its cycle-30 snapshot into a new directory
-and, in a copy, into its own. The same runs check that metrics.csv holds
-one row per roster agent and cycle, the roster the transitions replay to,
-that the event log and the rows rebuild the log written before Evaluate
-and ServiceTick events were dropped, and that summary.json laid out at
-indent=2 is the file written before it took the compact encoding.
+and, in a copy, into its own, and killed after a snapshot and resumed in
+place. The same runs check that metrics.csv holds one row per roster
+agent and cycle, the roster the transitions replay to, that the event log
+and the rows rebuild the log written before Evaluate and ServiceTick
+events were dropped, that summary.json laid out at indent=2 is the file
+written before it took the compact encoding, and that each snapshot with
+the run totals put back is the file written before the run's files
+became their only record.
 """
 
 import hashlib
@@ -46,49 +49,29 @@ GOLDEN = {
         "metrics.csv":
             "504ddc15146f36c7daec55c8b5fe0ae181bd60c163d512977741b35ac1f32604",
         "snapshots/state_cycle_0005.json":
-            "cf6be04f3be2aa43101c4cc7eed0895b9ce1268691729bc1ab0a86daad4559a1",
+            "4d60101695fc5258d9baeccf67b0f52b9e279f06898c88a661ff6d201f79ca95",
         "snapshots/state_cycle_0010.json":
-            "90480fe4c1f2a97fd6d39b97ffc9bf56f65f23b61bf8b8a786068c6e4f289bdb",
+            "d902e8284df4b4a3d003bff1116526942d0a5239cbd710290178d75cd06d6039",
         "snapshots/state_cycle_0015.json":
-            "d6cbbfa4f0beb6d54a16241fbd84d3c8742483daa4d563d9d7122c4e78b45670",
+            "e4e222f7a6555a4b40d99a7a590a86ffe437ec9e154deaa70539e87c420e7815",
         "snapshots/state_cycle_0020.json":
-            "08b098d648f7fe2ae1f17d849adb21ce632b838950592c0bb94c92e2565188a0",
+            "2fdc755cda4d594f4209e60cae790ae57c4cc271361324f99b281452314d6cdc",
         "snapshots/state_cycle_0025.json":
-            "96e377b4c6841a3f583161431d10362aa5a38d97b61305885fa6536d3326eafe",
+            "337efca45c909233c82444d7a6297984c668085adf1dedc4af8c77a255642c9a",
         "snapshots/state_cycle_0030.json":
-            "ad4a7bf46f1ae86656874e413b70f9d3b5752dbba634322aa011ccae46c83faa",
+            "2574f38ef27d9db21708f960ed853826f9c8efc741ce132f02cab8cb53f07d6c",
         "snapshots/state_cycle_0035.json":
-            "c929f914eb962110422cc6a0e27642a50efc1fd016109eca45dd7c21c257a2d8",
+            "376f3ac1c82cde50425b97242b3784b41d1e5a7c893efce23bc6b90bb71ae3a8",
         "snapshots/state_cycle_0040.json":
-            "751243ee8f03ca127587700e40b625e08340d4595a8abb12e758c99da35bd98e",
+            "1a017a78f016722297f259d510f664f042a4792ef1474d2ec96d9b595a9d0358",
         "snapshots/state_cycle_0045.json":
-            "7cda840d0e1a5a270da32aea6f372475ceb4c8a546377c964fb047bc4b608d80",
+            "61b90c91a2a7429e69af35725313eb66fa05e0990ded4dcaa7f9dd8a6d0f5a16",
         "snapshots/state_cycle_0050.json":
-            "90db410014f2c9eeff983942cdce949b6f1fbbc115496a836aaed90cd7ae92ce",
+            "61c4031843cff5c40385d23d51d74cbe5f719fde3b406a811b7765a931c54dad",
         "snapshots/state_cycle_0055.json":
-            "51a8db3eb8c26919281ef54ec88446ab2585deaa065a8e900e0943ef4940ed70",
+            "acf11812739ed7c11b648fe59a98668dbf9bff5cd88b7329f929de8bf7bfca9f",
         "snapshots/state_cycle_0060.json":
-            "61dd1a07fffd242b9845911ff6b71c86ca98de897067f6e801de0cd74059dbc3",
-        "summary.json":
-            "56d403f4b501fd5c6b66b19ee4c0229ec1b9a29831cb7fabec57fb7b7e6e2e1a",
-    },
-    "churn-resumed": {
-        "events.jsonl":
-            "3c235d01ad1072d41cb72db8eeb414a36f11289c734c1bda3cce87fc21ea5e4b",
-        "metrics.csv":
-            "0e88783ab829a11f6bfd1e33c0cd078b43e00cca287dd1b48f54100ad1f327da",
-        "snapshots/state_cycle_0035.json":
-            "c929f914eb962110422cc6a0e27642a50efc1fd016109eca45dd7c21c257a2d8",
-        "snapshots/state_cycle_0040.json":
-            "751243ee8f03ca127587700e40b625e08340d4595a8abb12e758c99da35bd98e",
-        "snapshots/state_cycle_0045.json":
-            "7cda840d0e1a5a270da32aea6f372475ceb4c8a546377c964fb047bc4b608d80",
-        "snapshots/state_cycle_0050.json":
-            "90db410014f2c9eeff983942cdce949b6f1fbbc115496a836aaed90cd7ae92ce",
-        "snapshots/state_cycle_0055.json":
-            "51a8db3eb8c26919281ef54ec88446ab2585deaa065a8e900e0943ef4940ed70",
-        "snapshots/state_cycle_0060.json":
-            "61dd1a07fffd242b9845911ff6b71c86ca98de897067f6e801de0cd74059dbc3",
+            "77ff7ea9d5300e8dbda49543f7c5fd1ca34624c9de9a25778b21ed016419f18a",
         "summary.json":
             "56d403f4b501fd5c6b66b19ee4c0229ec1b9a29831cb7fabec57fb7b7e6e2e1a",
     },
@@ -121,6 +104,17 @@ GOLDEN = {
             "cca6545f72886e36109cff71dd8ba7cc39ebf541dd0b9371d872b2b5c1414f13",
     },
 }
+
+
+def restore_points_after(pinned: dict[str, str], at: int) -> dict[str, str]:
+    """The files of a run resumed at cycle ``at`` into another directory:
+    the whole run's, and of its restore points only those it wrote."""
+    return {name: digest for name, digest in pinned.items()
+            if not name.startswith("snapshots/") or int(name[-9:-5]) > at}
+
+
+# The churn cut resumed from its cycle-30 snapshot into a new directory.
+GOLDEN["churn-resumed"] = restore_points_after(GOLDEN["churn"], RESUME_AT)
 
 
 def digests(out: Path) -> dict[str, str]:
@@ -156,6 +150,8 @@ def runs(tmp_path_factory):
     for name, cycles in (("dispatch", 3), ("churn", 60)):
         out[name] = root / name
         Engine(workload(name, cycles)).run(out[name])
+    out["churn-detections"] = root / "churn-detections"
+    Engine(replace(workload("churn", 60), emit_detections=True)).run(out["churn-detections"])
     out["churn-resumed"] = root / "churn-resumed"
     snapshot = out["churn"] / "snapshots" / f"state_cycle_{RESUME_AT:04d}.json"
     assert main(["run", "--restore", str(snapshot), "--out", str(out["churn-resumed"])]) == 0
@@ -174,23 +170,10 @@ def test_output_bytes_match_the_pinned_digests(runs, run):
 
 
 def assert_resumed_as_full(full: Path, resumed: Path, at: int) -> None:
-    """A run resumed from the snapshot taken before cycle ``at`` wrote the
-    full run's bytes from that cycle on, and its summary."""
-    assert (resumed / "summary.json").read_bytes() == (full / "summary.json").read_bytes()
-    events = (full / "events.jsonl").read_text().splitlines()
-    assert (resumed / "events.jsonl").read_text().splitlines() == [
-        line for line in events if json.loads(line)["cycle"] >= at
-    ]
-    header, *rows = (full / "metrics.csv").read_text().splitlines()
-    assert (resumed / "metrics.csv").read_text().splitlines() == [header] + [
-        row for row in rows if int(row.split(",")[0]) >= at
-    ]
-    snapshots = sorted(p.name for p in (full / "snapshots").iterdir())
-    later = [name for name in snapshots if int(name[12:16]) > at]
-    assert sorted(p.name for p in (resumed / "snapshots").iterdir()) == later
-    for name in later:
-        assert (resumed / "snapshots" / name).read_bytes() == (
-            full / "snapshots" / name).read_bytes(), name
+    """A run resumed from the snapshot taken before cycle ``at`` into
+    another directory holds the full run's files, byte for byte, and the
+    restore points it wrote."""
+    assert digests(resumed) == restore_points_after(digests(full), at)
 
 
 def test_the_churn_snapshots_and_the_resumed_run(runs):
@@ -203,14 +186,12 @@ def test_the_churn_snapshots_and_the_resumed_run(runs):
 
 def test_a_restore_in_place_keeps_its_restore_point(runs, tmp_path):
     # the churn cut's directory resumed into itself: the snapshots up to the
-    # restore point stay, and every file the resumed run writes is its own
+    # restore point stay, and the run's files are cut there and continued
     in_place = tmp_path / "churn"
     shutil.copytree(runs["churn"], in_place)
     snapshot = in_place / "snapshots" / f"state_cycle_{RESUME_AT:04d}.json"
     assert main(["run", "--restore", str(snapshot), "--out", str(in_place)]) == 0
-    kept = {name: digest for name, digest in GOLDEN["churn"].items()
-            if name.startswith("snapshots/") and int(name[-9:-5]) <= RESUME_AT}
-    assert digests(in_place) == {**kept, **GOLDEN["churn-resumed"]}
+    assert digests(in_place) == GOLDEN["churn"]
 
 
 # Runs the churn cut with detections and ends the process with os._exit
@@ -238,17 +219,20 @@ os._exit(1)
 """
 
 
-@pytest.mark.parametrize("at", [5, 30])
-def test_a_run_killed_after_a_snapshot_leaves_every_line_before_it(runs, tmp_path, at):
-    killed, full = tmp_path / "killed", tmp_path / "full"
-    cfg = workload("churn", 60)
-    Engine(replace(cfg, emit_detections=True)).run(full)
+def run_script(script: str, *args) -> int:
+    """The exit code of ``script`` run in a fresh interpreter on this ``src/``."""
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _KILLED_RUN, str(at),
-                           str(WORKLOADS / "churn.json"), str(killed)], env=env, timeout=120)
-    assert proc.returncode == 0  # it died at the snapshot
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          timeout=120).returncode
+
+
+@pytest.mark.parametrize("at", [5, 30])
+def test_a_run_killed_after_a_snapshot_leaves_every_line_before_it(runs, tmp_path, at):
+    killed, full = tmp_path / "killed", runs["churn-detections"]
+    cfg = workload("churn", 60)
+    assert run_script(_KILLED_RUN, at, WORKLOADS / "churn.json", killed) == 0  # died at it
     assert (killed / "snapshots" / f"state_cycle_{at:04d}.json").exists()
 
     def lines(path):
@@ -264,6 +248,75 @@ def test_a_run_killed_after_a_snapshot_leaves_every_line_before_it(runs, tmp_pat
     detections = [line for line in lines(full / "detections.jsonl")
                   if json.loads(line)["seq"] // per_cycle < at]
     assert detections and lines(killed / "detections.jsonl") == detections
+
+    # resumed in place, the directory is the uninterrupted run's, file for file
+    snapshot = killed / "snapshots" / f"state_cycle_{at:04d}.json"
+    assert main(["run", "--restore", str(snapshot), "--out", str(killed)]) == 0
+    assert digests(killed) == digests(full)
+
+
+# Resumes a run directory in place from its cycle-30 snapshot and ends the
+# process with os._exit as cycle 32 starts, before the next snapshot.
+_KILLED_RESUME = """
+import os, sys
+from freeagent import engine
+
+out = sys.argv[1]
+run_cycle = engine.Engine.run_cycle
+
+def die_at_cycle_32(self):
+    if self.cycle == 32:
+        os._exit(0)
+    return run_cycle(self)
+
+engine.Engine.run_cycle = die_at_cycle_32
+engine.restore_engine(os.path.join(out, "snapshots", "state_cycle_0030.json")).run(out)
+os._exit(1)
+"""
+
+
+def test_a_resume_in_place_killed_before_its_first_snapshot_can_resume_again(runs, tmp_path):
+    # the kept lines reach the files before the resumed run's first cycle,
+    # so the restore point it started from still leads to its snapshot
+    out = tmp_path / "churn"
+    shutil.copytree(runs["churn"], out)
+    assert run_script(_KILLED_RESUME, out) == 0
+    snapshot = out / "snapshots" / f"state_cycle_{RESUME_AT:04d}.json"
+    assert main(["run", "--restore", str(snapshot), "--out", str(out)]) == 0
+    assert digests(out) == GOLDEN["churn"]
+
+
+# Runs the churn cut and ends the process with os._exit between writing
+# the snapshot of cycle 10 to its temporary file and renaming it.
+_KILLED_IN_RENAME = """
+import os, sys
+from freeagent import engine
+from freeagent.config import load_config
+
+workload, out = sys.argv[1], sys.argv[2]
+replace = os.replace
+
+def die_at_cycle_10(src, dst):
+    if str(dst).endswith("state_cycle_0010.json"):
+        os._exit(0)
+    replace(src, dst)
+
+os.replace = die_at_cycle_10
+engine.Engine(load_config(workload)).run(out)
+os._exit(1)
+"""
+
+
+def test_a_rerun_sweeps_a_snapshot_temporary_left_by_a_killed_run(tmp_path):
+    # the rerun stops before cycle 10, so no write of its own renames the
+    # leftover away: the directory is then a fresh run's, file for file
+    out, fresh = tmp_path / "churn", tmp_path / "fresh"
+    assert run_script(_KILLED_IN_RENAME, WORKLOADS / "churn.json", out) == 0
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == [
+        "state_cycle_0005.json", "state_cycle_0010.json.tmp"]
+    Engine(workload("churn", 8)).run(out)
+    Engine(workload("churn", 8)).run(fresh)
+    assert digests(out) == digests(fresh)
 
 
 def read_run(out: Path):
@@ -399,3 +452,68 @@ def test_the_summary_re_indented_is_the_parent_summary(runs, run):
     assert text == json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n"
     indented = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(indented.encode()).hexdigest() == PARENT_SUMMARY_DIGESTS[run]
+
+
+# The sha256 of each snapshot of the churn cut as written in format 6,
+# which also carried the run totals; ``parent_snapshot`` rebuilds it.
+PARENT_SNAPSHOT_DIGESTS = {
+    "snapshots/state_cycle_0005.json":
+        "cf6be04f3be2aa43101c4cc7eed0895b9ce1268691729bc1ab0a86daad4559a1",
+    "snapshots/state_cycle_0010.json":
+        "90480fe4c1f2a97fd6d39b97ffc9bf56f65f23b61bf8b8a786068c6e4f289bdb",
+    "snapshots/state_cycle_0015.json":
+        "d6cbbfa4f0beb6d54a16241fbd84d3c8742483daa4d563d9d7122c4e78b45670",
+    "snapshots/state_cycle_0020.json":
+        "08b098d648f7fe2ae1f17d849adb21ce632b838950592c0bb94c92e2565188a0",
+    "snapshots/state_cycle_0025.json":
+        "96e377b4c6841a3f583161431d10362aa5a38d97b61305885fa6536d3326eafe",
+    "snapshots/state_cycle_0030.json":
+        "ad4a7bf46f1ae86656874e413b70f9d3b5752dbba634322aa011ccae46c83faa",
+    "snapshots/state_cycle_0035.json":
+        "c929f914eb962110422cc6a0e27642a50efc1fd016109eca45dd7c21c257a2d8",
+    "snapshots/state_cycle_0040.json":
+        "751243ee8f03ca127587700e40b625e08340d4595a8abb12e758c99da35bd98e",
+    "snapshots/state_cycle_0045.json":
+        "7cda840d0e1a5a270da32aea6f372475ceb4c8a546377c964fb047bc4b608d80",
+    "snapshots/state_cycle_0050.json":
+        "90db410014f2c9eeff983942cdce949b6f1fbbc115496a836aaed90cd7ae92ce",
+    "snapshots/state_cycle_0055.json":
+        "51a8db3eb8c26919281ef54ec88446ab2585deaa065a8e900e0943ef4940ed70",
+    "snapshots/state_cycle_0060.json":
+        "61dd1a07fffd242b9845911ff6b71c86ca98de897067f6e801de0cd74059dbc3",
+}
+
+
+def parent_snapshot(out: Path, name: str) -> bytes:
+    """The snapshot ``name`` of the run in ``out`` as format 6 wrote it: the
+    run totals of its cycles put back, folded from the run's files here,
+    each cycle's counts summed over its Active rows (a cycle without one
+    stalled), the transitions counted by kind and the first cycle of each
+    Release, Sign and Promote."""
+    node = json.loads((out / name).read_text(encoding="utf-8"))
+    n = node["next_cycle"]
+    cycles = [[0, 0, 0, 0, True] for _ in range(n)]
+    _, *lines = (out / "metrics.csv").read_text().splitlines()
+    for cells in (line.split(",") for line in lines):
+        if int(cells[0]) < n and cells[2] == "Active":
+            counts = cycles[int(cells[0])]
+            counts[:] = [a + int(b) for a, b in zip(counts[:4], cells[3:7])] + [False]
+    events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    events = [event for event in events if event["cycle"] < n]
+    counts = {}
+    for event in events:
+        counts[event["kind"]] = counts.get(event["kind"], 0) + 1
+    firsts = {f"first_{kind.lower()}": next((e["cycle"] for e in events if e["kind"] == kind), None)
+              for kind in ("Release", "Sign", "Promote")}
+    node["totals"] = {"cycles": cycles, "event_counts": counts, "key_cycles": firsts}
+    node["format_version"] = 6
+    return (json.dumps(node, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_SNAPSHOT_DIGESTS))
+def test_each_snapshot_with_its_totals_put_back_is_the_parent_snapshot(runs, name):
+    # a differential check of the moved snapshot bytes: the format-7 file
+    # plus the totals its run's files fold to is the format-6 file
+    rebuilt = parent_snapshot(runs["churn"], name)
+    assert "totals" not in json.loads((runs["churn"] / name).read_text())
+    assert hashlib.sha256(rebuilt).hexdigest() == PARENT_SNAPSHOT_DIGESTS[name]
