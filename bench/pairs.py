@@ -2,8 +2,10 @@
 
     python3 bench/pairs.py --parent HEAD~1 --out BENCH_21.json
 
-Checks out ``--parent`` with ``git worktree`` under ``.bench-work/`` (which
-git ignores) and compares it with this checkout's working tree. For each
+Checks out ``--parent`` and this checkout's working tree, as the commit
+``measured_commit`` names, with ``git worktree`` under ``.bench-work/`` (which
+git ignores), side by side at paths of equal length: the path a run starts
+from alone can move its cycle times by more than a metric's bound. For each
 workload of ``BENCHMARK.json`` it runs ``perfbench/run.py --trace 0`` from
 the two trees in turn, the parent first in odd pairs and second in even
 ones, then ``perfbench/run.py --trace 1 --seconds 0`` once per side; each
@@ -18,7 +20,7 @@ traced runs, each workload's ``peak_rss_mb`` is probed with a fixed run
 count: ``perfbench/run.py --trace 0 --seconds 0`` three times per side, the
 sides alternating. It also times the preset's calibration check, the first
 ``section_4_4_preset()`` call of a fresh interpreter, five times per side
-from that side's ``src/``, the sides alternating. The worktree is removed
+from that side's ``src/``, the sides alternating. The worktrees are removed
 when the runs end.
 """
 
@@ -41,7 +43,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-SIDES = ("parent", "change")
+SIDES = ("parent", "change")  # also the worktrees' names, which are of one length
 # Per-layer metrics that a run repeats exactly, so any difference between
 # the sides is a change in what the engine does, not noise.
 EXACT_LAYERS = [m["name"] for m in SPEC["per_layer"] if m["unit"] in ("count", "bytes")]
@@ -234,15 +236,17 @@ def main(argv: list[str] | None = None) -> int:
     head = git("rev-parse", "HEAD")
     (ROOT / ".bench-work").mkdir(exist_ok=True)
     base = Path(tempfile.mkdtemp(prefix="pairs-", dir=ROOT / ".bench-work"))
-    trees = {"parent": base / "parent", "change": ROOT}
+    trees = {side: base / side for side in SIDES}
     try:
-        git("worktree", "add", "--detach", str(trees["parent"]), commit)
+        for side, rev in zip(SIDES, (commit, change)):
+            git("worktree", "add", "--detach", str(trees[side]), rev)
         workloads = {w["name"]: run_workload(trees, w["name"], base, args)
                      for w in SPEC["workloads"]}
         calibration_s = calibration(trees)
     finally:
-        if trees["parent"].exists():
-            git("worktree", "remove", "--force", str(trees["parent"]))
+        for path in trees.values():
+            if path.exists():
+                git("worktree", "remove", "--force", str(path))
         shutil.rmtree(base, ignore_errors=True)
     bench = {
         "parent": {"rev": args.parent, "commit": commit},

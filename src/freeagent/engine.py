@@ -16,7 +16,8 @@ Stage order within one cycle is fixed for determinism:
      sweep the service cap so no roster agent ends the cycle at or past it
   5. the rows take the service time stage 4 left, and the Active agents'
      rows are folded into the run totals that summary.json reports; a
-     cycle without an Active row stalled
+     cycle without an Active row stalled, and stage 1 of the first cycle
+     of each run of stalled cycles logs a warning
 
 A cycle writes each member's row to metrics.csv, the record of its
 evaluation and of its service time, and its transitions (Release, Sign,
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import json
+import logging
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -42,6 +44,7 @@ from pathlib import Path
 
 from .config import _DUMP, _INT, RunConfig, _table, config_to_dict, from_dict, to_dict
 from .domain import (
+    FRAUD_ROLE,
     Agent,
     AgentId,
     AgentStatus,
@@ -62,6 +65,8 @@ from .moe import check_gate, rl_update, uniform_gate
 from .pipeline import CyclePipeline
 from .reward import compute_components, compute_reward
 from .simulator import generate_cycle
+
+logger = logging.getLogger("freeagent.engine")
 
 # Format 7: the run's files give the run totals. Format 6 snapshots carry
 # them, format 5's count Evaluate and ServiceTick events too, and format 4's
@@ -181,6 +186,17 @@ class Engine:
         pipe = CyclePipeline(self.roster, cfg.stream.seed, cycle, cfg.emit_detections)
         pipe.run_batch(batch)
         members = [agent for _, agent in sorted(self.roster.items())]
+        # A run of stalled cycles is logged once, at its first cycle.
+        if pipe.stalled_samples and not (self.totals.cycles and self.totals.cycles[-1][4]):
+            shadows = ", ".join(str(a.id) for a in members
+                                if a.status is AgentStatus.PROBATIONARY)
+            logger.warning(
+                "cycle %d: no active %s agent; %d samples undecided (%s)",
+                cycle,
+                FRAUD_ROLE,
+                pipe.stalled_samples,
+                f"Probationary agent {shadows} in shadow" if shadows else "vacancy pending",
+            )
 
         # Stage 2: score each member's window once, as its metrics.csv row
         # with the status it processed the batch in; the gate of a member

@@ -10,19 +10,16 @@ recorded, not executed.
 from __future__ import annotations
 
 import json
-import logging
 from collections.abc import Sequence
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .domain import FRAUD_ROLE, SENSITIVE_START, Agent, AgentId, AgentStatus
+from .domain import SENSITIVE_START, Agent, AgentId, AgentStatus
 from .metrics import AgentWindow, PerformanceLog
 from .moe import Expert
 from .simulator import SampleBatch, keyed_generator
-
-logger = logging.getLogger("freeagent.pipeline")
 
 _JSON_BOOL = ("false", "true")
 
@@ -308,12 +305,3 @@ class CyclePipeline:
                     chunks += self._decide_group(batch, members, shadow)
         if chunks:  # empty unless detections are rendered
             self.detections.extend(_detection_lines(batch.seq0, chunks))
-        if self.stalled_samples:
-            shadows = ", ".join(str(a.id) for a in self._shadows)
-            logger.warning(
-                "cycle %d: no active %s agent; %d samples undecided (%s)",
-                self.cycle,
-                FRAUD_ROLE,
-                self.stalled_samples,
-                f"Probationary agent {shadows} in shadow" if shadows else "vacancy pending",
-            )

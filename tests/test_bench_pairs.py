@@ -1,8 +1,8 @@
 """``bench/pairs.py``: a smoke test on truncated workloads, one pair per
 workload against the working tree's own commit, two cycles per run, no
 timed rounds, then one traced run per side, the fixed-count peak_rss_mb
-probes, and the calibration probe on both sides; and the commit it names
-for the working tree it measures."""
+probes, and the calibration probe on both sides, each from its own
+worktree; and the commit it names for the working tree it measures."""
 
 import importlib.util
 import json
@@ -66,9 +66,11 @@ def test_the_pairs_writer_runs_both_trees_and_removes_its_worktree(tmp_path):
         assert 0 < calibration[side]["q1"] <= calibration[side]["median"] <= calibration[side]["q3"]
     assert calibration["ratio"] == calibration["change"]["median"] / calibration["parent"]["median"]
 
+    # both sides ran from worktrees under .bench-work/, and neither is left
     worktrees = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=ROOT,
                                check=True, capture_output=True, text=True).stdout
     assert ".bench-work" not in worktrees
+    assert not list((ROOT / ".bench-work").glob("pairs-*"))
 
 
 def test_the_change_side_names_the_tree_it_measured(tmp_path):

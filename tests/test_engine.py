@@ -379,18 +379,63 @@ class TestEmptyRoster:
         assert_resumed_as_full(full, resumed, 15)
 
 
+def stall_warnings(caplog) -> list[int]:
+    """The cycles of the stall warnings caplog holds."""
+    stall = re.compile(r"cycle (\d+): no active FraudDetection agent")
+    return [int(m[1]) for r in caplog.records if (m := stall.match(r.getMessage()))]
+
+
 class TestStall:
-    def test_the_stalled_cycles_are_those_the_pipeline_warned_of(self, caplog):
+    def test_the_stall_warning_names_a_shadow_or_a_pending_vacancy(self, caplog):
+        vacant = Engine(RunConfig(
+            stream=StreamConfig(
+                seed=1, samples_per_cycle=5, total_cycles=2, patterns=(GOOD_PATTERN,),
+                schedule=(Segment(0, {GOOD_PATTERN.name: 1.0}),),
+            ),
+            roles=(RoleSpec(name="FraudDetection", required_skills=frozenset({"fraud"})),),
+        ))
+        shadowed = Engine(workload("dispatch", 1))
+        # two Probationary agents, out of id order
+        shadowed.roster = {i: shadowed.roster[i] for i in (4, 2)}
+        for agent in shadowed.roster.values():
+            agent.status = AgentStatus.PROBATIONARY
+        with caplog.at_level("WARNING"):
+            vacant.run_cycle()
+            shadowed.run_cycle()
+            Engine(small_config()).run_cycle()
+        assert [r.getMessage() for r in caplog.records if r.name == "freeagent.engine"] == [
+            "cycle 0: no active FraudDetection agent; 5 samples undecided (vacancy pending)",
+            "cycle 0: no active FraudDetection agent; 2000 samples undecided "
+            "(Probationary agent 2, 4 in shadow)",
+        ]
+        assert not [r for r in caplog.records if r.name == "freeagent.pipeline"]
+
+    def test_each_run_of_stalled_cycles_is_warned_of_once_at_its_first_cycle(self, caplog):
         # the totals' flag comes from the rows; the warning from stalled_samples
         engine = Engine(workload("churn", 60))
-        with caplog.at_level("WARNING", logger="freeagent.pipeline"):
+        with caplog.at_level("WARNING", logger="freeagent.engine"):
             while engine.cycle < 60:
                 engine.run_cycle()
-        stall = re.compile(r"cycle (\d+): no active FraudDetection agent")
-        warned = [int(m[1]) for r in caplog.records if (m := stall.match(r.getMessage()))]
-        stalled = [cycle for cycle, row in enumerate(engine.totals.cycles) if row[4]]
-        assert warned == stalled
-        assert len(stalled) == 29  # 1450 stalled samples, 50 a cycle
+        flags = [row[4] for row in engine.totals.cycles]
+        starts = [c for c, flag in enumerate(flags) if flag and not (c and flags[c - 1])]
+        assert stall_warnings(caplog) == starts
+        assert starts[:3] == [3, 7, 11]
+        assert flags.count(True) == 29  # 1450 stalled samples, 50 a cycle
+
+    @pytest.mark.parametrize("at", [15, 20])
+    def test_a_resumed_run_repeats_and_drops_no_stall_warning(self, at, tmp_path, caplog):
+        # the churn cut stalls in cycles 3-4, 7-8, ..., 19-20: a resume at 20
+        # starts inside a stall, whose warning the run before it logged
+        full, resumed = tmp_path / "full", tmp_path / "resumed"
+        with caplog.at_level("WARNING", logger="freeagent.engine"):
+            Engine(workload("churn", 40)).run(full)
+            fresh = stall_warnings(caplog)
+            caplog.clear()
+            snapshot = full / "snapshots" / f"state_cycle_{at:04d}.json"
+            assert main(["run", "--restore", str(snapshot), "--out", str(resumed)]) == 0
+        assert fresh[:5] == [3, 7, 11, 15, 19]
+        assert stall_warnings(caplog) == [c for c in fresh if c >= at]
+        assert (at in stall_warnings(caplog)) == (at == 15)
 
     def test_a_run_without_detections_removes_an_earlier_runs_file(self, tmp_path):
         cfg = small_config()

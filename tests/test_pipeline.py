@@ -95,19 +95,6 @@ class TestSelectFraudAgent:
         assert rows == []
         assert pipe.stalled_samples == 1
 
-    def test_the_stall_warning_names_a_shadow_or_a_pending_vacancy(self, caplog):
-        shadows = {4: detector(4, status=AgentStatus.PROBATIONARY),
-                   2: detector(2, status=AgentStatus.PROBATIONARY)}
-        with caplog.at_level("WARNING", logger="freeagent.pipeline"):
-            pipeline({}).run_batch(5)
-            pipeline(shadows).run_batch(batch((0.9, 0, 0, 0, 0, 0), n=3))
-            pipeline({0: detector(0)}).run_batch(batch((0.9, 0, 0, 0, 0, 0)))
-        assert [r.getMessage() for r in caplog.records] == [
-            "cycle 0: no active FraudDetection agent; 5 samples undecided (vacancy pending)",
-            "cycle 0: no active FraudDetection agent; 3 samples undecided "
-            "(Probationary agent 2, 4 in shadow)",
-        ]
-
 
 class TestWindows:
     def test_the_pipeline_makes_one_window_per_roster_agent(self):
